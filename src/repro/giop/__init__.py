@@ -8,7 +8,8 @@ from .messages import (GIOP_HEADER_SIZE, GIOP_MAGIC, SVC_CTX_DEPOSIT,
                        LocateRequestHeader, LocateStatus, MsgType,
                        ReplyHeader, ReplyStatus, RequestHeader,
                        ServiceContext, body_offset_for, decode_body,
-                       decode_header, decode_trace_context, encode_message,
+                       decode_header, decode_trace_context,
+                       encode_giop_header, encode_message,
                        encode_trace_context)
 
 __all__ = [
@@ -18,6 +19,7 @@ __all__ = [
     "GIOPHeader", "GIOPMessage", "GIOPError", "ServiceContext",
     "RequestHeader", "ReplyHeader", "CancelRequestHeader",
     "LocateRequestHeader", "LocateReplyHeader",
-    "encode_message", "decode_header", "decode_body", "body_offset_for",
+    "encode_message", "encode_giop_header", "decode_header", "decode_body",
+    "body_offset_for",
     "IOR", "IIOPProfile", "IORError", "TAG_INTERNET_IOP",
 ]

@@ -14,7 +14,8 @@ three transports of this reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from ..cdr import CDRDecoder, CDREncoder
@@ -67,20 +68,23 @@ class IIOPProfile:
                    major=major, minor=minor)
 
     # -- transport-scheme host encoding ------------------------------------
-    @property
+    # The profile is frozen, so each of these is computed on first use
+    # and then lives in the instance dict: routing a call reads them
+    # without a function call.
+    @cached_property
     def scheme(self) -> str:
         """Transport scheme: 'tcp' unless the host carries 'scheme!host'."""
         if "!" in self.host:
             return self.host.split("!", 1)[0]
         return "tcp"
 
-    @property
+    @cached_property
     def bare_host(self) -> str:
         if "!" in self.host:
             return self.host.split("!", 1)[1]
         return self.host
 
-    @property
+    @cached_property
     def endpoint(self) -> Tuple[str, str, int]:
         return (self.scheme, self.bare_host, self.port)
 
@@ -107,18 +111,24 @@ class IOR:
                    profiles=tuple((TAG_INTERNET_IOP, p.encode())
                                   for p in profiles))
 
-    def iiop_profile(self) -> IIOPProfile:
-        """The first IIOP profile (the server's primary endpoint)."""
-        for tag, data in self.profiles:
-            if tag == TAG_INTERNET_IOP:
-                return IIOPProfile.decode(data)
-        raise IORError(f"IOR for {self.type_id!r} has no IIOP profile")
-
-    def iiop_profiles(self) -> Tuple[IIOPProfile, ...]:
-        """Every IIOP profile, in advertisement order."""
+    @cached_property
+    def _iiop(self) -> Tuple[IIOPProfile, ...]:
+        """The IIOP profiles, decoded once: the reference is frozen, so
+        every invocation through it routes over the same tuple."""
         return tuple(IIOPProfile.decode(data)
                      for tag, data in self.profiles
                      if tag == TAG_INTERNET_IOP)
+
+    def iiop_profile(self) -> IIOPProfile:
+        """The first IIOP profile (the server's primary endpoint)."""
+        profiles = self._iiop
+        if not profiles:
+            raise IORError(f"IOR for {self.type_id!r} has no IIOP profile")
+        return profiles[0]
+
+    def iiop_profiles(self) -> Tuple[IIOPProfile, ...]:
+        """Every IIOP profile, in advertisement order."""
+        return self._iiop
 
     def identity(self) -> Tuple:
         """A hashable, profile-order-independent object identity.

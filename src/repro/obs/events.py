@@ -76,15 +76,17 @@ class EventSink:
     what :meth:`stage` spans measure with, so tests can drive stage
     durations deterministically.
 
-    ``wire_stages`` declares whether this sink wants the connection
-    layer to *split* each outbound gather-write at the control/deposit
-    boundary so the two halves time separately.  Tracing sinks do
-    (that split is the Fig. 7 breakdown); the always-on flight
-    recorder does not — it must leave the wire geometry of the
-    zero-copy single-``sendv`` path untouched.
+    ``wire_stages`` declares whether this sink consumes the wire-level
+    view of a connection: a :class:`WireEvent` per GIOP message, and
+    each outbound gather-write *split* at the control/deposit boundary
+    so the two halves time separately.  Tracing sinks do (that split is
+    the Fig. 7 breakdown); the always-on flight recorder does not — it
+    must leave the wire geometry of the zero-copy single-``sendv`` path
+    untouched, and it keeps no wire events, so none are built for it.
     """
 
-    #: ask the connection layer for split control/deposit send stages
+    #: ask the connection layer for wire events and split
+    #: control/deposit send stages
     wire_stages = True
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
@@ -145,6 +147,8 @@ class _NullSpan:
         return False
 
 
+#: the span of a stage nobody measures (no sink, or a sink with no
+#: use for the result on this thread)
 _NULL_SPAN = _NullSpan()
 
 

@@ -38,7 +38,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional
 
 from .dtrace import InvocationScope, Span
-from .events import EventSink, StageEvent
+from .events import _NULL_SPAN, EventSink, StageEvent, StageSpan
 
 __all__ = ["FlightRecorder", "DEFAULT_SLOW_THRESHOLD"]
 
@@ -46,6 +46,14 @@ __all__ = ["FlightRecorder", "DEFAULT_SLOW_THRESHOLD"]
 #: microseconds, cross-host ones single-digit milliseconds, so 50 ms
 #: flags genuine outliers on every transport without sampling noise
 DEFAULT_SLOW_THRESHOLD = 0.050
+
+
+class _OpenSpans(threading.local):
+    """Per-thread stack of open spans, innermost last (every thread
+    starts with an empty one)."""
+
+    def __init__(self):
+        self.stack: List["_ActiveFlightSpan"] = []
 
 
 class _ActiveFlightSpan:
@@ -94,7 +102,7 @@ class FlightRecorder(EventSink):
         self.node = node
         self.enabled = True
         self._ids = itertools.count(1)  # .__next__ is atomic under the GIL
-        self._tls = threading.local()
+        self._tls = _OpenSpans()
         self._lock = threading.Lock()
         self._ring: Deque[Span] = deque(maxlen=keep)
         self._slow: Deque[List[Span]] = deque(maxlen=slow_keep)
@@ -118,17 +126,10 @@ class FlightRecorder(EventSink):
     def _new_span_id(self) -> str:
         return f"{next(self._ids):016x}"
 
-    # -- thread-local state --------------------------------------------------
-    def _stack(self) -> List[_ActiveFlightSpan]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
     # -- span lifecycle (DistributedTracer-shaped) ---------------------------
     def begin_invocation(self) -> InvocationScope:
         """Fix the trace identity for one logical client call."""
-        stack = self._stack()
+        stack = self._tls.stack
         if stack:
             top = stack[-1].span
             return InvocationScope(trace_id=top.trace_id,
@@ -142,7 +143,7 @@ class FlightRecorder(EventSink):
                     parent_id=scope.parent_id, name=name, kind="client",
                     node=self.node, start_s=self.clock())
         active = _ActiveFlightSpan(span)
-        self._stack().append(active)
+        self._tls.stack.append(active)
         return active
 
     def start_server_span(self, name: str, ctx=None,
@@ -155,7 +156,7 @@ class FlightRecorder(EventSink):
         same-process client span on synchronous transports) or roots a
         new trace on a clean dispatch thread.
         """
-        stack = self._stack()
+        stack = self._tls.stack
         if stack:
             top = stack[-1].span
             trace_id, parent_id = top.trace_id, top.span_id
@@ -179,7 +180,7 @@ class FlightRecorder(EventSink):
         threshold (its whole subtree then also enters the slow ring),
         stripped to a header otherwise.
         """
-        stack = self._stack()
+        stack = self._tls.stack
         while stack:
             top = stack.pop()
             if top is active:
@@ -210,10 +211,18 @@ class FlightRecorder(EventSink):
         return span
 
     # -- sink interface ------------------------------------------------------
+    def stage(self, name: str):
+        """A measuring span when this thread has an open span to keep
+        the result, else the shared no-op: a reader or reactor thread
+        pays nothing for events :meth:`emit` would drop."""
+        if self._tls.stack:
+            return StageSpan(self, name)
+        return _NULL_SPAN
+
     def emit(self, event) -> None:
         if not self.enabled or not isinstance(event, StageEvent):
             return
-        stack = self._stack()
+        stack = self._tls.stack
         if stack:
             stack[-1].span.stages.append(event)
 

@@ -27,12 +27,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from ..cdr import NATIVE_LITTLE, CDREncoder, MarshalContext
+from ..cdr.encoder import SG_MIN_CHUNK
 from ..core.buffers import (BufferPool, FileBackedBuffer, ZCBuffer,
                             default_pool)
 from ..core.direct_deposit import (DepositError, DepositReceiver,
                                    DepositRegistry)
 from ..giop import (GIOP_HEADER_SIZE, GIOPError, GIOPHeader, GIOPMessage,
-                    MsgType, ServiceContext, decode_body, decode_header)
+                    MsgType, ServiceContext, decode_body, decode_header,
+                    encode_giop_header)
 from ..obs.events import CaptureSink, EventSink, WireEvent, stage_span
 from ..obs.stages import (STAGE_CONTROL_SEND, STAGE_DEPOSIT_RECV,
                           STAGE_DEPOSIT_SEND, STAGE_RECV_WAIT)
@@ -43,6 +45,7 @@ from .exceptions import COMM_FAILURE, MARSHAL, TIMEOUT, CompletionStatus
 __all__ = ["GIOPConn", "ReceivedMessage", "ConnStats"]
 
 _BODY_ALIGN = 8
+_PAD = b"\x00" * _BODY_ALIGN
 
 
 @dataclass
@@ -100,6 +103,20 @@ ConnStats._COUNTER_FIELDS = tuple(
     f.name for f in dataclasses.fields(ConnStats) if f.name != "owner_lock")
 
 
+class _Carried:
+    """What one send's deposit payloads did, tier by tier (folded into
+    :class:`ConnStats` under the send lock once the send succeeded)."""
+
+    __slots__ = ("via_channel", "shm_sent", "shm_fallback", "shm_shared",
+                 "sf_sent", "sf_fallback", "slot_waits")
+
+    def __init__(self, via_channel: bool):
+        self.via_channel = via_channel
+        self.shm_sent = self.shm_fallback = self.shm_shared = 0
+        self.sf_sent = self.sf_fallback = 0
+        self.slot_waits: list = []
+
+
 @dataclass
 class ReceivedMessage:
     """A fully received GIOP message with its landed deposits."""
@@ -151,6 +168,9 @@ class GIOPConn:
         #: structured event sink (repro.obs): stage spans + wire events;
         #: None keeps the data path free of instrumentation
         self.sink = sink
+        #: on_bytes and sink are fixed for the connection's life, so
+        #: the hook marshalers get is composed once
+        self._bytes_hook = self._make_bytes_hook()
         self.orb = orb
         #: GIOP 1.1 fragmentation: split control messages whose body
         #: exceeds this many bytes (0 = never fragment).  Deposit
@@ -162,7 +182,10 @@ class GIOPConn:
         self.sendfile_min_size = sendfile_min_size
         self._req_ids = itertools.count(1)
         self._send_lock = threading.Lock()
-        self._closed = False
+        #: True once the connection can carry no further message.  Every
+        #: layer reads it on every message, hence a plain attribute;
+        #: only this class writes it.
+        self.closed = False
         #: callbacks run exactly once when close() fires — the reactor
         #: registers one to detach its fd reader before the fd dies.
         #: Guarded by a dedicated lock, NOT _send_lock: close() can be
@@ -192,6 +215,9 @@ class GIOPConn:
         """The per-byte instrumentation callback marshalers should use:
         the legacy ``on_bytes`` hook, the sink's byte-event adapter, or
         a fan-out to both when both are configured."""
+        return self._bytes_hook
+
+    def _make_bytes_hook(self) -> Optional[Callable[[str, int], None]]:
         if self.sink is None:
             return self.on_bytes
         if self.on_bytes is None:
@@ -223,7 +249,7 @@ class GIOPConn:
             channel = getattr(self.stream, "deposit_channel", None)
             if channel is not None:
                 arena = getattr(channel, "send_arena", None)
-        return MarshalContext(registry=registry, on_bytes=self.bytes_hook(),
+        return MarshalContext(registry=registry, on_bytes=self._bytes_hook,
                               generic_loop=self.generic_loop, orb=self.orb,
                               arena=arena)
 
@@ -246,7 +272,7 @@ class GIOPConn:
         try:
             self._send_message(body_header, params, ctx)
         finally:
-            if ctx is not None:
+            if ctx is not None and ctx.staged:
                 # arena slots leased by encode-into-arena staging: a
                 # posted slot's release is a no-op, an unsent one goes
                 # back to the arena even when the send failed
@@ -254,7 +280,12 @@ class GIOPConn:
 
     def _send_message(self, body_header, params,
                       ctx: Optional[MarshalContext]) -> None:
-        deposits = []
+        # The trunk of this function is the message that carries
+        # nothing but itself — no deposit, no fragmentation, no sink
+        # that asked for wire stages: encode, one sendv, count.  What a
+        # message does not carry it does not pay for; deposits and
+        # stage timing branch off into _send_carrying.
+        payloads: list = []
         if ctx is not None and ctx.descriptors:
             if ctx.registry is None:
                 raise MARSHAL(message="deposit descriptors without registry")
@@ -264,165 +295,174 @@ class GIOPConn:
                     f"{type(body_header).__name__} cannot carry deposits"))
             for desc in ctx.descriptors:
                 contexts.append(ServiceContext.for_deposit(desc))
-            deposits = ctx.registry.drain()
+            payloads = [view for _, view in ctx.registry.drain()]
 
         if isinstance(params, CDREncoder):
-            param_chunks = params.chunks()
             params_nbytes = params.nbytes
+            param_chunks = params.chunks() if params_nbytes else []
         else:
-            param_chunks = [params] if len(params) else []
             params_nbytes = len(params)
+            param_chunks = [params] if params_nbytes else []
 
-        head_enc = CDREncoder(little_endian=self.little_endian, offset=0)
-        body_header.encode(head_enc)
-        head = bytearray(head_enc.getvalue())
+        head = body_header.encode(self.little_endian)
         if params_nbytes:
-            head += b"\x00" * ((-len(head)) % _BODY_ALIGN)
-        body_chunks = [head] + param_chunks
-        body_nbytes = len(head) + params_nbytes
-        chunks, n_fragments = self._frame(body_header.MSG_TYPE, body_chunks,
+            head += _PAD[:-len(head) & (_BODY_ALIGN - 1)]
+            body_nbytes = len(head) + params_nbytes
+            if len(param_chunks) == 1 and params_nbytes < SG_MIN_CHUNK:
+                # parameters the encoder already holds by copy: one
+                # contiguous control buffer instead of an iovec entry
+                head += param_chunks[0]
+                param_chunks = []
+        else:
+            body_nbytes = len(head)
+        msg_type = body_header.MSG_TYPE
+        chunks, n_fragments = self._frame(msg_type, [head] + param_chunks,
                                           body_nbytes)
-        # every chunk is a GIOP header or a body piece: their lengths sum
-        # to the true control-path wire bytes, however many fragment
-        # headers _frame emitted
-        control_nbytes = sum(len(c) for c in chunks)
-        payloads = [view for _, view in deposits]
-        has_file = any(isinstance(p, FileBackedBuffer) for p in payloads)
-        # shared-memory transports expose a deposit channel: payloads
-        # travel through the arena (or its per-deposit inline fallback)
-        # instead of trailing the control message on the stream
-        channel = getattr(self.stream, "deposit_channel", None) \
-            if payloads else None
-        shm_sent = shm_fallback = shm_shared = 0
-        sf_sent = sf_fallback = 0
-        slot_waits: list = []
-
-        def send_file_payload(fbb: FileBackedBuffer) -> None:
-            # the sendfile tier: at or above the threshold a stream
-            # with send_file pushes the range fd-to-socket (True) or
-            # runs its byte-identical copying fallback (False); a
-            # stream without one — loopback, sim, faulty — counts as a
-            # fallback too.  Below the threshold the payload is an
-            # ordinary mapped-view gather write, no sendfile accounting.
-            nonlocal sf_sent, sf_fallback
-            if fbb.nbytes >= self.sendfile_min_size:
-                send_file = getattr(self.stream, "send_file", None)
-                if send_file is not None:
-                    if send_file(fbb.fd, fbb.offset, fbb.nbytes):
-                        sf_sent += 1
-                    else:
-                        sf_fallback += 1
-                    return
-                sf_fallback += 1
-            self.stream.sendv([fbb.view()])
-
-        def send_payloads() -> None:
-            nonlocal shm_sent, shm_fallback, shm_shared
-            if channel is not None:
-                for p in payloads:
-                    view = p.view() if isinstance(p, FileBackedBuffer) \
-                        else p
-                    tier, waited = channel.send_deposit(view)
-                    if tier:
-                        shm_sent += 1
-                        if tier == SEND_SHARED:
-                            shm_shared += 1
-                    else:
-                        shm_fallback += 1
-                    slot_waits.append(waited)
-                return
-            # memory payloads batch into gather writes; file-backed
-            # ones break the run to take their own tier
-            run: list = []
-            for p in payloads:
-                if isinstance(p, FileBackedBuffer):
-                    if run:
-                        self.stream.sendv(run)
-                        run = []
-                    send_file_payload(p)
-                else:
-                    run.append(p)
-            if run:
-                self.stream.sendv(run)
-
+        # GIOP headers plus body pieces: the true control-path wire
+        # bytes, however many fragment headers went out
+        control_nbytes = GIOP_HEADER_SIZE * n_fragments + body_nbytes
+        sink = self.sink
+        wire = sink is not None and sink.wire_stages
+        carried = None
         try:
             with self._send_lock:
-                if self.sink is None or not self.sink.wire_stages:
-                    # untouched zero-copy geometry: one gather write
-                    # (or control + tiered payloads) exactly as with no
-                    # sink at all.  Sinks that decline wire_stages (the
-                    # flight recorder) observe the call from the proxy/
-                    # dispatcher spans without perturbing the wire.
-                    if channel is None and not has_file:
-                        self.stream.sendv(chunks + payloads)
-                    else:
-                        # two-step send: batch so a synchronous peer
-                        # (loopback) only pumps once the payloads are
-                        # queued behind the control message
-                        batch = getattr(self.stream, "send_batch", None)
-                        with batch() if batch is not None \
-                                else nullcontext():
-                            self.stream.sendv(chunks)
-                            send_payloads()
+                if not payloads and not wire:
+                    self.stream.sendv(chunks)
                 else:
-                    # traced: the gather-write splits at the control/
-                    # data boundary so each path times separately (the
-                    # byte order on the wire is unchanged).  Transports
-                    # with synchronous delivery (loopback) expose
-                    # send_batch so the peer's pump only fires once both
-                    # halves are queued — otherwise the peer would read
-                    # a control message whose payloads do not exist yet.
-                    batch = getattr(self.stream, "send_batch", None)
-                    with batch() if batch is not None else nullcontext():
-                        with self.sink.stage(STAGE_CONTROL_SEND) as span:
-                            span.add_bytes(control_nbytes)
-                            self.stream.sendv(chunks)
-                        # a copy-path message still reports a zero-byte
-                        # deposit-send, so every traced invocation shows
-                        # the same six stages
-                        with self.sink.stage(STAGE_DEPOSIT_SEND) as span:
-                            if payloads:
-                                span.add_bytes(
-                                    sum(v.nbytes for v in payloads))
-                                send_payloads()
+                    carried = self._send_carrying(
+                        chunks, control_nbytes, payloads,
+                        sink if wire else None)
                 # still under the send lock: pipelined calls send
                 # concurrently, and unserialized += on the shared
                 # counters would lose updates
-                self.stats.messages_sent += 1
-                self.stats.bytes_sent += control_nbytes
-                for _, view in deposits:
-                    self.stats.deposits_sent += 1
-                    self.stats.deposit_bytes_sent += view.nbytes
-                self.stats.shm_deposits += shm_sent
-                self.stats.shm_fallbacks += shm_fallback
-                self.stats.shm_shared_refs += shm_shared
-                self.stats.sendfile_sends += sf_sent
-                self.stats.sendfile_fallbacks += sf_fallback
+                stats = self.stats
+                stats.messages_sent += 1
+                stats.bytes_sent += control_nbytes
+                if payloads:
+                    stats.deposits_sent += len(payloads)
+                    stats.deposit_bytes_sent += sum(
+                        v.nbytes for v in payloads)
+                    stats.shm_deposits += carried.shm_sent
+                    stats.shm_fallbacks += carried.shm_fallback
+                    stats.shm_shared_refs += carried.shm_shared
+                    stats.sendfile_sends += carried.sf_sent
+                    stats.sendfile_fallbacks += carried.sf_fallback
         except TransportTimeout as e:
             # an incompletely sent GIOP message can never execute
-            self._closed = True
+            self.closed = True
             self.stats.timeouts += 1
             raise TIMEOUT(completed=CompletionStatus.COMPLETED_NO,
                           message=str(e)) from e
         except TransportError as e:
-            self._closed = True
+            self.closed = True
             raise COMM_FAILURE(message=str(e)) from e
-        if channel is not None:
-            self._record_shm_metrics("send", shm_sent, shm_fallback,
-                                     slot_waits, shared_count=shm_shared)
-        if sf_sent or sf_fallback:
-            self._record_sendfile_metrics(sf_sent, sf_fallback)
-        if self.on_bytes is not None:
-            for _, view in deposits:
-                self.on_bytes("deposit-send", view.nbytes)
-        if self.sink is not None:
+        if payloads:
+            if carried.via_channel:
+                self._record_shm_metrics(
+                    "send", carried.shm_sent, carried.shm_fallback,
+                    carried.slot_waits, shared_count=carried.shm_shared)
+            if carried.sf_sent or carried.sf_fallback:
+                self._record_sendfile_metrics(carried.sf_sent,
+                                              carried.sf_fallback)
+            if self.on_bytes is not None:
+                for view in payloads:
+                    self.on_bytes("deposit-send", view.nbytes)
+        if wire:
             descs = ctx.descriptors if ctx is not None else ()
-            self.sink.emit(WireEvent(
-                direction="send", msg_type=body_header.MSG_TYPE.name,
+            sink.emit(WireEvent(
+                direction="send", msg_type=msg_type.name,
                 size=body_nbytes,
                 request_id=getattr(body_header, "request_id", None),
                 fragments=n_fragments,
                 deposits=tuple((d.deposit_id, d.size) for d in descs)))
+
+    def _send_carrying(self, chunks: list, control_nbytes: int,
+                       payloads: list, sink: Optional[EventSink]
+                       ) -> "_Carried":
+        """Send a control message that carries deposit payloads, split
+        stage timing (``sink``), or both; runs under the send lock.
+
+        Memory payloads on a plain stream with no timing asked for keep
+        the single gather write.  Otherwise the send is two steps —
+        control, then each payload through its tier (shm channel,
+        sendfile, gather write) — and the byte order on the wire is the
+        same.  Transports with synchronous delivery (loopback) expose
+        ``send_batch`` so the peer's pump only fires once both halves
+        are queued; it would otherwise read a control message whose
+        payloads do not exist yet.
+        """
+        stream = self.stream
+        # shared-memory transports expose a deposit channel: payloads
+        # travel through the arena (or its per-deposit inline fallback)
+        # instead of trailing the control message on the stream
+        channel = getattr(stream, "deposit_channel", None) \
+            if payloads else None
+        carried = _Carried(via_channel=channel is not None)
+        if sink is None and channel is None and not any(
+                isinstance(p, FileBackedBuffer) for p in payloads):
+            stream.sendv(chunks + payloads)
+            return carried
+        batch = getattr(stream, "send_batch", None)
+        with batch() if batch is not None else nullcontext():
+            with stage_span(sink, STAGE_CONTROL_SEND) as span:
+                span.add_bytes(control_nbytes)
+                stream.sendv(chunks)
+            # a copy-path message still reports a zero-byte
+            # deposit-send, so every traced invocation shows the same
+            # six stages
+            with stage_span(sink, STAGE_DEPOSIT_SEND) as span:
+                if payloads:
+                    span.add_bytes(sum(v.nbytes for v in payloads))
+                    self._send_payloads(payloads, channel, carried)
+        return carried
+
+    def _send_payloads(self, payloads: list, channel,
+                       carried: "_Carried") -> None:
+        stream = self.stream
+        if channel is not None:
+            for p in payloads:
+                view = p.view() if isinstance(p, FileBackedBuffer) else p
+                tier, waited = channel.send_deposit(view)
+                if tier:
+                    carried.shm_sent += 1
+                    if tier == SEND_SHARED:
+                        carried.shm_shared += 1
+                else:
+                    carried.shm_fallback += 1
+                carried.slot_waits.append(waited)
+            return
+        # memory payloads batch into gather writes; file-backed ones
+        # break the run to take their own tier
+        run: list = []
+        for p in payloads:
+            if isinstance(p, FileBackedBuffer):
+                if run:
+                    stream.sendv(run)
+                    run = []
+                self._send_file_payload(p, carried)
+            else:
+                run.append(p)
+        if run:
+            stream.sendv(run)
+
+    def _send_file_payload(self, fbb: FileBackedBuffer,
+                           carried: "_Carried") -> None:
+        """The sendfile tier: at or above the threshold a stream with
+        ``send_file`` pushes the range fd-to-socket (True) or runs its
+        byte-identical copying fallback (False); a stream without one —
+        loopback, sim, faulty — counts as a fallback too.  Below the
+        threshold the payload is an ordinary mapped-view gather write,
+        no sendfile accounting."""
+        if fbb.nbytes >= self.sendfile_min_size:
+            send_file = getattr(self.stream, "send_file", None)
+            if send_file is not None:
+                if send_file(fbb.fd, fbb.offset, fbb.nbytes):
+                    carried.sf_sent += 1
+                else:
+                    carried.sf_fallback += 1
+                return
+            carried.sf_fallback += 1
+        self.stream.sendv([fbb.view()])
 
     def _frame(self, msg_type: MsgType, body_chunks: list,
                body_nbytes: int) -> tuple:
@@ -436,9 +476,9 @@ class GIOPConn:
         even the WAN regime never joins the body into a staging blob.
         """
         if not self.fragment_size or body_nbytes <= self.fragment_size:
-            header = GIOPHeader(msg_type=msg_type, size=body_nbytes,
-                                little_endian=self.little_endian)
-            return [header.encode()] + body_chunks, 1
+            return [encode_giop_header(msg_type, body_nbytes,
+                                       self.little_endian)] \
+                + body_chunks, 1
         views = [c if isinstance(c, memoryview) else memoryview(c)
                  for c in body_chunks]
         views = [v.cast("B") if (v.format != "B" or v.ndim != 1) else v
@@ -460,11 +500,9 @@ class GIOPConn:
         for i, pieces in enumerate(fragments):
             more = i < len(fragments) - 1
             mtype = msg_type if i == 0 else MsgType.Fragment
-            header = GIOPHeader(msg_type=mtype,
-                                size=sum(p.nbytes for p in pieces),
-                                little_endian=self.little_endian,
-                                more_fragments=more)
-            chunks.append(header.encode())
+            chunks.append(encode_giop_header(
+                mtype, sum(p.nbytes for p in pieces), self.little_endian,
+                more_fragments=more))
             chunks.extend(pieces)
         return chunks, len(fragments)
 
@@ -504,20 +542,20 @@ class GIOPConn:
             registry.counter("sendfile_fallbacks_total").inc(fallback_count)
 
     def send_close(self) -> None:
-        header = GIOPHeader(msg_type=MsgType.CloseConnection, size=0,
-                            little_endian=self.little_endian)
+        header = encode_giop_header(MsgType.CloseConnection, 0,
+                                    self.little_endian)
         try:
             with self._send_lock:
-                self.stream.send(header.encode())
+                self.stream.send(header)
         except TransportError:
             pass
-        self._closed = True
+        self.closed = True
 
     def send_error(self) -> None:
-        header = GIOPHeader(msg_type=MsgType.MessageError, size=0,
-                            little_endian=self.little_endian)
+        header = encode_giop_header(MsgType.MessageError, 0,
+                                    self.little_endian)
         with self._send_lock:
-            self.stream.send(header.encode())
+            self.stream.send(header)
 
     # -- receiving ---------------------------------------------------------------
     def read_message(self, wait_stage: str = STAGE_RECV_WAIT,
@@ -632,16 +670,16 @@ class GIOPConn:
         except GIOPError:
             # the stream position is undefined after a framing error:
             # this connection can never resynchronize
-            self._closed = True
+            self.closed = True
             raise
         except TransportTimeout as e:
             # the request left in full; the peer's progress is unknown
-            self._closed = True
+            self.closed = True
             self.stats.timeouts += 1
             raise TIMEOUT(completed=CompletionStatus.COMPLETED_MAYBE,
                           message=str(e)) from e
         except TransportError as e:
-            self._closed = True
+            self.closed = True
             raise COMM_FAILURE(message=str(e)) from e
         self.stats.messages_received += 1
         self.stats.bytes_received += wire_nbytes
@@ -649,67 +687,23 @@ class GIOPConn:
 
         deposits: Dict[int, ZCBuffer] = {}
         deposit_flags: Dict[int, int] = {}
-        descriptors = getattr(msg.body_header, "deposit_descriptors", None)
-        if descriptors is not None:
-            channel = getattr(self.stream, "deposit_channel", None)
-            receiver = DepositReceiver(self.pool, channel=channel)
-            try:
-                with stage_span(stage_sink, STAGE_DEPOSIT_RECV) as span:
-                    for desc in descriptors():
-                        receiver.prepare(desc)
-                    if channel is not None:
-                        # shared-memory landing: each deposit record
-                        # maps its arena slot as the final buffer (or
-                        # reads the inline fallback) — no recv_into on
-                        # the arena path
-                        for desc, _ in receiver.pending_in_order():
-                            yield ("land", receiver, desc)
-                            span.add_bytes(desc.size)
-                            if self.on_bytes is not None:
-                                self.on_bytes("deposit-recv", desc.size)
-                    else:
-                        for desc, buf in receiver.pending_in_order():
-                            # land the payload directly in its final
-                            # buffer
-                            yield ("into", buf.view())
-                            span.add_bytes(desc.size)
-                            if self.on_bytes is not None:
-                                self.on_bytes("deposit-recv", desc.size)
-                    for desc, _ in list(receiver.pending_in_order()):
-                        deposits[desc.deposit_id] = receiver.complete(
-                            desc.deposit_id)
-                        deposit_flags[desc.deposit_id] = desc.flags
-            except DepositError as e:
-                # malformed descriptors (duplicate id, unsatisfiable
-                # alignment): the payload bytes are unconsumed, so the
-                # stream is desynchronized — return every prepared
-                # buffer to the pool and drop the connection
-                receiver.abort()
-                self.close()
-                raise MARSHAL(completed=CompletionStatus.COMPLETED_MAYBE,
-                              message=f"deposit protocol violation: {e}"
-                              ) from e
-            except TransportTimeout as e:
-                # interrupted mid-landing: the page-aligned buffers go
-                # straight back to the pool — zero-copy never leaks
-                receiver.abort()
-                self._closed = True
-                self.stats.timeouts += 1
-                raise TIMEOUT(completed=CompletionStatus.COMPLETED_MAYBE,
-                              message=str(e)) from e
-            except TransportError as e:
-                receiver.abort()
-                self._closed = True
-                raise COMM_FAILURE(message=str(e)) from e
-            self.stats.deposits_received += len(deposits)
-            self.stats.deposit_bytes_received += sum(
-                b.length for b in deposits.values())
-            if channel is not None:
-                self.stats.shm_deposits += receiver.shm_landed
-                self.stats.shm_fallbacks += receiver.shm_fallbacks
-                self._record_shm_metrics("recv", receiver.shm_landed,
-                                         receiver.shm_fallbacks)
-        if stage_sink is not None:
+        body_header = msg.body_header
+        descriptors = ()
+        # only Request and Reply headers have a service-context list,
+        # and only a non-empty one can name deposits
+        contexts = getattr(body_header, "service_contexts", None)
+        if contexts:
+            descriptors = body_header.deposit_descriptors()
+        if descriptors:
+            yield from self._land_deposits(descriptors, stage_sink,
+                                           deposits, deposit_flags)
+        elif contexts is not None:
+            # nothing to land, and no receiver built for it; the stage
+            # is still reported, zero bytes, so every traced invocation
+            # shows the same six stages
+            with stage_span(stage_sink, STAGE_DEPOSIT_RECV):
+                pass
+        if stage_sink is not None and self.sink.wire_stages:
             # under capture the wire event travels with the stage events
             # and is re-emitted by the awaiting thread, preserving the
             # send-before-recv order a nested synchronous read would
@@ -717,20 +711,78 @@ class GIOPConn:
             stage_sink.emit(WireEvent(
                 direction="recv", msg_type=header.msg_type.name,
                 size=header.size,
-                request_id=getattr(msg.body_header, "request_id", None),
+                request_id=getattr(body_header, "request_id", None),
                 fragments=fragments,
-                deposits=tuple(
-                    (d.deposit_id, d.size)
-                    for d in (descriptors() if descriptors is not None
-                              else ()))))
+                deposits=tuple((d.deposit_id, d.size)
+                               for d in descriptors)))
         return ReceivedMessage(msg=msg, deposits=deposits,
                                deposit_flags=deposit_flags)
 
-    # -- lifecycle ---------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    def _land_deposits(self, descriptors, stage_sink,
+                       deposits: Dict[int, ZCBuffer],
+                       deposit_flags: Dict[int, int]):
+        """The direct-deposit receiver (§4.5) as a sub-generator of
+        :meth:`_read_message_gen`: entered only by a message whose
+        header names deposits.  Yields the same read requests and fills
+        ``deposits`` / ``deposit_flags`` by deposit id."""
+        channel = getattr(self.stream, "deposit_channel", None)
+        receiver = DepositReceiver(self.pool, channel=channel)
+        try:
+            with stage_span(stage_sink, STAGE_DEPOSIT_RECV) as span:
+                for desc in descriptors:
+                    receiver.prepare(desc)
+                if channel is not None:
+                    # shared-memory landing: each deposit record maps
+                    # its arena slot as the final buffer (or reads the
+                    # inline fallback) — no recv_into on the arena path
+                    for desc, _ in receiver.pending_in_order():
+                        yield ("land", receiver, desc)
+                        span.add_bytes(desc.size)
+                        if self.on_bytes is not None:
+                            self.on_bytes("deposit-recv", desc.size)
+                else:
+                    for desc, buf in receiver.pending_in_order():
+                        # land the payload directly in its final buffer
+                        yield ("into", buf.view())
+                        span.add_bytes(desc.size)
+                        if self.on_bytes is not None:
+                            self.on_bytes("deposit-recv", desc.size)
+                for desc, _ in list(receiver.pending_in_order()):
+                    deposits[desc.deposit_id] = receiver.complete(
+                        desc.deposit_id)
+                    deposit_flags[desc.deposit_id] = desc.flags
+        except DepositError as e:
+            # malformed descriptors (duplicate id, unsatisfiable
+            # alignment): the payload bytes are unconsumed, so the
+            # stream is desynchronized — return every prepared buffer
+            # to the pool and drop the connection
+            receiver.abort()
+            self.close()
+            raise MARSHAL(completed=CompletionStatus.COMPLETED_MAYBE,
+                          message=f"deposit protocol violation: {e}"
+                          ) from e
+        except TransportTimeout as e:
+            # interrupted mid-landing: the page-aligned buffers go
+            # straight back to the pool — zero-copy never leaks
+            receiver.abort()
+            self.closed = True
+            self.stats.timeouts += 1
+            raise TIMEOUT(completed=CompletionStatus.COMPLETED_MAYBE,
+                          message=str(e)) from e
+        except TransportError as e:
+            receiver.abort()
+            self.closed = True
+            raise COMM_FAILURE(message=str(e)) from e
+        self.stats.deposits_received += len(deposits)
+        self.stats.deposit_bytes_received += sum(
+            b.length for b in deposits.values())
+        if channel is not None:
+            self.stats.shm_deposits += receiver.shm_landed
+            self.stats.shm_fallbacks += receiver.shm_fallbacks
+            self._record_shm_metrics("recv", receiver.shm_landed,
+                                     receiver.shm_fallbacks)
 
+    # -- lifecycle ---------------------------------------------------------------
     def add_close_hook(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` once when this connection closes (idempotent
         across repeated close() calls).  If the connection is already
@@ -745,7 +797,7 @@ class GIOPConn:
             fn()
 
     def close(self) -> None:
-        self._closed = True
+        self.closed = True
         with self._hooks_lock:
             hooks, self._close_hooks = self._close_hooks, []
             self._hooks_fired = True

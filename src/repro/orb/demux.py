@@ -55,39 +55,56 @@ class ReplyFuture:
     Exactly one of :attr:`message` / :attr:`exception` is set when
     :meth:`wait` returns True.  :attr:`stages` carries the captured
     stage events of the reply read (see module docstring).
+
+    Waiting is one lock, taken at construction and released by the
+    completer: a waiter blocks in ``acquire`` and passes the lock on,
+    so any number of waiters get through.
     """
 
-    __slots__ = ("request_id", "_event", "message", "stages", "exception",
-                 "_cb_lock", "_callbacks")
+    __slots__ = ("request_id", "message", "stages", "exception", "done",
+                 "_gate", "_cb_lock", "_callbacks")
 
     def __init__(self, request_id: int):
         self.request_id = request_id
-        self._event = threading.Event()
         self.message: Optional[ReceivedMessage] = None
         self.stages: Tuple[StageEvent, ...] = ()
         self.exception: Optional[SystemException] = None
+        #: True once completed or failed (set before waiters wake)
+        self.done = False
+        self._gate = threading.Lock()
+        self._gate.acquire()
         self._cb_lock = threading.Lock()
         self._callbacks: List = []
 
     def complete(self, rm: ReceivedMessage,
                  stages: Tuple[StageEvent, ...] = ()) -> None:
-        self.message = rm
-        self.stages = tuple(stages)
-        self._event.set()
-        self._fire()
+        self._finish(rm, tuple(stages), None)
 
     def fail(self, exc: SystemException) -> None:
-        self.exception = exc
-        self._event.set()
-        self._fire()
+        self._finish(None, (), exc)
+
+    def _finish(self, rm, stages, exc) -> None:
+        with self._cb_lock:
+            if self.done:
+                return  # the first outcome stands
+            self.message = rm
+            self.stages = stages
+            self.exception = exc
+            self.done = True
+            callbacks, self._callbacks = self._callbacks, []
+        self._gate.release()
+        for fn in callbacks:
+            fn(self)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until completed; False when ``timeout`` expired first."""
-        return self._event.wait(timeout)
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
+        gate = self._gate
+        if timeout is None:
+            gate.acquire()
+        elif not gate.acquire(timeout=max(timeout, 0.0)):
+            return False
+        gate.release()  # the next waiter's turn
+        return True
 
     def add_done_callback(self, fn) -> None:
         """Call ``fn(self)`` on completion — immediately if already
@@ -95,16 +112,10 @@ class ReplyFuture:
         async invocation path bridges this to an asyncio future via
         ``call_soon_threadsafe``."""
         with self._cb_lock:
-            if not self._event.is_set():
+            if not self.done:
                 self._callbacks.append(fn)
                 return
         fn(self)
-
-    def _fire(self) -> None:
-        with self._cb_lock:
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
 
 
 #: message types that complete a pending future by request id

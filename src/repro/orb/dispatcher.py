@@ -10,6 +10,7 @@ GIOP reply status.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Optional
 
 from ..cdr import get_marshaller
@@ -45,6 +46,8 @@ _KNOWN_CTX_TAGS = (SVC_CTX_DEPOSIT, SVC_CTX_TRACE)
 
 def _echo_contexts(req: RequestHeader) -> list:
     """Unknown-tag service contexts to re-emit on every reply."""
+    if not req.service_contexts:
+        return []
     return [sc for sc in req.service_contexts
             if sc.context_id not in _KNOWN_CTX_TAGS]
 
@@ -56,8 +59,11 @@ class MethodDispatcher:
                  on_bytes: Optional[Callable[[str, int], None]] = None):
         self.poa = poa
         self.on_bytes = on_bytes
+        #: counters shared by every worker thread; += is a
+        #: read-modify-write, so both are bumped under _count_lock
         self.requests_dispatched = 0
         self.errors = 0
+        self._count_lock = threading.Lock()
 
     # -- signature lookup ---------------------------------------------------
     def _resolve(self, servant: Servant,
@@ -76,7 +82,8 @@ class MethodDispatcher:
         """Handle one Request message end-to-end (including the reply)."""
         req = rm.msg.body_header
         assert isinstance(req, RequestHeader)
-        self.requests_dispatched += 1
+        with self._count_lock:
+            self.requests_dispatched += 1
         chain = getattr(conn.orb, "interceptors", None) if conn.orb \
             else None
         info = None
@@ -142,12 +149,12 @@ class MethodDispatcher:
             self._reply_user_exception(conn, req, exc, echo=echo)
             return
         except SystemException as exc:
-            self.errors += 1
+            self._count_error()
             self._notify_reply(chain, info, actives, "SYSTEM_EXCEPTION")
             self._reply_system_exception(conn, req, exc, echo=echo)
             return
         except Exception as exc:  # servant bug -> CORBA::UNKNOWN
-            self.errors += 1
+            self._count_error()
             self._notify_reply(chain, info, actives, "SYSTEM_EXCEPTION")
             self._reply_system_exception(
                 conn, req,
@@ -171,8 +178,12 @@ class MethodDispatcher:
                                 service_contexts=list(echo))
             conn.send_message(reply, enc, reply_ctx)
         except SystemException as exc:
-            self.errors += 1
+            self._count_error()
             self._reply_system_exception(conn, req, exc, echo=echo)
+
+    def _count_error(self) -> None:
+        with self._count_lock:
+            self.errors += 1
 
     @staticmethod
     def _notify_reply(chain, info, actives, status: str) -> None:

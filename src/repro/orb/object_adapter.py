@@ -74,8 +74,10 @@ class POA:
             self._keys_by_servant.pop(id(servant), None)
 
     def find_servant(self, key: bytes) -> Optional[Servant]:
+        if type(key) is not bytes:
+            key = bytes(key)  # a view or bytearray: make it hashable
         with self._lock:
-            return self._servants.get(bytes(key))
+            return self._servants.get(key)
 
     def servant_key(self, servant: Servant) -> Optional[bytes]:
         with self._lock:

@@ -470,9 +470,9 @@ class ORB:
         return best if best is not None else ior.iiop_profile()
 
     def find_local_servant(self, ior: IOR) -> Optional[Servant]:
-        if not self._endpoints:
+        local = self._endpoints  # one or two tuples: no set needed
+        if not local:
             return None
-        local = set(self._endpoints)
         for profile in ior.iiop_profiles():
             if profile.endpoint in local:
                 return self.poa.find_servant(profile.object_key)

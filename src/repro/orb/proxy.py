@@ -102,7 +102,6 @@ class IIOPProxy:
         #: held across a send or a reply wait
         self._conn_lock = threading.Lock()
         self._demux: Optional[ReplyDemux] = None
-        self.calls = 0
 
     # -- connection management -----------------------------------------------
     @property
@@ -114,6 +113,15 @@ class IIOPProxy:
     def stats(self) -> ConnStats:
         """Cumulative stats across every connection this proxy used."""
         return self._stats
+
+    @property
+    def calls(self) -> int:
+        """Invocation attempts that reached the wire (plus LocateRequest
+        probes): the messages this proxy sent.  Read off the shared
+        :class:`ConnStats`, which counts under the connection's send
+        lock — a counter of its own, bumped by pipelining callers
+        without one, lost increments."""
+        return self._stats.messages_sent
 
     def _ensure_conn(self) -> Tuple[GIOPConn, ReplyDemux]:
         """The live (conn, demux) pair, dialing or replacing a dead
@@ -187,26 +195,22 @@ class IIOPProxy:
         elif conn is not None:
             conn.close()
 
-    def _interceptors(self):
+    def _orb_hooks(self) -> tuple:
+        """``(tracer, flight recorder, interceptor chain)`` of the
+        owning ORB, each ``None`` when absent, switched off or empty —
+        one resolution per invocation, and never a dial."""
         orb = self._orb
         if orb is None and self._conn is not None:
             orb = self._conn.orb
-        return getattr(orb, "interceptors", None) if orb else None
-
-    def _dtracer(self):
-        """The ORB's DistributedTracer, if any — without dialing."""
-        orb = self._orb
-        if orb is None and self._conn is not None:
-            orb = self._conn.orb
-        return getattr(orb, "dtracer", None) if orb is not None else None
-
-    def _flightrec(self):
-        """The ORB's always-on FlightRecorder, if live — no dialing."""
-        orb = self._orb
-        if orb is None and self._conn is not None:
-            orb = self._conn.orb
-        rec = getattr(orb, "flightrec", None) if orb is not None else None
-        return rec if rec is not None and rec.enabled else None
+        if orb is None:
+            return None, None, None
+        rec = getattr(orb, "flightrec", None)
+        if rec is not None and not rec.enabled:
+            rec = None
+        chain = getattr(orb, "interceptors", None)
+        if chain is not None and not len(chain):
+            chain = None
+        return getattr(orb, "dtracer", None), rec, chain
 
     # -- invocation ----------------------------------------------------------
     def invoke(self, object_key: bytes, sig: OperationSignature,
@@ -221,14 +225,13 @@ class IIOPProxy:
         deadline = policy.start_deadline()
         attempt = 0
         force_copy = False
-        tracer = self._dtracer()
+        tracer, rec, chain = self._orb_hooks()
         # the trace identity of this logical call is fixed here, before
         # the retry loop: every attempt below shares the trace id but
         # opens a fresh span, so retries are distinguishable on the wire
         scope = tracer.begin_invocation() if tracer is not None else None
         # the flight recorder mirrors the tracer's lifecycle but stays
         # process-local: its spans never touch the wire
-        rec = self._flightrec()
         rec_scope = rec.begin_invocation() if rec is not None else None
         while True:
             if deadline is not None and deadline.expired:
@@ -241,7 +244,8 @@ class IIOPProxy:
             try:
                 return self._invoke_once(object_key, sig, args,
                                          deadline, force_copy, state,
-                                         scope=scope, rec_scope=rec_scope)
+                                         tracer, scope, rec, rec_scope,
+                                         chain)
             except (TRANSIENT, COMM_FAILURE) as exc:
                 if attempt >= policy.max_retries or \
                         not policy.retryable(exc, sig.idempotent):
@@ -333,7 +337,6 @@ class IIOPProxy:
                                  args: Sequence[Any],
                                  deadline: Optional[Deadline],
                                  force_copy: bool, state: _Attempt) -> Any:
-        self.calls += 1
         send_fut = loop.run_in_executor(
             None, self._send_attempt_sync, object_key, sig, args,
             force_copy, state)
@@ -445,20 +448,18 @@ class IIOPProxy:
 
     def _invoke_once(self, object_key: bytes, sig: OperationSignature,
                      args: Sequence[Any], deadline: Optional[Deadline],
-                     force_copy: bool, state: _Attempt, scope=None,
-                     rec_scope=None) -> Any:
-        self.calls += 1
+                     force_copy: bool, state: _Attempt, tracer=None,
+                     scope=None, rec=None, rec_scope=None,
+                     chain=None) -> Any:
         conn, demux = self._ensure_conn()
-        tracer = self._dtracer() if scope is not None else None
         active = tracer.start_client_span(sig.name, scope) \
             if tracer is not None else None
-        rec = self._flightrec() if rec_scope is not None else None
         r_active = rec.start_client_span(sig.name, rec_scope) \
             if rec is not None else None
         try:
             return self._attempt(conn, demux, object_key, sig, args,
                                  deadline, force_copy, state, active,
-                                 r_active)
+                                 r_active, chain)
         except BaseException as exc:
             for a in (active, r_active):
                 if a is not None:
@@ -475,10 +476,9 @@ class IIOPProxy:
                  object_key: bytes, sig: OperationSignature,
                  args: Sequence[Any], deadline: Optional[Deadline],
                  force_copy: bool, state: _Attempt, active,
-                 r_active=None) -> Any:
-        chain = self._interceptors()
+                 r_active=None, chain=None) -> Any:
         info = None
-        if chain is not None and len(chain):
+        if chain is not None:
             from .interceptors import RequestInfo
             info = RequestInfo(operation=sig.name, object_key=object_key,
                                response_expected=not sig.oneway)
@@ -520,17 +520,17 @@ class IIOPProxy:
         rm = self._await_reply(conn, demux, future, deadline)
         try:
             result = self._process_reply(conn, sig, rm)
+            status = rm.msg.body_header.reply_status.name
             for a in (active, r_active):
                 if a is not None:
-                    a.record_status(rm.msg.body_header.reply_status.name)
+                    a.record_status(status)
             return result
         finally:
             # the reply points run after demarshaling so tracing
             # interceptors see the complete stage record (and honest
             # wall time) of the invocation
             if info is not None:
-                reply = rm.msg.body_header
-                info.reply_status = reply.reply_status.name
+                info.reply_status = rm.msg.body_header.reply_status.name
                 chain.run("receive_reply", info)
 
     # -- reply handling ---------------------------------------------------------

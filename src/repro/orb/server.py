@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from typing import Callable, List, Optional
 
 from ..core.buffers import BufferPool
@@ -44,9 +43,16 @@ class RequestWorkerPool:
     """Bounded pool of dispatch threads shared by a server's connections.
 
     ``submit`` blocks when the queue is full — backpressure, not
-    unbounded buffering.  Observability (when a metrics registry is
-    resolvable): ``server_inflight_requests`` gauge (queued + executing)
+    unbounded buffering.  Observability (when the ORB has a metrics
+    registry): ``server_inflight_requests`` gauge (queued + executing)
     and a ``server_queue_depth`` histogram sampled at each submit.
+
+    The hand-off is two C-level ``SimpleQueue`` s: the requests, and a
+    pool of ``queue_depth`` tokens that bounds them.  A submitter takes
+    a token (blocking, or failing with :class:`queue.Full`, when none
+    is left), a worker returns it as it picks the request up — the same
+    bound and back-pressure as a ``queue.Queue(maxsize)``, without its
+    three Python-level conditions on every request.
     """
 
     #: histogram buckets for queue depth at submit time
@@ -54,20 +60,27 @@ class RequestWorkerPool:
 
     def __init__(self, workers: int,
                  handler: Callable[[GIOPConn, ReceivedMessage], None],
-                 queue_depth: int = 32,
-                 metrics: Optional[Callable[[], object]] = None,
+                 queue_depth: int = 32, orb=None,
                  name: str = "iiop-worker"):
         if workers <= 0:
             raise ValueError(f"workers must be positive: {workers}")
+        if queue_depth <= 0:
+            raise ValueError(f"queue_depth must be positive: {queue_depth}")
         self._handler = handler
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
-        #: zero-arg callable resolving the metrics registry lazily (the
-        #: ORB's registry appears when enable_tracing is called, which
-        #: may be after the server exists)
-        self._metrics = metrics
-        self._stop = threading.Event()
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._tokens: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(queue_depth):
+            self._tokens.put(None)
+        #: the ORB whose ``metrics`` registry takes the gauge and the
+        #: histogram; read per request, because the registry appears
+        #: when enable_tracing is called, which may be after the server
+        #: exists
+        self._orb = orb
         self._inflight = 0
         self._inflight_lock = threading.Lock()
+        #: signalled when _inflight drops to 0 while someone drains
+        self._idle = threading.Condition(self._inflight_lock)
+        self._draining = 0
         self._threads: List[threading.Thread] = []
         for i in range(workers):
             t = threading.Thread(target=self._work, name=f"{name}-{i}",
@@ -86,21 +99,10 @@ class RequestWorkerPool:
         """Requests waiting in the queue (not yet picked up)."""
         return self._queue.qsize()
 
-    def _registry(self):
-        return self._metrics() if self._metrics is not None else None
-
     def submit(self, conn: GIOPConn, rm: ReceivedMessage) -> None:
         """Enqueue one decoded request; blocks when the queue is full."""
-        reg = self._registry()
-        if reg is not None:
-            reg.histogram("server_queue_depth",
-                          buckets=self.QUEUE_BUCKETS).observe(
-                              self._queue.qsize())
-        with self._inflight_lock:
-            self._inflight += 1
-        if reg is not None:
-            reg.gauge("server_inflight_requests").inc()
-        self._queue.put((conn, rm))
+        self._tokens.get()
+        self._enqueue(conn, rm)
 
     def submit_nowait(self, conn: GIOPConn, rm: ReceivedMessage) -> None:
         """Enqueue without blocking; raises :class:`queue.Full`.
@@ -109,38 +111,42 @@ class RequestWorkerPool:
         backpressure; a full queue pauses the connection's fd reader
         instead.
         """
+        try:
+            self._tokens.get_nowait()
+        except queue.Empty:
+            raise queue.Full from None
+        self._enqueue(conn, rm)
+
+    def _enqueue(self, conn: GIOPConn, rm: ReceivedMessage) -> None:
         with self._inflight_lock:
             self._inflight += 1
-        try:
-            self._queue.put_nowait((conn, rm))
-        except queue.Full:
-            with self._inflight_lock:
-                self._inflight -= 1
-            raise
-        reg = self._registry()
+        reg = getattr(self._orb, "metrics", None)
         if reg is not None:
             reg.gauge("server_inflight_requests").inc()
             reg.histogram("server_queue_depth",
                           buckets=self.QUEUE_BUCKETS).observe(
                               self._queue.qsize())
+        self._queue.put((conn, rm))
 
     def drain(self, timeout: float = 2.0) -> bool:
         """Wait (bounded) until no request is queued or executing —
         graceful shutdown lets in-flight work finish and its replies
         leave before connections drop."""
-        deadline = time.monotonic() + timeout
-        while self.inflight > 0:
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.002)
-        return True
+        with self._idle:
+            self._draining += 1
+            try:
+                return self._idle.wait_for(lambda: self._inflight == 0,
+                                           timeout)
+            finally:
+                self._draining -= 1
 
     def _work(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, rm = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
+        while True:
+            item = self._queue.get()
+            if item is None:
+                return  # shutdown's sentinel
+            self._tokens.put(None)
+            conn, rm = item
             try:
                 self._handler(conn, rm)
             except SystemException:
@@ -152,14 +158,18 @@ class RequestWorkerPool:
             finally:
                 with self._inflight_lock:
                     self._inflight -= 1
-                reg = self._registry()
+                    if self._draining and not self._inflight:
+                        self._idle.notify_all()
+                reg = getattr(self._orb, "metrics", None)
                 if reg is not None:
                     reg.gauge("server_inflight_requests").dec()
 
     def shutdown(self, timeout: float = 1.0) -> None:
-        """Stop accepting work and let workers drain their current
-        item; threads are daemons, so a stuck upcall cannot hang exit."""
-        self._stop.set()
+        """Stop the workers: one sentinel each, queued behind whatever
+        was already submitted; threads are daemons, so a stuck upcall
+        cannot hang exit."""
+        for _ in self._threads:
+            self._queue.put(None)
         for t in self._threads:
             t.join(timeout=timeout)
 
@@ -202,7 +212,7 @@ class IIOPServer:
         if workers > 0:
             self.workers = RequestWorkerPool(
                 workers, self._worker_handle, queue_depth=queue_depth,
-                metrics=lambda: getattr(self.orb, "metrics", None))
+                orb=orb)
 
     def connections(self) -> List[GIOPConn]:
         """The live accepted connections (a copy; closed ones pruned)."""

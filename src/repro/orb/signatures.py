@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cdr import (CDRDecoder, CDREncoder, MarshalContext, TypeCode,
@@ -67,47 +68,69 @@ class OperationSignature:
             raise ValueError(
                 f"oneway operation {self.name!r} cannot have results, "
                 f"out/inout parameters or raises clauses")
+        # the signature is frozen: which parameters travel in which
+        # direction is settled here, not re-filtered on every marshal
+        object.__setattr__(self, "has_result",
+                           self.result_tc.kind is not TCKind.tk_void)
+        object.__setattr__(self, "sending", tuple(
+            p for p in self.params if p.mode.sends))
+        object.__setattr__(self, "returning", tuple(
+            p for p in self.params if p.mode.returns))
+
+    # Marshallers resolve on first use, not in __post_init__: a
+    # signature may be built before the classes of its struct and
+    # exception types are registered.  get_marshaller's own table never
+    # forgets an entry, so the tuples below stay the live marshallers.
+    @cached_property
+    def _send_marshallers(self) -> tuple:
+        return tuple(get_marshaller(p.tc) for p in self.sending)
+
+    @cached_property
+    def _return_marshallers(self) -> tuple:
+        return tuple(get_marshaller(p.tc) for p in self.returning)
+
+    @cached_property
+    def _result_marshaller(self):
+        return get_marshaller(self.result_tc) if self.has_result else None
 
     # -- request side -----------------------------------------------------------
     def marshal_request(self, enc: CDREncoder, args: Sequence[Any],
                         ctx: MarshalContext) -> None:
-        sending = [p for p in self.params if p.mode.sends]
-        if len(args) != len(sending):
+        marshallers = self._send_marshallers
+        if len(args) != len(marshallers):
             raise BAD_PARAM(message=(
-                f"{self.name}() takes {len(sending)} in/inout arguments, "
-                f"got {len(args)}"))
-        for param, value in zip(sending, args):
-            get_marshaller(param.tc).marshal(enc, value, ctx)
+                f"{self.name}() takes {len(marshallers)} in/inout "
+                f"arguments, got {len(args)}"))
+        for marshaller, value in zip(marshallers, args):
+            marshaller.marshal(enc, value, ctx)
 
     def demarshal_request(self, dec: CDRDecoder,
                           ctx: MarshalContext) -> List[Any]:
-        return [get_marshaller(p.tc).demarshal(dec, ctx)
-                for p in self.params if p.mode.sends]
+        return [m.demarshal(dec, ctx) for m in self._send_marshallers]
 
     # -- reply side ---------------------------------------------------------------
     def marshal_reply(self, enc: CDREncoder, result: Any,
                       out_values: Sequence[Any], ctx: MarshalContext) -> None:
-        if self.result_tc.kind is not TCKind.tk_void:
-            get_marshaller(self.result_tc).marshal(enc, result, ctx)
-        returning = [p for p in self.params if p.mode.returns]
-        if len(out_values) != len(returning):
+        if self.has_result:
+            self._result_marshaller.marshal(enc, result, ctx)
+        marshallers = self._return_marshallers
+        if len(out_values) != len(marshallers):
             raise MARSHAL(message=(
-                f"{self.name}() must produce {len(returning)} out/inout "
+                f"{self.name}() must produce {len(marshallers)} out/inout "
                 f"values, servant returned {len(out_values)}"))
-        for param, value in zip(returning, out_values):
-            get_marshaller(param.tc).marshal(enc, value, ctx)
+        for marshaller, value in zip(marshallers, out_values):
+            marshaller.marshal(enc, value, ctx)
 
     def demarshal_reply(self, dec: CDRDecoder, ctx: MarshalContext) -> Any:
         result = None
-        if self.result_tc.kind is not TCKind.tk_void:
-            result = get_marshaller(self.result_tc).demarshal(dec, ctx)
-        outs = [get_marshaller(p.tc).demarshal(dec, ctx)
-                for p in self.params if p.mode.returns]
+        if self.has_result:
+            result = self._result_marshaller.demarshal(dec, ctx)
+        outs = [m.demarshal(dec, ctx) for m in self._return_marshallers]
         return self.pack_results(result, outs)
 
     def pack_results(self, result: Any, outs: Sequence[Any]) -> Any:
         """Python calling convention: result, or (result, *outs)."""
-        has_result = self.result_tc.kind is not TCKind.tk_void
+        has_result = self.has_result
         if not outs:
             return result if has_result else None
         values = ([result] if has_result else []) + list(outs)
@@ -115,9 +138,8 @@ class OperationSignature:
 
     def split_servant_return(self, value: Any) -> Tuple[Any, List[Any]]:
         """Inverse of :meth:`pack_results` for the server side."""
-        has_result = self.result_tc.kind is not TCKind.tk_void
-        n_out = sum(1 for p in self.params if p.mode.returns)
-        expected = (1 if has_result else 0) + n_out
+        has_result = self.has_result
+        expected = (1 if has_result else 0) + len(self.returning)
         if expected == 0:
             return None, []
         if expected == 1:
@@ -158,23 +180,25 @@ class InterfaceDef:
     operations: Tuple[OperationSignature, ...] = ()
     bases: Tuple["InterfaceDef", ...] = ()
 
-    def find_operation(self, name: str) -> Optional[OperationSignature]:
+    @cached_property
+    def _operation_table(self) -> Dict[str, OperationSignature]:
+        """name -> signature over this interface and its bases, built
+        once (the definition is frozen): own operations shadow
+        inherited ones, an earlier base shadows a later one."""
+        table: Dict[str, OperationSignature] = {}
+        for base in reversed(self.bases):
+            table.update(base._operation_table)
+        own: Dict[str, OperationSignature] = {}
         for op in self.operations:
-            if op.name == name:
-                return op
-        for base in self.bases:
-            found = base.find_operation(name)
-            if found is not None:
-                return found
-        return None
+            own.setdefault(op.name, op)
+        table.update(own)
+        return table
+
+    def find_operation(self, name: str) -> Optional[OperationSignature]:
+        return self._operation_table.get(name)
 
     def all_operations(self) -> Dict[str, OperationSignature]:
-        ops: Dict[str, OperationSignature] = {}
-        for base in reversed(self.bases):
-            ops.update(base.all_operations())
-        for op in self.operations:
-            ops[op.name] = op
-        return ops
+        return dict(self._operation_table)
 
     def is_a(self, repo_id: str) -> bool:
         if self.repo_id == repo_id:

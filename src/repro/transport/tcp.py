@@ -97,12 +97,20 @@ class TCPStream:
             self.bytes_sent += memoryview(data).nbytes
 
     def sendv(self, chunks) -> None:
-        views = [c if isinstance(c, memoryview) else memoryview(c)
-                 for c in chunks]
-        views = [v.cast("B") if (v.format != "B" or v.ndim != 1) else v
-                 for v in views]
-        views = [v for v in views if v.nbytes]
-        total = sum(v.nbytes for v in views)
+        # bytes, bytearray and byte-format memoryviews go to sendmsg as
+        # they are; only other buffers (typed views, arrays) need a cast
+        views = []
+        total = 0
+        for c in chunks:
+            if not isinstance(c, (bytes, bytearray)):
+                if not isinstance(c, memoryview):
+                    c = memoryview(c)
+                if c.format != "B" or c.ndim != 1:
+                    c = c.cast("B")
+            n = len(c)
+            if n:
+                views.append(c)
+                total += n
         with self._wlock:
             try:
                 if _HAVE_SENDMSG:
@@ -121,28 +129,19 @@ class TCPStream:
                 raise TransportError(f"{self.name}: sendv failed: {e}") from e
             self.bytes_sent += total
 
-    def _sendmsg_all(self, views) -> None:
-        """Gather-write every view, retrying partial sendmsg results."""
+    def _sendmsg_all(self, views: list) -> None:
+        """Gather-write every view, resuming after partial sendmsg
+        results (``views`` is consumed: a partly sent entry is replaced
+        by its unsent tail)."""
         i = 0
         while i < len(views):
-            batch = views[i:i + _SENDMSG_LIMIT]
-            sent = self._sock.sendmsg(batch)
-            want = sum(v.nbytes for v in batch)
-            if sent == want:
-                i += len(batch)
-                continue
-            # partial gather write: drop what went out, retry rest
-            left = sent
-            rest: list[memoryview] = []
-            for v in batch:
-                if left >= v.nbytes:
-                    left -= v.nbytes
-                elif left > 0:
-                    rest.append(v[left:])
-                    left = 0
-                else:
-                    rest.append(v)
-            views[i:i + len(batch)] = rest
+            sent = self._sock.sendmsg(views[i:i + _SENDMSG_LIMIT])
+            # step over the views that went out whole
+            while sent and sent >= len(views[i]):
+                sent -= len(views[i])
+                i += 1
+            if sent:
+                views[i] = memoryview(views[i])[sent:]
 
     def send_file(self, fd: int, offset: int, count: int) -> bool:
         """Send ``count`` bytes of open file ``fd`` starting at

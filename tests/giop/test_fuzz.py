@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from repro.cdr import CDRDecoder, CDRError
 from repro.core import DepositDescriptor, DepositError
-from repro.giop import GIOPError, GIOPHeader, decode_body, decode_header
+from repro.giop import (GIOP_HEADER_SIZE, GIOPError, GIOPHeader, decode_body,
+                        decode_header)
+
+from .golden import vectors
+
+_VECTORS = [raw for *_, raw in vectors()]
 
 
 @given(st.binary(max_size=64))
@@ -30,6 +35,28 @@ def test_body_decode_never_crashes(data):
         decode_body(header, data)
     except (GIOPError, CDRError):
         pass
+
+
+@given(st.sampled_from(_VECTORS), st.data())
+def test_mutated_golden_vectors_raise_only_giop_errors(raw, data):
+    """Start from a well-formed message, so the mutation lands deep in
+    the header walk (context lengths, key length, operation bytes)
+    instead of dying at the first ulong: a flipped byte and a cut must
+    surface as GIOPError, whatever they hit."""
+    buf = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(buf) - 1))
+        buf[at] = data.draw(st.integers(0, 255))
+    cut = data.draw(st.integers(GIOP_HEADER_SIZE, len(buf)))
+    try:
+        header = decode_header(buf[:GIOP_HEADER_SIZE])
+        msg = decode_body(header, buf[GIOP_HEADER_SIZE:cut])
+    except GIOPError:
+        return
+    # a parse that succeeded stayed inside the body it was given
+    assert header.size <= cut - GIOP_HEADER_SIZE
+    if msg.body is not None:
+        assert 0 <= msg.body.tell() <= header.size
 
 
 @given(st.binary(max_size=128), st.booleans())

@@ -18,6 +18,8 @@ The tentpole scenarios of the multiplexing layer:
 """
 
 import dataclasses
+import queue
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +32,7 @@ from repro.obs import SpanCollector, build_span_tree, dump_spans
 from repro.obs.cli import main as metrics_cli
 from repro.orb import (COMM_FAILURE, ORB, TIMEOUT, CompletionStatus,
                        InvocationPolicy, ORBConfig)
+from repro.orb.server import RequestWorkerPool
 from repro.transport import FaultPlan, faulty_registry
 
 PIPE_IDL = """
@@ -242,6 +245,50 @@ class TestPipelining:
         assert _proxy(client).stats.retries == 0
 
 
+class TestExactCounters:
+    """``proxy.calls`` and ``dispatcher.requests_dispatched`` are
+    shared by every pipelining caller and every worker; a bare ``+= 1``
+    on them loses increments under preemption."""
+
+    THREADS = 8
+    CALLS = 500
+
+    def test_counters_are_exact_under_contention(self, pipe_pair_factory):
+        stub, impl, client, server = pipe_pair_factory("tcp")
+        stub.poke(0)  # dial before the race starts
+        proxy = _proxy(client)
+        dispatcher = server._server.dispatcher
+        before = (proxy.calls, dispatcher.requests_dispatched, impl.pokes)
+        failures = []
+
+        def hammer():
+            try:
+                for i in range(self.CALLS):
+                    assert stub.poke(i) == i + 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # preempt inside every += there is
+        try:
+            threads = [threading.Thread(target=hammer)
+                       for _ in range(self.THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures
+        total = self.THREADS * self.CALLS
+        assert impl.pokes - before[2] == total
+        assert proxy.calls - before[0] == total
+        assert dispatcher.requests_dispatched - before[1] == total
+        assert dispatcher.errors == 0
+        assert proxy.stats.messages_sent == proxy.calls
+
+
 class TestInterleavedTracing:
     def test_two_clients_interleaved_spans_build_correct_trees(
             self, tmp_path):
@@ -372,3 +419,126 @@ class TestServerPoolObservability:
             "server_queue_depth",
             buckets=server._server.workers.QUEUE_BUCKETS)
         assert hist.count == 4  # one sample per submitted request
+
+
+class TestWorkerPoolHandOff:
+    """The pool's queue: bounded, blocking, idle when idle."""
+
+    class _Conn:
+        closed = False
+
+        def close(self):
+            self.closed = True
+
+    def _pool(self, handler, workers=1, depth=2):
+        return RequestWorkerPool(workers, handler, queue_depth=depth)
+
+    def test_bound_and_backpressure(self):
+        gate = threading.Event()
+        done = []
+
+        def handler(conn, rm):
+            gate.wait(5)
+            done.append(rm)
+
+        pool = self._pool(handler, workers=1, depth=2)
+        try:
+            conn = self._Conn()
+            pool.submit_nowait(conn, 0)
+            # the worker picks request 0 up and blocks in the handler
+            assert _wait_until(lambda: pool.queue_size == 0)
+            pool.submit_nowait(conn, 1)
+            pool.submit_nowait(conn, 2)
+            assert pool.queue_size == 2 and pool.inflight == 3
+            with pytest.raises(queue.Full):
+                pool.submit_nowait(conn, 3)
+            assert pool.inflight == 3  # the refused request left no trace
+            blocked = threading.Thread(target=pool.submit, args=(conn, 4))
+            blocked.start()
+            blocked.join(0.2)
+            assert blocked.is_alive()  # submit blocks on a full queue
+            gate.set()
+            blocked.join(5)
+            assert not blocked.is_alive()
+            assert pool.drain(5)
+            assert done == [0, 1, 2, 4] and pool.inflight == 0
+        finally:
+            gate.set()
+            pool.shutdown()
+
+    def test_drain_wakes_on_the_last_completion_not_on_a_poll(self):
+        release = threading.Event()
+        pool = self._pool(lambda conn, rm: release.wait(5), workers=2)
+        try:
+            pool.submit(self._Conn(), "slow")
+            assert not pool.drain(0.05)  # bounded: still executing
+            threading.Timer(0.05, release.set).start()
+            t0 = time.monotonic()
+            assert pool.drain(5)
+            assert time.monotonic() - t0 < 1.0
+            assert pool.drain(0)  # idle pool: immediate
+        finally:
+            release.set()
+            pool.shutdown()
+
+    def test_shutdown_stops_every_worker_after_the_queued_work(self):
+        seen = []
+        pool = self._pool(lambda conn, rm: seen.append(rm), workers=3,
+                          depth=8)
+        for i in range(8):
+            pool.submit(self._Conn(), i)
+        pool.shutdown(timeout=5)
+        assert sorted(seen) == list(range(8))
+        assert not any(t.is_alive() for t in pool._threads)
+
+    def test_idle_workers_execute_nothing(self):
+        """An idle pool blocks in the queue: no timed wake-ups (the
+        old loop polled ten times a second per worker)."""
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        threading.setprofile(profile)
+        try:
+            pool = self._pool(lambda conn, rm: None, workers=4)
+        finally:
+            threading.setprofile(None)
+        try:
+            pool.submit(self._Conn(), "warm")
+            assert pool.drain(5)
+            time.sleep(0.05)  # let the worker get back into get()
+            calls.clear()
+            time.sleep(0.35)
+            assert calls == []
+        finally:
+            pool.shutdown()
+
+    def test_handler_failure_closes_the_connection_not_the_worker(self):
+        def handler(conn, rm):
+            if rm == "boom":
+                raise RuntimeError("servant bug below the dispatcher")
+
+        pool = self._pool(handler, workers=1)
+        try:
+            bad, good = self._Conn(), self._Conn()
+            pool.submit(bad, "boom")
+            pool.submit(good, "fine")
+            assert pool.drain(5)
+            assert bad.closed and not good.closed
+        finally:
+            pool.shutdown()
+
+    def test_rejects_a_bound_that_would_block_forever(self):
+        with pytest.raises(ValueError):
+            self._pool(lambda conn, rm: None, depth=0)
+
+
+def _wait_until(pred, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if pred():
+            return True
+        time.sleep(0.005)
+    return pred()

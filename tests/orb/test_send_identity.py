@@ -92,6 +92,94 @@ class TestGatherWriteIdentity:
         seq.view()[0] = 0x77
         assert payload_views[0][0] == 0x77
 
+    def test_8mib_zc_payload_is_still_the_callers_view(self):
+        """The bulk point of the benchmark: the deposit chunk handed to
+        ``sendv`` is a view of the sequence's own 8 MiB buffer, in the
+        same gather write as the control message."""
+        nbytes = 8 * 1024 * 1024
+        seq = ZCOctetSequence.from_data(bytes(nbytes))
+        stream = _CaptureStream()
+        conn = GIOPConn(stream)
+        self._send(conn, seq)
+        assert len(stream.batches) == 1
+        big = [c for c in stream.batches[0]
+               if isinstance(c, memoryview) and c.nbytes == nbytes]
+        assert len(big) == 1
+        assert big[0].obj is seq.view().obj
+        seq.view()[nbytes // 2] = 0x42
+        assert big[0][nbytes // 2] == 0x42
+        assert conn.stats.deposits_sent == 1
+        assert conn.stats.deposit_bytes_sent == nbytes
+
+
+class TestNullRequestGeometry:
+    """A request that carries no deposit pays for none of the deposit
+    machinery: one ``sendv``, control bytes only, the same bytes the
+    message codec produces."""
+
+    def _ping(self, conn, request_id=1):
+        from repro.cdr.typecode import TC_ULONG
+        ctx = conn.make_marshal_context()
+        enc = conn.body_encoder()
+        get_marshaller(TC_ULONG).marshal(enc, 7, ctx)
+        conn.send_message(
+            RequestHeader(request_id=request_id, object_key=b"POA1/01",
+                          operation="ping"), enc, ctx)
+        return enc
+
+    @pytest.mark.parametrize("recorder", [False, True])
+    def test_null_request_leaves_in_one_sendv(self, recorder):
+        from repro.giop import encode_message
+        from repro.obs.flightrec import FlightRecorder
+        stream = _CaptureStream()
+        # the default ORB attaches a flight recorder to every
+        # connection; it must not change the geometry
+        conn = GIOPConn(stream,
+                        sink=FlightRecorder() if recorder else None)
+        enc = self._ping(conn)
+        assert len(stream.batches) == 1
+        wire = b"".join(bytes(c) for c in stream.batches[0])
+        assert wire == encode_message(
+            RequestHeader(request_id=1, object_key=b"POA1/01",
+                          operation="ping"), params=enc.getvalue())
+        assert conn.stats.messages_sent == 1
+        assert conn.stats.bytes_sent == len(wire)
+        assert conn.stats.deposits_sent == 0
+
+    def test_small_parameters_join_the_control_buffer(self):
+        """GIOP header + one contiguous body: no iovec entry per
+        parameter, and nothing but byte buffers for sendv to cast."""
+        stream = _CaptureStream()
+        conn = GIOPConn(stream)
+        self._ping(conn)
+        batch = stream.batches[0]
+        assert len(batch) == 2
+        assert all(isinstance(c, (bytes, bytearray)) for c in batch)
+
+    def test_repeated_requests_differ_only_in_the_request_id(self):
+        stream = _CaptureStream()
+        conn = GIOPConn(stream)
+        self._ping(conn, request_id=0x11111111)
+        self._ping(conn, request_id=0x22222222)
+        first, second = (b"".join(bytes(c) for c in batch)
+                         for batch in stream.batches)
+        assert len(first) == len(second)
+        diff = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
+        assert diff == [16, 17, 18, 19]  # GIOP header 12 + context count 4
+
+    def test_wire_stage_sink_still_gets_split_stages_and_a_wire_event(self):
+        from repro.obs.events import RecordingSink, StageEvent, WireEvent
+        stream = _CaptureStream()
+        sink = RecordingSink()
+        conn = GIOPConn(stream, sink=sink)
+        self._ping(conn)
+        assert [e.stage for e in sink.of_type(StageEvent)] == \
+            ["control-send", "deposit-send"]
+        (event,) = sink.of_type(WireEvent)
+        assert (event.direction, event.msg_type, event.request_id,
+                event.deposits) == ("send", "Request", 1, ())
+        assert len(stream.batches) == 1  # zero-byte deposit-send: no write
+
 
 @pytest.mark.skipif(not shm_available(), reason="no usable /dev/shm")
 class TestShmReferenceSend:
