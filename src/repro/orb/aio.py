@@ -2,12 +2,11 @@
 
 The sync stubs (:mod:`repro.orb.stubs`) stay untouched; this module
 wraps any of them in an :class:`AsyncStub` whose attribute access
-returns coroutine functions delegating to ``ORB.invoke_async``.  With
-the reactor on, an awaited call holds **no thread** while the reply is
-in flight — the demux completes a :class:`~repro.orb.demux.ReplyFuture`
-from the event loop (or its fallback reader thread) and a done-callback
-wakes the awaiting task via ``call_soon_threadsafe``.  Thousands of
-calls can be in flight from one task.
+returns coroutine functions delegating to ``ORB.invoke_async`` — the
+awaiting driver of the one invocation machine in
+:mod:`repro.orb.proxy`, so deadlines, retries and exceptions are the
+sync stub's.  An awaited call holds **no thread** while the reply is
+in flight; thousands can be in flight from one task.
 
 Three usage shapes:
 

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from ..giop import GIOPError, MsgType
 from ..obs.events import StageEvent
 from ..obs.stages import STAGE_SERVER_WAIT
-from .connection import GIOPConn, ReceivedMessage
+from .connection import GIOPConn, ReceivedMessage, _PumpGuard
 from .exceptions import (COMM_FAILURE, INTERNAL, TRANSIENT,
                          CompletionStatus, SystemException)
 
@@ -137,8 +137,6 @@ class ReplyDemux:
         self._failed: Optional[SystemException] = None
         self._thread: Optional[threading.Thread] = None
         self._started = False
-        self._pump_lock = threading.Lock()
-        self._pump_pending = False
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -148,8 +146,12 @@ class ReplyDemux:
         self._started = True
         set_handler = getattr(self.conn.stream, "set_data_handler", None)
         if set_handler is not None:
-            # synchronous delivery (loopback): pump on data arrival
-            set_handler(self._pump)
+            # synchronous delivery (loopback): drain on data arrival.
+            # Several threads can deliver data (server workers sending
+            # replies, a peer closing): the guard lets one drain at a
+            # time and turns a notification arriving meanwhile into a
+            # re-run instead of a concurrent or recursive pump
+            set_handler(_PumpGuard(self._drain))
         elif self.reactor is not None \
                 and self.reactor.adoptable(self.conn.stream):
             # event-loop mode: no reader thread — the reactor feeds the
@@ -157,7 +159,7 @@ class ReplyDemux:
             # finished messages through the same _route
             self.reactor.adopt(
                 self.conn, self._on_reactor_message,
-                self._on_reactor_error, wait_stage=STAGE_SERVER_WAIT,
+                self._read_failed, wait_stage=STAGE_SERVER_WAIT,
                 want_capture=True)
         else:
             self._thread = threading.Thread(
@@ -221,27 +223,8 @@ class ReplyDemux:
             self._drop_stale(rm)
 
     # -- message loops -----------------------------------------------------
-    def _pump(self) -> None:
-        """Drain complete messages (synchronous-delivery streams).
-
-        Several threads can deliver data (server workers sending
-        replies, a peer closing): one pumper drains at a time, and a
-        notification arriving while a drain is running flags a re-run
-        instead of pumping concurrently or recursively.
-        """
-        self._pump_pending = True
-        while self._pump_pending:
-            if not self._pump_lock.acquire(blocking=False):
-                # the active pumper re-checks _pump_pending after its
-                # drain, so our bytes will be seen
-                return
-            try:
-                self._pump_pending = False
-                self._drain()
-            finally:
-                self._pump_lock.release()
-
     def _drain(self) -> None:
+        """Drain complete messages (synchronous-delivery streams)."""
         conn = self.conn
         stream = conn.stream
         while not conn.closed:
@@ -274,18 +257,8 @@ class ReplyDemux:
         try:
             rm = conn.read_message(wait_stage=STAGE_SERVER_WAIT,
                                    capture=capture)
-        except GIOPError as e:
-            # framing is unrecoverable: the stream position is undefined.
-            # No MessageError courtesy here — on synchronous-delivery
-            # streams the pump can run nested inside our own
-            # send_message, and send_error would deadlock on _send_lock.
-            conn.close()
-            self._fail_all(COMM_FAILURE(
-                completed=CompletionStatus.COMPLETED_MAYBE,
-                message=f"GIOP framing error on reply stream: {e}"))
-            return False
-        except SystemException as exc:
-            self._fail_all(self._as_inflight_failure(exc))
+        except (GIOPError, SystemException) as exc:
+            self._read_failed(exc)
             return False
         return self._route(rm, capture)
 
@@ -336,22 +309,27 @@ class ReplyDemux:
                             driver) -> None:
         self._route(rm, capture)
 
-    def _on_reactor_error(self, exc: BaseException) -> None:
-        """Mirror of _step's except clauses for the event-loop path."""
-        if isinstance(exc, GIOPError):
-            self.conn.close()
-            self._fail_all(COMM_FAILURE(
-                completed=CompletionStatus.COMPLETED_MAYBE,
-                message=f"GIOP framing error on reply stream: {exc}"))
-        elif isinstance(exc, SystemException):
-            self._fail_all(self._as_inflight_failure(exc))
-        else:
-            self.conn.close()
-            self._fail_all(INTERNAL(
-                completed=CompletionStatus.COMPLETED_MAYBE,
-                message=f"reactor read failed: {exc!r}"))
-
     # -- failure fan-out ---------------------------------------------------
+    def _read_failed(self, exc: BaseException) -> None:
+        """The read side died — under the reader thread, the loopback
+        pump or the reactor (loop thread; must not block)."""
+        if isinstance(exc, SystemException):
+            self._fail_all(self._as_inflight_failure(exc))
+            return
+        # framing is unrecoverable: the stream position is undefined.
+        # No MessageError courtesy here — on synchronous-delivery
+        # streams the pump can run nested inside our own send_message,
+        # and send_error would deadlock on _send_lock.
+        self.conn.close()
+        if isinstance(exc, GIOPError):
+            exc = COMM_FAILURE(
+                completed=CompletionStatus.COMPLETED_MAYBE,
+                message=f"GIOP framing error on reply stream: {exc}")
+        else:
+            exc = INTERNAL(completed=CompletionStatus.COMPLETED_MAYBE,
+                           message=f"reactor read failed: {exc!r}")
+        self._fail_all(exc)
+
     def _has_pending(self) -> bool:
         with self._lock:
             return bool(self._pending)

@@ -32,10 +32,11 @@ from ..obs.flightrec import DEFAULT_SLOW_THRESHOLD, FlightRecorder
 from ..transport.base import Endpoint, TransportRegistry
 from ..transport.base import registry as default_registry
 from .connection import GIOPConn
-from .exceptions import INV_OBJREF, OBJECT_NOT_EXIST
+from .exceptions import (INV_OBJREF, OBJECT_NOT_EXIST, TRANSIENT,
+                         CompletionStatus)
 from .object_adapter import POA, Servant
 from .policy import InvocationPolicy
-from .proxy import IIOPProxy
+from .proxy import _LOCATE, IIOPProxy
 from .server import IIOPServer
 from .signatures import OperationSignature
 from .stubs import ObjectStub, lookup_stub_class
@@ -378,6 +379,28 @@ class ORB:
         return stub_cls(self, ior)
 
     # -- invocation routing ----------------------------------------------------
+    def _route(self, ior: IOR):
+        """Where a call on ``ior`` goes — decided here once for
+        :meth:`invoke`, :meth:`invoke_async` and :meth:`locate`:
+        ``(servant, None, None)`` for the collocated bypass, else
+        ``(None, proxy, object_key)`` for the best reachable profile."""
+        if self.config.collocated_calls:
+            servant = self.find_local_servant(ior)
+            if servant is not None:
+                return servant, None, None
+        profile = self.select_profile(ior)
+        return None, self._proxy_for(profile.endpoint), profile.object_key
+
+    @staticmethod
+    def _upcall(servant: Servant, sig: OperationSignature,
+                args: Sequence[Any]) -> Any:
+        """The collocated call: no marshaling, no wire, no retry."""
+        method = getattr(servant, sig.name, None)
+        if method is None:
+            raise OBJECT_NOT_EXIST(message=(
+                f"local servant lacks operation {sig.name!r}"))
+        return method(*args)
+
     def invoke(self, ior: IOR, sig: OperationSignature,
                args: Sequence[Any],
                policy: Optional[InvocationPolicy] = None) -> Any:
@@ -386,67 +409,37 @@ class ORB:
         ``policy`` (per-call) overrides the ORB-wide :attr:`policy`;
         collocated calls never retry — there is no wire to fail.
         """
-        servant = self.find_local_servant(ior) \
-            if self.config.collocated_calls else None
+        servant, proxy, key = self._route(ior)
         if servant is not None:
-            method = getattr(servant, sig.name, None)
-            if method is None:
-                raise OBJECT_NOT_EXIST(message=(
-                    f"local servant lacks operation {sig.name!r}"))
-            return method(*args)
-        profile = self.select_profile(ior)
-        proxy = self._proxy_for(profile.endpoint)
-        return proxy.invoke(profile.object_key, sig, args,
-                            policy=policy or self.policy)
+            return self._upcall(servant, sig, args)
+        return proxy.invoke(key, sig, args, policy=policy or self.policy)
 
     async def invoke_async(self, ior: IOR, sig: OperationSignature,
                            args: Sequence[Any],
                            policy: Optional[InvocationPolicy] = None
                            ) -> Any:
-        """Coroutine twin of :meth:`invoke` — same routing (collocated
-        bypass, profile selection, shared proxies), awaitable reply."""
-        servant = self.find_local_servant(ior) \
-            if self.config.collocated_calls else None
+        """:meth:`invoke` with an awaitable reply."""
+        servant, proxy, key = self._route(ior)
         if servant is not None:
-            method = getattr(servant, sig.name, None)
-            if method is None:
-                raise OBJECT_NOT_EXIST(message=(
-                    f"local servant lacks operation {sig.name!r}"))
-            return method(*args)
-        profile = self.select_profile(ior)
-        proxy = self._proxy_for(profile.endpoint)
-        return await proxy.invoke_async(profile.object_key, sig, args,
+            return self._upcall(servant, sig, args)
+        return await proxy.invoke_async(key, sig, args,
                                         policy=policy or self.policy)
 
     def locate(self, ref: ObjectStub) -> bool:
         """GIOP LocateRequest: is the referenced object reachable and
-        known to its server?  (OBJECT_HERE -> True.)"""
-        from ..giop import LocateReplyHeader, LocateRequestHeader, LocateStatus
-        from .exceptions import TRANSIENT
-        ior = ref.ior
-        if self.find_local_servant(ior) is not None:
+        known to its server?  (OBJECT_HERE -> True.)  Runs under
+        :attr:`policy` like any call: a deadline surfaces as TIMEOUT,
+        a failed dial is retried within budget."""
+        servant, proxy, key = self._route(ref.ior)
+        if servant is not None:
             return True
-        profile = self.select_profile(ior)
-        proxy = self._proxy_for(profile.endpoint)
-        conn, demux = proxy._ensure_conn()
-        request = LocateRequestHeader(
-            request_id=conn.next_request_id(),
-            object_key=profile.object_key)
-        future = demux.register(request.request_id)
         try:
-            conn.send_message(request)
-        except BaseException:
-            demux.discard(request.request_id)
-            raise
-        future.wait()
-        if future.exception is not None:
-            if isinstance(future.exception, TRANSIENT):
-                # the server closed the connection instead of answering
-                return False
-            raise future.exception
-        reply = future.message.msg.body_header
-        assert isinstance(reply, LocateReplyHeader)
-        return reply.locate_status is LocateStatus.OBJECT_HERE
+            return proxy.invoke(key, _LOCATE, (), policy=self.policy)
+        except TRANSIENT as exc:
+            if exc.completed is CompletionStatus.COMPLETED_NO:
+                raise  # never reached the server: not an answer
+            # the server closed the connection instead of answering
+            return False
 
     #: lower = preferred when a multi-profile IOR offers a choice:
     #: in-process first, then the shared-memory data plane, then the

@@ -5,47 +5,44 @@ arrives from the stub, parameters are marshaled — or, for zero-copy
 sequences, registered for deposit (§4.4) — a GIOP Request is written,
 and the matching Reply demarshaled into results or raised exceptions.
 
-On top of that sits the resilience layer (:mod:`repro.orb.policy`): the
-proxy owns one logical connection to its endpoint, reconnecting the
-underlying ``GIOPConn`` when the stream dies, retrying failed attempts
-within the policy's budget (backoff + seeded jitter), and enforcing the
-request deadline — which surfaces as the ``TIMEOUT`` system exception
-with a completion status the client can trust.  Each retry re-marshals
-from the original arguments, which re-registers any pending
-direct-deposit payloads on the fresh connection; after an attempt whose
-deposit payload was interrupted mid-stream, the retry falls back to the
-copy path so zero-copy never compromises delivery (§4.4's regime is an
-optimisation, not a correctness requirement).
+On top of that sits the resilience layer (:mod:`repro.orb.policy`,
+DESIGN.md §7): one logical connection per endpoint, redialed when the
+stream dies; failed attempts retried within the policy's budget; the
+request deadline enforced as ``TIMEOUT`` with a completion status the
+client can trust.  Each retry re-marshals from the original arguments,
+re-registering pending direct-deposit payloads on the fresh connection;
+after a deposit interrupted mid-stream it falls back to the copy path
+(§4.4's regime is an optimisation, not a correctness requirement).
 
-Concurrency model: invocations are **pipelined**.  GIOP matches replies
-to requests by ``request_id``, so any number of threads (and
-``AsyncInvoker`` workers) share this proxy's single connection with
-overlapped in-flight requests.  Each call registers a
-:class:`~repro.orb.demux.ReplyFuture` with the connection's
-:class:`~repro.orb.demux.ReplyDemux` before sending; only the socket
-write itself is serialized (``GIOPConn._send_lock`` keeps the
-control/deposit split atomic per message).  A deadline expiry abandons
-only its own future — the connection stays up and a late reply is
-dropped as stale — while a connection-fatal error fails every in-flight
-future with the appropriate CORBA system exception.
+All of it is **one machine with two drivers** (DESIGN.md §15):
+``_machine`` is a generator yielding what can block — send, reply wait,
+backoff sleep; ``invoke`` performs that on the calling thread,
+``invoke_async`` awaits it.  Invocations are **pipelined** (§10): any
+number of threads and tasks share the connection, each call registers
+its own :class:`~repro.orb.demux.ReplyFuture` before sending; a deadline
+abandons only that future, a connection-fatal error fails all in flight.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+from functools import partial
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
-from ..giop import ReplyHeader, ReplyStatus, RequestHeader
+from ..cdr import get_marshaller
+from ..giop import (LocateReplyHeader, LocateRequestHeader, LocateStatus,
+                    ReplyHeader, ReplyStatus, RequestHeader)
 from ..obs.events import stage_span
 from ..obs.stages import STAGE_DEMARSHAL, STAGE_MARSHAL
 from ..transport.base import TransportError, TransportTimeout
-from .connection import ConnStats, GIOPConn, ReceivedMessage
-from .demux import ReplyDemux, ReplyFuture
+from .connection import ConnStats, GIOPConn
+from .demux import ReplyDemux
 from .exceptions import (COMM_FAILURE, INTERNAL, MARSHAL, TIMEOUT, TRANSIENT,
                          CompletionStatus, UserException,
                          decode_system_exception)
-from .policy import NO_RETRY, Deadline, InvocationPolicy
+from .interceptors import RequestInfo
+from .policy import NO_RETRY, InvocationPolicy
 from .signatures import OperationSignature
 
 __all__ = ["IIOPProxy"]
@@ -53,28 +50,48 @@ __all__ = ["IIOPProxy"]
 #: a zero-arg factory producing a fresh, connected GIOPConn
 Connector = Callable[[], GIOPConn]
 
+#: what ``IIOPProxy._machine`` yields to its driver: ``(_CALL, thunk,
+#: None)`` — call ``thunk()`` where blocking is allowed — and ``(_WAIT,
+#: reply_future, timeout)`` — send back whether it completed in time
+_CALL, _WAIT = range(2)
 
-def _abandon_sent(send_fut) -> None:
-    """Done-callback for a send whose awaiter was cancelled mid-hop:
-    retire whatever registration the executor made (demux.abandon is
-    idempotent, so racing the executor's own state.abandoned check is
-    harmless)."""
-    if send_fut.cancelled() or send_fut.exception() is not None:
-        return
-    _conn, demux, future = send_fut.result()
-    if future is not None:
-        demux.abandon(future)
+#: what the async driver and the locate probe pass for ``_orb_hooks()``
+_NO_HOOKS = (None, None, None)
+
+#: invoked like an operation, travels as a GIOP LocateRequest and
+#: returns whether the server knows the key (``ORB.locate``); idempotent,
+#: so an answer lost with its connection is asked for again
+_LOCATE = OperationSignature("_locate", idempotent=True)
 
 
 class _Attempt:
-    """Per-attempt state.  One invoke() may run several attempts, and
-    several invokes run concurrently, so this cannot live on the proxy."""
+    """What one attempt has on the wire: written by ``_transmit`` (on
+    an executor thread, under the async driver), read by the machine.
+    One invoke() may run several attempts, and several invokes run
+    concurrently, so this cannot live on the proxy."""
 
-    __slots__ = ("had_deposits", "abandoned")
+    had_deposits = abandoned = False
+    conn = demux = future = active = r_active = info = None
 
-    def __init__(self):
-        self.had_deposits = False
-        self.abandoned = False
+
+async def _arrival(loop, future, timeout: Optional[float]) -> bool:
+    """``ReplyFuture.wait`` without a thread: the demux (reader thread
+    or reactor) completes the future, a done-callback wakes the
+    awaiting task via ``call_soon_threadsafe``."""
+    afut = loop.create_future()
+
+    def _wake(_fut) -> None:
+        try:  # afut is already done when the wait timed out or was cancelled
+            loop.call_soon_threadsafe(lambda: afut.done() or afut.set_result(None))
+        except RuntimeError:
+            pass  # caller's loop already closed; nobody is waiting
+
+    future.add_done_callback(_wake)
+    try:
+        await asyncio.wait_for(afut, timeout)
+    except asyncio.TimeoutError:
+        return False
+    return True
 
 
 class IIOPProxy:
@@ -83,14 +100,10 @@ class IIOPProxy:
     def __init__(self, conn: Union[GIOPConn, Connector],
                  policy: Optional[InvocationPolicy] = None,
                  orb=None, reactor=None):
-        if isinstance(conn, GIOPConn):
-            self._conn: Optional[GIOPConn] = conn
-            self._connector: Optional[Connector] = None
-            self._stats = conn.stats
-        else:
-            self._conn = None
-            self._connector = conn
-            self._stats = ConnStats()
+        live = isinstance(conn, GIOPConn)
+        self._conn: Optional[GIOPConn] = conn if live else None
+        self._connector: Optional[Connector] = None if live else conn
+        self._stats = conn.stats if live else ConnStats()
         self.policy = policy
         #: the event-loop reactor handed to each ReplyDemux: adoptable
         #: connections get no reader thread.  None = threaded demux.
@@ -129,25 +142,19 @@ class IIOPProxy:
         lock first dials; the rest reuse the result."""
         with self._conn_lock:
             conn = self._conn
-            if conn is not None and not conn.closed:
-                if self._demux is None:
-                    # proxy constructed around a live GIOPConn: adopt it
-                    self._demux = ReplyDemux(conn, reactor=self._reactor)
-                    self._demux.start()
-                return conn, self._demux
-            replacing = conn is not None
-            if conn is not None:
-                conn.close()
-                self._conn = None
-                self._demux = None
-            conn = self._dial()
-            demux = ReplyDemux(conn, reactor=self._reactor)
-            self._conn = conn
-            self._demux = demux
-            if replacing:
-                self._stats.reconnects += 1
-            demux.start()
-            return conn, demux
+            if conn is None or conn.closed:
+                if conn is not None:
+                    conn.close()
+                    self._conn = self._demux = None
+                self._conn = self._dial()
+                if conn is not None:
+                    self._stats.reconnects += 1
+            if self._demux is None:
+                # a fresh dial, or a proxy constructed around a live
+                # GIOPConn that it now adopts
+                self._demux = ReplyDemux(self._conn, reactor=self._reactor)
+                self._demux.start()
+            return self._conn, self._demux
 
     def _dial(self) -> GIOPConn:
         if self._connector is None:
@@ -170,24 +177,13 @@ class IIOPProxy:
         conn.adopt_stats(self._stats)
         return conn
 
-    def reconnect(self) -> GIOPConn:
-        """Tear down the current connection and dial a replacement; the
-        shared ConnStats rides along."""
-        with self._conn_lock:
-            if self._conn is not None:
-                self._conn.close()
-        # _ensure_conn sees the dead conn and replaces it (counting the
-        # reconnect); with no conn at all this is just the first dial
-        return self._ensure_conn()[0]
-
     def close(self, timeout: float = 1.0) -> None:
         """Close the connection politely and join the demux reader
         thread (bounded) — ``ORB.shutdown`` calls this so the thread
         count returns to baseline."""
         with self._conn_lock:
             conn, demux = self._conn, self._demux
-            self._conn = None
-            self._demux = None
+            self._conn = self._demux = None
         if conn is not None:
             conn.send_close()
         if demux is not None:
@@ -203,7 +199,7 @@ class IIOPProxy:
         if orb is None and self._conn is not None:
             orb = self._conn.orb
         if orb is None:
-            return None, None, None
+            return _NO_HOOKS
         rec = getattr(orb, "flightrec", None)
         if rec is not None and not rec.enabled:
             rec = None
@@ -220,341 +216,220 @@ class IIOPProxy:
         send, await reply, demarshal — with deadline, retry budget and
         deposit fallback applied around the attempt.  Any number of
         threads may invoke through one proxy concurrently; their
-        requests pipeline on the shared connection."""
-        policy = policy or self.policy or NO_RETRY
-        deadline = policy.start_deadline()
-        attempt = 0
-        force_copy = False
-        tracer, rec, chain = self._orb_hooks()
-        # the trace identity of this logical call is fixed here, before
-        # the retry loop: every attempt below shares the trace id but
-        # opens a fresh span, so retries are distinguishable on the wire
-        scope = tracer.begin_invocation() if tracer is not None else None
-        # the flight recorder mirrors the tracer's lifecycle but stays
-        # process-local: its spans never touch the wire
-        rec_scope = rec.begin_invocation() if rec is not None else None
-        while True:
-            if deadline is not None and deadline.expired:
-                self._stats.timeouts += 1
-                raise TIMEOUT(
-                    completed=CompletionStatus.COMPLETED_NO,
-                    message=(f"deadline of {policy.timeout}s expired "
-                             f"before the request was sent"))
-            state = _Attempt()
-            try:
-                return self._invoke_once(object_key, sig, args,
-                                         deadline, force_copy, state,
-                                         tracer, scope, rec, rec_scope,
-                                         chain)
-            except (TRANSIENT, COMM_FAILURE) as exc:
-                if attempt >= policy.max_retries or \
-                        not policy.retryable(exc, sig.idempotent):
-                    raise
-                if deadline is not None and deadline.expired:
-                    # retry would be futile; report the deadline,
-                    # carrying the completion status we actually know
-                    self._stats.timeouts += 1
-                    raise TIMEOUT(
-                        completed=exc.completed,
-                        message=(f"deadline of {policy.timeout}s "
-                                 f"expired after "
-                                 f"{attempt + 1} attempt(s): "
-                                 f"{exc.message}")) from exc
-                if state.had_deposits and not force_copy:
-                    # a deposit payload died mid-stream: degrade to
-                    # the copy path so the retry cannot be bitten by
-                    # the same data-path failure
-                    force_copy = True
-                    self._stats.deposit_fallbacks += 1
-                delay = policy.backoff(attempt)
-                if deadline is not None:
-                    delay = min(delay, max(0.0, deadline.remaining))
-                if delay > 0:
-                    policy.sleep(delay)
-                attempt += 1
-                self._stats.retries += 1
+        requests pipeline on the shared connection.  This is the
+        blocking driver of :meth:`_machine`: every effect runs here,
+        on the calling thread."""
+        # a LocateRequest has no service contexts for a trace to ride
+        # in, and its reply no reply status for an interceptor to read
+        machine = self._machine(
+            object_key, sig, args, policy,
+            _NO_HOOKS if sig is _LOCATE else self._orb_hooks())
+        try:
+            kind, a, b = machine.send(None)
+            while True:
+                try:
+                    result = a() if kind == _CALL else a.wait(b)
+                except BaseException as exc:
+                    kind, a, b = machine.throw(exc)
+                else:
+                    kind, a, b = machine.send(result)
+        except StopIteration as stop:
+            return stop.value
 
-    # -- async invocation ----------------------------------------------------
     async def invoke_async(self, object_key: bytes, sig: OperationSignature,
                            args: Sequence[Any],
                            policy: Optional[InvocationPolicy] = None) -> Any:
-        """Coroutine twin of :meth:`invoke`: the same deadline, retry
-        budget, and deposit-fallback semantics, but the reply wait is an
-        asyncio future — thousands of calls can be in flight on one
-        awaiting task with no thread per call.
-
-        Runs on *any* running event loop (the caller's ``asyncio.run``
-        loop or a reactor shard).  Blocking pieces — the dial, the
-        marshal+send, an injectable ``policy.sleep`` — hop through the
-        loop's default executor so the loop itself never blocks.
-        Interceptor chains and distributed-tracer spans are a sync-path
-        feature; the async path skips them (DESIGN.md §15).
-        """
-        policy = policy or self.policy or NO_RETRY
-        deadline = policy.start_deadline()
-        attempt = 0
-        force_copy = False
+        """The awaiting driver of the same machine: thousands of calls
+        can be in flight on one task with no thread per call.  Runs on
+        *any* running event loop (the caller's ``asyncio.run`` loop or
+        a reactor shard).  No hooks: interceptors, tracer and flight
+        recorder assume a call that stays on one thread (DESIGN.md §15
+        rule 4)."""
         loop = asyncio.get_running_loop()
+        machine = self._machine(object_key, sig, args, policy, _NO_HOOKS)
+        try:
+            kind, a, b = machine.send(None)
+            while True:
+                try:
+                    # what may block hops through the loop's default
+                    # executor, shielded: a cancelled await must not
+                    # tear a half-written message.  The send runs to its
+                    # end and, marked abandoned, retires what it registered
+                    result = await (
+                        asyncio.shield(loop.run_in_executor(None, a))
+                        if kind == _CALL else _arrival(loop, a, b))
+                except BaseException as exc:
+                    kind, a, b = machine.throw(exc)
+                else:
+                    kind, a, b = machine.send(result)
+        except StopIteration as stop:
+            return stop.value
+
+    def _machine(self, object_key, sig, args, policy, hooks):
+        """One invocation as a resumable generator, in the style of
+        ``GIOPConn._read_message_gen``: deadline, attempt, reply
+        handling and the retry / backoff / deposit-fallback decision
+        exist here once; what can block — the send, the reply wait, the
+        backoff sleep — is yielded to the driver (see ``_CALL`` /
+        ``_WAIT``).  An exception out of an effect is thrown back in at
+        the yield; the return value is the invocation's result."""
+        policy = policy or self.policy or NO_RETRY
+        tracer, rec, chain = hooks
+        stats = self._stats
+        deadline = policy.start_deadline()
+        # the trace identity of this logical call is fixed here, before
+        # the retry loop: every attempt below shares the trace id but
+        # opens a fresh span, so retries are distinguishable on the
+        # wire.  The flight recorder mirrors the tracer's lifecycle but
+        # stays process-local: its spans never touch the wire
+        scope = tracer.begin_invocation() if tracer is not None else None
+        rec_scope = rec.begin_invocation() if rec is not None else None
+        attempt, force_copy = 0, False
         while True:
             if deadline is not None and deadline.expired:
-                self._stats.timeouts += 1
+                stats.timeouts += 1
                 raise TIMEOUT(
                     completed=CompletionStatus.COMPLETED_NO,
                     message=(f"deadline of {policy.timeout}s expired "
                              f"before the request was sent"))
-            state = _Attempt()
+            att = _Attempt()
             try:
-                return await self._invoke_once_async(
-                    loop, object_key, sig, args, deadline, force_copy,
-                    state)
-            except (TRANSIENT, COMM_FAILURE) as exc:
-                if attempt >= policy.max_retries or \
+                try:
+                    yield _CALL, partial(
+                        self._transmit, att, object_key, sig, args,
+                        force_copy, hooks, scope, rec_scope), None
+                    future = att.future
+                    if future is None:
+                        return None  # oneway: the send is the whole call
+                    # this call's own future: other in-flight calls on
+                    # the connection proceed independently
+                    arrived = yield (
+                        _WAIT, future, None if deadline is None
+                        else max(deadline.remaining, 1e-4))
+                except BaseException:
+                    # the send failed, or the awaiter will never collect
+                    # (CancelledError, KeyboardInterrupt, a dropped
+                    # generator): forget the registration and release the
+                    # reply's deposit buffers whether it landed already
+                    # or lands later.  A send still running on an executor
+                    # thread sees the flag and retires what it registers
+                    att.abandoned = True
+                    if att.future is not None:
+                        att.demux.abandon(att.future)
+                    raise
+                if not arrived:
+                    att.demux.discard(future.request_id)
+                    # re-check: the reply may have squeaked in between
+                    # the wait expiring and the discard — a completed
+                    # future is a reply, not a timeout (and dropping it
+                    # would leak its deposits)
+                    if not future.done:
+                        stats.timeouts += 1
+                        raise TIMEOUT(
+                            completed=CompletionStatus.COMPLETED_MAYBE,
+                            message=(f"reply to request {future.request_id}"
+                                     f" did not arrive within the deadline"))
+                if future.exception is not None:
+                    raise future.exception
+                return self._process_reply(att, sig, future, chain)
+            except BaseException as exc:
+                for a in (att.active, att.r_active):
+                    if a is not None:
+                        a.record_status(type(exc).__name__)
+                if not isinstance(exc, (TRANSIENT, COMM_FAILURE)) or \
+                        attempt >= policy.max_retries or \
                         not policy.retryable(exc, sig.idempotent):
                     raise
-                if deadline is not None and deadline.expired:
-                    self._stats.timeouts += 1
-                    raise TIMEOUT(
-                        completed=exc.completed,
-                        message=(f"deadline of {policy.timeout}s "
-                                 f"expired after "
-                                 f"{attempt + 1} attempt(s): "
-                                 f"{exc.message}")) from exc
-                if state.had_deposits and not force_copy:
-                    force_copy = True
-                    self._stats.deposit_fallbacks += 1
-                delay = policy.backoff(attempt)
-                if deadline is not None:
-                    delay = min(delay, max(0.0, deadline.remaining))
-                if delay > 0:
-                    # the policy's sleep is injectable (tests replace
-                    # it); honor the injection without stalling the loop
-                    await loop.run_in_executor(None, policy.sleep, delay)
-                attempt += 1
-                self._stats.retries += 1
-
-    async def _invoke_once_async(self, loop, object_key: bytes,
-                                 sig: OperationSignature,
-                                 args: Sequence[Any],
-                                 deadline: Optional[Deadline],
-                                 force_copy: bool, state: _Attempt) -> Any:
-        send_fut = loop.run_in_executor(
-            None, self._send_attempt_sync, object_key, sig, args,
-            force_copy, state)
-        try:
-            conn, demux, future = await asyncio.shield(send_fut)
-        except asyncio.CancelledError:
-            # the executor send outlives the cancellation — it may
-            # already have registered (or even received) the reply.
-            # Mark the attempt abandoned so the executor thread cleans
-            # up after itself, and hook the wrapper future for the case
-            # where the send finished before the flag was visible;
-            # demux.abandon is idempotent, so both firing is fine.
-            state.abandoned = True
-            send_fut.add_done_callback(_abandon_sent)
-            raise
-        if future is None:  # oneway: the send is the whole call
-            return None
-        rm = await self._await_reply_async(loop, conn, demux, future,
-                                           deadline)
-        return self._process_reply(conn, sig, rm)
-
-    def _send_attempt_sync(self, object_key: bytes,
-                           sig: OperationSignature, args: Sequence[Any],
-                           force_copy: bool, state: _Attempt):
-        """Dial-marshal-register-send, on an executor thread: every
-        piece that may block (connect, socket write) or hold the send
-        lock stays off the event loop."""
-        conn, demux = self._ensure_conn()
-        with stage_span(conn.sink, STAGE_MARSHAL) as span:
-            ctx = conn.make_marshal_context(force_copy=force_copy)
-            enc = conn.body_encoder()
-            sig.marshal_request(enc, args, ctx)
-            span.add_bytes(enc.nbytes)
-        state.had_deposits = bool(ctx.descriptors)
-        request = RequestHeader(
-            request_id=conn.next_request_id(),
-            object_key=object_key,
-            operation=sig.name,
-            response_expected=not sig.oneway,
-        )
-        future = demux.register(request.request_id) \
-            if not sig.oneway else None
-        try:
-            conn.send_message(request, enc, ctx)
-        except BaseException:
-            if future is not None:
-                demux.discard(request.request_id)
-            raise
-        if future is not None and state.abandoned:
-            # the awaiting task was cancelled while we were sending:
-            # nobody will ever collect this reply, so retire it here,
-            # on a thread that needs no event loop
-            demux.abandon(future)
-        return conn, demux, future
-
-    async def _await_reply_async(self, loop, conn: GIOPConn,
-                                 demux: ReplyDemux, future: ReplyFuture,
-                                 deadline: Optional[Deadline]
-                                 ) -> ReceivedMessage:
-        """Await this call's future without a thread: the demux (reader
-        thread or reactor) completes it, a done-callback wakes us via
-        ``call_soon_threadsafe``."""
-        afut = loop.create_future()
-
-        def _wake(_fut) -> None:
-            def _set() -> None:
-                if not afut.done():
-                    afut.set_result(None)
-            try:
-                loop.call_soon_threadsafe(_set)
-            except RuntimeError:
-                pass  # caller's loop already closed; nobody is waiting
-
-        future.add_done_callback(_wake)
-        timeout = None if deadline is None \
-            else max(deadline.remaining, 1e-4)
-        try:
-            await asyncio.wait_for(afut, timeout)
-        except asyncio.TimeoutError:
-            demux.discard(future.request_id)
-            # same squeak-in re-check as the sync path
-            if not future.done:
-                self._stats.timeouts += 1
+                failure = exc
+            finally:
+                # recorder first: its span is the inner of the two stacks
+                if att.r_active is not None:
+                    rec.finish(att.r_active)
+                if att.active is not None:
+                    tracer.finish(att.active)
+            if deadline is not None and deadline.expired:
+                # retry would be futile; report the deadline, carrying
+                # the completion status we actually know
+                stats.timeouts += 1
                 raise TIMEOUT(
-                    completed=CompletionStatus.COMPLETED_MAYBE,
-                    message=(f"reply to request {future.request_id} did "
-                             f"not arrive within the deadline")) from None
-        except asyncio.CancelledError:
-            # a cancelled stub call must not leak: forget the pending
-            # registration, and release the reply's deposit buffers
-            # whether it landed already or lands later
-            demux.abandon(future)
-            raise
-        if future.exception is not None:
-            raise future.exception
-        rm = future.message
-        assert rm is not None
-        if conn.sink is not None:
-            # captured reply stage events re-emit on the awaiting
-            # task's thread, exactly like the sync path
-            for event in future.stages:
-                conn.sink.emit(event)
-        reply = rm.msg.body_header
-        if not isinstance(reply, ReplyHeader):
-            raise INTERNAL(message=(
-                f"request {future.request_id} answered by "
-                f"{type(reply).__name__}"))
-        return rm
+                    completed=failure.completed,
+                    message=(f"deadline of {policy.timeout}s expired "
+                             f"after {attempt + 1} attempt(s): "
+                             f"{failure.message}")) from failure
+            if att.had_deposits and not force_copy:
+                # a deposit payload died mid-stream: degrade to the
+                # copy path so the retry cannot be bitten by the same
+                # data-path failure
+                force_copy = True
+                stats.deposit_fallbacks += 1
+            delay = policy.backoff(attempt)
+            if deadline is not None:
+                delay = min(delay, max(0.0, deadline.remaining))
+            if delay > 0:
+                # the policy's sleep is injectable (tests replace it)
+                yield _CALL, partial(policy.sleep, delay), None
+            attempt += 1
+            stats.retries += 1
 
-    def _invoke_once(self, object_key: bytes, sig: OperationSignature,
-                     args: Sequence[Any], deadline: Optional[Deadline],
-                     force_copy: bool, state: _Attempt, tracer=None,
-                     scope=None, rec=None, rec_scope=None,
-                     chain=None) -> Any:
-        conn, demux = self._ensure_conn()
-        active = tracer.start_client_span(sig.name, scope) \
-            if tracer is not None else None
-        r_active = rec.start_client_span(sig.name, rec_scope) \
-            if rec is not None else None
-        try:
-            return self._attempt(conn, demux, object_key, sig, args,
-                                 deadline, force_copy, state, active,
-                                 r_active, chain)
-        except BaseException as exc:
-            for a in (active, r_active):
-                if a is not None:
-                    a.record_status(type(exc).__name__)
-            raise
-        finally:
-            # recorder first: its span is the inner of the two stacks
-            if r_active is not None:
-                rec.finish(r_active)
-            if active is not None:
-                tracer.finish(active)
-
-    def _attempt(self, conn: GIOPConn, demux: ReplyDemux,
-                 object_key: bytes, sig: OperationSignature,
-                 args: Sequence[Any], deadline: Optional[Deadline],
-                 force_copy: bool, state: _Attempt, active,
-                 r_active=None, chain=None) -> Any:
-        info = None
+    def _transmit(self, att, object_key, sig, args, force_copy, hooks,
+                  scope, rec_scope) -> None:
+        """One attempt's way out — dial, marshal, register, send — on
+        whichever thread the driver chose: every piece that may block
+        (connect, socket write) or hold the send lock is in here."""
+        tracer, rec, chain = hooks
+        conn, demux = att.conn, att.demux = self._ensure_conn()
+        if tracer is not None:
+            att.active = tracer.start_client_span(sig.name, scope)
+        if rec is not None:
+            att.r_active = rec.start_client_span(sig.name, rec_scope)
         if chain is not None:
-            from .interceptors import RequestInfo
-            info = RequestInfo(operation=sig.name, object_key=object_key,
-                               response_expected=not sig.oneway)
-            chain.run("send_request", info)
-        with stage_span(conn.sink, STAGE_MARSHAL) as span:
-            ctx = conn.make_marshal_context(force_copy=force_copy)
-            enc = conn.body_encoder()
-            sig.marshal_request(enc, args, ctx)
-            # the encoder goes to send_message as a chunk plan — no
-            # join; its nbytes is the same body length the old blob had
-            span.add_bytes(enc.nbytes)
-        state.had_deposits = bool(ctx.descriptors)
-        request = RequestHeader(
-            request_id=conn.next_request_id(),
-            object_key=object_key,
-            operation=sig.name,
-            response_expected=not sig.oneway,
-        )
-        if info is not None:
-            info.request_id = request.request_id
-        if active is not None:
-            active.set_request_id(request.request_id)
+            att.info = RequestInfo(operation=sig.name, object_key=object_key,
+                                   response_expected=not sig.oneway)
+            chain.run("send_request", att.info)
+        if sig is _LOCATE:
+            enc, ctx = b"", None
+            request = LocateRequestHeader(
+                request_id=conn.next_request_id(), object_key=object_key)
+        else:
+            with stage_span(conn.sink, STAGE_MARSHAL) as span:
+                ctx = conn.make_marshal_context(force_copy=force_copy)
+                enc = conn.body_encoder()
+                sig.marshal_request(enc, args, ctx)
+                # the encoder goes to send_message as a chunk plan — no
+                # join; its nbytes is the body length the old blob had
+                span.add_bytes(enc.nbytes)
+            att.had_deposits = bool(ctx.descriptors)
+            request = RequestHeader(
+                request_id=conn.next_request_id(), object_key=object_key,
+                operation=sig.name, response_expected=not sig.oneway)
+        request_id = request.request_id
+        if att.info is not None:
+            att.info.request_id = request_id
+        if att.active is not None:
+            att.active.set_request_id(request_id)
             request.service_contexts.append(
-                active.context.to_service_context())
-        if r_active is not None:
-            r_active.set_request_id(request.request_id)
+                att.active.context.to_service_context())
+        if att.r_active is not None:
+            att.r_active.set_request_id(request_id)
         # register BEFORE sending: on synchronous-delivery transports
         # the reply can arrive inside send_message itself
-        future = demux.register(request.request_id) \
-            if not sig.oneway else None
+        future = None if sig.oneway else demux.register(request_id)
         try:
             conn.send_message(request, enc, ctx)
         except BaseException:
             if future is not None:
-                demux.discard(request.request_id)
+                demux.discard(request_id)
             raise
-        if sig.oneway:
-            return None
-        rm = self._await_reply(conn, demux, future, deadline)
-        try:
-            result = self._process_reply(conn, sig, rm)
-            status = rm.msg.body_header.reply_status.name
-            for a in (active, r_active):
-                if a is not None:
-                    a.record_status(status)
-            return result
-        finally:
-            # the reply points run after demarshaling so tracing
-            # interceptors see the complete stage record (and honest
-            # wall time) of the invocation
-            if info is not None:
-                info.reply_status = rm.msg.body_header.reply_status.name
-                chain.run("receive_reply", info)
+        att.future = future
+        if future is not None and att.abandoned:
+            # the awaiter gave up while we were sending: nobody will
+            # ever collect this reply, so retire it here, on a thread
+            # that needs no event loop
+            demux.abandon(future)
 
     # -- reply handling ---------------------------------------------------------
-    def _await_reply(self, conn: GIOPConn, demux: ReplyDemux,
-                     future: ReplyFuture,
-                     deadline: Optional[Deadline] = None) -> ReceivedMessage:
-        """Block on this call's own future; other in-flight calls on the
-        connection proceed independently."""
-        timeout = None if deadline is None \
-            else max(deadline.remaining, 1e-4)
-        if not future.wait(timeout):
-            demux.discard(future.request_id)
-            # re-check: the reply may have squeaked in between the wait
-            # expiring and the discard — a completed future is a reply,
-            # not a timeout (and dropping it would leak its deposits)
-            if not future.done:
-                self._stats.timeouts += 1
-                raise TIMEOUT(
-                    completed=CompletionStatus.COMPLETED_MAYBE,
-                    message=(f"reply to request {future.request_id} did "
-                             f"not arrive within the deadline"))
-        if future.exception is not None:
-            raise future.exception
-        rm = future.message
+    def _process_reply(self, att, sig, future, chain) -> Any:
+        conn, rm = att.conn, future.message
         assert rm is not None
         if conn.sink is not None:
             # the demux read this reply with its stage events captured;
@@ -563,46 +438,53 @@ class IIOPProxy:
             for event in future.stages:
                 conn.sink.emit(event)
         reply = rm.msg.body_header
-        if not isinstance(reply, ReplyHeader):
+        if not isinstance(reply, LocateReplyHeader if sig is _LOCATE
+                          else ReplyHeader):
             raise INTERNAL(message=(
                 f"request {future.request_id} answered by "
                 f"{type(reply).__name__}"))
-        return rm
-
-    def _process_reply(self, conn: GIOPConn, sig: OperationSignature,
-                       rm: ReceivedMessage) -> Any:
-        reply = rm.msg.body_header
-        assert isinstance(reply, ReplyHeader)
-        ctx = rm.make_demarshal_context(on_bytes=conn.bytes_hook(),
-                                        generic_loop=conn.generic_loop,
-                                        orb=conn.orb)
-        dec = rm.params_decoder()
+        if sig is _LOCATE:
+            return reply.locate_status is LocateStatus.OBJECT_HERE
         status = reply.reply_status
-        if status is ReplyStatus.NO_EXCEPTION:
-            if dec is None:
-                raise MARSHAL(message="reply without body")
-            with stage_span(conn.sink, STAGE_DEMARSHAL) as span:
-                result = sig.demarshal_reply(dec, ctx)
-                span.add_bytes(dec.tell())
-            return result
-        if status is ReplyStatus.USER_EXCEPTION:
-            from ..cdr import get_marshaller
-            mark = dec.tell()
-            repo_id = dec.get_string()
-            tc = sig.exception_tc_by_id(repo_id)
-            if tc is None:
-                raise INTERNAL(message=(
-                    f"server raised undeclared exception {repo_id}"))
-            dec.seek(mark)
-            exc = get_marshaller(tc).demarshal(dec, ctx)
-            if not isinstance(exc, UserException):
-                raise INTERNAL(message=(
-                    f"exception {repo_id} demarshaled as "
-                    f"{type(exc).__name__}; register its class"))
-            raise exc
-        if status is ReplyStatus.SYSTEM_EXCEPTION:
-            raise decode_system_exception(dec)
-        if status is ReplyStatus.LOCATION_FORWARD:
-            raise TRANSIENT(message="LOCATION_FORWARD not supported; "
-                                    "re-resolve the object reference")
-        raise INTERNAL(message=f"unhandled reply status {status}")
+        try:
+            ctx = rm.make_demarshal_context(on_bytes=conn.bytes_hook(),
+                                            generic_loop=conn.generic_loop,
+                                            orb=conn.orb)
+            dec = rm.params_decoder()
+            if status is ReplyStatus.NO_EXCEPTION:
+                if dec is None:
+                    raise MARSHAL(message="reply without body")
+                with stage_span(conn.sink, STAGE_DEMARSHAL) as span:
+                    result = sig.demarshal_reply(dec, ctx)
+                    span.add_bytes(dec.tell())
+                for a in (att.active, att.r_active):
+                    if a is not None:
+                        a.record_status(status.name)
+                return result
+            if status is ReplyStatus.USER_EXCEPTION:
+                mark = dec.tell()
+                repo_id = dec.get_string()
+                tc = sig.exception_tc_by_id(repo_id)
+                if tc is None:
+                    raise INTERNAL(message=(
+                        f"server raised undeclared exception {repo_id}"))
+                dec.seek(mark)
+                exc = get_marshaller(tc).demarshal(dec, ctx)
+                if not isinstance(exc, UserException):
+                    raise INTERNAL(message=(
+                        f"exception {repo_id} demarshaled as "
+                        f"{type(exc).__name__}; register its class"))
+                raise exc
+            if status is ReplyStatus.SYSTEM_EXCEPTION:
+                raise decode_system_exception(dec)
+            if status is ReplyStatus.LOCATION_FORWARD:
+                raise TRANSIENT(message="LOCATION_FORWARD not supported; "
+                                        "re-resolve the object reference")
+            raise INTERNAL(message=f"unhandled reply status {status}")
+        finally:
+            # the reply points run after demarshaling so tracing
+            # interceptors see the complete stage record (and honest
+            # wall time) of the invocation
+            if att.info is not None:
+                att.info.reply_status = status.name
+                chain.run("receive_reply", att.info)

@@ -31,7 +31,7 @@ from typing import Callable, List, Optional
 from ..core.buffers import BufferPool
 from ..giop import (GIOPError, LocateReplyHeader, LocateRequestHeader,
                     LocateStatus, MsgType)
-from .connection import GIOPConn, ReceivedMessage
+from .connection import GIOPConn, ReceivedMessage, _PumpGuard
 from .dispatcher import MethodDispatcher
 from .exceptions import SystemException
 from .object_adapter import POA
@@ -429,30 +429,3 @@ class IIOPServer:
         for t in readers:
             if t is not current:
                 t.join(timeout=timeout)
-
-
-class _PumpGuard:
-    """Callable wrapper serializing a pump across threads.
-
-    A notification during an active drain flags a re-run; the active
-    drainer loops, so no wakeup is lost and the pump never runs
-    re-entrantly (a nested close-notification would otherwise recurse
-    into a half-consumed stream)."""
-
-    __slots__ = ("_fn", "_lock", "_pending")
-
-    def __init__(self, fn: Callable[[], None]):
-        self._fn = fn
-        self._lock = threading.Lock()
-        self._pending = False
-
-    def __call__(self) -> None:
-        self._pending = True
-        while self._pending:
-            if not self._lock.acquire(blocking=False):
-                return
-            try:
-                self._pending = False
-                self._fn()
-            finally:
-                self._lock.release()

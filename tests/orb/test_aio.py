@@ -23,6 +23,13 @@ def _settle(predicate, timeout=5.0, step=0.02):
     return predicate()
 
 
+def _no_leak(pool):
+    """Every buffer the pool handed out came back (and some did go)."""
+    s = pool.stats()
+    acquired = s["hits"] + s["misses"]
+    return acquired > 0 and acquired == s["reclaims"]
+
+
 @pytest.fixture
 def async_pair(test_api):
     impl = make_store_impl(test_api)
@@ -150,12 +157,56 @@ class TestCancellation:
 
             # the late reply is stale: the demux drops it and releases
             # every deposit buffer it acquired from the pool
-            def no_leak():
-                s = pool.stats()
-                acquired = s["hits"] + s["misses"]
-                return acquired > 0 and acquired == s["reclaims"]
+            assert _settle(lambda: _no_leak(pool)), pool.stats()
+        finally:
+            release.set()
+            client.shutdown()
+            server.shutdown()
 
-            assert _settle(no_leak), pool.stats()
+    def test_interrupted_blocking_wait_releases_late_reply(
+            self, test_api, monkeypatch):
+        """The blocking twin: an exception out of the sync driver's
+        wait (KeyboardInterrupt is the real one) abandons the call in
+        the same shared body — registration retired at once, the late
+        reply's buffers released when it lands, no finalizer needed."""
+        from repro.orb.demux import ReplyFuture
+
+        pool = BufferPool()
+        impl = make_store_impl(test_api)
+        entered = threading.Event()
+        release = threading.Event()
+        orig_get = impl.get
+
+        def slow_get(n):
+            entered.set()
+            assert release.wait(10.0)
+            return orig_get(n)
+
+        impl.get = slow_get
+        orig_wait = ReplyFuture.wait
+        interrupted = []
+
+        def interrupted_wait(future, timeout=None):
+            if interrupted:
+                return orig_wait(future, timeout)
+            interrupted.append(future)
+            assert entered.wait(10.0)  # the request is at the servant
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ReplyFuture, "wait", interrupted_wait)
+        server = ORB(ORBConfig(scheme="tcp"))
+        client = ORB(ORBConfig(scheme="tcp"), pool=pool)
+        try:
+            stub = client.string_to_object(
+                server.object_to_string(server.activate(impl)))
+            with pytest.raises(KeyboardInterrupt):
+                stub.get(256 * 1024)
+            demux = next(iter(client._proxies.values()))._demux
+            assert demux.inflight == 0
+            release.set()
+
+            assert _settle(lambda: _no_leak(pool)), pool.stats()
+            assert interrupted[0].message is None  # dropped, not parked
         finally:
             release.set()
             client.shutdown()
@@ -168,7 +219,7 @@ class TestCancellation:
         reply wait, but the send completes anyway and registers a
         reply nobody will collect.  The registration must be retired
         and the late reply's buffers reclaimed."""
-        from repro.orb.proxy import IIOPProxy
+        from repro.orb import GIOPConn
 
         pool = BufferPool()
         impl = make_store_impl(test_api)
@@ -176,14 +227,15 @@ class TestCancellation:
         client = ORB(ORBConfig(scheme="tcp"), pool=pool)
         in_send = threading.Event()
         cancelled = threading.Event()
-        orig_send = IIOPProxy._send_attempt_sync
+        orig_send = GIOPConn.send_message
 
-        def held_send(proxy, *a, **kw):
-            in_send.set()
-            assert cancelled.wait(10.0)
-            return orig_send(proxy, *a, **kw)
+        def held_send(conn, *a, **kw):
+            if conn.orb is client:  # the server's reply is not held
+                in_send.set()
+                assert cancelled.wait(10.0)
+            return orig_send(conn, *a, **kw)
 
-        monkeypatch.setattr(IIOPProxy, "_send_attempt_sync", held_send)
+        monkeypatch.setattr(GIOPConn, "send_message", held_send)
         try:
             stub = client.string_to_object(
                 server.object_to_string(server.activate(impl)))
@@ -200,12 +252,7 @@ class TestCancellation:
 
             asyncio.run(go())
 
-            def no_leak():
-                s = pool.stats()
-                acquired = s["hits"] + s["misses"]
-                return acquired > 0 and acquired == s["reclaims"]
-
-            assert _settle(no_leak), pool.stats()
+            assert _settle(lambda: _no_leak(pool)), pool.stats()
         finally:
             cancelled.set()
             client.shutdown()

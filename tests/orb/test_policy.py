@@ -6,8 +6,16 @@ Covers the acceptance scenarios of the resilience subsystem: a call
 that hits a mid-stream reset completes via retry with backoff; a call
 exceeding its deadline raises TIMEOUT with an honest completion status;
 an interrupted zero-copy deposit returns its buffer to the pool and the
-retry succeeds via the copy path."""
+retry succeeds via the copy path.
 
+The loop behind all of it is one machine with a blocking and an
+awaiting driver (DESIGN.md §15), so every class that goes through an
+ORB runs twice: as written, ``call`` is ``stub.op(...)``; in its
+``...Async`` subclass it is ``asyncio.run(async_api(stub).op(...))``.
+Same exception type, completion status, ``ConnStats`` counters and
+recorded sleep schedule on both, asserted rather than promised."""
+
+import asyncio
 import dataclasses
 import time
 
@@ -16,6 +24,7 @@ import pytest
 from repro.core import BufferPool, OctetSequence, ZCOctetSequence
 from repro.orb import (COMM_FAILURE, ORB, TIMEOUT, CompletionStatus,
                        Deadline, InvocationPolicy, ORBConfig, retry_safe)
+from repro.orb.aio import async_api
 from repro.orb.exceptions import INTERNAL, TRANSIENT
 from repro.transport import FaultPlan, faulty_registry
 
@@ -32,6 +41,44 @@ def _policy(**kw):
 def faulty_client(plan, policy=None):
     return ORB(ORBConfig(scheme="loop"), transports=faulty_registry(plan),
                policy=policy)
+
+
+class _Blocking:
+    """The sync stub: ``IIOPProxy.invoke`` drives the machine."""
+
+    def __call__(self, stub, op, *args):
+        return getattr(stub, op)(*args)
+
+    def attribute(self, stub, name):
+        return getattr(stub, name)
+
+    def through_orb(self, orb, ior, sig, args, policy):
+        return orb.invoke(ior, sig, args, policy=policy)
+
+
+class _Awaiting:
+    """``async_api``: ``IIOPProxy.invoke_async`` drives the machine."""
+
+    def __call__(self, stub, op, *args):
+        return asyncio.run(getattr(async_api(stub), op)(*args))
+
+    def attribute(self, stub, name):
+        # AsyncStub has no attribute accessors (a property cannot be
+        # awaited), so the getter enters one layer down — the same
+        # ORB.invoke_async every AsyncStub operation ends in
+        return self.through_orb(stub._orb, stub.ior,
+                                stub._signature(f"_get_{name}"), (),
+                                stub._policy)
+
+    def through_orb(self, orb, ior, sig, args, policy):
+        return asyncio.run(orb.invoke_async(ior, sig, args, policy=policy))
+
+
+@pytest.fixture
+def call(request):
+    """How the test's class makes its calls (see module docstring)."""
+    return _Awaiting() if getattr(request.cls, "awaiting", False) \
+        else _Blocking()
 
 
 @pytest.fixture
@@ -126,12 +173,13 @@ class TestDeadline:
 
 
 class TestRetryThroughORB:
-    def test_mid_stream_reset_retried_with_backoff(self, faulty_pair_factory):
+    def test_mid_stream_reset_retried_with_backoff(self, faulty_pair_factory,
+                                                   call):
         """Acceptance: one mid-stream reset, call still completes."""
         plan = FaultPlan().partial_send(nth=1, fraction=0.5)
         pol, sleeps = _policy()
         stub, impl, client, _ = faulty_pair_factory(plan, pol)
-        assert stub.put_std(OctetSequence(b"resilient!")) == 10
+        assert call(stub, "put_std", OctetSequence(b"resilient!")) == 10
         assert impl._total == 10  # executed exactly once
         assert [e.action for e in plan.events] == ["partial"]
         assert sleeps == pol.preview_schedule()[:1]
@@ -140,87 +188,93 @@ class TestRetryThroughORB:
         assert proxy.stats.reconnects == 1
 
     def test_connect_refusal_retried_and_zc_path_preserved(
-            self, faulty_pair_factory):
+            self, faulty_pair_factory, call):
         """A connect-time failure retries without abandoning zero-copy:
         the fresh attempt re-registers the deposit on the new conn."""
         plan = FaultPlan().refuse_connect(nth=1)
         pol, _ = _policy()
         stub, impl, client, _ = faulty_pair_factory(plan, pol)
         payload = bytes(range(256)) * 16
-        assert stub.put(ZCOctetSequence.from_data(payload)) == len(payload)
+        assert call(stub, "put", ZCOctetSequence.from_data(payload)) \
+            == len(payload)
         assert isinstance(impl.last, ZCOctetSequence)
         proxy = next(iter(client._proxies.values()))
         assert proxy.stats.retries == 1
         assert proxy.stats.deposits_sent == 1
         assert proxy.stats.deposit_fallbacks == 0
 
-    def test_corrupted_control_bytes_retried(self, faulty_pair_factory):
+    def test_corrupted_control_bytes_retried(self, faulty_pair_factory,
+                                             call):
         """GIOP header corruption draws a MessageError from the server;
         the request never executed, so the retry is safe."""
         plan = FaultPlan().corrupt_send(nth=1, byte_offset=0)
         pol, _ = _policy()
         stub, impl, _, _ = faulty_pair_factory(plan, pol)
-        assert stub.put_std(OctetSequence(b"abc")) == 3
+        assert call(stub, "put_std", OctetSequence(b"abc")) == 3
         assert impl._total == 3
 
-    def test_budget_exhaustion_raises_original(self, faulty_pair_factory):
+    def test_budget_exhaustion_raises_original(self, faulty_pair_factory,
+                                               call):
         plan = (FaultPlan().reset_on_send(nth=1, conn=1)
                 .reset_on_send(nth=1, conn=2)
                 .reset_on_send(nth=1, conn=3))
         pol, sleeps = _policy(max_retries=2)
         stub, impl, client, _ = faulty_pair_factory(plan, pol)
         with pytest.raises(COMM_FAILURE, match="injected reset"):
-            stub.put_std(OctetSequence(b"never"))
+            call(stub, "put_std", OctetSequence(b"never"))
         assert impl._total == 0
         assert len(sleeps) == 2
         proxy = next(iter(client._proxies.values()))
         assert proxy.stats.retries == 2
 
-    def test_no_policy_means_single_attempt(self, faulty_pair_factory):
+    def test_no_policy_means_single_attempt(self, faulty_pair_factory,
+                                            call):
         plan = FaultPlan().reset_on_send(nth=1)
         stub, impl, _, _ = faulty_pair_factory(plan, policy=None)
         with pytest.raises(COMM_FAILURE):
-            stub.put_std(OctetSequence(b"x"))
+            call(stub, "put_std", OctetSequence(b"x"))
         assert impl._total == 0
 
     def test_reply_side_failure_not_retried_unless_idempotent(
-            self, faulty_pair_factory):
+            self, faulty_pair_factory, call):
         """Once the request left in full, completion is unknowable:
         COMPLETED_MAYBE must not be transparently retried..."""
         plan = FaultPlan().reset_on_recv(nth=1)
         pol, _ = _policy()
         stub, impl, client, _ = faulty_pair_factory(plan, pol)
         with pytest.raises(COMM_FAILURE) as ei:
-            stub.put_std(OctetSequence(b"side-effect"))
+            call(stub, "put_std", OctetSequence(b"side-effect"))
         assert ei.value.completed is CompletionStatus.COMPLETED_MAYBE
         assert impl._total == 11  # the server did execute it
 
     def test_reply_side_failure_retried_when_idempotent(
-            self, faulty_pair_factory):
+            self, faulty_pair_factory, call):
         """...but an idempotent operation may be re-issued."""
         plan = FaultPlan().reset_on_recv(nth=1)
         pol, _ = _policy()
         stub, _, client, _ = faulty_pair_factory(plan, pol)
         sig = dataclasses.replace(stub._signature("get_std"),
                                   idempotent=True)
-        result = client.invoke(stub.ior, sig, [8], policy=pol)
+        result = call.through_orb(client, stub.ior, sig, [8], pol)
         assert bytes(result) == bytes(i % 256 for i in range(8))
 
-    def test_readonly_attribute_is_idempotent(self, faulty_pair_factory):
+    def test_readonly_attribute_is_idempotent(self, faulty_pair_factory,
+                                              call):
         """Attribute getters are marked idempotent by the IDL compiler,
         so even a COMPLETED_MAYBE failure retries."""
         plan = FaultPlan().reset_on_recv(nth=1)
         pol, _ = _policy()
         stub, impl, _, _ = faulty_pair_factory(plan, pol)
         impl._total = 99
-        assert stub.total == 99
+        assert call.attribute(stub, "total") == 99
 
-    def test_stats_accumulate_across_reconnects(self, faulty_pair_factory):
+    def test_stats_accumulate_across_reconnects(self, faulty_pair_factory,
+                                                call):
         plan = FaultPlan().reset_on_send(nth=2)
         pol, _ = _policy()
         stub, _, client, _ = faulty_pair_factory(plan, pol)
-        stub.put_std(OctetSequence(b"one"))
-        stub.put_std(OctetSequence(b"two"))
+        call(stub, "put_std", OctetSequence(b"one"))
+        call(stub, "put_std", OctetSequence(b"two"))
         proxy = next(iter(client._proxies.values()))
         assert proxy.stats.reconnects == 1
         assert proxy.stats.retries == 1
@@ -228,18 +282,19 @@ class TestRetryThroughORB:
         assert proxy.stats.messages_sent == 2
         assert proxy.conn.stats is proxy.stats
 
-    def test_per_proxy_policy_overrides_orb(self, faulty_pair_factory):
+    def test_per_proxy_policy_overrides_orb(self, faulty_pair_factory,
+                                            call):
         plan = FaultPlan().reset_on_send(nth=1)
         stub, impl, _, _ = faulty_pair_factory(plan, policy=None)
         pol, _ = _policy()
         stub._set_policy(pol)
-        assert stub.put_std(OctetSequence(b"ok")) == 2
+        assert call(stub, "put_std", OctetSequence(b"ok")) == 2
         assert impl._total == 2
 
 
 class TestDeadlines:
     def test_deadline_expiry_mid_send_is_completed_no(
-            self, faulty_pair_factory):
+            self, faulty_pair_factory, call):
         """Acceptance: the stall trips the deadline and the reset
         guarantees the request never fully left — TIMEOUT must carry
         COMPLETED_NO, the one completion status it can assert."""
@@ -247,20 +302,21 @@ class TestDeadlines:
         pol, _ = _policy(timeout=0.02, max_retries=5)
         stub, impl, client, _ = faulty_pair_factory(plan, pol)
         with pytest.raises(TIMEOUT) as ei:
-            stub.put_std(OctetSequence(b"too slow"))
+            call(stub, "put_std", OctetSequence(b"too slow"))
         assert ei.value.completed is CompletionStatus.COMPLETED_NO
         assert impl._total == 0
         proxy = next(iter(client._proxies.values()))
         assert proxy.stats.timeouts == 1
 
-    def test_deadline_expiry_mid_deposit_send(self, faulty_pair_factory):
+    def test_deadline_expiry_mid_deposit_send(self, faulty_pair_factory,
+                                              call):
         """Same honesty requirement when the stall interrupts the
         zero-copy data path itself."""
         plan = FaultPlan().stall_then_reset_send(nth=1, delay=0.06)
         pol, _ = _policy(timeout=0.02, max_retries=5)
         stub, impl, _, _ = faulty_pair_factory(plan, pol)
         with pytest.raises(TIMEOUT) as ei:
-            stub.put(ZCOctetSequence.from_data(b"z" * 65536))
+            call(stub, "put", ZCOctetSequence.from_data(b"z" * 65536))
         assert ei.value.completed is CompletionStatus.COMPLETED_NO
         assert impl._total == 0
 
@@ -272,19 +328,20 @@ class TestDeadlines:
         now[0] += 0.02
         assert dl.expired
 
-    def test_backoff_clamped_to_deadline_budget(self, faulty_pair_factory):
+    def test_backoff_clamped_to_deadline_budget(self, faulty_pair_factory,
+                                                call):
         """The retry sleep never overshoots the remaining deadline."""
         plan = FaultPlan().reset_on_send(nth=1)
         pol, sleeps = _policy(timeout=5.0, max_retries=2,
                               base_backoff=60.0, jitter=0.0)
         stub, _, _, _ = faulty_pair_factory(plan, pol)
-        assert stub.put_std(OctetSequence(b"ok")) == 2
+        assert call(stub, "put_std", OctetSequence(b"ok")) == 2
         assert len(sleeps) == 1 and sleeps[0] <= 5.0
 
 
 class TestDepositFallback:
     def test_interrupted_deposit_returns_buffer_and_retries_by_copy(
-            self, faulty_pair_factory):
+            self, faulty_pair_factory, call):
         """Acceptance: a deposit cut mid-landing gives its page-aligned
         buffer back to the pool (no leak), and the retry delivers the
         same payload via the copy path."""
@@ -294,7 +351,8 @@ class TestDepositFallback:
         pol, sleeps = _policy()
         stub, impl, client, _ = faulty_pair_factory(plan, pol,
                                                     server_pool=pool)
-        assert stub.put(ZCOctetSequence.from_data(payload)) == len(payload)
+        assert call(stub, "put", ZCOctetSequence.from_data(payload)) \
+            == len(payload)
         # exactly one landing buffer was acquired, and it went back
         acquired = pool.hits + pool.misses
         assert acquired == 1
@@ -311,17 +369,18 @@ class TestDepositFallback:
         assert proxy.stats.deposits_sent == 0
         assert sleeps == pol.preview_schedule()[:1]
 
-    def test_fallback_is_observable_in_events(self, faulty_pair_factory):
+    def test_fallback_is_observable_in_events(self, faulty_pair_factory,
+                                              call):
         plan = FaultPlan().partial_send(nth=1, fraction=0.5)
         pol, _ = _policy()
         stub, _, _, _ = faulty_pair_factory(plan, pol)
-        stub.put(ZCOctetSequence.from_data(b"q" * 32768))
+        call(stub, "put", ZCOctetSequence.from_data(b"q" * 32768))
         (ev,) = plan.events
         assert ev.action == "partial" and ev.op == "send"
 
 
 class TestTCPDeadline:
-    def test_slow_server_trips_read_timeout(self):
+    def test_slow_server_trips_read_timeout(self, call):
         """Over real TCP the remaining deadline becomes a socket
         timeout; expiry surfaces as TIMEOUT with COMPLETED_MAYBE (the
         request did leave in full)."""
@@ -343,9 +402,25 @@ class TestTCPDeadline:
                 server.object_to_string(server.activate(SleepyImpl())))
             t0 = time.monotonic()
             with pytest.raises(TIMEOUT) as ei:
-                stub.nap(2000)
+                call(stub, "nap", 2000)
             assert time.monotonic() - t0 < 1.0
             assert ei.value.completed is CompletionStatus.COMPLETED_MAYBE
         finally:
             client.shutdown()
             server.shutdown()
+
+
+class TestRetryThroughORBAsync(TestRetryThroughORB):
+    awaiting = True
+
+
+class TestDeadlinesAsync(TestDeadlines):
+    awaiting = True
+
+
+class TestDepositFallbackAsync(TestDepositFallback):
+    awaiting = True
+
+
+class TestTCPDeadlineAsync(TestTCPDeadline):
+    awaiting = True

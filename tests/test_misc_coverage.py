@@ -1,8 +1,13 @@
 """Cross-cutting coverage: locate, CLI mains, Fast-Ethernet claim."""
 
+import time
 
+import pytest
 
-from repro.orb import ORB, ORBConfig
+from repro.orb import (ORB, TIMEOUT, CompletionStatus, InvocationPolicy,
+                       ORBConfig)
+from repro.orb.exceptions import TRANSIENT
+from repro.transport import FaultPlan, faulty_registry
 
 
 class TestLocate:
@@ -26,6 +31,70 @@ class TestLocate:
             assert orb.locate(ref) is True
         finally:
             orb.shutdown()
+
+    @pytest.fixture
+    def remote(self, test_api, store_impl):
+        """makes (client, stub) for an object on a second ORB, the
+        client's wire optionally under a FaultPlan and a policy."""
+        orbs = []
+
+        def make(scheme="loop", plan=None, policy=None):
+            server = ORB(ORBConfig(scheme=scheme))
+            client = ORB(ORBConfig(scheme=scheme), policy=policy,
+                         transports=plan and faulty_registry(plan))
+            orbs.extend([client, server])
+            return client, client.string_to_object(
+                server.object_to_string(server.activate(store_impl)))
+
+        yield make
+        for orb in orbs:
+            orb.shutdown()
+
+    def test_locate_is_false_when_the_server_hangs_up(self, remote,
+                                                      monkeypatch):
+        """A CloseConnection instead of a LocateReply is an answer."""
+        from repro.orb import IIOPServer
+
+        def hang_up(server, conn, rm):
+            conn.send_close()
+            conn.close()
+
+        monkeypatch.setattr(IIOPServer, "_handle", hang_up)
+        client, stub = remote()
+        assert client.locate(stub) is False
+
+    def test_locate_honours_the_deadline(self, remote):
+        """A server that accepts and then says nothing used to hang the
+        caller forever; under a policy the probe times out like a call,
+        with the completion status of a request that did leave."""
+        client, stub = remote("tcp", FaultPlan().stall_recv(nth=1, delay=0.6),
+                              InvocationPolicy(timeout=0.2))
+        t0 = time.monotonic()
+        with pytest.raises(TIMEOUT) as ei:
+            client.locate(stub)
+        assert time.monotonic() - t0 < 0.5
+        assert ei.value.completed is CompletionStatus.COMPLETED_MAYBE
+        proxy = next(iter(client._proxies.values()))
+        assert proxy.stats.timeouts == 1
+        assert proxy._demux.inflight == 0
+
+    def test_locate_retries_a_refused_dial(self, remote):
+        plan = FaultPlan().refuse_connect(nth=1)
+        sleeps = []
+        policy = InvocationPolicy(max_retries=1, seed=7, sleep=sleeps.append)
+        client, stub = remote("loop", plan, policy)
+        assert client.locate(stub) is True
+        assert [e.action for e in plan.events] == ["refuse"]
+        assert sleeps == policy.preview_schedule()[:1]
+        proxy = next(iter(client._proxies.values()))
+        assert proxy.stats.retries == 1
+
+    def test_locate_without_budget_reports_the_refused_dial(self, remote):
+        """A dial that never reached the server is not an answer."""
+        client, stub = remote("loop", FaultPlan().refuse_connect(nth=1))
+        with pytest.raises(TRANSIENT) as ei:
+            client.locate(stub)
+        assert ei.value.completed is CompletionStatus.COMPLETED_NO
 
 
 class TestFastEthernetClaim:
