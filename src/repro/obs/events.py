@@ -35,7 +35,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 __all__ = [
     "ByteEvent", "StageEvent", "WireEvent",
     "EventSink", "NullSink", "RecordingSink", "CompositeSink",
-    "CallbackSink", "CaptureSink", "StageSpan", "stage_span",
+    "CallbackSink", "StageSpan", "stage_span",
 ]
 
 
@@ -83,17 +83,28 @@ class EventSink:
     the Fig. 7 breakdown); the always-on flight recorder does not — it
     must leave the wire geometry of the zero-copy single-``sendv`` path
     untouched, and it keeps no wire events, so none are built for it.
+    ``byte_events`` declares the same for :class:`ByteEvent`: marshalers
+    get an ``on_bytes`` hook only from a sink that keeps what it reports.
     """
 
     #: ask the connection layer for wire events and split
     #: control/deposit send stages
     wire_stages = True
+    #: ask the marshalers for a ByteEvent per byte-touching operation
+    byte_events = True
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.clock = clock
 
     def emit(self, event) -> None:
         """Handle one event.  Subclasses override."""
+
+    def stamp(self, stage: str, seconds: float, nbytes: int = 0) -> None:
+        """One finished stage as plain numbers: what the ORB layers call
+        on every message.  A sink that consumes event objects inherits
+        this and sees the :class:`StageEvent` in :meth:`emit`; one that
+        only keeps the numbers overrides it and builds nothing."""
+        self.emit(StageEvent(stage, seconds, nbytes))
 
     # -- legacy compatibility ------------------------------------------------
     def on_bytes(self, kind: str, nbytes: int) -> None:
@@ -107,8 +118,8 @@ class EventSink:
 
 
 class StageSpan:
-    """Measures one stage; emits a StageEvent on exit (even on error,
-    so a failed attempt still accounts for the time it burned)."""
+    """Measures one stage; stamps it on exit (even on error, so a
+    failed attempt still accounts for the time it burned)."""
 
     __slots__ = ("_sink", "stage", "nbytes", "_t0")
 
@@ -126,9 +137,9 @@ class StageSpan:
         return self
 
     def __exit__(self, *exc) -> bool:
-        duration = max(0.0, self._sink.clock() - self._t0)
-        self._sink.emit(StageEvent(stage=self.stage, duration_s=duration,
-                                   nbytes=self.nbytes))
+        self._sink.stamp(self.stage,
+                         max(0.0, self._sink.clock() - self._t0),
+                         self.nbytes)
         return False
 
 
@@ -147,16 +158,15 @@ class _NullSpan:
         return False
 
 
-#: the span of a stage nobody measures (no sink, or a sink with no
-#: use for the result on this thread)
+#: the span of a stage nobody measures
 _NULL_SPAN = _NullSpan()
 
 
 def stage_span(sink: Optional[EventSink], name: str):
     """A measuring span on ``sink``, or a shared no-op when unset.
 
-    The ORB layers call this on every message, so the uninstrumented
-    path must not allocate.
+    For the sends that carry payloads or split timing; the sites every
+    message passes call :meth:`EventSink.stamp`, and nothing if unset.
     """
     return sink.stage(name) if sink is not None else _NULL_SPAN
 
@@ -200,30 +210,13 @@ class CompositeSink(EventSink):
         """Split sends if any member wants the split timing."""
         return any(s.wire_stages for s in self.sinks)
 
+    @property
+    def byte_events(self) -> bool:
+        return any(s.byte_events for s in self.sinks)
+
     def emit(self, event) -> None:
         for sink in self.sinks:
             sink.emit(event)
-
-
-class CaptureSink(EventSink):
-    """Collects events into a caller-supplied list instead of handling
-    them.
-
-    This is the hand-off vehicle for thread-sensitive sinks: a reply
-    read on a demultiplexer thread captures its stage events here, and
-    the thread that *awaits* the reply re-emits them while its own span
-    and timers are active — so attribution follows the logical
-    invocation, not the physical reader thread.  Not synchronized: each
-    capture list belongs to exactly one read.
-    """
-
-    def __init__(self, into: List,
-                 clock: Callable[[], float] = time.perf_counter):
-        super().__init__(clock=clock)
-        self.into = into
-
-    def emit(self, event) -> None:
-        self.into.append(event)
 
 
 class CallbackSink(EventSink):

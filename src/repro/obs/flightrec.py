@@ -9,14 +9,18 @@ cheap, bounded ring of recent invocation roots, plus full span trees
 latency threshold.  When a p99 spike shows up on the ``/metrics``
 latency histogram, the offending call's breakdown is already captured.
 
-Cost model — why this can be on by default:
+Cost model — why this can be on by default: **stamp, don't build**.
 
-* ids are sequential hex (one ``itertools.count``), no RNG draw;
-* stage events attach to the innermost active span via a thread-local
-  stack, no locking on the emit path;
-* fast calls keep only their root span *header* (name, duration,
-  status) — the per-stage detail is dropped at finish time
-  (``detail_dropped`` counts them), so ring memory stays flat;
+* an open call is one flat record (:class:`_FlightSpan`): integer ids
+  from one ``itertools.count`` (no RNG draw) and ``(stage, seconds,
+  bytes)`` tuples.  The 32 / 16-digit hex ids and the
+  :class:`StageEvent` objects of schema v2 are made when somebody
+  *reads* them (``/spans``, ``ORBMonitor``), which is mostly never;
+* a stage is one :meth:`FlightRecorder.stamp` call appending to the
+  innermost open record of a thread-local stack, no locking;
+* fast calls keep only their header (name, duration, status): the
+  per-stage detail is dropped at finish time (``detail_dropped`` counts
+  them), so a finish is a ring append and a counter;
 * nothing is injected into the GIOP wire format: unlike the
   distributed tracer, the recorder never adds a service context, so
   recorded and unrecorded ORBs are byte-identical on the wire.
@@ -24,8 +28,8 @@ Cost model — why this can be on by default:
 The recorder mirrors the :class:`~repro.obs.dtrace.DistributedTracer`
 driving interface (``begin_invocation`` / ``start_client_span`` /
 ``start_server_span`` / ``finish``) so the proxy and dispatcher drive
-both through the same call sites, and reuses its :class:`Span` type so
-the captured trees render with the existing ``repro-metrics tree``
+both through the same call sites, and each record is a :class:`Span`,
+so the captured trees render with the existing ``repro-metrics tree``
 tooling and export as span-schema-v2 dumps.
 """
 
@@ -37,8 +41,8 @@ import time
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
-from .dtrace import InvocationScope, Span
-from .events import _NULL_SPAN, EventSink, StageEvent, StageSpan
+from .dtrace import Span
+from .events import EventSink, StageEvent
 
 __all__ = ["FlightRecorder", "DEFAULT_SLOW_THRESHOLD"]
 
@@ -53,25 +57,40 @@ class _OpenSpans(threading.local):
     starts with an empty one)."""
 
     def __init__(self):
-        self.stack: List["_ActiveFlightSpan"] = []
+        self.stack: List["_FlightSpan"] = []
 
 
-class _ActiveFlightSpan:
-    """A started span plus the subtree collected while it is a root."""
+class _FlightSpan(Span):
+    """A :class:`Span` stored flat, and the handle ``start_*_span``
+    returns: the recorder stamps numbers in, a reader gets schema v2
+    out — hex ids and :class:`StageEvent` objects computed on access.
+    ``end_s`` / ``status`` start as :class:`Span`'s class defaults."""
 
-    __slots__ = ("span", "children")
+    def __init__(self, trace: int, number: int, parent: Optional[int],
+                 name: str, kind: str, node: str, start_s: float,
+                 request_id: Optional[int] = None):
+        self.trace = trace
+        self.number = number
+        self.parent = parent
+        self.name = name
+        self.kind = kind
+        self.node = node
+        self.start_s = start_s
+        self.request_id = request_id
+        #: ``(stage, seconds, nbytes)`` in arrival order
+        self.stamps: list = []
+        #: finished descendants, handed to their root by ``finish``
+        self.children: list = []
 
-    def __init__(self, span: Span):
-        self.span = span
-        #: finished descendant spans, delivered here by :meth:`finish`
-        #: of the nested spans (only roots accumulate children)
-        self.children: List[Span] = []
-
-    def set_request_id(self, request_id: int) -> None:
-        self.span.request_id = request_id
+    trace_id = property(lambda self: f"{self.trace:032x}")
+    span_id = property(lambda self: f"{self.number:016x}")
+    parent_id = property(lambda self: None if self.parent is None
+                         else f"{self.parent:016x}")
+    stages = property(lambda self: [StageEvent(*s) for s in self.stamps])
+    span = property(lambda self: self)
 
     def record_status(self, status: Optional[str]) -> None:
-        self.span.status = status
+        self.status = status
 
 
 class FlightRecorder(EventSink):
@@ -81,8 +100,8 @@ class FlightRecorder(EventSink):
     the slow ring (full trees).  ``slow_threshold`` is in seconds and
     may be adjusted on a live recorder.  ``enabled=False`` (or
     :meth:`disable`) stops span production; detaching the recorder
-    from the ORB's sink chain entirely restores the allocation-free
-    ``stage_span`` fast path.
+    from the ORB's sink chain entirely (``flight_recorder=False``)
+    leaves the invocation path with no call into this package.
     """
 
     #: never ask the connection layer to split the control/deposit
@@ -90,6 +109,8 @@ class FlightRecorder(EventSink):
     #: geometry (syscall count, fault-injection timing) of the
     #: zero-copy send path it observes
     wire_stages = False
+    #: byte events are dropped here, so none are built for it
+    byte_events = False
 
     def __init__(self, slow_threshold: float = DEFAULT_SLOW_THRESHOLD,
                  keep: int = 256, slow_keep: int = 32, node: str = "",
@@ -104,8 +125,8 @@ class FlightRecorder(EventSink):
         self._ids = itertools.count(1)  # .__next__ is atomic under the GIL
         self._tls = _OpenSpans()
         self._lock = threading.Lock()
-        self._ring: Deque[Span] = deque(maxlen=keep)
-        self._slow: Deque[List[Span]] = deque(maxlen=slow_keep)
+        self._ring: Deque[_FlightSpan] = deque(maxlen=keep)
+        self._slow: Deque[List[_FlightSpan]] = deque(maxlen=slow_keep)
         #: lifetime counters (read by the telemetry sampler)
         self.recorded_total = 0
         self.slow_sampled = 0
@@ -119,36 +140,26 @@ class FlightRecorder(EventSink):
         """Stop producing spans (events to still-open spans are kept)."""
         self.enabled = False
 
-    # -- id generation -------------------------------------------------------
-    def _new_trace_id(self) -> str:
-        return f"{next(self._ids):032x}"
-
-    def _new_span_id(self) -> str:
-        return f"{next(self._ids):016x}"
-
     # -- span lifecycle (DistributedTracer-shaped) ---------------------------
-    def begin_invocation(self) -> InvocationScope:
-        """Fix the trace identity for one logical client call."""
+    def begin_invocation(self) -> tuple:
+        """Fix the trace identity for one logical client call: the
+        ``(trace, parent)`` numbers every attempt's span is opened
+        with."""
         stack = self._tls.stack
         if stack:
-            top = stack[-1].span
-            return InvocationScope(trace_id=top.trace_id,
-                                   parent_id=top.span_id, sampled=True)
-        return InvocationScope(trace_id=self._new_trace_id(),
-                               parent_id=None, sampled=True)
+            top = stack[-1]
+            return top.trace, top.number
+        return next(self._ids), None
 
-    def start_client_span(self, name: str,
-                          scope: InvocationScope) -> _ActiveFlightSpan:
-        span = Span(trace_id=scope.trace_id, span_id=self._new_span_id(),
-                    parent_id=scope.parent_id, name=name, kind="client",
-                    node=self.node, start_s=self.clock())
-        active = _ActiveFlightSpan(span)
-        self._tls.stack.append(active)
-        return active
+    def start_client_span(self, name: str, scope: tuple) -> _FlightSpan:
+        trace, parent = scope
+        span = _FlightSpan(trace, next(self._ids), parent, name, "client",
+                           self.node, self.clock())
+        self._tls.stack.append(span)
+        return span
 
     def start_server_span(self, name: str, ctx=None,
-                          request_id: Optional[int] = None
-                          ) -> _ActiveFlightSpan:
+                          request_id: Optional[int] = None) -> _FlightSpan:
         """Open the server side of an incoming request.
 
         The recorder is process-local — no context rides the wire — so
@@ -158,73 +169,64 @@ class FlightRecorder(EventSink):
         """
         stack = self._tls.stack
         if stack:
-            top = stack[-1].span
-            trace_id, parent_id = top.trace_id, top.span_id
+            top = stack[-1]
+            trace, parent = top.trace, top.number
         else:
-            trace_id, parent_id = self._new_trace_id(), None
-        span = Span(trace_id=trace_id, span_id=self._new_span_id(),
-                    parent_id=parent_id, name=name, kind="server",
-                    node=self.node, start_s=self.clock(),
-                    request_id=request_id)
-        active = _ActiveFlightSpan(span)
-        stack.append(active)
-        return active
+            trace, parent = next(self._ids), None
+        span = _FlightSpan(trace, next(self._ids), parent, name, "server",
+                           self.node, self.clock(), request_id)
+        stack.append(span)
+        return span
 
-    def finish(self, active: _ActiveFlightSpan,
-               status: Optional[str] = None) -> Optional[Span]:
+    def finish(self, active: _FlightSpan,
+               status: Optional[str] = None) -> Span:
         """Close ``active``; record it when it is a root.
 
         Nested spans are handed to the root still on this thread's
         stack and travel with it; a finished root enters the recent
         ring — with full stage detail when it crossed the slow
         threshold (its whole subtree then also enters the slow ring),
-        stripped to a header otherwise.
+        stripped to a header otherwise.  What is returned is what the
+        readers below later yield.
         """
         stack = self._tls.stack
         while stack:
-            top = stack.pop()
-            if top is active:
+            if stack.pop() is active:
                 break
-        span = active.span
-        span.end_s = self.clock()
+        active.end_s = end_s = self.clock()
         if status is not None:
-            span.status = status
+            active.status = status
         if stack:
-            root = stack[0]
-            root.children.extend(active.children)
-            root.children.append(span)
-            return span
-        members = active.children + [span]
-        slow = span.duration_s >= self.slow_threshold
+            stack[0].children.append(active)
+            return active
+        # the ring keeps headers: a slow call's subtree goes to the slow
+        # ring, a fast one's is dropped with its own per-stage detail —
+        # this is what keeps the default-on recorder cheap
+        children, active.children = active.children, ()
+        slow = end_s - active.start_s >= self.slow_threshold
+        if not slow:
+            active.stamps = ()
         with self._lock:
             self.recorded_total += 1
             if slow:
                 self.slow_sampled += 1
-                self._slow.append(members)
+                self._slow.append([*children, active])
             else:
                 self.detail_dropped += 1
-            self._ring.append(span)
-        if not slow:
-            # fast call: keep the header, drop the per-stage detail —
-            # this is what keeps the default-on recorder cheap
-            span.stages = []
-        return span
+            self._ring.append(active)
+        return active
 
     # -- sink interface ------------------------------------------------------
-    def stage(self, name: str):
-        """A measuring span when this thread has an open span to keep
-        the result, else the shared no-op: a reader or reactor thread
-        pays nothing for events :meth:`emit` would drop."""
-        if self._tls.stack:
-            return StageSpan(self, name)
-        return _NULL_SPAN
+    def stamp(self, stage: str, seconds: float, nbytes: int = 0) -> None:
+        """Append the stage to the innermost span open on this thread;
+        a reader or reactor thread, which has none, keeps nothing."""
+        stack = self._tls.stack
+        if stack and self.enabled:
+            stack[-1].stamps.append((stage, seconds, nbytes))
 
     def emit(self, event) -> None:
-        if not self.enabled or not isinstance(event, StageEvent):
-            return
-        stack = self._tls.stack
-        if stack:
-            stack[-1].span.stages.append(event)
+        if isinstance(event, StageEvent):
+            self.stamp(event.stage, event.duration_s, event.nbytes)
 
     # -- readers -------------------------------------------------------------
     def recent(self, n: int = 0) -> List[Span]:
@@ -243,18 +245,14 @@ class FlightRecorder(EventSink):
         """Slow-tree members plus recent roots, deduplicated by span
         id, oldest first — the ``/spans`` and ``recent_spans(n)``
         payload (``n`` bounds the *root* count, 0 = all)."""
-        with self._lock:
-            roots = list(self._ring)
-            trees = [list(t) for t in self._slow]
-        if n > 0:
-            roots = roots[-n:]
-        keep_traces = {s.trace_id for s in roots}
-        seen = {s.span_id for s in roots}
+        roots, trees = self.recent(n), self.slow_trees()
+        keep_traces = {s.trace for s in roots}
+        seen = {s.number for s in roots}
         out: List[Span] = []
         for tree in trees:
             for span in tree:
-                if span.trace_id in keep_traces and span.span_id not in seen:
-                    seen.add(span.span_id)
+                if span.trace in keep_traces and span.number not in seen:
+                    seen.add(span.number)
                     out.append(span)
         out.extend(roots)
         out.sort(key=lambda s: s.start_s)

@@ -21,9 +21,9 @@ stage              what it covers (client view)
                    (for arena-staged payloads this is a pure slot
                    reference: bytes are the payload size, the copy
                    already happened under ``marshal``)
-``server-wait``    blocked until the reply's control message arrived —
-                   covers wire latency plus the server's demarshal /
-                   dispatch / servant / reply-marshal work
+``server-wait``    from this call's request having left to its reply's
+                   control message being in — wire latency plus the
+                   server's whole handling; never the connection's idle
 ``deposit-recv``   landing reply payloads into page-aligned pool buffers
 ``demarshal``      decoding the reply body (zero-copy results only set
                    references)

@@ -35,7 +35,7 @@ from ..core.direct_deposit import (DepositError, DepositReceiver,
 from ..giop import (GIOP_HEADER_SIZE, GIOPError, GIOPHeader, GIOPMessage,
                     MsgType, ServiceContext, decode_body, decode_header,
                     encode_giop_header)
-from ..obs.events import CaptureSink, EventSink, WireEvent, stage_span
+from ..obs.events import EventSink, WireEvent, stage_span
 from ..obs.stages import (STAGE_CONTROL_SEND, STAGE_DEPOSIT_RECV,
                           STAGE_DEPOSIT_SEND, STAGE_RECV_WAIT)
 from ..transport.base import Stream, TransportError, TransportTimeout
@@ -119,11 +119,20 @@ class _Carried:
 
 @dataclass
 class ReceivedMessage:
-    """A fully received GIOP message with its landed deposits."""
+    """A fully received GIOP message with its landed deposits, and the
+    plain numbers of its read (clock readings only under a sink)."""
 
     msg: GIOPMessage
     deposits: Dict[int, ZCBuffer] = field(default_factory=dict)
     deposit_flags: Dict[int, int] = field(default_factory=dict)
+    #: the sink's clock when the control message was in, its GIOP
+    #: headers + bodies as read (each fragment once), and their count
+    arrived: float = 0.0
+    wire_nbytes: int = 0
+    fragments: int = 1
+    #: time and bytes of landing the deposits (0 when there were none)
+    landing_s: float = 0.0
+    landed_nbytes: int = 0
 
     @property
     def header(self) -> GIOPHeader:
@@ -135,6 +144,17 @@ class ReceivedMessage:
         return MarshalContext(deposits=self.deposits, on_bytes=on_bytes,
                               generic_loop=generic_loop, orb=orb,
                               deposit_flags=self.deposit_flags)
+
+    def wire_event(self) -> WireEvent:
+        """This message as the wire log shows it."""
+        header, body_header = self.msg.header, self.msg.body_header
+        descs = body_header.deposit_descriptors() \
+            if getattr(body_header, "service_contexts", None) else ()
+        return WireEvent(
+            direction="recv", msg_type=header.msg_type.name, size=header.size,
+            request_id=getattr(body_header, "request_id", None),
+            fragments=self.fragments,
+            deposits=tuple((d.deposit_id, d.size) for d in descs))
 
     def params_decoder(self):
         """The body decoder, aligned to the parameter data.
@@ -218,7 +238,7 @@ class GIOPConn:
         return self._bytes_hook
 
     def _make_bytes_hook(self) -> Optional[Callable[[str, int], None]]:
-        if self.sink is None:
+        if self.sink is None or not self.sink.byte_events:
             return self.on_bytes
         if self.on_bytes is None:
             return self.sink.on_bytes
@@ -558,21 +578,15 @@ class GIOPConn:
             self.stream.send(header)
 
     # -- receiving ---------------------------------------------------------------
-    def read_message(self, wait_stage: str = STAGE_RECV_WAIT,
-                     capture: Optional[list] = None) -> ReceivedMessage:
+    def read_message(self, wait_stage: Optional[str] = STAGE_RECV_WAIT
+                     ) -> ReceivedMessage:
         """Block for the next message; land its deposits (the MICO
         ``do_read`` path with the direct-deposit callback of §4.5).
 
-        ``wait_stage`` names the stage span charged for the blocking
-        control-message read when a sink is attached; the client proxy
-        passes ``server-wait``, servers keep the ``recv-wait`` default.
-
-        ``capture`` (a list) diverts this read's *stage events* into it
-        instead of the sink.  The reply demultiplexer reads on a thread
-        that is not the invoking thread; stage sinks attribute by
-        emitting thread, so the demux captures the events and the
-        awaiting caller re-emits them on its own thread.  Wire events
-        are thread-agnostic and still go to the sink directly.
+        ``wait_stage`` names the stage charged for the blocking
+        control-message read when a sink is attached: servers keep the
+        ``recv-wait`` default, the reply demultiplexer passes ``None``
+        (see :meth:`_read_message_gen`).
 
         This is the *blocking driver* over :meth:`_read_message_gen`:
         the parse itself is a resumable generator so the reactor
@@ -581,7 +595,7 @@ class GIOPConn:
         parser, so framing, stats, and CORBA exception mapping cannot
         diverge between the threaded and the event-loop path.
         """
-        gen = self._read_message_gen(wait_stage, capture)
+        gen = self._read_message_gen(wait_stage)
         result = None
         throwing: Optional[BaseException] = None
         while True:
@@ -607,8 +621,7 @@ class GIOPConn:
                 # own the stats/close/CORBA mapping, exactly once
                 throwing = exc
 
-    def _read_message_gen(self, wait_stage: str = STAGE_RECV_WAIT,
-                          capture: Optional[list] = None):
+    def _read_message_gen(self, wait_stage: Optional[str] = STAGE_RECV_WAIT):
         """Resumable GIOP parse: yields read requests, returns the
         :class:`ReceivedMessage` (via ``StopIteration.value``).
 
@@ -625,48 +638,55 @@ class GIOPConn:
         Transport errors raised by the driver are ``throw()``-n into
         the generator at the yield point, so the except clauses below
         map them to CORBA exceptions identically for every driver.
+
+        With a sink, the wait for the control message is stamped as
+        ``wait_stage`` and the landing as ``deposit-recv`` on the
+        reading thread, failed or not.  ``wait_stage=None`` (the reply
+        demultiplexer, whose thread cannot know whose call a reply
+        answers or since when it waited) reports nothing: the numbers
+        ride on the message for the awaiting caller to account for.
         """
         fragments = 1
-        stage_sink = self.sink
-        if capture is not None and stage_sink is not None:
-            stage_sink = CaptureSink(capture, clock=self.sink.clock)
+        sink = self.sink
+        # the sink as far as this thread reports to it
+        here = sink if wait_stage is not None else None
+        t0 = here.clock() if here is not None else 0.0
+        arrived, wire_nbytes = 0.0, 0
         try:
-            with stage_span(stage_sink, wait_stage) as span:
-                raw_header = (yield ("exact", GIOP_HEADER_SIZE))
-                header = decode_header(raw_header)
-                body = (yield ("exact", header.size)) if header.size \
-                    else memoryview(b"")
-                # wire accounting: headers + bodies actually read, NOT
-                # the reassembled size (each fragment counts exactly once)
-                wire_nbytes = GIOP_HEADER_SIZE + header.size
-                # GIOP 1.1 reassembly: Fragment messages continue the
-                # body.  One growing bytearray takes each fragment in
-                # amortized O(1), so a 256-fragment message costs
-                # linear copy work — rebuilding the accumulator per
-                # fragment would be O(n^2) in the total size.
-                assembled: Optional[bytearray] = None
-                more_fragments = header.more_fragments
-                while more_fragments:
-                    frag_header = decode_header(
-                        (yield ("exact", GIOP_HEADER_SIZE)))
-                    if frag_header.msg_type is not MsgType.Fragment:
-                        raise GIOPError(
-                            f"expected Fragment continuation, got "
-                            f"{frag_header.msg_type.name}")
-                    if assembled is None:
-                        assembled = bytearray(body)
-                    assembled += (yield ("exact", frag_header.size))
-                    wire_nbytes += GIOP_HEADER_SIZE + frag_header.size
-                    fragments += 1
-                    more_fragments = frag_header.more_fragments
-                if assembled is not None:
-                    body = memoryview(assembled)
-                    header = GIOPHeader(
-                        msg_type=header.msg_type, size=len(body),
-                        little_endian=header.little_endian,
-                        major=header.major, minor=header.minor,
-                        more_fragments=False)
-                span.add_bytes(wire_nbytes)
+            raw_header = (yield ("exact", GIOP_HEADER_SIZE))
+            header = decode_header(raw_header)
+            body = (yield ("exact", header.size)) if header.size \
+                else memoryview(b"")
+            # wire accounting: headers + bodies actually read, NOT
+            # the reassembled size (each fragment counts exactly once)
+            wire_nbytes = GIOP_HEADER_SIZE + header.size
+            # GIOP 1.1 reassembly: Fragment messages continue the
+            # body.  One growing bytearray takes each fragment in
+            # amortized O(1), so a 256-fragment message costs
+            # linear copy work — rebuilding the accumulator per
+            # fragment would be O(n^2) in the total size.
+            assembled: Optional[bytearray] = None
+            more_fragments = header.more_fragments
+            while more_fragments:
+                frag_header = decode_header(
+                    (yield ("exact", GIOP_HEADER_SIZE)))
+                if frag_header.msg_type is not MsgType.Fragment:
+                    raise GIOPError(
+                        f"expected Fragment continuation, got "
+                        f"{frag_header.msg_type.name}")
+                if assembled is None:
+                    assembled = bytearray(body)
+                assembled += (yield ("exact", frag_header.size))
+                wire_nbytes += GIOP_HEADER_SIZE + frag_header.size
+                fragments += 1
+                more_fragments = frag_header.more_fragments
+            if assembled is not None:
+                body = memoryview(assembled)
+                header = GIOPHeader(
+                    msg_type=header.msg_type, size=len(body),
+                    little_endian=header.little_endian,
+                    major=header.major, minor=header.minor,
+                    more_fragments=False)
         except GIOPError:
             # the stream position is undefined after a framing error:
             # this connection can never resynchronize
@@ -681,12 +701,17 @@ class GIOPConn:
         except TransportError as e:
             self.closed = True
             raise COMM_FAILURE(message=str(e)) from e
+        finally:
+            if sink is not None:
+                arrived = sink.clock()
+                if here is not None:
+                    here.stamp(wait_stage, arrived - t0, wire_nbytes)
         self.stats.messages_received += 1
         self.stats.bytes_received += wire_nbytes
         msg = decode_body(header, body)
+        rm = ReceivedMessage(msg=msg, arrived=arrived,
+                             wire_nbytes=wire_nbytes, fragments=fragments)
 
-        deposits: Dict[int, ZCBuffer] = {}
-        deposit_flags: Dict[int, int] = {}
         body_header = msg.body_header
         descriptors = ()
         # only Request and Reply headers have a service-context list,
@@ -695,62 +720,42 @@ class GIOPConn:
         if contexts:
             descriptors = body_header.deposit_descriptors()
         if descriptors:
-            yield from self._land_deposits(descriptors, stage_sink,
-                                           deposits, deposit_flags)
-        elif contexts is not None:
+            yield from self._land_deposits(descriptors, rm, here)
+        elif here is not None and contexts is not None:
             # nothing to land, and no receiver built for it; the stage
             # is still reported, zero bytes, so every traced invocation
             # shows the same six stages
-            with stage_span(stage_sink, STAGE_DEPOSIT_RECV):
-                pass
-        if stage_sink is not None and self.sink.wire_stages:
-            # under capture the wire event travels with the stage events
-            # and is re-emitted by the awaiting thread, preserving the
-            # send-before-recv order a nested synchronous read would
-            # otherwise invert
-            stage_sink.emit(WireEvent(
-                direction="recv", msg_type=header.msg_type.name,
-                size=header.size,
-                request_id=getattr(body_header, "request_id", None),
-                fragments=fragments,
-                deposits=tuple((d.deposit_id, d.size)
-                               for d in descriptors)))
-        return ReceivedMessage(msg=msg, deposits=deposits,
-                               deposit_flags=deposit_flags)
+            here.stamp(STAGE_DEPOSIT_RECV, 0.0)
+        if here is not None and here.wire_stages:
+            here.emit(rm.wire_event())
+        return rm
 
-    def _land_deposits(self, descriptors, stage_sink,
-                       deposits: Dict[int, ZCBuffer],
-                       deposit_flags: Dict[int, int]):
+    def _land_deposits(self, descriptors, rm: ReceivedMessage, here):
         """The direct-deposit receiver (§4.5) as a sub-generator of
         :meth:`_read_message_gen`: entered only by a message whose
         header names deposits.  Yields the same read requests and fills
-        ``deposits`` / ``deposit_flags`` by deposit id."""
+        ``rm.deposits`` / ``rm.deposit_flags`` by deposit id."""
         channel = getattr(self.stream, "deposit_channel", None)
         receiver = DepositReceiver(self.pool, channel=channel)
+        sink = self.sink
+        t0 = sink.clock() if sink is not None else 0.0
+        deposits = rm.deposits
         try:
-            with stage_span(stage_sink, STAGE_DEPOSIT_RECV) as span:
-                for desc in descriptors:
-                    receiver.prepare(desc)
-                if channel is not None:
-                    # shared-memory landing: each deposit record maps
-                    # its arena slot as the final buffer (or reads the
-                    # inline fallback) — no recv_into on the arena path
-                    for desc, _ in receiver.pending_in_order():
-                        yield ("land", receiver, desc)
-                        span.add_bytes(desc.size)
-                        if self.on_bytes is not None:
-                            self.on_bytes("deposit-recv", desc.size)
-                else:
-                    for desc, buf in receiver.pending_in_order():
-                        # land the payload directly in its final buffer
-                        yield ("into", buf.view())
-                        span.add_bytes(desc.size)
-                        if self.on_bytes is not None:
-                            self.on_bytes("deposit-recv", desc.size)
-                for desc, _ in list(receiver.pending_in_order()):
-                    deposits[desc.deposit_id] = receiver.complete(
-                        desc.deposit_id)
-                    deposit_flags[desc.deposit_id] = desc.flags
+            for desc in descriptors:
+                receiver.prepare(desc)
+            for desc, buf in receiver.pending_in_order():
+                # shared memory: the deposit record maps its arena slot
+                # as the final buffer (or reads the inline fallback), no
+                # recv_into; a stream lands the payload directly in it
+                yield ("land", receiver, desc) if channel is not None \
+                    else ("into", buf.view())
+                rm.landed_nbytes += desc.size
+                if self.on_bytes is not None:
+                    self.on_bytes("deposit-recv", desc.size)
+            for desc, _ in list(receiver.pending_in_order()):
+                deposits[desc.deposit_id] = receiver.complete(
+                    desc.deposit_id)
+                rm.deposit_flags[desc.deposit_id] = desc.flags
         except DepositError as e:
             # malformed descriptors (duplicate id, unsatisfiable
             # alignment): the payload bytes are unconsumed, so the
@@ -773,6 +778,12 @@ class GIOPConn:
             receiver.abort()
             self.closed = True
             raise COMM_FAILURE(message=str(e)) from e
+        finally:
+            if sink is not None:
+                rm.landing_s = sink.clock() - t0
+                if here is not None:
+                    here.stamp(STAGE_DEPOSIT_RECV, rm.landing_s,
+                               rm.landed_nbytes)
         self.stats.deposits_received += len(deposits)
         self.stats.deposit_bytes_received += sum(
             b.length for b in deposits.values())

@@ -26,22 +26,20 @@ contrast, cancels only its own future via :meth:`discard`; the
 connection stays healthy and the late reply, when it eventually
 arrives, is dropped as stale (its deposit buffers go back to the pool).
 
-Stage attribution: the demux reads with ``capture=`` so the
-``server-wait`` / ``deposit-recv`` stage events of a reply are *not*
-emitted from the reader thread (where they would be attributed to the
-wrong — or no — span).  They travel with the future and the awaiting
-caller re-emits them on its own thread, where its client span and its
-invocation breakdown are active.
+Stage attribution: the demux reads with ``wait_stage=None``, so the
+reader thread reports no stage for a reply (it would go to the wrong —
+or no — span, and measure how long the connection was idle, not how
+long a call waited).  The read's numbers ride on the
+:class:`ReceivedMessage` and the awaiting caller turns them into its
+``server-wait`` / ``deposit-recv`` stages, against its own send stamp.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..giop import GIOPError, MsgType
-from ..obs.events import StageEvent
-from ..obs.stages import STAGE_SERVER_WAIT
 from .connection import GIOPConn, ReceivedMessage, _PumpGuard
 from .exceptions import (COMM_FAILURE, INTERNAL, TRANSIENT,
                          CompletionStatus, SystemException)
@@ -53,21 +51,19 @@ class ReplyFuture:
     """Completion of one in-flight request: a reply or a failure.
 
     Exactly one of :attr:`message` / :attr:`exception` is set when
-    :meth:`wait` returns True.  :attr:`stages` carries the captured
-    stage events of the reply read (see module docstring).
+    :meth:`wait` returns True.
 
     Waiting is one lock, taken at construction and released by the
     completer: a waiter blocks in ``acquire`` and passes the lock on,
     so any number of waiters get through.
     """
 
-    __slots__ = ("request_id", "message", "stages", "exception", "done",
+    __slots__ = ("request_id", "message", "exception", "done",
                  "_gate", "_cb_lock", "_callbacks")
 
     def __init__(self, request_id: int):
         self.request_id = request_id
         self.message: Optional[ReceivedMessage] = None
-        self.stages: Tuple[StageEvent, ...] = ()
         self.exception: Optional[SystemException] = None
         #: True once completed or failed (set before waiters wake)
         self.done = False
@@ -76,19 +72,17 @@ class ReplyFuture:
         self._cb_lock = threading.Lock()
         self._callbacks: List = []
 
-    def complete(self, rm: ReceivedMessage,
-                 stages: Tuple[StageEvent, ...] = ()) -> None:
-        self._finish(rm, tuple(stages), None)
+    def complete(self, rm: ReceivedMessage) -> None:
+        self._finish(rm, None)
 
     def fail(self, exc: SystemException) -> None:
-        self._finish(None, (), exc)
+        self._finish(None, exc)
 
-    def _finish(self, rm, stages, exc) -> None:
+    def _finish(self, rm, exc) -> None:
         with self._cb_lock:
             if self.done:
                 return  # the first outcome stands
             self.message = rm
-            self.stages = stages
             self.exception = exc
             self.done = True
             callbacks, self._callbacks = self._callbacks, []
@@ -158,9 +152,7 @@ class ReplyDemux:
             # same GIOP parser from readiness callbacks and routes
             # finished messages through the same _route
             self.reactor.adopt(
-                self.conn, self._on_reactor_message,
-                self._read_failed, wait_stage=STAGE_SERVER_WAIT,
-                want_capture=True)
+                self.conn, self._route, self._read_failed, wait_stage=None)
         else:
             self._thread = threading.Thread(
                 target=self._read_loop,
@@ -251,23 +243,18 @@ class ReplyDemux:
 
     def _step(self) -> bool:
         """Read and route one message; False ends the loop."""
-        conn = self.conn
-        capture: Optional[List[StageEvent]] = \
-            [] if conn.sink is not None else None
         try:
-            rm = conn.read_message(wait_stage=STAGE_SERVER_WAIT,
-                                   capture=capture)
+            rm = self.conn.read_message(wait_stage=None)
         except (GIOPError, SystemException) as exc:
             self._read_failed(exc)
             return False
-        return self._route(rm, capture)
+        return self._route(rm)
 
-    def _route(self, rm: ReceivedMessage,
-               capture: Optional[List[StageEvent]]) -> bool:
+    def _route(self, rm: ReceivedMessage, _driver=None) -> bool:
         """Route one successfully read message; False = conn is dead.
 
         Shared by the reader thread, the loopback pump, and the reactor
-        callback — routing semantics are identical in every mode.
+        (on its loop thread: must not block; it also passes its driver).
         """
         conn = self.conn
         mtype = rm.header.msg_type
@@ -276,7 +263,7 @@ class ReplyDemux:
             with self._lock:
                 fut = self._pending.pop(request_id, None)
             if fut is not None:
-                fut.complete(rm, tuple(capture or ()))
+                fut.complete(rm)
             else:
                 self._drop_stale(rm)
             return True
@@ -302,12 +289,6 @@ class ReplyDemux:
             completed=CompletionStatus.COMPLETED_MAYBE,
             message=f"unexpected {mtype.name} on client connection"))
         return False
-
-    # -- reactor callbacks (loop thread; must not block) -------------------
-    def _on_reactor_message(self, rm: ReceivedMessage,
-                            capture: Optional[List[StageEvent]],
-                            driver) -> None:
-        self._route(rm, capture)
 
     # -- failure fan-out ---------------------------------------------------
     def _read_failed(self, exc: BaseException) -> None:

@@ -17,7 +17,6 @@ from ..cdr import get_marshaller
 from ..giop import (SVC_CTX_DEPOSIT, SVC_CTX_TRACE, ReplyHeader, ReplyStatus,
                     RequestHeader)
 from ..obs.dtrace import extract_trace_context
-from ..obs.events import stage_span
 from ..obs.stages import STAGE_DEMARSHAL, STAGE_MARSHAL
 from .connection import GIOPConn, ReceivedMessage
 from .exceptions import (BAD_OPERATION, OBJECT_NOT_EXIST, UNKNOWN,
@@ -127,17 +126,20 @@ class MethodDispatcher:
                 raise OBJECT_NOT_EXIST(
                     message=f"no servant for key {req.object_key!r}")
             sig = self._resolve(servant, req.operation)
-            hook = conn.bytes_hook() if conn.sink is not None \
-                else self.on_bytes
+            sink = conn.sink
+            hook = conn.bytes_hook() if sink is not None else self.on_bytes
             ctx = rm.make_demarshal_context(on_bytes=hook,
                                             generic_loop=conn.generic_loop,
                                             orb=conn.orb)
             dec = rm.params_decoder()
-            with stage_span(conn.sink, STAGE_DEMARSHAL) as span:
+            t0 = sink.clock() if sink is not None else 0.0
+            try:
                 args = sig.demarshal_request(dec, ctx) \
                     if dec is not None else []
-                if dec is not None:
-                    span.add_bytes(dec.tell())
+            finally:
+                if sink is not None:
+                    sink.stamp(STAGE_DEMARSHAL, sink.clock() - t0,
+                               dec.tell() if dec is not None else 0)
             method = getattr(servant, req.operation, None)
             if method is None or not callable(method):
                 raise BAD_OPERATION(message=(
@@ -168,11 +170,14 @@ class MethodDispatcher:
             return
         try:
             result, outs = sig.split_servant_return(value)
-            with stage_span(conn.sink, STAGE_MARSHAL) as span:
-                reply_ctx = conn.make_marshal_context()
-                enc = conn.body_encoder()
+            t0 = sink.clock() if sink is not None else 0.0
+            reply_ctx = conn.make_marshal_context()
+            enc = conn.body_encoder()
+            try:
                 sig.marshal_reply(enc, result, outs, reply_ctx)
-                span.add_bytes(enc.nbytes)
+            finally:
+                if sink is not None:
+                    sink.stamp(STAGE_MARSHAL, sink.clock() - t0, enc.nbytes)
             reply = ReplyHeader(request_id=req.request_id,
                                 reply_status=ReplyStatus.NO_EXCEPTION,
                                 service_contexts=list(echo))

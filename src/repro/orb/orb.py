@@ -78,8 +78,8 @@ class ORBConfig:
     #: receiver-makes-right path of §2.1's architecture negotiation)
     wire_little_endian: bool | None = None
     #: always-on flight recorder (repro.obs.flightrec): bounded span
-    #: history + slow-call trees on every ORB; False restores the
-    #: allocation-free stage_span fast path when no sink is attached
+    #: history + slow-call trees on every ORB; False (and no sink
+    #: attached) leaves a call with no observation code to run at all
     flight_recorder: bool = True
     #: calls at or above this duration (seconds) keep their full span
     #: tree in the recorder's slow ring

@@ -33,8 +33,8 @@ from typing import Any, Callable, Optional, Sequence, Tuple, Union
 from ..cdr import get_marshaller
 from ..giop import (LocateReplyHeader, LocateRequestHeader, LocateStatus,
                     ReplyHeader, ReplyStatus, RequestHeader)
-from ..obs.events import stage_span
-from ..obs.stages import STAGE_DEMARSHAL, STAGE_MARSHAL
+from ..obs.stages import (STAGE_DEMARSHAL, STAGE_DEPOSIT_RECV, STAGE_MARSHAL,
+                          STAGE_SERVER_WAIT)
 from ..transport.base import TransportError, TransportTimeout
 from .connection import ConnStats, GIOPConn
 from .demux import ReplyDemux
@@ -72,6 +72,8 @@ class _Attempt:
 
     had_deposits = abandoned = False
     conn = demux = future = active = r_active = info = None
+    #: the sink's clock when the request had left
+    sent = 0.0
 
 
 async def _arrival(loop, future, timeout: Optional[float]) -> bool:
@@ -391,13 +393,17 @@ class IIOPProxy:
             request = LocateRequestHeader(
                 request_id=conn.next_request_id(), object_key=object_key)
         else:
-            with stage_span(conn.sink, STAGE_MARSHAL) as span:
-                ctx = conn.make_marshal_context(force_copy=force_copy)
-                enc = conn.body_encoder()
+            sink = conn.sink
+            t0 = sink.clock() if sink is not None else 0.0
+            ctx = conn.make_marshal_context(force_copy=force_copy)
+            enc = conn.body_encoder()
+            try:
                 sig.marshal_request(enc, args, ctx)
+            finally:
                 # the encoder goes to send_message as a chunk plan — no
                 # join; its nbytes is the body length the old blob had
-                span.add_bytes(enc.nbytes)
+                if sink is not None:
+                    sink.stamp(STAGE_MARSHAL, sink.clock() - t0, enc.nbytes)
             att.had_deposits = bool(ctx.descriptors)
             request = RequestHeader(
                 request_id=conn.next_request_id(), object_key=object_key,
@@ -410,7 +416,7 @@ class IIOPProxy:
             request.service_contexts.append(
                 att.active.context.to_service_context())
         if att.r_active is not None:
-            att.r_active.set_request_id(request_id)
+            att.r_active.request_id = request_id
         # register BEFORE sending: on synchronous-delivery transports
         # the reply can arrive inside send_message itself
         future = None if sig.oneway else demux.register(request_id)
@@ -421,6 +427,8 @@ class IIOPProxy:
                 demux.discard(request_id)
             raise
         att.future = future
+        if conn.sink is not None:
+            att.sent = conn.sink.clock()
         if future is not None and att.abandoned:
             # the awaiter gave up while we were sending: nobody will
             # ever collect this reply, so retire it here, on a thread
@@ -431,13 +439,19 @@ class IIOPProxy:
     def _process_reply(self, att, sig, future, chain) -> Any:
         conn, rm = att.conn, future.message
         assert rm is not None
-        if conn.sink is not None:
-            # the demux read this reply with its stage events captured;
-            # re-emit them here, on the invoking thread, so the active
-            # client span and stage timers attribute them to THIS call
-            for event in future.stages:
-                conn.sink.emit(event)
+        sink = conn.sink
         reply = rm.msg.body_header
+        if sink is not None:
+            # the demux left the numbers of its read on the message; on
+            # this thread, where the span and stage timers of THIS call
+            # are open, they become its stages: sent here, arrived there
+            sink.stamp(STAGE_SERVER_WAIT, max(0.0, rm.arrived - att.sent),
+                       rm.wire_nbytes)
+            if isinstance(reply, ReplyHeader):
+                sink.stamp(STAGE_DEPOSIT_RECV, rm.landing_s,
+                           rm.landed_nbytes)
+            if sink.wire_stages:
+                sink.emit(rm.wire_event())
         if not isinstance(reply, LocateReplyHeader if sig is _LOCATE
                           else ReplyHeader):
             raise INTERNAL(message=(
@@ -454,12 +468,16 @@ class IIOPProxy:
             if status is ReplyStatus.NO_EXCEPTION:
                 if dec is None:
                     raise MARSHAL(message="reply without body")
-                with stage_span(conn.sink, STAGE_DEMARSHAL) as span:
+                t0 = sink.clock() if sink is not None else 0.0
+                try:
                     result = sig.demarshal_reply(dec, ctx)
-                    span.add_bytes(dec.tell())
+                finally:
+                    if sink is not None:
+                        sink.stamp(STAGE_DEMARSHAL, sink.clock() - t0,
+                                   dec.tell())
                 for a in (att.active, att.r_active):
                     if a is not None:
-                        a.record_status(status.name)
+                        a.record_status("NO_EXCEPTION")
                 return result
             if status is ReplyStatus.USER_EXCEPTION:
                 mark = dec.tell()

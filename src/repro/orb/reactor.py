@@ -61,23 +61,21 @@ class _ConnDriver:
     """
 
     __slots__ = ("conn", "shard", "fd", "on_message", "on_error",
-                 "wait_stage", "want_capture", "_gen", "_request",
-                 "_buf", "_filled", "_capture", "_paused", "_detached")
+                 "wait_stage", "_gen", "_request", "_buf", "_filled",
+                 "_paused", "_detached")
 
     def __init__(self, conn, shard: "_Shard", on_message, on_error,
-                 wait_stage: str, want_capture: bool):
+                 wait_stage: Optional[str]):
         self.conn = conn
         self.shard = shard
         self.fd = conn.stream.fileno()
         self.on_message = on_message
         self.on_error = on_error
         self.wait_stage = wait_stage
-        self.want_capture = want_capture
         self._gen = None
         self._request = None      # ("exact", n) | ("into", view)
         self._buf: Optional[memoryview] = None
         self._filled = 0
-        self._capture: Optional[list] = None
         self._paused = False
         self._detached = False
 
@@ -137,10 +135,7 @@ class _ConnDriver:
 
     # -- the drain loop (loop thread) ---------------------------------------
     def _start_message(self) -> None:
-        self._capture = [] if (self.want_capture and
-                               self.conn.sink is not None) else None
-        self._gen = self.conn._read_message_gen(self.wait_stage,
-                                                self._capture)
+        self._gen = self.conn._read_message_gen(self.wait_stage)
         self._advance(None)
 
     def _advance(self, value) -> None:
@@ -153,7 +148,7 @@ class _ConnDriver:
             self._gen = None
             self._request = None
             self._buf = None
-            self.on_message(rm, self._capture, self)
+            self.on_message(rm, self)
             return
         self._stage(req)
 
@@ -193,7 +188,7 @@ class _ConnDriver:
         try:
             gen.throw(exc)
         except StopIteration as stop:
-            self.on_message(stop.value, self._capture, self)
+            self.on_message(stop.value, self)
             return
         except BaseException as mapped:
             self.detach()
@@ -299,11 +294,10 @@ class Reactor:
             and hasattr(stream, "recv_into_nb")
 
     def adopt(self, conn, on_message: Callable, on_error: Callable,
-              wait_stage: str = STAGE_RECV_WAIT,
-              want_capture: bool = False) -> "_ConnDriver":
+              wait_stage: Optional[str] = STAGE_RECV_WAIT) -> "_ConnDriver":
         """Hand ``conn``'s read side to a shard.
 
-        ``on_message(rm, stages, driver)`` and ``on_error(exc)`` run on
+        ``on_message(rm, driver)`` and ``on_error(exc)`` run on
         the shard's loop thread and must not block.  Returns the driver
         (for pause/resume backpressure).  The conn's close hook detaches
         the driver, so callers never unregister by hand.
@@ -313,8 +307,7 @@ class Reactor:
                 f"stream {conn.stream!r} is not reactor-adoptable")
         fd = conn.stream.fileno()
         shard = self._shards[fd % len(self._shards)]
-        driver = _ConnDriver(conn, shard, on_message, on_error,
-                             wait_stage, want_capture)
+        driver = _ConnDriver(conn, shard, on_message, on_error, wait_stage)
         conn.add_close_hook(driver.request_detach)
         shard.loop.call_soon_threadsafe(driver.attach)
         return driver

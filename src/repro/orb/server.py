@@ -331,8 +331,7 @@ class IIOPServer:
             conn.send_error()
 
     # -- reactor routing (loop thread; must not block) ---------------------
-    def _on_reactor_message(self, rm: ReceivedMessage, capture,
-                            driver) -> None:
+    def _on_reactor_message(self, rm: ReceivedMessage, driver) -> None:
         conn = driver.conn
         mtype = rm.header.msg_type
         if mtype in (MsgType.Request, MsgType.LocateRequest):

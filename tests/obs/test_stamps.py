@@ -1,0 +1,179 @@
+"""What the ORB layers stamp into their sinks, on live calls.
+
+The connection reads replies on a thread that is not the caller's, so
+a reply's ``server-wait`` / ``deposit-recv`` stages are built by the
+awaiting caller from the numbers the read left on the message.  These
+tests hold what that buys (a stage can no longer be charged the
+connection's idle time), what it must not cost (event-consuming sinks
+see the same six stages in the same order), and that byte events are
+built only for a sink that keeps them.
+"""
+
+import time
+
+import pytest
+
+from repro.core import OctetSequence, ZCOctetSequence
+from repro.idl import compile_idl
+from repro.obs import (CLIENT_STAGES, ByteEvent, CompositeSink, EventSink,
+                       FlightRecorder, RecordingSink, StageEvent)
+from repro.orb import ORB, ORBConfig
+from tests.conftest import make_store_impl
+
+IDLE = 0.3
+
+
+@pytest.fixture(scope="module")
+def ping_api():
+    return compile_idl("interface Idle { void ping(in unsigned long x); };",
+                       module_name="_stamps_idl")
+
+
+def _ping_pair(api, **config):
+    class Impl(api.Idle_skel):
+        def ping(self, x):
+            return None
+
+    server = ORB(ORBConfig(**config))
+    client = ORB(ORBConfig(slow_call_threshold=0.0, **config))
+    stub = client.string_to_object(
+        server.object_to_string(server.activate(Impl())))
+    return stub, client, server
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["recorder", "traced"])
+@pytest.mark.parametrize("config", [
+    {"scheme": "tcp", "reactor": True}, {"scheme": "tcp", "reactor": False},
+    {"scheme": "loop"}], ids=["tcp-reactor", "tcp-thread", "loop"])
+def test_no_stage_is_charged_the_idle_before_its_call(ping_api, config,
+                                                      traced):
+    """``ping; sleep; ping``: the second call's stages fit inside its
+    span, whichever engine read the reply and whichever sink kept it.
+    (A reader that opens ``server-wait`` when the previous message was
+    delivered charges the pause to the next call.)"""
+    stub, client, server = _ping_pair(ping_api, **config)
+    try:
+        tracer = client.enable_tracing() if traced else None
+        stub.ping(1)
+        time.sleep(IDLE)
+        stub.ping(2)
+        span = client.flightrec.recent()[-1]
+        assert (span.name, span.kind) == ("ping", "client")
+        assert span.duration_s < IDLE
+        records = [span.stages]
+        if traced:
+            records.append(tracer.last.stages)
+            # the split send stages are only there for a wire-stage sink
+            assert tracer.last.stage_order() == list(CLIENT_STAGES)
+            assert [e.stage for e in span.stages] == list(CLIENT_STAGES)
+        for stages in records:
+            assert stages, "slow_call_threshold=0 keeps the detail"
+            for event in stages:
+                assert 0.0 <= event.duration_s <= span.duration_s, event
+            assert sum(e.duration_s for e in stages) <= \
+                span.duration_s + 1e-3
+    finally:
+        client.shutdown()
+        server.shutdown()
+
+
+def test_traced_call_delivers_six_stages_in_order_to_every_sink(test_api):
+    """StageTimer, DistributedTracer, a user RecordingSink and the
+    recorder behind a CompositeSink all see the same StageEvents."""
+    user = RecordingSink()
+    server = ORB(ORBConfig(scheme="tcp"))
+    client = ORB(ORBConfig(scheme="tcp", slow_call_threshold=0.0), sink=user)
+    try:
+        tracer = client.enable_tracing(distributed=True)
+        stub = client.string_to_object(server.object_to_string(
+            server.activate(make_store_impl(test_api))))
+        stub.get(4096)  # warm: dial, first reply
+        user.clear()
+        assert len(stub.get(8192)) == 8192
+        events = user.of_type(StageEvent)
+        assert [e.stage for e in events] == list(CLIENT_STAGES)
+        assert tracer.last.stages == events
+        (cli,) = [s for s in tracer.spans.spans
+                  if s.kind == "client"][-1:]
+        assert cli.stages == events
+        assert client.flightrec.recent()[-1].stages == events
+        by_stage = {e.stage: e for e in events}
+        assert by_stage["deposit-recv"].nbytes == 8192
+        assert by_stage["server-wait"].nbytes > 0
+        assert by_stage["demarshal"].nbytes > 0
+    finally:
+        client.shutdown()
+        server.shutdown()
+
+
+def test_stamp_default_builds_the_event_and_the_recorder_does_not(clock):
+    sink = RecordingSink(clock=clock)
+    sink.stamp("marshal", 0.25, 64)
+    assert sink.events == [StageEvent("marshal", 0.25, 64)]
+    combo = CompositeSink([RecordingSink(), RecordingSink()])
+    combo.stamp("demarshal", 0.5)
+    assert combo.sinks[0].events == combo.sinks[1].events == \
+        [StageEvent("demarshal", 0.5, 0)]
+
+    rec = FlightRecorder(slow_threshold=0.0, clock=clock)
+    rec.stamp("marshal", 0.1)  # no open span on this thread: kept nowhere
+    active = rec.start_client_span("op", rec.begin_invocation())
+    rec.stamp("marshal", 0.25, 64)
+    rec.emit(StageEvent("demarshal", 0.5, 8))
+    span = rec.finish(active)
+    assert span.stages == [StageEvent("marshal", 0.25, 64),
+                           StageEvent("demarshal", 0.5, 8)]
+
+
+class TestByteEvents:
+    def test_sinks_declare_whether_they_keep_byte_events(self):
+        assert EventSink().byte_events is True
+        rec = FlightRecorder()
+        assert rec.byte_events is False
+        assert CompositeSink([rec]).byte_events is False
+        assert CompositeSink([rec, RecordingSink()]).byte_events is True
+        assert CompositeSink([]).byte_events is False
+
+    def test_default_orb_hands_marshalers_no_hook(self, test_api):
+        """The recorder drops byte events, so none are built for it."""
+        server = ORB(ORBConfig(scheme="loop"))
+        client = ORB(ORBConfig(scheme="loop"))
+        try:
+            stub = client.string_to_object(server.object_to_string(
+                server.activate(make_store_impl(test_api))))
+            stub.put_std(OctetSequence(b"y" * 100))
+            (proxy,) = client._proxies.values()
+            assert proxy.conn.sink is client.flightrec
+            assert proxy.conn.bytes_hook() is None
+            conns = server._server.connections()
+            assert conns and all(c.bytes_hook() is None for c in conns)
+        finally:
+            client.shutdown()
+            server.shutdown()
+
+    def test_a_sink_that_keeps_them_still_sees_every_one(self, test_api):
+        """Under enable_tracing (timer + recorder + the user's sink) the
+        sink's byte events are the legacy hook's, one for one."""
+        legacy = []
+        user = RecordingSink()
+        server = ORB(ORBConfig(scheme="loop"))
+        client = ORB(ORBConfig(scheme="loop"), sink=user,
+                     on_bytes=lambda kind, n: legacy.append((kind, n)))
+        try:
+            client.enable_tracing()
+            stub = client.string_to_object(server.object_to_string(
+                server.activate(make_store_impl(test_api))))
+            stub.put(ZCOctetSequence.from_data(b"x" * 4096))
+            stub.put_std(OctetSequence(b"y" * 100))
+            stub.get(2048)
+            stub.get_std(10)
+            seen = [(e.kind, e.nbytes) for e in user.of_type(ByteEvent)]
+            assert seen == [("reference", 4096), ("marshal-bulk", 100),
+                            ("reference", 2048), ("marshal-bulk", 10)]
+            # the connection reports its deposit traffic to the legacy
+            # hook directly; everything a marshaler said reached both
+            assert seen == [c for c in legacy
+                            if not c[0].startswith("deposit-")]
+        finally:
+            client.shutdown()
+            server.shutdown()

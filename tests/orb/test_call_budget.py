@@ -3,35 +3,49 @@
 On one CPU the round trip of ``void ping(in unsigned long)`` *is* the
 number of Python-level function calls it executes (DESIGN.md, "The
 call path and its budget"), so that number is what this test pins:
-two in-process ORBs over ``tcp``, default configuration, every thread
-profiled, counts taken after warm-up.
+two in-process ORBs over ``tcp``, every thread profiled, counts taken
+after warm-up, once in the default configuration and once with
+``flight_recorder=False``.
 
-The ceilings sit 10 % above what the fast-path change reached.  The
-commit before it needed 194 calls on the calling thread and 533 in
-all, and built 12 flight-recorder events per call; a change that
-drifts back towards that fails here before it shows in a benchmark.
-The count is deterministic up to the reactor's 50 ms heartbeat, which
-adds a fraction of a call per ping to the total.
+The ceilings sit 10 % above what the flat-record change reached.  The
+commit before it needed 86 calls on the calling thread and 254 in all,
+52 of them for the recorder, and still made 30 calls into
+``repro/obs/`` per ping with the recorder off; a change that drifts
+back towards that fails here before it shows in a benchmark.  The
+count is deterministic up to the reactor's 50 ms heartbeat, which adds
+a fraction of a call per ping to the total.
+
+The second half is the gate on always-on observation (ROADMAP item 5):
+what the recorder adds to a null call, as path length, and that an ORB
+without one runs no observation code at all.
 """
 
 import collections
+import os
 import sys
 import threading
 
+import repro.obs
 from repro.idl import compile_idl
 from repro.obs.flightrec import FlightRecorder
 from repro.orb import ORB, ORBConfig
 from repro.orb.reactor import reset_reactor
 
-#: measured: 85 on the calling thread, 254 over all threads, 6 emits
-CALLER_CEILING = 93
-TOTAL_CEILING = 279
-EMIT_CEILING = 6
+#: measured: 64 on the calling thread, 190 over all threads, 0 emits
+CALLER_CEILING = 71
+TOTAL_CEILING = 209
+EMIT_CEILING = 0
+#: measured: 22.3 calls per ping more than with ``flight_recorder=False``
+RECORDER_CEILING = 25
 
 CALLS = 200
 
+_OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 
-def test_null_call_stays_inside_its_budget():
+
+def _count_null_call(flight_recorder: bool):
+    """``(calling thread, all threads, FlightRecorder.emit, inside
+    repro/obs/, threads seen)``: Python-level calls per ping."""
     api = compile_idl("interface Budget { void ping(in unsigned long x); };",
                       module_name="_call_budget_idl")
 
@@ -41,14 +55,18 @@ def test_null_call_stays_inside_its_budget():
 
     calls = collections.Counter()  # thread ident -> Python-level calls
     emits = [0]
+    in_obs = [0]
     emit_code = FlightRecorder.emit.__code__
     counting = [False]
 
     def profile(frame, event, arg):
         if event == "call" and counting[0]:
             calls[threading.get_ident()] += 1
-            if frame.f_code is emit_code:
+            code = frame.f_code
+            if code is emit_code:
                 emits[0] += 1
+            if code.co_filename.startswith(_OBS_DIR):
+                in_obs[0] += 1
 
     # threads take the profile hook when they start: the reactor shard
     # (process-wide, possibly alive from an earlier test) is restarted
@@ -57,8 +75,9 @@ def test_null_call_stays_inside_its_budget():
     threading.setprofile(profile)
     server = client = None
     try:
-        server = ORB(ORBConfig(scheme="tcp"))
-        client = ORB(ORBConfig(scheme="tcp"))
+        config = ORBConfig(scheme="tcp", flight_recorder=flight_recorder)
+        server = ORB(config)
+        client = ORB(config)
         stub = client.string_to_object(
             server.object_to_string(server.activate(Impl())))
         for _ in range(30):  # dial, caches, lazily imported modules
@@ -76,11 +95,23 @@ def test_null_call_stays_inside_its_budget():
                 orb.shutdown()
         reset_reactor()  # the next test gets an unprofiled shard
 
-    caller = calls[threading.get_ident()] / CALLS
-    total = sum(calls.values()) / CALLS
+    return (calls[threading.get_ident()] / CALLS,
+            sum(calls.values()) / CALLS, emits[0] / CALLS,
+            in_obs[0] / CALLS, len(calls))
+
+
+def test_null_call_stays_inside_its_budget():
+    caller, total, emits, in_obs, threads = _count_null_call(True)
     assert caller <= CALLER_CEILING, f"calling thread: {caller:.1f} calls"
     assert total <= TOTAL_CEILING, f"all threads: {total:.1f} calls"
-    assert emits[0] / CALLS <= EMIT_CEILING, \
-        f"{emits[0] / CALLS:.1f} FlightRecorder.emit calls per ping"
-    # the count is of a working call path, not of an early return
-    assert caller > 20 and len(calls) >= 3
+    assert emits <= EMIT_CEILING, \
+        f"{emits:.1f} FlightRecorder.emit calls per ping"
+    # the count is of a working call path, not of an early return, and
+    # of a recorder that is really being driven
+    assert caller > 20 and threads >= 3 and in_obs >= 2
+
+    _, bare, _, bare_in_obs, _ = _count_null_call(False)
+    assert total - bare <= RECORDER_CEILING, \
+        f"the recorder adds {total - bare:.1f} calls per ping"
+    assert bare_in_obs == 0, \
+        f"{bare_in_obs:.1f} calls into repro/obs/ without a recorder"

@@ -365,7 +365,7 @@ class TestInterleavedTracing:
                 orb.shutdown()
             server.shutdown()
 
-    def test_deposit_bytes_reconcile_under_pipelining(self):
+    def test_deposit_bytes_reconcile_under_pipelining(self, test_api):
         """Zero-copy deposit accounting stays exact when the deposits
         of several in-flight calls interleave on one connection."""
         collector = SpanCollector()
@@ -376,11 +376,11 @@ class TestInterleavedTracing:
         client.enable_tracing(distributed=True, collector=collector,
                               trace_seed=6)
         try:
+            # the session's compiled module: compiling TEST_IDL again
+            # under its name would rebind the registered Test_Failed
+            # class for every later test in the process
             from tests.conftest import make_store_impl
-            import tests.conftest as conf
-            api = compile_idl(conf.TEST_IDL,
-                              module_name="_test_store_idl")
-            impl = make_store_impl(api)
+            impl = make_store_impl(test_api)
             ref = server.activate(impl)
             stub = client.string_to_object(server.object_to_string(ref))
 
