@@ -28,14 +28,9 @@ from ..obs.metrics import quantile_from_buckets
 from ..obs.promexport import (ExpositionError, Sample, parse_exposition,
                               samples_by_name)
 from ..obs.tables import format_table
+from ..orb.connection import DEPOSIT_TIERS
 
 __all__ = ["main", "Snapshot", "render", "fetch_snapshot"]
-
-#: the deposit tiers shown in the mix table: (row label, counter name)
-TIERS = (("shm slots", "shm_deposits"),
-         ("sendfile", "sendfile_sends"),
-         ("shm fallback", "shm_fallbacks"),
-         ("sendfile fallback", "sendfile_fallbacks"))
 
 
 class Snapshot:
@@ -152,28 +147,27 @@ def render(cur: Snapshot, prev: Optional[Snapshot] = None) -> str:
         else "server_requests_total"
     calls_label = "invocations" if calls_series == "invocations_total" \
         else "requests served"
-    rows = [[calls_label, _fmt(cur.total(calls_series)),
-             _fmt(_rate(cur, prev, calls_series), per_s=True)],
-            ["messages sent", _fmt(cur.total("messages_sent")),
-             _fmt(_rate(cur, prev, "messages_sent"), per_s=True)],
-            ["bytes sent", _fmt(cur.total("bytes_sent"), "B"),
-             _fmt(_rate(cur, prev, "bytes_sent"), "B", per_s=True)],
-            ["bytes received", _fmt(cur.total("bytes_received"), "B"),
-             _fmt(_rate(cur, prev, "bytes_received"), "B", per_s=True)],
-            ["deposit bytes sent",
-             _fmt(cur.total("deposit_bytes_sent"), "B"),
-             _fmt(_rate(cur, prev, "deposit_bytes_sent"), "B",
-                  per_s=True)],
-            ["deposit bytes received",
-             _fmt(cur.total("deposit_bytes_received"), "B"),
-             _fmt(_rate(cur, prev, "deposit_bytes_received"), "B",
-                  per_s=True)]]
+    rows = [[label, _fmt(cur.total(series), unit),
+             _fmt(_rate(cur, prev, series), unit, per_s=True)]
+            for label, series, unit in (
+                (calls_label, calls_series, ""),
+                ("messages sent", "messages_sent", ""),
+                ("bytes sent", "bytes_sent", "B"),
+                ("bytes received", "bytes_received", "B"),
+                ("deposit bytes sent", "deposit_bytes_sent", "B"),
+                ("deposit bytes received", "deposit_bytes_received", "B"))]
     out.append("")
     out.append(format_table(["throughput", "total", "rate"], rows))
 
     deposits = cur.total("deposits_sent")
     tier_rows = []
-    for label, series in TIERS:
+    # what each tier carried (a subset indented under its parent),
+    # then what each handed back to the copying path
+    mix = [(f"  {t.label}" if t.subset_of else t.label, t.sent)
+           for t in DEPOSIT_TIERS]
+    mix += [(f"{t.label} fallback", t.fallback)
+            for t in DEPOSIT_TIERS if t.fallback]
+    for label, series in mix:
         v = cur.total(series)
         share = (f"{100 * v / deposits:.0f}%"
                  if v is not None and deposits else "-")

@@ -83,18 +83,6 @@ def process_probe(registry: MetricsRegistry) -> None:
 # ORB-shaped probes
 # ---------------------------------------------------------------------------
 
-#: ConnStats counters aggregated across connections onto gauges of the
-#: same name — the tier mix a scrape sees (shm_deposits,
-#: sendfile_sends, ...), kept nameable without enable_tracing
-_CONN_FIELDS = (
-    "messages_sent", "messages_received", "bytes_sent", "bytes_received",
-    "deposits_sent", "deposits_received", "deposit_bytes_sent",
-    "deposit_bytes_received", "reconnects", "retries",
-    "deposit_fallbacks", "timeouts", "shm_deposits", "shm_fallbacks",
-    "sendfile_sends", "sendfile_fallbacks",
-)
-
-
 def _pool_probe(orb) -> Probe:
     def probe(registry: MetricsRegistry) -> None:
         stats = orb.pool.stats()
@@ -111,17 +99,23 @@ def _pool_probe(orb) -> Probe:
 
 
 def _conn_probe(orb) -> Probe:
+    """Every ConnStats counter, summed across connections onto a gauge
+    of the same name: the tier mix a scrape sees (shm_deposits,
+    sendfile_sends, ...) is nameable without enable_tracing."""
+    from ..orb.connection import ConnStats
+    fields = ConnStats._COUNTER_FIELDS
+
     def probe(registry: MetricsRegistry) -> None:
-        totals = dict.fromkeys(_CONN_FIELDS, 0)
+        totals = dict.fromkeys(fields, 0)
         count = {"client": 0, "server": 0}
         for snap in orb.connections_snapshot():
             count[snap["role"]] = count.get(snap["role"], 0) + 1
-            for f in _CONN_FIELDS:
+            for f in fields:
                 totals[f] += snap.get(f, 0)
         for role, n in count.items():
             registry.gauge("orb_connections", role=role,
                            help="live GIOP connections").set(n)
-        for f in _CONN_FIELDS:
+        for f in fields:
             registry.gauge(f, help=f"ConnStats.{f} over all "
                                    f"connections").set(totals[f])
     return probe

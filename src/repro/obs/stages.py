@@ -122,12 +122,13 @@ class InvocationBreakdown:
 class StageTimer(EventSink):
     """Groups stage events into per-invocation breakdowns.
 
-    The client proxy serializes invocations per connection, so one
-    timer per ORB sees a clean begin → stages → commit sequence; a
-    lock still guards the pending list for the threaded-server case.
-    Stage events arriving outside an invocation (e.g. server-side
-    ``recv-wait``) accumulate in :attr:`loose` and never pollute the
-    per-call records.
+    Invocations are pipelined: several threads may each have a call
+    open on the same connection.  All six client stages of a call are
+    stamped on its calling thread, so the open record is per thread:
+    ``begin`` → stages → ``commit`` on one thread never sees another
+    thread's events.  Stage events from a thread with no open record
+    (e.g. a server reader's ``recv-wait``) accumulate in :attr:`loose`
+    and never pollute the per-call records.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter,
@@ -135,43 +136,45 @@ class StageTimer(EventSink):
         super().__init__(clock=clock)
         self.records: Deque[InvocationBreakdown] = deque(maxlen=keep)
         self.loose: Deque[StageEvent] = deque(maxlen=keep)
-        self._pending: Optional[InvocationBreakdown] = None
-        self._lock = threading.Lock()
+        self._open = threading.local()  # .pending: this thread's record
+        self._lock = threading.Lock()   # guards the two shared rings
 
     # -- sink interface ------------------------------------------------------
     def emit(self, event) -> None:
         if not isinstance(event, StageEvent):
             return
-        with self._lock:
-            if self._pending is not None:
-                self._pending.stages.append(event)
-            else:
+        pending = getattr(self._open, "pending", None)
+        if pending is not None:
+            pending.stages.append(event)
+        else:
+            with self._lock:
                 self.loose.append(event)
 
     # -- invocation grouping -------------------------------------------------
     def begin(self, operation: str) -> None:
-        """Open a record; subsequent stage events belong to it."""
-        with self._lock:
-            self._pending = InvocationBreakdown(operation=operation)
+        """Open this thread's record; its subsequent stage events
+        belong to it."""
+        self._open.pending = InvocationBreakdown(operation=operation)
 
     def commit(self, request_id: int = 0,
                reply_status: Optional[str] = None
                ) -> Optional[InvocationBreakdown]:
-        """Close the open record and archive it (None if none open)."""
+        """Close this thread's open record and archive it (None if
+        none open)."""
+        rec = getattr(self._open, "pending", None)
+        if rec is None:
+            return None
+        self._open.pending = None
+        rec.request_id = request_id
+        rec.reply_status = reply_status
         with self._lock:
-            rec = self._pending
-            self._pending = None
-            if rec is None:
-                return None
-            rec.request_id = request_id
-            rec.reply_status = reply_status
             self.records.append(rec)
-            return rec
+        return rec
 
     def abandon(self) -> None:
-        """Drop the open record (failed attempt about to be retried)."""
-        with self._lock:
-            self._pending = None
+        """Drop this thread's open record (failed attempt about to be
+        retried)."""
+        self._open.pending = None
 
     @property
     def last(self) -> Optional[InvocationBreakdown]:

@@ -24,7 +24,7 @@ import itertools
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from ..cdr import NATIVE_LITTLE, CDREncoder, MarshalContext
 from ..cdr.encoder import SG_MIN_CHUNK
@@ -50,6 +50,12 @@ _PAD = b"\x00" * _BODY_ALIGN
 
 @dataclass
 class ConnStats:
+    """One connection's counters.  These fields are their one
+    declaration: ``snapshot()``, the ``/metrics`` gauges
+    (obs.httpexport) and the ``repro-top`` rows are derived from them,
+    and ``Monitor::ConnStatsRec`` (services.monitor), a wire contract,
+    is held to the same names in the same order by a drift test."""
+
     messages_sent: int = 0
     messages_received: int = 0
     bytes_sent: int = 0
@@ -64,18 +70,10 @@ class ConnStats:
     retries: int = 0
     deposit_fallbacks: int = 0
     timeouts: int = 0
-    #: shared-memory deposit channel (repro.transport.shm): deposits
-    #: that travelled through the arena vs the per-deposit inline
-    #: fallback, counted on both the send and receive side
+    #: the deposit tiers' counters, see :data:`DEPOSIT_TIERS`
     shm_deposits: int = 0
     shm_fallbacks: int = 0
-    #: the subset of shm_deposits that were *shared fan-out
-    #: references*: a record naming a slot some other connection's
-    #: payload write already filled (pub/sub single-copy delivery)
     shm_shared_refs: int = 0
-    #: file-backed deposits (FileBackedBuffer) at or above the
-    #: sendfile threshold: kernel-path sends vs copying fallbacks
-    #: (syscall missing, not a real socket, or the platform refused)
     sendfile_sends: int = 0
     sendfile_fallbacks: int = 0
     #: the lock the owning connection mutates these counters under
@@ -92,10 +90,7 @@ class ConnStats:
         :attr:`owner_lock` here makes one scrape see one coherent
         point in time (no torn messages/bytes pairs mid-send).
         """
-        lock = self.owner_lock
-        if lock is None:
-            return {f: getattr(self, f) for f in self._COUNTER_FIELDS}
-        with lock:
+        with self.owner_lock or nullcontext():
             return {f: getattr(self, f) for f in self._COUNTER_FIELDS}
 
 
@@ -103,18 +98,42 @@ ConnStats._COUNTER_FIELDS = tuple(
     f.name for f in dataclasses.fields(ConnStats) if f.name != "owner_lock")
 
 
-class _Carried:
-    """What one send's deposit payloads did, tier by tier (folded into
-    :class:`ConnStats` under the send lock once the send succeeded)."""
+class DepositTier(NamedTuple):
+    """How one deposit tier is counted and shown: the ConnStats counter
+    of the payloads it carried (``sent``) and of those it handed back
+    to the copying path (``fallback``; None: it never refuses), its
+    ``repro-top`` row ``label``, and whether the registry mirror of its
+    counters, ``<counter>_total``, carries ``op="send"|"recv"``.
+    ``subset_of`` names the counter that already includes this tier's
+    payloads.  The tier's *behaviour* stays code
+    (``_send_payloads``, ``_land_deposits``): one gather write carries
+    control and memory payloads of several tiers, which a per-payload
+    dispatch would have to split."""
 
-    __slots__ = ("via_channel", "shm_sent", "shm_fallback", "shm_shared",
-                 "sf_sent", "sf_fallback", "slot_waits")
+    sent: str
+    fallback: Optional[str]
+    label: str
+    by_op: bool
+    subset_of: Optional[str] = None
 
-    def __init__(self, via_channel: bool):
-        self.via_channel = via_channel
-        self.shm_sent = self.shm_fallback = self.shm_shared = 0
-        self.sf_sent = self.sf_fallback = 0
-        self.slot_waits: list = []
+
+DEPOSIT_TIERS = (
+    # repro.transport.shm: through an arena slot, or the channel's
+    # per-deposit inline fallback; counted on the send and receive side
+    DepositTier("shm_deposits", "shm_fallbacks", "shm slots", by_op=True),
+    # a record naming a slot another connection's payload write already
+    # filled (pub/sub single-copy delivery)
+    DepositTier("shm_shared_refs", None, "shm shared refs", by_op=True,
+                subset_of="shm_deposits"),
+    # FileBackedBuffer at or above the sendfile threshold: kernel-path
+    # sends vs copying fallbacks (syscall missing, not a real socket,
+    # or the platform refused)
+    DepositTier("sendfile_sends", "sendfile_fallbacks", "sendfile",
+                by_op=False),
+)
+#: every tier counter -> whether its registry series is labelled by op
+_TIER_COUNTERS = {c: t.by_op for t in DEPOSIT_TIERS
+                  for c in (t.sent, t.fallback) if c is not None}
 
 
 @dataclass
@@ -343,13 +362,13 @@ class GIOPConn:
         control_nbytes = GIOP_HEADER_SIZE * n_fragments + body_nbytes
         sink = self.sink
         wire = sink is not None and sink.wire_stages
-        carried = None
+        tiered = None
         try:
             with self._send_lock:
                 if not payloads and not wire:
                     self.stream.sendv(chunks)
                 else:
-                    carried = self._send_carrying(
+                    tiered = self._send_carrying(
                         chunks, control_nbytes, payloads,
                         sink if wire else None)
                 # still under the send lock: pipelined calls send
@@ -362,11 +381,8 @@ class GIOPConn:
                     stats.deposits_sent += len(payloads)
                     stats.deposit_bytes_sent += sum(
                         v.nbytes for v in payloads)
-                    stats.shm_deposits += carried.shm_sent
-                    stats.shm_fallbacks += carried.shm_fallback
-                    stats.shm_shared_refs += carried.shm_shared
-                    stats.sendfile_sends += carried.sf_sent
-                    stats.sendfile_fallbacks += carried.sf_fallback
+                    if tiered is not None:
+                        self._fold(tiered[0])
         except TransportTimeout as e:
             # an incompletely sent GIOP message can never execute
             self.closed = True
@@ -377,13 +393,8 @@ class GIOPConn:
             self.closed = True
             raise COMM_FAILURE(message=str(e)) from e
         if payloads:
-            if carried.via_channel:
-                self._record_shm_metrics(
-                    "send", carried.shm_sent, carried.shm_fallback,
-                    carried.slot_waits, shared_count=carried.shm_shared)
-            if carried.sf_sent or carried.sf_fallback:
-                self._record_sendfile_metrics(carried.sf_sent,
-                                              carried.sf_fallback)
+            if tiered is not None:
+                self._mirror_tiers("send", *tiered)
             if self.on_bytes is not None:
                 for view in payloads:
                     self.on_bytes("deposit-send", view.nbytes)
@@ -398,9 +409,12 @@ class GIOPConn:
 
     def _send_carrying(self, chunks: list, control_nbytes: int,
                        payloads: list, sink: Optional[EventSink]
-                       ) -> "_Carried":
+                       ) -> Optional[tuple]:
         """Send a control message that carries deposit payloads, split
         stage timing (``sink``), or both; runs under the send lock.
+        Returns what the payloads did, one tally per tier counter
+        (named as in :class:`ConnStats`), and their shm slot waits; or
+        None when they all rode the control message's gather write.
 
         Memory payloads on a plain stream with no timing asked for keep
         the single gather write.  Otherwise the send is two steps —
@@ -417,11 +431,11 @@ class GIOPConn:
         # instead of trailing the control message on the stream
         channel = getattr(stream, "deposit_channel", None) \
             if payloads else None
-        carried = _Carried(via_channel=channel is not None)
         if sink is None and channel is None and not any(
                 isinstance(p, FileBackedBuffer) for p in payloads):
             stream.sendv(chunks + payloads)
-            return carried
+            return None
+        carried, slot_waits = dict.fromkeys(_TIER_COUNTERS, 0), []
         batch = getattr(stream, "send_batch", None)
         with batch() if batch is not None else nullcontext():
             with stage_span(sink, STAGE_CONTROL_SEND) as span:
@@ -433,23 +447,24 @@ class GIOPConn:
             with stage_span(sink, STAGE_DEPOSIT_SEND) as span:
                 if payloads:
                     span.add_bytes(sum(v.nbytes for v in payloads))
-                    self._send_payloads(payloads, channel, carried)
-        return carried
+                    self._send_payloads(payloads, channel, carried,
+                                        slot_waits)
+        return carried, slot_waits
 
-    def _send_payloads(self, payloads: list, channel,
-                       carried: "_Carried") -> None:
+    def _send_payloads(self, payloads: list, channel, carried: dict,
+                       slot_waits: list) -> None:
         stream = self.stream
         if channel is not None:
             for p in payloads:
                 view = p.view() if isinstance(p, FileBackedBuffer) else p
                 tier, waited = channel.send_deposit(view)
                 if tier:
-                    carried.shm_sent += 1
+                    carried["shm_deposits"] += 1
                     if tier == SEND_SHARED:
-                        carried.shm_shared += 1
+                        carried["shm_shared_refs"] += 1
                 else:
-                    carried.shm_fallback += 1
-                carried.slot_waits.append(waited)
+                    carried["shm_fallbacks"] += 1
+                slot_waits.append(waited)
             return
         # memory payloads batch into gather writes; file-backed ones
         # break the run to take their own tier
@@ -466,7 +481,7 @@ class GIOPConn:
             stream.sendv(run)
 
     def _send_file_payload(self, fbb: FileBackedBuffer,
-                           carried: "_Carried") -> None:
+                           carried: dict) -> None:
         """The sendfile tier: at or above the threshold a stream with
         ``send_file`` pushes the range fd-to-socket (True) or runs its
         byte-identical copying fallback (False); a stream without one —
@@ -477,11 +492,11 @@ class GIOPConn:
             send_file = getattr(self.stream, "send_file", None)
             if send_file is not None:
                 if send_file(fbb.fd, fbb.offset, fbb.nbytes):
-                    carried.sf_sent += 1
+                    carried["sendfile_sends"] += 1
                 else:
-                    carried.sf_fallback += 1
+                    carried["sendfile_fallbacks"] += 1
                 return
-            carried.sf_fallback += 1
+            carried["sendfile_fallbacks"] += 1
         self.stream.sendv([fbb.view()])
 
     def _frame(self, msg_type: MsgType, body_chunks: list,
@@ -526,40 +541,28 @@ class GIOPConn:
             chunks.extend(pieces)
         return chunks, len(fragments)
 
-    def _record_shm_metrics(self, op: str, arena_count: int,
-                            fallback_count: int, waits=(),
-                            shared_count: int = 0) -> None:
-        """Thread shm channel accounting into the ORB's metrics registry
-        (present once ``enable_tracing`` ran; a no-op otherwise)."""
-        registry = getattr(self.orb, "metrics", None) \
-            if self.orb is not None else None
-        if registry is None:
-            return
-        if arena_count:
-            registry.counter("shm_deposits_total", op=op).inc(arena_count)
-        if fallback_count:
-            registry.counter("shm_fallbacks_total", op=op).inc(
-                fallback_count)
-        if shared_count:
-            registry.counter("shm_shared_refs_total", op=op).inc(
-                shared_count)
-        if waits:
-            hist = registry.histogram("shm_slot_wait_seconds")
-            for waited in waits:
-                hist.observe(waited)
+    def _fold(self, carried: dict) -> None:
+        """Add one message's tier tallies to the counters (the caller
+        holds whatever guards them)."""
+        stats = self.stats
+        for counter, n in carried.items():
+            if n:
+                setattr(stats, counter, getattr(stats, counter) + n)
 
-    def _record_sendfile_metrics(self, kernel_count: int,
-                                 fallback_count: int) -> None:
-        """Mirror the per-conn sendfile counters into the ORB metrics
+    def _mirror_tiers(self, op: str, carried: dict, slot_waits=()) -> None:
+        """Mirror one message's tier tallies into the ORB's metrics
         registry (present once ``enable_tracing`` ran)."""
-        registry = getattr(self.orb, "metrics", None) \
-            if self.orb is not None else None
+        registry = getattr(self.orb, "metrics", None)
         if registry is None:
             return
-        if kernel_count:
-            registry.counter("sendfile_sends_total").inc(kernel_count)
-        if fallback_count:
-            registry.counter("sendfile_fallbacks_total").inc(fallback_count)
+        for counter, n in carried.items():
+            if n:
+                labels = {"op": op} if _TIER_COUNTERS[counter] else {}
+                registry.counter(f"{counter}_total", **labels).inc(n)
+        if slot_waits:
+            hist = registry.histogram("shm_slot_wait_seconds")
+            for waited in slot_waits:
+                hist.observe(waited)
 
     def send_close(self) -> None:
         header = encode_giop_header(MsgType.CloseConnection, 0,
@@ -788,10 +791,10 @@ class GIOPConn:
         self.stats.deposit_bytes_received += sum(
             b.length for b in deposits.values())
         if channel is not None:
-            self.stats.shm_deposits += receiver.shm_landed
-            self.stats.shm_fallbacks += receiver.shm_fallbacks
-            self._record_shm_metrics("recv", receiver.shm_landed,
-                                     receiver.shm_fallbacks)
+            landed = {"shm_deposits": receiver.shm_landed,
+                      "shm_fallbacks": receiver.shm_fallbacks}
+            self._fold(landed)
+            self._mirror_tiers("recv", landed)
 
     # -- lifecycle ---------------------------------------------------------------
     def add_close_hook(self, fn: Callable[[], None]) -> None:

@@ -91,9 +91,6 @@ class ORBConfig:
     #: are read on a shared event loop instead of a thread each — the
     #: C10K path.  False restores thread-per-connection everywhere.
     reactor: bool = True
-    #: event-loop shards of the process-wide reactor (fixed by the
-    #: first ORB that touches it; later values are ignored)
-    reactor_shards: int = 1
 
 
 class ORB:
@@ -168,7 +165,7 @@ class ORB:
         if not self.config.reactor:
             return None
         from .reactor import get_reactor
-        reactor = get_reactor(self.config.reactor_shards)
+        reactor = get_reactor()
         reactor.attach_orb(self)
         return reactor
 

@@ -244,7 +244,7 @@ class IIOPProxy:
         """The awaiting driver of the same machine: thousands of calls
         can be in flight on one task with no thread per call.  Runs on
         *any* running event loop (the caller's ``asyncio.run`` loop or
-        a reactor shard).  No hooks: interceptors, tracer and flight
+        the reactor's).  No hooks: interceptors, tracer and flight
         recorder assume a call that stays on one thread (DESIGN.md §15
         rule 4)."""
         loop = asyncio.get_running_loop()

@@ -4,8 +4,8 @@ The threaded ORB spends one daemon thread per connection — a reader in
 :class:`~repro.orb.demux.ReplyDemux` on the client, an accept-spawned
 reader in :class:`~repro.orb.server.IIOPServer` on the server.  That
 tops out at hundreds of peers.  This module moves the *read* side of
-every adoptable TCP connection onto a small set of asyncio event loops
-("shards", default one), each running on its own daemon thread:
+every adoptable TCP connection onto one asyncio event loop running on
+its own daemon thread:
 
 * readiness is delivered by ``loop.add_reader(fd, cb)`` — level
   triggered, so a callback that leaves bytes unread is re-armed;
@@ -29,10 +29,10 @@ LoopbackStream are not) are simply never adopted; they keep their
 reader threads with identical semantics.
 
 Loop health is exported through every attached ORB's metrics registry:
-``loop_lag_seconds`` (scheduled-vs-actual heartbeat delta, one series
-per shard) and ``loop_tasks`` (pending tasks + attached drivers), so
-``/metrics``, ``ORBMonitor.snapshot()``, and ``repro-top`` show reactor
-saturation.
+``loop_lag_seconds`` (scheduled-vs-actual heartbeat delta) and
+``loop_tasks`` (pending tasks + attached drivers), both labelled
+``shard="0"``, so ``/metrics``, ``ORBMonitor.snapshot()``, and
+``repro-top`` show reactor saturation.
 """
 
 from __future__ import annotations
@@ -53,21 +53,21 @@ _HEARTBEAT = 0.05
 class _ConnDriver:
     """Feeds one connection's resumable parser from readiness events.
 
-    Lives entirely on its shard's loop thread after attach; the only
+    Lives entirely on the reactor's loop thread after attach; the only
     cross-thread entry points are :meth:`request_detach` (scheduled via
     ``call_soon_threadsafe`` from the conn's close hook) and the
     pause/resume pair, which the server's backpressure logic also calls
     from the loop thread.
     """
 
-    __slots__ = ("conn", "shard", "fd", "on_message", "on_error",
+    __slots__ = ("conn", "reactor", "fd", "on_message", "on_error",
                  "wait_stage", "_gen", "_request", "_buf", "_filled",
                  "_paused", "_detached")
 
-    def __init__(self, conn, shard: "_Shard", on_message, on_error,
+    def __init__(self, conn, reactor: "Reactor", on_message, on_error,
                  wait_stage: Optional[str]):
         self.conn = conn
-        self.shard = shard
+        self.reactor = reactor
         self.fd = conn.stream.fileno()
         self.on_message = on_message
         self.on_error = on_error
@@ -81,8 +81,8 @@ class _ConnDriver:
 
     # -- attach/detach (loop thread) ----------------------------------------
     def attach(self) -> None:
-        self.shard.drivers[self.fd] = self
-        self.shard.loop.add_reader(self.fd, self._on_readable)
+        self.reactor._drivers[self.fd] = self
+        self.reactor.loop.add_reader(self.fd, self._on_readable)
 
     def detach(self) -> None:
         if self._detached:
@@ -90,11 +90,11 @@ class _ConnDriver:
         self._detached = True
         # fd-reuse guard: only unregister if this fd still maps to *us*
         # (a new conn may have been adopted on a recycled fd already)
-        if self.shard.drivers.get(self.fd) is self:
-            del self.shard.drivers[self.fd]
+        if self.reactor._drivers.get(self.fd) is self:
+            del self.reactor._drivers[self.fd]
             if not self._paused:
                 try:
-                    self.shard.loop.remove_reader(self.fd)
+                    self.reactor.loop.remove_reader(self.fd)
                 except (OSError, ValueError):
                     pass
         if self._gen is not None:
@@ -103,7 +103,7 @@ class _ConnDriver:
 
     def request_detach(self) -> None:
         """Thread-safe detach entry point (the conn close hook)."""
-        loop = self.shard.loop
+        loop = self.reactor.loop
         if loop.is_closed():
             return
         try:
@@ -118,7 +118,7 @@ class _ConnDriver:
             return
         self._paused = True
         try:
-            self.shard.loop.remove_reader(self.fd)
+            self.reactor.loop.remove_reader(self.fd)
         except (OSError, ValueError):
             pass
 
@@ -127,7 +127,7 @@ class _ConnDriver:
         if not self._paused or self._detached:
             return
         self._paused = False
-        self.shard.loop.add_reader(self.fd, self._on_readable)
+        self.reactor.loop.add_reader(self.fd, self._on_readable)
         # level-triggered add_reader only fires on *socket* readability;
         # run one drain pass now in case the kernel buffer already has
         # the next message
@@ -231,18 +231,20 @@ class _ConnDriver:
                 self._advance(None)
 
 
-class _Shard:
-    """One event loop on one daemon thread, plus its fd->driver map."""
+class Reactor:
+    """One event loop on one daemon thread owning GIOP read sides."""
 
-    def __init__(self, index: int, reactor: "Reactor"):
-        self.index = index
-        self.reactor = reactor
+    def __init__(self):
         self.loop = asyncio.new_event_loop()
-        self.drivers: dict = {}
+        #: fd -> attached driver (loop thread only)
+        self._drivers: dict = {}
         self._expected = 0.0
-        self.thread = threading.Thread(
-            target=self._run, name=f"giop-reactor-{index}", daemon=True)
-        self.thread.start()
+        #: ORBs whose metrics registries receive loop-health series;
+        #: weakly held so an abandoned ORB doesn't pin its registry
+        self._orbs: "weakref.WeakSet" = weakref.WeakSet()
+        self._thread = threading.Thread(
+            target=self._run, name="giop-reactor-0", daemon=True)
+        self._thread.start()
 
     def _run(self) -> None:
         asyncio.set_event_loop(self.loop)
@@ -251,39 +253,6 @@ class _Shard:
             self.loop.run_forever()
         finally:
             self.loop.close()
-
-    # -- loop-health heartbeat (loop thread) --------------------------------
-    def _arm_heartbeat(self) -> None:
-        self._expected = self.loop.time() + _HEARTBEAT
-        self.loop.call_later(_HEARTBEAT, self._heartbeat)
-
-    def _heartbeat(self) -> None:
-        lag = max(0.0, self.loop.time() - self._expected)
-        tasks = len(asyncio.all_tasks(self.loop)) + len(self.drivers)
-        self.reactor._observe(self.index, lag, tasks)
-        self._arm_heartbeat()
-
-    def stop(self, join_timeout: float = 1.0) -> None:
-        if self.loop.is_closed():
-            return
-        try:
-            self.loop.call_soon_threadsafe(self.loop.stop)
-        except RuntimeError:
-            return
-        self.thread.join(timeout=join_timeout)
-
-
-class Reactor:
-    """N event-loop shards owning GIOP read sides, keyed by fd hash."""
-
-    def __init__(self, shards: int = 1):
-        if shards < 1:
-            raise ValueError("reactor needs at least one shard")
-        self._shards = [_Shard(i, self) for i in range(shards)]
-        #: ORBs whose metrics registries receive loop-health series;
-        #: weakly held so an abandoned ORB doesn't pin its registry
-        self._orbs: "weakref.WeakSet" = weakref.WeakSet()
-        self._lock = threading.Lock()
 
     # -- adoption -----------------------------------------------------------
     @staticmethod
@@ -295,82 +264,73 @@ class Reactor:
 
     def adopt(self, conn, on_message: Callable, on_error: Callable,
               wait_stage: Optional[str] = STAGE_RECV_WAIT) -> "_ConnDriver":
-        """Hand ``conn``'s read side to a shard.
+        """Hand ``conn``'s read side to the loop.
 
-        ``on_message(rm, driver)`` and ``on_error(exc)`` run on
-        the shard's loop thread and must not block.  Returns the driver
-        (for pause/resume backpressure).  The conn's close hook detaches
+        ``on_message(rm, driver)`` and ``on_error(exc)`` run on the
+        loop thread and must not block.  Returns the driver (for
+        pause/resume backpressure).  The conn's close hook detaches
         the driver, so callers never unregister by hand.
         """
         if not self.adoptable(conn.stream):
             raise ValueError(
                 f"stream {conn.stream!r} is not reactor-adoptable")
-        fd = conn.stream.fileno()
-        shard = self._shards[fd % len(self._shards)]
-        driver = _ConnDriver(conn, shard, on_message, on_error, wait_stage)
+        driver = _ConnDriver(conn, self, on_message, on_error, wait_stage)
         conn.add_close_hook(driver.request_detach)
-        shard.loop.call_soon_threadsafe(driver.attach)
+        self.loop.call_soon_threadsafe(driver.attach)
         return driver
 
-    # -- sync<->async bridging ----------------------------------------------
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        """The first shard's loop — the default home for client-side
-        reply futures and ``run_coroutine_threadsafe`` bridging."""
-        return self._shards[0].loop
-
-    def loop_for_fd(self, fd: int) -> asyncio.AbstractEventLoop:
-        return self._shards[fd % len(self._shards)].loop
-
     def run_sync(self, coro, timeout: Optional[float] = None):
-        """Run a coroutine on shard 0 from a non-loop thread and wait."""
+        """Run a coroutine on the loop from a non-loop thread and wait."""
         fut = asyncio.run_coroutine_threadsafe(coro, self.loop)
         return fut.result(timeout)
 
-    # -- metrics ------------------------------------------------------------
+    # -- loop health (loop thread) ------------------------------------------
     def attach_orb(self, orb) -> None:
         """Start mirroring loop health into ``orb``'s metrics registry
         (a no-op until the ORB has one — enable_tracing/telemetry)."""
         self._orbs.add(orb)
 
-    def _observe(self, shard_index: int, lag: float, tasks: int) -> None:
-        shard_label = str(shard_index)
+    def _arm_heartbeat(self) -> None:
+        self._expected = self.loop.time() + _HEARTBEAT
+        self.loop.call_later(_HEARTBEAT, self._heartbeat)
+
+    def _heartbeat(self) -> None:
+        lag = max(0.0, self.loop.time() - self._expected)
+        tasks = len(asyncio.all_tasks(self.loop)) + len(self._drivers)
         for orb in list(self._orbs):
             registry = getattr(orb, "metrics", None)
             if registry is None:
                 continue
-            registry.histogram("loop_lag_seconds",
-                               shard=shard_label).observe(lag)
-            registry.gauge("loop_tasks", shard=shard_label).set(tasks)
+            # one loop; the label keeps the series a second one would add to
+            registry.histogram("loop_lag_seconds", shard="0").observe(lag)
+            registry.gauge("loop_tasks", shard="0").set(tasks)
+        self._arm_heartbeat()
 
     # -- introspection / lifecycle ------------------------------------------
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
     def driver_count(self) -> int:
-        return sum(len(s.drivers) for s in self._shards)
+        return len(self._drivers)
 
-    def stop(self) -> None:
-        for shard in self._shards:
-            shard.stop()
+    def stop(self, join_timeout: float = 1.0) -> None:
+        if self.loop.is_closed():
+            return
+        try:
+            self.loop.call_soon_threadsafe(self.loop.stop)
+        except RuntimeError:
+            return
+        self._thread.join(timeout=join_timeout)
 
 
 _reactor: Optional[Reactor] = None
 _reactor_lock = threading.Lock()
 
 
-def get_reactor(shards: int = 1) -> Reactor:
-    """The process-wide reactor (created lazily on first use).
-
-    The shard count is fixed by the first caller; later callers share
-    the same instance regardless of the argument — loops are a process
-    resource, not a per-ORB one.
-    """
+def get_reactor() -> Reactor:
+    """The process-wide reactor (created lazily on first use): the
+    loop is a process resource, not a per-ORB one."""
     global _reactor
     with _reactor_lock:
         if _reactor is None:
-            _reactor = Reactor(shards)
+            _reactor = Reactor()
         return _reactor
 
 

@@ -361,7 +361,7 @@ class IIOPServer:
             # eventually the peer's send) absorbs the pushback, exactly
             # like the blocked reader thread did.
             driver.pause()
-            driver.shard.loop.call_later(
+            driver.reactor.loop.call_later(
                 0.002, self._retry_submit, conn, rm, driver)
 
     def _retry_submit(self, conn: GIOPConn, rm: ReceivedMessage,
@@ -378,7 +378,7 @@ class IIOPServer:
         try:
             self.workers.submit_nowait(conn, rm)
         except queue.Full:
-            driver.shard.loop.call_later(
+            driver.reactor.loop.call_later(
                 0.002, self._retry_submit, conn, rm, driver)
             return
         driver.resume()

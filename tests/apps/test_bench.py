@@ -1,5 +1,6 @@
 """repro-bench: the benchmark-trajectory document and its validator."""
 
+import functools
 import json
 
 from repro.apps.bench import (BENCH_SCHEMA_VERSION, main, run_bench,
@@ -8,20 +9,22 @@ from repro.apps.ttcp import KB
 from repro.obs import MetricsRegistry
 
 
+_TINY = dict(max_size=4 * KB, latency_size=1 * KB, latency_calls=3,
+             pipeline_calls=8, pipeline_inflight=4, shm_size=64 * KB,
+             shm_repeats=2, pubsub_size=64 * KB, pubsub_events=3,
+             pubsub_subs=(1, 2), sendfile_sizes=(1024 * KB,),
+             sendfile_repeats=2)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_tiny_doc():
+    """The default tiny document, built once per session: every reader
+    below deep-copies it before mutating."""
+    return run_bench(**_TINY)
+
+
 def _tiny_doc(**kw):
-    kw.setdefault("max_size", 4 * KB)
-    kw.setdefault("latency_size", 1 * KB)
-    kw.setdefault("latency_calls", 3)
-    kw.setdefault("pipeline_calls", 8)
-    kw.setdefault("pipeline_inflight", 4)
-    kw.setdefault("shm_size", 64 * KB)
-    kw.setdefault("shm_repeats", 2)
-    kw.setdefault("pubsub_size", 64 * KB)
-    kw.setdefault("pubsub_events", 3)
-    kw.setdefault("pubsub_subs", (1, 2))
-    kw.setdefault("sendfile_sizes", (1024 * KB,))
-    kw.setdefault("sendfile_repeats", 2)
-    return run_bench(**kw)
+    return run_bench(**{**_TINY, **kw}) if kw else _shared_tiny_doc()
 
 
 class TestRunBench:
