@@ -10,11 +10,14 @@ live ORB instead of the offline model:
 * :mod:`repro.obs.events` — the structured event stream the ORB layers
   emit (byte, stage and wire events), generalizing the old
   ``on_bytes`` callback into composable :class:`EventSink`\\ s;
+* :mod:`repro.obs.flightrec` — the one span model: a call is one flat
+  record on one per-thread stack, opened, stamped and closed by the
+  ORB's :class:`FlightRecorder` (always on, with a bounded ring of
+  recent and slow calls); everything below reads finished records;
 * :mod:`repro.obs.stages` — the six invocation stages of Fig. 7 and
-  the :class:`StageTimer` that groups them per call;
-* :mod:`repro.obs.tracing` — :class:`TracingInterceptor` (the built-in
-  interceptor producing breakdowns + metrics) and :class:`WireTracer`
-  (per-GIOP-message wire log);
+  the :class:`StageTimer` keeping a breakdown per replied call;
+* :mod:`repro.obs.tracing` — :class:`TracingInterceptor` (breakdowns +
+  metrics) and :class:`WireTracer` (per-GIOP-message wire log);
 * :mod:`repro.obs.dtrace` — distributed tracing: trace contexts carried
   in GIOP service contexts, cross-process span trees splitting each
   invocation along the control/deposit boundary;

@@ -17,34 +17,35 @@ deposit-path bytes (the zero-copy payloads).  Spans flow into a
 dumped as JSON (span schema v2, see :mod:`repro.obs.export`) and merged
 offline by trace id for genuinely distributed runs.
 
-The :class:`DistributedTracer` is an :class:`~repro.obs.events.EventSink`:
-wired into an ORB's sink chain (``orb.enable_tracing(distributed=True)``)
-it attributes every stage event to the innermost active span of the
-emitting thread.  Propagation state is thread-local, which matches the
-ORB's dispatch model: a servant's nested calls run on the thread of the
-upcall, so the server span is exactly the innermost active span when
-the nested proxy asks for the current context.
+The spans themselves are opened, stamped and closed by the ORB's one
+span producer (:mod:`repro.obs.flightrec`); the :class:`DistributedTracer`
+installed by ``orb.enable_tracing(distributed=True)`` is a reader of it
+that supplies what only tracing needs: wire-grade ids, the sampling
+decision, and the collector finished spans land in.  Propagation rides
+the producer's per-thread stack, which matches the ORB's dispatch model:
+a servant's nested calls run on the thread of the upcall, so the server
+span is the innermost open span when the nested proxy fixes its scope.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from itertools import repeat
+from typing import Deque, Dict, Iterable, List, Optional
 
 from ..giop.messages import (SVC_CTX_TRACE, GIOPError, ServiceContext,
                              decode_trace_context, encode_trace_context)
-from .events import EventSink, StageEvent
+from .events import StageEvent
 from .stages import (STAGE_CONTROL_SEND, STAGE_DEPOSIT_RECV,
                      STAGE_DEPOSIT_SEND, STAGE_RECV_WAIT, STAGE_SERVER_WAIT)
 
 __all__ = [
     "TraceContext", "Span", "SpanCollector", "DistributedTracer",
-    "InvocationScope", "extract_trace_context", "build_span_tree",
-    "render_span_tree", "SpanNode",
+    "extract_trace_context", "build_span_tree", "render_span_tree",
+    "SpanNode",
 ]
 
 #: stages whose byte counts are control-path wire bytes.  The blocking
@@ -244,175 +245,49 @@ class SpanCollector:
             return len(self._spans)
 
 
-@dataclass(frozen=True)
-class InvocationScope:
-    """The per-logical-call trace decision, fixed across retries.
+class DistributedTracer:
+    """What distributed tracing adds to the one span model: ids fit for
+    the wire, the sampling decision, and a collector.
 
-    The proxy creates one scope per :meth:`IIOPProxy.invoke`; every
-    attempt (the first try and each retry) opens a *fresh* span inside
-    it, so a retried call keeps its trace id while each attempt on the
-    wire is distinguishable.
+    It opens no span and keeps no stack: the ORB's span producer
+    (:class:`~repro.obs.flightrec.FlightRecorder`) does, and once
+    ``attach``-ed to this tracer it draws a root's 128-bit trace id and
+    sampling decision and every span's 64-bit id from here (one seeded
+    RNG, so ``seed`` makes a run's ids reproducible), the proxy injects
+    each client span's :class:`TraceContext` into its Request, and every
+    finished span is handed to :meth:`collect`.
     """
 
-    trace_id: str
-    parent_id: Optional[str]
-    sampled: bool
-
-
-class _ActiveSpan:
-    """A started span plus its place on the thread's span stack."""
-
-    __slots__ = ("span", "sampled")
-
-    def __init__(self, span: Span, sampled: bool):
-        self.span = span
-        self.sampled = sampled
-
-    @property
-    def context(self) -> TraceContext:
-        return TraceContext(trace_id=self.span.trace_id,
-                            span_id=self.span.span_id,
-                            sampled=self.sampled)
-
-    def set_request_id(self, request_id: int) -> None:
-        self.span.request_id = request_id
-
-    def record_status(self, status: Optional[str]) -> None:
-        self.span.status = status
-
-
-class DistributedTracer(EventSink):
-    """Produces spans; attributes stage events to the active span.
-
-    Wired as (part of) an ORB's event sink.  The proxy and dispatcher
-    drive the span lifecycle explicitly (:meth:`begin_invocation` /
-    :meth:`start_client_span` / :meth:`start_server_span` /
-    :meth:`finish`); stage events emitted by the connection layer while
-    a span is active on the same thread are appended to the innermost
-    one — which is exactly the span whose invocation produced them,
-    because dispatch and nested calls share the upcall's thread.
-    """
-
-    def __init__(self, node: str = "", registry=None,
+    def __init__(self, registry=None,
                  collector: Optional[SpanCollector] = None,
-                 clock: Callable[[], float] = time.perf_counter,
                  sample_rate: float = 1.0, seed: Optional[int] = None,
                  keep: int = 2048):
-        super().__init__(clock=clock)
-        self.node = node
         self.registry = registry
         self.collector = collector if collector is not None \
             else SpanCollector(keep=keep)
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1]: {sample_rate}")
         self.sample_rate = sample_rate
-        self._rng = random.Random(seed)
-        self._tls = threading.local()
+        self._rng = rng = random.Random(seed)
+        #: endless non-zero ids (the all-zero id is invalid, W3C), as
+        #: C-level iterators: one ``next`` is atomic under the GIL
+        self.trace_ids = filter(None, map(rng.getrandbits, repeat(128)))
+        self.span_ids = filter(None, map(rng.getrandbits, repeat(64)))
 
-    # -- id generation -------------------------------------------------------
-    def new_trace_id(self) -> str:
-        while True:
-            bits = self._rng.getrandbits(128)
-            if bits:  # the all-zero id is invalid (W3C)
-                return f"{bits:032x}"
-
-    def new_span_id(self) -> str:
-        while True:
-            bits = self._rng.getrandbits(64)
-            if bits:
-                return f"{bits:016x}"
-
-    # -- thread-local state --------------------------------------------------
-    def _stack(self) -> List[_ActiveSpan]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
-    def current_context(self) -> Optional[TraceContext]:
-        """The innermost active span's context on this thread."""
-        stack = self._stack()
-        return stack[-1].context if stack else None
-
-    # -- sampling ------------------------------------------------------------
-    def _sample(self) -> bool:
+    def sample(self) -> bool:
+        """The per-trace decision, made once at the root."""
         if self.sample_rate >= 1.0:
             return True
         if self.sample_rate <= 0.0:
             return False
         return self._rng.random() < self.sample_rate
 
-    # -- span lifecycle ------------------------------------------------------
-    def begin_invocation(self) -> InvocationScope:
-        """Fix the trace identity for one logical client call.
-
-        Inside an active span (a servant's nested call) the scope joins
-        that span's trace; at top level it roots a new trace and makes
-        the sampling decision.
-        """
-        ctx = self.current_context()
-        if ctx is not None:
-            return InvocationScope(trace_id=ctx.trace_id,
-                                   parent_id=ctx.span_id,
-                                   sampled=ctx.sampled)
-        return InvocationScope(trace_id=self.new_trace_id(),
-                               parent_id=None, sampled=self._sample())
-
-    def start_client_span(self, name: str,
-                          scope: InvocationScope) -> _ActiveSpan:
-        span = Span(trace_id=scope.trace_id, span_id=self.new_span_id(),
-                    parent_id=scope.parent_id, name=name, kind="client",
-                    node=self.node, start_s=self.clock())
-        active = _ActiveSpan(span, sampled=scope.sampled)
-        self._stack().append(active)
-        return active
-
-    def start_server_span(self, name: str, ctx: Optional[TraceContext],
-                          request_id: Optional[int] = None) -> _ActiveSpan:
-        """Open the server-side span of an incoming request.
-
-        With an incoming context the span joins its trace (honouring
-        the sampled flag); without one — a non-tracing client — the
-        request roots a new trace here.
-        """
-        if ctx is not None:
-            trace_id, parent_id, sampled = \
-                ctx.trace_id, ctx.span_id, ctx.sampled
-        else:
-            trace_id, parent_id, sampled = \
-                self.new_trace_id(), None, self._sample()
-        span = Span(trace_id=trace_id, span_id=self.new_span_id(),
-                    parent_id=parent_id, name=name, kind="server",
-                    node=self.node, start_s=self.clock(),
-                    request_id=request_id)
-        active = _ActiveSpan(span, sampled=sampled)
-        self._stack().append(active)
-        return active
-
-    def finish(self, active: _ActiveSpan,
-               status: Optional[str] = None) -> Optional[Span]:
-        """Close ``active``; record it if its trace is sampled.
-
-        Returns the finished span (None when unsampled).  Finishing is
-        tolerant of a corrupted stack (an exception that skipped inner
-        finishes): everything above ``active`` is discarded.
-        """
-        stack = self._stack()
-        while stack:
-            top = stack.pop()
-            if top is active:
-                break
-        span = active.span
-        span.end_s = self.clock()
-        if status is not None:
-            span.status = status
-        if not active.sampled:
-            return None
+    def collect(self, span: Span) -> None:
+        """Keep a finished span if its trace is sampled (an unsampled
+        one was still propagated: the flag rides the wire)."""
+        if not span.sampled:
+            return
         self.collector.add(span)
-        self._record_metrics(span)
-        return span
-
-    def _record_metrics(self, span: Span) -> None:
         reg = self.registry
         if reg is None:
             return
@@ -426,14 +301,6 @@ class DistributedTracer(EventSink):
             reg.counter("span_control_bytes_total", kind=span.kind).inc(ctl)
         if dep:
             reg.counter("span_deposit_bytes_total", kind=span.kind).inc(dep)
-
-    # -- sink interface ------------------------------------------------------
-    def emit(self, event) -> None:
-        if not isinstance(event, StageEvent):
-            return
-        stack = self._stack()
-        if stack:
-            stack[-1].span.stages.append(event)
 
 
 # ---------------------------------------------------------------------------

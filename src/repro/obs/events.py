@@ -16,10 +16,11 @@ structure:
 
 An :class:`EventSink` receives all three.  Sinks compose
 (:class:`CompositeSink`), record (:class:`RecordingSink`), adapt the
-legacy callback (:class:`CallbackSink`), or aggregate into metrics
-(:class:`repro.obs.stages.StageTimer`,
-:class:`repro.obs.tracing.WireTracer`).  The clock is injectable so
-tests never depend on wall time.
+legacy callback (:class:`CallbackSink`), log the wire
+(:class:`repro.obs.tracing.WireTracer`) or, the one every ORB has,
+stamp stages into the open span of the calling thread
+(:class:`repro.obs.flightrec.FlightRecorder`).  The clock is injectable
+so tests never depend on wall time.
 
 This module imports nothing from the ORB layers — it sits below them,
 exactly like :mod:`repro.core.buffers`.
@@ -79,10 +80,11 @@ class EventSink:
     ``wire_stages`` declares whether this sink consumes the wire-level
     view of a connection: a :class:`WireEvent` per GIOP message, and
     each outbound gather-write *split* at the control/deposit boundary
-    so the two halves time separately.  Tracing sinks do (that split is
-    the Fig. 7 breakdown); the always-on flight recorder does not — it
-    must leave the wire geometry of the zero-copy single-``sendv`` path
-    untouched, and it keeps no wire events, so none are built for it.
+    so the two halves time separately.  Under ``enable_tracing`` the
+    ORB's sink does (that split is the Fig. 7 breakdown); the always-on
+    flight recorder alone does not — it must leave the wire geometry of
+    the zero-copy single-``sendv`` path untouched, and it keeps no wire
+    events, so none are built for it.
     ``byte_events`` declares the same for :class:`ByteEvent`: marshalers
     get an ``on_bytes`` hook only from a sink that keeps what it reports.
     """
@@ -198,7 +200,9 @@ class RecordingSink(EventSink):
 
 class CompositeSink(EventSink):
     """Fans every event out to several sinks (first sink's clock wins
-    for spans opened on the composite)."""
+    for spans opened on the composite).  An ORB builds one only for
+    what really fans out: a user-supplied sink or a wire log beside its
+    span producer."""
 
     def __init__(self, sinks: Iterable[EventSink]):
         self.sinks = list(sinks)

@@ -1,10 +1,11 @@
 """Exporters: render a MetricsRegistry or a span set as text or JSON.
 
-The text form is a Prometheus-flavoured line format (stable, greppable,
-shows up well in CI logs); the JSON form is the machine interface the
-benchmark harness and the CI smoke step parse.  Both read one
-:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, so an export is
-internally consistent even while the ORB keeps counting.
+The text form is the Prometheus exposition of :mod:`repro.obs.promexport`
+minus its comment lines (stable, greppable, shows up well in CI logs);
+the JSON form is the machine interface the benchmark harness and the CI
+smoke step parse, read off one
+:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, so it is internally
+consistent even while the ORB keeps counting.
 
 Two dump schemas coexist, distinguished by their ``schema`` field:
 
@@ -17,7 +18,7 @@ Two dump schemas coexist, distinguished by their ``schema`` field:
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, List, Optional, Union
+from typing import IO, Iterable, Optional, Union
 
 from .metrics import MetricsRegistry
 
@@ -46,39 +47,16 @@ def to_json(registry: MetricsRegistry, indent: Optional[int] = 2,
                       sort_keys=False)
 
 
-def _fmt_labels(labels: dict) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, float) and v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v) if not isinstance(v, float) else f"{v:.9g}"
-
-
 def render_text(registry: MetricsRegistry) -> str:
-    """Prometheus-style exposition lines (one series per line;
-    histograms expand to ``_bucket``/``_sum``/``_count``)."""
-    lines: List[str] = []
-    for snap in registry.snapshot()["metrics"]:
-        name = snap["name"]
-        labels = snap.get("labels", {})
-        if snap["type"] == "histogram":
-            for bucket in snap["buckets"]:
-                lab = dict(labels)
-                lab["le"] = bucket["le"]
-                lines.append(f"{name}_bucket{_fmt_labels(lab)} "
-                             f"{bucket['count']}")
-            lines.append(f"{name}_sum{_fmt_labels(labels)} "
-                         f"{_fmt_value(snap['sum'])}")
-            lines.append(f"{name}_count{_fmt_labels(labels)} "
-                         f"{snap['count']}")
-        else:
-            lines.append(f"{name}{_fmt_labels(labels)} "
-                         f"{_fmt_value(snap['value'])}")
+    """Prometheus exposition lines, one series per line: what
+    :func:`repro.obs.promexport.render` writes, without its ``# HELP``
+    / ``# TYPE`` headers (so :func:`~repro.obs.promexport.
+    parse_exposition` reads it back)."""
+    # imported here: every ORB process imports this package, and only
+    # a telemetry plane or a CLI pays for the renderer's module
+    from .promexport import render
+    lines = [line for line in render(registry).splitlines()
+             if not line.startswith("#")]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

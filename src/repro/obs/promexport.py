@@ -1,10 +1,10 @@
 """Prometheus text exposition (format 0.0.4) for a MetricsRegistry.
 
-The existing :func:`repro.obs.export.render_text` is a debugging
-renderer: no HELP/TYPE metadata, no label escaping, histograms as
-pre-digested percentiles.  This module is the *interoperable* one — the
-``/metrics`` endpoint of :mod:`repro.obs.httpexport` serves exactly
-what a stock Prometheus server scrapes:
+The one renderer of the format: the ``/metrics`` endpoint of
+:mod:`repro.obs.httpexport` serves exactly what a stock Prometheus
+server scrapes, and :func:`repro.obs.export.render_text` (``repro-metrics
+render``, ``dump_metrics(fmt="text")``) is this output without the
+comment lines:
 
 * one ``# HELP`` / ``# TYPE`` header per metric family, samples of all
   label children grouped under it;

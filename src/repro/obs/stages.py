@@ -33,20 +33,18 @@ The server side uses the same vocabulary where it applies
 (``recv-wait`` instead of ``server-wait`` — a server waits for clients,
 not for a server).
 
-:class:`StageTimer` is the sink that groups the stage events of one
-invocation into an :class:`InvocationBreakdown` — the live counterpart
-of the offline model in ``benchmarks/test_overhead_breakdown.py``.
+:class:`StageTimer` keeps the stage record of each finished client
+call as an :class:`InvocationBreakdown`, the live counterpart of the
+offline model in ``benchmarks/test_overhead_breakdown.py``.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
-from .events import EventSink, StageEvent
+from .events import StageEvent
 
 __all__ = [
     "STAGE_MARSHAL", "STAGE_CONTROL_SEND", "STAGE_DEPOSIT_SEND",
@@ -119,71 +117,32 @@ class InvocationBreakdown:
         }
 
 
-class StageTimer(EventSink):
-    """Groups stage events into per-invocation breakdowns.
+class StageTimer:
+    """Per-invocation breakdowns, read off finished spans.
 
-    Invocations are pipelined: several threads may each have a call
-    open on the same connection.  All six client stages of a call are
-    stamped on its calling thread, so the open record is per thread:
-    ``begin`` → stages → ``commit`` on one thread never sees another
-    thread's events.  Stage events from a thread with no open record
-    (e.g. a server reader's ``recv-wait``) accumulate in :attr:`loose`
-    and never pollute the per-call records.
+    A reader of the one span model (:mod:`repro.obs.flightrec`): it is
+    handed every finished span and keeps a breakdown of those that are
+    a client attempt whose reply was read.  A failed attempt about to
+    be retried, a oneway send and a server span leave no record; the
+    stages themselves were stamped into the span, per thread, by the
+    producer, so pipelined callers never see each other's.
     """
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter,
-                 keep: int = 128):
-        super().__init__(clock=clock)
+    def __init__(self, keep: int = 128):
+        #: appended to by the finishing threads (``deque.append`` is
+        #: atomic), oldest dropped first
         self.records: Deque[InvocationBreakdown] = deque(maxlen=keep)
-        self.loose: Deque[StageEvent] = deque(maxlen=keep)
-        self._open = threading.local()  # .pending: this thread's record
-        self._lock = threading.Lock()   # guards the two shared rings
 
-    # -- sink interface ------------------------------------------------------
-    def emit(self, event) -> None:
-        if not isinstance(event, StageEvent):
-            return
-        pending = getattr(self._open, "pending", None)
-        if pending is not None:
-            pending.stages.append(event)
-        else:
-            with self._lock:
-                self.loose.append(event)
-
-    # -- invocation grouping -------------------------------------------------
-    def begin(self, operation: str) -> None:
-        """Open this thread's record; its subsequent stage events
-        belong to it."""
-        self._open.pending = InvocationBreakdown(operation=operation)
-
-    def commit(self, request_id: int = 0,
-               reply_status: Optional[str] = None
-               ) -> Optional[InvocationBreakdown]:
-        """Close this thread's open record and archive it (None if
-        none open)."""
-        rec = getattr(self._open, "pending", None)
-        if rec is None:
+    def consume(self, span) -> Optional[InvocationBreakdown]:
+        """Archive ``span`` as a breakdown (None if it is not a replied
+        client call)."""
+        if span.kind != "client" or span.reply_status is None:
             return None
-        self._open.pending = None
-        rec.request_id = request_id
-        rec.reply_status = reply_status
-        with self._lock:
-            self.records.append(rec)
+        rec = InvocationBreakdown(span.name, span.request_id or 0,
+                                  span.stages, span.reply_status.name)
+        self.records.append(rec)
         return rec
-
-    def abandon(self) -> None:
-        """Drop this thread's open record (failed attempt about to be
-        retried)."""
-        self._open.pending = None
 
     @property
     def last(self) -> Optional[InvocationBreakdown]:
-        with self._lock:
-            return self.records[-1] if self.records else None
-
-    def take_loose(self) -> List[StageEvent]:
-        """Drain the out-of-invocation stage events."""
-        with self._lock:
-            out = list(self.loose)
-            self.loose.clear()
-            return out
+        return self.records[-1] if self.records else None

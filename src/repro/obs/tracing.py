@@ -1,16 +1,15 @@
-"""Built-in tracing: the interceptor that produces live breakdowns.
+"""Built-in tracing: live breakdowns and metrics, read off finished spans.
 
-Two consumers of the structured event stream:
+Two consumers of what the ORB observes about itself:
 
-* :class:`TracingInterceptor` rides the existing
-  :class:`repro.orb.interceptors.InterceptorRegistry`.  On the client
-  side it brackets each invocation (``send_request`` opens a
-  :class:`~repro.obs.stages.StageTimer` record, ``receive_reply``
-  commits it) and folds the result into a
-  :class:`~repro.obs.metrics.MetricsRegistry`; on the server side it
-  counts and times servant upcalls.  Install with
-  ``orb.enable_tracing()`` (which also wires the timer in as the ORB's
-  event sink) or register it manually and assign ``orb.sink``.
+* :class:`TracingInterceptor` is handed every span the ORB's producer
+  finishes (:meth:`TracingInterceptor.consume`): each replied client
+  call becomes an :class:`~repro.obs.stages.InvocationBreakdown` in its
+  :attr:`timer` and is folded into a
+  :class:`~repro.obs.metrics.MetricsRegistry`.  It also rides the
+  :class:`repro.orb.interceptors.InterceptorRegistry`, where its server
+  points count and time servant upcalls.  Install with
+  ``orb.enable_tracing()``, which wires up both.
 
 * :class:`WireTracer` logs every GIOP message the connection layer
   reports — type, request id, control size, fragment count and deposit
@@ -27,7 +26,7 @@ from typing import Callable, Deque, List, Optional
 
 from ..orb.interceptors import RequestInfo, RequestInterceptor
 from .events import EventSink, WireEvent
-from .metrics import (DEFAULT_SIZE_BUCKETS, MetricsRegistry)
+from .metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from .stages import InvocationBreakdown, StageTimer
 
 __all__ = ["TracingInterceptor", "WireTracer", "format_wire_event"]
@@ -36,11 +35,11 @@ _SLOT_T0 = "obs.server_t0"
 
 
 class TracingInterceptor(RequestInterceptor):
-    """Per-request stage breakdown + metrics, as an interceptor.
+    """Per-request stage breakdown + metrics.
 
-    Owns a :attr:`timer` (the :class:`StageTimer` the ORB layers feed
-    stage events into) and a :attr:`registry` (shared or private).
-    All durations are measured with the injected ``clock``.
+    Owns a :attr:`timer` (the :class:`StageTimer` keeping the
+    breakdowns) and a :attr:`registry` (shared or private).  Server
+    upcall durations are measured with the injected ``clock``.
     """
 
     name = "tracing"
@@ -51,19 +50,16 @@ class TracingInterceptor(RequestInterceptor):
         self.clock = clock
         self.registry = registry if registry is not None \
             else MetricsRegistry(clock=clock)
-        self.timer = StageTimer(clock=clock, keep=keep)
+        self.timer = StageTimer(keep=keep)
         #: optionally attached by ORB.enable_tracing(wire=True)
         self.wire: Optional["WireTracer"] = None
         #: SpanCollector, attached by ORB.enable_tracing(distributed=True)
         self.spans = None
 
     # -- client side ---------------------------------------------------------
-    def send_request(self, info: RequestInfo) -> None:
-        self.timer.begin(info.operation)
-
-    def receive_reply(self, info: RequestInfo) -> None:
-        rec = self.timer.commit(request_id=info.request_id,
-                                reply_status=info.reply_status)
+    def consume(self, span) -> None:
+        """One finished span from the ORB's producer."""
+        rec = self.timer.consume(span)
         if rec is not None:
             self._record(rec)
 

@@ -93,32 +93,26 @@ class MethodDispatcher:
                                request_id=req.request_id,
                                response_expected=req.response_expected)
             chain.run("receive_request", info)
-        tracer = getattr(conn.orb, "dtracer", None) if conn.orb else None
-        active = None
-        if tracer is not None:
-            # join the incoming trace (or root a new one); the span stays
-            # on this thread's stack through the upcall, so the servant's
+        rec = getattr(conn.orb, "span_producer", None) if conn.orb \
+            else None
+        span = None
+        if rec is not None and rec.enabled:
+            # a trace context on the request is joined, whoever sent it
+            # (a request without one looks nothing up); the span stays on
+            # this thread's stack through the upcall, so the servant's
             # nested outbound calls parent under it
-            active = tracer.start_server_span(
-                req.operation, extract_trace_context(req.service_contexts),
-                request_id=req.request_id)
-        rec = getattr(conn.orb, "flightrec", None) if conn.orb else None
-        if rec is not None and not rec.enabled:
-            rec = None
-        r_active = rec.start_server_span(
-            req.operation, request_id=req.request_id) \
-            if rec is not None else None
+            span = rec.start_server_span(
+                req.operation,
+                extract_trace_context(req.service_contexts)
+                if req.service_contexts else None, req.request_id)
         try:
-            self._dispatch_once(conn, rm, req, chain, info,
-                                (active, r_active))
+            self._dispatch_once(conn, rm, req, chain, info, span)
         finally:
-            if r_active is not None:
-                rec.finish(r_active)
-            if active is not None:
-                tracer.finish(active)
+            if span is not None:
+                rec.finish(span)
 
     def _dispatch_once(self, conn: GIOPConn, rm: ReceivedMessage,
-                       req: RequestHeader, chain, info, actives) -> None:
+                       req: RequestHeader, chain, info, span) -> None:
         echo = _echo_contexts(req)
         try:
             servant = self.poa.find_servant(req.object_key)
@@ -147,17 +141,17 @@ class MethodDispatcher:
                     f"{req.operation!r}"))
             value = method(*args)
         except UserException as exc:
-            self._notify_reply(chain, info, actives, "USER_EXCEPTION")
+            self._notify_reply(chain, info, span, "USER_EXCEPTION")
             self._reply_user_exception(conn, req, exc, echo=echo)
             return
         except SystemException as exc:
             self._count_error()
-            self._notify_reply(chain, info, actives, "SYSTEM_EXCEPTION")
+            self._notify_reply(chain, info, span, "SYSTEM_EXCEPTION")
             self._reply_system_exception(conn, req, exc, echo=echo)
             return
         except Exception as exc:  # servant bug -> CORBA::UNKNOWN
             self._count_error()
-            self._notify_reply(chain, info, actives, "SYSTEM_EXCEPTION")
+            self._notify_reply(chain, info, span, "SYSTEM_EXCEPTION")
             self._reply_system_exception(
                 conn, req,
                 UNKNOWN(completed=CompletionStatus.COMPLETED_MAYBE,
@@ -165,7 +159,7 @@ class MethodDispatcher:
                 echo=echo)
             return
 
-        self._notify_reply(chain, info, actives, "NO_EXCEPTION")
+        self._notify_reply(chain, info, span, "NO_EXCEPTION")
         if not req.response_expected:
             return
         try:
@@ -191,10 +185,9 @@ class MethodDispatcher:
             self.errors += 1
 
     @staticmethod
-    def _notify_reply(chain, info, actives, status: str) -> None:
-        for active in actives:
-            if active is not None:
-                active.record_status(status)
+    def _notify_reply(chain, info, span, status: str) -> None:
+        if span is not None:
+            span.status = status
         if chain is not None and info is not None:
             info.reply_status = status
             chain.run("send_reply", info)

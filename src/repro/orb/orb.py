@@ -113,6 +113,12 @@ class ORB:
         if self.config.flight_recorder:
             self.flightrec = FlightRecorder(
                 slow_threshold=self.config.slow_call_threshold)
+        #: the span producer (DESIGN.md §8): the one object that opens,
+        #: stamps and closes a call's record, which proxy and dispatcher
+        #: drive and every tracer reads.  The flight recorder where
+        #: there is one; :meth:`enable_tracing` gives an ORB without a
+        #: ringless one.  None = this ORB produces no spans.
+        self.span_producer: Optional[FlightRecorder] = self.flightrec
         #: structured event sink (repro.obs.EventSink): stage spans,
         #: wire events and byte events from every connection this ORB
         #: creates.  Assign (or call :meth:`enable_tracing`) before the
@@ -133,8 +139,9 @@ class ORB:
         #: installed by :meth:`enable_telemetry`, closed on shutdown
         self.telemetry = None
         #: distributed tracer (repro.obs.dtrace.DistributedTracer);
-        #: installed by ``enable_tracing(distributed=True)``.  The proxy
-        #: and dispatcher consult it to propagate trace contexts.
+        #: installed by ``enable_tracing(distributed=True)`` and attached
+        #: to the span producer, whose spans then carry its ids and
+        #: travel as trace contexts.
         self.dtracer = None
         #: metrics registry (repro.obs.MetricsRegistry); installed by
         #: :meth:`enable_tracing`.  The server worker pool reports its
@@ -176,18 +183,19 @@ class ORB:
                        trace_seed: Optional[int] = None):
         """Install the built-in :class:`repro.obs.TracingInterceptor`.
 
-        Registers the interceptor, wires its stage timer in as this
-        ORB's event sink (composing with any sink already assigned)
-        and returns the tracer — ``tracer.last`` is the most recent
+        Registers the interceptor, makes it a reader of this ORB's
+        span producer (every finished span is handed to it; sends are
+        timed split at the control/deposit boundary from here on) and
+        returns the tracer — ``tracer.last`` is the most recent
         per-invocation stage breakdown, ``tracer.registry`` the metrics.
         With ``wire=True`` a :class:`repro.obs.WireTracer` also logs
         every GIOP message (``tracer.wire``).
 
         With ``distributed=True`` a
-        :class:`repro.obs.dtrace.DistributedTracer` joins the sink
-        chain: every Request this ORB sends carries a trace context in
-        its service contexts, incoming contexts open server spans, and
-        finished spans land in ``tracer.spans`` (a
+        :class:`repro.obs.dtrace.DistributedTracer` is attached to the
+        producer: spans draw their ids from it, every Request this ORB
+        sends carries its span's trace context in a service context,
+        and finished spans land in ``tracer.spans`` (a
         :class:`~repro.obs.dtrace.SpanCollector` — pass ``collector=``
         to share one across the ORBs of a process so cross-ORB traces
         assemble in memory).  ``sample_rate`` decides per-trace at the
@@ -196,22 +204,29 @@ class ORB:
         Call before the first connection exists (like
         :attr:`on_bytes`); existing connections keep their old sink.
         """
-        from ..obs import CompositeSink, TracingInterceptor, WireTracer
+        from ..obs import TracingInterceptor, WireTracer
         tracer = TracingInterceptor(registry=registry, keep=keep)
         self.interceptors.register(tracer)
         self.metrics = tracer.registry
-        sinks = [tracer.timer]
+        sinks = []
+        producer = self.span_producer
+        if producer is None:
+            # flight_recorder=False: the same spans, no ring kept
+            producer = self.span_producer = FlightRecorder(
+                keep=0, slow_keep=0, node=f"orb{self.orb_id}")
+            sinks.append(producer)
+        producer.wire_stages = True
+        producer.consumers.append(tracer.consume)
         if wire:
             tracer.wire = WireTracer(keep=max(keep * 4, 256))
             sinks.append(tracer.wire)
         if distributed:
             from ..obs.dtrace import DistributedTracer
             self.dtracer = DistributedTracer(
-                node=f"orb{self.orb_id}", registry=tracer.registry,
-                collector=collector, sample_rate=sample_rate,
-                seed=trace_seed)
+                registry=tracer.registry, collector=collector,
+                sample_rate=sample_rate, seed=trace_seed)
             tracer.spans = self.dtracer.collector
-            sinks.append(self.dtracer)
+            producer.attach(self.dtracer)
         if self.sink is not None:
             sinks.append(self.sink)
         self.sink = sinks[0] if len(sinks) == 1 else CompositeSink(sinks)

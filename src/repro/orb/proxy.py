@@ -56,7 +56,7 @@ Connector = Callable[[], GIOPConn]
 _CALL, _WAIT = range(2)
 
 #: what the async driver and the locate probe pass for ``_orb_hooks()``
-_NO_HOOKS = (None, None, None)
+_NO_HOOKS = (None, None)
 
 #: invoked like an operation, travels as a GIOP LocateRequest and
 #: returns whether the server knows the key (``ORB.locate``); idempotent,
@@ -71,7 +71,9 @@ class _Attempt:
     concurrently, so this cannot live on the proxy."""
 
     had_deposits = abandoned = False
-    conn = demux = future = active = r_active = info = None
+    #: ``span`` is this attempt's one record (DESIGN.md §8), opened by
+    #: ``_transmit`` and finished by the machine on the same thread
+    conn = demux = future = span = info = None
     #: the sink's clock when the request had left
     sent = 0.0
 
@@ -194,21 +196,21 @@ class IIOPProxy:
             conn.close()
 
     def _orb_hooks(self) -> tuple:
-        """``(tracer, flight recorder, interceptor chain)`` of the
-        owning ORB, each ``None`` when absent, switched off or empty —
-        one resolution per invocation, and never a dial."""
+        """``(span producer, interceptor chain)`` of the owning ORB,
+        each ``None`` when absent, switched off or empty — one
+        resolution per invocation, and never a dial."""
         orb = self._orb
         if orb is None and self._conn is not None:
             orb = self._conn.orb
         if orb is None:
             return _NO_HOOKS
-        rec = getattr(orb, "flightrec", None)
+        rec = getattr(orb, "span_producer", None)
         if rec is not None and not rec.enabled:
             rec = None
         chain = getattr(orb, "interceptors", None)
         if chain is not None and not len(chain):
             chain = None
-        return getattr(orb, "dtracer", None), rec, chain
+        return rec, chain
 
     # -- invocation ----------------------------------------------------------
     def invoke(self, object_key: bytes, sig: OperationSignature,
@@ -244,9 +246,8 @@ class IIOPProxy:
         """The awaiting driver of the same machine: thousands of calls
         can be in flight on one task with no thread per call.  Runs on
         *any* running event loop (the caller's ``asyncio.run`` loop or
-        the reactor's).  No hooks: interceptors, tracer and flight
-        recorder assume a call that stays on one thread (DESIGN.md §15
-        rule 4)."""
+        the reactor's).  No hooks: interceptors and the span producer
+        assume a call that stays on one thread (DESIGN.md §15 rule 4)."""
         loop = asyncio.get_running_loop()
         machine = self._machine(object_key, sig, args, policy, _NO_HOOKS)
         try:
@@ -276,16 +277,13 @@ class IIOPProxy:
         ``_WAIT``).  An exception out of an effect is thrown back in at
         the yield; the return value is the invocation's result."""
         policy = policy or self.policy or NO_RETRY
-        tracer, rec, chain = hooks
+        rec, chain = hooks
         stats = self._stats
         deadline = policy.start_deadline()
         # the trace identity of this logical call is fixed here, before
         # the retry loop: every attempt below shares the trace id but
-        # opens a fresh span, so retries are distinguishable on the
-        # wire.  The flight recorder mirrors the tracer's lifecycle but
-        # stays process-local: its spans never touch the wire
-        scope = tracer.begin_invocation() if tracer is not None else None
-        rec_scope = rec.begin_invocation() if rec is not None else None
+        # opens a fresh span, so retries are distinguishable on the wire
+        scope = rec.begin_invocation() if rec is not None else None
         attempt, force_copy = 0, False
         while True:
             if deadline is not None and deadline.expired:
@@ -299,7 +297,7 @@ class IIOPProxy:
                 try:
                     yield _CALL, partial(
                         self._transmit, att, object_key, sig, args,
-                        force_copy, hooks, scope, rec_scope), None
+                        force_copy, hooks, scope), None
                     future = att.future
                     if future is None:
                         return None  # oneway: the send is the whole call
@@ -335,20 +333,16 @@ class IIOPProxy:
                     raise future.exception
                 return self._process_reply(att, sig, future, chain)
             except BaseException as exc:
-                for a in (att.active, att.r_active):
-                    if a is not None:
-                        a.record_status(type(exc).__name__)
+                if att.span is not None:
+                    att.span.status = type(exc).__name__
                 if not isinstance(exc, (TRANSIENT, COMM_FAILURE)) or \
                         attempt >= policy.max_retries or \
                         not policy.retryable(exc, sig.idempotent):
                     raise
                 failure = exc
             finally:
-                # recorder first: its span is the inner of the two stacks
-                if att.r_active is not None:
-                    rec.finish(att.r_active)
-                if att.active is not None:
-                    tracer.finish(att.active)
+                if att.span is not None:
+                    rec.finish(att.span)
             if deadline is not None and deadline.expired:
                 # retry would be futile; report the deadline, carrying
                 # the completion status we actually know
@@ -374,16 +368,14 @@ class IIOPProxy:
             stats.retries += 1
 
     def _transmit(self, att, object_key, sig, args, force_copy, hooks,
-                  scope, rec_scope) -> None:
+                  scope) -> None:
         """One attempt's way out — dial, marshal, register, send — on
         whichever thread the driver chose: every piece that may block
         (connect, socket write) or hold the send lock is in here."""
-        tracer, rec, chain = hooks
+        rec, chain = hooks
         conn, demux = att.conn, att.demux = self._ensure_conn()
-        if tracer is not None:
-            att.active = tracer.start_client_span(sig.name, scope)
         if rec is not None:
-            att.r_active = rec.start_client_span(sig.name, rec_scope)
+            att.span = rec.start_client_span(sig.name, scope)
         if chain is not None:
             att.info = RequestInfo(operation=sig.name, object_key=object_key,
                                    response_expected=not sig.oneway)
@@ -411,12 +403,13 @@ class IIOPProxy:
         request_id = request.request_id
         if att.info is not None:
             att.info.request_id = request_id
-        if att.active is not None:
-            att.active.set_request_id(request_id)
-            request.service_contexts.append(
-                att.active.context.to_service_context())
-        if att.r_active is not None:
-            att.r_active.request_id = request_id
+        span = att.span
+        if span is not None:
+            span.request_id = request_id
+            if rec.tracer is not None:
+                # only a distributed tracer puts anything on the wire
+                request.service_contexts.append(
+                    span.context.to_service_context())
         # register BEFORE sending: on synchronous-delivery transports
         # the reply can arrive inside send_message itself
         future = None if sig.oneway else demux.register(request_id)
@@ -443,8 +436,8 @@ class IIOPProxy:
         reply = rm.msg.body_header
         if sink is not None:
             # the demux left the numbers of its read on the message; on
-            # this thread, where the span and stage timers of THIS call
-            # are open, they become its stages: sent here, arrived there
+            # this thread, where the span of THIS call is open, they
+            # become its stages: sent here, arrived there
             sink.stamp(STAGE_SERVER_WAIT, max(0.0, rm.arrived - att.sent),
                        rm.wire_nbytes)
             if isinstance(reply, ReplyHeader):
@@ -475,9 +468,8 @@ class IIOPProxy:
                     if sink is not None:
                         sink.stamp(STAGE_DEMARSHAL, sink.clock() - t0,
                                    dec.tell())
-                for a in (att.active, att.r_active):
-                    if a is not None:
-                        a.record_status("NO_EXCEPTION")
+                if att.span is not None:
+                    att.span.status = "NO_EXCEPTION"
                 return result
             if status is ReplyStatus.USER_EXCEPTION:
                 mark = dec.tell()
@@ -500,9 +492,11 @@ class IIOPProxy:
                                         "re-resolve the object reference")
             raise INTERNAL(message=f"unhandled reply status {status}")
         finally:
-            # the reply points run after demarshaling so tracing
-            # interceptors see the complete stage record (and honest
-            # wall time) of the invocation
+            # a span that saw a reply says which kind (what its readers
+            # keep a breakdown of); the reply points run after
+            # demarshaling so interceptors see honest wall time
+            if att.span is not None:
+                att.span.reply_status = status
             if att.info is not None:
                 att.info.reply_status = status.name
                 chain.run("receive_reply", att.info)

@@ -9,7 +9,8 @@ from repro.obs import (STAGE_CONTROL_SEND, STAGE_DEPOSIT_RECV,
                        TraceContext, build_span_tree, extract_trace_context,
                        render_span_tree, spans_to_dict)
 from repro.obs.cli import validate_span_dump
-from repro.obs.dtrace import DistributedTracer, InvocationScope
+from repro.obs.dtrace import DistributedTracer
+from repro.obs.flightrec import FlightRecorder
 
 T1 = "0123456789abcdef0123456789abcdef"
 S1 = "00000000000000aa"
@@ -109,99 +110,126 @@ class TestSpanCollector:
         assert len(col) == 0
 
 
+def _producer(clock=None, **tracer_kw):
+    """The ORB's wiring in miniature: one span producer, a tracer
+    attached to it as id source, sampler and collector."""
+    rec = FlightRecorder(slow_threshold=0.0, node="orbX",
+                         **({"clock": clock} if clock else {}))
+    tracer = DistributedTracer(**tracer_kw)
+    rec.attach(tracer)
+    return rec, tracer
+
+
 class TestDistributedTracer:
+    """The tracer opens no span of its own: these drive the one
+    producer (``FlightRecorder``) with a tracer attached, one case per
+    case of the lifecycle the tracer used to mirror."""
+
     def test_ids_are_seeded_and_nonzero(self):
         a = DistributedTracer(seed=5)
         b = DistributedTracer(seed=5)
-        assert a.new_trace_id() == b.new_trace_id()
-        assert int(a.new_span_id(), 16) != 0
+        assert next(a.trace_ids) == next(b.trace_ids) != 0
+        assert next(a.span_ids) == next(b.span_ids) != 0
+        # and that is where an attached producer's ids come from
+        (rec_a, _), (rec_b, _) = _producer(seed=7), _producer(seed=7)
+        spans = [rec.finish(rec.start_client_span(
+            "op", rec.begin_invocation())) for rec in (rec_a, rec_b)]
+        assert spans[0].trace_id == spans[1].trace_id
+        assert spans[0].span_id == spans[1].span_id
+        assert len(spans[0].trace_id) == 32 and len(spans[0].span_id) == 16
 
     def test_top_level_scope_roots_new_trace(self):
-        tracer = DistributedTracer(seed=1)
-        scope = tracer.begin_invocation()
-        assert scope.parent_id is None
-        assert scope.sampled is True
+        rec, _ = _producer(seed=1)
+        trace, parent, sampled = rec.begin_invocation()
+        assert trace == next(DistributedTracer(seed=1).trace_ids)
+        assert parent is None
+        assert sampled is True
 
     def test_nested_scope_joins_active_span(self):
-        tracer = DistributedTracer(seed=1)
-        scope = tracer.begin_invocation()
-        active = tracer.start_client_span("outer", scope)
-        inner = tracer.begin_invocation()
-        assert inner.trace_id == scope.trace_id
-        assert inner.parent_id == active.span.span_id
-        tracer.finish(active)
-        assert tracer.current_context() is None
+        rec, _ = _producer(seed=1)
+        scope = rec.begin_invocation()
+        active = rec.start_client_span("outer", scope)
+        inner = rec.begin_invocation()
+        assert inner == (active.trace, active.number, True)
+        assert inner[0] == scope[0]
+        rec.finish(active)
+        assert rec.begin_invocation()[1] is None  # nothing left open
 
     def test_retry_keeps_trace_id_fresh_span_id(self):
-        tracer = DistributedTracer(seed=1)
-        scope = tracer.begin_invocation()
-        first = tracer.start_client_span("op", scope)
-        tracer.finish(first, status="COMM_FAILURE")
-        second = tracer.start_client_span("op", scope)
-        tracer.finish(second, status="NO_EXCEPTION")
+        rec, tracer = _producer(seed=1)
+        scope = rec.begin_invocation()
+        first = rec.start_client_span("op", scope)
+        rec.finish(first, status="COMM_FAILURE")
+        second = rec.start_client_span("op", scope)
+        rec.finish(second, status="NO_EXCEPTION")
         spans = tracer.collector.spans
-        assert [s.trace_id for s in spans] == [scope.trace_id] * 2
+        assert spans == [first, second]
+        assert [s.trace_id for s in spans] == [f"{scope[0]:032x}"] * 2
         assert spans[0].span_id != spans[1].span_id
         assert [s.status for s in spans] == ["COMM_FAILURE", "NO_EXCEPTION"]
 
     def test_server_span_joins_incoming_context(self):
-        tracer = DistributedTracer(seed=2)
+        """One rule: a context that arrives is joined, tracer or not."""
         ctx = TraceContext(trace_id=T1, span_id=S1)
-        active = tracer.start_server_span("op", ctx, request_id=4)
-        span = tracer.finish(active)
-        assert span.trace_id == T1
-        assert span.parent_id == S1
-        assert span.kind == "server"
-        assert span.request_id == 4
+        for rec in (_producer(seed=2)[0], FlightRecorder()):
+            active = rec.start_server_span("op", ctx, request_id=4)
+            # what the servant calls from inside the upcall stays in T1
+            assert f"{rec.begin_invocation()[0]:032x}" == T1
+            span = rec.finish(active)
+            assert span.trace_id == T1
+            assert span.parent_id == S1
+            assert span.kind == "server"
+            assert span.request_id == 4
 
     def test_server_span_without_context_roots_trace(self):
-        tracer = DistributedTracer(seed=2)
-        span = tracer.finish(tracer.start_server_span("op", None))
+        rec, _ = _producer(seed=2)
+        span = rec.finish(rec.start_server_span("op", None))
         assert span.parent_id is None
 
     def test_stage_events_go_to_innermost_span(self):
-        tracer = DistributedTracer(seed=3)
-        outer = tracer.start_client_span("outer",
-                                         tracer.begin_invocation())
-        inner = tracer.start_client_span("inner",
-                                         tracer.begin_invocation())
-        tracer.emit(StageEvent(stage=STAGE_MARSHAL, duration_s=0.1,
-                               nbytes=8))
-        tracer.finish(inner)
-        tracer.emit(StageEvent(stage=STAGE_MARSHAL, duration_s=0.2,
-                               nbytes=9))
-        tracer.finish(outer)
-        assert [e.nbytes for e in inner.span.stages] == [8]
-        assert [e.nbytes for e in outer.span.stages] == [9]
+        rec, _ = _producer(seed=3)
+        outer = rec.start_client_span("outer", rec.begin_invocation())
+        inner = rec.start_client_span("inner", rec.begin_invocation())
+        rec.emit(StageEvent(stage=STAGE_MARSHAL, duration_s=0.1, nbytes=8))
+        rec.finish(inner)
+        rec.stamp(STAGE_MARSHAL, 0.2, 9)
+        rec.finish(outer)
+        assert [e.nbytes for e in inner.stages] == [8]
+        assert [e.nbytes for e in outer.stages] == [9]
 
     def test_unsampled_trace_not_recorded_but_propagated(self):
-        tracer = DistributedTracer(seed=4, sample_rate=0.0)
-        scope = tracer.begin_invocation()
-        assert scope.sampled is False
-        active = tracer.start_client_span("op", scope)
+        rec, tracer = _producer(seed=4, sample_rate=0.0)
+        scope = rec.begin_invocation()
+        assert scope[2] is False
+        active = rec.start_client_span("op", scope)
         assert active.context.sampled is False  # flag rides the wire
-        assert tracer.finish(active) is None
+        inner = rec.start_server_span("nested")
+        assert inner.sampled is False           # and down the stack
+        rec.finish(inner)
+        rec.finish(active)
         assert len(tracer.collector) == 0
+        # sampling is the collector's business: the flight ring still
+        # has the call
+        assert rec.recent() == [active]
 
     def test_bad_sample_rate_rejected(self):
         with pytest.raises(ValueError):
             DistributedTracer(sample_rate=1.5)
 
     def test_finish_tolerates_corrupted_stack(self):
-        tracer = DistributedTracer(seed=5)
-        outer = tracer.start_client_span("outer",
-                                         tracer.begin_invocation())
-        tracer.start_client_span("leaked", tracer.begin_invocation())
-        tracer.finish(outer)  # leaked span above it is discarded
-        assert tracer.current_context() is None
+        rec, tracer = _producer(seed=5)
+        outer = rec.start_client_span("outer", rec.begin_invocation())
+        rec.start_client_span("leaked", rec.begin_invocation())
+        rec.finish(outer)  # leaked span above it is discarded
+        assert rec.begin_invocation()[1] is None
+        assert tracer.collector.spans == [outer]
 
     def test_metrics_recorded_on_finish(self):
         reg = MetricsRegistry()
-        tracer = DistributedTracer(seed=6, registry=reg)
-        active = tracer.start_client_span("op", tracer.begin_invocation())
-        tracer.emit(StageEvent(stage=STAGE_CONTROL_SEND, duration_s=0.1,
-                               nbytes=64))
-        tracer.finish(active)
+        rec, _ = _producer(seed=6, registry=reg)
+        active = rec.start_client_span("op", rec.begin_invocation())
+        rec.stamp(STAGE_CONTROL_SEND, 0.1, 64)
+        rec.finish(active)
         assert reg.get("spans_total", kind="client",
                        operation="op").value == 1
         assert reg.get("span_control_bytes_total",
@@ -251,6 +279,30 @@ class TestSpanTree:
 
 class TestInvocationScope:
     def test_frozen(self):
-        scope = InvocationScope(trace_id=T1, parent_id=None, sampled=True)
-        with pytest.raises(AttributeError):
-            scope.trace_id = "x"
+        """What ``begin_invocation`` fixes for every attempt of a call
+        is a plain tuple: a retry cannot shift the trace under it."""
+        scope = FlightRecorder().begin_invocation()
+        assert isinstance(scope, tuple) and len(scope) == 3
+        with pytest.raises(TypeError):
+            scope[0] = 1
+
+
+class TestRecorderIds:
+    def test_two_recorders_spans_merge_into_disjoint_traces(self):
+        """Dumps of two ORB processes, merged: every recorder counts
+        from its own random prefix, so no trace folds into another's."""
+        a, b = FlightRecorder(node="a"), FlightRecorder(node="b")
+        for rec in (a, b):
+            for name in ("x", "y"):
+                outer = rec.start_client_span(name, rec.begin_invocation())
+                rec.finish(rec.start_server_span(name))
+                rec.finish(outer)
+        spans = [Span.from_dict(s.as_dict())
+                 for rec in (a, b) for s in rec.recent()]
+        forest = build_span_tree(spans)
+        assert len(forest) == 4
+        for roots in forest.values():
+            assert len({n.span.node for n in roots}) == 1
+        assert not {s.span_id for s in a.recent()} & \
+            {s.span_id for s in b.recent()}
+        assert validate_span_dump(spans_to_dict(spans)) == []

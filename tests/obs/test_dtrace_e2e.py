@@ -21,7 +21,8 @@ from repro.core import OctetSequence, ZCOctetSequence
 from repro.giop import (SVC_CTX_TRACE, TRACE_CTX_SIZE, RequestHeader,
                         ServiceContext)
 from repro.idl import compile_idl
-from repro.obs import SpanCollector, build_span_tree, dump_spans
+from repro.obs import (CLIENT_STAGES, SpanCollector, build_span_tree,
+                       dump_spans)
 from repro.obs.cli import main as metrics_cli
 from repro.orb import ORB, ORBConfig
 from repro.orb.dispatcher import MethodDispatcher
@@ -178,6 +179,91 @@ class TestTwoHop:
             dump_spans(collector, dump_path)
             assert metrics_cli(["check", dump_path]) == 0
             assert metrics_cli(["tree", dump_path]) == 0
+        finally:
+            client.shutdown()
+            middle.shutdown()
+            backend.shutdown()
+
+
+class TestWithoutFlightRecorder:
+    def test_tracing_works_and_no_ring_is_kept(self, test_api, store_impl):
+        """``flight_recorder=False`` takes the rings away, not the
+        spans: ``enable_tracing`` gives the ORB a producer that keeps
+        nothing itself and every reader works as before."""
+        collector = SpanCollector()
+        config = dict(scheme="tcp", flight_recorder=False)
+        server, client = ORB(ORBConfig(**config)), ORB(ORBConfig(**config))
+        try:
+            assert client.span_producer is None and client.sink is None
+            server.enable_tracing(distributed=True, collector=collector)
+            tracer = client.enable_tracing(distributed=True,
+                                           collector=collector)
+            stub = client.string_to_object(
+                server.object_to_string(server.activate(store_impl)))
+            assert len(stub.get(4096)) == 4096
+            cli, srv = sorted(_wait_spans(collector, 2),
+                              key=lambda s: s.kind)
+            assert (cli.kind, srv.kind) == ("client", "server")
+            assert (srv.trace_id, srv.parent_id) == \
+                (cli.trace_id, cli.span_id)
+            assert [e.stage for e in cli.stages] == list(CLIENT_STAGES)
+            assert tracer.last.stages == cli.stages
+            for orb in (client, server):
+                assert orb.flightrec is None
+                assert orb.span_producer.recent() == []
+                assert orb.span_producer.slow_trees() == []
+        finally:
+            client.shutdown()
+            server.shutdown()
+
+
+class TestJoinRule:
+    """A server span joins the trace context that arrives, whether or
+    not its own ORB traces; what no tracer is attached to puts nothing
+    on the wire."""
+
+    def test_default_server_parents_under_a_tracing_clients_span(
+            self, test_api, store_impl, monkeypatch):
+        seen = []
+        orig = MethodDispatcher.dispatch
+
+        def spy(self, conn, rm):
+            seen.append((conn.orb, [sc.context_id for sc in
+                                    rm.msg.body_header.service_contexts]))
+            return orig(self, conn, rm)
+
+        monkeypatch.setattr(MethodDispatcher, "dispatch", spy)
+        front_api = _front()
+        backend = ORB(ORBConfig(scheme="tcp"))      # default
+        middle = ORB(ORBConfig(scheme="tcp"))       # default
+        client = _traced_orb("tcp", SpanCollector(), seed=31, server=False)
+        try:
+            store = middle.string_to_object(backend.object_to_string(
+                backend.activate(store_impl)))
+
+            class FrontImpl(front_api.Front_skel):
+                def fetch(self, path, n):
+                    return len(store.get_std(n))
+
+            stub = client.string_to_object(middle.object_to_string(
+                middle.activate(FrontImpl())))
+            assert stub.fetch("x", 16) == 16
+            (cli,) = client.dtracer.collector.spans
+            deadline = time.monotonic() + 5.0
+            while not (middle.flightrec.recorded_total and
+                       backend.flightrec.recorded_total) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.005)
+            srv = middle.flightrec.recent()[-1]
+            assert (srv.kind, srv.name) == ("server", "fetch")
+            assert (srv.trace_id, srv.parent_id, srv.request_id) == \
+                (cli.trace_id, cli.span_id, cli.request_id)
+            # the default middle ORB keeps the trace on its own stack
+            # but, having no tracer, sends no context on: the backend
+            # roots a trace of its own
+            assert seen == [(middle, [SVC_CTX_TRACE]), (backend, [])]
+            far = backend.flightrec.recent()[-1]
+            assert far.parent_id is None and far.trace_id != cli.trace_id
         finally:
             client.shutdown()
             middle.shutdown()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs import MetricsRegistry, dump_metrics, render_text, to_dict
 from repro.obs.export import SCHEMA_VERSION, to_json
+from repro.obs.promexport import parse_exposition, render, samples_by_name
 
 
 def _sample_registry():
@@ -42,11 +43,27 @@ def test_render_text_exposition_format():
     lines = text.splitlines()
     assert 'invocations_total{operation="put"} 3' in lines
     assert "pool_buffers 2" in lines
-    assert 'stage_seconds_bucket{le="0.01",stage="marshal"} 1' in lines
-    assert 'stage_seconds_bucket{le="+Inf",stage="marshal"} 2' in lines
+    # (``le`` comes last, as promexport.render writes it)
+    assert 'stage_seconds_bucket{stage="marshal",le="0.01"} 1' in lines
+    assert 'stage_seconds_bucket{stage="marshal",le="+Inf"} 2' in lines
     assert 'stage_seconds_sum{stage="marshal"} 0.505' in lines
     assert 'stage_seconds_count{stage="marshal"} 2' in lines
     assert text.endswith("\n")
+
+
+def test_render_text_is_the_prometheus_renderer_without_comments():
+    reg = _sample_registry()
+    reg.counter("odd-name.total", path='a"b\\c\nd').inc()
+    text = render_text(reg)
+    assert text == "".join(
+        line + "\n" for line in render(reg).splitlines()
+        if not line.startswith("#"))
+    assert "#" not in text
+    # and so the strict parser reads it back, escapes and all
+    samples = samples_by_name(parse_exposition(text))
+    assert samples["invocations_total"][0].value == 3
+    assert samples["odd_name_total"][0].labels_dict == {"path": 'a"b\\c\nd'}
+    assert [s.value for s in samples["stage_seconds_bucket"]] == [1, 2, 2]
 
 
 def test_render_text_empty_registry():

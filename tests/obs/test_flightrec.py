@@ -52,8 +52,8 @@ class TestRecording:
         scope = rec.begin_invocation()
         outer = rec.start_client_span("outer", scope)
         inner = rec.start_server_span("handle", request_id=7)
-        assert inner.span.trace_id == outer.span.trace_id
-        assert inner.span.parent_id == outer.span.span_id
+        assert inner.trace_id == outer.trace_id
+        assert inner.parent_id == outer.span_id
         clock.advance(0.010)
         rec.finish(inner)
         clock.advance(0.100)
@@ -75,10 +75,10 @@ class TestRecording:
         scope = rec.begin_invocation()
         active = rec.start_client_span("op", scope)
         rec.emit(StageEvent(stage="s", duration_s=0.1))
-        assert active.span.stages == []
+        assert active.stages == []
         rec.enable()
         rec.emit(StageEvent(stage="s", duration_s=0.1))
-        assert [e.stage for e in active.span.stages] == ["s"]
+        assert [e.stage for e in active.stages] == ["s"]
 
     def test_threads_record_independent_traces(self, clock):
         rec = FlightRecorder(clock=clock)
@@ -89,7 +89,7 @@ class TestRecording:
             scope = rec.begin_invocation()
             active = rec.start_client_span(name, scope)
             done.wait(timeout=2.0)  # both spans open at once
-            traces[name] = active.span.trace_id
+            traces[name] = active.trace_id
             rec.finish(active)
 
         threads = [threading.Thread(target=run, args=(f"t{i}",))

@@ -27,12 +27,9 @@ from repro.orb import ORB, ORBConfig
 SLOW = 0.02
 
 
-def _hex(n: int, digits: int) -> str:
-    return f"{n:0{digits}x}"
-
-
 #: (kind, name, trace, span, parent, status, request id, stage names) —
-#: one id counter per recorder: trace, client span, nested server span
+#: one id counter per recorder, numbered here from the first id it
+#: drew: trace, client span, nested server span
 GOLDEN = [
     ("client", "ping", 1, 2, None, "NO_EXCEPTION", 1, []),
     ("client", "nap", 4, 5, None, "NO_EXCEPTION", 2,
@@ -82,6 +79,16 @@ def recorded():
         orb.shutdown()
 
 
+def _ids(rec):
+    """GOLDEN's small numbers as this recorder's hex ids: the counter
+    starts at a per-recorder offset and a trace id carries the
+    recorder's random prefix in its upper 64 bits."""
+    first = rec.recent()[0].trace - 1  # ping's trace drew the first id
+    assert first >> 64 and first >> 64 == rec._trace_base >> 64
+    return (lambda n: f"{first + n:032x}",
+            lambda n: f"{(first + n) & (1 << 64) - 1:016x}")
+
+
 def _shape(doc: dict) -> list:
     return [(s["kind"], s["name"], s["trace_id"], s["span_id"],
              s["parent_id"], s["status"], s["request_id"],
@@ -93,9 +100,10 @@ def test_every_reader_renders_schema_v2_as_before(recorded, tmp_path):
     rec = orb.flightrec
     doc = json.loads(json.dumps(spans_to_dict(rec.spans())))
     assert validate_span_dump(doc) == []
+    _trace, _span = _ids(rec)
     assert _shape(doc) == [
-        (kind, name, _hex(trace, 32), _hex(span, 16),
-         None if parent is None else _hex(parent, 16), status, rid, stages)
+        (kind, name, _trace(trace), _span(span),
+         None if parent is None else _span(parent), status, rid, stages)
         for kind, name, trace, span, parent, status, rid, stages in GOLDEN]
     for s in doc["spans"]:
         assert s["node"] == f"orb{orb.orb_id}"
@@ -133,10 +141,11 @@ def test_tree_rendering(recorded, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out == render_span_tree(spans)
     lines = out.splitlines()
+    _trace, _ = _ids(orb.flightrec)
     assert [ln for ln in lines if ln.startswith("trace ")] == [
-        f"trace {_hex(1, 32)}  (1 span, {spans[0].duration_s * 1e3:.3f}ms)",
-        f"trace {_hex(4, 32)}  (2 spans, {spans[1].duration_s * 1e3:.3f}ms)",
-        f"trace {_hex(7, 32)}  (1 span, {spans[3].duration_s * 1e3:.3f}ms)"]
+        f"trace {_trace(1)}  (1 span, {spans[0].duration_s * 1e3:.3f}ms)",
+        f"trace {_trace(4)}  (2 spans, {spans[1].duration_s * 1e3:.3f}ms)",
+        f"trace {_trace(7)}  (1 span, {spans[3].duration_s * 1e3:.3f}ms)"]
     assert lines[1].startswith("`-- client ping  ")
     assert lines[3].startswith("`-- client nap  ")
     assert lines[4].startswith("    `-- server nap  ")

@@ -1,41 +1,44 @@
-"""StageTimer under pipelined callers: one open record per thread."""
+"""StageTimer under pipelined callers: the producer keeps one stack of
+open records per thread, so no caller reads another's stages."""
 
 import threading
 import time
 
+from repro.giop import ReplyStatus
 from repro.idl import compile_idl
-from repro.obs import CLIENT_STAGES, STAGE_MARSHAL, StageEvent, StageTimer
+from repro.obs import (CLIENT_STAGES, STAGE_MARSHAL, FlightRecorder,
+                       StageTimer)
 from repro.orb import ORB, ORBConfig
 
 CALLERS = 8
 
 
 def test_two_threads_keep_their_own_open_record(clock):
-    timer = StageTimer(clock=clock)
+    rec, timer = FlightRecorder(clock=clock), StageTimer()
+    rec.consumers.append(timer.consume)
     both_open = threading.Barrier(2, timeout=10.0)
 
     def call(op, rid):
-        timer.begin(op)
+        span = rec.start_client_span(op, rec.begin_invocation())
         both_open.wait()            # both records are open at once
-        timer.emit(StageEvent(stage=STAGE_MARSHAL, duration_s=0.0,
-                              nbytes=rid))
+        rec.stamp(STAGE_MARSHAL, 0.0, rid)
         both_open.wait()
-        timer.commit(request_id=rid)
+        span.request_id, span.reply_status = rid, ReplyStatus.NO_EXCEPTION
+        rec.finish(span)
 
     threads = [threading.Thread(target=call, args=(f"op{i}", i))
                for i in (1, 2)]
     for t in threads:
         t.start()
-    timer.emit(StageEvent(stage=STAGE_MARSHAL, duration_s=0.0))  # no record
+    rec.stamp(STAGE_MARSHAL, 0.0, 99)  # this thread has no record open
     for t in threads:
         t.join(timeout=10.0)
         assert not t.is_alive()
     by_id = {r.request_id: r for r in timer.records}
     assert sorted(by_id) == [1, 2]
-    for rid, rec in by_id.items():
-        assert rec.operation == f"op{rid}"
-        assert [e.nbytes for e in rec.stages] == [rid]
-    assert len(timer.take_loose()) == 1
+    for rid, got in by_id.items():
+        assert got.operation == f"op{rid}"
+        assert [e.nbytes for e in got.stages] == [rid]
 
 
 def test_concurrent_invocations_each_commit_their_six_stages():
@@ -55,7 +58,6 @@ def test_concurrent_invocations_each_commit_their_six_stages():
         stub.nap(0)                 # dial outside the concurrent window
         calls = tracer.registry.get("invocations_total", operation="nap")
         before = calls.value
-        tracer.timer.take_loose()
         start = threading.Barrier(CALLERS, timeout=10.0)
         errors = []
 
@@ -78,9 +80,6 @@ def test_concurrent_invocations_each_commit_their_six_stages():
         for rec in records:
             assert [e.stage for e in rec.stages] == list(CLIENT_STAGES)
         assert calls.value == before + CALLERS
-        # every caller had a record open: none of its stages went loose
-        assert not [e for e in tracer.timer.take_loose()
-                    if e.stage in CLIENT_STAGES]
     finally:
         client.shutdown()
         server.shutdown()

@@ -4,9 +4,11 @@ six-stage breakdown of a real loopback invocation (paper Fig. 7)."""
 import pytest
 
 from repro.core import ZCOctetSequence
+from repro.giop import ReplyStatus
 from repro.obs import (CLIENT_STAGES, STAGE_DEPOSIT_RECV, STAGE_DEPOSIT_SEND,
-                       STAGE_MARSHAL, StageEvent, TracingInterceptor,
-                       WireEvent, WireTracer, format_wire_event)
+                       STAGE_MARSHAL, FlightRecorder, StageEvent,
+                       TracingInterceptor, WireEvent, WireTracer,
+                       format_wire_event)
 from repro.orb.interceptors import RequestInfo
 
 
@@ -14,17 +16,22 @@ def _info(op="put", **kw):
     return RequestInfo(operation=op, object_key=b"k", **kw)
 
 
-# -- unit: the interceptor drives timer + registry ---------------------------
+# -- unit: finished spans become breakdowns + metrics ------------------------
+
+def _finished_call(clock, status, request_id=0):
+    """One client span as the ORB's producer hands it to the tracer."""
+    rec = FlightRecorder(clock=clock)
+    tracer = TracingInterceptor(clock=clock)
+    rec.consumers.append(tracer.consume)
+    span = rec.start_client_span("put", rec.begin_invocation())
+    rec.stamp(STAGE_MARSHAL, 0.002, 64)
+    span.request_id, span.reply_status = request_id, status
+    rec.finish(span)
+    return tracer
+
 
 def test_client_points_commit_a_breakdown_into_metrics(clock):
-    tracer = TracingInterceptor(clock=clock)
-    tracer.send_request(_info())
-    tracer.timer.emit(StageEvent(stage=STAGE_MARSHAL, duration_s=0.002,
-                                 nbytes=64))
-    info = _info(request_id=5)
-    info.reply_status = "NO_EXCEPTION"
-    tracer.receive_reply(info)
-
+    tracer = _finished_call(clock, ReplyStatus.NO_EXCEPTION, request_id=5)
     rec = tracer.last
     assert rec.request_id == 5
     assert rec.duration_s(STAGE_MARSHAL) == 0.002
@@ -37,11 +44,7 @@ def test_client_points_commit_a_breakdown_into_metrics(clock):
 
 
 def test_error_replies_count_separately(clock):
-    tracer = TracingInterceptor(clock=clock)
-    tracer.send_request(_info())
-    info = _info()
-    info.reply_status = "SYSTEM_EXCEPTION"
-    tracer.receive_reply(info)
+    tracer = _finished_call(clock, ReplyStatus.SYSTEM_EXCEPTION)
     reg = tracer.registry
     assert reg.get("invocations_total", operation="put").value == 1
     assert reg.get("invocation_errors_total", operation="put").value == 1

@@ -18,6 +18,13 @@ a fraction of a call per ping to the total.
 The second half is the gate on always-on observation (ROADMAP item 5):
 what the recorder adds to a null call, as path length, and that an ORB
 without one runs no observation code at all.
+
+The third configuration is the traced path (``enable_tracing(
+distributed=True)`` on both ORBs): with one span model every reader
+works off the record the default path already keeps, so what tracing
+adds is the readers, and a stage is one ``stamp`` whoever listens.
+Before that change a traced ping made 418 calls inside ``repro/obs/``
+and each stage event fanned out into 6.6 of them.
 """
 
 import collections
@@ -27,25 +34,32 @@ import threading
 
 import repro.obs
 from repro.idl import compile_idl
+from repro.obs.events import EventSink
 from repro.obs.flightrec import FlightRecorder
 from repro.orb import ORB, ORBConfig
 from repro.orb.reactor import reset_reactor
 
-#: measured: 64 on the calling thread, 190 over all threads, 0 emits
+#: measured: 63 on the calling thread, 187 over all threads, 0 emits
 CALLER_CEILING = 71
 TOTAL_CEILING = 209
 EMIT_CEILING = 0
-#: measured: 22.3 calls per ping more than with ``flight_recorder=False``
+#: measured: 20.3 calls per ping more than with ``flight_recorder=False``
 RECORDER_CEILING = 25
+#: measured, traced: 305 calls inside ``repro/obs/`` per ping (about half
+#: of them metrics-registry look-ups), 1.0 per stage event
+TRACED_OBS_CEILING = 340
+STAGE_FANOUT_CEILING = 2
 
 CALLS = 200
 
 _OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 
 
-def _count_null_call(flight_recorder: bool):
+def _count_null_call(flight_recorder: bool, traced: bool = False):
     """``(calling thread, all threads, FlightRecorder.emit, inside
-    repro/obs/, threads seen)``: Python-level calls per ping."""
+    repro/obs/, threads seen, calls per stage event)``: Python-level
+    calls per ping; the last is every call made from a sink's ``stamp``
+    down, itself included, per outermost ``stamp``."""
     api = compile_idl("interface Budget { void ping(in unsigned long x); };",
                       module_name="_call_budget_idl")
 
@@ -57,16 +71,31 @@ def _count_null_call(flight_recorder: bool):
     emits = [0]
     in_obs = [0]
     emit_code = FlightRecorder.emit.__code__
+    stamp_codes = {EventSink.stamp.__code__, FlightRecorder.stamp.__code__}
+    stamping = collections.Counter()  # thread ident -> depth below a stamp
+    stage_events, fanout = [0], [0]
     counting = [False]
 
     def profile(frame, event, arg):
-        if event == "call" and counting[0]:
-            calls[threading.get_ident()] += 1
+        if not counting[0]:
+            return
+        ident = threading.get_ident()
+        if event == "call":
+            calls[ident] += 1
             code = frame.f_code
             if code is emit_code:
                 emits[0] += 1
             if code.co_filename.startswith(_OBS_DIR):
                 in_obs[0] += 1
+            if stamping[ident]:
+                stamping[ident] += 1
+                fanout[0] += 1
+            elif code in stamp_codes:
+                stamping[ident] = 1
+                fanout[0] += 1
+                stage_events[0] += 1
+        elif event == "return" and stamping[ident]:
+            stamping[ident] -= 1
 
     # threads take the profile hook when they start: the reactor shard
     # (process-wide, possibly alive from an earlier test) is restarted
@@ -78,6 +107,9 @@ def _count_null_call(flight_recorder: bool):
         config = ORBConfig(scheme="tcp", flight_recorder=flight_recorder)
         server = ORB(config)
         client = ORB(config)
+        if traced:
+            server.enable_tracing(distributed=True)
+            client.enable_tracing(distributed=True)
         stub = client.string_to_object(
             server.object_to_string(server.activate(Impl())))
         for _ in range(30):  # dial, caches, lazily imported modules
@@ -97,11 +129,12 @@ def _count_null_call(flight_recorder: bool):
 
     return (calls[threading.get_ident()] / CALLS,
             sum(calls.values()) / CALLS, emits[0] / CALLS,
-            in_obs[0] / CALLS, len(calls))
+            in_obs[0] / CALLS, len(calls),
+            fanout[0] / max(stage_events[0], 1))
 
 
 def test_null_call_stays_inside_its_budget():
-    caller, total, emits, in_obs, threads = _count_null_call(True)
+    caller, total, emits, in_obs, threads, _ = _count_null_call(True)
     assert caller <= CALLER_CEILING, f"calling thread: {caller:.1f} calls"
     assert total <= TOTAL_CEILING, f"all threads: {total:.1f} calls"
     assert emits <= EMIT_CEILING, \
@@ -110,8 +143,16 @@ def test_null_call_stays_inside_its_budget():
     # of a recorder that is really being driven
     assert caller > 20 and threads >= 3 and in_obs >= 2
 
-    _, bare, _, bare_in_obs, _ = _count_null_call(False)
+    _, bare, _, bare_in_obs, _, _ = _count_null_call(False)
     assert total - bare <= RECORDER_CEILING, \
         f"the recorder adds {total - bare:.1f} calls per ping"
     assert bare_in_obs == 0, \
         f"{bare_in_obs:.1f} calls into repro/obs/ without a recorder"
+
+
+def test_traced_call_reads_the_one_record():
+    _, _, _, in_obs, _, per_stage = _count_null_call(True, traced=True)
+    assert in_obs <= TRACED_OBS_CEILING, \
+        f"{in_obs:.1f} calls inside repro/obs/ per traced ping"
+    assert 1 <= per_stage <= STAGE_FANOUT_CEILING, \
+        f"a stage event fans out into {per_stage:.1f} calls"
