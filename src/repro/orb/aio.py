@@ -81,14 +81,26 @@ async def gather_window(
     """
     if window < 1:
         raise ValueError(f"window must be positive: {window}")
-    sem = asyncio.Semaphore(window)
+    results: list = [None] * len(factories)
+    todo = iter(enumerate(factories))  # shared: O(window) tasks, not O(calls)
 
-    async def run(factory: Callable[[], Awaitable[Any]]) -> Any:
-        async with sem:
-            return await factory()
+    async def worker() -> None:
+        for i, factory in todo:
+            try:
+                results[i] = await factory()
+            except Exception as exc:
+                if not return_exceptions:
+                    raise
+                results[i] = exc
 
-    return await asyncio.gather(*(run(f) for f in factories),
-                                return_exceptions=return_exceptions)
+    workers = [asyncio.ensure_future(worker())
+               for _ in range(min(window, len(results)))]
+    try:
+        await asyncio.gather(*workers)
+    finally:
+        for w in workers:  # the first exception stops the others too
+            w.cancel()
+    return results
 
 
 def run_sync(coro, timeout: Optional[float] = None,
@@ -98,8 +110,8 @@ def run_sync(coro, timeout: Optional[float] = None,
     Submits to the given reactor's loop (default: the process-wide
     reactor, started on demand) via ``run_coroutine_threadsafe`` and
     blocks for the result — the documented bridge for sync code that
-    wants to reuse an async call path.  Never call this *from* a loop
-    thread; that would deadlock the loop on itself.
+    wants to reuse an async call path.  *On* the reactor's loop thread
+    it raises ``RuntimeError``; when ``timeout`` expires it cancels the task.
     """
     if reactor is None:
         from .reactor import get_reactor

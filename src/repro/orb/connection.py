@@ -22,8 +22,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, NamedTuple, Optional
 
 from ..cdr import NATIVE_LITTLE, CDREncoder, MarshalContext
@@ -298,7 +300,8 @@ class GIOPConn:
 
     # -- sending ---------------------------------------------------------------
     def send_message(self, body_header, params=b"",
-                     ctx: Optional[MarshalContext] = None) -> None:
+                     ctx: Optional[MarshalContext] = None,
+                     block: bool = True):
         """Encode and write one message plus its deposit payloads.
 
         ``params`` is the marshaled parameter body: a bytes-like blob,
@@ -306,10 +309,64 @@ class GIOPConn:
         as-is — header chunks and parameter chunks go to one
         ``sendv`` with no join, so a large inline payload travels
         from the application buffer to the socket with zero
-        middleware copies.
+        middleware copies.  ``block=False`` (an event loop, over a
+        stream whose ``sendv`` takes the flag) never waits: what would
+        have comes back as a callable for a thread that may block.
         """
         try:
-            self._send_message(body_header, params, ctx)
+            # The trunk here and in _send_locked is the message that
+            # carries nothing but itself — no deposit, no fragmentation,
+            # no sink that asked for wire stages: encode, one sendv,
+            # count.  What a message does not carry it does not pay for;
+            # deposits and stage timing branch off into _send_carrying.
+            payloads: list = []
+            if ctx is not None and ctx.descriptors:
+                if ctx.registry is None:
+                    raise MARSHAL(
+                        message="deposit descriptors without registry")
+                contexts = getattr(body_header, "service_contexts", None)
+                if contexts is None:
+                    raise MARSHAL(message=(f"{type(body_header).__name__} "
+                                           f"cannot carry deposits"))
+                for desc in ctx.descriptors:
+                    contexts.append(ServiceContext.for_deposit(desc))
+                payloads = [view for _, view in ctx.registry.drain()]
+
+            if isinstance(params, CDREncoder):
+                params_nbytes = params.nbytes
+                param_chunks = params.chunks() if params_nbytes else []
+            else:
+                params_nbytes = len(params)
+                param_chunks = [params] if params_nbytes else []
+
+            head = body_header.encode(self.little_endian)
+            if params_nbytes:
+                head += _PAD[:-len(head) & (_BODY_ALIGN - 1)]
+                body_nbytes = len(head) + params_nbytes
+                if len(param_chunks) == 1 and params_nbytes < SG_MIN_CHUNK:
+                    # parameters the encoder already holds by copy: one
+                    # contiguous control buffer instead of an iovec entry
+                    head += param_chunks[0]
+                    param_chunks = []
+            else:
+                body_nbytes = len(head)
+            msg_type = body_header.MSG_TYPE
+            chunks, n_fragments = self._frame(msg_type, [head] + param_chunks,
+                                              body_nbytes)
+            # GIOP headers plus body pieces: the true control-path wire
+            # bytes, however many fragment headers went out
+            control_nbytes = GIOP_HEADER_SIZE * n_fragments + body_nbytes
+            event = None
+            if self.sink is not None and self.sink.wire_stages:
+                descs = ctx.descriptors if ctx is not None else ()
+                event = WireEvent(
+                    direction="send", msg_type=msg_type.name,
+                    size=body_nbytes,
+                    request_id=getattr(body_header, "request_id", None),
+                    fragments=n_fragments,
+                    deposits=tuple((d.deposit_id, d.size) for d in descs))
+            return self._send_locked(chunks, control_nbytes, payloads, event,
+                                     block)
         finally:
             if ctx is not None and ctx.staged:
                 # arena slots leased by encode-into-arena staging: a
@@ -317,60 +374,37 @@ class GIOPConn:
                 # back to the arena even when the send failed
                 ctx.release_staged()
 
-    def _send_message(self, body_header, params,
-                      ctx: Optional[MarshalContext]) -> None:
-        # The trunk of this function is the message that carries
-        # nothing but itself — no deposit, no fragmentation, no sink
-        # that asked for wire stages: encode, one sendv, count.  What a
-        # message does not carry it does not pay for; deposits and
-        # stage timing branch off into _send_carrying.
-        payloads: list = []
-        if ctx is not None and ctx.descriptors:
-            if ctx.registry is None:
-                raise MARSHAL(message="deposit descriptors without registry")
-            contexts = getattr(body_header, "service_contexts", None)
-            if contexts is None:
-                raise MARSHAL(message=(
-                    f"{type(body_header).__name__} cannot carry deposits"))
-            for desc in ctx.descriptors:
-                contexts.append(ServiceContext.for_deposit(desc))
-            payloads = [view for _, view in ctx.registry.drain()]
-
-        if isinstance(params, CDREncoder):
-            params_nbytes = params.nbytes
-            param_chunks = params.chunks() if params_nbytes else []
-        else:
-            params_nbytes = len(params)
-            param_chunks = [params] if params_nbytes else []
-
-        head = body_header.encode(self.little_endian)
-        if params_nbytes:
-            head += _PAD[:-len(head) & (_BODY_ALIGN - 1)]
-            body_nbytes = len(head) + params_nbytes
-            if len(param_chunks) == 1 and params_nbytes < SG_MIN_CHUNK:
-                # parameters the encoder already holds by copy: one
-                # contiguous control buffer instead of an iovec entry
-                head += param_chunks[0]
-                param_chunks = []
-        else:
-            body_nbytes = len(head)
-        msg_type = body_header.MSG_TYPE
-        chunks, n_fragments = self._frame(msg_type, [head] + param_chunks,
-                                          body_nbytes)
-        # GIOP headers plus body pieces: the true control-path wire
-        # bytes, however many fragment headers went out
-        control_nbytes = GIOP_HEADER_SIZE * n_fragments + body_nbytes
-        sink = self.sink
-        wire = sink is not None and sink.wire_stages
-        tiered = None
+    def _send_locked(self, chunks: list, control_nbytes: int, payloads: list,
+                     event: Optional[WireEvent], block: bool = True,
+                     tail=None):
+        """The half of a send under the send lock: write, count, map
+        transport errors (``event``: for a sink that asked for wire
+        stages).  With ``block=False`` nothing here waits; what would
+        have is returned for a thread that may block: all of it when the
+        lock is contended, or the wait for ``tail``, an unfinished write,
+        the send lock still held so that nothing interleaves."""
+        out = None
         try:
-            with self._send_lock:
-                if not payloads and not wire:
-                    self.stream.sendv(chunks)
+            if tail is None and not self._send_lock.acquire(block):
+                return partial(self._send_locked, chunks, control_nbytes,
+                               payloads, event)
+            try:
+                if tail is not None:
+                    out = tail()
+                elif payloads or event is not None:
+                    out = self._send_carrying(chunks, control_nbytes, payloads,
+                                              event and self.sink, block)
                 else:
-                    tiered = self._send_carrying(
-                        chunks, control_nbytes, payloads,
-                        sink if wire else None)
+                    out = self.stream.sendv(chunks) if block \
+                        else self.stream.sendv(chunks, False)
+                if callable(out):
+                    # on a thread of its own, now: queued on a pool it
+                    # could sit behind the jobs waiting for this lock
+                    own = ThreadPoolExecutor(1, "giop-send-tail")
+                    job = own.submit(self._send_locked, chunks, control_nbytes,
+                                     payloads, event, tail=out)
+                    own.shutdown(wait=False)
+                    return job.result
                 # still under the send lock: pipelined calls send
                 # concurrently, and unserialized += on the shared
                 # counters would lose updates
@@ -381,8 +415,11 @@ class GIOPConn:
                     stats.deposits_sent += len(payloads)
                     stats.deposit_bytes_sent += sum(
                         v.nbytes for v in payloads)
-                    if tiered is not None:
-                        self._fold(tiered[0])
+                    if out is not None:
+                        self._fold(out[0])
+            finally:
+                if not callable(out):  # else the lock goes with the tail
+                    self._send_lock.release()
         except TransportTimeout as e:
             # an incompletely sent GIOP message can never execute
             self.closed = True
@@ -393,28 +430,23 @@ class GIOPConn:
             self.closed = True
             raise COMM_FAILURE(message=str(e)) from e
         if payloads:
-            if tiered is not None:
-                self._mirror_tiers("send", *tiered)
+            if out is not None:
+                self._mirror_tiers("send", *out)
             if self.on_bytes is not None:
                 for view in payloads:
                     self.on_bytes("deposit-send", view.nbytes)
-        if wire:
-            descs = ctx.descriptors if ctx is not None else ()
-            sink.emit(WireEvent(
-                direction="send", msg_type=msg_type.name,
-                size=body_nbytes,
-                request_id=getattr(body_header, "request_id", None),
-                fragments=n_fragments,
-                deposits=tuple((d.deposit_id, d.size) for d in descs)))
+        if event is not None:
+            self.sink.emit(event)
 
     def _send_carrying(self, chunks: list, control_nbytes: int,
-                       payloads: list, sink: Optional[EventSink]
-                       ) -> Optional[tuple]:
+                       payloads: list, sink: Optional[EventSink],
+                       block: bool = True):
         """Send a control message that carries deposit payloads, split
         stage timing (``sink``), or both; runs under the send lock.
         Returns what the payloads did, one tally per tier counter
         (named as in :class:`ConnStats`), and their shm slot waits; or
-        None when they all rode the control message's gather write.
+        None when they all rode the control message's gather write
+        (``block=False``: or a callable, what is left of the send).
 
         Memory payloads on a plain stream with no timing asked for keep
         the single gather write.  Otherwise the send is two steps —
@@ -433,8 +465,11 @@ class GIOPConn:
             if payloads else None
         if sink is None and channel is None and not any(
                 isinstance(p, FileBackedBuffer) for p in payloads):
-            stream.sendv(chunks + payloads)
-            return None
+            return stream.sendv(chunks + payloads) if block \
+                else stream.sendv(chunks + payloads, False)
+        if not block:  # a tier or a timed stage may wait: all of it later
+            return partial(self._send_carrying, chunks, control_nbytes,
+                           payloads, sink)
         carried, slot_waits = dict.fromkeys(_TIER_COUNTERS, 0), []
         batch = getattr(stream, "send_batch", None)
         with batch() if batch is not None else nullcontext():

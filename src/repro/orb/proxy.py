@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from functools import partial
-from typing import Any, Callable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from ..cdr import get_marshaller
 from ..giop import (LocateReplyHeader, LocateRequestHeader, LocateStatus,
@@ -51,8 +51,9 @@ __all__ = ["IIOPProxy"]
 Connector = Callable[[], GIOPConn]
 
 #: what ``IIOPProxy._machine`` yields to its driver: ``(_CALL, thunk,
-#: None)`` — call ``thunk()`` where blocking is allowed — and ``(_WAIT,
-#: reply_future, timeout)`` — send back whether it completed in time
+#: nowait)`` — call ``thunk()`` where blocking is allowed (if ``nowait``:
+#: or ``thunk(False)`` anywhere, then the rest it returns, if any) — and
+#: ``(_WAIT, reply_future, timeout)`` — send back whether it completed
 _CALL, _WAIT = range(2)
 
 #: what the async driver and the locate probe pass for ``_orb_hooks()``
@@ -65,8 +66,8 @@ _LOCATE = OperationSignature("_locate", idempotent=True)
 
 
 class _Attempt:
-    """What one attempt has on the wire: written by ``_transmit`` (on
-    an executor thread, under the async driver), read by the machine.
+    """What one attempt has on the wire: written by ``_transmit`` (under
+    the async driver, maybe on an executor thread), read by the machine.
     One invoke() may run several attempts, and several invokes run
     concurrently, so this cannot live on the proxy."""
 
@@ -140,12 +141,19 @@ class IIOPProxy:
         without one, lost increments."""
         return self._stats.messages_sent
 
-    def _ensure_conn(self) -> Tuple[GIOPConn, ReplyDemux]:
+    def _ensure_conn(self, block: bool = True):
         """The live (conn, demux) pair, dialing or replacing a dead
         connection.  Concurrent callers race benignly: whoever gets the
-        lock first dials; the rest reuse the result."""
-        with self._conn_lock:
+        lock first dials; the rest reuse the result.  ``block=False``:
+        None unless the lock is free, the pair live, its stream plain tcp."""
+        if not self._conn_lock.acquire(block):
+            return None
+        try:
             conn = self._conn
+            if not block and (
+                    conn is None or conn.closed or self._demux is None
+                    or not getattr(conn.stream, "reactor_safe", False)):
+                return None
             if conn is None or conn.closed:
                 if conn is not None:
                     conn.close()
@@ -159,6 +167,8 @@ class IIOPProxy:
                 self._demux = ReplyDemux(self._conn, reactor=self._reactor)
                 self._demux.start()
             return self._conn, self._demux
+        finally:
+            self._conn_lock.release()
 
     def _dial(self) -> GIOPConn:
         if self._connector is None:
@@ -254,13 +264,17 @@ class IIOPProxy:
             kind, a, b = machine.send(None)
             while True:
                 try:
-                    # what may block hops through the loop's default
-                    # executor, shielded: a cancelled await must not
-                    # tear a half-written message.  The send runs to its
-                    # end and, marked abandoned, retires what it registered
-                    result = await (
-                        asyncio.shield(loop.run_in_executor(None, a))
-                        if kind == _CALL else _arrival(loop, a, b))
+                    if kind == _WAIT:
+                        result = await _arrival(loop, a, b)
+                    else:
+                        # a send marshals and writes here, on the loop,
+                        # while nothing would block; what would hops
+                        # through the default executor, shielded (a
+                        # cancelled await must not tear a message): it
+                        # runs on and, abandoned, retires what it registered
+                        rest = a(False) if b else a
+                        result = rest and await asyncio.shield(
+                            loop.run_in_executor(None, rest))
                 except BaseException as exc:
                     kind, a, b = machine.throw(exc)
                 else:
@@ -297,7 +311,7 @@ class IIOPProxy:
                 try:
                     yield _CALL, partial(
                         self._transmit, att, object_key, sig, args,
-                        force_copy, hooks, scope), None
+                        force_copy, hooks, scope), True
                     future = att.future
                     if future is None:
                         return None  # oneway: the send is the whole call
@@ -368,12 +382,17 @@ class IIOPProxy:
             stats.retries += 1
 
     def _transmit(self, att, object_key, sig, args, force_copy, hooks,
-                  scope) -> None:
+                  scope, block: bool = True):
         """One attempt's way out — dial, marshal, register, send — on
         whichever thread the driver chose: every piece that may block
-        (connect, socket write) or hold the send lock is in here."""
+        (connect, socket write) or hold the send lock is in here.
+        ``block=False`` does what takes no waiting; returns the rest."""
         rec, chain = hooks
-        conn, demux = att.conn, att.demux = self._ensure_conn()
+        pair = self._ensure_conn(block)
+        if pair is None:  # a dial, a lock, a stream that can only block
+            return partial(self._transmit, att, object_key, sig, args,
+                           force_copy, hooks, scope)
+        conn, demux = att.conn, att.demux = pair
         if rec is not None:
             att.span = rec.start_client_span(sig.name, scope)
         if chain is not None:
@@ -413,20 +432,28 @@ class IIOPProxy:
         # register BEFORE sending: on synchronous-delivery transports
         # the reply can arrive inside send_message itself
         future = None if sig.oneway else demux.register(request_id)
+        return self._send(att, future, partial(
+            conn.send_message, request, enc, ctx, block))
+
+    def _send(self, att, future, write):
+        """``_transmit`` from the write on; ``write()`` returns what it
+        left for a thread that may block (then so do we) or None."""
         try:
-            conn.send_message(request, enc, ctx)
+            rest = write()
         except BaseException:
             if future is not None:
-                demux.discard(request_id)
+                att.demux.discard(future.request_id)
             raise
+        if rest is not None:
+            return partial(self._send, att, future, rest)
         att.future = future
-        if conn.sink is not None:
-            att.sent = conn.sink.clock()
+        if att.conn.sink is not None:
+            att.sent = att.conn.sink.clock()
         if future is not None and att.abandoned:
             # the awaiter gave up while we were sending: nobody will
             # ever collect this reply, so retire it here, on a thread
             # that needs no event loop
-            demux.abandon(future)
+            att.demux.abandon(future)
 
     # -- reply handling ---------------------------------------------------------
     def _process_reply(self, att, sig, future, chain) -> Any:

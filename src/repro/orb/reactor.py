@@ -20,9 +20,9 @@ its own daemon thread:
   block (servant up-calls go to the worker pool, reply sends happen on
   worker/caller threads; the loop only parses).
 
-Sockets stay in *blocking* mode: only reads use ``MSG_DONTWAIT``
-(``TCPStream.recv_into_nb``), so every send tier — ``sendall``,
-``sendmsg`` gather writes, kernel ``sendfile`` — is untouched.  Streams
+Sockets stay in *blocking* mode: reads use ``MSG_DONTWAIT``
+(``TCPStream.recv_into_nb``), and so does the one write an awaiting
+caller makes on its loop (``sendv(chunks, False)``).  Streams
 that intercept reads (FaultyStream) or read from somewhere other than a
 socket (shm deposit channel control reads are sockets, but SimStream /
 LoopbackStream are not) are simply never adopted; they keep their
@@ -280,9 +280,17 @@ class Reactor:
         return driver
 
     def run_sync(self, coro, timeout: Optional[float] = None):
-        """Run a coroutine on the loop from a non-loop thread and wait."""
+        """Run a coroutine on the loop from a non-loop thread and wait.
+        ``RuntimeError`` on the loop's own thread; a timeout cancels it."""
+        if threading.current_thread() is self._thread:
+            coro.close()
+            raise RuntimeError("run_sync called on the reactor's loop thread")
         fut = asyncio.run_coroutine_threadsafe(coro, self.loop)
-        return fut.result(timeout)
+        try:
+            return fut.result(timeout)
+        except BaseException:
+            fut.cancel()  # nothing to cancel if the coroutine raised it
+            raise
 
     # -- loop health (loop thread) ------------------------------------------
     def attach_orb(self, orb) -> None:

@@ -80,7 +80,11 @@ class Stream(Protocol):
     #   (repro.orb.reactor) set the class attribute
     #   ``reactor_safe = True`` and expose ``fileno()`` plus
     #   ``recv_into_nb(view) -> Optional[int]`` — one non-blocking recv
-    #   returning None on would-block, the byte count otherwise.
+    #   returning None on would-block, the byte count otherwise — and
+    #   its write-side twin, ``sendv(chunks, False)``: one non-blocking
+    #   gather write that never waits and returns None, or a callable
+    #   finishing the write on a thread that may block (a call awaited
+    #   on an event loop sends this way, repro.orb.proxy).
     #   Wrapping streams that intercept reads (FaultyStream) must set
     #   ``reactor_safe = False`` explicitly so attribute delegation
     #   cannot leak the inner stream's capability past the wrapper.

@@ -193,7 +193,8 @@ class FaultyStream:
     #: delegates unknown attributes to the inner stream, so without this
     #: explicit class attribute a wrapped TCPStream would leak its own
     #: ``reactor_safe``/``recv_into_nb`` and the event loop would read
-    #: the socket directly — silently bypassing every recv fault rule.
+    #: the socket directly — silently bypassing every recv fault rule
+    #: (and an awaited call would pass ``sendv`` a flag it does not take).
     reactor_safe = False
 
     def __init__(self, inner, plan: FaultPlan, conn_index: int):

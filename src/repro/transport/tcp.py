@@ -21,6 +21,7 @@ import os
 import select
 import socket
 import threading
+from functools import partial
 from typing import Optional
 
 from .base import AcceptHandler, Endpoint, TransportError, TransportTimeout
@@ -52,7 +53,7 @@ _SENDFILE_UNSUPPORTED = {errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP,
 _SENDFILE_CHUNK = 256 * 1024
 
 
-#: non-blocking single-recv flag; POSIX everywhere we support the
+#: non-blocking single recv / send flag; POSIX everywhere we support the
 #: reactor.  Platforms without it keep the thread-per-connection path.
 _MSG_DONTWAIT = getattr(socket, "MSG_DONTWAIT", None)
 
@@ -61,8 +62,9 @@ class TCPStream:
     """A connected TCP socket with exact-read helpers."""
 
     #: reactor adoption marker (repro.orb.reactor): a *plain* TCP
-    #: stream may hand its read side to the event loop.  Wrappers that
-    #: intercept reads (FaultyStream, ShmStream, SimStream) must NOT
+    #: stream may hand its read side to the event loop, and write for
+    #: one without waiting (``sendv(chunks, False)``).  Wrappers that
+    #: intercept I/O (FaultyStream, ShmStream, SimStream) must NOT
     #: inherit this via delegation — they set it False explicitly or
     #: simply never define it, keeping their reader-thread semantics.
     reactor_safe = _MSG_DONTWAIT is not None
@@ -96,7 +98,11 @@ class TCPStream:
             # concurrently and an unserialized += loses increments
             self.bytes_sent += memoryview(data).nbytes
 
-    def sendv(self, chunks) -> None:
+    def sendv(self, chunks, block: bool = True, held: bool = False):
+        """Gather-write every chunk.  ``block=False``, the twin of
+        :meth:`recv_into_nb`, never waits: ``_wlock`` is tried, the write
+        is ``MSG_DONTWAIT``, and a callable is returned to finish what is
+        left; ``_wlock`` goes with an unsent tail (``held``)."""
         # bytes, bytearray and byte-format memoryviews go to sendmsg as
         # they are; only other buffers (typed views, arrays) need a cast
         views = []
@@ -111,10 +117,13 @@ class TCPStream:
             if n:
                 views.append(c)
                 total += n
-        with self._wlock:
+        if not (held or self._wlock.acquire(block)):
+            return partial(self.sendv, views)
+        tail = False
+        try:
             try:
                 if _HAVE_SENDMSG:
-                    self._sendmsg_all(views)
+                    self._sendmsg_all(views, 0 if block else _MSG_DONTWAIT)
                 else:
                     # no scatter-gather on this platform: fall back to
                     # one sendall per chunk.  More syscalls, but still
@@ -122,26 +131,35 @@ class TCPStream:
                     # are never copied into a joint buffer
                     for v in views:
                         self._sock.sendall(v)
+            except BlockingIOError:  # MSG_DONTWAIT: the buffer is full
+                total -= sum(map(len, views))  # what it did not take
+                tail = True
             except socket.timeout as e:
                 raise TransportTimeout(
                     f"{self.name}: sendv timed out") from e
             except OSError as e:
                 raise TransportError(f"{self.name}: sendv failed: {e}") from e
             self.bytes_sent += total
+            if tail:
+                return partial(self.sendv, views, held=True)
+        finally:
+            if not tail:
+                self._wlock.release()
 
-    def _sendmsg_all(self, views: list) -> None:
+    def _sendmsg_all(self, views: list, flags: int = 0) -> None:
         """Gather-write every view, resuming after partial sendmsg
-        results (``views`` is consumed: a partly sent entry is replaced
-        by its unsent tail)."""
-        i = 0
-        while i < len(views):
-            sent = self._sock.sendmsg(views[i:i + _SENDMSG_LIMIT])
+        results (``views`` is consumed down to what is still unsent: a
+        partly sent entry is replaced by its tail)."""
+        while views:
+            sent = self._sock.sendmsg(views[:_SENDMSG_LIMIT], (), flags)
             # step over the views that went out whole
+            i = 0
             while sent and sent >= len(views[i]):
                 sent -= len(views[i])
                 i += 1
+            del views[:i]
             if sent:
-                views[i] = memoryview(views[i])[sent:]
+                views[0] = memoryview(views[0])[sent:]
 
     def send_file(self, fd: int, offset: int, count: int) -> bool:
         """Send ``count`` bytes of open file ``fd`` starting at

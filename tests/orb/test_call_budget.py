@@ -25,8 +25,15 @@ works off the record the default path already keeps, so what tracing
 adds is the readers, and a stage is one ``stamp`` whoever listens.
 Before that change a traced ping made 418 calls inside ``repro/obs/``
 and each stage event fanned out into 6.6 of them.
+
+The fourth is the awaited call: eight callers awaiting ``ping`` on the
+reactor's loop.  Over a live connection the awaiting driver marshals
+and writes where it stands, so the client side of a ping is one thread.
+When every send hopped to the loop's executor it was seven threads and
+215 calls, about 100 of them executor and future plumbing.
 """
 
+import asyncio
 import collections
 import os
 import sys
@@ -36,7 +43,7 @@ import repro.obs
 from repro.idl import compile_idl
 from repro.obs.events import EventSink
 from repro.obs.flightrec import FlightRecorder
-from repro.orb import ORB, ORBConfig
+from repro.orb import ORB, ORBConfig, async_api, run_sync
 from repro.orb.reactor import reset_reactor
 
 #: measured: 63 on the calling thread, 187 over all threads, 0 emits
@@ -49,6 +56,11 @@ RECORDER_CEILING = 25
 #: of them metrics-registry look-ups), 1.0 per stage event
 TRACED_OBS_CEILING = 340
 STAGE_FANOUT_CEILING = 2
+#: measured, awaited with 8 in flight: 113 calls per ping on the client,
+#: all on the reactor's thread
+ASYNC_CLIENT_CEILING = 125
+ASYNC_CLIENT_THREADS = 1
+ASYNC_WINDOW = 8
 
 CALLS = 200
 
@@ -156,3 +168,64 @@ def test_traced_call_reads_the_one_record():
         f"{in_obs:.1f} calls inside repro/obs/ per traced ping"
     assert 1 <= per_stage <= STAGE_FANOUT_CEILING, \
         f"a stage event fans out into {per_stage:.1f} calls"
+
+
+def _count_awaited_call():
+    """``(calls per ping, threads)`` on the client side of ``ping``
+    awaited by ``ASYNC_WINDOW`` callers through ``run_sync``.  The
+    server ORB keeps off the reactor, so every thread that is not one
+    of its own (accept, connection reader, workers) is the client's."""
+    api = compile_idl("interface Budget { void ping(in unsigned long x); };",
+                      module_name="_call_budget_idl")
+
+    class Impl(api.Budget_skel):
+        def ping(self, x):
+            return None
+
+    calls = collections.Counter()  # thread -> Python-level calls
+    counting = [False]
+
+    def profile(frame, event, arg):
+        if counting[0] and event == "call":
+            calls[threading.current_thread()] += 1
+
+    async def window(per_caller):
+        ping = async_api(stub).ping
+
+        async def caller():
+            for _ in range(per_caller):
+                await ping(1)
+
+        await asyncio.gather(*(caller() for _ in range(ASYNC_WINDOW)))
+
+    reset_reactor()  # threads take the profile hook when they start
+    threading.setprofile(profile)
+    server = client = None
+    try:
+        server = ORB(ORBConfig(scheme="tcp", reactor=False))
+        client = ORB(ORBConfig(scheme="tcp"))
+        stub = client.string_to_object(
+            server.object_to_string(server.activate(Impl())))
+        run_sync(window(5), timeout=30.0)  # dial, caches, executor threads
+        counting[0] = True
+        run_sync(window(CALLS // ASYNC_WINDOW), timeout=30.0)
+        counting[0] = False
+    finally:
+        threading.setprofile(None)
+        for orb in (client, server):
+            if orb is not None:
+                orb.shutdown()
+        reset_reactor()
+    mine = {t: n for t, n in calls.items()
+            if not t.name.startswith(("iiop-", "tcp-"))}
+    assert len(mine) < len(calls)  # the server's threads were told apart
+    return sum(mine.values()) / CALLS, len(mine)
+
+
+def test_awaited_call_stays_on_the_loop_that_awaits_it():
+    per_ping, threads = _count_awaited_call()
+    assert per_ping <= ASYNC_CLIENT_CEILING, \
+        f"client side of an awaited ping: {per_ping:.1f} calls"
+    assert threads == ASYNC_CLIENT_THREADS, \
+        f"{threads} client threads ran Python for awaited pings"
+    assert per_ping > 60  # a working call path, not an early return

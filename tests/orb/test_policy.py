@@ -410,6 +410,76 @@ class TestTCPDeadline:
             server.shutdown()
 
 
+class _ResetSocket:
+    """The real socket, except that the next ``sendmsg`` finds the
+    connection reset (the server went away between two calls, and the
+    write is the first to notice)."""
+
+    def __init__(self, sock):
+        self._sock, self.reset_on = sock, None
+
+    def sendmsg(self, *args):
+        import errno
+        import threading
+        if self.reset_on is None:
+            self.reset_on = threading.current_thread()
+            raise ConnectionResetError(errno.ECONNRESET, "injected reset")
+        return self._sock.sendmsg(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestTCPWriteFailure:
+    """Plain tcp, a live connection, and the write itself fails: under
+    the awaiting driver that write is made in place, on the loop, and
+    the redial it leads to goes through the executor — same exception,
+    completion status and counters as on the calling thread."""
+
+    @pytest.fixture
+    def dialed(self, test_api, store_impl):
+        orbs = []
+
+        def make(call, policy=None):
+            server = ORB(ORBConfig(scheme="tcp"))
+            client = ORB(ORBConfig(scheme="tcp"), policy=policy)
+            orbs.extend([client, server])
+            stub = client.string_to_object(
+                server.object_to_string(server.activate(store_impl)))
+            assert call(stub, "put_std", OctetSequence(b"ab")) == 2
+            proxy = next(iter(client._proxies.values()))
+            stream = proxy.conn.stream
+            stream._sock = _ResetSocket(stream._sock)
+            return stub, proxy, stream._sock
+
+        yield make
+        for orb in orbs:
+            orb.shutdown()
+
+    def test_reset_on_the_write_redials_and_retries(self, dialed, call):
+        import threading
+        pol, sleeps = _policy(base_backoff=0.01, jitter=0.0)
+        stub, proxy, sock = dialed(call, pol)
+        assert call(stub, "put_std", OctetSequence(b"cd")) == 4
+        # asyncio.run's loop is this thread: no pool thread wrote
+        assert sock.reset_on is threading.current_thread()
+        assert sleeps == [0.01]
+        stats = proxy.stats
+        assert (stats.retries, stats.reconnects, stats.timeouts) == (1, 1, 0)
+        assert stats.messages_sent == 2  # the reset write sent nothing
+
+    def test_without_a_budget_the_caller_sees_the_write_fail(self, dialed,
+                                                              call):
+        stub, proxy, _ = dialed(call)
+        with pytest.raises(COMM_FAILURE) as ei:
+            call(stub, "put_std", OctetSequence(b"cd"))
+        assert ei.value.completed is CompletionStatus.COMPLETED_NO
+        assert (proxy.stats.retries, proxy.stats.reconnects) == (0, 0)
+        # the next call finds the connection closed and redials
+        assert call(stub, "put_std", OctetSequence(b"ef")) == 4
+        assert (proxy.stats.retries, proxy.stats.reconnects) == (0, 1)
+
+
 class TestRetryThroughORBAsync(TestRetryThroughORB):
     awaiting = True
 
@@ -423,4 +493,8 @@ class TestDepositFallbackAsync(TestDepositFallback):
 
 
 class TestTCPDeadlineAsync(TestTCPDeadline):
+    awaiting = True
+
+
+class TestTCPWriteFailureAsync(TestTCPWriteFailure):
     awaiting = True

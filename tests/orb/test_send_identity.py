@@ -181,6 +181,72 @@ class TestNullRequestGeometry:
         assert len(stream.batches) == 1  # zero-byte deposit-send: no write
 
 
+class _RecordingSocket:
+    """The real socket, remembering each ``sendmsg``: bytes, flags and
+    the thread that made it."""
+
+    def __init__(self, sock):
+        self._sock, self.writes = sock, []
+
+    def sendmsg(self, buffers, ancdata=(), flags=0):
+        import threading
+        self.writes.append((b"".join(bytes(b) for b in buffers), flags,
+                            threading.current_thread()))
+        return self._sock.sendmsg(buffers, ancdata, flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestAsyncDriverIdentity:
+    """The awaiting driver writes in place, through the same
+    ``send_message`` and ``sendv``: what reaches the socket is what the
+    sync stub puts there, in one ``sendmsg``, only without waiting."""
+
+    def test_awaited_ping_is_the_sync_pings_one_sendmsg(self):
+        import asyncio
+        import socket
+        import threading
+
+        from repro.idl import compile_idl
+        from repro.orb import ORB, ORBConfig, async_api
+        api = compile_idl("interface Same { void ping(in unsigned long x); };",
+                          module_name="_send_identity_idl")
+
+        class Impl(api.Same_skel):
+            def ping(self, x):
+                return None
+
+        server = ORB(ORBConfig(scheme="tcp"))
+        ior = server.object_to_string(server.activate(Impl()))
+
+        def second_ping(drive):
+            client = ORB(ORBConfig(scheme="tcp"))
+            try:
+                stub = client.string_to_object(ior)
+                stub.ping(7)  # dial; request id 1 on either client
+                proxy = next(iter(client._proxies.values()))
+                stream = proxy.conn.stream
+                rec = stream._sock = _RecordingSocket(stream._sock)
+                drive(stub)
+                return rec.writes, proxy.stats.snapshot()
+            finally:
+                client.shutdown()
+
+        try:
+            sync, sync_stats = second_ping(lambda stub: stub.ping(7))
+            awaited, awaited_stats = second_ping(
+                lambda stub: asyncio.run(async_api(stub).ping(7)))
+        finally:
+            server.shutdown()
+        (wire, flags, _), = sync
+        (awaited_wire, awaited_flags, thread), = awaited
+        assert awaited_wire == wire and wire.startswith(b"GIOP")
+        assert (flags, awaited_flags) == (0, socket.MSG_DONTWAIT)
+        assert thread is threading.current_thread()  # the loop's, not a pool's
+        assert awaited_stats == sync_stats
+
+
 @pytest.mark.skipif(not shm_available(), reason="no usable /dev/shm")
 class TestShmReferenceSend:
     def test_marshal_stages_into_arena_send_is_reference(self):
