@@ -920,22 +920,11 @@ def _cscale_rig(reactor_on: bool, conns: int, work_s: float):
     Both ORBs live in this process; ``reactor_on`` selects event-loop
     adoption on *both* sides versus thread-per-connection."""
     from ..orb import InvocationPolicy
-    from ..orb.connection import GIOPConn
-    from ..orb.proxy import IIOPProxy
 
     with _orb_pair(_pipe_servant(), "tcp", reactor=reactor_on,
                    server_workers=16) as (client, stub):
         profile = client.select_profile(stub._ior)
-        transport = client.transports.get(profile.endpoint[0])
-
-        def connector() -> "GIOPConn":
-            stream = transport.connect(
-                profile.endpoint, timeout=client.config.connect_timeout)
-            return GIOPConn(stream, pool=client.pool,
-                            zero_copy=client.config.zero_copy, orb=client)
-
-        proxies = [IIOPProxy(connector, orb=client, reactor=client.reactor)
-                   for _ in range(conns)]
+        proxies = [client._new_proxy(profile.endpoint) for _ in range(conns)]
         try:
             yield proxies, (
                 (profile.object_key, stub._signature("work"), [work_s]),

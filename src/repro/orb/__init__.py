@@ -6,7 +6,6 @@ the compiler-facing stub/skeleton bases — plus CORBA system/user
 exceptions and the ORB facade."""
 
 from .aio import AsyncStub, async_api, gather_window, run_sync
-from .async_invoke import AsyncInvoker, invoke_async
 from .connection import ConnStats, GIOPConn, ReceivedMessage
 from .dii import DynRequest
 from .dispatcher import MethodDispatcher
@@ -26,7 +25,7 @@ from .signatures import (InterfaceDef, OperationSignature, Param, ParamMode)
 from .stubs import ObjectStub, lookup_stub_class, register_stub_class
 
 __all__ = [
-    "ORB", "ORBConfig", "DynRequest", "AsyncInvoker", "invoke_async",
+    "ORB", "ORBConfig", "DynRequest",
     "AsyncStub", "async_api", "gather_window", "run_sync",
     "Reactor", "get_reactor",
     "InvocationPolicy", "Deadline", "NO_RETRY",

@@ -11,10 +11,8 @@ in flight; thousands can be in flight from one task.
 Three usage shapes:
 
 * one call: ``value = await async_api(stub).get(key)``;
-* windowed fan-out (the async twin of
-  :class:`repro.orb.async_invoke.AsyncInvoker`):
-  ``results = await gather_window(calls, window=8)`` keeps at most
-  ``window`` requests pipelined;
+* windowed fan-out: ``results = await gather_window(calls, window=8)``
+  keeps at most ``window`` requests pipelined;
 * sync-world bridge: ``run_sync(coro)`` executes a coroutine on the
   reactor's loop from a plain thread (``run_coroutine_threadsafe``).
 """
@@ -74,8 +72,8 @@ async def gather_window(
         return_exceptions: bool = False) -> list:
     """Run awaitable factories with at most ``window`` in flight.
 
-    The async analogue of ``AsyncInvoker``'s pipelining window: results
-    come back in *submission* order regardless of completion order.
+    Results come back in *submission* order regardless of completion
+    order.
     Factories (not coroutines) are taken so a queued call does not
     even marshal until a window slot frees up.
     """

@@ -42,7 +42,8 @@ from ..obs.stages import (STAGE_CONTROL_SEND, STAGE_DEPOSIT_RECV,
                           STAGE_DEPOSIT_SEND, STAGE_RECV_WAIT)
 from ..transport.base import Stream, TransportError, TransportTimeout
 from ..transport.shm import SEND_SHARED
-from .exceptions import COMM_FAILURE, MARSHAL, TIMEOUT, CompletionStatus
+from .exceptions import (COMM_FAILURE, MARSHAL, TIMEOUT, CompletionStatus,
+                         SystemException)
 
 __all__ = ["GIOPConn", "ReceivedMessage", "ConnStats"]
 
@@ -177,6 +178,15 @@ class ReceivedMessage:
             fragments=self.fragments,
             deposits=tuple((d.deposit_id, d.size) for d in descs))
 
+    def release(self) -> None:
+        """Nobody will ever demarshal this message: its landed deposit
+        buffers go back to the pool."""
+        for buf in self.deposits.values():
+            try:
+                buf.release()
+            except Exception:  # noqa: BLE001 - already released is fine
+                pass
+
     def params_decoder(self):
         """The body decoder, aligned to the parameter data.
 
@@ -225,7 +235,8 @@ class GIOPConn:
         self._send_lock = threading.Lock()
         #: True once the connection can carry no further message.  Every
         #: layer reads it on every message, hence a plain attribute;
-        #: only this class writes it.
+        #: only this class and the loop's drive of its reads
+        #: (reactor._ConnDriver, see start_reading) write it.
         self.closed = False
         #: callbacks run exactly once when close() fires — the reactor
         #: registers one to detach its fd reader before the fd dies.
@@ -609,13 +620,110 @@ class GIOPConn:
             pass
         self.closed = True
 
-    def send_error(self) -> None:
+    def send_error(self, block: bool = True) -> None:
+        """Tell the peer it sent garbage (the caller closes next).
+        ``block=False`` (the loop) waits for nothing: the courtesy goes
+        out if the send lock is free and the socket takes it at once,
+        and is dropped if not."""
         header = encode_giop_header(MsgType.MessageError, 0,
                                     self.little_endian)
-        with self._send_lock:
-            self.stream.send(header)
+        if not self._send_lock.acquire(block):
+            return
+        try:
+            if block:
+                self.stream.send(header)
+                return
+            tail = self.stream.sendv([header], False)
+            if tail is not None:
+                # not taken: dropped.  An unsent tail owns the stream's
+                # write lock, which a worker with a reply for this
+                # connection would wait on for ever; on a closed socket
+                # the tail fails at once and lets go of it
+                self.close()
+                tail(False)
+        finally:
+            self._send_lock.release()
 
     # -- receiving ---------------------------------------------------------------
+    def start_reading(self, on_message: Callable, on_error: Callable, *,
+                      reactor=None,
+                      wait_stage: Optional[str] = STAGE_RECV_WAIT,
+                      name: str = "giop-reader"
+                      ) -> Optional[threading.Thread]:
+        """Read this connection until it ends.  The one place a read
+        drive is chosen, and the one statement of what a drive owes the
+        code above it:
+
+        ======  ==============================  =========================
+        drive   chosen when                     ``on_message`` may block
+        ======  ==============================  =========================
+        pump    the stream delivers in the      yes: it runs on the
+                sender's thread (it has         sender's thread, under
+                ``set_data_handler``:           :class:`_PumpGuard`
+                loopback, sim)
+        loop    ``reactor`` is given and may    no: it runs on the
+                adopt the stream (plain tcp)    reactor's loop thread
+        thread  anything else (shm, faulty,     yes: a daemon thread of
+                ``reactor=None``)               its own, named ``name``
+        ======  ==============================  =========================
+
+        Returns the reader thread for the owner to join after
+        :meth:`close`, None for the other two drives.
+
+        Every message goes to ``on_message(rm)``; the loop also passes
+        its driver, ``on_message(rm, driver)``, whose presence means
+        *nothing here may wait* and whose ``pause()`` / ``resume()`` are
+        the back-pressure a blocked reader thread gives for free.  Every
+        other way reading can end reaches ``on_error(exc)`` (from the
+        loop ``on_error(exc, driver)``) exactly once, with the
+        connection already marked closed: a transport error the drive
+        throws into the parser (mapped there to ``COMM_FAILURE`` /
+        ``TIMEOUT``), a :class:`GIOPError` or ``MARSHAL`` the parser
+        raises by itself over what a peer sent, a loopback stream closed
+        under the pump.  The owner's own :meth:`close`, seen between two
+        messages, ends reading silently.  ``wait_stage`` is
+        :meth:`read_message`'s.  Routing and failure mapping belong to
+        the two callbacks and do not depend on the drive.
+        """
+        stream = self.stream
+        set_handler = getattr(stream, "set_data_handler", None)
+        if set_handler is not None:
+            # several threads deliver (callers pipelining, workers
+            # replying, a peer closing): the guard lets one pump at a
+            # time and turns a delivery meanwhile into a re-run
+            set_handler(_PumpGuard(partial(
+                self._read_messages, on_message, on_error, wait_stage, True)))
+        elif reactor is not None and reactor.adoptable(stream):
+            reactor.adopt(self, on_message, on_error, wait_stage)
+        else:
+            thread = threading.Thread(
+                target=self._read_messages, name=name, daemon=True,
+                args=(on_message, on_error, wait_stage, False))
+            thread.start()
+            return thread
+        return None
+
+    def _read_messages(self, on_message, on_error, wait_stage,
+                   pumped: bool) -> None:
+        """The pump and the reader thread: :meth:`read_message` until
+        the connection ends (``pumped``: or the stream is drained)."""
+        stream = self.stream
+        while not self.closed:
+            try:
+                if pumped and getattr(stream, "available", 0) <= 0:
+                    if not getattr(stream, "closed", False):
+                        return  # drained; the next delivery pumps again
+                    # a closed loopback stream has no blocked read to
+                    # raise from, so the pump says what one would have
+                    raise COMM_FAILURE(
+                        message="connection closed by the peer")
+                rm = self.read_message(wait_stage)
+            except (GIOPError, SystemException) as exc:
+                self.closed = True
+                on_error(exc)
+                return
+            on_message(rm)
+
     def read_message(self, wait_stage: Optional[str] = STAGE_RECV_WAIT
                      ) -> ReceivedMessage:
         """Block for the next message; land its deposits (the MICO

@@ -10,12 +10,9 @@ A :class:`ReplyDemux` owns the *receive side* of one client
 :class:`~repro.orb.connection.GIOPConn`.  Callers register a
 :class:`ReplyFuture` keyed by request id *before* sending; the demux
 reads every inbound message and completes the matching future — in
-whatever order the replies arrive.  Two read-drive modes mirror
-``IIOPServer``:
-
-* streams with a ``set_data_handler`` hook (loopback) are pumped
-  synchronously from whichever thread delivered the bytes;
-* blocking streams (TCP) get one dedicated daemon reader thread.
+whatever order the replies arrive.  How the connection is read (pump,
+loop or reader thread) is :meth:`GIOPConn.start_reading`'s choice;
+routing and failure fan-out below are the same under each.
 
 Failure semantics: a connection-fatal event — stream reset, GIOP
 framing error, ``CloseConnection``, ``MessageError`` — fails **all**
@@ -40,7 +37,7 @@ import threading
 from typing import Dict, List, Optional
 
 from ..giop import GIOPError, MsgType
-from .connection import GIOPConn, ReceivedMessage, _PumpGuard
+from .connection import GIOPConn, ReceivedMessage
 from .exceptions import (COMM_FAILURE, INTERNAL, TRANSIENT,
                          CompletionStatus, SystemException)
 
@@ -138,27 +135,10 @@ class ReplyDemux:
         if self._started:
             return
         self._started = True
-        set_handler = getattr(self.conn.stream, "set_data_handler", None)
-        if set_handler is not None:
-            # synchronous delivery (loopback): drain on data arrival.
-            # Several threads can deliver data (server workers sending
-            # replies, a peer closing): the guard lets one drain at a
-            # time and turns a notification arriving meanwhile into a
-            # re-run instead of a concurrent or recursive pump
-            set_handler(_PumpGuard(self._drain))
-        elif self.reactor is not None \
-                and self.reactor.adoptable(self.conn.stream):
-            # event-loop mode: no reader thread — the reactor feeds the
-            # same GIOP parser from readiness callbacks and routes
-            # finished messages through the same _route
-            self.reactor.adopt(
-                self.conn, self._route, self._read_failed, wait_stage=None)
-        else:
-            self._thread = threading.Thread(
-                target=self._read_loop,
-                name=f"giop-demux-{getattr(self.conn.stream, 'name', '?')}",
-                daemon=True)
-            self._thread.start()
+        stream_name = getattr(self.conn.stream, "name", "?")
+        self._thread = self.conn.start_reading(
+            self._route, self._read_failed, reactor=self.reactor,
+            wait_stage=None, name=f"giop-demux-{stream_name}")
 
     def close(self, timeout: float = 1.0) -> None:
         """Close the connection and join the reader thread (bounded).
@@ -212,50 +192,13 @@ class ReplyDemux:
         with self._lock:
             rm, future.message = future.message, None
         if rm is not None:
-            self._drop_stale(rm)
+            rm.release()
 
-    # -- message loops -----------------------------------------------------
-    def _drain(self) -> None:
-        """Drain complete messages (synchronous-delivery streams)."""
-        conn = self.conn
-        stream = conn.stream
-        while not conn.closed:
-            if getattr(stream, "available", 0) <= 0:
-                # no bytes: if the stream died under us, outstanding
-                # replies can never arrive — fail them now, because a
-                # closed loopback stream never raises from a blocked
-                # read (there is no blocked read to raise from)
-                if getattr(stream, "closed", False) and self._has_pending():
-                    conn.close()
-                    self._fail_all(COMM_FAILURE(
-                        completed=CompletionStatus.COMPLETED_MAYBE,
-                        message="connection closed with replies "
-                                "outstanding"))
-                return
-            if not self._step():
-                return
-
-    def _read_loop(self) -> None:
-        """Blocking read loop (dedicated reader thread, TCP)."""
-        while not self.conn.closed:
-            if not self._step():
-                return
-
-    def _step(self) -> bool:
-        """Read and route one message; False ends the loop."""
-        try:
-            rm = self.conn.read_message(wait_stage=None)
-        except (GIOPError, SystemException) as exc:
-            self._read_failed(exc)
-            return False
-        return self._route(rm)
-
-    def _route(self, rm: ReceivedMessage, _driver=None) -> bool:
-        """Route one successfully read message; False = conn is dead.
-
-        Shared by the reader thread, the loopback pump, and the reactor
-        (on its loop thread: must not block; it also passes its driver).
-        """
+    # -- routing (start_reading's on_message) ------------------------------
+    def _route(self, rm: ReceivedMessage, _driver=None) -> None:
+        """Route one message, on whichever drive read it (given
+        ``_driver``, on the loop: must not block).  A message that ends
+        the connection closes it, which ends the reading."""
         conn = self.conn
         mtype = rm.header.msg_type
         if mtype in _MATCHED:
@@ -265,35 +208,30 @@ class ReplyDemux:
             if fut is not None:
                 fut.complete(rm)
             else:
-                self._drop_stale(rm)
-            return True
+                rm.release()  # stale: its caller gave up on it
+            return
+        conn.close()
         if mtype is MsgType.CloseConnection:
-            conn.close()
-            self._fail_all(TRANSIENT(
-                completed=CompletionStatus.COMPLETED_MAYBE,
-                message="server closed the connection"))
-            return False
-        if mtype is MsgType.MessageError:
+            exc = TRANSIENT(completed=CompletionStatus.COMPLETED_MAYBE,
+                            message="server closed the connection")
+        elif mtype is MsgType.MessageError:
             # the server rejected a message at the framing layer and is
             # dropping the connection; its in-order read loop never
             # dispatched the garbled request, so COMPLETED_NO (which
             # makes the retry safe) — matching the pre-demux client
-            conn.close()
-            self._fail_all(COMM_FAILURE(
-                completed=CompletionStatus.COMPLETED_NO,
-                message="peer reported a message error"))
-            return False
-        # a client connection must never see Requests and friends
-        conn.close()
-        self._fail_all(INTERNAL(
-            completed=CompletionStatus.COMPLETED_MAYBE,
-            message=f"unexpected {mtype.name} on client connection"))
-        return False
+            exc = COMM_FAILURE(completed=CompletionStatus.COMPLETED_NO,
+                               message="peer reported a message error")
+        else:
+            # a client connection must never see Requests and friends
+            exc = INTERNAL(
+                completed=CompletionStatus.COMPLETED_MAYBE,
+                message=f"unexpected {mtype.name} on client connection")
+        self._fail_all(exc)
 
     # -- failure fan-out ---------------------------------------------------
-    def _read_failed(self, exc: BaseException) -> None:
-        """The read side died — under the reader thread, the loopback
-        pump or the reactor (loop thread; must not block)."""
+    def _read_failed(self, exc: BaseException, _driver=None) -> None:
+        """``start_reading``'s ``on_error``: the read side died and the
+        connection is marked closed (on the loop: must not block)."""
         if isinstance(exc, SystemException):
             self._fail_all(self._as_inflight_failure(exc))
             return
@@ -310,10 +248,6 @@ class ReplyDemux:
             exc = INTERNAL(completed=CompletionStatus.COMPLETED_MAYBE,
                            message=f"reactor read failed: {exc!r}")
         self._fail_all(exc)
-
-    def _has_pending(self) -> bool:
-        with self._lock:
-            return bool(self._pending)
 
     @staticmethod
     def _copy_exc(exc: SystemException) -> SystemException:
@@ -344,13 +278,3 @@ class ReplyDemux:
             self._pending.clear()
         for fut in pending:
             fut.fail(self._copy_exc(exc))
-
-    @staticmethod
-    def _drop_stale(rm: ReceivedMessage) -> None:
-        """Release a stale reply's deposit buffers back to the pool —
-        nobody will ever demarshal them."""
-        for buf in rm.deposits.values():
-            try:
-                buf.release()
-            except Exception:  # noqa: BLE001 - already released is fine
-                pass

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Type
 
+from ..cdr import NATIVE_LITTLE
 from ..core.buffers import BufferPool, default_pool
 from ..giop import IOR, IIOPProfile
 from ..obs.events import CompositeSink
@@ -296,16 +297,10 @@ class ORB:
             if self._server is not None:
                 return self._server
             cfg = self.config
-            server = IIOPServer(self.poa, pool=self.pool,
-                                zero_copy=cfg.zero_copy,
-                                generic_loop=cfg.generic_loop,
-                                on_bytes=self.on_bytes, orb=self,
-                                fragment_size=cfg.fragment_size,
-                                wire_little_endian=cfg.wire_little_endian,
-                                sink=self.sink,
+            server = IIOPServer(self.poa, self._new_conn, orb=self,
+                                on_bytes=self.on_bytes,
                                 workers=cfg.server_workers,
                                 queue_depth=cfg.server_queue_depth,
-                                sendfile_min_size=cfg.sendfile_min_size,
                                 reactor=self.reactor)
             schemes = [cfg.scheme] + [s for s in cfg.extra_schemes
                                       if s != cfg.scheme]
@@ -489,28 +484,31 @@ class ORB:
         a dead connection no longer discards the proxy (or its stats)."""
         with self._lock:
             proxy = self._proxies.get(endpoint)
-            if proxy is not None:
-                return proxy
-            transport = self.transports.get(endpoint[0])
-
-            def connector() -> GIOPConn:
-                stream = transport.connect(
-                    endpoint, timeout=self.config.connect_timeout)
-                kw = {}
-                if self.config.wire_little_endian is not None:
-                    kw["little_endian"] = self.config.wire_little_endian
-                return GIOPConn(stream, pool=self.pool,
-                                zero_copy=self.config.zero_copy,
-                                generic_loop=self.config.generic_loop,
-                                on_bytes=self.on_bytes, orb=self,
-                                fragment_size=self.config.fragment_size,
-                                sendfile_min_size=self.config
-                                .sendfile_min_size,
-                                sink=self.sink, **kw)
-
-            proxy = IIOPProxy(connector, orb=self, reactor=self.reactor)
-            self._proxies[endpoint] = proxy
+            if proxy is None:
+                proxy = self._proxies[endpoint] = self._new_proxy(endpoint)
             return proxy
+
+    def _new_proxy(self, endpoint: Endpoint) -> IIOPProxy:
+        """A proxy with a connection of its own to ``endpoint``."""
+        transport = self.transports.get(endpoint[0])
+        return IIOPProxy(
+            lambda: self._new_conn(transport.connect(
+                endpoint, timeout=self.config.connect_timeout)),
+            orb=self, reactor=self.reactor)
+
+    def _new_conn(self, stream) -> GIOPConn:
+        """Every connection of this ORB, dialed or accepted, is built
+        here: from the config, :attr:`sink` and :attr:`on_bytes` as
+        they are when the stream arrives."""
+        cfg = self.config
+        little = NATIVE_LITTLE if cfg.wire_little_endian is None \
+            else cfg.wire_little_endian
+        return GIOPConn(stream, pool=self.pool, zero_copy=cfg.zero_copy,
+                        generic_loop=cfg.generic_loop, little_endian=little,
+                        on_bytes=self.on_bytes, orb=self,
+                        fragment_size=cfg.fragment_size,
+                        sendfile_min_size=cfg.sendfile_min_size,
+                        sink=self.sink)
 
     # -- introspection -----------------------------------------------------------
     def connections_snapshot(self) -> list:

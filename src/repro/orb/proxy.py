@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from functools import partial
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
 from ..cdr import get_marshaller
 from ..giop import (LocateReplyHeader, LocateRequestHeader, LocateStatus,
@@ -102,19 +102,17 @@ async def _arrival(loop, future, timeout: Optional[float]) -> bool:
 class IIOPProxy:
     """Pipelined request/reply engine over one (logical) GIOPConn."""
 
-    def __init__(self, conn: Union[GIOPConn, Connector],
+    def __init__(self, connector: Connector,
                  policy: Optional[InvocationPolicy] = None,
                  orb=None, reactor=None):
-        live = isinstance(conn, GIOPConn)
-        self._conn: Optional[GIOPConn] = conn if live else None
-        self._connector: Optional[Connector] = None if live else conn
-        self._stats = conn.stats if live else ConnStats()
+        self._connector = connector
+        self._conn: Optional[GIOPConn] = None
+        self._stats = ConnStats()
         self.policy = policy
         #: the event-loop reactor handed to each ReplyDemux: adoptable
         #: connections get no reader thread.  None = threaded demux.
         self._reactor = reactor
-        #: the owning ORB (for tracers/interceptors); falls back to the
-        #: connection's ORB when constructed around a live GIOPConn
+        #: the owning ORB (for tracers/interceptors)
         self._orb = orb
         #: guards the conn/demux *lifecycle* (dial, reconnect) — never
         #: held across a send or a reply wait
@@ -161,9 +159,7 @@ class IIOPProxy:
                 self._conn = self._dial()
                 if conn is not None:
                     self._stats.reconnects += 1
-            if self._demux is None:
-                # a fresh dial, or a proxy constructed around a live
-                # GIOPConn that it now adopts
+            if self._demux is None:  # a fresh dial
                 self._demux = ReplyDemux(self._conn, reactor=self._reactor)
                 self._demux.start()
             return self._conn, self._demux
@@ -171,10 +167,6 @@ class IIOPProxy:
             self._conn_lock.release()
 
     def _dial(self) -> GIOPConn:
-        if self._connector is None:
-            raise COMM_FAILURE(
-                completed=CompletionStatus.COMPLETED_NO,
-                message="connection closed and proxy has no connector")
         try:
             conn = self._connector()
         except TransportTimeout as e:
@@ -210,8 +202,6 @@ class IIOPProxy:
         each ``None`` when absent, switched off or empty — one
         resolution per invocation, and never a dial."""
         orb = self._orb
-        if orb is None and self._conn is not None:
-            orb = self._conn.orb
         if orb is None:
             return _NO_HOOKS
         rec = getattr(orb, "span_producer", None)

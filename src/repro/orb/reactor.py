@@ -1,11 +1,10 @@
 """The asyncio reactor: event-loop ownership of GIOP read sides.
 
-The threaded ORB spends one daemon thread per connection — a reader in
-:class:`~repro.orb.demux.ReplyDemux` on the client, an accept-spawned
-reader in :class:`~repro.orb.server.IIOPServer` on the server.  That
-tops out at hundreds of peers.  This module moves the *read* side of
-every adoptable TCP connection onto one asyncio event loop running on
-its own daemon thread:
+A reader thread per connection tops out at hundreds of peers.  This
+module is the drive :meth:`GIOPConn.start_reading
+<repro.orb.connection.GIOPConn.start_reading>` chooses for every
+adoptable TCP connection: its *read* side moves onto one asyncio event
+loop running on its own daemon thread.
 
 * readiness is delivered by ``loop.add_reader(fd, cb)`` — level
   triggered, so a callback that leaves bytes unread is re-armed;
@@ -14,11 +13,11 @@ its own daemon thread:
   resumable GIOP parser (``GIOPConn._read_message_gen``) — the *same*
   parser the blocking path drives, so framing, byte accounting, and
   CORBA exception mapping cannot diverge;
-* completed messages are handed to an ``on_message`` callback (the
-  demux router on clients, the dispatch router on servers), transport
-  errors to ``on_error`` — both run on the loop thread and must not
-  block (servant up-calls go to the worker pool, reply sends happen on
-  worker/caller threads; the loop only parses).
+* completed messages are handed to ``on_message`` and every other end
+  of reading to ``on_error``, under ``start_reading``'s contract — both
+  run on the loop thread and must not block (servant up-calls go to
+  the worker pool, reply sends happen on worker/caller threads; the
+  loop parses, and writes only what the socket takes at once).
 
 Sockets stay in *blocking* mode: reads use ``MSG_DONTWAIT``
 (``TCPStream.recv_into_nb``), and so does the one write an awaiting
@@ -81,6 +80,8 @@ class _ConnDriver:
 
     # -- attach/detach (loop thread) ----------------------------------------
     def attach(self) -> None:
+        if self._detached or self.conn.closed:
+            return  # closed before the loop ran us: the fd is dead
         self.reactor._drivers[self.fd] = self
         self.reactor.loop.add_reader(self.fd, self._on_readable)
 
@@ -134,70 +135,44 @@ class _ConnDriver:
         self._on_readable()
 
     # -- the drain loop (loop thread) ---------------------------------------
-    def _start_message(self) -> None:
-        self._gen = self.conn._read_message_gen(self.wait_stage)
-        self._advance(None)
-
-    def _advance(self, value) -> None:
-        """Push a satisfied read result into the parser; stage the next
-        read request (or deliver the finished message)."""
+    def _resume(self, value=None, exc: Optional[BaseException] = None
+                ) -> None:
+        """Resume the parser with a satisfied read's ``value``, or with
+        ``exc``, a failure of the read, thrown in so that the parser's
+        except clauses do the stats / close / CORBA mapping; then stage
+        the read it asks for next, or deliver the finished message.
+        Whatever the parser raises, mapped from ``exc`` or by itself
+        over what the peer sent, ends reading: ``on_error``, once."""
+        gen = self._gen
+        self._request = self._buf = None
         try:
-            req = self._gen.send(value)
+            req = gen.send(value) if exc is None else gen.throw(exc)
         except StopIteration as stop:
-            rm = stop.value
             self._gen = None
-            self._request = None
-            self._buf = None
-            self.on_message(rm, self)
-            return
-        self._stage(req)
-
-    def _stage(self, req) -> None:
-        kind = req[0]
-        if kind == "exact":
-            n = req[1]
-            if n == 0:
-                # zero-size request (empty body): satisfied without I/O
-                self._advance(memoryview(b""))
-                return
-            self._request = req
-            self._buf = memoryview(bytearray(n))
-            self._filled = 0
-        elif kind == "into":
-            view = req[1]
-            if view.format != "B" or view.ndim != 1:
-                view = view.cast("B")
-            if view.nbytes == 0:
-                self._advance(None)
-                return
-            self._request = req
-            self._buf = view
-            self._filled = 0
-        else:
-            # "land" requests only come from shm deposit channels, and
-            # shm streams are never reactor-adopted
-            self._throw(RuntimeError(
-                "shm deposit landing reached the reactor"))
-
-    def _throw(self, exc: BaseException) -> None:
-        """Inject a driver-side failure into the parser so its except
-        clauses perform the canonical stats/close/CORBA mapping."""
-        gen, self._gen = self._gen, None
-        self._request = None
-        self._buf = None
-        try:
-            gen.throw(exc)
-        except StopIteration as stop:
             self.on_message(stop.value, self)
             return
         except BaseException as mapped:
             self.detach()
-            self.on_error(mapped)
+            self.conn.closed = True
+            self.on_error(mapped, self)
             return
-        # generator swallowed the error and yielded again — impossible
-        # for _read_message_gen, but fail closed
-        self.detach()
-        self.on_error(exc)
+        kind = req[0]
+        if kind == "land":
+            # only a shm deposit channel asks, and shm streams are
+            # never reactor-adopted
+            self._resume(exc=RuntimeError(
+                "shm deposit landing reached the reactor"))
+            return
+        view = memoryview(bytearray(req[1])) if kind == "exact" else req[1]
+        if view.format != "B" or view.ndim != 1:
+            view = view.cast("B")
+        if view.nbytes == 0:
+            # an empty body or payload: satisfied without I/O
+            self._resume(view if kind == "exact" else None)
+            return
+        self._request = req
+        self._buf = view
+        self._filled = 0
 
     def _on_readable(self) -> None:
         conn = self.conn
@@ -206,29 +181,25 @@ class _ConnDriver:
                 if conn.closed:
                     self.detach()
                     return
-                self._start_message()
+                self._gen = conn._read_message_gen(self.wait_stage)
+                self._resume()
                 continue
             if self._buf is None:
                 # invariant: an active parser always has a staged read
-                self._throw(RuntimeError("reactor parser without a "
-                                         "staged read request"))
+                self._resume(exc=RuntimeError(
+                    "reactor parser without a staged read request"))
                 return
             try:
                 n = conn.stream.recv_into_nb(self._buf[self._filled:])
             except BaseException as exc:
-                self._throw(exc)
+                self._resume(exc=exc)
                 return
             if n is None:
                 return  # would block: wait for the next readiness event
             self._filled += n
-            if self._filled < self._buf.nbytes:
-                continue
-            req, self._request = self._request, None
-            buf, self._buf = self._buf, None
-            if req[0] == "exact":
-                self._advance(buf)
-            else:
-                self._advance(None)
+            if self._filled == self._buf.nbytes:
+                self._resume(self._buf if self._request[0] == "exact"
+                             else None)
 
 
 class Reactor:
@@ -266,8 +237,8 @@ class Reactor:
               wait_stage: Optional[str] = STAGE_RECV_WAIT) -> "_ConnDriver":
         """Hand ``conn``'s read side to the loop.
 
-        ``on_message(rm, driver)`` and ``on_error(exc)`` run on the
-        loop thread and must not block.  Returns the driver (for
+        ``on_message(rm, driver)`` and ``on_error(exc, driver)`` run
+        on the loop thread and must not block (the driver: for
         pause/resume backpressure).  The conn's close hook detaches
         the driver, so callers never unregister by hand.
         """

@@ -1,37 +1,36 @@
-"""IIOPServer: inbound connection handling and the message loop.
+"""IIOPServer: inbound connection handling and message routing.
 
-MICO's ``IIOPServer`` (Fig. 3) wired to our transports.  Loopback
-streams are pumped synchronously from the sender's thread (their
-``set_data_handler`` hook); blocking streams (TCP) get one reader
-thread each.
+MICO's ``IIOPServer`` (Fig. 3) wired to our transports.  How an
+accepted connection is read (pump, loop or reader thread) is
+:meth:`GIOPConn.start_reading`'s choice; one router, :meth:`_route`,
+and one failure path, :meth:`_read_failed`, serve all three.
 
-Dispatch is decoupled from the read loop: decoded requests go to a
-bounded :class:`RequestWorkerPool` shared by every connection, so a
-slow upcall no longer stalls the pipelined requests behind it and
-replies leave in completion order — out of order relative to their
-requests, which GIOP explicitly permits (replies are matched by
-``request_id``).  Only the socket writes stay serialized, under the
-connection's ``_send_lock``, keeping each reply's control/deposit
-split atomic on the wire.  The reader still *reads* sequentially per
-connection — including landing each request's deposit buffers, leased
-per request from the thread-safe ``BufferPool`` — so the worker pool
-never touches the receive side.
+Dispatch is decoupled from reading: decoded requests go to a bounded
+:class:`RequestWorkerPool` shared by every connection, so a slow upcall
+does not stall the pipelined requests behind it and replies leave in
+completion order — out of order relative to their requests, which GIOP
+explicitly permits (replies are matched by ``request_id``).  Only the
+socket writes stay serialized, under the connection's ``_send_lock``,
+keeping each reply's control/deposit split atomic on the wire.  Each
+connection is still *read* sequentially — including landing each
+request's deposit buffers, leased per request from the thread-safe
+``BufferPool`` — so the worker pool never touches the receive side.
 
-A full queue applies backpressure by blocking the reader (and, over
-loopback, the sender behind it) instead of buffering unboundedly.
-``workers=0`` restores the seed's inline dispatch.
+A full queue applies backpressure instead of buffering unboundedly: it
+blocks a reader that may block (and, over loopback, the sender behind
+it) and pauses a loop-read connection's fd.  ``workers=0`` dispatches
+inline on the reader (never on the loop).
 """
 
 from __future__ import annotations
 
 import queue
 import threading
+from functools import partial
 from typing import Callable, List, Optional
 
-from ..core.buffers import BufferPool
-from ..giop import (GIOPError, LocateReplyHeader, LocateRequestHeader,
-                    LocateStatus, MsgType)
-from .connection import GIOPConn, ReceivedMessage, _PumpGuard
+from ..giop import GIOPError, LocateReplyHeader, LocateStatus, MsgType
+from .connection import GIOPConn, ReceivedMessage
 from .dispatcher import MethodDispatcher
 from .exceptions import SystemException
 from .object_adapter import POA
@@ -177,30 +176,18 @@ class RequestWorkerPool:
 class IIOPServer:
     """Accepts GIOP connections and dispatches their requests."""
 
-    def __init__(self, poa: POA, *, pool: Optional[BufferPool] = None,
-                 zero_copy: bool = True, generic_loop: bool = False,
+    def __init__(self, poa: POA, new_conn: Callable[..., GIOPConn], *,
+                 orb=None,
                  on_bytes: Optional[Callable[[str, int], None]] = None,
-                 orb=None, fragment_size: int = 0,
-                 wire_little_endian=None, sink=None,
-                 workers: int = 4, queue_depth: int = 32,
-                 sendfile_min_size: int = 256 * 1024,
-                 reactor=None):
+                 workers: int = 4, queue_depth: int = 32, reactor=None):
         self.poa = poa
         self.orb = orb
-        #: event-loop reactor (repro.orb.reactor): adoptable accepted
-        #: streams are read on the loop instead of a thread each.  Only
-        #: usable with a worker pool — servant up-calls must never run
-        #: on the loop thread.
-        self.reactor = reactor
-        self.pool = pool
-        self.zero_copy = zero_copy
-        self.generic_loop = generic_loop
-        self.on_bytes = on_bytes
-        #: structured event sink handed to every accepted connection
-        self.sink = sink
-        self.fragment_size = fragment_size
-        self.sendfile_min_size = sendfile_min_size
-        self.wire_little_endian = wire_little_endian
+        #: ``new_conn(stream)``: the owning ORB's one connection builder
+        self._new_conn = new_conn
+        #: event-loop reactor (repro.orb.reactor) offered to every
+        #: accepted connection.  Only with a worker pool — servant
+        #: up-calls must never run on the loop thread.
+        self.reactor = reactor if workers > 0 else None
         self.dispatcher = MethodDispatcher(poa, on_bytes=on_bytes)
         self.listeners: List = []
         self._conns: List[GIOPConn] = []
@@ -211,8 +198,7 @@ class IIOPServer:
         self.workers: Optional[RequestWorkerPool] = None
         if workers > 0:
             self.workers = RequestWorkerPool(
-                workers, self._worker_handle, queue_depth=queue_depth,
-                orb=orb)
+                workers, self._serve, queue_depth=queue_depth, orb=orb)
 
     def connections(self) -> List[GIOPConn]:
         """The live accepted connections (a copy; closed ones pruned)."""
@@ -227,84 +213,41 @@ class IIOPServer:
         return listener
 
     def _on_accept(self, stream) -> None:
-        kw = {}
-        if self.wire_little_endian is not None:
-            kw["little_endian"] = self.wire_little_endian
-        sink = self.sink if self.sink is not None \
-            else getattr(self.orb, "sink", None)
-        conn = GIOPConn(stream, pool=self.pool, zero_copy=self.zero_copy,
-                        generic_loop=self.generic_loop,
-                        on_bytes=self.on_bytes, orb=self.orb,
-                        fragment_size=self.fragment_size,
-                        sendfile_min_size=self.sendfile_min_size,
-                        sink=sink, **kw)
+        conn = self._new_conn(stream)
         with self._lock:
             if self._shutdown:
                 conn.close()
                 return
             self._conns.append(conn)
-        set_handler = getattr(stream, "set_data_handler", None)
-        if set_handler is not None:
-            # synchronous loopback: pump whenever bytes arrive.  The
-            # pump guard serializes concurrent notifications (several
-            # pipelining client threads can deliver at once) without
-            # recursing or dropping a wakeup.
-            pump = _PumpGuard(lambda: self._pump(conn, stream))
-            set_handler(pump)
-        elif self.reactor is not None and self.workers is not None \
-                and self.reactor.adoptable(stream):
-            # event-loop mode: the reactor parses on the loop; every
-            # decoded message routes through the worker pool, so the
-            # loop thread never blocks on an upcall or a reply send.
-            # On a read error the conn just closes — no courtesy
-            # MessageError, whose blocking send could stall the loop
-            # behind a peer that stopped reading.
-            self.reactor.adopt(conn, self._on_reactor_message,
-                               lambda exc, c=conn: c.close())
-        else:
-            t = threading.Thread(target=self._read_loop, args=(conn,),
-                                 name=f"iiop-server-{stream.peer}",
-                                 daemon=True)
+        thread = conn.start_reading(
+            partial(self._route, conn), partial(self._read_failed, conn),
+            reactor=self.reactor, name=f"iiop-server-{stream.peer}")
+        if thread is not None:
             with self._lock:
-                self._reader_threads.append(t)
-            t.start()
+                self._reader_threads.append(thread)
 
-    # -- message loops ---------------------------------------------------------
-    def _read_one(self, conn: GIOPConn):
-        """Read the next message; on wire trouble close the connection
-        (a MessageError first, if the peer merely sent garbage)."""
-        try:
-            return conn.read_message()
-        except GIOPError:
-            try:
-                conn.send_error()
-            except SystemException:
-                pass
-            conn.close()
-            return None
-        except SystemException:
-            conn.close()
-            return None
-
-    def _pump(self, conn: GIOPConn, stream) -> None:
-        while not conn.closed and getattr(stream, "available", 0) > 0:
-            rm = self._read_one(conn)
-            if rm is None:
-                return
-            self._handle(conn, rm)
-
-    def _read_loop(self, conn: GIOPConn) -> None:
-        while not conn.closed and not self._shutdown:
-            rm = self._read_one(conn)
-            if rm is None:
-                return
-            self._handle(conn, rm)
-
-    def _handle(self, conn: GIOPConn, rm: ReceivedMessage) -> None:
+    # -- routing (start_reading's on_message / on_error) -------------------
+    def _route(self, conn: GIOPConn, rm: ReceivedMessage,
+               driver=None) -> None:
+        """Route one message, whoever read it.  The drive decides one
+        thing, where work that can block runs: given ``driver`` we are
+        on the loop, where nothing may wait, so everything that answers
+        or runs servant code goes through the pool; a reader thread or
+        a pump may block, so there a full queue blocks the reader and
+        what has no reply to reorder runs inline."""
         mtype = rm.header.msg_type
-        if mtype is MsgType.Request:
-            if self.workers is not None and \
-                    getattr(rm.msg.body_header, "response_expected", True):
+        if mtype is MsgType.Request or mtype is MsgType.LocateRequest:
+            if self.workers is None:
+                self._serve(conn, rm)
+            elif driver is not None:
+                # oneways and locates queue too: the upcall would run
+                # on the loop, the LocateReply send could wait on
+                # _send_lock behind a large reply.  The queue keeps
+                # pickup FIFO and relaxes completion order, which GIOP
+                # permits
+                self._submit(conn, rm, driver)
+            elif mtype is MsgType.Request and \
+                    rm.msg.body_header.response_expected:
                 # hand off; the reply leaves whenever the upcall is done
                 self.workers.submit(conn, rm)
             else:
@@ -312,93 +255,68 @@ class IIOPServer:
                 # reorder, and the seed's fire-and-forget semantics
                 # (visible effect once send returns, FIFO among
                 # oneways) are part of the loopback contract
-                self._dispatch_request(conn, rm)
-        elif mtype is MsgType.LocateRequest:
+                self._serve(conn, rm)
+        elif mtype is MsgType.CloseConnection or \
+                mtype is MsgType.MessageError:
+            conn.close()
+        elif mtype is not MsgType.CancelRequest and \
+                mtype is not MsgType.Reply:
+            # (a cancel is best effort: in-flight work completes; a
+            # server awaits no replies, so a stale one is dropped)
+            self._read_failed(conn, GIOPError(
+                f"unexpected {mtype.name} on server connection"), driver)
+
+    def _submit(self, conn: GIOPConn, rm: ReceivedMessage, driver,
+                retry: bool = False) -> None:
+        """The loop's hand-off to the pool: backpressure without
+        blocking.  On a full queue stop reading this fd and try again
+        shortly (``retry``); the socket buffer, and eventually the
+        peer's send, absorb the pushback as a blocked reader thread's
+        would."""
+        if retry and (conn.closed or self._shutdown):
+            rm.release()  # nobody will ever dispatch this request
+            return
+        try:
+            self.workers.submit_nowait(conn, rm)
+        except queue.Full:
+            driver.pause()
+            driver.reactor.loop.call_later(
+                0.002, self._submit, conn, rm, driver, True)
+            return
+        if retry:
+            driver.resume()
+
+    def _serve(self, conn: GIOPConn, rm: ReceivedMessage) -> None:
+        """Answer one Request or LocateRequest on a thread that may
+        block: a pool worker, or a reader dispatching inline."""
+        try:
+            if rm.header.msg_type is MsgType.Request:
+                self.dispatcher.dispatch(conn, rm)
+                return
             req = rm.msg.body_header
-            assert isinstance(req, LocateRequestHeader)
             status = (LocateStatus.OBJECT_HERE
                       if self.poa.find_servant(req.object_key) is not None
                       else LocateStatus.UNKNOWN_OBJECT)
             conn.send_message(LocateReplyHeader(
                 request_id=req.request_id, locate_status=status))
-        elif mtype is MsgType.CancelRequest:
-            pass  # best-effort per GIOP: we let in-flight work complete
-        elif mtype in (MsgType.CloseConnection, MsgType.MessageError):
-            conn.close()
-        elif mtype is MsgType.Reply:
-            pass  # server role does not await replies; drop stale ones
-        else:
-            conn.send_error()
-
-    # -- reactor routing (loop thread; must not block) ---------------------
-    def _on_reactor_message(self, rm: ReceivedMessage, driver) -> None:
-        conn = driver.conn
-        mtype = rm.header.msg_type
-        if mtype in (MsgType.Request, MsgType.LocateRequest):
-            # everything that answers goes through the pool — a
-            # LocateReply send can block on _send_lock behind a large
-            # reply, and the loop must never wait on a send.  Oneway
-            # requests queue too (inline dispatch would run servant
-            # code on the loop): FIFO pickup order is preserved by the
-            # queue, completion order is relaxed — GIOP permits that
-            # over TCP, and loopback (never adopted) keeps the strict
-            # seed semantics.
-            self._submit_reactor(conn, rm, driver)
-        elif mtype in (MsgType.CloseConnection, MsgType.MessageError):
-            conn.close()
-        elif mtype in (MsgType.CancelRequest, MsgType.Reply):
-            pass  # best-effort cancel; stale replies drop
-        else:
-            conn.close()
-
-    def _submit_reactor(self, conn: GIOPConn, rm: ReceivedMessage,
-                        driver) -> None:
-        try:
-            self.workers.submit_nowait(conn, rm)
-        except queue.Full:
-            # backpressure without blocking the loop: stop reading this
-            # fd and retry the handoff shortly.  The socket buffer (and
-            # eventually the peer's send) absorbs the pushback, exactly
-            # like the blocked reader thread did.
-            driver.pause()
-            driver.reactor.loop.call_later(
-                0.002, self._retry_submit, conn, rm, driver)
-
-    def _retry_submit(self, conn: GIOPConn, rm: ReceivedMessage,
-                      driver) -> None:
-        if conn.closed or self._shutdown:
-            # nobody will ever dispatch this request: its landed
-            # deposit buffers go back to the pool
-            for buf in rm.deposits.values():
-                try:
-                    buf.release()
-                except Exception:  # noqa: BLE001 - already released
-                    pass
-            return
-        try:
-            self.workers.submit_nowait(conn, rm)
-        except queue.Full:
-            driver.reactor.loop.call_later(
-                0.002, self._retry_submit, conn, rm, driver)
-            return
-        driver.resume()
-
-    def _worker_handle(self, conn: GIOPConn, rm: ReceivedMessage) -> None:
-        """Pool handler: dispatch requests, answer everything else via
-        the normal routing (LocateRequest replies from a worker)."""
-        if rm.header.msg_type is MsgType.Request:
-            self._dispatch_request(conn, rm)
-        else:
-            self._handle(conn, rm)
-
-    def _dispatch_request(self, conn: GIOPConn,
-                          rm: ReceivedMessage) -> None:
-        try:
-            self.dispatcher.dispatch(conn, rm)
         except SystemException:
             # the reply could not be written (client gone, wire
             # reset mid-send): drop this connection, not the server
             conn.close()
+
+    def _read_failed(self, conn: GIOPConn, exc: BaseException,
+                     driver=None) -> None:
+        """Reading ended, on whichever drive.  A peer that sent garbage
+        (a framing error, a message no server should see) is told so
+        with a MessageError: written by a reader that may block, from
+        the loop only if the socket takes it at once.  The connection
+        is closed whatever became of the courtesy."""
+        if isinstance(exc, GIOPError):
+            try:
+                conn.send_error(block=driver is None)
+            except OSError:
+                pass  # a TransportError: the peer is gone
+        conn.close()
 
     # -- lifecycle ---------------------------------------------------------------
     def shutdown(self, timeout: float = 2.0, drain: bool = True) -> None:

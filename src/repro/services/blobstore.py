@@ -21,11 +21,12 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+from functools import partial
 from typing import Dict, Optional
 
 from ..core.buffers import FileBackedBuffer
 from ..idl import compile_idl
-from ..orb.async_invoke import AsyncInvoker
+from ..orb.aio import async_api, gather_window, run_sync
 
 __all__ = ["BLOB_IDL", "blob_api", "BlobStoreImpl", "read_all"]
 
@@ -142,8 +143,7 @@ class BlobStoreImpl:
 
 
 def read_all(store, name: str, *, window: int = 4,
-             chunk_size: Optional[int] = None,
-             invoker: Optional[AsyncInvoker] = None) -> bytes:
+             chunk_size: Optional[int] = None) -> bytes:
     """Stream the whole blob ``name`` from ``store``; returns its bytes.
 
     Keeps up to ``window`` ``read_range`` requests in flight on the
@@ -153,30 +153,20 @@ def read_all(store, name: str, *, window: int = 4,
     if window <= 0:
         raise ValueError(f"window must be positive: {window}")
     handle = store.open(name)
-    own_invoker = invoker is None
-    if own_invoker:
-        invoker = AsyncInvoker(max_workers_per_endpoint=window)
     try:
         info = store.stat(handle)
         chunk = chunk_size if chunk_size is not None else info.chunk_size
         if chunk <= 0:
             raise ValueError(f"chunk_size must be positive: {chunk}")
-        offsets = list(range(0, info.size, chunk))
-        parts = []
-        pending = {}  # offset -> Future, at most `window` entries
-        nxt = 0
-        for off in offsets:
-            while len(pending) >= window:
-                head = offsets[nxt]
-                parts.append(bytes(pending.pop(head).result()))
-                nxt += 1
-            pending[off] = invoker.submit(
-                store, "read_range", (handle, off, chunk))
-        while nxt < len(offsets):
-            parts.append(bytes(pending.pop(offsets[nxt]).result()))
-            nxt += 1
-        return b"".join(parts)
+        read_range = async_api(store).read_range
+
+        async def part(offset: int) -> bytes:
+            # copied out as it lands: no more than ``window`` landed
+            # buffers are alive, however large the blob
+            return bytes(await read_range(handle, offset, chunk))
+
+        return b"".join(run_sync(gather_window(
+            [partial(part, off) for off in range(0, info.size, chunk)],
+            window)))
     finally:
         store.close(handle)
-        if own_invoker:
-            invoker.shutdown()

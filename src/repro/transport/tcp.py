@@ -6,10 +6,11 @@ control message and deposit payloads with no staging concatenation, and
 buffer — as close to the paper's zero-copy receive as user-space Python
 gets.
 
-Each listener runs an accept thread; each accepted stream gets a
-reader thread driven by the ORB's connection pump (the handler passed
-to :meth:`TCPTransport.listen` is expected to start its own read loop;
-see ``repro.orb.server``).
+Each listener runs an accept thread and hands every accepted stream
+to the handler passed to :meth:`TCPTransport.listen`; how the stream
+is then read is the handler's business (the ORB's is
+``GIOPConn.start_reading``: the reactor's loop for a plain stream, a
+reader thread otherwise).
 """
 
 from __future__ import annotations

@@ -1,4 +1,8 @@
-"""Shared fixtures: a compiled IDL test service and ORB pairs."""
+"""Shared fixtures: a compiled IDL test service and ORB pairs, and the
+guard that fails a test during which an exception escaped unseen."""
+
+import logging
+import threading
 
 import pytest
 
@@ -24,6 +28,43 @@ module Test {
 """
 
 
+@pytest.fixture(autouse=True)
+def no_escaped_exceptions(request):
+    """Nothing escapes unseen: an exception out of an event-loop
+    callback (asyncio logs ``Exception in callback ...`` and carries
+    on) or out of a thread's ``run`` (``threading.excepthook``) fails
+    the test it happened during, because the connection or the thread
+    it killed is otherwise only missed by whoever waits for it.  A test
+    that provokes one on purpose opts out with
+    ``@pytest.mark.provokes_escape``."""
+    if request.node.get_closest_marker("provokes_escape") is not None:
+        yield
+        return
+    escaped = []
+
+    class Catch(logging.Handler):
+        def emit(self, record):
+            message = record.getMessage()
+            if message.startswith("Exception in callback"):
+                escaped.append(f"{message}: {record.exc_info[1]!r}"
+                               if record.exc_info else message)
+
+    def hook(args):
+        escaped.append(f"thread {getattr(args.thread, 'name', '?')} died "
+                       f"of {args.exc_value!r}")
+        chained(args)
+
+    catch = Catch()
+    logging.getLogger("asyncio").addHandler(catch)
+    chained, threading.excepthook = threading.excepthook, hook
+    try:
+        yield
+    finally:
+        threading.excepthook = chained
+        logging.getLogger("asyncio").removeHandler(catch)
+    assert not escaped, "escaped unseen: " + "; ".join(escaped)
+
+
 @pytest.fixture(scope="session")
 def test_api():
     """The generated Python module for TEST_IDL (stubs, skeletons...)."""
@@ -32,8 +73,6 @@ def test_api():
 
 def make_store_impl(api):
     from repro.core import OctetSequence, ZCOctetSequence
-
-    import threading
 
     class StoreImpl(api.Test_Store_skel):
         def __init__(self):

@@ -6,10 +6,12 @@ import threading
 import pytest
 
 from repro.core import OctetSequence
-from repro.giop import GIOPError, GIOPHeader, MsgType
+from repro.giop import (GIOP_HEADER_SIZE, GIOPError, GIOPHeader, MsgType,
+                        encode_giop_header)
 from repro.orb import COMM_FAILURE, ORB, TRANSIENT, ORBConfig, SystemException
 from repro.orb.connection import GIOPConn
 from repro.transport import LoopbackTransport, TCPTransport
+from repro.transport.base import TransportError, TransportTimeout
 
 
 @pytest.fixture
@@ -83,10 +85,17 @@ class TestServerRobustness:
             stub = good.string_to_object(ior)
             assert stub.put_std(OctetSequence(b"before")) == 6
 
-            # rogue client: raw socket, garbage bytes
+            # rogue client: raw socket, garbage bytes; it is told so
+            # and hung up on (a timeout here is neither)
             transport = TCPTransport()
             rogue = transport.connect(server.endpoint)
+            rogue.set_timeout(5.0)
             rogue.send(b"totally not GIOP at all.....")
+            assert bytes(rogue.recv_exact(GIOP_HEADER_SIZE)) == \
+                encode_giop_header(MsgType.MessageError, 0)
+            with pytest.raises(TransportError) as hung_up:
+                rogue.recv_exact(1)
+            assert not isinstance(hung_up.value, TransportTimeout)
             rogue.close()
 
             assert stub.put_std(OctetSequence(b"after!")) == 12

@@ -55,11 +55,11 @@ class TestLocate:
         """A CloseConnection instead of a LocateReply is an answer."""
         from repro.orb import IIOPServer
 
-        def hang_up(server, conn, rm):
+        def hang_up(server, conn, rm, driver=None):
             conn.send_close()
             conn.close()
 
-        monkeypatch.setattr(IIOPServer, "_handle", hang_up)
+        monkeypatch.setattr(IIOPServer, "_route", hang_up)
         client, stub = remote()
         assert client.locate(stub) is False
 
