@@ -4,7 +4,7 @@ PR 6's tentpole claim: handing the send path a chunk plan (references
 to large application buffers, copies only for small control bytes)
 beats the old join-to-one-blob encoder by >=1.3x marshal throughput
 across the 64 KiB .. 1 MiB ladder.  ``measure_sgcdr`` is the same
-probe the CI bench-regression job records into BENCH documents.
+probe ``repro-bench`` records into BENCH documents.
 """
 
 from repro.apps.bench import measure_sgcdr

@@ -216,7 +216,10 @@ def _dial(server: ORB) -> _RawStream:
 
 class _Footprint:
     """Threads, fds and accepted connections of a server process, to be
-    back where they were, with nothing left queued or executing."""
+    back where they were, with nothing left queued or executing.  A leak
+    is *more* than there was: threads and fds may end up fewer (what an
+    earlier test left behind closing late is not this test's failure),
+    accepted connections must be exactly as many."""
 
     def __init__(self, server: ORB):
         self.server = server._server
@@ -232,7 +235,11 @@ class _Footprint:
                 len(self.server.connections()))
 
     def restored(self) -> bool:
-        return _settle(lambda: self.idle() and self.now() == self.was)
+        def back() -> bool:
+            threads, fds, conns = self.now()
+            return (self.idle() and threads <= self.was[0]
+                    and fds <= self.was[1] and conns == self.was[2])
+        return _settle(back)
 
 
 # -- server role ----------------------------------------------------------
