@@ -29,7 +29,8 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from ..core.buffers import FileBackedBuffer, ZCBuffer
-from ..core.direct_deposit import DEPOSIT_MAGIC, DepositRegistry
+from ..core.direct_deposit import (DEPOSIT_MAGIC, DEPOSIT_MIN_SIZE,
+                                   DepositRegistry)
 from ..core.sequences import OctetSequence, ZCOctetSequence
 from .decoder import CDRDecoder
 from .encoder import _STD_SIZES, BATCH_FORMATS, NATIVE_LITTLE, CDREncoder
@@ -114,6 +115,13 @@ class MarshalContext:
         buf.view()[:] = view
         self.staged.append(buf)
         return buf.view()
+
+    def in_arena(self, view: memoryview) -> bool:
+        """Whether ``view`` already lives in the send arena (staged by
+        the application, or a hub's shared fan-out slot)."""
+        arena = self.arena
+        return arena is not None and not getattr(arena, "closed", True) \
+            and arena.locate(view) is not None
 
     def release_staged(self) -> None:
         """Release every leased slot (no-op for slots the send posted)."""
@@ -274,10 +282,12 @@ class TCSeqZCOctet(Marshaller):
     """Zero-copy sequences: pass-by-reference direct deposit (§4.4).
 
     Covers ``sequence<ZC_Octet>`` and its numeric generalization
-    (§4.1).  With a deposit registry in the context, marshaling writes
-    only ``(DEPOSIT_MAGIC, deposit_id)`` and registers the payload
-    view; without one (local calls, transports without a data path)
-    the payload is carried inline, flagged by an ``_INLINE_MARKER``.
+    (§4.1).  With a deposit registry in the context, a payload of at
+    least ``DEPOSIT_MIN_SIZE`` bytes, or one that already lives in the
+    send arena, is registered and only ``(DEPOSIT_MAGIC, deposit_id)``
+    is written; a smaller one, or any without a registry (local calls,
+    ``force_copy`` retries, ``any``), is carried inline by reference,
+    flagged by an ``_INLINE_MARKER``, and lands by one copy.
 
     Numeric elements: values are 1-D numpy arrays.  The descriptor
     records the payload's byte order; a receiver of the opposite
@@ -340,7 +350,8 @@ class TCSeqZCOctet(Marshaller):
             return self._marshal_file(enc, value, ctx)
         view, little = self._as_view(value)
         self._check_bound(view.nbytes)
-        if ctx.registry is not None:
+        if ctx.registry is not None and (
+                view.nbytes >= DEPOSIT_MIN_SIZE or ctx.in_arena(view)):
             staged = ctx.stage_in_arena(view)
             if staged is not None:
                 # encode-into-arena: the deposit now references a
@@ -377,9 +388,8 @@ class TCSeqZCOctet(Marshaller):
                 f"sequence<zc_{self._elem_kind.name[3:]}>")
         self._check_bound(value.nbytes)
         flags = FLAG_PAYLOAD_LITTLE if NATIVE_LITTLE else 0
-        if ctx.registry is not None:
-            staged = ctx.stage_in_arena(value.view()) \
-                if value.nbytes else None
+        if ctx.registry is not None and value.nbytes >= DEPOSIT_MIN_SIZE:
+            staged = ctx.stage_in_arena(value.view())
             payload = staged if staged is not None else value
             desc = ctx.registry.register(payload, flags=flags)
             ctx.descriptors.append(desc)
@@ -387,8 +397,9 @@ class TCSeqZCOctet(Marshaller):
             enc.put_ulong(desc.deposit_id)
             ctx.note("reference", value.nbytes)
         else:
-            # no deposit path (local call, force_copy retry): the file
-            # range travels inline as a mapped view
+            # no deposit path (local call, force_copy retry) or too small
+            # to pay for one: the file range travels inline as a mapped
+            # view
             enc.put_ulong(_INLINE_MARKER)
             enc.put_octets_view(value.view())
             ctx.note("marshal-bulk", value.nbytes)
@@ -426,7 +437,7 @@ class TCSeqZCOctet(Marshaller):
             ctx.note("marshal-bulk", n)
             if self._is_octet:
                 return ZCOctetSequence.from_data(view)
-            arr = np.frombuffer(bytes(view), dtype=self._dtype).copy()
+            arr = np.frombuffer(view, dtype=self._dtype).copy()
             if dec.little_endian != NATIVE_LITTLE:
                 arr.byteswap(inplace=True)
             return arr

@@ -35,11 +35,21 @@ __all__ = [
     "DepositReceiver",
     "DepositError",
     "DEPOSIT_MAGIC",
+    "DEPOSIT_MIN_SIZE",
 ]
 
 #: marks a deposit descriptor on the wire (also usable as a GIOP
 #: service-context tag); 'ZC' + protocol version 1
 DEPOSIT_MAGIC = 0x5A43_0001
+
+#: the smallest payload that takes the deposit path: below it a
+#: zero-copy sequence rides the control message inline and lands by one
+#: copy, which is cheaper than a descriptor, a registry entry and a
+#: landing of its own up to the crossover EXPERIMENTS.md ``DEPOSIT-MIN``
+#: records (between 512 KiB and 1 MiB on tcp and on shm; this sits
+#: below both); a payload that already lives in the send arena stays a
+#: slot reference whatever its size
+DEPOSIT_MIN_SIZE = 64 * 1024
 
 _DESC = struct.Struct("<IQIHH")  # magic, size, deposit_id, alignment_log2, flags
 

@@ -109,7 +109,7 @@ class DepositTier(NamedTuple):
     counters, ``<counter>_total``, carries ``op="send"|"recv"``.
     ``subset_of`` names the counter that already includes this tier's
     payloads.  The tier's *behaviour* stays code
-    (``_send_payloads``, ``_land_deposits``): one gather write carries
+    (``_send_carrying``, ``_land_deposits``): one gather write carries
     control and memory payloads of several tiers, which a per-payload
     dispatch would have to split."""
 
@@ -460,18 +460,19 @@ class GIOPConn:
         (``block=False``: or a callable, what is left of the send).
 
         Memory payloads on a plain stream with no timing asked for keep
-        the single gather write.  Otherwise the send is two steps —
-        control, then each payload through its tier (shm channel,
-        sendfile, gather write) — and the byte order on the wire is the
-        same.  Transports with synchronous delivery (loopback) expose
-        ``send_batch`` so the peer's pump only fires once both halves
-        are queued; it would otherwise read a control message whose
-        payloads do not exist yet.
+        the single gather write, and so does every message on a stream
+        with a deposit channel (shared memory): each payload is staged
+        first (an arena slot, or its view for the per-deposit inline
+        fallback), then control chunks and deposit records leave
+        together, and a write that fails gives the staged slots back.
+        Otherwise the send is two steps — control, then each payload
+        through its tier (sendfile, gather write) — and the byte order
+        on the wire is the same.  Transports with synchronous delivery
+        (loopback) expose ``send_batch`` so the peer's pump only fires
+        once both halves are queued; it would otherwise read a control
+        message whose payloads do not exist yet.
         """
         stream = self.stream
-        # shared-memory transports expose a deposit channel: payloads
-        # travel through the arena (or its per-deposit inline fallback)
-        # instead of trailing the control message on the stream
         channel = getattr(stream, "deposit_channel", None) \
             if payloads else None
         if sink is None and channel is None and not any(
@@ -482,6 +483,33 @@ class GIOPConn:
             return partial(self._send_carrying, chunks, control_nbytes,
                            payloads, sink)
         carried, slot_waits = dict.fromkeys(_TIER_COUNTERS, 0), []
+        if channel is not None:
+            t0 = sink.clock() if sink is not None else 0.0
+            records, slots = [], []
+            for p in payloads:
+                tier, waited, record, slot = channel.send_deposit(
+                    p.view() if isinstance(p, FileBackedBuffer) else p)
+                records += record
+                slots.append(slot)
+                slot_waits.append(waited)
+                carried["shm_deposits" if tier else "shm_fallbacks"] += 1
+                carried["shm_shared_refs"] += tier == SEND_SHARED
+            t1 = sink.clock() if sink is not None else 0.0
+            try:
+                stream.sendv(chunks + records)
+            except BaseException:
+                # no reader will map what was posted or claimed above
+                for slot in slots:
+                    if slot >= 0:
+                        channel.send_arena.free(slot)
+                raise
+            finally:
+                if sink is not None:  # deposit-send times the staging
+                    sink.stamp(STAGE_CONTROL_SEND, sink.clock() - t1,
+                               control_nbytes)
+                    sink.stamp(STAGE_DEPOSIT_SEND, t1 - t0,
+                               sum(v.nbytes for v in payloads))
+            return carried, slot_waits
         batch = getattr(stream, "send_batch", None)
         with batch() if batch is not None else nullcontext():
             with stage_span(sink, STAGE_CONTROL_SEND) as span:
@@ -491,40 +519,21 @@ class GIOPConn:
             # deposit-send, so every traced invocation shows the same
             # six stages
             with stage_span(sink, STAGE_DEPOSIT_SEND) as span:
-                if payloads:
-                    span.add_bytes(sum(v.nbytes for v in payloads))
-                    self._send_payloads(payloads, channel, carried,
-                                        slot_waits)
-        return carried, slot_waits
-
-    def _send_payloads(self, payloads: list, channel, carried: dict,
-                       slot_waits: list) -> None:
-        stream = self.stream
-        if channel is not None:
-            for p in payloads:
-                view = p.view() if isinstance(p, FileBackedBuffer) else p
-                tier, waited = channel.send_deposit(view)
-                if tier:
-                    carried["shm_deposits"] += 1
-                    if tier == SEND_SHARED:
-                        carried["shm_shared_refs"] += 1
-                else:
-                    carried["shm_fallbacks"] += 1
-                slot_waits.append(waited)
-            return
-        # memory payloads batch into gather writes; file-backed ones
-        # break the run to take their own tier
-        run: list = []
-        for p in payloads:
-            if isinstance(p, FileBackedBuffer):
+                span.add_bytes(sum(v.nbytes for v in payloads))
+                # memory payloads batch into gather writes; file-backed
+                # ones break the run to take their own tier
+                run: list = []
+                for p in payloads:
+                    if isinstance(p, FileBackedBuffer):
+                        if run:
+                            stream.sendv(run)
+                            run = []
+                        self._send_file_payload(p, carried)
+                    else:
+                        run.append(p)
                 if run:
                     stream.sendv(run)
-                    run = []
-                self._send_file_payload(p, carried)
-            else:
-                run.append(p)
-        if run:
-            stream.sendv(run)
+        return carried, slot_waits
 
     def _send_file_payload(self, fbb: FileBackedBuffer,
                            carried: dict) -> None:
@@ -889,7 +898,8 @@ class GIOPConn:
         try:
             for desc in descriptors:
                 receiver.prepare(desc)
-            for desc, buf in receiver.pending_in_order():
+            pending = receiver.pending_in_order()
+            for desc, buf in pending:
                 # shared memory: the deposit record maps its arena slot
                 # as the final buffer (or reads the inline fallback), no
                 # recv_into; a stream lands the payload directly in it
@@ -898,7 +908,7 @@ class GIOPConn:
                 rm.landed_nbytes += desc.size
                 if self.on_bytes is not None:
                     self.on_bytes("deposit-recv", desc.size)
-            for desc, _ in list(receiver.pending_in_order()):
+            for desc, _ in pending:
                 deposits[desc.deposit_id] = receiver.complete(
                     desc.deposit_id)
                 rm.deposit_flags[desc.deposit_id] = desc.flags

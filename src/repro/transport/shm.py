@@ -610,16 +610,20 @@ class ShmStream:
             return self
         return None
 
-    def send_deposit(self, view: memoryview) -> Tuple[int, float]:
-        """Route one registered payload; ``(tier, slot_wait_s)``.
+    def send_deposit(self, view: memoryview) -> Tuple[int, float, list, int]:
+        """Stage one registered payload; ``(tier, slot_wait_s, chunks,
+        slot)``.  Nothing is written here: ``chunks`` is the deposit
+        record, and behind it the payload when it must travel inline,
+        for the caller to append to the gather write of the message
+        that carries the deposit, so record and message stay adjacent
+        on the control stream.
 
         ``tier`` is one of :data:`SEND_INLINE` (0, the only non-arena
         outcome — truthiness still reads "used the arena"),
         :data:`SEND_COPY`, :data:`SEND_REFERENCE`, or
-        :data:`SEND_SHARED`.  Caller holds the connection's send lock,
-        immediately after the control chunks — the record (and any
-        inline bytes) stay adjacent to their message on the control
-        stream.
+        :data:`SEND_SHARED`.  ``slot`` (-1: inline) now counts the
+        record's reader: ``send_arena.free(slot)`` gives that share
+        back if the write fails.
         """
         if view.format != "B" or view.ndim != 1:
             view = view.cast("B")
@@ -627,6 +631,7 @@ class ShmStream:
         arena = self.send_arena
         waited = 0.0
         if arena is not None and not arena.closed:
+            tier = SEND_INLINE
             loc = arena.locate(view)
             if loc is not None:
                 slot, offset = loc
@@ -635,36 +640,32 @@ class ShmStream:
                     # of the payload is one 24-byte record — the slot
                     # was written and posted exactly once for every
                     # reader mapping it
-                    self._inner.send(
-                        _RECORD.pack(SHM_MAGIC, slot, offset, size))
-                    self.shm_deposits_sent += 1
                     self.shm_shared_refs_sent += 1
-                    return SEND_SHARED, waited
-                if arena.is_owned(slot):
+                    tier = SEND_SHARED
+                elif arena.is_owned(slot):
                     # the payload already lives in the arena: transfer
                     # the slot by reference — the true zero-copy send
                     arena.post(slot)
-                    self._inner.send(
-                        _RECORD.pack(SHM_MAGIC, slot, offset, size))
-                    self.shm_deposits_sent += 1
                     self.shm_references_sent += 1
-                    return SEND_REFERENCE, waited
-                # raced with a concurrent fan-out send that claimed
-                # the last planned reference: fall through to copy
-            if 0 < size <= arena.slot_size:
+                    tier = SEND_REFERENCE
+                # else: raced with a concurrent fan-out send that
+                # claimed the last planned reference: the copy path
+            if not tier and 0 < size <= arena.slot_size:
                 slot, waited = arena.alloc(self.slot_wait)
                 self.slot_wait_seconds += waited
                 if slot is not None:
+                    offset = 0
                     arena.slot_view(slot, 0, size)[:] = view
                     arena.post(slot)
-                    self._inner.send(
-                        _RECORD.pack(SHM_MAGIC, slot, 0, size))
-                    self.shm_deposits_sent += 1
-                    return SEND_COPY, waited
+                    tier = SEND_COPY
+            if tier:
+                self.shm_deposits_sent += 1
+                return tier, waited, \
+                    [_RECORD.pack(SHM_MAGIC, slot, offset, size)], slot
         # inline fallback: the payload follows the record on the stream
-        self._inner.sendv([_RECORD.pack(SHM_MAGIC, -1, 0, size), view])
         self.shm_fallbacks_sent += 1
-        return SEND_INLINE, waited
+        return SEND_INLINE, waited, \
+            [_RECORD.pack(SHM_MAGIC, -1, 0, size), view], -1
 
     def recv_deposit(self, desc: DepositDescriptor,
                      pool: BufferPool) -> Tuple[ZCBuffer, bool]:
@@ -689,10 +690,12 @@ class ShmStream:
                 raise DepositError(
                     f"deposit {desc.deposit_id} references slot {slot} "
                     f"but no arena is attached")
-            if slot >= arena.slot_count or offset + size > arena.slot_size:
+            if slot >= arena.slot_count or offset + size > arena.slot_size \
+                    or arena._mm[slot] != SLOT_POSTED \
+                    or not arena.refcount(slot):
                 raise DepositError(
                     f"deposit {desc.deposit_id}: slot {slot}+{offset} "
-                    f"outside arena geometry")
+                    f"outside arena geometry, or not posted")
             address = arena.slot_address(slot, offset)
             if desc.alignment > 1 and address % desc.alignment:
                 raise DepositError(

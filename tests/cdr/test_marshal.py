@@ -12,6 +12,7 @@ from repro.cdr import (TC_DOUBLE, TC_LONG, TC_OCTET, TC_SEQ_OCTET,
                        string_tc, struct_tc)
 from repro.core import (BufferPool, DepositReceiver, DepositRegistry,
                         OctetSequence, ZCOctetSequence)
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 
 
 def round_trip(tc, value, ctx_out=None, ctx_in=None):
@@ -136,7 +137,7 @@ class TestSeqZCOctet:
     def test_deposit_path_is_reference_only(self):
         """§4.4: with a registry, the message body carries only the
         deposit reference; the payload stays where it is."""
-        data = b"big" * 10000
+        data = b"big" * DEPOSIT_MIN_SIZE
         reg = DepositRegistry()
         ctx = MarshalContext(registry=reg)
         m = get_marshaller(TC_SEQ_ZC_OCTET)
@@ -148,7 +149,7 @@ class TestSeqZCOctet:
         assert len(reg) == 1
 
     def test_deposit_demarshal_adopts_landed_buffer(self):
-        data = bytes(range(256)) * 100
+        data = bytes(range(256)) * (DEPOSIT_MIN_SIZE // 256)
         reg = DepositRegistry()
         out_ctx = MarshalContext(registry=reg)
         m = get_marshaller(TC_SEQ_ZC_OCTET)
@@ -170,7 +171,8 @@ class TestSeqZCOctet:
         ctx = MarshalContext(registry=reg)
         m = get_marshaller(TC_SEQ_ZC_OCTET)
         enc = CDREncoder()
-        m.marshal(enc, ZCOctetSequence.from_data(b"x"), ctx)
+        m.marshal(enc, ZCOctetSequence.from_data(b"x" * DEPOSIT_MIN_SIZE),
+                  ctx)
         with pytest.raises(MarshalError, match="never landed"):
             m.demarshal(CDRDecoder(enc.getvalue()), MarshalContext())
 

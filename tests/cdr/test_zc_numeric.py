@@ -11,9 +11,12 @@ from repro.cdr.marshal import FLAG_PAYLOAD_LITTLE
 from repro.cdr.typecode import (TC_DOUBLE, TC_LONG, TC_STRING, TCKind,
                                 zc_sequence_tc)
 from repro.core import BufferPool, DepositReceiver, DepositRegistry
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 
 DOUBLES = zc_sequence_tc(TC_DOUBLE)
 LONGS = zc_sequence_tc(TC_LONG)
+#: elements of the smallest sequence<zc_double> that takes the deposit path
+N_DEPOSIT = DEPOSIT_MIN_SIZE // 8
 
 
 def land(tc, value, ctx_kwargs=None):
@@ -53,7 +56,7 @@ class TestTypeCodes:
 
 class TestDepositPath:
     def test_doubles_round_trip_aliasing(self):
-        x = np.linspace(-1, 1, 5000)
+        x = np.linspace(-1, 1, N_DEPOSIT)
         out, deposits = land(DOUBLES, x)
         assert isinstance(out, np.ndarray)
         assert out.dtype == np.float64
@@ -65,8 +68,9 @@ class TestDepositPath:
         assert out[0] == 42.0
 
     def test_longs_round_trip(self):
-        x = np.arange(-500, 500, dtype=np.int32)
-        out, _ = land(LONGS, x)
+        x = np.arange(-N_DEPOSIT, N_DEPOSIT, dtype=np.int32)
+        out, deposits = land(LONGS, x)
+        assert len(deposits) == 1
         assert out.dtype.itemsize == 4
         assert np.array_equal(out, x)
 
@@ -74,7 +78,7 @@ class TestDepositPath:
         m = get_marshaller(DOUBLES)
         reg = DepositRegistry()
         ctx = MarshalContext(registry=reg)
-        m.marshal(CDREncoder(), np.ones(4), ctx)
+        m.marshal(CDREncoder(), np.ones(N_DEPOSIT), ctx)
         import sys
         expect = FLAG_PAYLOAD_LITTLE if sys.byteorder == "little" else 0
         assert ctx.descriptors[0].flags == expect
@@ -82,9 +86,10 @@ class TestDepositPath:
     def test_big_endian_payload_fixed_in_place(self):
         """A big-endian sender's deposit is byteswapped once on landing
         — receiver-makes-right without abandoning zero-copy."""
-        x = np.linspace(0, 9, 100).astype(">f8")
-        out, _ = land(DOUBLES, x)
-        assert np.allclose(out, np.linspace(0, 9, 100))
+        x = np.linspace(0, 9, N_DEPOSIT).astype(">f8")
+        out, deposits = land(DOUBLES, x)
+        assert len(deposits) == 1
+        assert np.allclose(out, np.linspace(0, 9, N_DEPOSIT))
 
     def test_wrong_dtype_rejected(self):
         m = get_marshaller(DOUBLES)
@@ -103,8 +108,9 @@ class TestDepositPath:
             m.marshal(CDREncoder(), b"bytes", MarshalContext())
 
     def test_non_contiguous_array_handled(self):
-        x = np.arange(100, dtype=np.float64)[::2]
-        out, _ = land(DOUBLES, x)
+        x = np.arange(2 * N_DEPOSIT, dtype=np.float64)[::2]
+        out, deposits = land(DOUBLES, x)
+        assert len(deposits) == 1
         assert np.array_equal(out, x)
 
     def test_bound_enforced(self):

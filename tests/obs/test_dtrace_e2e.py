@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.core import OctetSequence, ZCOctetSequence
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.giop import (SVC_CTX_TRACE, TRACE_CTX_SIZE, RequestHeader,
                         ServiceContext)
 from repro.idl import compile_idl
@@ -276,10 +277,11 @@ class TestByteAttribution:
         client span, must equal the connection-level ConnStats —
         the two accountings observe the same wire."""
         stub, collector, client, _ = traced_pair("loop")
-        stub.put(ZCOctetSequence.from_data(bytes(32 * 1024)))
+        n_put, n_get = DEPOSIT_MIN_SIZE, 2 * DEPOSIT_MIN_SIZE
+        stub.put(ZCOctetSequence.from_data(bytes(n_put)))
         stub.put_std(OctetSequence(bytes(4 * 1024)))
-        assert len(bytes(stub.get(16 * 1024))) == 16 * 1024
-        assert stub.total == 36 * 1024
+        assert len(bytes(stub.get(n_get))) == n_get
+        assert stub.total == n_put + 4 * 1024
 
         proxy = next(iter(client._proxies.values()))
         stats = proxy.stats
@@ -290,9 +292,9 @@ class TestByteAttribution:
         assert sum(s.control_bytes_recv for s in cli_spans) == \
             stats.bytes_received
         assert sum(s.deposit_bytes_sent for s in cli_spans) == \
-            stats.deposit_bytes_sent == 32 * 1024
+            stats.deposit_bytes_sent == n_put
         assert sum(s.deposit_bytes_recv for s in cli_spans) == \
-            stats.deposit_bytes_received == 16 * 1024
+            stats.deposit_bytes_received == n_get
         # time was attributed to both paths
         assert all(s.control_seconds > 0 for s in cli_spans)
 

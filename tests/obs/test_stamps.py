@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.core import OctetSequence, ZCOctetSequence
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.idl import compile_idl
 from repro.obs import (CLIENT_STAGES, ByteEvent, CompositeSink, EventSink,
                        FlightRecorder, RecordingSink, StageEvent)
@@ -96,7 +97,7 @@ def test_traced_call_delivers_six_stages_in_order_to_every_sink(test_api):
             server.activate(make_store_impl(test_api))))
         stub.get(4096)  # warm: dial, first reply
         user.clear()
-        assert len(stub.get(8192)) == 8192
+        assert len(stub.get(DEPOSIT_MIN_SIZE)) == DEPOSIT_MIN_SIZE
         events = user.of_type(StageEvent)
         assert [e.stage for e in events] == list(CLIENT_STAGES)
         assert tracer.last.stages == events
@@ -116,7 +117,7 @@ def test_traced_call_delivers_six_stages_in_order_to_every_sink(test_api):
         assert (srv.trace_id, srv.parent_id) == (cli.trace_id, cli.span_id)
         assert srv in server.dtracer.collector.spans
         by_stage = {e.stage: e for e in events}
-        assert by_stage["deposit-recv"].nbytes == 8192
+        assert by_stage["deposit-recv"].nbytes == DEPOSIT_MIN_SIZE
         assert by_stage["server-wait"].nbytes > 0
         assert by_stage["demarshal"].nbytes > 0
     finally:
@@ -189,13 +190,14 @@ class TestByteEvents:
             client.enable_tracing()
             stub = client.string_to_object(server.object_to_string(
                 server.activate(make_store_impl(test_api))))
-            stub.put(ZCOctetSequence.from_data(b"x" * 4096))
+            n_put, n_get = 2 * DEPOSIT_MIN_SIZE, DEPOSIT_MIN_SIZE
+            stub.put(ZCOctetSequence.from_data(b"x" * n_put))
             stub.put_std(OctetSequence(b"y" * 100))
-            stub.get(2048)
+            stub.get(n_get)
             stub.get_std(10)
             seen = [(e.kind, e.nbytes) for e in user.of_type(ByteEvent)]
-            assert seen == [("reference", 4096), ("marshal-bulk", 100),
-                            ("reference", 2048), ("marshal-bulk", 10)]
+            assert seen == [("reference", n_put), ("marshal-bulk", 100),
+                            ("reference", n_get), ("marshal-bulk", 10)]
             # the connection reports its deposit traffic to the legacy
             # hook directly; everything a marshaler said reached both
             assert seen == [c for c in legacy

@@ -4,6 +4,7 @@ six-stage breakdown of a real loopback invocation (paper Fig. 7)."""
 import pytest
 
 from repro.core import ZCOctetSequence
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.giop import ReplyStatus
 from repro.obs import (CLIENT_STAGES, STAGE_DEPOSIT_RECV, STAGE_DEPOSIT_SEND,
                        STAGE_MARSHAL, FlightRecorder, StageEvent,
@@ -97,7 +98,7 @@ def test_live_breakdown_has_all_six_stages(loop_pair):
     server.enable_tracing()
     client.config.collocated_calls = False
 
-    payload = bytes(range(256)) * 64  # 16 KiB
+    payload = bytes(range(256)) * (DEPOSIT_MIN_SIZE // 256)
     total = stub.put(ZCOctetSequence.from_data(payload))
     assert total == len(payload)
 
@@ -128,7 +129,7 @@ def test_live_breakdown_reply_deposits(loop_pair):
     tracer = client.enable_tracing()
     client.config.collocated_calls = False
 
-    n = 8192
+    n = DEPOSIT_MIN_SIZE
     data = stub.get(n)
     assert len(data) == n
     rec = tracer.last
@@ -144,7 +145,7 @@ def test_live_breakdown_under_fragmentation(loop_pair):
     tracer = client.enable_tracing(wire=True)
     client.config.collocated_calls = False
 
-    payload = b"\xab" * 4096
+    payload = b"\xab" * DEPOSIT_MIN_SIZE
     stub.put(ZCOctetSequence.from_data(payload))
     rec = tracer.last
     assert rec.stage_order() == list(CLIENT_STAGES)

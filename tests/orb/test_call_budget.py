@@ -26,7 +26,11 @@ adds is the readers, and a stage is one ``stamp`` whoever listens.
 Before that change a traced ping made 418 calls inside ``repro/obs/``
 and each stage event fanned out into 6.6 of them.
 
-The fourth is the awaited call: eight callers awaiting ``ping`` on the
+The deposit's price is held the same way: ``send_zc`` of a payload one
+byte under ``DEPOSIT_MIN_SIZE`` and of one twice the constant, on tcp
+and on shm, all threads.
+
+The fourth configuration is the awaited call: eight callers awaiting ``ping`` on the
 reactor's loop.  Over a live connection the awaiting driver marshals
 and writes where it stands, so the client side of a ping is one thread.
 When every send hopped to the loop's executor it was seven threads and
@@ -39,12 +43,17 @@ import os
 import sys
 import threading
 
+import pytest
+
 import repro.obs
+from repro.core import ZCOctetSequence
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.idl import compile_idl
 from repro.obs.events import EventSink
 from repro.obs.flightrec import FlightRecorder
 from repro.orb import ORB, ORBConfig, async_api, run_sync
 from repro.orb.reactor import reset_reactor
+from repro.transport.shm import shm_available
 
 #: measured: 63 on the calling thread, 187 over all threads, 0 emits
 CALLER_CEILING = 71
@@ -62,22 +71,40 @@ ASYNC_CLIENT_CEILING = 125
 ASYNC_CLIENT_THREADS = 1
 ASYNC_WINDOW = 8
 
+#: measured, all threads, per ``send_zc``: one byte under
+#: ``DEPOSIT_MIN_SIZE`` 233 on tcp and 225 on shm (the payload rides the
+#: control message), at twice the constant 278 and 310 (a deposit; on
+#: shm with its arena staging).  Before the size rule and the one
+#: gather write it was 279 / 324 at every size; a ping is 182 / 169
+DEPOSIT_CEILINGS = {("tcp", False): 256, ("shm", False): 247,
+                    ("tcp", True): 305, ("shm", True): 341}
+
 CALLS = 200
 
 _OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
 
 
-def _count_null_call(flight_recorder: bool, traced: bool = False):
+BUDGET_IDL = """interface Budget {
+    void ping(in unsigned long x);
+    unsigned long send_zc(in sequence<zc_octet> data);
+};"""
+
+
+def _count_null_call(flight_recorder: bool, traced: bool = False,
+                     scheme: str = "tcp", payload=None):
     """``(calling thread, all threads, FlightRecorder.emit, inside
     repro/obs/, threads seen, calls per stage event)``: Python-level
-    calls per ping; the last is every call made from a sink's ``stamp``
-    down, itself included, per outermost ``stamp``."""
-    api = compile_idl("interface Budget { void ping(in unsigned long x); };",
-                      module_name="_call_budget_idl")
+    calls per ping (with a ``payload``: per ``send_zc`` of it); the
+    last is every call made from a sink's ``stamp`` down, itself
+    included, per outermost ``stamp``."""
+    api = compile_idl(BUDGET_IDL, module_name="_call_budget_idl")
 
     class Impl(api.Budget_skel):
         def ping(self, x):
             return None
+
+        def send_zc(self, data):
+            return len(data)
 
     calls = collections.Counter()  # thread ident -> Python-level calls
     emits = [0]
@@ -116,7 +143,7 @@ def _count_null_call(flight_recorder: bool, traced: bool = False):
     threading.setprofile(profile)
     server = client = None
     try:
-        config = ORBConfig(scheme="tcp", flight_recorder=flight_recorder)
+        config = ORBConfig(scheme=scheme, flight_recorder=flight_recorder)
         server = ORB(config)
         client = ORB(config)
         if traced:
@@ -124,12 +151,14 @@ def _count_null_call(flight_recorder: bool, traced: bool = False):
             client.enable_tracing(distributed=True)
         stub = client.string_to_object(
             server.object_to_string(server.activate(Impl())))
+        call, arg = (stub.ping, 1) if payload is None \
+            else (stub.send_zc, payload)
         for _ in range(30):  # dial, caches, lazily imported modules
-            stub.ping(1)
+            call(arg)
         sys.setprofile(profile)
         counting[0] = True
         for _ in range(CALLS):
-            stub.ping(1)
+            call(arg)
         counting[0] = False
     finally:
         sys.setprofile(None)
@@ -162,6 +191,21 @@ def test_null_call_stays_inside_its_budget():
         f"{bare_in_obs:.1f} calls into repro/obs/ without a recorder"
 
 
+@pytest.mark.parametrize("deposited", [False, True], ids=["inline", "deposit"])
+@pytest.mark.parametrize("scheme", [
+    "tcp", pytest.param("shm", marks=pytest.mark.skipif(
+        not shm_available(), reason="no shared-memory directory"))])
+def test_a_payload_pays_for_a_deposit_only_when_it_takes_one(scheme,
+                                                             deposited):
+    nbytes = 2 * DEPOSIT_MIN_SIZE if deposited else DEPOSIT_MIN_SIZE - 1
+    _, total, _, _, _, _ = _count_null_call(
+        True, scheme=scheme,
+        payload=ZCOctetSequence.from_data(bytes(nbytes)))
+    assert total <= DEPOSIT_CEILINGS[scheme, deposited], \
+        f"send_zc of {nbytes} bytes on {scheme}: {total:.1f} calls"
+    assert total > 150  # a working call path
+
+
 def test_traced_call_reads_the_one_record():
     _, _, _, in_obs, _, per_stage = _count_null_call(True, traced=True)
     assert in_obs <= TRACED_OBS_CEILING, \
@@ -175,8 +219,7 @@ def _count_awaited_call():
     awaited by ``ASYNC_WINDOW`` callers through ``run_sync``.  The
     server ORB keeps off the reactor, so every thread that is not one
     of its own (accept, connection reader, workers) is the client's."""
-    api = compile_idl("interface Budget { void ping(in unsigned long x); };",
-                      module_name="_call_budget_idl")
+    api = compile_idl(BUDGET_IDL, module_name="_call_budget_idl")
 
     class Impl(api.Budget_skel):
         def ping(self, x):

@@ -27,6 +27,7 @@ from repro.cdr import get_marshaller
 from repro.cdr.typecode import TC_SEQ_OCTET, TC_SEQ_ZC_OCTET
 from repro.core import OctetSequence, ZCOctetSequence
 from repro.core.buffers import BufferPool
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.giop import GIOPError, GIOPHeader, MsgType, RequestHeader
 from repro.orb.connection import GIOPConn
 from repro.orb.exceptions import MARSHAL
@@ -88,7 +89,7 @@ def test_fragmented_zero_copy_round_trip_stats_balance():
     bytes_sent/received, payload bytes in the deposit counters, and
     their sums match the transport-level truth."""
     sender, receiver, cstream, sstream = _conn_pair(fragment_size=128)
-    payload = bytes(range(256)) * 32  # 8 KiB on the data path
+    payload = bytes(range(256)) * (DEPOSIT_MIN_SIZE // 256)  # data path
     _send_request(sender, payload, zero_copy=True)
     rm = receiver.read_message()
 
@@ -111,7 +112,7 @@ def test_duplicate_deposit_descriptor_aborts_without_leaking(test_api):
     ctx = sender.make_marshal_context()
     enc = sender.body_encoder()
     get_marshaller(TC_SEQ_ZC_OCTET).marshal(
-        enc, ZCOctetSequence.from_data(b"q" * 4096), ctx)
+        enc, ZCOctetSequence.from_data(b"q" * DEPOSIT_MIN_SIZE), ctx)
     # corrupt the control message: the same descriptor rides twice
     ctx.descriptors.append(ctx.descriptors[0])
     sender.send_message(

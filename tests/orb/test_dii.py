@@ -4,6 +4,7 @@ import pytest
 
 from repro.cdr import (TC_SEQ_OCTET, TC_SEQ_ZC_OCTET, TC_STRING, TC_ULONG)
 from repro.core import OctetSequence, ZCOctetSequence
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.orb import BAD_PARAM, DynRequest
 
 
@@ -19,11 +20,11 @@ class TestDynRequest:
     def test_dynamic_zero_copy_rides_deposit_path(self, loop_pair):
         """The deposit optimization is ORB property, not stub property."""
         stub, impl, client, _ = loop_pair
-        payload = ZCOctetSequence.from_data(b"q" * 20_000)
+        payload = ZCOctetSequence.from_data(b"q" * DEPOSIT_MIN_SIZE)
         n = DynRequest(stub, "put", result_tc=TC_ULONG) \
             .add_in_arg(payload, TC_SEQ_ZC_OCTET) \
             .invoke()
-        assert n == 20_000
+        assert n == DEPOSIT_MIN_SIZE
         assert impl.last.is_page_aligned
         conn = next(iter(client._proxies.values())).conn
         assert conn.stats.deposits_sent == 1

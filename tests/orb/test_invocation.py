@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import OctetSequence, ZCOctetSequence
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.orb import BAD_OPERATION, OBJECT_NOT_EXIST, ORB, UNKNOWN, ORBConfig
 
 
@@ -79,11 +80,11 @@ class TestZeroCopyPath:
 
     def test_deposit_used_for_zc_not_std(self, loop_pair):
         stub, impl, client, _ = loop_pair
-        stub.put(ZCOctetSequence.from_data(b"a" * 5000))
-        stub.put_std(OctetSequence(b"b" * 5000))
+        stub.put(ZCOctetSequence.from_data(b"a" * DEPOSIT_MIN_SIZE))
+        stub.put_std(OctetSequence(b"b" * DEPOSIT_MIN_SIZE))
         conn = next(iter(client._proxies.values())).conn
         assert conn.stats.deposits_sent == 1
-        assert conn.stats.deposit_bytes_sent == 5000
+        assert conn.stats.deposit_bytes_sent == DEPOSIT_MIN_SIZE
 
     def test_zero_copy_disabled_falls_back_inline(self, test_api,
                                                   store_impl):

@@ -27,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core import ZCOctetSequence
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.idl import compile_idl
 from repro.obs import SpanCollector, build_span_tree, dump_spans
 from repro.obs.cli import main as metrics_cli
@@ -384,7 +385,7 @@ class TestInterleavedTracing:
             ref = server.activate(impl)
             stub = client.string_to_object(server.object_to_string(ref))
 
-            sizes = [8 * 1024, 16 * 1024, 32 * 1024, 4 * 1024]
+            sizes = [DEPOSIT_MIN_SIZE * k for k in (2, 3, 4, 1)]
             with ThreadPoolExecutor(max_workers=4) as pool:
                 list(pool.map(
                     lambda n: stub.put(ZCOctetSequence.from_data(bytes(n))),

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.core import BufferPool, OctetSequence, ZCOctetSequence
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.orb import (COMM_FAILURE, ORB, TIMEOUT, CompletionStatus,
                        Deadline, InvocationPolicy, ORBConfig, retry_safe)
 from repro.orb.aio import async_api
@@ -194,7 +195,7 @@ class TestRetryThroughORB:
         plan = FaultPlan().refuse_connect(nth=1)
         pol, _ = _policy()
         stub, impl, client, _ = faulty_pair_factory(plan, pol)
-        payload = bytes(range(256)) * 16
+        payload = bytes(range(256)) * (DEPOSIT_MIN_SIZE // 256)
         assert call(stub, "put", ZCOctetSequence.from_data(payload)) \
             == len(payload)
         assert isinstance(impl.last, ZCOctetSequence)

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.core import ZCOctetSequence
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.idl import compile_idl
 from repro.obs.flightrec import DEFAULT_SLOW_THRESHOLD
 from repro.obs.cli import validate_dump, validate_span_dump
@@ -89,7 +90,7 @@ class TestSnapshotAndConnections:
 
     def test_connections_carry_tier_counters(self, pair):
         stub, monitor, _, _ = pair
-        stub.put(ZCOctetSequence.from_data(b"x" * 8192))
+        stub.put(ZCOctetSequence.from_data(b"x" * DEPOSIT_MIN_SIZE))
         records = monitor.connections()
         api = monitor_api()
         assert records and all(

@@ -89,6 +89,22 @@ class TestFanout:
         assert _wait(lambda: arena.used_slots == 0)
         assert arena.free_slots == arena.slot_count
 
+    def test_small_events_keep_the_shared_slot(self, hub, fleet):
+        """Far below ``DEPOSIT_MIN_SIZE`` an event staged in the shared
+        arena is still one post and a record-only reference per reader:
+        a payload that lives in the arena keeps its tier."""
+        (_, a, r1), (_, b, r2) = fleet.subscriber(), fleet.subscriber()
+        hub.subscribe("small", r1)
+        hub.subscribe("small", r2)
+        for k in range(3):
+            assert hub.publish("small", bytes([k]) * 1024) == 2
+        assert _wait(lambda: a.received == b.received == 3)
+        assert a.pop()[2] == b.pop()[2] == b"\x00" * 1024
+        assert hub.fanout_posts == 3
+        assert hub.shm_transport.shared_arena.posts == 3
+        assert sum(s["shm_shared_refs"] for s in
+                   hub.delivery_orb.connections_snapshot()) == 6
+
     def test_mixed_cohorts_share_one_topic(self, hub, fleet):
         """shm subscribers fan out through the arena; a tcp subscriber
         rides its own per-link deposit — same topic, same publish."""

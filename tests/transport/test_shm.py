@@ -6,7 +6,8 @@ import threading
 import pytest
 
 from repro.core.buffers import PAGE_SIZE, BufferPool, MappedBuffer
-from repro.core.direct_deposit import DepositDescriptor, DepositError
+from repro.core.direct_deposit import (DEPOSIT_MIN_SIZE, DepositDescriptor,
+                                       DepositError)
 from repro.transport.shm import (SHM_MAGIC, ShmArena, ShmError, ShmStream,
                                  ShmTransport)
 
@@ -33,6 +34,14 @@ def _stream_pair(transport):
     client = transport.connect(listener.endpoint)
     assert ready.wait(5), "accept did not happen"
     return client, accepted[0], listener
+
+
+def _deposit(stream, view):
+    """Stage ``view`` and write what staging returned, as the gather
+    write of the carrying message would; ``(tier, slot_wait_s)``."""
+    tier, waited, chunks, _slot = stream.send_deposit(view)
+    stream.sendv(chunks)
+    return tier, waited
 
 
 @pytest.fixture
@@ -169,7 +178,7 @@ class TestDepositChannel:
     def test_copy_path_round_trip(self, pair):
         client, server = pair
         payload = bytes(range(256)) * 64  # 16 KiB
-        used_arena, _ = client.send_deposit(memoryview(payload))
+        used_arena, _ = _deposit(client, memoryview(payload))
         assert used_arena
         pool = BufferPool()
         buf, via_arena = server.recv_deposit(self._desc(len(payload)), pool)
@@ -188,7 +197,7 @@ class TestDepositChannel:
         client, server = pair
         staged = client.send_arena.acquire(8192)
         staged.view()[:] = b"\xa5" * 8192
-        used_arena, _ = client.send_deposit(staged.view())
+        used_arena, _ = _deposit(client, staged.view())
         assert used_arena
         assert client.shm_references_sent == 1
         buf, via_arena = server.recv_deposit(self._desc(8192), BufferPool())
@@ -200,7 +209,7 @@ class TestDepositChannel:
     def test_oversize_payload_falls_back_inline(self, pair):
         client, server = pair
         payload = bytes(2 * SIZE_64K)  # larger than any slot
-        used_arena, _ = client.send_deposit(memoryview(payload))
+        used_arena, _ = _deposit(client, memoryview(payload))
         assert not used_arena
         assert client.shm_fallbacks_sent == 1
         buf, via_arena = server.recv_deposit(self._desc(len(payload)),
@@ -219,11 +228,11 @@ class TestDepositChannel:
         payload = b"\x42" * 1024
         held = []
         for i in range(4):  # consume all 4 slots
-            client.send_deposit(memoryview(payload))
+            _deposit(client, memoryview(payload))
             buf, via = server.recv_deposit(self._desc(1024, i + 1), pool)
             assert via
             held.append(buf)
-        used_arena, waited = client.send_deposit(memoryview(payload))
+        used_arena, waited = _deposit(client, memoryview(payload))
         assert not used_arena  # exhausted -> inline
         assert waited > 0.0
         assert client.shm_fallbacks_sent == 1
@@ -232,7 +241,7 @@ class TestDepositChannel:
         assert buf.tobytes() == payload
         buf.release()
         held.pop().release()  # free one slot
-        used_arena, _ = client.send_deposit(memoryview(payload))
+        used_arena, _ = _deposit(client, memoryview(payload))
         assert used_arena  # arena path is back
         buf, via = server.recv_deposit(self._desc(1024, 6), pool)
         assert via
@@ -242,7 +251,7 @@ class TestDepositChannel:
 
     def test_record_size_mismatch_rejected(self, pair):
         client, server = pair
-        client.send_deposit(memoryview(b"x" * 100))
+        _deposit(client, memoryview(b"x" * 100))
         with pytest.raises(DepositError, match="size"):
             server.recv_deposit(self._desc(999), BufferPool())
 
@@ -259,6 +268,22 @@ class TestDepositChannel:
         client.send(struct.pack("<IiQQ", SHM_MAGIC, 99, 0, 16))
         with pytest.raises(DepositError, match="geometry"):
             server.recv_deposit(self._desc(16), BufferPool())
+
+
+    def test_record_naming_a_slot_nobody_posted_rejected(self, pair):
+        """Inside the geometry is not enough: mapping a FREE or OWNED
+        slot would alias bytes the sender is about to write.  Refused
+        like any bad descriptor, and the slot's state is left alone."""
+        import struct
+        client, server = pair
+        owned = client.send_arena.acquire(16)  # slot 0: OWNED, never posted
+        for slot in (0, 1):  # OWNED, FREE
+            client.send(struct.pack("<IiQQ", SHM_MAGIC, slot, 0, 16))
+            with pytest.raises(DepositError, match="not posted"):
+                server.recv_deposit(self._desc(16), BufferPool())
+        assert client.send_arena.free_slots == 3
+        owned.release()
+        assert client.send_arena.free_slots == 4
 
 
 class TestShmORB:
@@ -298,7 +323,7 @@ class TestShmORB:
         try:
             ref = server.activate(_TTCPServant())
             stub = client.string_to_object(server.object_to_string(ref))
-            stub.send_zc(ZCOctetSequence.from_data(bytes(4096)))
+            stub.send_zc(ZCOctetSequence.from_data(bytes(DEPOSIT_MIN_SIZE)))
             sent = reg.counter("shm_deposits_total", op="send").value
             landed = reg.counter("shm_deposits_total", op="recv").value
             assert sent >= 1
@@ -471,7 +496,7 @@ class TestSharedArenaFanout:
         pool = BufferPool()
         tiers = []
         for sender in (c1, c2):
-            tier, _ = sender.send_deposit(staged.view())
+            tier, _ = _deposit(sender, staged.view())
             tiers.append(tier)
         from repro.transport.shm import SEND_SHARED
         assert tiers == [SEND_SHARED, SEND_SHARED]
@@ -499,7 +524,7 @@ class TestSharedArenaFanout:
         slot, _ = arena.locate(staged.view())
         arena.post_shared(slot, readers=2)
         for sender in (c1, c2):
-            sender.send_deposit(staged.view())
+            _deposit(sender, staged.view())
         desc = DepositDescriptor(deposit_id=1, size=1024)
         pool = BufferPool()
         buf1, _ = s1.recv_deposit(desc, pool)
@@ -517,7 +542,7 @@ class TestSharedArenaFanout:
         staged = arena.acquire(1024)
         slot, _ = arena.locate(staged.view())
         arena.post_shared(slot, readers=2)
-        c1.send_deposit(staged.view())  # reader 1 sent
+        _deposit(c1, staged.view())  # reader 1 sent
         arena.abort_shared_ref(slot)    # reader 2's send failed
         buf, _ = s1.recv_deposit(DepositDescriptor(deposit_id=1, size=1024),
                                  BufferPool())
@@ -534,8 +559,8 @@ class TestSharedArenaFanout:
         staged.view()[:] = b"\x11" * 1024
         slot, _ = arena.locate(staged.view())
         arena.post_shared(slot, readers=1)  # plan covers only c1
-        tier1, _ = c1.send_deposit(staged.view())
-        tier2, _ = c2.send_deposit(staged.view())
+        tier1, _ = _deposit(c1, staged.view())
+        tier2, _ = _deposit(c2, staged.view())
         assert tier2 == SEND_COPY  # fresh slot, not a stolen reference
         desc = DepositDescriptor(deposit_id=1, size=1024)
         pool = BufferPool()
