@@ -390,9 +390,9 @@ def _cscale_record(lat_lists: List[List[float]], wall: float,
 
 def _cscale_threaded(conns: int, calls_per_conn: int,
                      work_s: float) -> dict:
-    """The baseline: C sockets, each with a sync driver thread and a
-    demux reader thread client-side plus a reader thread server-side —
-    ~3C threads total, the cost the reactor removes."""
+    """The baseline: C sockets, each with a sync driver thread that
+    reads its own replies client-side plus a reader thread server-side
+    — ~2C threads total, the cost the reactor removes."""
     lat_lists: List[List[float]] = [[] for _ in range(conns)]
     errors: List = []
     start = threading.Event()
@@ -508,7 +508,7 @@ def measure_cscale(conn_counts=(100, 1000), calls_per_conn: int = 5,
     metric at 1k+ connections.
 
     Above ``threaded_conn_cap`` the baseline is recorded as not
-    attempted (its ~3C threads would destabilise the host rather than
+    attempted (its ~2C threads would destabilise the host rather than
     produce a number); the reactor side still runs, which is itself
     the claim: it completes where the baseline cannot.  Levels the
     file-descriptor budget cannot cover (even after raising the soft
@@ -529,7 +529,7 @@ def measure_cscale(conn_counts=(100, 1000), calls_per_conn: int = 5,
             threaded = {"ok": False, "completed": 0,
                         "expected": conns * calls_per_conn,
                         "reason": (f"not attempted: {conns} connections "
-                                   f"need ~{3 * conns} threads, past the "
+                                   f"need ~{2 * conns} threads, past the "
                                    f"{threaded_conn_cap}-connection "
                                    f"threaded cap")}
         reactor = _cscale_reactor(conns, calls_per_conn, work_s)

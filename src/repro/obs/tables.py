@@ -1,7 +1,7 @@
 """One fixed-width text table renderer for every CLI in the repo.
 
-``repro-bench --compare`` (the CI regression gate), ``repro-metrics
-diff`` and ``repro-top`` all print columnar deltas; they share this
+``repro-bench``'s figure tables, ``repro-metrics diff`` and
+``repro-top`` all print columns; they share this
 renderer so the column discipline — widths computed from the content,
 a dashed rule under the header — stays identical everywhere instead
 of being re-implemented with hand-counted format widths per tool.

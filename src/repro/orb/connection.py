@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
+import select
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
+from time import monotonic
 from typing import Callable, Dict, NamedTuple, Optional
 
 from ..cdr import NATIVE_LITTLE, CDREncoder, MarshalContext
@@ -247,6 +250,12 @@ class GIOPConn:
         self._close_hooks: list = []
         self._hooks_lock = threading.Lock()
         self._hooks_fired = False
+        #: the message being read, whoever reads it: its parse, the read
+        #: it asked for and how much of that is in (a reader that stops
+        #: inside a message leaves it for the next), and a poll object
+        self._gen = self._want = self._poll = None
+        self._exact = False
+        self._filled = 0
         #: a caller-supplied ConnStats survives reconnects (the proxy
         #: hands the same object to each replacement connection)
         self.adopt_stats(stats if stats is not None else ConnStats())
@@ -677,7 +686,8 @@ class GIOPConn:
         ======  ==============================  =========================
 
         Returns the reader thread for the owner to join after
-        :meth:`close`, None for the other two drives.
+        :meth:`close`, None for the other two drives (a client's tcp
+        connection comes here once awaited on: DESIGN.md §10).
 
         Every message goes to ``on_message(rm)``; the loop also passes
         its driver, ``on_message(rm, driver)``, whose presence means
@@ -733,8 +743,9 @@ class GIOPConn:
                 return
             on_message(rm)
 
-    def read_message(self, wait_stage: Optional[str] = STAGE_RECV_WAIT
-                     ) -> ReceivedMessage:
+    def read_message(self, wait_stage: Optional[str] = STAGE_RECV_WAIT,
+                     timeout: Optional[float] = None
+                     ) -> Optional[ReceivedMessage]:
         """Block for the next message; land its deposits (the MICO
         ``do_read`` path with the direct-deposit callback of §4.5).
 
@@ -743,6 +754,10 @@ class GIOPConn:
         ``recv-wait`` default, the reply demultiplexer passes ``None``
         (see :meth:`_read_message_gen`).
 
+        A caller reading its own reply gives a ``timeout`` (``math.inf``:
+        none); it waits in ``poll``, then gets None, and a deadline or an
+        interrupt of the wait leaves the parse to the next reader.
+
         This is the *blocking driver* over :meth:`_read_message_gen`:
         the parse itself is a resumable generator so the reactor
         (repro.orb.reactor) can feed it from non-blocking reads one
@@ -750,6 +765,20 @@ class GIOPConn:
         parser, so framing, stats, and CORBA exception mapping cannot
         diverge between the threaded and the event-loop path.
         """
+        if timeout is not None or self._gen is not None:
+            if self._poll is None and not self.closed:
+                self._poll = select.poll()
+                self._poll.register(self.stream.fileno(), select.POLLIN)
+            end = monotonic() + (math.inf if timeout is None else timeout)
+            while True:
+                ms = -1 if end == math.inf else \
+                    max(0, math.ceil((end - monotonic()) * 1e3))
+                # a closed connection goes straight to the read, to fail
+                if not (self.closed or self._poll.poll(ms)):
+                    return None
+                rm = self._read_nb(wait_stage)
+                if rm is not None or not ms:
+                    return rm
         gen = self._read_message_gen(wait_stage)
         result = None
         throwing: Optional[BaseException] = None
@@ -775,6 +804,47 @@ class GIOPConn:
                 # hand the failure to the generator: its except clauses
                 # own the stats/close/CORBA mapping, exactly once
                 throwing = exc
+
+    def _read_nb(self, wait_stage: Optional[str] = STAGE_RECV_WAIT
+                 ) -> Optional[ReceivedMessage]:
+        """Feed the parse what the stream has now: the next message, or
+        None once a read would wait (the loop's read, and a caller's).
+        A failed read is thrown in for the parse to map; what the parse
+        raises closes."""
+        if self._gen is None:
+            self._gen, self._want = self._read_message_gen(wait_stage), None
+        gen, value, exc = self._gen, None, None
+        while True:
+            want = self._want
+            if want is None:  # resume the parse, stage the read it asks
+                try:
+                    req = gen.send(value) if exc is None else gen.throw(exc)
+                except StopIteration as stop:
+                    self._gen = None
+                    return stop.value
+                except BaseException:
+                    self._gen = None
+                    self.closed = True
+                    raise
+                want, self._exact = req[1], req[0] == "exact"  # never "land"
+                if self._exact:
+                    want = memoryview(bytearray(want))
+                elif want.format != "B" or want.ndim != 1:
+                    want = want.cast("B")
+                if not want.nbytes:  # an empty body or payload: no I/O
+                    value, exc = (want if self._exact else None), None
+                    continue
+                self._want, self._filled = want, 0
+            try:
+                n = self.stream.recv_into_nb(want[self._filled:])
+            except BaseException as failed:
+                self._want, value, exc = None, None, failed
+                continue
+            if n is None:
+                return None
+            self._filled += n
+            if self._filled == want.nbytes:
+                self._want, value, exc = None, (want if self._exact else None), None
 
     def _read_message_gen(self, wait_stage: Optional[str] = STAGE_RECV_WAIT):
         """Resumable GIOP parse: yields read requests, returns the

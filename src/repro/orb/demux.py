@@ -10,9 +10,10 @@ A :class:`ReplyDemux` owns the *receive side* of one client
 :class:`~repro.orb.connection.GIOPConn`.  Callers register a
 :class:`ReplyFuture` keyed by request id *before* sending; the demux
 reads every inbound message and completes the matching future — in
-whatever order the replies arrive.  How the connection is read (pump,
-loop or reader thread) is :meth:`GIOPConn.start_reading`'s choice;
-routing and failure fan-out below are the same under each.
+whatever order the replies arrive.  Who reads it is
+:meth:`ReplyDemux.start`'s choice (the callers waiting for replies, or
+the drive :meth:`GIOPConn.start_reading` chooses); routing and failure
+fan-out below are the same under each.
 
 Failure semantics: a connection-fatal event — stream reset, GIOP
 framing error, ``CloseConnection``, ``MessageError`` — fails **all**
@@ -34,12 +35,15 @@ long a call waited).  The read's numbers ride on the
 from __future__ import annotations
 
 import threading
+from math import inf
+from time import monotonic
 from typing import Dict, List, Optional
 
 from ..giop import GIOPError, MsgType
 from .connection import GIOPConn, ReceivedMessage
 from .exceptions import (COMM_FAILURE, INTERNAL, TRANSIENT,
                          CompletionStatus, SystemException)
+from .reactor import Reactor
 
 __all__ = ["ReplyFuture", "ReplyDemux"]
 
@@ -55,11 +59,13 @@ class ReplyFuture:
     so any number of waiters get through.
     """
 
-    __slots__ = ("request_id", "message", "exception", "done",
+    __slots__ = ("request_id", "demux", "message", "exception", "done",
                  "_gate", "_cb_lock", "_callbacks")
 
     def __init__(self, request_id: int):
         self.request_id = request_id
+        #: the demux that routes this reply, set as it registers
+        self.demux: Optional["ReplyDemux"] = None
         self.message: Optional[ReceivedMessage] = None
         self.exception: Optional[SystemException] = None
         #: True once completed or failed (set before waiters wake)
@@ -88,7 +94,11 @@ class ReplyFuture:
             fn(self)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until completed; False when ``timeout`` expired first."""
+        """Block until completed; False when ``timeout`` expired first.
+        While its connection's callers read, waiting may be reading."""
+        demux = self.demux
+        if demux is not None and demux.callers_read:
+            return demux.wait(self, timeout)
         gate = self._gate
         if timeout is None:
             gate.acquire()
@@ -116,29 +126,131 @@ _MATCHED = (MsgType.Reply, MsgType.LocateReply)
 class ReplyDemux:
     """Per-connection reader matching inbound replies to futures."""
 
-    def __init__(self, conn: GIOPConn, reactor=None):
+    def __init__(self, conn: GIOPConn, orb=None):
         self.conn = conn
-        #: the event-loop reactor (repro.orb.reactor) to adopt the read
-        #: side into; None (or a non-adoptable stream) keeps the
-        #: dedicated reader thread with identical semantics
-        self.reactor = reactor
+        #: asked for its loop (``ORB.reactor``) at the hand-over
+        self._orb = orb
         self._pending: Dict[int, ReplyFuture] = {}
         self._lock = threading.Lock()
         #: the connection-fatal failure, once one happened
         self._failed: Optional[SystemException] = None
         self._thread: Optional[threading.Thread] = None
         self._started = False
+        #: the callers waiting on a thread read (one leads, the rest
+        #: follow, each woken by its Event: its reply is in, or lead)
+        self.callers_read = False
+        self._leading = False
+        self._followers: List[threading.Event] = []
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Begin demultiplexing (idempotent)."""
+        """Begin demultiplexing (idempotent).  The one place that says
+        who reads a client connection: a plain tcp one (the loop could
+        adopt it) its waiting callers (:meth:`wait`), until the first
+        awaited call hands it for good to the drive ``start_reading``
+        chooses (:meth:`hand_over`); any other, that drive at once."""
         if self._started:
             return
         self._started = True
-        stream_name = getattr(self.conn.stream, "name", "?")
+        self.callers_read = Reactor.adoptable(self.conn.stream)
+        if not self.callers_read:
+            self._drive(None)
+
+    def _drive(self, reactor) -> None:
+        with self._lock:
+            followers, self._followers = self._followers, []
+        for turn in followers:  # a drive completes their futures now
+            turn.set()
         self._thread = self.conn.start_reading(
-            self._route, self._read_failed, reactor=self.reactor,
-            wait_stage=None, name=f"giop-demux-{stream_name}")
+            self._route, self._read_failed, reactor=reactor, wait_stage=None,
+            name=f"giop-demux-{getattr(self.conn.stream, 'name', '?')}")
+
+    def hand_over(self) -> None:
+        """A reply no caller waits for on a thread needs a drive: the
+        ORB's loop, else a reader thread.  A leader hands over as it
+        lets go."""
+        with self._lock:
+            idle = self.callers_read and not self._leading
+            self.callers_read = False
+        if idle:
+            self._drive(getattr(self._orb, "reactor", None))
+
+    # -- the waiting callers' read (Leader/Followers) ----------------------
+    def wait(self, future: ReplyFuture, timeout: Optional[float]) -> bool:
+        """:meth:`ReplyFuture.wait` while the callers read: who finds
+        nobody reading leads, routing all until its reply is in, then
+        wakes the first follower.  Each gives up at its own deadline."""
+        end = None if timeout is None else monotonic() + timeout
+        turn = woke = None
+        while True:
+            with self._lock:
+                if turn in self._followers:
+                    self._followers.remove(turn)
+                if future.done or not self.callers_read or woke is False:
+                    # leaving: a turn handed to us meanwhile goes on
+                    if not self._leading and self._followers:
+                        self._followers.pop(0).set()
+                    break
+                lead = not self._leading
+                if lead:
+                    self._leading = True
+                else:
+                    if turn is None:  # our reply, routed, wakes us too
+                        turn = threading.Event()
+                        future.add_done_callback(lambda _: turn.set())
+                    self._followers.append(turn)
+            if lead:
+                try:
+                    return self._lead(future, end)
+                finally:
+                    self._let_go()
+            woke = turn.wait(None if end is None else end - monotonic())
+            turn.clear()
+        if future.done or self.callers_read:
+            return future.done
+        return future.wait(  # on the gate: a drive reads from now on
+            None if end is None else end - monotonic())
+
+    def _lead(self, future: Optional[ReplyFuture],
+              end: Optional[float]) -> bool:
+        """Route what comes until ``future`` is done (True; no future:
+        the connection closed) or nothing did by ``end`` (False)."""
+        conn = self.conn
+        try:
+            while not (conn.closed if future is None else future.done):
+                rm = conn.read_message(
+                    None, inf if end is None else end - monotonic())
+                if rm is None:
+                    return False
+                self._route(rm)
+        except (GIOPError, SystemException) as exc:
+            self._read_failed(exc)
+        except BaseException as exc:  # an interrupt leaves the parse whole
+            if conn.closed:  # unless the parse ended the connection
+                self._read_failed(exc)
+            raise
+        return True
+
+    def _let_go(self) -> None:
+        with self._lock:
+            self._leading = False
+            if self.callers_read:
+                if self._followers:
+                    self._followers.pop(0).set()
+                return
+        self._drive(getattr(self._orb, "reactor", None))  # handed over
+
+    def check_idle(self) -> None:
+        """Before a write on a connection nobody reads: what came while
+        it was idle (CloseConnection, EOF) closes it now; the call redials."""
+        with self._lock:
+            if not self.callers_read or self._leading:
+                return
+            self._leading = True
+        try:
+            self._lead(None, monotonic())
+        finally:
+            self._let_go()
 
     def close(self, timeout: float = 1.0) -> None:
         """Close the connection and join the reader thread (bounded).
@@ -161,6 +273,7 @@ class ReplyDemux:
         """A future for ``request_id``; register BEFORE sending, so the
         reply cannot race the registration."""
         fut = ReplyFuture(request_id)
+        fut.demux = self
         with self._lock:
             if self._failed is not None:
                 # the conn is already dead; the caller's send will fail
@@ -173,9 +286,12 @@ class ReplyDemux:
 
     def discard(self, request_id: int) -> None:
         """Forget a future (deadline expiry / failed send).  A reply
-        arriving later is dropped as stale."""
+        arriving later is dropped as stale, by a drive: no caller waits
+        for it on a thread (:meth:`hand_over`)."""
         with self._lock:
-            self._pending.pop(request_id, None)
+            owed = self._pending.pop(request_id, None) is not None
+        if owed:
+            self.hand_over()
 
     def abandon(self, future: ReplyFuture) -> None:
         """A cancelled awaiter will never collect this reply: forget
@@ -183,10 +299,12 @@ class ReplyDemux:
         now if it already landed, or the moment it does.  Idempotent
         and thread-safe: the buffers go back exactly once, whether the
         loop thread, the executor thread, or the reader gets here
-        first."""
+        first.  Nobody waits to read it: a drive must (:meth:`hand_over`)."""
         with self._lock:
             self._pending.pop(future.request_id, None)
         future.add_done_callback(self._drop_abandoned)
+        if not future.done:
+            self.hand_over()
 
     def _drop_abandoned(self, future: ReplyFuture) -> None:
         with self._lock:
@@ -246,7 +364,7 @@ class ReplyDemux:
                 message=f"GIOP framing error on reply stream: {exc}")
         else:
             exc = INTERNAL(completed=CompletionStatus.COMPLETED_MAYBE,
-                           message=f"reactor read failed: {exc!r}")
+                           message=f"reply read failed: {exc!r}")
         self._fail_all(exc)
 
     @staticmethod

@@ -90,7 +90,8 @@ class ORBConfig:
     monitor: bool = True
     #: asyncio reactor (repro.orb.reactor): adoptable TCP connections
     #: are read on a shared event loop instead of a thread each — the
-    #: C10K path.  False restores thread-per-connection everywhere.
+    #: C10K path (a client's once it is awaited on; its blocking callers
+    #: read it before that).  False: a thread per connection instead.
     reactor: bool = True
 
 
@@ -169,7 +170,8 @@ class ORB:
         """The process-wide event-loop reactor (lazily started), or
         None when ``config.reactor`` is off.  Attaching registers this
         ORB for loop-health metrics (``loop_lag_seconds`` /
-        ``loop_tasks``) once it has a metrics registry."""
+        ``loop_tasks``) once it has a metrics registry.  A client asks
+        at its first awaited call: one that never awaits runs no loop."""
         if not self.config.reactor:
             return None
         from .reactor import get_reactor
@@ -494,7 +496,7 @@ class ORB:
         return IIOPProxy(
             lambda: self._new_conn(transport.connect(
                 endpoint, timeout=self.config.connect_timeout)),
-            orb=self, reactor=self.reactor)
+            orb=self)
 
     def _new_conn(self, stream) -> GIOPConn:
         """Every connection of this ORB, dialed or accepted, is built

@@ -54,6 +54,7 @@ Connector = Callable[[], GIOPConn]
 #: nowait)`` — call ``thunk()`` where blocking is allowed (if ``nowait``:
 #: or ``thunk(False)`` anywhere, then the rest it returns, if any) — and
 #: ``(_WAIT, reply_future, timeout)`` — send back whether it completed
+#: (blocking, the wait may be the read, ReplyDemux.wait)
 _CALL, _WAIT = range(2)
 
 #: what the async driver and the locate probe pass for ``_orb_hooks()``
@@ -82,7 +83,9 @@ class _Attempt:
 async def _arrival(loop, future, timeout: Optional[float]) -> bool:
     """``ReplyFuture.wait`` without a thread: the demux (reader thread
     or reactor) completes the future, a done-callback wakes the
-    awaiting task via ``call_soon_threadsafe``."""
+    awaiting task via ``call_soon_threadsafe``.  A drive must read for
+    it: the first on a connection its callers read hands it over."""
+    future.demux.hand_over()
     afut = loop.create_future()
 
     def _wake(_fut) -> None:
@@ -104,15 +107,12 @@ class IIOPProxy:
 
     def __init__(self, connector: Connector,
                  policy: Optional[InvocationPolicy] = None,
-                 orb=None, reactor=None):
+                 orb=None):
         self._connector = connector
         self._conn: Optional[GIOPConn] = None
         self._stats = ConnStats()
         self.policy = policy
-        #: the event-loop reactor handed to each ReplyDemux: adoptable
-        #: connections get no reader thread.  None = threaded demux.
-        self._reactor = reactor
-        #: the owning ORB (for tracers/interceptors)
+        #: the owning ORB (for tracers/interceptors, and its loop)
         self._orb = orb
         #: guards the conn/demux *lifecycle* (dial, reconnect) — never
         #: held across a send or a reply wait
@@ -148,6 +148,8 @@ class IIOPProxy:
             return None
         try:
             conn = self._conn
+            if self._demux is not None:
+                self._demux.check_idle()  # what arrived while nobody read
             if not block and (
                     conn is None or conn.closed or self._demux is None
                     or not getattr(conn.stream, "reactor_safe", False)):
@@ -160,7 +162,7 @@ class IIOPProxy:
                 if conn is not None:
                     self._stats.reconnects += 1
             if self._demux is None:  # a fresh dial
-                self._demux = ReplyDemux(self._conn, reactor=self._reactor)
+                self._demux = ReplyDemux(self._conn, orb=self._orb)
                 self._demux.start()
             return self._conn, self._demux
         finally:

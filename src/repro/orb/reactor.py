@@ -3,8 +3,8 @@
 A reader thread per connection tops out at hundreds of peers.  This
 module is the drive :meth:`GIOPConn.start_reading
 <repro.orb.connection.GIOPConn.start_reading>` chooses for every
-adoptable TCP connection: its *read* side moves onto one asyncio event
-loop running on its own daemon thread.
+adoptable TCP connection (a client's once it is awaited on): its *read*
+side moves onto one asyncio event loop running on its own daemon thread.
 
 * readiness is delivered by ``loop.add_reader(fd, cb)`` — level
   triggered, so a callback that leaves bytes unread is re-armed;
@@ -50,7 +50,8 @@ _HEARTBEAT = 0.05
 
 
 class _ConnDriver:
-    """Feeds one connection's resumable parser from readiness events.
+    """Feeds one connection's resumable parser (the connection's own:
+    it may be half way through a message) from readiness events.
 
     Lives entirely on the reactor's loop thread after attach; the only
     cross-thread entry points are :meth:`request_detach` (scheduled via
@@ -60,8 +61,7 @@ class _ConnDriver:
     """
 
     __slots__ = ("conn", "reactor", "fd", "on_message", "on_error",
-                 "wait_stage", "_gen", "_request", "_buf", "_filled",
-                 "_paused", "_detached")
+                 "wait_stage", "_paused", "_detached")
 
     def __init__(self, conn, reactor: "Reactor", on_message, on_error,
                  wait_stage: Optional[str]):
@@ -71,10 +71,6 @@ class _ConnDriver:
         self.on_message = on_message
         self.on_error = on_error
         self.wait_stage = wait_stage
-        self._gen = None
-        self._request = None      # ("exact", n) | ("into", view)
-        self._buf: Optional[memoryview] = None
-        self._filled = 0
         self._paused = False
         self._detached = False
 
@@ -98,9 +94,9 @@ class _ConnDriver:
                     self.reactor.loop.remove_reader(self.fd)
                 except (OSError, ValueError):
                     pass
-        if self._gen is not None:
-            self._gen.close()
-            self._gen = None
+        gen, self.conn._gen = self.conn._gen, None
+        if gen is not None:
+            gen.close()
 
     def request_detach(self) -> None:
         """Thread-safe detach entry point (the conn close hook)."""
@@ -135,71 +131,24 @@ class _ConnDriver:
         self._on_readable()
 
     # -- the drain loop (loop thread) ---------------------------------------
-    def _resume(self, value=None, exc: Optional[BaseException] = None
-                ) -> None:
-        """Resume the parser with a satisfied read's ``value``, or with
-        ``exc``, a failure of the read, thrown in so that the parser's
-        except clauses do the stats / close / CORBA mapping; then stage
-        the read it asks for next, or deliver the finished message.
-        Whatever the parser raises, mapped from ``exc`` or by itself
-        over what the peer sent, ends reading: ``on_error``, once."""
-        gen = self._gen
-        self._request = self._buf = None
-        try:
-            req = gen.send(value) if exc is None else gen.throw(exc)
-        except StopIteration as stop:
-            self._gen = None
-            self.on_message(stop.value, self)
-            return
-        except BaseException as mapped:
-            self.detach()
-            self.conn.closed = True
-            self.on_error(mapped, self)
-            return
-        kind = req[0]
-        if kind == "land":
-            # only a shm deposit channel asks, and shm streams are
-            # never reactor-adopted
-            self._resume(exc=RuntimeError(
-                "shm deposit landing reached the reactor"))
-            return
-        view = memoryview(bytearray(req[1])) if kind == "exact" else req[1]
-        if view.format != "B" or view.ndim != 1:
-            view = view.cast("B")
-        if view.nbytes == 0:
-            # an empty body or payload: satisfied without I/O
-            self._resume(view if kind == "exact" else None)
-            return
-        self._request = req
-        self._buf = view
-        self._filled = 0
-
     def _on_readable(self) -> None:
+        """Deliver every message the socket holds.  Whatever the parse
+        raises, mapped from a failed read or over what the peer sent,
+        ends reading: ``on_error``, once."""
         conn = self.conn
         while not self._detached and not self._paused:
-            if self._gen is None:
-                if conn.closed:
-                    self.detach()
-                    return
-                self._gen = conn._read_message_gen(self.wait_stage)
-                self._resume()
-                continue
-            if self._buf is None:
-                # invariant: an active parser always has a staged read
-                self._resume(exc=RuntimeError(
-                    "reactor parser without a staged read request"))
+            if conn.closed and conn._gen is None:
+                self.detach()  # the owner closed it between two messages
                 return
             try:
-                n = conn.stream.recv_into_nb(self._buf[self._filled:])
+                rm = conn._read_nb(self.wait_stage)
             except BaseException as exc:
-                self._resume(exc=exc)
+                self.detach()
+                self.on_error(exc, self)
                 return
-            if n is None:
+            if rm is None:
                 return  # would block: wait for the next readiness event
-            self._filled += n
-            if self._filled == self._buf.nbytes:
-                self._resume(self._buf if self._request[0] == "exact"
-                             else None)
+            self.on_message(rm, self)
 
 
 class Reactor:

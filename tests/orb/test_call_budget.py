@@ -5,15 +5,21 @@ number of Python-level function calls it executes (DESIGN.md, "The
 call path and its budget"), so that number is what this test pins:
 two in-process ORBs over ``tcp``, every thread profiled, counts taken
 after warm-up, once in the default configuration and once with
-``flight_recorder=False``.
+``flight_recorder=False``.  The server ORB runs off the reactor (a
+reader thread and the worker pool), so its threads can be told from
+the client's.
 
-The ceilings sit 10 % above what the flat-record change reached.  The
-commit before it needed 86 calls on the calling thread and 254 in all,
-52 of them for the recorder, and still made 30 calls into
-``repro/obs/`` per ping with the recorder off; a change that drifts
-back towards that fails here before it shows in a benchmark.  The
-count is deterministic up to the reactor's 50 ms heartbeat, which adds
-a fraction of a call per ping to the total.
+Who reads: the client's connection is never awaited on, so the calling
+thread reads its own reply (DESIGN.md §10, the waiter) and the client
+half of a ping runs on that one thread, which the test pins; no loop
+runs in the client at all.  The ceilings sit 10 % above what that
+change reached: it moved calls onto the calling thread (63 → 92, the
+read and routing of the reply, and the idle check before the write)
+and took more off the others (187 → 166 in all), which is the thread
+hand-off it removed.  The flat-record change before it had brought 86
+calls on the calling thread and 254 in all, 52 of them for the
+recorder, to 63 and 187; a change that drifts back fails here before
+it shows in a benchmark.
 
 The second half is the gate on always-on observation (ROADMAP item 5):
 what the recorder adds to a null call, as path length, and that an ORB
@@ -31,8 +37,9 @@ byte under ``DEPOSIT_MIN_SIZE`` and of one twice the constant, on tcp
 and on shm, all threads.
 
 The fourth configuration is the awaited call: eight callers awaiting ``ping`` on the
-reactor's loop.  Over a live connection the awaiting driver marshals
-and writes where it stands, so the client side of a ping is one thread.
+reactor's loop, which reads the connection from the first awaited call
+on.  Over a live connection the awaiting driver marshals and writes
+where it stands, so the client side of a ping is one thread.
 When every send hopped to the loop's executor it was seven threads and
 215 calls, about 100 of them executor and future plumbing.
 """
@@ -55,27 +62,31 @@ from repro.orb import ORB, ORBConfig, async_api, run_sync
 from repro.orb.reactor import reset_reactor
 from repro.transport.shm import shm_available
 
-#: measured: 63 on the calling thread, 187 over all threads, 0 emits
-CALLER_CEILING = 71
-TOTAL_CEILING = 209
+#: measured: 92 on the calling thread, which reads its own reply, 166
+#: over all threads, 0 emits (63 and 187 while a reactor thread read it)
+CALLER_CEILING = 101
+TOTAL_CEILING = 182
 EMIT_CEILING = 0
-#: measured: 20.3 calls per ping more than with ``flight_recorder=False``
+#: measured: 20.0 calls per ping more than with ``flight_recorder=False``
 RECORDER_CEILING = 25
-#: measured, traced: 305 calls inside ``repro/obs/`` per ping (about half
+#: measured, traced: 306 calls inside ``repro/obs/`` per ping (about half
 #: of them metrics-registry look-ups), 1.0 per stage event
 TRACED_OBS_CEILING = 340
 STAGE_FANOUT_CEILING = 2
-#: measured, awaited with 8 in flight: 113 calls per ping on the client,
-#: all on the reactor's thread
+#: measured, awaited with 8 in flight: mostly 111-119 calls per ping on
+#: the client, now and then up to 125 (how many replies one readiness
+#: event finds moves it; the same before callers read), all on the
+#: reactor's thread
 ASYNC_CLIENT_CEILING = 125
 ASYNC_CLIENT_THREADS = 1
 ASYNC_WINDOW = 8
 
 #: measured, all threads, per ``send_zc``: one byte under
-#: ``DEPOSIT_MIN_SIZE`` 233 on tcp and 225 on shm (the payload rides the
-#: control message), at twice the constant 278 and 310 (a deposit; on
+#: ``DEPOSIT_MIN_SIZE`` 218 on tcp and 226 on shm (the payload rides the
+#: control message), at twice the constant 260 and 309 (a deposit; on
 #: shm with its arena staging).  Before the size rule and the one
-#: gather write it was 279 / 324 at every size; a ping is 182 / 169
+#: gather write it was 279 / 324 at every size; before tcp callers read
+#: their own replies 233 / 278 on tcp
 DEPOSIT_CEILINGS = {("tcp", False): 256, ("shm", False): 247,
                     ("tcp", True): 305, ("shm", True): 341}
 
@@ -93,10 +104,12 @@ BUDGET_IDL = """interface Budget {
 def _count_null_call(flight_recorder: bool, traced: bool = False,
                      scheme: str = "tcp", payload=None):
     """``(calling thread, all threads, FlightRecorder.emit, inside
-    repro/obs/, threads seen, calls per stage event)``: Python-level
-    calls per ping (with a ``payload``: per ``send_zc`` of it); the
-    last is every call made from a sink's ``stamp`` down, itself
-    included, per outermost ``stamp``."""
+    repro/obs/, threads seen, calls per stage event, client threads)``:
+    Python-level calls per ping (with a ``payload``: per ``send_zc`` of
+    it); the sixth is every call made from a sink's ``stamp`` down,
+    itself included, per outermost ``stamp``.  The server ORB keeps off
+    the reactor, so every thread that is not one of its own is the
+    client's."""
     api = compile_idl(BUDGET_IDL, module_name="_call_budget_idl")
 
     class Impl(api.Budget_skel):
@@ -107,6 +120,7 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
             return len(data)
 
     calls = collections.Counter()  # thread ident -> Python-level calls
+    names = {}  # thread ident -> thread name
     emits = [0]
     in_obs = [0]
     emit_code = FlightRecorder.emit.__code__
@@ -120,6 +134,8 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
             return
         ident = threading.get_ident()
         if event == "call":
+            if ident not in calls:
+                names[ident] = threading.current_thread().name
             calls[ident] += 1
             code = frame.f_code
             if code is emit_code:
@@ -138,14 +154,16 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
 
     # threads take the profile hook when they start: the reactor shard
     # (process-wide, possibly alive from an earlier test) is restarted
-    # so that it, the workers and the accept thread all carry it
+    # so that whatever starts it, the workers and the accept thread all
+    # carry it
     reset_reactor()
     threading.setprofile(profile)
     server = client = None
     try:
-        config = ORBConfig(scheme=scheme, flight_recorder=flight_recorder)
-        server = ORB(config)
-        client = ORB(config)
+        server = ORB(ORBConfig(scheme=scheme, flight_recorder=flight_recorder,
+                               reactor=False))
+        client = ORB(ORBConfig(scheme=scheme,
+                               flight_recorder=flight_recorder))
         if traced:
             server.enable_tracing(distributed=True)
             client.enable_tracing(distributed=True)
@@ -168,23 +186,29 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
                 orb.shutdown()
         reset_reactor()  # the next test gets an unprofiled shard
 
+    client_threads = [name for ident, name in names.items()
+                      if not name.startswith(("iiop-", "tcp-"))]
+    assert len(client_threads) < len(calls)  # the server's were told apart
     return (calls[threading.get_ident()] / CALLS,
             sum(calls.values()) / CALLS, emits[0] / CALLS,
             in_obs[0] / CALLS, len(calls),
-            fanout[0] / max(stage_events[0], 1))
+            fanout[0] / max(stage_events[0], 1), client_threads)
 
 
 def test_null_call_stays_inside_its_budget():
-    caller, total, emits, in_obs, threads, _ = _count_null_call(True)
+    caller, total, emits, in_obs, threads, _, client = _count_null_call(True)
     assert caller <= CALLER_CEILING, f"calling thread: {caller:.1f} calls"
     assert total <= TOTAL_CEILING, f"all threads: {total:.1f} calls"
     assert emits <= EMIT_CEILING, \
         f"{emits:.1f} FlightRecorder.emit calls per ping"
+    # the client half of a sync tcp ping is the calling thread's: it
+    # reads its own reply, and nothing else of the client runs
+    assert client == [threading.current_thread().name], client
     # the count is of a working call path, not of an early return, and
     # of a recorder that is really being driven
     assert caller > 20 and threads >= 3 and in_obs >= 2
 
-    _, bare, _, bare_in_obs, _, _ = _count_null_call(False)
+    _, bare, _, bare_in_obs, _, _, _ = _count_null_call(False)
     assert total - bare <= RECORDER_CEILING, \
         f"the recorder adds {total - bare:.1f} calls per ping"
     assert bare_in_obs == 0, \
@@ -198,7 +222,7 @@ def test_null_call_stays_inside_its_budget():
 def test_a_payload_pays_for_a_deposit_only_when_it_takes_one(scheme,
                                                              deposited):
     nbytes = 2 * DEPOSIT_MIN_SIZE if deposited else DEPOSIT_MIN_SIZE - 1
-    _, total, _, _, _, _ = _count_null_call(
+    _, total, _, _, _, _, _ = _count_null_call(
         True, scheme=scheme,
         payload=ZCOctetSequence.from_data(bytes(nbytes)))
     assert total <= DEPOSIT_CEILINGS[scheme, deposited], \
@@ -207,7 +231,7 @@ def test_a_payload_pays_for_a_deposit_only_when_it_takes_one(scheme,
 
 
 def test_traced_call_reads_the_one_record():
-    _, _, _, in_obs, _, per_stage = _count_null_call(True, traced=True)
+    _, _, _, in_obs, _, per_stage, _ = _count_null_call(True, traced=True)
     assert in_obs <= TRACED_OBS_CEILING, \
         f"{in_obs:.1f} calls inside repro/obs/ per traced ping"
     assert 1 <= per_stage <= STAGE_FANOUT_CEILING, \

@@ -298,7 +298,9 @@ class TestShmUnderReactor:
 class TestReactorTelemetry:
     def test_loop_metrics_reach_the_registry(self, test_api):
         """S2: the heartbeat publishes loop_lag_seconds/loop_tasks
-        into every attached ORB's metrics registry."""
+        into every attached ORB's metrics registry, and a client ORB is
+        attached once it uses the loop: its first awaited call, which
+        hands the connection over.  Before that its callers read it."""
         orb = ORB(ORBConfig(scheme="tcp"))
         server = ORB(ORBConfig(scheme="tcp"))
         try:
@@ -306,13 +308,19 @@ class TestReactorTelemetry:
             impl = make_store_impl(test_api)
             stub = orb.string_to_object(
                 server.object_to_string(server.activate(impl)))
-            stub.put_std(OctetSequence(b"t"))
 
             def seen():
                 names = {m["name"]
                          for m in orb.metrics.snapshot()["metrics"]}
                 return "loop_lag_seconds" in names \
                     and "loop_tasks" in names
+            stub.put_std(OctetSequence(b"t"))
+            time.sleep(0.2)  # four heartbeats of the server's loop
+            assert not seen()
+
+            async def go():
+                return await async_api(stub).put_std(OctetSequence(b"t"))
+            assert asyncio.run(go()) == 2
             assert _settle(seen, timeout=3.0)
         finally:
             orb.shutdown()

@@ -1,9 +1,11 @@
 """One read path (DESIGN.md §10): whichever drive reads a connection
-(``GIOPConn.start_reading``: pump, loop, reader thread), a server treats
-a message, or a peer's garbage, the same, and a client fails its
-in-flight calls the same.  One table of hostile streams, every drive,
-both roles, against a peer with no ORB behind it; then the regressions
-the table grew out of, one per drive.  (The server half of the loop
+(``GIOPConn.start_reading``: pump, loop, reader thread; and a client's
+plain tcp connection, the callers waiting for replies until an awaited
+call hands it over), a server treats a message, or a peer's garbage,
+the same, and a client fails its in-flight calls the same.  One table
+of hostile streams, every drive, both roles, against a peer with no
+ORB behind it; then the regressions the table grew out of, one per
+drive.  (The server half of the loop
 drive's is in the table: its ``bad-magic``, ``unknown-type`` and
 ``ff-body`` rows on ``loop``, a default tcp server, got neither an
 answer nor a hang-up before ``_ConnDriver._resume``.)
@@ -12,6 +14,7 @@ This is the first piece of ROADMAP item 4(a)'s connection fuzzer; size
 limits (oversized headers, endless fragment chains) stay with that item.
 """
 
+import asyncio
 import errno
 import os
 import random
@@ -27,9 +30,10 @@ from repro.core import BufferPool, DepositDescriptor, OctetSequence
 from repro.giop import (GIOP_HEADER_SIZE, IOR, IIOPProfile, LocateReplyHeader,
                         LocateRequestHeader, LocateStatus, MsgType, ReplyHeader,
                         ReplyStatus, RequestHeader, ServiceContext,
-                        decode_header, encode_giop_header, encode_message)
+                        decode_body, decode_header, encode_giop_header,
+                        encode_message)
 from repro.orb import (COMM_FAILURE, INTERNAL, MARSHAL, ORB, CompletionStatus,
-                       ORBConfig)
+                       ORBConfig, async_api)
 from repro.transport.base import TransportError, TransportTimeout
 from repro.transport.shm import shm_available
 
@@ -45,8 +49,14 @@ DRIVES = {
     "thread-inline": dict(scheme="tcp", server_workers=0),
     "thread-shm": dict(scheme="shm"),
 }
-#: a client has no dispatch, so inline or pooled is one drive to it
-CLIENT_DRIVES = [d for d in DRIVES if d != "thread-inline"]
+#: client drive -> the server drive whose ORBConfig the client takes.  A
+#: client has no dispatch, so inline or pooled is one drive to it, and
+#: its plain tcp connection is read by its waiting callers until the
+#: first awaited call hands it to the loop (or, without one, a thread)
+CLIENT_DRIVES = {"pump": "pump", "waiter": "loop", "loop": "loop",
+                 "thread+pool": "thread+pool", "thread-shm": "thread-shm"}
+#: the client drives reached by way of one awaited call
+HANDED_OVER = ("loop", "thread+pool")
 
 MESSAGE_ERROR = bytes(encode_giop_header(MsgType.MessageError, 0))
 MAYBE = CompletionStatus.COMPLETED_MAYBE
@@ -338,11 +348,34 @@ def raw_server(test_api):
         server.close()
 
 
+def _await_one_call(server: _RawServer) -> None:
+    """One awaited call, answered by hand: the connection is read by the
+    drive ``start_reading`` chooses from now on."""
+    got = []
+    caller = threading.Thread(target=lambda: got.append(asyncio.run(
+        async_api(server.stub).put_std(OctetSequence(b"over")))),
+        daemon=True)
+    caller.start()
+    assert _settle(lambda: server.accepted)
+    request = server.accepted[0].recv_message()
+    header = decode_header(request)
+    request_id = decode_body(
+        header, request[GIOP_HEADER_SIZE:]).body_header.request_id
+    server.accepted[0].send(encode_message(
+        ReplyHeader(request_id=request_id,
+                    reply_status=ReplyStatus.NO_EXCEPTION),
+        struct.pack("=I", 4)))
+    caller.join(WATCHDOG)
+    assert got == [4]
+
+
 @pytest.mark.parametrize("row", STREAMS, ids=lambda row: row.name)
 @pytest.mark.parametrize("drive", CLIENT_DRIVES)
 def test_client_fails_every_inflight_call_the_same_on_every_drive(
         drive, row, raw_server):
-    client, pool, server = raw_server(drive)
+    client, pool, server = raw_server(CLIENT_DRIVES[drive])
+    if drive in HANDED_OVER:
+        _await_one_call(server)
     callers = _Callers(server.stub, 3)
     assert _settle(lambda: server.accepted)
     peer = server.accepted[0]
@@ -351,6 +384,9 @@ def test_client_fails_every_inflight_call_the_same_on_every_drive(
     proxy = next(iter(client._proxies.values()))
     demux = proxy._demux
     assert demux.inflight == 3
+    # the table reaches the drive it names
+    assert demux.callers_read is (drive == "waiter")
+    assert (demux._thread is not None) is drive.startswith("thread")
 
     peer.send(_bytes_of(row, to_server=False))
     if row.then_eof:
@@ -368,10 +404,12 @@ def test_client_fails_every_inflight_call_the_same_on_every_drive(
 
 def test_garbage_reply_fails_a_default_client_at_once_without_a_policy(
         raw_server):
-    """Loop drive: the same escape left a caller with no deadline
-    waiting for ever.  No policy here, so nothing but the read path can
-    end the call; then the dead connection is replaced."""
-    client, _, server = raw_server("loop")
+    """A default client's sync callers read its connection themselves
+    (the waiter drive; the escape that left a caller with no deadline
+    waiting for ever was the loop's, and the table's ``loop`` rows hold
+    it since).  No policy here, so nothing but the read path can end
+    the call; then the dead connection is replaced."""
+    client, _, server = raw_server(CLIENT_DRIVES["waiter"])
     assert client.policy is None
     callers = _Callers(server.stub, 1)
     assert _settle(lambda: server.accepted)
