@@ -155,19 +155,19 @@ class DepositReceiver:
     :meth:`prepare`; the returned :class:`ZCBuffer` is the *final*
     destination — the transport reads the payload straight into it
     (``readinto`` on real sockets, view hand-off on loopback), after
-    which :meth:`complete` hands the buffer to demarshaling.
+    which :meth:`complete` hands the buffer to demarshaling.  Over a
+    deposit channel the connection calls :meth:`land` with each
+    deposit's record instead.
     """
 
     def __init__(self, pool: Optional[BufferPool] = None, channel=None):
         self.pool = pool or default_pool()
         #: optional deposit channel (e.g. ``ShmStream``): when present,
         #: landing buffers come from :meth:`land` — the channel maps a
-        #: shared-memory slot (or reads the inline fallback) — instead
-        #: of being pool-acquired at prepare time
+        #: shared-memory slot, or leases a pool buffer for the inline
+        #: fallback
         self.channel = channel
-        self._prepared: dict[int,
-                             tuple[DepositDescriptor,
-                                   Optional[ZCBuffer]]] = {}
+        self._prepared: dict[int, tuple[DepositDescriptor, ZCBuffer]] = {}
         self._order: list[int] = []
         self.deposits_received = 0
         self.bytes_deposited = 0
@@ -176,15 +176,9 @@ class DepositReceiver:
         self.shm_landed = 0
         self.shm_fallbacks = 0
 
-    def prepare(self, desc: DepositDescriptor) -> Optional[ZCBuffer]:
+    def prepare(self, desc: DepositDescriptor) -> ZCBuffer:
         if desc.deposit_id in self._prepared:
             raise DepositError(f"duplicate deposit id {desc.deposit_id}")
-        if self.channel is not None:
-            # the landing buffer is chosen per deposit record at land()
-            # time; there is nothing to allocate yet
-            self._prepared[desc.deposit_id] = (desc, None)
-            self._order.append(desc.deposit_id)
-            return None
         buf = self.pool.acquire(max(desc.size, 1))
         buf.set_length(desc.size)
         if desc.alignment > 1 and buf.address % desc.alignment != 0:
@@ -198,25 +192,21 @@ class DepositReceiver:
         self._order.append(desc.deposit_id)
         return buf
 
-    def land(self, desc: DepositDescriptor) -> ZCBuffer:
-        """Channel mode: receive one prepared deposit through the
-        channel (slot-mapped buffer or inline fallback read)."""
-        if self.channel is None:
-            raise DepositError("land() requires a deposit channel")
-        prepared = self._prepared.get(desc.deposit_id)
-        if prepared is None or prepared[1] is not None:
-            raise DepositError(
-                f"deposit {desc.deposit_id} not awaiting landing")
-        buf, via_arena = self.channel.recv_deposit(desc, self.pool)
+    def land(self, desc: DepositDescriptor, record) -> Optional[ZCBuffer]:
+        """Channel mode: land one deposit from its ``record`` (the bytes
+        the connection read for it; the caller names each id once).
+        Returns the buffer the inline payload behind the record still
+        has to be read into, or None: an arena slot holds it already."""
+        buf, via_arena = self.channel.recv_deposit(desc, record, self.pool)
         self._prepared[desc.deposit_id] = (desc, buf)
+        self._order.append(desc.deposit_id)
         if via_arena:
             self.shm_landed += 1
-        else:
-            self.shm_fallbacks += 1
+            return None
+        self.shm_fallbacks += 1
         return buf
 
-    def pending_in_order(self) -> list[tuple[DepositDescriptor,
-                                             Optional[ZCBuffer]]]:
+    def pending_in_order(self) -> list[tuple[DepositDescriptor, ZCBuffer]]:
         """Prepared deposits in control-message order (= data-path order)."""
         return [self._prepared[i] for i in self._order]
 
@@ -225,9 +215,6 @@ class DepositReceiver:
             desc, buf = self._prepared[deposit_id]
         except KeyError:
             raise DepositError(f"deposit {deposit_id} was not prepared") from None
-        if buf is None:
-            raise DepositError(f"deposit {deposit_id} completed before "
-                               f"landing")
         del self._prepared[deposit_id]
         self._order.remove(deposit_id)
         self.deposits_received += 1
@@ -249,7 +236,7 @@ class DepositReceiver:
         """
         released = 0
         for _, buf in self._prepared.values():
-            if buf is not None and not buf.released:
+            if not buf.released:
                 buf.release()
                 released += 1
         self._prepared.clear()

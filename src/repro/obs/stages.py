@@ -31,7 +31,9 @@ stage              what it covers (client view)
 
 The server side uses the same vocabulary where it applies
 (``recv-wait`` instead of ``server-wait`` — a server waits for clients,
-not for a server).
+not for a server).  On every drive, the reader thread's as the loop's
+and the pump's, ``recv-wait`` times a request's read from its header
+in to its last byte, without the idle before it.
 
 :class:`StageTimer` keeps the stage record of each finished client
 call as an :class:`InvocationBreakdown`, the live counterpart of the
@@ -59,7 +61,7 @@ STAGE_DEPOSIT_SEND = "deposit-send"
 STAGE_SERVER_WAIT = "server-wait"
 STAGE_DEPOSIT_RECV = "deposit-recv"
 STAGE_DEMARSHAL = "demarshal"
-#: server-side name for the blocking read (not an invocation stage)
+#: server-side name for a request's read (not an invocation stage)
 STAGE_RECV_WAIT = "recv-wait"
 
 #: the six client stages in paper/wire order (Fig. 7's categories)

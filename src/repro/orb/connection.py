@@ -687,7 +687,9 @@ class GIOPConn:
 
         Returns the reader thread for the owner to join after
         :meth:`close`, None for the other two drives (a client's tcp
-        connection comes here once awaited on: DESIGN.md §10).
+        connection comes here once awaited on: DESIGN.md §10).  Each
+        drive reads with :meth:`_read_nb`, the thread after a ``poll``
+        (:meth:`read_message`).
 
         Every message goes to ``on_message(rm)``; the loop also passes
         its driver, ``on_message(rm, driver)``, whose presence means
@@ -695,14 +697,14 @@ class GIOPConn:
         the back-pressure a blocked reader thread gives for free.  Every
         other way reading can end reaches ``on_error(exc)`` (from the
         loop ``on_error(exc, driver)``) exactly once, with the
-        connection already marked closed: a transport error the drive
-        throws into the parser (mapped there to ``COMM_FAILURE`` /
-        ``TIMEOUT``), a :class:`GIOPError` or ``MARSHAL`` the parser
-        raises by itself over what a peer sent, a loopback stream closed
-        under the pump.  The owner's own :meth:`close`, seen between two
-        messages, ends reading silently.  ``wait_stage`` is
-        :meth:`read_message`'s.  Routing and failure mapping belong to
-        the two callbacks and do not depend on the drive.
+        connection already marked closed: a transport error a read
+        meets, a closed loopback stream's included (mapped by the parser
+        to ``COMM_FAILURE``), a :class:`GIOPError` or ``MARSHAL`` the
+        parser raises by itself over what a peer sent.  The owner's own
+        :meth:`close`, seen between two messages, ends reading silently.
+        ``wait_stage`` is :meth:`read_message`'s.  Routing and failure
+        mapping belong to the two callbacks and do not depend on the
+        drive.
         """
         stream = self.stream
         set_handler = getattr(stream, "set_data_handler", None)
@@ -723,97 +725,66 @@ class GIOPConn:
         return None
 
     def _read_messages(self, on_message, on_error, wait_stage,
-                   pumped: bool) -> None:
-        """The pump and the reader thread: :meth:`read_message` until
-        the connection ends (``pumped``: or the stream is drained)."""
-        stream = self.stream
+                       pumped: bool) -> None:
+        """The pump and the reader thread: the next message until the
+        connection ends (``pumped``: or what was delivered is read)."""
+        read = self._read_nb if pumped else self.read_message
         while not self.closed:
             try:
-                if pumped and getattr(stream, "available", 0) <= 0:
-                    if not getattr(stream, "closed", False):
-                        return  # drained; the next delivery pumps again
-                    # a closed loopback stream has no blocked read to
-                    # raise from, so the pump says what one would have
-                    raise COMM_FAILURE(
-                        message="connection closed by the peer")
-                rm = self.read_message(wait_stage)
+                rm = read(wait_stage)
             except (GIOPError, SystemException) as exc:
-                self.closed = True
                 on_error(exc)
                 return
+            if rm is None:
+                return  # drained; the next delivery pumps again
             on_message(rm)
 
     def read_message(self, wait_stage: Optional[str] = STAGE_RECV_WAIT,
-                     timeout: Optional[float] = None
+                     timeout: float = math.inf
                      ) -> Optional[ReceivedMessage]:
-        """Block for the next message; land its deposits (the MICO
-        ``do_read`` path with the direct-deposit callback of §4.5).
-
-        ``wait_stage`` names the stage charged for the blocking
-        control-message read when a sink is attached: servers keep the
-        ``recv-wait`` default, the reply demultiplexer passes ``None``
-        (see :meth:`_read_message_gen`).
-
-        A caller reading its own reply gives a ``timeout`` (``math.inf``:
-        none); it waits in ``poll``, then gets None, and a deadline or an
-        interrupt of the wait leaves the parse to the next reader.
-
-        This is the *blocking driver* over :meth:`_read_message_gen`:
-        the parse itself is a resumable generator so the reactor
-        (repro.orb.reactor) can feed it from non-blocking reads one
-        readiness callback at a time.  Both drivers run the same
-        parser, so framing, stats, and CORBA exception mapping cannot
-        diverge between the threaded and the event-loop path.
-        """
-        if timeout is not None or self._gen is not None:
-            if self._poll is None and not self.closed:
-                self._poll = select.poll()
-                self._poll.register(self.stream.fileno(), select.POLLIN)
-            end = monotonic() + (math.inf if timeout is None else timeout)
-            while True:
-                ms = -1 if end == math.inf else \
-                    max(0, math.ceil((end - monotonic()) * 1e3))
-                # a closed connection goes straight to the read, to fail
-                if not (self.closed or self._poll.poll(ms)):
-                    return None
-                rm = self._read_nb(wait_stage)
-                if rm is not None or not ms:
-                    return rm
-        gen = self._read_message_gen(wait_stage)
-        result = None
-        throwing: Optional[BaseException] = None
+        """The next message, its deposits landed (the MICO ``do_read``
+        path with the direct-deposit callback of §4.5), read on this
+        thread: ``poll``, then :meth:`_read_nb`, until it is in; None
+        once ``timeout`` passed, leaving the parse to the next reader.
+        A stream with nothing to poll (loopback, sim) holds all that was
+        sent to it, and a closed connection gets no more: there, what is
+        missing fails the read.  ``wait_stage``: see
+        :meth:`_read_message_gen` (servers keep ``recv-wait``, the reply
+        demultiplexer passes None)."""
+        poll = self._poll
+        if poll is None and not self.closed:
+            fileno = getattr(self.stream, "fileno", None)
+            if fileno is not None:
+                poll = self._poll = select.poll()
+                poll.register(fileno(), select.POLLIN)
+        end = monotonic() + timeout
         while True:
-            try:
-                if throwing is not None:
-                    req = gen.throw(throwing)
-                else:
-                    req = gen.send(result)
-            except StopIteration as stop:
-                return stop.value
-            throwing = None
-            result = None
-            try:
-                kind = req[0]
-                if kind == "exact":
-                    result = self.stream.recv_exact(req[1])
-                elif kind == "into":
-                    self.stream.recv_into(req[1])
-                else:  # "land": shm arena slot mapping, no stream read
-                    req[1].land(req[2])
-            except BaseException as exc:
-                # hand the failure to the generator: its except clauses
-                # own the stats/close/CORBA mapping, exactly once
-                throwing = exc
+            ms = -1 if end == math.inf else \
+                max(0, math.ceil((end - monotonic()) * 1e3))
+            # a closed connection goes straight to the read, to fail
+            if not (self.closed or poll is None or poll.poll(ms)):
+                return None
+            rm = self._read_nb(wait_stage)
+            if rm is not None or not ms:
+                return rm
+            if poll is None or self.closed:
+                return self._read_nb(wait_stage, TransportError(
+                    f"{self.stream.peer}: the message is cut short"))
 
-    def _read_nb(self, wait_stage: Optional[str] = STAGE_RECV_WAIT
+    def _read_nb(self, wait_stage: Optional[str] = STAGE_RECV_WAIT,
+                 error: Optional[BaseException] = None
                  ) -> Optional[ReceivedMessage]:
         """Feed the parse what the stream has now: the next message, or
-        None once a read would wait (the loop's read, and a caller's).
-        A failed read is thrown in for the parse to map; what the parse
+        None once a read would wait.  Every drive's read: the pump's and
+        the loop's directly, a reader thread's and a caller's after each
+        ``poll``.  A failed read is thrown in for the parse to map
+        (``error``: the staged read fails with it); what the parse
         raises closes."""
         if self._gen is None:
             self._gen, self._want = self._read_message_gen(wait_stage), None
-        gen, value, exc = self._gen, None, None
+        gen, value, exc = self._gen, None, error
+        if error is not None:
+            self._want = None
         while True:
             want = self._want
             if want is None:  # resume the parse, stage the read it asks
@@ -826,7 +797,7 @@ class GIOPConn:
                     self._gen = None
                     self.closed = True
                     raise
-                want, self._exact = req[1], req[0] == "exact"  # never "land"
+                want, self._exact = req[1], req[0] == "exact"
                 if self._exact:
                     want = memoryview(bytearray(want))
                 elif want.format != "B" or want.ndim != 1:
@@ -850,35 +821,37 @@ class GIOPConn:
         """Resumable GIOP parse: yields read requests, returns the
         :class:`ReceivedMessage` (via ``StopIteration.value``).
 
-        Yielded requests (the driver performs the I/O):
+        Yielded requests (:meth:`_read_nb` performs the I/O):
 
         * ``("exact", n)`` — read exactly ``n`` bytes, send back the
           ``memoryview``;
         * ``("into", view)`` — fill ``view`` completely (direct-deposit
-          landing, §4.5), send back None;
-        * ``("land", receiver, desc)`` — map the descriptor's shm arena
-          slot (never yielded to the reactor: shm streams keep their
-          reader thread), send back None.
+          landing, §4.5), send back None.
 
-        Transport errors raised by the driver are ``throw()``-n into
-        the generator at the yield point, so the except clauses below
-        map them to CORBA exceptions identically for every driver.
+        Transport errors the read meets are ``throw()``-n into the
+        generator at the yield point, so the except clauses below map
+        them to CORBA exceptions identically for every drive.
 
-        With a sink, the wait for the control message is stamped as
-        ``wait_stage`` and the landing as ``deposit-recv`` on the
-        reading thread, failed or not.  ``wait_stage=None`` (the reply
-        demultiplexer, whose thread cannot know whose call a reply
-        answers or since when it waited) reports nothing: the numbers
-        ride on the message for the awaiting caller to account for.
+        With a sink, the control message's read, from its header in to
+        its last byte, is stamped as ``wait_stage`` and the landing as
+        ``deposit-recv`` on the reading thread, failed or not (a
+        message whose header never came has no read to stamp).
+        ``wait_stage=None`` (the reply demultiplexer, whose thread
+        cannot know whose call a reply answers) reports nothing: the
+        numbers ride on the message for the awaiting caller to account
+        for.
         """
         fragments = 1
         sink = self.sink
         # the sink as far as this thread reports to it
         here = sink if wait_stage is not None else None
-        t0 = here.clock() if here is not None else 0.0
+        t0 = None
         arrived, wire_nbytes = 0.0, 0
         try:
             raw_header = (yield ("exact", GIOP_HEADER_SIZE))
+            # the parse of the next message is begun before its bytes
+            # come: the idle before them is not its read
+            t0 = here.clock() if here is not None else 0.0
             header = decode_header(raw_header)
             body = (yield ("exact", header.size)) if header.size \
                 else memoryview(b"")
@@ -917,19 +890,13 @@ class GIOPConn:
             # this connection can never resynchronize
             self.closed = True
             raise
-        except TransportTimeout as e:
-            # the request left in full; the peer's progress is unknown
-            self.closed = True
-            self.stats.timeouts += 1
-            raise TIMEOUT(completed=CompletionStatus.COMPLETED_MAYBE,
-                          message=str(e)) from e
         except TransportError as e:
             self.closed = True
             raise COMM_FAILURE(message=str(e)) from e
         finally:
             if sink is not None:
                 arrived = sink.clock()
-                if here is not None:
+                if here is not None and t0 is not None:
                     here.stamp(wait_stage, arrived - t0, wire_nbytes)
         self.stats.messages_received += 1
         self.stats.bytes_received += wire_nbytes
@@ -966,41 +933,39 @@ class GIOPConn:
         t0 = sink.clock() if sink is not None else 0.0
         deposits = rm.deposits
         try:
-            for desc in descriptors:
-                receiver.prepare(desc)
-            pending = receiver.pending_in_order()
-            for desc, buf in pending:
-                # shared memory: the deposit record maps its arena slot
-                # as the final buffer (or reads the inline fallback), no
-                # recv_into; a stream lands the payload directly in it
-                yield ("land", receiver, desc) if channel is not None \
-                    else ("into", buf.view())
+            # every descriptor is accepted before a byte behind them is
+            # read: a refused message must not wait for bytes never sent
+            if channel is None:
+                landings = [receiver.prepare(desc) for desc in descriptors]
+            elif len({d.deposit_id for d in descriptors}) < len(descriptors):
+                raise DepositError("duplicate deposit id")
+            for i, desc in enumerate(descriptors):
+                # the payload lands in its final buffer; in shared memory
+                # a record maps it (an arena slot) or names it (inline)
+                buf = landings[i] if channel is None else receiver.land(
+                    desc, (yield ("exact", channel.RECORD_SIZE)))
+                if buf is not None:
+                    yield ("into", buf.view())
                 rm.landed_nbytes += desc.size
                 if self.on_bytes is not None:
                     self.on_bytes("deposit-recv", desc.size)
-            for desc, _ in pending:
+            for desc in descriptors:
                 deposits[desc.deposit_id] = receiver.complete(
                     desc.deposit_id)
                 rm.deposit_flags[desc.deposit_id] = desc.flags
         except DepositError as e:
             # malformed descriptors (duplicate id, unsatisfiable
-            # alignment): the payload bytes are unconsumed, so the
-            # stream is desynchronized — return every prepared buffer
-            # to the pool and drop the connection
+            # alignment) or a record that lies: the stream is
+            # desynchronized — return every landed buffer to the pool
+            # (and slot to its arena) and drop the connection
             receiver.abort()
             self.close()
             raise MARSHAL(completed=CompletionStatus.COMPLETED_MAYBE,
                           message=f"deposit protocol violation: {e}"
                           ) from e
-        except TransportTimeout as e:
+        except TransportError as e:
             # interrupted mid-landing: the page-aligned buffers go
             # straight back to the pool — zero-copy never leaks
-            receiver.abort()
-            self.closed = True
-            self.stats.timeouts += 1
-            raise TIMEOUT(completed=CompletionStatus.COMPLETED_MAYBE,
-                          message=str(e)) from e
-        except TransportError as e:
             receiver.abort()
             self.closed = True
             raise COMM_FAILURE(message=str(e)) from e

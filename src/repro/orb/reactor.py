@@ -8,11 +8,11 @@ side moves onto one asyncio event loop running on its own daemon thread.
 
 * readiness is delivered by ``loop.add_reader(fd, cb)`` — level
   triggered, so a callback that leaves bytes unread is re-armed;
-* each readiness callback drains the socket with non-blocking
-  ``recv_into_nb`` calls and feeds the bytes to the connection's
-  resumable GIOP parser (``GIOPConn._read_message_gen``) — the *same*
-  parser the blocking path drives, so framing, byte accounting, and
-  CORBA exception mapping cannot diverge;
+* each readiness callback drains the socket through
+  ``GIOPConn._read_nb``, the read every drive makes: non-blocking
+  ``recv_into_nb`` calls feeding the connection's resumable GIOP
+  parser (``GIOPConn._read_message_gen``), so framing, byte accounting,
+  and CORBA exception mapping cannot diverge;
 * completed messages are handed to ``on_message`` and every other end
   of reading to ``on_error``, under ``start_reading``'s contract — both
   run on the loop thread and must not block (servant up-calls go to
@@ -21,11 +21,10 @@ side moves onto one asyncio event loop running on its own daemon thread.
 
 Sockets stay in *blocking* mode: reads use ``MSG_DONTWAIT``
 (``TCPStream.recv_into_nb``), and so does the one write an awaiting
-caller makes on its loop (``sendv(chunks, False)``).  Streams
-that intercept reads (FaultyStream) or read from somewhere other than a
-socket (shm deposit channel control reads are sockets, but SimStream /
-LoopbackStream are not) are simply never adopted; they keep their
-reader threads with identical semantics.
+caller makes on its loop (``sendv(chunks, False)``).  The loop adopts
+only a ``reactor_safe`` stream (plain tcp): a FaultyStream's read may
+sleep, loopback and sim have no socket and are pumped, and shm stays
+on reader threads by choice (DESIGN.md §15, "Adoption gate").
 
 Loop health is exported through every attached ORB's metrics registry:
 ``loop_lag_seconds`` (scheduled-vs-actual heartbeat delta) and
@@ -178,9 +177,7 @@ class Reactor:
     @staticmethod
     def adoptable(stream) -> bool:
         """True when the reactor may own this stream's read side."""
-        return bool(getattr(stream, "reactor_safe", False)) \
-            and hasattr(stream, "fileno") \
-            and hasattr(stream, "recv_into_nb")
+        return bool(getattr(stream, "reactor_safe", False))
 
     def adopt(self, conn, on_message: Callable, on_error: Callable,
               wait_stage: Optional[str] = STAGE_RECV_WAIT) -> "_ConnDriver":
@@ -191,9 +188,6 @@ class Reactor:
         pause/resume backpressure).  The conn's close hook detaches
         the driver, so callers never unregister by hand.
         """
-        if not self.adoptable(conn.stream):
-            raise ValueError(
-                f"stream {conn.stream!r} is not reactor-adoptable")
         driver = _ConnDriver(conn, self, on_message, on_error, wait_stage)
         conn.add_close_hook(driver.request_detach)
         self.loop.call_soon_threadsafe(driver.attach)

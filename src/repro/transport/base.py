@@ -7,10 +7,10 @@ regime:
 * :meth:`Stream.sendv` is a gather-send, so a control message and the
   direct-deposit payloads that follow it are written without first
   being concatenated into a staging buffer;
-* :meth:`Stream.recv_into` reads payload bytes *directly into* a
-  caller-supplied buffer — on real sockets this is
-  ``socket.recv_into`` on the page-aligned landing buffer, the Python
-  equivalent of the paper's speculative-defragmentation landing (§4.5).
+* reads land payload bytes *directly into* a caller-supplied buffer —
+  on real sockets this is ``socket.recv_into`` on the page-aligned
+  landing buffer, the Python equivalent of the paper's
+  speculative-defragmentation landing (§4.5).
 
 Three implementations exist: in-process loopback, real TCP, and the
 simulated-testbed transport.  They register under a scheme name; IORs
@@ -51,12 +51,10 @@ class Stream(Protocol):
         """Gather-write every chunk, in order, without staging copies."""
         ...
 
-    def recv_exact(self, n: int) -> memoryview:
-        """Read exactly ``n`` bytes; raises TransportError on EOF."""
-        ...
-
-    def recv_into(self, view: memoryview) -> None:
-        """Fill ``view`` completely with the next bytes of the stream."""
+    def recv_into_nb(self, view: memoryview) -> Optional[int]:
+        """Read what is there now into ``view``, up to ``view.nbytes``:
+        the count, None when a read would wait, TransportError at the
+        end.  The ORB's one read (``GIOPConn._read_nb``), every drive's."""
         ...
 
     def close(self) -> None: ...
@@ -67,6 +65,8 @@ class Stream(Protocol):
     # Optional capabilities (not part of the structural protocol),
     # feature-tested with ``getattr(stream, name, None)``:
     #
+    # * the blocking ``recv_exact(n)`` / ``recv_into(view)``, which a
+    #   stream's own protocol (the shm handshake) and tests read with;
     # * streams that can block indefinitely (TCP) expose
     #   ``set_timeout(seconds | None)``; a blocking operation that
     #   exceeds the timeout raises TransportTimeout;
@@ -76,16 +76,16 @@ class Stream(Protocol):
     #   True on the kernel path or False after the byte-identical
     #   copying fallback ran.  Streams without it get file payloads as
     #   mapped views through ``sendv`` — the copy tier;
+    # * a stream a thread may wait on in ``poll`` (a socket: tcp, shm)
+    #   exposes ``fileno()``; one without (loopback, sim) delivers on
+    #   the sender's thread (``set_data_handler``);
     # * streams whose read side may be owned by the asyncio reactor
     #   (repro.orb.reactor) set the class attribute
-    #   ``reactor_safe = True`` and expose ``fileno()`` plus
-    #   ``recv_into_nb(view) -> Optional[int]`` — one non-blocking recv
-    #   returning None on would-block, the byte count otherwise — and
-    #   its write-side twin, ``sendv(chunks, False)``: one non-blocking
-    #   gather write that never waits and returns None, or a callable
-    #   finishing the write on a thread that may block (a call awaited
-    #   on an event loop sends this way, repro.orb.proxy).
-    #   Wrapping streams that intercept reads (FaultyStream) must set
+    #   ``reactor_safe = True``: their ``recv_into_nb`` never waits, and
+    #   its write-side twin, ``sendv(chunks, False)``, returns None or a
+    #   callable finishing the write on a thread that may block (a call
+    #   awaited on an event loop sends this way, repro.orb.proxy).
+    #   Wrapping streams that intercept I/O (FaultyStream) must set
     #   ``reactor_safe = False`` explicitly so attribute delegation
     #   cannot leak the inner stream's capability past the wrapper.
 

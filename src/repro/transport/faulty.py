@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import random
+import select
 import threading
 import time
 from dataclasses import dataclass
@@ -192,9 +193,9 @@ class FaultyStream:
     #: never hand the read side to the reactor: ``__getattr__`` below
     #: delegates unknown attributes to the inner stream, so without this
     #: explicit class attribute a wrapped TCPStream would leak its own
-    #: ``reactor_safe``/``recv_into_nb`` and the event loop would read
-    #: the socket directly — silently bypassing every recv fault rule
-    #: (and an awaited call would pass ``sendv`` a flag it does not take).
+    #: ``reactor_safe``, the event loop would run :meth:`recv_into_nb`,
+    #: which sleeps on a stall, and an awaited call would pass ``sendv``
+    #: a flag it does not take.
     reactor_safe = False
 
     def __init__(self, inner, plan: FaultPlan, conn_index: int):
@@ -203,6 +204,8 @@ class FaultyStream:
         self.conn_index = conn_index
         self._sends = 0
         self._recvs = 0
+        #: bytes of the staged read the plan already saw still to come
+        self._missing = 0
 
     # -- sending ---------------------------------------------------------------
     def send(self, data) -> None:
@@ -267,17 +270,46 @@ class FaultyStream:
         return memoryview(out)
 
     def recv_into(self, view: memoryview) -> None:
+        self._inject_recv(view)
+        self._inner.recv_into(view)
+
+    def recv_into_nb(self, view: memoryview) -> Optional[int]:
+        """The plan sees each staged read once, as it starts and finds
+        bytes, or the end, there (a read that finds none consumes no
+        number), and injects as on :meth:`recv_into`: it may sleep."""
+        if view.format != "B" or view.ndim != 1:
+            view = view.cast("B")
+        if not self._missing:
+            if not self._readable():
+                return None
+            self._inject_recv(view)
+            self._missing = view.nbytes
+        n = self._inner.recv_into_nb(view)
+        if n:
+            self._missing -= n
+        return n
+
+    def _readable(self) -> bool:
+        available = getattr(self._inner, "available", None)
+        if available is None:  # a socket; a closed one fails at once
+            fd = self._inner.fileno()
+            return fd < 0 or bool(select.select([fd], [], [], 0)[0])
+        return available > 0 or self._inner.closed
+
+    def _inject_recv(self, view: memoryview) -> None:
+        """Consult the plan for the next read into ``view``: a stall
+        sleeps first, a reset or a partial delivery raises."""
         self._recvs += 1
         rule = self._plan.match("recv", self._recvs, self.conn_index)
         if rule is None:
-            return self._inner.recv_into(view)
+            return
         action = rule.action
         if action in ("stall", "stall_then_reset") and rule.delay > 0:
             time.sleep(rule.delay)
         if action == "stall":
             self._plan.record(self.conn_index, "recv", self._recvs, action,
                               f"{rule.delay}s")
-            return self._inner.recv_into(view)
+            return
         if action in ("reset", "stall_then_reset"):
             self._plan.record(self.conn_index, "recv", self._recvs, action)
             self._inner.close()

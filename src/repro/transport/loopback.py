@@ -117,13 +117,29 @@ class LoopbackStream:
     def recv_into(self, view: memoryview) -> None:
         if view.format != "B" or view.ndim != 1:
             view = view.cast("B")
-        need = view.nbytes
         with self._lock:
-            if need > self._rx_bytes:
+            if view.nbytes > self._rx_bytes:
                 raise TransportError(
-                    f"loopback stream {self.name}: need {need} bytes, "
-                    f"only {self._rx_bytes} queued (peer closed or "
+                    f"loopback stream {self.name}: need {view.nbytes} "
+                    f"bytes, only {self._rx_bytes} queued (peer closed or "
                     f"protocol error)")
+            if view.nbytes:
+                self.recv_into_nb(view)
+
+    def recv_into_nb(self, view: memoryview) -> Optional[int]:
+        """What is queued, up to ``view.nbytes``: the count landed, None
+        while nothing is (the next delivery pumps again), and
+        :class:`TransportError` once nothing is and the stream is
+        closed."""
+        if view.format != "B" or view.ndim != 1:
+            view = view.cast("B")
+        with self._lock:
+            need = min(view.nbytes, self._rx_bytes)
+            if not need:
+                if self._closed:
+                    raise TransportError(
+                        f"loopback stream {self.name} is closed")
+                return None
             pos = 0
             while pos < need:
                 chunk = self._rx[0]
@@ -138,6 +154,7 @@ class LoopbackStream:
                 # per-chunk counting, mirroring TCPStream.recv_into:
                 # partial progress is never lost from the counter
                 self.bytes_received += take
+        return need
 
     def set_timeout(self, seconds) -> None:
         """Interface parity with TCP: loopback reads never block (they

@@ -24,7 +24,7 @@ the side channel):
   control stream by one record ``(magic, slot, offset, size)``.
   ``slot >= 0`` names an arena slot (the payload bytes are *not* on
   the stream); ``slot == -1`` is the per-deposit inline fallback: the
-  raw payload bytes follow, landed via ``recv_into`` as on tcp.
+  raw payload bytes follow, read by the connection as on tcp.
 
 Slot lifecycle (protocol v2, refcounted): ``FREE -> OWNED`` (sender
 allocates, under its local lock — only the arena's creator ever
@@ -544,6 +544,9 @@ class ShmStream:
     the GIOP connection routes registered payloads through.
     """
 
+    #: the deposit record in front of each payload on the control stream
+    RECORD_SIZE = _RECORD.size
+
     def __init__(self, inner: TCPStream, name: str,
                  send_arena: Optional[ShmArena] = None,
                  recv_arena: Optional[ShmArena] = None,
@@ -578,6 +581,12 @@ class ShmStream:
 
     def recv_into(self, view: memoryview) -> None:
         self._inner.recv_into(view)
+
+    def fileno(self) -> int:
+        return self._inner.fileno()
+
+    def recv_into_nb(self, view: memoryview) -> Optional[int]:
+        return self._inner.recv_into_nb(view)
 
     def set_timeout(self, seconds: Optional[float]) -> None:
         self._inner.set_timeout(seconds)
@@ -667,17 +676,18 @@ class ShmStream:
         return SEND_INLINE, waited, \
             [_RECORD.pack(SHM_MAGIC, -1, 0, size), view], -1
 
-    def recv_deposit(self, desc: DepositDescriptor,
+    def recv_deposit(self, desc: DepositDescriptor, record,
                      pool: BufferPool) -> Tuple[ZCBuffer, bool]:
-        """Land one deposit; ``(buffer, via_arena)``.
+        """Land one deposit from its ``record``, the :attr:`RECORD_SIZE`
+        bytes in front of it on the control stream; ``(buffer,
+        via_arena)``.  Nothing is read here.
 
         An arena record maps the posted slot as the landing buffer —
         releasing (or dropping) that buffer frees the slot back to the
-        sender.  An inline record reads the payload into a pool buffer
-        as on tcp.
+        sender.  An inline record gets a pool buffer, which the caller
+        fills with the payload that follows the record, as on tcp.
         """
-        magic, slot, offset, size = _RECORD.unpack(
-            self._inner.recv_exact(_RECORD.size))
+        magic, slot, offset, size = _RECORD.unpack(record)
         if magic != SHM_MAGIC:
             raise DepositError(f"bad shm deposit record magic 0x{magic:08x}")
         if size != desc.size:
@@ -714,8 +724,6 @@ class ShmStream:
             raise DepositError(
                 f"cannot satisfy alignment {desc.alignment} for deposit "
                 f"{desc.deposit_id}")
-        if size:
-            self._inner.recv_into(buf.view())
         self.shm_fallbacks_received += 1
         return buf, False
 

@@ -89,11 +89,8 @@ class SimStream:
     def send_batch(self):
         return _SimBatch(self)
 
-    def recv_exact(self, n: int):
-        return self._inner.recv_exact(n)
-
-    def recv_into(self, view) -> None:
-        self._inner.recv_into(view)
+    def recv_into_nb(self, view) -> Optional[int]:
+        return self._inner.recv_into_nb(view)
 
     def close(self) -> None:
         self._inner.close()
@@ -103,10 +100,6 @@ class SimStream:
 
     def set_timeout(self, seconds) -> None:
         self._inner.set_timeout(seconds)
-
-    @property
-    def available(self) -> int:
-        return self._inner.available
 
     @property
     def peer(self) -> str:

@@ -82,6 +82,32 @@ def test_no_stage_is_charged_the_idle_before_its_call(ping_api, config,
         server.shutdown()
 
 
+def test_a_pumped_requests_read_is_not_charged_the_idle_before_it(ping_api):
+    """One ORB calling itself over ``loop``, dispatching inline: the
+    server's read of a request runs on the caller's thread, inside the
+    call's span, so its ``recv-wait`` must start with the request, not
+    with the pause before it (the pump begins the next message's parse
+    as soon as it has read the last one)."""
+    class Impl(ping_api.Idle_skel):
+        def ping(self, x):
+            return None
+
+    orb = ORB(ORBConfig(scheme="loop", collocated_calls=False,
+                        server_workers=0, slow_call_threshold=0.0))
+    try:
+        stub = orb.string_to_object(orb.object_to_string(
+            orb.activate(Impl())))
+        stub.ping(1)
+        time.sleep(IDLE)
+        stub.ping(2)
+        span = orb.flightrec.recent()[-1]
+        assert (span.name, span.kind) == ("ping", "client")
+        (read,) = [e for e in span.stages if e.stage == "recv-wait"]
+        assert 0.0 <= read.duration_s <= span.duration_s, read
+    finally:
+        orb.shutdown()
+
+
 def test_traced_call_delivers_six_stages_in_order_to_every_sink(test_api):
     """A user RecordingSink behind the CompositeSink sees the six
     StageEvents; the recorder's span, the collector's span and the

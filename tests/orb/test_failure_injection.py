@@ -187,3 +187,30 @@ class TestStreamChunking:
         rm = conn.read_message()
         assert rm.msg.body_header.operation == "frag_op"
         assert rm.params_decoder().get_view(8).tobytes() == b"PAYLOAD!"
+
+    def test_a_fault_plan_numbers_the_reads_a_pump_stages(self):
+        """A pumped message may arrive in pieces, and a read that finds
+        nothing queued consumes no recv number: one number per read the
+        parse stages (header, body), whichever deliveries fill it."""
+        from repro.giop import RequestHeader, encode_message
+        from repro.transport import FaultPlan, FaultyTransport
+        plan = FaultPlan().reset_on_recv(nth=3)
+        transport = FaultyTransport(LoopbackTransport(), plan)
+        accepted = []
+        listener = transport.listen("numbering-host", 0, accepted.append)
+        try:
+            got, failed = [], []
+            GIOPConn(transport.connect(listener.endpoint)).start_reading(
+                got.append, failed.append)
+            peer = accepted[0]
+            msg = encode_message(RequestHeader(
+                request_id=1, object_key=b"key", operation="op"))
+            peer.send(msg[:GIOP_HEADER_SIZE + 4])  # the body's read waits
+            peer.send(msg[GIOP_HEADER_SIZE + 4:])
+            assert len(got) == 1 and not failed and not plan.events
+            peer.send(msg)  # its header is recv #3
+            assert isinstance(failed[0], COMM_FAILURE)
+            assert [(e.op, e.nth, e.action) for e in plan.events] == \
+                [("recv", 3, "reset")]
+        finally:
+            listener.close()

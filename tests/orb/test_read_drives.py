@@ -4,8 +4,10 @@ plain tcp connection, the callers waiting for replies until an awaited
 call hands it over), a server treats a message, or a peer's garbage,
 the same, and a client fails its in-flight calls the same.  One table
 of hostile streams, every drive, both roles, against a peer with no
-ORB behind it; then the regressions the table grew out of, one per
-drive.  (The server half of the loop
+ORB behind it (its shm deposit-record rows on the drive that reads
+records, ``thread-shm``); that no drive reads by blocking, which is what
+makes the one read path one; then the regressions the table grew out
+of, one per drive.  (The server half of the loop
 drive's is in the table: its ``bad-magic``, ``unknown-type`` and
 ``ff-body`` rows on ``loop``, a default tcp server, got neither an
 answer nor a hang-up before ``_ConnDriver._resume``.)
@@ -22,11 +24,15 @@ import socket
 import struct
 import threading
 import time
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import pytest
 
-from repro.core import BufferPool, DepositDescriptor, OctetSequence
+from repro.core import (BufferPool, DepositDescriptor, OctetSequence,
+                        ZCOctetSequence)
+from repro.core.buffers import PAGE_SIZE
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.giop import (GIOP_HEADER_SIZE, IOR, IIOPProfile, LocateReplyHeader,
                         LocateRequestHeader, LocateStatus, MsgType, ReplyHeader,
                         ReplyStatus, RequestHeader, ServiceContext,
@@ -35,7 +41,7 @@ from repro.giop import (GIOP_HEADER_SIZE, IOR, IIOPProfile, LocateReplyHeader,
 from repro.orb import (COMM_FAILURE, INTERNAL, MARSHAL, ORB, CompletionStatus,
                        ORBConfig, async_api)
 from repro.transport.base import TransportError, TransportTimeout
-from repro.transport.shm import shm_available
+from repro.transport.shm import SHM_MAGIC, shm_available
 
 #: every wait below is bounded by this, never by an invocation policy:
 #: a hang is a failure of the test, not a TIMEOUT it could mistake for one
@@ -78,16 +84,36 @@ def _twice_named_deposit(_rng, _to_server) -> bytes:
         service_contexts=[named, named]))
 
 
+def _deposit_then(record: bytes) -> Callable:
+    """A Request (to a server) or a Reply naming one 4 KiB deposit, then
+    ``record`` where an shm peer's deposit record goes."""
+    def build(_rng, to_server: bool) -> bytes:
+        named = [ServiceContext.for_deposit(DepositDescriptor(1, 4096))]
+        header = RequestHeader(
+            request_id=1, object_key=b"store", operation="put",
+            service_contexts=named) if to_server else ReplyHeader(
+                request_id=1, reply_status=ReplyStatus.NO_EXCEPTION,
+                service_contexts=named)
+        return encode_message(header) + record
+    return build
+
+
+def _record(slot: int = -1, size: int = 4096, magic: int = SHM_MAGIC):
+    return struct.pack("<IiQQ", magic, slot, 0, size)
+
+
 class Hostile(NamedTuple):
     """One row: ``build(rng, to_server)`` -> the bytes; whether the peer
     hangs up after them; what a server does; what a client's in-flight
-    calls get."""
+    calls get; whether they hold an shm deposit record (read only by a
+    connection that has a deposit channel)."""
 
     name: str
     build: Callable
     server: Optional[bytes]
     client: tuple
     then_eof: bool = False
+    record: bool = False
 
 
 STREAMS = [
@@ -125,6 +151,21 @@ STREAMS = [
     # and the buffer prepared for the first naming goes back to the pool
     Hostile("deposit-id-twice", _twice_named_deposit,
             DROPPED, (MARSHAL, MAYBE)),
+    # the record behind a deposit the message names, checked like the
+    # descriptor it stands for: a lie is a protocol violation, an end
+    # inside the record or its inline payload is an end
+    Hostile("record-bad-magic", _deposit_then(_record(magic=0)),
+            DROPPED, (MARSHAL, MAYBE), record=True),
+    Hostile("record-size-mismatch", _deposit_then(_record(size=4095)),
+            DROPPED, (MARSHAL, MAYBE), record=True),
+    Hostile("record-slot-outside", _deposit_then(_record(slot=9999)),
+            DROPPED, (MARSHAL, MAYBE), record=True),
+    Hostile("record-slot-not-posted", _deposit_then(_record(slot=0)),
+            DROPPED, (MARSHAL, MAYBE), record=True),
+    Hostile("record-cut-short", _deposit_then(_record()[:10]),
+            DROPPED, (COMM_FAILURE, MAYBE), then_eof=True, record=True),
+    Hostile("inline-cut-short", _deposit_then(_record() + bytes(1000)),
+            DROPPED, (COMM_FAILURE, MAYBE), then_eof=True, record=True),
 ]
 
 
@@ -203,12 +244,13 @@ class _RawStream:
 
 @pytest.fixture
 def served(test_api, store_impl):
-    """``make(drive)`` -> (server ORB, a well-behaved client's stub)."""
+    """``make(drive[, pool])`` -> (server ORB, a well-behaved client's
+    stub)."""
     orbs = []
 
-    def make(drive):
+    def make(drive, pool=None):
         cfg = _skip_without(drive)
-        server, client = ORB(ORBConfig(**cfg)), ORB(ORBConfig(**cfg))
+        server, client = ORB(ORBConfig(**cfg), pool=pool), ORB(ORBConfig(**cfg))
         orbs.extend([client, server])
         return server, client.string_to_object(
             server.object_to_string(server.activate(store_impl)))
@@ -254,7 +296,8 @@ class _Footprint:
 
 # -- server role ----------------------------------------------------------
 
-@pytest.mark.parametrize("row", STREAMS, ids=lambda row: row.name)
+@pytest.mark.parametrize("row", [row for row in STREAMS if not row.record],
+                         ids=lambda row: row.name)
 @pytest.mark.parametrize("drive", DRIVES)
 def test_server_treats_a_hostile_stream_the_same_on_every_drive(
         drive, row, served):
@@ -369,7 +412,8 @@ def _await_one_call(server: _RawServer) -> None:
     assert got == [4]
 
 
-@pytest.mark.parametrize("row", STREAMS, ids=lambda row: row.name)
+@pytest.mark.parametrize("row", [row for row in STREAMS if not row.record],
+                         ids=lambda row: row.name)
 @pytest.mark.parametrize("drive", CLIENT_DRIVES)
 def test_client_fails_every_inflight_call_the_same_on_every_drive(
         drive, row, raw_server):
@@ -398,6 +442,100 @@ def test_client_fails_every_inflight_call_the_same_on_every_drive(
     assert demux._pending == {} and demux.conn.closed
     stats = pool.stats()
     assert stats["hits"] + stats["misses"] == stats["reclaims"]
+
+
+def _leased(pool: BufferPool) -> int:
+    """Buffers the pool handed out and has not had back."""
+    stats = pool.stats()
+    return stats["hits"] + stats["misses"] - stats["reclaims"]
+
+
+# -- shm deposit records --------------------------------------------------
+
+@pytest.mark.parametrize("row", [row for row in STREAMS if row.record],
+                         ids=lambda row: row.name)
+@pytest.mark.parametrize("role", ["server", "client"])
+def test_the_parse_reads_a_hostile_shm_record_as_any_other_bytes(
+        role, row, served, raw_server):
+    """A deposit record is read by the parse like the rest of the
+    message, so what the peer lies about in one, or where it stops,
+    ends the connection by §7's table, and leaves no landing buffer
+    leased and no slot of the arena the records name taken."""
+    if role == "server":
+        pool = BufferPool()
+        server, stub = served("thread-shm", pool)
+        assert stub.put_std(OctetSequence(b"before")) == 6
+        footprint = _Footprint(server)
+        peer = _dial(server)
+    else:
+        _, pool, server = raw_server(CLIENT_DRIVES["thread-shm"])
+        callers = _Callers(server.stub, 3)
+        assert _settle(lambda: server.accepted)
+        peer = server.accepted[0]
+        for _ in callers.threads:
+            peer.recv_message()
+    try:
+        # the arena the reading end maps the peer's slots from
+        arena = peer.stream.send_arena
+        free, leased = arena.free_slots, _leased(pool)
+        peer.send(_bytes_of(row, to_server=role == "server"))
+        if row.then_eof:
+            peer.hang_up()
+        if role == "server":
+            assert peer.recv_to_eof() == row.server
+        else:
+            assert [(type(o), getattr(o, "completed", None))
+                    for o in callers.join()] == [row.client] * 3
+        assert _settle(lambda: _leased(pool) == leased)
+        assert arena.free_slots == free
+    finally:
+        if role == "server":
+            peer.close()
+    if role == "server":
+        assert stub.put_std(OctetSequence(b"after!")) == 12
+        assert footprint.restored(), (footprint.was, footprint.now())
+
+
+# -- one way bytes reach the parse ----------------------------------------
+
+@pytest.mark.parametrize("role,drive", [
+    *(("server", drive) for drive in DRIVES),
+    *(("client", drive) for drive in CLIENT_DRIVES)])
+def test_no_drive_makes_a_blocking_read(role, drive, served, monkeypatch):
+    """Every drive feeds the parse through ``GIOPConn._read_nb``: once a
+    connection is set up (dialed, and on shm its handshake, which does
+    read blocking, done) neither end of it calls ``recv_exact`` or
+    ``recv_into``, for a message, a deposit, or on shm a deposit record
+    with an inline payload behind it."""
+    server_drive = drive if role == "server" else CLIENT_DRIVES[drive]
+    server, stub = served(server_drive)
+    if role == "client" and drive in HANDED_OVER:
+        asyncio.run(async_api(stub).put_std(OctetSequence(b"over")))
+    total = stub.put_std(OctetSequence(b"set-up"))
+    conn = next(iter(stub._orb._proxies.values())).conn
+    blocking = []
+    for stream in [conn.stream, *(c.stream for c in
+                                  server._server.connections())]:
+        for layer in (stream, getattr(stream, "_inner", None)):
+            for name in ("recv_exact", "recv_into"):
+                if layer is not None:
+                    monkeypatch.setattr(layer, name, partial(
+                        _recorded, blocking, name, getattr(layer, name)))
+
+    sizes = [2 * DEPOSIT_MIN_SIZE]
+    if DRIVES[server_drive]["scheme"] == "shm":  # and an inline record
+        sizes.append(conn.stream.send_arena.slot_size + PAGE_SIZE)
+    assert stub.total == total  # a ping
+    for n in sizes:
+        total += n
+        assert stub.put(ZCOctetSequence.from_data(bytes(n))) == total
+        assert len(stub.get(n)) == n
+    assert blocking == []
+
+
+def _recorded(calls: list, name: str, read, *args):
+    calls.append(name)
+    return read(*args)
 
 
 # -- the regressions, one per drive ---------------------------------------

@@ -44,6 +44,17 @@ def _deposit(stream, view):
     return tier, waited
 
 
+def _recv_deposit(stream, desc, pool):
+    """Read ``desc``'s record, land it, and read the payload behind an
+    inline one, as the connection reading the message would;
+    ``(buffer, via_arena)``."""
+    record = stream.recv_exact(ShmStream.RECORD_SIZE)
+    buf, via_arena = stream.recv_deposit(desc, record, pool)
+    if not via_arena and desc.size:
+        stream.recv_into(buf.view())
+    return buf, via_arena
+
+
 @pytest.fixture
 def pair():
     transport = ShmTransport(slot_size=SIZE_64K, slot_count=4,
@@ -181,7 +192,7 @@ class TestDepositChannel:
         used_arena, _ = _deposit(client, memoryview(payload))
         assert used_arena
         pool = BufferPool()
-        buf, via_arena = server.recv_deposit(self._desc(len(payload)), pool)
+        buf, via_arena = _recv_deposit(server, self._desc(len(payload)), pool)
         assert via_arena
         assert buf.tobytes() == payload
         assert buf.is_page_aligned
@@ -200,7 +211,7 @@ class TestDepositChannel:
         used_arena, _ = _deposit(client, staged.view())
         assert used_arena
         assert client.shm_references_sent == 1
-        buf, via_arena = server.recv_deposit(self._desc(8192), BufferPool())
+        buf, via_arena = _recv_deposit(server, self._desc(8192), BufferPool())
         assert via_arena
         assert buf.tobytes() == b"\xa5" * 8192
         staged.release()  # ownership moved: a safe no-op
@@ -212,8 +223,8 @@ class TestDepositChannel:
         used_arena, _ = _deposit(client, memoryview(payload))
         assert not used_arena
         assert client.shm_fallbacks_sent == 1
-        buf, via_arena = server.recv_deposit(self._desc(len(payload)),
-                                             BufferPool())
+        buf, via_arena = _recv_deposit(server, self._desc(len(payload)),
+                                       BufferPool())
         assert not via_arena
         assert server.shm_fallbacks_received == 1
         assert buf.tobytes() == payload
@@ -229,21 +240,21 @@ class TestDepositChannel:
         held = []
         for i in range(4):  # consume all 4 slots
             _deposit(client, memoryview(payload))
-            buf, via = server.recv_deposit(self._desc(1024, i + 1), pool)
+            buf, via = _recv_deposit(server, self._desc(1024, i + 1), pool)
             assert via
             held.append(buf)
         used_arena, waited = _deposit(client, memoryview(payload))
         assert not used_arena  # exhausted -> inline
         assert waited > 0.0
         assert client.shm_fallbacks_sent == 1
-        buf, via = server.recv_deposit(self._desc(1024, 5), pool)
+        buf, via = _recv_deposit(server, self._desc(1024, 5), pool)
         assert not via
         assert buf.tobytes() == payload
         buf.release()
         held.pop().release()  # free one slot
         used_arena, _ = _deposit(client, memoryview(payload))
         assert used_arena  # arena path is back
-        buf, via = server.recv_deposit(self._desc(1024, 6), pool)
+        buf, via = _recv_deposit(server, self._desc(1024, 6), pool)
         assert via
         buf.release()
         for b in held:
@@ -253,21 +264,21 @@ class TestDepositChannel:
         client, server = pair
         _deposit(client, memoryview(b"x" * 100))
         with pytest.raises(DepositError, match="size"):
-            server.recv_deposit(self._desc(999), BufferPool())
+            _recv_deposit(server, self._desc(999), BufferPool())
 
     def test_bad_record_magic_rejected(self, pair):
         import struct
         client, server = pair
         client.send(struct.pack("<IiQQ", SHM_MAGIC ^ 0xFF, 0, 0, 16))
         with pytest.raises(DepositError, match="magic"):
-            server.recv_deposit(self._desc(16), BufferPool())
+            _recv_deposit(server, self._desc(16), BufferPool())
 
     def test_out_of_range_slot_rejected(self, pair):
         import struct
         client, server = pair
         client.send(struct.pack("<IiQQ", SHM_MAGIC, 99, 0, 16))
         with pytest.raises(DepositError, match="geometry"):
-            server.recv_deposit(self._desc(16), BufferPool())
+            _recv_deposit(server, self._desc(16), BufferPool())
 
 
     def test_record_naming_a_slot_nobody_posted_rejected(self, pair):
@@ -280,7 +291,7 @@ class TestDepositChannel:
         for slot in (0, 1):  # OWNED, FREE
             client.send(struct.pack("<IiQQ", SHM_MAGIC, slot, 0, 16))
             with pytest.raises(DepositError, match="not posted"):
-                server.recv_deposit(self._desc(16), BufferPool())
+                _recv_deposit(server, self._desc(16), BufferPool())
         assert client.send_arena.free_slots == 3
         owned.release()
         assert client.send_arena.free_slots == 4
@@ -505,7 +516,7 @@ class TestSharedArenaFanout:
 
         bufs = []
         for receiver in (s1, s2):
-            buf, via = receiver.recv_deposit(desc, pool)
+            buf, via = _recv_deposit(receiver, desc, pool)
             assert via
             assert buf.tobytes() == payload
             bufs.append(buf)
@@ -527,8 +538,8 @@ class TestSharedArenaFanout:
             _deposit(sender, staged.view())
         desc = DepositDescriptor(deposit_id=1, size=1024)
         pool = BufferPool()
-        buf1, _ = s1.recv_deposit(desc, pool)
-        buf2, _ = s2.recv_deposit(desc, pool)
+        buf1, _ = _recv_deposit(s1, desc, pool)
+        buf2, _ = _recv_deposit(s2, desc, pool)
         buf1.release()
         del buf2  # never released explicitly — crashed reader
         gc.collect()
@@ -544,8 +555,8 @@ class TestSharedArenaFanout:
         arena.post_shared(slot, readers=2)
         _deposit(c1, staged.view())  # reader 1 sent
         arena.abort_shared_ref(slot)    # reader 2's send failed
-        buf, _ = s1.recv_deposit(DepositDescriptor(deposit_id=1, size=1024),
-                                 BufferPool())
+        buf, _ = _recv_deposit(s1, DepositDescriptor(deposit_id=1, size=1024),
+                               BufferPool())
         buf.release()
         assert arena.used_slots == 0
 
@@ -564,8 +575,8 @@ class TestSharedArenaFanout:
         assert tier2 == SEND_COPY  # fresh slot, not a stolen reference
         desc = DepositDescriptor(deposit_id=1, size=1024)
         pool = BufferPool()
-        b1, _ = s1.recv_deposit(desc, pool)
-        b2, _ = s2.recv_deposit(desc, pool)
+        b1, _ = _recv_deposit(s1, desc, pool)
+        b2, _ = _recv_deposit(s2, desc, pool)
         assert b1.tobytes() == b2.tobytes() == b"\x11" * 1024
         b1.release()
         b2.release()
