@@ -15,6 +15,7 @@ Run:  python examples/streaming_pipeline.py [--frames N]
 """
 
 import argparse
+import time
 
 from repro.apps.transcoder import FrameSource, Mpeg4Stream
 from repro.apps.transcoder.mpeg2 import encode_frame
@@ -61,6 +62,11 @@ def main():
           f"({pushed_bytes / 1e6:.2f} MB) through the channel")
 
     # --- the consumer transcodes what it received ------------------------
+    # push is oneway twice over (supplier -> channel -> consumer): the
+    # last frames may still be on their way when the supplier returns
+    deadline = time.monotonic() + 10.0
+    while sink.received < args.frames and time.monotonic() < deadline:
+        time.sleep(0.01)
     assert sink.received == args.frames
     from repro.apps.transcoder.mpeg2 import decode_frame
     encoder = Mpeg4Encoder()

@@ -680,13 +680,13 @@ class GIOPConn:
                 ``set_data_handler``:           :class:`_PumpGuard`
                 loopback, sim)
         loop    ``reactor`` is given and may    no: it runs on the
-                adopt the stream (plain tcp)    reactor's loop thread
-        thread  anything else (shm, faulty,     yes: a daemon thread of
+                adopt the stream (tcp, faulty)  reactor's loop thread
+        thread  anything else (shm,             yes: a daemon thread of
                 ``reactor=None``)               its own, named ``name``
         ======  ==============================  =========================
 
         Returns the reader thread for the owner to join after
-        :meth:`close`, None for the other two drives (a client's tcp
+        :meth:`close`, None for the other two drives (a client's socket
         connection comes here once awaited on: DESIGN.md §10).  Each
         drive reads with :meth:`_read_nb`, the thread after a ``poll``
         (:meth:`read_message`).

@@ -43,7 +43,6 @@ from ..giop import GIOPError, MsgType
 from .connection import GIOPConn, ReceivedMessage
 from .exceptions import (COMM_FAILURE, INTERNAL, TRANSIENT,
                          CompletionStatus, SystemException)
-from .reactor import Reactor
 
 __all__ = ["ReplyFuture", "ReplyDemux"]
 
@@ -135,7 +134,6 @@ class ReplyDemux:
         #: the connection-fatal failure, once one happened
         self._failed: Optional[SystemException] = None
         self._thread: Optional[threading.Thread] = None
-        self._started = False
         #: the callers waiting on a thread read (one leads, the rest
         #: follow, each woken by its Event: its reply is in, or lead)
         self.callers_read = False
@@ -144,15 +142,13 @@ class ReplyDemux:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Begin demultiplexing (idempotent).  The one place that says
-        who reads a client connection: a plain tcp one (the loop could
-        adopt it) its waiting callers (:meth:`wait`), until the first
-        awaited call hands it for good to the drive ``start_reading``
-        chooses (:meth:`hand_over`); any other, that drive at once."""
-        if self._started:
-            return
-        self._started = True
-        self.callers_read = Reactor.adoptable(self.conn.stream)
+        """Begin demultiplexing (once).  The one place that says who
+        reads a client connection: a pumped stream (loopback, sim) its
+        pump; any other (a socket: tcp, shm, a fault-injected one) its
+        waiting callers (:meth:`wait`), until an awaited call, or a
+        caller that gives up on its reply, hands it for good to the
+        drive ``start_reading`` chooses (:meth:`hand_over`)."""
+        self.callers_read = not hasattr(self.conn.stream, "set_data_handler")
         if not self.callers_read:
             self._drive(None)
 
@@ -242,9 +238,14 @@ class ReplyDemux:
 
     def check_idle(self) -> None:
         """Before a write on a connection nobody reads: what came while
-        it was idle (CloseConnection, EOF) closes it now; the call redials."""
+        it was idle (CloseConnection, EOF) closes it now; the call
+        redials.  One ``poll(0)`` when nothing came (under the lock: a
+        poll object refuses to run in two threads at once)."""
         with self._lock:
             if not self.callers_read or self._leading:
+                return
+            poll = self.conn._poll
+            if poll is not None and not poll.poll(0):
                 return
             self._leading = True
         try:

@@ -73,8 +73,6 @@ class ORBConfig:
     #: dispatch threads of the server's bounded worker pool; 0 restores
     #: inline (in-reader) dispatch, serializing upcalls per connection
     server_workers: int = 4
-    #: request-queue bound of the worker pool (blocking = backpressure)
-    server_queue_depth: int = 32
     #: wire byte order; flip to emulate a foreign-endian peer (the
     #: receiver-makes-right path of §2.1's architecture negotiation)
     wire_little_endian: bool | None = None
@@ -302,7 +300,6 @@ class ORB:
             server = IIOPServer(self.poa, self._new_conn, orb=self,
                                 on_bytes=self.on_bytes,
                                 workers=cfg.server_workers,
-                                queue_depth=cfg.server_queue_depth,
                                 reactor=self.reactor)
             schemes = [cfg.scheme] + [s for s in cfg.extra_schemes
                                       if s != cfg.scheme]

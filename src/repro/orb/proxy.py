@@ -143,7 +143,7 @@ class IIOPProxy:
         """The live (conn, demux) pair, dialing or replacing a dead
         connection.  Concurrent callers race benignly: whoever gets the
         lock first dials; the rest reuse the result.  ``block=False``:
-        None unless the lock is free, the pair live, its stream plain tcp."""
+        None unless the lock is free, the pair live, its stream tcp."""
         if not self._conn_lock.acquire(block):
             return None
         try:

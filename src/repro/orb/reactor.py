@@ -22,9 +22,9 @@ side moves onto one asyncio event loop running on its own daemon thread.
 Sockets stay in *blocking* mode: reads use ``MSG_DONTWAIT``
 (``TCPStream.recv_into_nb``), and so does the one write an awaiting
 caller makes on its loop (``sendv(chunks, False)``).  The loop adopts
-only a ``reactor_safe`` stream (plain tcp): a FaultyStream's read may
-sleep, loopback and sim have no socket and are pumped, and shm stays
-on reader threads by choice (DESIGN.md §15, "Adoption gate").
+only a ``reactor_safe`` stream (tcp, a FaultyStream over tcp): loopback
+and sim have no socket and are pumped, and shm stays on reader threads
+by choice (DESIGN.md §15, "Adoption gate").
 
 Loop health is exported through every attached ORB's metrics registry:
 ``loop_lag_seconds`` (scheduled-vs-actual heartbeat delta) and
@@ -228,10 +228,7 @@ class Reactor:
             registry.gauge("loop_tasks", shard="0").set(tasks)
         self._arm_heartbeat()
 
-    # -- introspection / lifecycle ------------------------------------------
-    def driver_count(self) -> int:
-        return len(self._drivers)
-
+    # -- lifecycle ----------------------------------------------------------
     def stop(self, join_timeout: float = 1.0) -> None:
         if self.loop.is_closed():
             return

@@ -179,7 +179,7 @@ class IIOPServer:
     def __init__(self, poa: POA, new_conn: Callable[..., GIOPConn], *,
                  orb=None,
                  on_bytes: Optional[Callable[[str, int], None]] = None,
-                 workers: int = 4, queue_depth: int = 32, reactor=None):
+                 workers: int = 4, reactor=None):
         self.poa = poa
         self.orb = orb
         #: ``new_conn(stream)``: the owning ORB's one connection builder
@@ -197,8 +197,7 @@ class IIOPServer:
         #: bounded dispatch pool; None = inline dispatch (workers=0)
         self.workers: Optional[RequestWorkerPool] = None
         if workers > 0:
-            self.workers = RequestWorkerPool(
-                workers, self._serve, queue_depth=queue_depth, orb=orb)
+            self.workers = RequestWorkerPool(workers, self._serve, orb=orb)
 
     def connections(self) -> List[GIOPConn]:
         """The live accepted connections (a copy; closed ones pruned)."""

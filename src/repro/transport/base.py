@@ -76,18 +76,15 @@ class Stream(Protocol):
     #   True on the kernel path or False after the byte-identical
     #   copying fallback ran.  Streams without it get file payloads as
     #   mapped views through ``sendv`` — the copy tier;
-    # * a stream a thread may wait on in ``poll`` (a socket: tcp, shm)
-    #   exposes ``fileno()``; one without (loopback, sim) delivers on
-    #   the sender's thread (``set_data_handler``);
-    # * streams whose read side may be owned by the asyncio reactor
-    #   (repro.orb.reactor) set the class attribute
-    #   ``reactor_safe = True``: their ``recv_into_nb`` never waits, and
-    #   its write-side twin, ``sendv(chunks, False)``, returns None or a
-    #   callable finishing the write on a thread that may block (a call
-    #   awaited on an event loop sends this way, repro.orb.proxy).
-    #   Wrapping streams that intercept I/O (FaultyStream) must set
-    #   ``reactor_safe = False`` explicitly so attribute delegation
-    #   cannot leak the inner stream's capability past the wrapper.
+    # * a stream a thread may wait on in ``poll`` (a socket: tcp, shm,
+    #   a fault-injected one) exposes ``fileno()``, and a client's is
+    #   read by its waiting callers; one without (loopback, sim)
+    #   delivers on the sender's thread (``set_data_handler``);
+    # * streams whose read side the asyncio reactor (repro.orb.reactor)
+    #   may own set ``reactor_safe = True`` (tcp; a FaultyStream over
+    #   tcp by delegation): besides ``recv_into_nb``, which never waits,
+    #   ``sendv(chunks, False)`` returns None or a callable finishing the
+    #   write on a thread that may block (an awaited call's write).
 
 
 class Listener(Protocol):

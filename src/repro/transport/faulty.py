@@ -26,7 +26,9 @@ import random
 import select
 import threading
 import time
+import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 from .base import (AcceptHandler, Endpoint, TransportError,
@@ -187,50 +189,88 @@ def _byte_views(chunks) -> list:
             for v in views]
 
 
-class FaultyStream:
-    """A stream that consults the plan before every send/recv."""
+#: the actions that wait: a write sleeps in them, a read holds the stream
+_WAITING = ("stall", "stall_then_reset")
 
-    #: never hand the read side to the reactor: ``__getattr__`` below
-    #: delegates unknown attributes to the inner stream, so without this
-    #: explicit class attribute a wrapped TCPStream would leak its own
-    #: ``reactor_safe``, the event loop would run :meth:`recv_into_nb`,
-    #: which sleeps on a stall, and an awaited call would pass ``sendv``
-    #: a flag it does not take.
-    reactor_safe = False
+
+class FaultyStream:
+    """A stream that consults the plan before every send and every
+    staged read, and keeps the non-blocking contract of the stream it
+    wraps: :meth:`recv_into_nb` never waits, and ``sendv(chunks,
+    False)`` hands back what would.
+
+    A recv stall is a *hold*: the read returns None, and the stream
+    reports nothing ready until the delay has passed.  Over a socket,
+    ``fileno()`` is a private ``epoll`` holding the inner socket and an
+    eventfd this end writes as it closes (a poller then wakes whatever
+    is held): the hold takes the socket out, a timer puts it back.  Over
+    a pumped stream (loopback, sim) the timer runs the pump again."""
 
     def __init__(self, inner, plan: FaultPlan, conn_index: int):
         self._inner = inner
         self._plan = plan
         self.conn_index = conn_index
-        self._sends = 0
-        self._recvs = 0
+        self._sends = self._recvs = 0
         #: bytes of the staged read the plan already saw still to come
         self._missing = 0
+        #: the timer of the recv stall that holds the stream, if one does
+        self._hold: Optional[threading.Timer] = None
+        self._lock = threading.Lock()
+        self._epoll = self._pump = None
+        if hasattr(inner, "fileno"):
+            self._fd, self._closed_fd = inner.fileno(), os.eventfd(0)
+            self._epoll = select.epoll()
+            for fd in (self._fd, self._closed_fd):
+                self._epoll.register(fd, select.EPOLLIN)
+            # the epoll closes with this object, the eventfd as it goes,
+            # not in close(): a poller woken by it must still find it
+            weakref.finalize(self, os.close, self._closed_fd)
+            self.fileno = self._epoll.fileno
+        elif hasattr(inner, "set_data_handler"):
+            self.set_data_handler = self._set_pump
+
+    def _set_pump(self, handler) -> None:
+        self._pump = handler
+        self._inner.set_data_handler(handler)
+
+    def _fail(self, op: str, nth: int, action: str, detail: str,
+              why: str) -> TransportError:
+        """Record a fault that ends the stream and close it: the error
+        to raise."""
+        self._plan.record(self.conn_index, op, nth, action, detail)
+        self.close()
+        return TransportError(f"{why} (connection {self.conn_index})")
 
     # -- sending ---------------------------------------------------------------
     def send(self, data) -> None:
         self.sendv([data])
 
-    def sendv(self, chunks) -> None:
+    def sendv(self, chunks, block: bool = True):
+        """``block=False`` (an awaited call's write on its loop): a
+        matched rule, which may wait, comes back as a callable for a
+        thread that may block, its plan number already taken."""
         self._sends += 1
         rule = self._plan.match("send", self._sends, self.conn_index)
         if rule is None:
-            return self._inner.sendv(chunks)
+            return self._inner.sendv(chunks) if block \
+                else self._inner.sendv(chunks, False)
+        if not block:
+            return partial(self._inject_send, rule, self._sends, chunks)
+        return self._inject_send(rule, self._sends, chunks)
+
+    def _inject_send(self, rule: FaultRule, nth: int, chunks):
         views = _byte_views(chunks)
         total = sum(v.nbytes for v in views)
         action = rule.action
-        if action in ("stall", "stall_then_reset") and rule.delay > 0:
+        if action in _WAITING and rule.delay > 0:
             time.sleep(rule.delay)
         if action == "stall":
-            self._plan.record(self.conn_index, "send", self._sends, action,
+            self._plan.record(self.conn_index, "send", nth, action,
                               f"{rule.delay}s")
             return self._inner.sendv(views)
         if action in ("reset", "stall_then_reset"):
-            self._plan.record(self.conn_index, "send", self._sends, action)
-            self._inner.close()
-            raise TransportError(
-                f"injected reset on send #{self._sends} "
-                f"(connection {self.conn_index})")
+            raise self._fail("send", nth, action, "",
+                             f"injected reset on send #{nth}")
         if action == "partial":
             cut = int(total * rule.fraction)
             prefix, left = [], cut
@@ -242,12 +282,9 @@ class FaultyStream:
                 left -= take
             if prefix:
                 self._inner.sendv(prefix)
-            self._plan.record(self.conn_index, "send", self._sends, action,
-                              f"{cut}/{total} bytes")
-            self._inner.close()
-            raise TransportError(
-                f"injected mid-stream reset after {cut}/{total} bytes "
-                f"(connection {self.conn_index})")
+            raise self._fail("send", nth, action, f"{cut}/{total} bytes",
+                             f"injected mid-stream reset after {cut}/"
+                             f"{total} bytes")
         if action == "corrupt":
             # flatten and flip one byte; never mutate the caller's
             # buffers — a registered deposit payload is live memory
@@ -257,101 +294,94 @@ class FaultyStream:
             if flat:
                 off = min(rule.byte_offset, len(flat) - 1)
                 flat[off] ^= rule.xor_mask
-            self._plan.record(self.conn_index, "send", self._sends, action,
+            self._plan.record(self.conn_index, "send", nth, action,
                               f"byte {rule.byte_offset} ^ "
                               f"0x{rule.xor_mask:02x}")
             return self._inner.sendv([memoryview(flat)])
         raise TransportError(f"unhandled fault action {action!r}")
 
     # -- receiving ---------------------------------------------------------------
-    def recv_exact(self, n: int) -> memoryview:
-        out = bytearray(n)
-        self.recv_into(memoryview(out))
-        return memoryview(out)
-
-    def recv_into(self, view: memoryview) -> None:
-        self._inject_recv(view)
-        self._inner.recv_into(view)
-
     def recv_into_nb(self, view: memoryview) -> Optional[int]:
         """The plan sees each staged read once, as it starts and finds
-        bytes, or the end, there (a read that finds none consumes no
-        number), and injects as on :meth:`recv_into`: it may sleep."""
-        if view.format != "B" or view.ndim != 1:
-            view = view.cast("B")
+        bytes, or the end, there (a read that finds none takes no
+        number).  Nothing here waits: a stall holds the stream, a
+        partial delivery lands what is there of its cut."""
+        if self._hold is not None:
+            return None
         if not self._missing:
-            if not self._readable():
+            if not (self._epoll.poll(0) if self._epoll is not None
+                    else self._inner.available or self._inner.closed):
                 return None
-            self._inject_recv(view)
+            self._recvs += 1
             self._missing = view.nbytes
+            rule = self._plan.match("recv", self._recvs, self.conn_index)
+            if rule is not None and self._inject_recv(rule, view):
+                return None
         n = self._inner.recv_into_nb(view)
         if n:
             self._missing -= n
         return n
 
-    def _readable(self) -> bool:
-        available = getattr(self._inner, "available", None)
-        if available is None:  # a socket; a closed one fails at once
-            fd = self._inner.fileno()
-            return fd < 0 or bool(select.select([fd], [], [], 0)[0])
-        return available > 0 or self._inner.closed
-
-    def _inject_recv(self, view: memoryview) -> None:
-        """Consult the plan for the next read into ``view``: a stall
-        sleeps first, a reset or a partial delivery raises."""
-        self._recvs += 1
-        rule = self._plan.match("recv", self._recvs, self.conn_index)
-        if rule is None:
-            return
-        action = rule.action
-        if action in ("stall", "stall_then_reset") and rule.delay > 0:
-            time.sleep(rule.delay)
-        if action == "stall":
-            self._plan.record(self.conn_index, "recv", self._recvs, action,
+    def _inject_recv(self, rule: FaultRule, view: memoryview) -> bool:
+        """Apply ``rule`` to the staged read of ``view``: True when a
+        stall holds it; a reset or a partial delivery raises."""
+        action, nth = rule.action, self._recvs
+        if action == "stall" or action in _WAITING and rule.delay > 0:
+            self._plan.record(self.conn_index, "recv", nth, action,
                               f"{rule.delay}s")
-            return
-        if action in ("reset", "stall_then_reset"):
-            self._plan.record(self.conn_index, "recv", self._recvs, action)
-            self._inner.close()
-            raise TransportError(
-                f"injected reset on recv #{self._recvs} "
-                f"(connection {self.conn_index})")
+            if rule.delay <= 0:
+                return False  # a stall of no time: the read goes on
+            with self._lock:
+                timer = self._hold = threading.Timer(
+                    rule.delay, self._release, (action == "stall",))
+                timer.daemon = True
+                if self._epoll is not None:
+                    self._epoll.unregister(self._fd)
+            timer.start()
+            return True
+        if action in _WAITING or action == "reset":
+            raise self._fail("recv", nth, action, "",
+                             f"injected reset on recv #{nth}")
         if action == "partial":
-            if view.format != "B" or view.ndim != 1:
-                view = view.cast("B")
             cut = int(view.nbytes * rule.fraction)
-            if cut:
-                self._inner.recv_into(view[:cut])
-            self._plan.record(self.conn_index, "recv", self._recvs, action,
-                              f"{cut}/{view.nbytes} bytes")
-            self._inner.close()
-            raise TransportError(
-                f"injected reset after {cut}/{view.nbytes} bytes landed "
-                f"(connection {self.conn_index})")
+            landed = (self._inner.recv_into_nb(view[:cut]) or 0) if cut else 0
+            raise self._fail("recv", nth, action,
+                             f"{landed}/{view.nbytes} bytes",
+                             f"injected reset after {landed}/{view.nbytes} "
+                             f"bytes landed")
         raise TransportError(f"unhandled fault action {action!r}")
 
-    def send_file(self, fd: int, offset: int, count: int) -> bool:
-        """A fault-injected stream is not a plain socket: read the file
-        range and push it through this stream's own ``sendv`` so the
-        plan's send rules still apply.  Always the copying tier
-        (returns False) — ``__getattr__`` must not silently delegate
-        ``send_file`` to the inner socket, which would bypass every
-        injected fault on the payload bytes."""
-        sent = 0
-        while sent < count:
-            chunk = os.pread(fd, min(256 * 1024, count - sent),
-                             offset + sent)
-            if not chunk:
-                raise TransportError(
-                    f"file truncated with {count - sent} bytes "
-                    f"outstanding (connection {self.conn_index})")
-            self.sendv([chunk])
-            sent += len(chunk)
-        return False
+    def _release(self, ready: bool) -> None:
+        """The end of a hold, on its timer's thread: the stream is
+        ready again (a stall) or at its end (``stall_then_reset``)."""
+        with self._lock:
+            if self._hold is not threading.current_thread():
+                return  # closed meanwhile
+            self._hold = None
+            if ready and self._epoll is not None:
+                self._epoll.register(self._fd, select.EPOLLIN)
+                return
+        if not ready:
+            self.close()
+        elif self._pump is not None:
+            self._pump()
+
+    #: not delegated to the inner socket, whose kernel path would bypass
+    #: every injected fault: a file payload is a mapped view through
+    #: :meth:`sendv`, the copying tier
+    send_file = None
 
     # -- passthrough ---------------------------------------------------------------
     def close(self) -> None:
+        """Close the inner stream and end a hold: a poller wakes to a
+        read that finds the end."""
+        with self._lock:
+            hold, self._hold = self._hold, None
+        if hold is not None:
+            hold.cancel()
         self._inner.close()
+        if self._epoll is not None:
+            os.eventfd_write(self._closed_fd, 1)
 
     @property
     def peer(self) -> str:

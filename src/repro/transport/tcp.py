@@ -62,12 +62,11 @@ _MSG_DONTWAIT = getattr(socket, "MSG_DONTWAIT", None)
 class TCPStream:
     """A connected TCP socket with exact-read helpers."""
 
-    #: reactor adoption marker (repro.orb.reactor): a *plain* TCP
-    #: stream may hand its read side to the event loop, and write for
-    #: one without waiting (``sendv(chunks, False)``).  Wrappers that
-    #: intercept I/O (FaultyStream, ShmStream, SimStream) must NOT
-    #: inherit this via delegation — they set it False explicitly or
-    #: simply never define it, keeping their reader-thread semantics.
+    #: reactor adoption marker (repro.orb.reactor): a TCP stream may
+    #: hand its read side to the event loop, and write for one without
+    #: waiting (``sendv(chunks, False)``).  A FaultyStream delegates it,
+    #: keeping both contracts; ShmStream does not define it (its
+    #: servers, and its awaited clients, keep reader threads).
     reactor_safe = _MSG_DONTWAIT is not None
 
     def __init__(self, sock: socket.socket, name: str):

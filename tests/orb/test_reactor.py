@@ -1,8 +1,8 @@
 """The event-loop connection engine: adoption rules, thread hygiene,
 graceful shutdown, and identical failure semantics on the async path.
 
-The reactor must only ever own plain TCP read sides (wrapped or
-emulated streams keep their reader threads), every thread the ORB
+The reactor owns only TCP read sides, a fault-injected one included
+(loopback is pumped, shm keeps its reader threads), every thread the ORB
 starts must be joined on shutdown, an in-flight request must drain
 before the server closes its connections, and a mid-call fault must
 surface the *same* CORBA exception/completion mapping whether the call
@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.core import OctetSequence
-from repro.orb import COMM_FAILURE, NO_RETRY, ORB, ORBConfig
+from repro.orb import COMM_FAILURE, NO_RETRY, ORB, ORBConfig, run_sync
 from repro.orb.aio import async_api
 from repro.orb.reactor import get_reactor
 from repro.transport import (FaultPlan, LoopbackTransport, TCPTransport,
@@ -54,18 +54,53 @@ class TestAdoption:
         assert client.reactor_safe
         assert reactor.adoptable(client)
 
-    def test_faulty_wrapper_is_never_adopted(self, tcp_stream_pair):
-        """FaultyStream delegates unknown attributes to the inner
-        TCPStream; its explicit ``reactor_safe = False`` must win, or
-        the loop would read the socket directly and bypass every
-        injected recv fault."""
-        client, _server = tcp_stream_pair
-        wrapped = FaultyStream(client, FaultPlan(), 1)
-        # the capability methods leak through __getattr__ by design...
-        assert hasattr(wrapped, "recv_into_nb")
-        # ...but the explicit gate keeps the reactor away
-        assert wrapped.reactor_safe is False
-        assert not get_reactor().adoptable(wrapped)
+    def test_faulty_tcp_is_adopted_and_its_faults_fire_on_the_loop(
+            self, test_api):
+        """A FaultyStream keeps the non-blocking contract of the socket
+        it wraps, so the loop reads it, and what the plan injects
+        happens there: a recv stall holds the stream without blocking
+        the loop or spinning it, a reset fails the call."""
+        plan = FaultPlan()
+        server = ORB(ORBConfig(scheme="tcp"))
+        client = ORB(ORBConfig(scheme="tcp"),
+                     transports=faulty_registry(plan), policy=NO_RETRY)
+        try:
+            stub = client.string_to_object(
+                server.object_to_string(server.activate(
+                    make_store_impl(test_api))))
+            aio = async_api(stub)
+            assert run_sync(aio.put_std(OctetSequence(b"over"))) == 4
+            demux = next(iter(client._proxies.values()))._demux
+            assert isinstance(demux.conn.stream, FaultyStream)
+            assert get_reactor().adoptable(demux.conn.stream)
+            assert not demux.callers_read and demux._thread is None
+
+            async def stalled():
+                call = asyncio.ensure_future(
+                    aio.put_std(OctetSequence(b"slow")))
+                loop, lag = asyncio.get_running_loop(), 0.0
+                while not call.done():
+                    t0 = loop.time()
+                    await asyncio.sleep(0.01)
+                    lag = max(lag, loop.time() - t0 - 0.01)
+                return await call, lag
+
+            plan.stall_recv(nth=None, delay=0.2)
+            cpu, t0 = time.process_time(), time.monotonic()
+            total, lag = run_sync(stalled(), timeout=10.0)
+            wall, cpu = time.monotonic() - t0, time.process_time() - cpu
+            assert total == 8 and wall >= 0.2
+            assert plan.events[-1].action == "stall"
+            assert lag < 0.05, f"the loop lagged {lag:.3f}s in a 0.2s stall"
+            assert cpu < 0.1, f"{cpu:.3f}s of CPU in a 0.2s stall"
+
+            plan.reset_on_recv(nth=None)
+            with pytest.raises(COMM_FAILURE):
+                run_sync(aio.put_std(OctetSequence(b"zap")), timeout=10.0)
+            assert plan.events[-1].action == "reset"
+        finally:
+            client.shutdown()
+            server.shutdown()
 
     def test_loopback_stream_is_not_adoptable(self):
         transport = LoopbackTransport()

@@ -1,13 +1,15 @@
 """One read path (DESIGN.md §10): whichever drive reads a connection
 (``GIOPConn.start_reading``: pump, loop, reader thread; and a client's
-plain tcp connection, the callers waiting for replies until an awaited
-call hands it over), a server treats a message, or a peer's garbage,
-the same, and a client fails its in-flight calls the same.  One table
-of hostile streams, every drive, both roles, against a peer with no
-ORB behind it (its shm deposit-record rows on the drive that reads
-records, ``thread-shm``); that no drive reads by blocking, which is what
-makes the one read path one; then the regressions the table grew out
-of, one per drive.  (The server half of the loop
+connection over a socket, tcp, shm or fault-injected, the callers
+waiting for replies until an awaited call hands it over), a server
+treats a message, or a peer's garbage, the same, and a client fails its
+in-flight calls the same.  One table of hostile streams, every drive,
+both roles, against a peer with no ORB behind it (its shm deposit-record
+rows on the drives that read records, ``thread-shm`` and
+``waiter-shm``); that no drive reads by blocking, which is what makes
+the one read path one, and that no client's callers need a reader
+thread; then the regressions the table grew out of, one per drive.
+(The server half of the loop
 drive's is in the table: its ``bad-magic``, ``unknown-type`` and
 ``ff-body`` rows on ``loop``, a default tcp server, got neither an
 answer nor a hang-up before ``_ConnDriver._resume``.)
@@ -40,6 +42,7 @@ from repro.giop import (GIOP_HEADER_SIZE, IOR, IIOPProfile, LocateReplyHeader,
                         encode_message)
 from repro.orb import (COMM_FAILURE, INTERNAL, MARSHAL, ORB, CompletionStatus,
                        ORBConfig, async_api)
+from repro.transport import FaultPlan, FaultyStream, faulty_registry
 from repro.transport.base import TransportError, TransportTimeout
 from repro.transport.shm import SHM_MAGIC, shm_available
 
@@ -57,12 +60,14 @@ DRIVES = {
 }
 #: client drive -> the server drive whose ORBConfig the client takes.  A
 #: client has no dispatch, so inline or pooled is one drive to it, and
-#: its plain tcp connection is read by its waiting callers until the
-#: first awaited call hands it to the loop (or, without one, a thread)
+#: its connection over a socket is read by its waiting callers until the
+#: first awaited call hands it to the loop (or, without one, a thread).
+#: A ``-faulty`` client dials through a FaultyStream with an empty plan
 CLIENT_DRIVES = {"pump": "pump", "waiter": "loop", "loop": "loop",
-                 "thread+pool": "thread+pool", "thread-shm": "thread-shm"}
+                 "thread+pool": "thread+pool", "waiter-shm": "thread-shm",
+                 "waiter-faulty": "loop", "loop-faulty": "loop"}
 #: the client drives reached by way of one awaited call
-HANDED_OVER = ("loop", "thread+pool")
+HANDED_OVER = ("loop", "thread+pool", "loop-faulty")
 
 MESSAGE_ERROR = bytes(encode_giop_header(MsgType.MessageError, 0))
 MAYBE = CompletionStatus.COMPLETED_MAYBE
@@ -193,6 +198,13 @@ def _skip_without(drive: str) -> dict:
     return cfg
 
 
+def _client(drive: str, **kw) -> ORB:
+    """A client ORB on client ``drive``'s wire."""
+    if drive.endswith("-faulty"):
+        kw["transports"] = faulty_registry(FaultPlan())
+    return ORB(ORBConfig(**_skip_without(CLIENT_DRIVES[drive])), **kw)
+
+
 class _RawStream:
     """The test's end of a connection, written and read by hand."""
 
@@ -244,13 +256,15 @@ class _RawStream:
 
 @pytest.fixture
 def served(test_api, store_impl):
-    """``make(drive[, pool])`` -> (server ORB, a well-behaved client's
-    stub)."""
+    """``make(drive[, pool][, client_drive])`` -> (server ORB, a
+    well-behaved client's stub)."""
     orbs = []
 
-    def make(drive, pool=None):
+    def make(drive, pool=None, client_drive=None):
         cfg = _skip_without(drive)
-        server, client = ORB(ORBConfig(**cfg), pool=pool), ORB(ORBConfig(**cfg))
+        server = ORB(ORBConfig(**cfg), pool=pool)
+        client = _client(client_drive) if client_drive \
+            else ORB(ORBConfig(**cfg))
         orbs.extend([client, server])
         return server, client.string_to_object(
             server.object_to_string(server.activate(store_impl)))
@@ -375,12 +389,13 @@ class _Callers:
 
 @pytest.fixture
 def raw_server(test_api):
-    """``make(drive)`` -> (client ORB, its pool, a :class:`_RawServer`)."""
+    """``make(client drive)`` -> (client ORB, its pool, a
+    :class:`_RawServer`)."""
     clients, servers = [], []
 
     def make(drive):
         pool = BufferPool()
-        clients.append(ORB(ORBConfig(**_skip_without(drive)), pool=pool))
+        clients.append(_client(drive, pool=pool))
         servers.append(_RawServer(clients[-1], test_api))
         return clients[-1], pool, servers[-1]
 
@@ -417,7 +432,7 @@ def _await_one_call(server: _RawServer) -> None:
 @pytest.mark.parametrize("drive", CLIENT_DRIVES)
 def test_client_fails_every_inflight_call_the_same_on_every_drive(
         drive, row, raw_server):
-    client, pool, server = raw_server(CLIENT_DRIVES[drive])
+    client, pool, server = raw_server(drive)
     if drive in HANDED_OVER:
         _await_one_call(server)
     callers = _Callers(server.stub, 3)
@@ -429,8 +444,10 @@ def test_client_fails_every_inflight_call_the_same_on_every_drive(
     demux = proxy._demux
     assert demux.inflight == 3
     # the table reaches the drive it names
-    assert demux.callers_read is (drive == "waiter")
+    assert demux.callers_read is drive.startswith("waiter")
     assert (demux._thread is not None) is drive.startswith("thread")
+    assert isinstance(demux.conn.stream, FaultyStream) \
+        is drive.endswith("-faulty")
 
     peer.send(_bytes_of(row, to_server=False))
     if row.then_eof:
@@ -468,12 +485,13 @@ def test_the_parse_reads_a_hostile_shm_record_as_any_other_bytes(
         footprint = _Footprint(server)
         peer = _dial(server)
     else:
-        _, pool, server = raw_server(CLIENT_DRIVES["thread-shm"])
+        client, pool, server = raw_server("waiter-shm")
         callers = _Callers(server.stub, 3)
         assert _settle(lambda: server.accepted)
         peer = server.accepted[0]
         for _ in callers.threads:
             peer.recv_message()
+        assert next(iter(client._proxies.values()))._demux.callers_read
     try:
         # the arena the reading end maps the peer's slots from
         arena = peer.stream.send_arena
@@ -508,7 +526,8 @@ def test_no_drive_makes_a_blocking_read(role, drive, served, monkeypatch):
     ``recv_into``, for a message, a deposit, or on shm a deposit record
     with an inline payload behind it."""
     server_drive = drive if role == "server" else CLIENT_DRIVES[drive]
-    server, stub = served(server_drive)
+    server, stub = served(server_drive,
+                           client_drive=role == "client" and drive)
     if role == "client" and drive in HANDED_OVER:
         asyncio.run(async_api(stub).put_std(OctetSequence(b"over")))
     total = stub.put_std(OctetSequence(b"set-up"))
@@ -538,6 +557,31 @@ def _recorded(calls: list, name: str, read, *args):
     return read(*args)
 
 
+@pytest.mark.parametrize("drive", [d for d in CLIENT_DRIVES
+                                   if d.startswith("waiter")])
+def test_sync_calls_run_no_reader_thread(drive, served):
+    """A client whose callers read its connection starts no thread for
+    it, neither when it dials nor while four callers share it: over tcp,
+    over shm and through a fault-injected tcp stream alike."""
+    _, stub = served(CLIENT_DRIVES[drive], client_drive=drive)
+    seen = set()
+
+    def calls():
+        for _ in range(20):
+            stub.put_std(OctetSequence(b"ping"))
+            seen.update(t.name for t in threading.enumerate()
+                        if t.name.startswith("giop-demux-"))
+
+    callers = [threading.Thread(target=calls) for _ in range(4)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(WATCHDOG)
+    assert stub.total == 4 * 20 * 4
+    demux = next(iter(stub._orb._proxies.values()))._demux
+    assert seen == set() and demux._thread is None and demux.callers_read
+
+
 # -- the regressions, one per drive ---------------------------------------
 
 def test_garbage_reply_fails_a_default_client_at_once_without_a_policy(
@@ -547,7 +591,7 @@ def test_garbage_reply_fails_a_default_client_at_once_without_a_policy(
     waiting for ever was the loop's, and the table's ``loop`` rows hold
     it since).  No policy here, so nothing but the read path can end
     the call; then the dead connection is replaced."""
-    client, _, server = raw_server(CLIENT_DRIVES["waiter"])
+    client, _, server = raw_server("waiter")
     assert client.policy is None
     callers = _Callers(server.stub, 1)
     assert _settle(lambda: server.accepted)

@@ -5,12 +5,14 @@ mid-stream reset, partial delivery, stalls, corruption), the per-
 connection/nth-operation addressing, the audit log, and seeded
 determinism of probabilistic rules."""
 
+import select
+import threading
 import time
 
 import pytest
 
 from repro.transport import (FaultPlan, FaultRule, FaultyTransport,
-                             LoopbackTransport, TransportError,
+                             LoopbackTransport, TCPTransport, TransportError,
                              faulty_registry)
 
 
@@ -137,14 +139,47 @@ class TestSendFaults:
             listener.close()
 
 
+@pytest.fixture
+def tcp_pair():
+    """``make(plan)`` -> (client stream, server stream) over faulty tcp."""
+    made = []
+
+    def make(plan):
+        transport = FaultyTransport(TCPTransport(), plan)
+        accepted = []
+        listener = transport.listen("127.0.0.1", 0, accepted.append)
+        client = transport.connect(listener.endpoint)
+        deadline = time.monotonic() + 5.0
+        while not accepted and time.monotonic() < deadline:
+            time.sleep(0.005)
+        made.append((client, accepted[0], listener))
+        return client, accepted[0]
+
+    yield make
+    for client, server, listener in made:
+        client.close()
+        server.close()
+        listener.close()
+
+
+def _readable(stream, timeout: float) -> bool:
+    """Whether a poller of ``stream`` wakes within ``timeout``."""
+    poll = select.poll()
+    poll.register(stream.fileno(), select.POLLIN)
+    return bool(poll.poll(timeout * 1e3))
+
+
 class TestRecvFaults:
+    """A read never waits: a reset or a partial delivery raises at once,
+    a stall holds the stream, and each staged read takes one number."""
+
     def test_reset_on_recv(self):
         plan = FaultPlan().reset_on_recv(nth=1)
         client, server, listener = make_pair(plan)
         try:
             server.send(b"data")
             with pytest.raises(TransportError, match="injected reset"):
-                client.recv_exact(4)
+                client.recv_into_nb(memoryview(bytearray(4)))
         finally:
             listener.close()
 
@@ -155,8 +190,72 @@ class TestRecvFaults:
             server.send(bytes(range(100)))
             view = memoryview(bytearray(100))
             with pytest.raises(TransportError, match="30/100"):
-                client.recv_into(view)
+                client.recv_into_nb(view)
             assert view[:30].tobytes() == bytes(range(30))
+        finally:
+            listener.close()
+
+    def test_a_stall_keeps_the_stream_out_of_poll_until_its_delay(self,
+                                                                 tcp_pair):
+        client, server = tcp_pair(FaultPlan().stall_recv(nth=1, delay=0.4))
+        server.send(b"data")
+        assert _readable(client, 5.0)
+        view = memoryview(bytearray(4))
+        t0 = time.monotonic()
+        assert client.recv_into_nb(view) is None  # the hold begins
+        assert not _readable(client, 0.2)
+        assert _readable(client, 5.0)
+        assert time.monotonic() - t0 >= 0.4
+        assert client.recv_into_nb(view) == 4 and view.tobytes() == b"data"
+
+    def test_a_hold_takes_no_second_number(self, tcp_pair):
+        plan = FaultPlan().stall_recv(nth=1, delay=0.1).reset_on_recv(nth=2)
+        client, server = tcp_pair(plan)
+        server.send(b"data")
+        assert _readable(client, 5.0)
+        view = memoryview(bytearray(4))
+        while client.recv_into_nb(view) is None:  # held, then read
+            time.sleep(0.01)
+        server.send(b"more")
+        assert _readable(client, 5.0)
+        with pytest.raises(TransportError, match="reset on recv #2"):
+            client.recv_into_nb(view)
+        assert [(e.nth, e.action) for e in plan.events] == \
+            [(1, "stall"), (2, "reset")]
+
+    def test_close_during_a_hold_wakes_a_poller(self, tcp_pair):
+        client, server = tcp_pair(FaultPlan().stall_recv(nth=1, delay=30.0))
+        server.send(b"data")
+        assert _readable(client, 5.0)
+        view = memoryview(bytearray(4))
+        assert client.recv_into_nb(view) is None
+        woke = []
+        poller = threading.Thread(
+            target=lambda: woke.append(_readable(client, 5.0)))
+        poller.start()
+        time.sleep(0.05)  # the poller is asleep in poll
+        t0 = time.monotonic()
+        client.close()
+        poller.join(5.0)
+        assert woke == [True] and time.monotonic() - t0 < 2.0
+        with pytest.raises(TransportError):
+            client.recv_into_nb(view)
+
+    def test_the_end_of_a_hold_runs_the_pump_again(self):
+        client, server, listener = make_pair(
+            FaultPlan().stall_recv(nth=1, delay=0.05))
+        got, done = [], threading.Event()
+
+        def pump():
+            view = memoryview(bytearray(4))
+            if client.recv_into_nb(view):
+                got.append(view.tobytes())
+                done.set()
+        try:
+            client.set_data_handler(pump)
+            server.send(b"data")
+            assert got == []  # held
+            assert done.wait(5.0) and got == [b"data"]
         finally:
             listener.close()
 
