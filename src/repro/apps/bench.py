@@ -15,7 +15,7 @@ shape the validator requires, the invariants ``--section NAME`` holds it
 to and its summary line.  ``run_bench``, ``validate_bench`` and ``main``
 iterate that table.
 
-The document is ``{"schema": 8, "kind": "bench", "tag": ..., "<section
+The document is ``{"schema": 9, "kind": "bench", "tag": ..., "<section
 name>": {...}, ...}`` with the sections in table order; README.md
 ("The bench document") spells out every key, and each section's
 ``check`` is the executable statement of the keys it must have.
@@ -45,7 +45,7 @@ __all__ = ["BENCH_SCHEMA_VERSION", "Section", "SECTIONS", "run_bench",
            "measure_pipelining", "measure_sgcdr", "measure_cscale",
            "validate_bench", "render_figure", "main"]
 
-BENCH_SCHEMA_VERSION = 8
+BENCH_SCHEMA_VERSION = 9
 
 
 # -- the declaration of one section -------------------------------------------
@@ -113,8 +113,7 @@ def _orb_pair(servant, scheme: str, **server_config):
     from ..orb import ORB, ORBConfig
 
     server = ORB(ORBConfig(scheme=scheme, **server_config))
-    client = ORB(ORBConfig(scheme=scheme, collocated_calls=False,
-                           reactor=server.config.reactor))
+    client = ORB(ORBConfig(scheme=scheme, collocated_calls=False))
     try:
         yield client, client.string_to_object(
             server.object_to_string(server.activate(servant)))
@@ -341,17 +340,17 @@ def _nofile_headroom(need: int) -> Optional[str]:
 
 
 @contextmanager
-def _cscale_rig(reactor_on: bool, conns: int, work_s: float):
+def _cscale_rig(server_workers: int, conns: int, work_s: float):
     """``(proxies, call)`` for one cscale mode: ``conns`` fresh
     single-connection proxies (never the ORB's shared one: the sweep
     needs C *distinct* sockets) to an echo servant, and the
     ``(args, kwargs)`` of one ``invoke`` / ``invoke_async`` on them.
-    Both ORBs live in this process; ``reactor_on`` selects event-loop
-    adoption on *both* sides versus thread-per-connection."""
+    Both ORBs live in this process; the server reads every connection
+    on the loop, or with ``server_workers=0`` on a thread each."""
     from ..orb import InvocationPolicy
 
-    with _orb_pair(_pipe_servant(), "tcp", reactor=reactor_on,
-                   server_workers=16) as (client, stub):
+    with _orb_pair(_pipe_servant(), "tcp",
+                   server_workers=server_workers) as (client, stub):
         profile = client.select_profile(stub._ior)
         proxies = [client._new_proxy(profile.endpoint) for _ in range(conns)]
         try:
@@ -362,13 +361,13 @@ def _cscale_rig(reactor_on: bool, conns: int, work_s: float):
         finally:
             for proxy in proxies:
                 try:
-                    proxy.close(timeout=0.05)
+                    proxy.close()
                 except Exception:
                     pass
 
 
 def _cscale_record(lat_lists: List[List[float]], wall: float,
-                   expected: int, errors: List) -> dict:
+                   expected: int, errors: List, threads: int) -> dict:
     lats = sorted(x for lst in lat_lists for x in lst)
     completed = len(lats)
     p50 = _quantile(lats, 0.50)
@@ -378,7 +377,8 @@ def _cscale_record(lat_lists: List[List[float]], wall: float,
            "goodput_calls_per_s": round(completed / wall, 1)
            if wall > 0 else 0.0,
            "p50_s": round(p50, 6), "p99_s": round(p99, 6),
-           "slo_ok": bool(completed) and p99 <= CSCALE_P99_SLO_S}
+           "slo_ok": bool(completed) and p99 <= CSCALE_P99_SLO_S,
+           "threads": threads}
     if errors:
         rec["reason"] = (f"{len(errors)} calls failed "
                          f"(first: {errors[0]!r:.120})")
@@ -391,8 +391,8 @@ def _cscale_record(lat_lists: List[List[float]], wall: float,
 def _cscale_threaded(conns: int, calls_per_conn: int,
                      work_s: float) -> dict:
     """The baseline: C sockets, each with a sync driver thread that
-    reads its own replies client-side plus a reader thread server-side
-    — ~2C threads total, the cost the reactor removes."""
+    reads its own replies plus a server reader that dispatches inline
+    (``server_workers=0``): ~2C threads, the cost the reactor removes."""
     lat_lists: List[List[float]] = [[] for _ in range(conns)]
     errors: List = []
     start = threading.Event()
@@ -423,7 +423,7 @@ def _cscale_threaded(conns: int, calls_per_conn: int,
             lats.append(time.perf_counter() - t0)
 
     threads: List[threading.Thread] = []
-    with _cscale_rig(False, conns, work_s) as (proxies, (args, kwargs)):
+    with _cscale_rig(0, conns, work_s) as (proxies, (args, kwargs)):
         try:
             for proxy, lats in zip(proxies, lat_lists):
                 t = threading.Thread(target=drive, args=(proxy, lats),
@@ -449,8 +449,9 @@ def _cscale_threaded(conns: int, calls_per_conn: int,
         for t in threads:
             t.join(timeout=max(0.0, deadline - time.monotonic()))
         wall = time.perf_counter() - t0
+        live = threading.active_count()
     return _cscale_record(lat_lists, wall, conns * calls_per_conn,
-                          errors)
+                          errors, live)
 
 
 def _cscale_reactor(conns: int, calls_per_conn: int,
@@ -485,12 +486,12 @@ def _cscale_reactor(conns: int, calls_per_conn: int,
         t0 = time.perf_counter()
         await asyncio.gather(*(drive(p, lst)
                                for p, lst in zip(proxies, lat_lists)))
-        return time.perf_counter() - t0
+        return time.perf_counter() - t0, threading.active_count()
 
-    with _cscale_rig(True, conns, work_s) as (proxies, (args, kwargs)):
-        wall = asyncio.run(run_all())
+    with _cscale_rig(16, conns, work_s) as (proxies, (args, kwargs)):
+        wall, live = asyncio.run(run_all())
     return _cscale_record(lat_lists, wall, conns * calls_per_conn,
-                          errors)
+                          errors, live)
 
 
 def measure_cscale(conn_counts=(100, 1000), calls_per_conn: int = 5,
@@ -503,9 +504,10 @@ def measure_cscale(conn_counts=(100, 1000), calls_per_conn: int = 5,
     once per mode (``_cscale_threaded``, ``_cscale_reactor``), after
     one *untimed* warm-up call per connection.
     ``goodput_calls_per_s`` is total completed calls over the wall
-    time, p50/p99 the per-call round-trip quantiles, and ``speedup``
-    the reactor/threaded goodput ratio — the tentpole acceptance
-    metric at 1k+ connections.
+    time, p50/p99 the per-call round-trip quantiles, ``threads`` the
+    process's live threads at the end of the timed window (the
+    connections still open), and ``speedup`` the reactor/threaded
+    goodput ratio — the tentpole acceptance metric at 1k+ connections.
 
     Above ``threaded_conn_cap`` the baseline is recorded as not
     attempted (its ~2C threads would destabilise the host rather than
@@ -565,11 +567,17 @@ def _check_cscale(cscale: dict) -> List[str]:
                 problems.append(f"{at}.{mode}: malformed")
             elif rec["ok"] and any(
                     k not in rec for k in ("goodput_calls_per_s",
-                                           "p50_s", "p99_s")):
-                problems.append(f"{at}.{mode}: missing quantiles")
+                                           "p50_s", "p99_s", "threads")):
+                problems.append(f"{at}.{mode}: missing quantiles or threads")
         if "speedup" not in lv:
             problems.append(f"{at}: missing speedup")
     return problems
+
+
+def _threads_flat(cscale: dict) -> bool:
+    ran = sorted((lv["conns"], lv["reactor"]["threads"])
+                 for lv in cscale["levels"] if not lv.get("skipped"))
+    return not ran or ran[-1][1] <= ran[0][1]
 
 
 def _summary_cscale(cscale: dict):
@@ -577,7 +585,7 @@ def _summary_cscale(cscale: dict):
         if not rec.get("ok"):
             return f"FAILED ({rec.get('reason', 'unknown')})"
         return (f"{rec['goodput_calls_per_s']:.0f} calls/s "
-                f"p99={rec['p99_s'] * 1e3:.1f}ms")
+                f"p99={rec['p99_s'] * 1e3:.1f}ms {rec['threads']} threads")
 
     for lv in cscale["levels"]:
         if lv.get("skipped"):
@@ -637,7 +645,9 @@ SECTIONS: List[Section] = [
                        "sweep")),
         invariants=(("zero dropped replies on the reactor",
                      lambda r: all(lv["reactor"]["ok"] for lv in r["levels"]
-                                   if not lv.get("skipped"))),),
+                                   if not lv.get("skipped"))),
+                    ("reactor threads at the most connections <= at the "
+                     "fewest", _threads_flat)),
         rss_limit_mb=512.0, summary=_summary_cscale),
 ]
 

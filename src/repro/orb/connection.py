@@ -679,17 +679,17 @@ class GIOPConn:
                 sender's thread (it has         sender's thread, under
                 ``set_data_handler``:           :class:`_PumpGuard`
                 loopback, sim)
-        loop    ``reactor`` is given and may    no: it runs on the
-                adopt the stream (tcp, faulty)  reactor's loop thread
-        thread  anything else (shm,             yes: a daemon thread of
-                ``reactor=None``)               its own, named ``name``
+        loop    the owner offers a ``reactor``  no: it runs on the
+                (a client's hand-over; a        reactor's loop thread
+                server's tcp with a pool)
+        thread  anything else (only a server:   yes: a daemon thread of
+                shm, ``workers=0``)             its own, named ``name``
         ======  ==============================  =========================
 
         Returns the reader thread for the owner to join after
-        :meth:`close`, None for the other two drives (a client's socket
-        connection comes here once awaited on: DESIGN.md §10).  Each
-        drive reads with :meth:`_read_nb`, the thread after a ``poll``
-        (:meth:`read_message`).
+        :meth:`close`, None for the other two drives (DESIGN.md §10).
+        Each drive reads with :meth:`_read_nb`, the thread after a
+        ``poll`` (:meth:`read_message`).
 
         Every message goes to ``on_message(rm)``; the loop also passes
         its driver, ``on_message(rm, driver)``, whose presence means
@@ -714,7 +714,7 @@ class GIOPConn:
             # time and turns a delivery meanwhile into a re-run
             set_handler(_PumpGuard(partial(
                 self._read_messages, on_message, on_error, wait_stage, True)))
-        elif reactor is not None and reactor.adoptable(stream):
+        elif reactor is not None:
             reactor.adopt(self, on_message, on_error, wait_stage)
         else:
             thread = threading.Thread(

@@ -11,21 +11,22 @@ A :class:`ReplyDemux` owns the *receive side* of one client
 :class:`ReplyFuture` keyed by request id *before* sending; the demux
 reads every inbound message and completes the matching future — in
 whatever order the replies arrive.  Who reads it is
-:meth:`ReplyDemux.start`'s choice (the callers waiting for replies, or
-the drive :meth:`GIOPConn.start_reading` chooses); routing and failure
+:meth:`ReplyDemux.start`'s choice (its pump, the callers waiting for
+replies, or after the hand-over the ORB's loop); routing and failure
 fan-out below are the same under each.
 
 Failure semantics: a connection-fatal event — stream reset, GIOP
-framing error, ``CloseConnection``, ``MessageError`` — fails **all**
-in-flight futures, each with its own CORBA system exception instance
-carrying ``COMPLETED_MAYBE`` (every registered request had left in
-full; the peer's progress is unknowable).  A per-request deadline, by
+framing error, ``CloseConnection``, ``MessageError``, the owner's own
+:meth:`ReplyDemux.close` — fails **all** in-flight futures, each with
+its own CORBA system exception instance carrying ``COMPLETED_MAYBE``
+(every registered request had left in full; the peer's progress is
+unknowable).  A per-request deadline, by
 contrast, cancels only its own future via :meth:`discard`; the
 connection stays healthy and the late reply, when it eventually
 arrives, is dropped as stale (its deposit buffers go back to the pool).
 
 Stage attribution: the demux reads with ``wait_stage=None``, so the
-reader thread reports no stage for a reply (it would go to the wrong —
+reading drive reports no stage for a reply (it would go to the wrong —
 or no — span, and measure how long the connection was idle, not how
 long a call waited).  The read's numbers ride on the
 :class:`ReceivedMessage` and the awaiting caller turns them into its
@@ -125,7 +126,7 @@ _MATCHED = (MsgType.Reply, MsgType.LocateReply)
 class ReplyDemux:
     """Per-connection reader matching inbound replies to futures."""
 
-    def __init__(self, conn: GIOPConn, orb=None):
+    def __init__(self, conn: GIOPConn, orb):
         self.conn = conn
         #: asked for its loop (``ORB.reactor``) at the hand-over
         self._orb = orb
@@ -133,7 +134,6 @@ class ReplyDemux:
         self._lock = threading.Lock()
         #: the connection-fatal failure, once one happened
         self._failed: Optional[SystemException] = None
-        self._thread: Optional[threading.Thread] = None
         #: the callers waiting on a thread read (one leads, the rest
         #: follow, each woken by its Event: its reply is in, or lead)
         self.callers_read = False
@@ -147,29 +147,27 @@ class ReplyDemux:
         pump; any other (a socket: tcp, shm, a fault-injected one) its
         waiting callers (:meth:`wait`), until an awaited call, or a
         caller that gives up on its reply, hands it for good to the
-        drive ``start_reading`` chooses (:meth:`hand_over`)."""
+        ORB's loop (:meth:`hand_over`).  No reader thread, ever."""
         self.callers_read = not hasattr(self.conn.stream, "set_data_handler")
         if not self.callers_read:
-            self._drive(None)
+            self._drive(None)  # the pump: no loop
 
     def _drive(self, reactor) -> None:
         with self._lock:
             followers, self._followers = self._followers, []
         for turn in followers:  # a drive completes their futures now
             turn.set()
-        self._thread = self.conn.start_reading(
-            self._route, self._read_failed, reactor=reactor, wait_stage=None,
-            name=f"giop-demux-{getattr(self.conn.stream, 'name', '?')}")
+        self.conn.start_reading(self._route, self._read_failed,
+                                reactor=reactor, wait_stage=None)
 
     def hand_over(self) -> None:
         """A reply no caller waits for on a thread needs a drive: the
-        ORB's loop, else a reader thread.  A leader hands over as it
-        lets go."""
+        ORB's loop.  A leader hands over as it lets go."""
         with self._lock:
             idle = self.callers_read and not self._leading
             self.callers_read = False
         if idle:
-            self._drive(getattr(self._orb, "reactor", None))
+            self._drive(self._orb.reactor)
 
     # -- the waiting callers' read (Leader/Followers) ----------------------
     def wait(self, future: ReplyFuture, timeout: Optional[float]) -> bool:
@@ -234,7 +232,7 @@ class ReplyDemux:
                 if self._followers:
                     self._followers.pop(0).set()
                 return
-        self._drive(getattr(self._orb, "reactor", None))  # handed over
+        self._drive(self._orb.reactor)  # handed over
 
     def check_idle(self) -> None:
         """Before a write on a connection nobody reads: what came while
@@ -253,16 +251,15 @@ class ReplyDemux:
         finally:
             self._let_go()
 
-    def close(self, timeout: float = 1.0) -> None:
-        """Close the connection and join the reader thread (bounded).
-
-        Reactor-adopted connections detach through the conn close hook;
-        thread mode unblocks the reader by closing the stream under it.
-        """
+    def close(self) -> None:
+        """Close the connection and fail every call still owed a reply,
+        as a read error would: whichever drive reads it stops silently
+        at its owner's close (the loop detaches through the close hook,
+        a leader's ``poll`` wakes to a closed connection)."""
         self.conn.close()
-        thread = self._thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout)
+        self._fail_all(COMM_FAILURE(
+            completed=CompletionStatus.COMPLETED_MAYBE,
+            message="connection closed with the reply still owed"))
 
     @property
     def inflight(self) -> int:

@@ -86,11 +86,6 @@ class ORBConfig:
     #: auto-register the IDL-defined ORBMonitor servant (initial
     #: reference "ORBMonitor") on every server ORB
     monitor: bool = True
-    #: asyncio reactor (repro.orb.reactor): adoptable TCP connections
-    #: are read on a shared event loop instead of a thread each — the
-    #: C10K path (a client's once it is awaited on; its blocking callers
-    #: read it before that).  False: a thread per connection instead.
-    reactor: bool = True
 
 
 class ORB:
@@ -165,13 +160,11 @@ class ORB:
 
     @property
     def reactor(self):
-        """The process-wide event-loop reactor (lazily started), or
-        None when ``config.reactor`` is off.  Attaching registers this
-        ORB for loop-health metrics (``loop_lag_seconds`` /
-        ``loop_tasks``) once it has a metrics registry.  A client asks
-        at its first awaited call: one that never awaits runs no loop."""
-        if not self.config.reactor:
-            return None
+        """The process-wide event-loop reactor (lazily started).
+        Attaching registers this ORB for loop-health metrics
+        (``loop_lag_seconds`` / ``loop_tasks``) once it has a metrics
+        registry.  A client asks when it hands a connection over, a
+        server at a tcp accept: an ORB that does neither runs no loop."""
         from .reactor import get_reactor
         reactor = get_reactor()
         reactor.attach_orb(self)
@@ -299,8 +292,7 @@ class ORB:
             cfg = self.config
             server = IIOPServer(self.poa, self._new_conn, orb=self,
                                 on_bytes=self.on_bytes,
-                                workers=cfg.server_workers,
-                                reactor=self.reactor)
+                                workers=cfg.server_workers)
             schemes = [cfg.scheme] + [s for s in cfg.extra_schemes
                                       if s != cfg.scheme]
             endpoints = []
@@ -564,8 +556,7 @@ class ORB:
                 pass
             self.telemetry = None
         for proxy in proxies:
-            # polite close + bounded join of the demux reader thread,
-            # so threading.active_count() returns to baseline
+            # polite close; the calls still waiting on it fail
             try:
                 proxy.close()
             except Exception:

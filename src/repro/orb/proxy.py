@@ -81,8 +81,8 @@ class _Attempt:
 
 
 async def _arrival(loop, future, timeout: Optional[float]) -> bool:
-    """``ReplyFuture.wait`` without a thread: the demux (reader thread
-    or reactor) completes the future, a done-callback wakes the
+    """``ReplyFuture.wait`` without a thread: the demux's drive (the
+    loop, or a pump) completes the future, a done-callback wakes the
     awaiting task via ``call_soon_threadsafe``.  A drive must read for
     it: the first on a connection its callers read hands it over."""
     future.demux.hand_over()
@@ -185,17 +185,16 @@ class IIOPProxy:
         conn.adopt_stats(self._stats)
         return conn
 
-    def close(self, timeout: float = 1.0) -> None:
-        """Close the connection politely and join the demux reader
-        thread (bounded) — ``ORB.shutdown`` calls this so the thread
-        count returns to baseline."""
+    def close(self) -> None:
+        """Close the connection politely; the calls still waiting for
+        a reply on it fail (``ReplyDemux.close``)."""
         with self._conn_lock:
             conn, demux = self._conn, self._demux
             self._conn = self._demux = None
         if conn is not None:
             conn.send_close()
         if demux is not None:
-            demux.close(timeout)
+            demux.close()
         elif conn is not None:
             conn.close()
 

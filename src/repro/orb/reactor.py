@@ -2,9 +2,11 @@
 
 A reader thread per connection tops out at hundreds of peers.  This
 module is the drive :meth:`GIOPConn.start_reading
-<repro.orb.connection.GIOPConn.start_reading>` chooses for every
-adoptable TCP connection (a client's once it is awaited on): its *read*
-side moves onto one asyncio event loop running on its own daemon thread.
+<repro.orb.connection.GIOPConn.start_reading>` takes for every
+connection whose owner offers it the loop (a client's socket connection
+once it is handed over, over tcp and shm alike; a server's tcp
+connection when it has a worker pool): its *read* side moves onto one
+asyncio event loop running on its own daemon thread.
 
 * readiness is delivered by ``loop.add_reader(fd, cb)`` — level
   triggered, so a callback that leaves bytes unread is re-armed;
@@ -21,10 +23,12 @@ side moves onto one asyncio event loop running on its own daemon thread.
 
 Sockets stay in *blocking* mode: reads use ``MSG_DONTWAIT``
 (``TCPStream.recv_into_nb``), and so does the one write an awaiting
-caller makes on its loop (``sendv(chunks, False)``).  The loop adopts
-only a ``reactor_safe`` stream (tcp, a FaultyStream over tcp): loopback
-and sim have no socket and are pumped, and shm stays on reader threads
-by choice (DESIGN.md §15, "Adoption gate").
+caller makes on its loop (``sendv(chunks, False)``).  The owner decides
+what it offers the loop (DESIGN.md §15, "Adoption gate"): loopback and
+sim have no socket and are pumped whatever is offered; a server offers
+only a ``reactor_safe`` stream (tcp, a FaultyStream over tcp), whose
+``sendv(chunks, False)`` the loop's ``MessageError`` courtesy needs, so
+an shm server keeps its reader threads.
 
 Loop health is exported through every attached ORB's metrics registry:
 ``loop_lag_seconds`` (scheduled-vs-actual heartbeat delta) and
@@ -174,11 +178,6 @@ class Reactor:
             self.loop.close()
 
     # -- adoption -----------------------------------------------------------
-    @staticmethod
-    def adoptable(stream) -> bool:
-        """True when the reactor may own this stream's read side."""
-        return bool(getattr(stream, "reactor_safe", False))
-
     def adopt(self, conn, on_message: Callable, on_error: Callable,
               wait_stage: Optional[str] = STAGE_RECV_WAIT) -> "_ConnDriver":
         """Hand ``conn``'s read side to the loop.

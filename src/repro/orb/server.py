@@ -1,9 +1,9 @@
 """IIOPServer: inbound connection handling and message routing.
 
 MICO's ``IIOPServer`` (Fig. 3) wired to our transports.  How an
-accepted connection is read (pump, loop or reader thread) is
-:meth:`GIOPConn.start_reading`'s choice; one router, :meth:`_route`,
-and one failure path, :meth:`_read_failed`, serve all three.
+accepted connection is read (pump, loop or reader thread) is stated at
+accept, :meth:`_on_accept`; one router, :meth:`_route`, and one failure
+path, :meth:`_read_failed`, serve all three.
 
 Dispatch is decoupled from reading: decoded requests go to a bounded
 :class:`RequestWorkerPool` shared by every connection, so a slow upcall
@@ -179,15 +179,11 @@ class IIOPServer:
     def __init__(self, poa: POA, new_conn: Callable[..., GIOPConn], *,
                  orb=None,
                  on_bytes: Optional[Callable[[str, int], None]] = None,
-                 workers: int = 4, reactor=None):
+                 workers: int = 4):
         self.poa = poa
         self.orb = orb
         #: ``new_conn(stream)``: the owning ORB's one connection builder
         self._new_conn = new_conn
-        #: event-loop reactor (repro.orb.reactor) offered to every
-        #: accepted connection.  Only with a worker pool — servant
-        #: up-calls must never run on the loop thread.
-        self.reactor = reactor if workers > 0 else None
         self.dispatcher = MethodDispatcher(poa, on_bytes=on_bytes)
         self.listeners: List = []
         self._conns: List[GIOPConn] = []
@@ -218,9 +214,14 @@ class IIOPServer:
                 conn.close()
                 return
             self._conns.append(conn)
+        # the loop (started at the first) only with a pool, so no servant
+        # code runs on it, and for a stream that writes without waiting,
+        # as its MessageError courtesy must; else a thread (shm, inline)
+        reactor = self.orb.reactor if self.workers is not None and \
+            getattr(stream, "reactor_safe", False) else None
         thread = conn.start_reading(
             partial(self._route, conn), partial(self._read_failed, conn),
-            reactor=self.reactor, name=f"iiop-server-{stream.peer}")
+            reactor=reactor, name=f"iiop-server-{stream.peer}")
         if thread is not None:
             with self._lock:
                 self._reader_threads.append(thread)

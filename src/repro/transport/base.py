@@ -78,13 +78,14 @@ class Stream(Protocol):
     #   mapped views through ``sendv`` — the copy tier;
     # * a stream a thread may wait on in ``poll`` (a socket: tcp, shm,
     #   a fault-injected one) exposes ``fileno()``, and a client's is
-    #   read by its waiting callers; one without (loopback, sim)
-    #   delivers on the sender's thread (``set_data_handler``);
-    # * streams whose read side the asyncio reactor (repro.orb.reactor)
-    #   may own set ``reactor_safe = True`` (tcp; a FaultyStream over
-    #   tcp by delegation): besides ``recv_into_nb``, which never waits,
-    #   ``sendv(chunks, False)`` returns None or a callable finishing the
-    #   write on a thread that may block (an awaited call's write).
+    #   read by its waiting callers, then by the reactor's loop; one
+    #   without (loopback, sim) delivers on the sender's thread
+    #   (``set_data_handler``);
+    # * streams that write without waiting set ``reactor_safe = True``
+    #   (tcp; a FaultyStream over tcp by delegation): ``sendv(chunks,
+    #   False)`` returns None or a callable finishing the write on a
+    #   thread that may block (an awaited call's write in place; the
+    #   loop's MessageError to a server's peer, so only these get it).
 
 
 class Listener(Protocol):

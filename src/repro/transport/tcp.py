@@ -8,9 +8,9 @@ gets.
 
 Each listener runs an accept thread and hands every accepted stream
 to the handler passed to :meth:`TCPTransport.listen`; how the stream
-is then read is the handler's business (the ORB's is
-``GIOPConn.start_reading``: the reactor's loop for a plain stream, a
-reader thread otherwise).
+is then read is the handler's business (the ORB's server, with a
+worker pool, offers the reactor's loop a stream that writes without
+waiting; a reader thread reads any other).
 """
 
 from __future__ import annotations
@@ -54,19 +54,19 @@ _SENDFILE_UNSUPPORTED = {errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP,
 _SENDFILE_CHUNK = 256 * 1024
 
 
-#: non-blocking single recv / send flag; POSIX everywhere we support the
-#: reactor.  Platforms without it keep the thread-per-connection path.
+#: non-blocking single recv / send flag (POSIX): every read drive's
+#: ``recv_into_nb``, and the write that must not wait
 _MSG_DONTWAIT = getattr(socket, "MSG_DONTWAIT", None)
 
 
 class TCPStream:
     """A connected TCP socket with exact-read helpers."""
 
-    #: reactor adoption marker (repro.orb.reactor): a TCP stream may
-    #: hand its read side to the event loop, and write for one without
-    #: waiting (``sendv(chunks, False)``).  A FaultyStream delegates it,
-    #: keeping both contracts; ShmStream does not define it (its
-    #: servers, and its awaited clients, keep reader threads).
+    #: writes without waiting (``sendv(chunks, False)``): an awaited
+    #: call writes in place on its loop, and a server offers the loop
+    #: this stream.  A FaultyStream delegates it, keeping the contract;
+    #: ShmStream does not define it (its awaited calls write on the
+    #: executor, its servers keep reader threads).
     reactor_safe = _MSG_DONTWAIT is not None
 
     def __init__(self, sock: socket.socket, name: str):

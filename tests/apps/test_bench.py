@@ -3,8 +3,8 @@
 import functools
 import json
 
-from repro.apps.bench import (BENCH_SCHEMA_VERSION, main, render_figure,
-                              run_bench, validate_bench)
+from repro.apps.bench import (BENCH_SCHEMA_VERSION, SECTIONS, main,
+                              render_figure, run_bench, validate_bench)
 from repro.apps.ttcp import KB
 
 MB = 1024 * KB
@@ -37,10 +37,12 @@ class TestRunBench:
         # sgcdr: the ladder, each row with both modes
         assert [r["size"] for r in doc["sgcdr"]["sizes"]] == \
             [64 * KB, 256 * KB, 1 * MB]
-        # cscale: both levels ran, and the reactor dropped nothing
+        # cscale: both levels ran, the reactor dropped nothing, and its
+        # threads did not grow with the connections
         assert [lv["conns"] for lv in doc["cscale"]["levels"]] == [100, 1000]
         for lv in doc["cscale"]["levels"]:
             assert lv.get("skipped") or lv["reactor"]["ok"], lv
+        assert _cscale_invariants_broken(doc["cscale"]) == []
 
     def test_zero_copy_beats_standard_in_sim_sweep(self):
         doc = _tiny_doc()
@@ -55,10 +57,16 @@ def _curve(*sizes, mbit=800.0):
     return [{"size": s, "mbit_per_s": mbit} for s in sizes]
 
 
-def _cscale_rec(goodput):
+def _cscale_rec(goodput, threads=25):
     return {"ok": True, "completed": 500, "expected": 500,
             "goodput_calls_per_s": goodput, "p50_s": 0.01, "p99_s": 0.05,
-            "slo_ok": True}
+            "slo_ok": True, "threads": threads}
+
+
+def _cscale_invariants_broken(cscale):
+    """The claims of ``--section cscale`` that ``cscale`` breaks."""
+    (section,) = [s for s in SECTIONS if s.name == "cscale"]
+    return [claim for claim, holds in section.invariants if not holds(cscale)]
 
 
 def _doc():
@@ -147,8 +155,24 @@ class TestValidator:
         del doc["cscale"]["levels"][0]["reactor"]["p99_s"]
         assert any("missing quantiles" in p for p in validate_bench(doc))
         doc = _doc()
+        del doc["cscale"]["levels"][0]["reactor"]["threads"]
+        assert any("threads" in p for p in validate_bench(doc))
+        doc = _doc()
         del doc["cscale"]["levels"][0]["speedup"]
         assert any("missing speedup" in p for p in validate_bench(doc))
+
+    def test_cscale_holds_the_reactor_threads_flat(self):
+        """The thread count at the most connections run, against the
+        fewest; a skipped level is not a level run."""
+        doc = _doc()
+        assert _cscale_invariants_broken(doc["cscale"]) == []
+        levels = doc["cscale"]["levels"]
+        levels.append({"conns": 1000, "threaded": _cscale_rec(800.0, 1018),
+                       "reactor": _cscale_rec(2000.0, 25), "speedup": 2.5})
+        assert _cscale_invariants_broken(doc["cscale"]) == []
+        levels[-1]["reactor"]["threads"] = 26
+        assert _cscale_invariants_broken(doc["cscale"]) == [
+            "reactor threads at the most connections <= at the fewest"]
 
     def test_render_figure_handles_missing_figure(self):
         assert "no fig5" in render_figure({"figures": {}})

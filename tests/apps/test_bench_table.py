@@ -88,8 +88,8 @@ _PIPE = {"work_s": None, "speedup": None,
                      "calls_per_s": None}]}
 _CSCALE_SIDE = {"ok": None, "completed": None, "expected": None,
                 "goodput_calls_per_s": None, "p50_s": None, "p99_s": None,
-                "slo_ok": None}
-#: the key tree of a schema-8 ``--quick`` document
+                "slo_ok": None, "threads": None}
+#: the key tree of a schema-9 ``--quick`` document
 _QUICK_TREE = {
     "schema": None, "kind": None, "tag": None,
     "figures": {
@@ -174,7 +174,7 @@ def test_every_shown_command_line_is_one_the_cli_accepts():
     shown = list(_shown_invocations())
     assert {name for name, _ in shown} == \
         {"ci.yml", "nightly.yml", "README.md", "SKILL.md"}
-    assert ("ci.yml", ["--section", "cscale", "--cscale-conns", "500",
+    assert ("ci.yml", ["--section", "cscale", "--cscale-conns", "100,500",
                        "--cscale-calls", "4"]) in shown  # a folded one
     for name, argv in shown:
         try:

@@ -44,7 +44,7 @@ def _ping_pair(api, **config):
 
 @pytest.mark.parametrize("traced", [False, True], ids=["recorder", "traced"])
 @pytest.mark.parametrize("config", [
-    {"scheme": "tcp", "reactor": True}, {"scheme": "tcp", "reactor": False},
+    {"scheme": "tcp"}, {"scheme": "tcp", "server_workers": 0},
     {"scheme": "loop"}], ids=["tcp-reactor", "tcp-thread", "loop"])
 def test_no_stage_is_charged_the_idle_before_its_call(ping_api, config,
                                                       traced):

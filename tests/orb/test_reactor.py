@@ -1,12 +1,14 @@
 """The event-loop connection engine: adoption rules, thread hygiene,
 graceful shutdown, and identical failure semantics on the async path.
 
-The reactor owns only TCP read sides, a fault-injected one included
-(loopback is pumped, shm keeps its reader threads), every thread the ORB
-starts must be joined on shutdown, an in-flight request must drain
-before the server closes its connections, and a mid-call fault must
-surface the *same* CORBA exception/completion mapping whether the call
-was sync or awaited.
+The owner offers the loop: a client at the hand-over (tcp, shm, a
+fault-injected stream), a server with a worker pool for a tcp stream
+(an shm server, and one with ``server_workers=0``, keep reader
+threads); a loopback stream is pumped whatever it is offered.  Every
+thread the ORB starts must be joined on shutdown, an in-flight request
+must drain before the server closes its connections, and a mid-call
+fault must surface the *same* CORBA exception/completion mapping
+whether the call was sync or awaited.
 """
 
 import asyncio
@@ -16,13 +18,20 @@ import time
 import pytest
 
 from repro.core import OctetSequence
+from repro.giop import MsgType, encode_giop_header
 from repro.orb import COMM_FAILURE, NO_RETRY, ORB, ORBConfig, run_sync
 from repro.orb.aio import async_api
+from repro.orb.connection import GIOPConn
 from repro.orb.reactor import get_reactor
 from repro.transport import (FaultPlan, LoopbackTransport, TCPTransport,
                              faulty_registry)
 from repro.transport.faulty import FaultyStream
 from tests.conftest import make_store_impl
+
+
+def _on_the_loop(conn) -> bool:
+    return any(driver.conn is conn
+               for driver in list(get_reactor()._drivers.values()))
 
 
 def _settle(predicate, timeout=5.0, step=0.02):
@@ -49,10 +58,10 @@ def tcp_stream_pair():
 
 class TestAdoption:
     def test_tcp_stream_is_adoptable(self, tcp_stream_pair):
+        """It writes without waiting, so a server with a pool offers
+        it the loop."""
         client, _server = tcp_stream_pair
-        reactor = get_reactor()
         assert client.reactor_safe
-        assert reactor.adoptable(client)
 
     def test_faulty_tcp_is_adopted_and_its_faults_fire_on_the_loop(
             self, test_api):
@@ -72,8 +81,7 @@ class TestAdoption:
             assert run_sync(aio.put_std(OctetSequence(b"over"))) == 4
             demux = next(iter(client._proxies.values()))._demux
             assert isinstance(demux.conn.stream, FaultyStream)
-            assert get_reactor().adoptable(demux.conn.stream)
-            assert not demux.callers_read and demux._thread is None
+            assert not demux.callers_read and _on_the_loop(demux.conn)
 
             async def stalled():
                 call = asyncio.ensure_future(
@@ -102,24 +110,29 @@ class TestAdoption:
             client.shutdown()
             server.shutdown()
 
-    def test_loopback_stream_is_not_adoptable(self):
+    def test_loopback_stream_offered_the_loop_is_pumped(self):
+        """A stream with no socket delivers on the sender's thread:
+        offered the loop, it takes the pump, and no driver or thread."""
         transport = LoopbackTransport()
         accepted = []
         listener = transport.listen("adopt-host", 0, accepted.append)
         client = transport.connect(listener.endpoint)
+        conn = GIOPConn(accepted[0])
+        seen = []
         try:
             assert getattr(client, "reactor_safe", False) is False
-            assert not get_reactor().adoptable(client)
+            assert conn.start_reading(
+                lambda rm: seen.append((rm.header.msg_type,
+                                        threading.current_thread())),
+                seen.append, reactor=get_reactor()) is None
+            assert not _on_the_loop(conn)
+            client.send(encode_giop_header(MsgType.CloseConnection, 0))
+            assert seen == [(MsgType.CloseConnection,
+                             threading.current_thread())]
         finally:
+            conn.close()
             client.close()
             listener.close()
-
-    def test_orb_reactor_off_means_none(self):
-        orb = ORB(ORBConfig(scheme="tcp", reactor=False))
-        try:
-            assert orb.reactor is None
-        finally:
-            orb.shutdown()
 
 
 class TestThreadHygiene:
@@ -150,17 +163,28 @@ class TestThreadHygiene:
             [t.name for t in threading.enumerate()]
 
     def test_threaded_fallback_also_joins(self, test_api):
-        """The same hygiene with the reactor disabled (reader threads
-        per connection, like the pre-reactor ORB)."""
+        """The same hygiene where the server keeps a reader thread per
+        connection (``server_workers=0``: it dispatches inline), after
+        an awaited call handed the client's connection to the loop, over
+        tcp and over shm."""
+        from repro.transport.shm import shm_available
+        for scheme in ("tcp", "shm") if shm_available() else ("tcp",):
+            self._threaded_cycles(test_api, scheme)
 
+    @staticmethod
+    def _threaded_cycles(test_api, scheme):
         def cycle():
-            server = ORB(ORBConfig(scheme="tcp", reactor=False))
-            client = ORB(ORBConfig(scheme="tcp", reactor=False))
+            server = ORB(ORBConfig(scheme=scheme, server_workers=0))
+            client = ORB(ORBConfig(scheme=scheme))
             try:
                 impl = make_store_impl(test_api)
                 stub = client.string_to_object(
                     server.object_to_string(server.activate(impl)))
                 assert stub.put_std(OctetSequence(b"y" * 8)) == 8
+                assert run_sync(async_api(stub).put_std(
+                    OctetSequence(b"z" * 4))) == 12
+                assert [t.name for t in threading.enumerate()
+                        if t.name.startswith("iiop-server-")]
             finally:
                 client.shutdown()
                 server.shutdown()
@@ -306,25 +330,35 @@ class TestAsyncFailureMapping:
 
 class TestShmUnderReactor:
     def test_shm_handshake_and_deposits_unchanged(self, test_api):
-        """S6: the shm data plane is not reactor-adoptable; with the
-        reactor globally on, the handshake, deposits and fallbacks
-        behave exactly as before (reader threads)."""
+        """S6: after one awaited call the loop reads the shm client's
+        connection, deposit records included, while the server's stays
+        on its reader thread; the handshake, deposits and fallbacks
+        behave exactly as before, sync and awaited."""
         from repro.transport.shm import shm_available
         if not shm_available("/dev/shm"):
             pytest.skip("no usable shared-memory filesystem")
         from repro.core import ZCOctetSequence
         impl = make_store_impl(test_api)
-        server = ORB(ORBConfig(scheme="shm", reactor=True))
-        client = ORB(ORBConfig(scheme="shm", reactor=True,
-                               collocated_calls=False))
+        server = ORB(ORBConfig(scheme="shm"))
+        client = ORB(ORBConfig(scheme="shm", collocated_calls=False))
         try:
             stub = client.string_to_object(
                 server.object_to_string(server.activate(impl)))
+            assert run_sync(async_api(stub).put_std(
+                OctetSequence(b"over"))) == 4
+            demux = next(iter(client._proxies.values()))._demux
+            assert not demux.callers_read and _on_the_loop(demux.conn)
+            (accepted,) = server._server.connections()
+            assert not _on_the_loop(accepted)
+            assert [t.name for t in threading.enumerate()
+                    if t.name.startswith("iiop-server-")]
             payload = bytes(range(256)) * 256  # 64 KiB
             assert stub.put(ZCOctetSequence.from_data(payload)) \
-                == len(payload)
+                == 4 + len(payload)
             got = stub.get(1024)
             assert bytes(got)[:4] == bytes([0, 1, 2, 3])
+            got = run_sync(async_api(stub).get(2 * len(payload)))
+            assert len(got) == 2 * len(payload)
         finally:
             client.shutdown()
             server.shutdown()

@@ -1,14 +1,15 @@
 """One read path (DESIGN.md §10): whichever drive reads a connection
-(``GIOPConn.start_reading``: pump, loop, reader thread; and a client's
-connection over a socket, tcp, shm or fault-injected, the callers
-waiting for replies until an awaited call hands it over), a server
-treats a message, or a peer's garbage, the same, and a client fails its
-in-flight calls the same.  One table of hostile streams, every drive,
-both roles, against a peer with no ORB behind it (its shm deposit-record
-rows on the drives that read records, ``thread-shm`` and
-``waiter-shm``); that no drive reads by blocking, which is what makes
-the one read path one, and that no client's callers need a reader
-thread; then the regressions the table grew out of, one per drive.
+(``GIOPConn.start_reading``: pump, loop, a server's reader thread; and
+a client's connection over a socket, tcp, shm or fault-injected, the
+callers waiting for replies until an awaited call hands it to the
+loop), a server treats a message, or a peer's garbage, the same, and a
+client fails its in-flight calls the same.  One table of hostile
+streams, every drive, both roles, against a peer with no ORB behind it
+(its shm deposit-record rows on the drives that read records,
+``thread-shm``, ``waiter-shm`` and ``loop-shm``); that no drive reads by
+blocking, which is what makes the one read path one, and that no
+client, sync or awaited, starts a reader thread; then the regressions
+the table grew out of, one per drive.
 (The server half of the loop
 drive's is in the table: its ``bad-magic``, ``unknown-type`` and
 ``ff-body`` rows on ``loop``, a default tcp server, got neither an
@@ -42,6 +43,7 @@ from repro.giop import (GIOP_HEADER_SIZE, IOR, IIOPProfile, LocateReplyHeader,
                         encode_message)
 from repro.orb import (COMM_FAILURE, INTERNAL, MARSHAL, ORB, CompletionStatus,
                        ORBConfig, async_api)
+from repro.orb.reactor import get_reactor
 from repro.transport import FaultPlan, FaultyStream, faulty_registry
 from repro.transport.base import TransportError, TransportTimeout
 from repro.transport.shm import SHM_MAGIC, shm_available
@@ -54,20 +56,19 @@ WATCHDOG = 5.0
 DRIVES = {
     "pump": dict(scheme="loop"),
     "loop": dict(scheme="tcp"),
-    "thread+pool": dict(scheme="tcp", reactor=False),
     "thread-inline": dict(scheme="tcp", server_workers=0),
     "thread-shm": dict(scheme="shm"),
 }
 #: client drive -> the server drive whose ORBConfig the client takes.  A
-#: client has no dispatch, so inline or pooled is one drive to it, and
-#: its connection over a socket is read by its waiting callers until the
-#: first awaited call hands it to the loop (or, without one, a thread).
-#: A ``-faulty`` client dials through a FaultyStream with an empty plan
+#: client has no dispatch and no reader thread: its connection over a
+#: socket is read by its waiting callers until the first awaited call
+#: hands it to the loop, whatever the socket carries.  A ``-faulty``
+#: client dials through a FaultyStream with an empty plan
 CLIENT_DRIVES = {"pump": "pump", "waiter": "loop", "loop": "loop",
-                 "thread+pool": "thread+pool", "waiter-shm": "thread-shm",
+                 "waiter-shm": "thread-shm", "loop-shm": "thread-shm",
                  "waiter-faulty": "loop", "loop-faulty": "loop"}
 #: the client drives reached by way of one awaited call
-HANDED_OVER = ("loop", "thread+pool", "loop-faulty")
+HANDED_OVER = ("loop", "loop-shm", "loop-faulty")
 
 MESSAGE_ERROR = bytes(encode_giop_header(MsgType.MessageError, 0))
 MAYBE = CompletionStatus.COMPLETED_MAYBE
@@ -408,7 +409,7 @@ def raw_server(test_api):
 
 def _await_one_call(server: _RawServer) -> None:
     """One awaited call, answered by hand: the connection is read by the
-    drive ``start_reading`` chooses from now on."""
+    loop from now on."""
     got = []
     caller = threading.Thread(target=lambda: got.append(asyncio.run(
         async_api(server.stub).put_std(OctetSequence(b"over")))),
@@ -445,7 +446,7 @@ def test_client_fails_every_inflight_call_the_same_on_every_drive(
     assert demux.inflight == 3
     # the table reaches the drive it names
     assert demux.callers_read is drive.startswith("waiter")
-    assert (demux._thread is not None) is drive.startswith("thread")
+    assert _on_the_loop(demux.conn) is (drive in HANDED_OVER)
     assert isinstance(demux.conn.stream, FaultyStream) \
         is drive.endswith("-faulty")
 
@@ -461,6 +462,12 @@ def test_client_fails_every_inflight_call_the_same_on_every_drive(
     assert stats["hits"] + stats["misses"] == stats["reclaims"]
 
 
+def _on_the_loop(conn) -> bool:
+    """Whether the reactor's loop reads ``conn``."""
+    return any(driver.conn is conn
+               for driver in list(get_reactor()._drivers.values()))
+
+
 def _leased(pool: BufferPool) -> int:
     """Buffers the pool handed out and has not had back."""
     stats = pool.stats()
@@ -471,13 +478,15 @@ def _leased(pool: BufferPool) -> int:
 
 @pytest.mark.parametrize("row", [row for row in STREAMS if row.record],
                          ids=lambda row: row.name)
-@pytest.mark.parametrize("role", ["server", "client"])
+@pytest.mark.parametrize("role", ["server", "client", "client-loop"])
 def test_the_parse_reads_a_hostile_shm_record_as_any_other_bytes(
         role, row, served, raw_server):
     """A deposit record is read by the parse like the rest of the
     message, so what the peer lies about in one, or where it stops,
     ends the connection by §7's table, and leaves no landing buffer
-    leased and no slot of the arena the records name taken."""
+    leased and no slot of the arena the records name taken: on a
+    server's reader thread, and on a client's callers (``client``) or
+    its loop (``client-loop``)."""
     if role == "server":
         pool = BufferPool()
         server, stub = served("thread-shm", pool)
@@ -485,13 +494,18 @@ def test_the_parse_reads_a_hostile_shm_record_as_any_other_bytes(
         footprint = _Footprint(server)
         peer = _dial(server)
     else:
-        client, pool, server = raw_server("waiter-shm")
+        drive = "waiter-shm" if role == "client" else "loop-shm"
+        client, pool, server = raw_server(drive)
+        if drive in HANDED_OVER:
+            _await_one_call(server)
         callers = _Callers(server.stub, 3)
         assert _settle(lambda: server.accepted)
         peer = server.accepted[0]
         for _ in callers.threads:
             peer.recv_message()
-        assert next(iter(client._proxies.values()))._demux.callers_read
+        demux = next(iter(client._proxies.values()))._demux
+        assert demux.callers_read is (drive not in HANDED_OVER)
+        assert _on_the_loop(demux.conn) is (drive in HANDED_OVER)
     try:
         # the arena the reading end maps the peer's slots from
         arena = peer.stream.send_arena
@@ -579,7 +593,34 @@ def test_sync_calls_run_no_reader_thread(drive, served):
         t.join(WATCHDOG)
     assert stub.total == 4 * 20 * 4
     demux = next(iter(stub._orb._proxies.values()))._demux
-    assert seen == set() and demux._thread is None and demux.callers_read
+    assert seen == set() and demux.callers_read
+
+
+@pytest.mark.parametrize("drive", ["loop", "thread-shm"], ids=["tcp", "shm"])
+def test_awaited_calls_run_no_reader_thread(drive, served):
+    """Twenty connections, each handed to the loop by awaited calls,
+    over tcp and over shm: no client starts a thread to read one."""
+    _, stub = served(drive)
+    client = stub._orb
+    profile = client.select_profile(stub._ior)
+    proxies = [client._new_proxy(profile.endpoint) for _ in range(20)]
+    call = (profile.object_key, stub._signature("put_std"),
+            [OctetSequence(b"ping")])
+    seen = set()
+
+    async def calls():
+        for _ in range(3):
+            await asyncio.gather(*(p.invoke_async(*call) for p in proxies))
+            seen.update(t.name for t in threading.enumerate()
+                        if t.name.startswith(("giop-demux-", "giop-reader")))
+
+    try:
+        asyncio.run(calls())
+        assert seen == set()
+        assert all(_on_the_loop(p._demux.conn) for p in proxies)
+    finally:
+        for proxy in proxies:
+            proxy.close()
 
 
 # -- the regressions, one per drive ---------------------------------------
@@ -616,7 +657,7 @@ def test_reader_threads_survive_peers_that_send_garbage_and_reset(served):
     reset raised ``TransportError``, an ``OSError``, past an ``except
     SystemException``: the reader died before it closed, and the fd and
     the ``connections()`` entry stayed."""
-    server, stub = served("thread+pool")
+    server, stub = served("thread-inline")
     assert stub.put_std(OctetSequence(b"before")) == 6
     footprint = _Footprint(server)
     endpoint = server.endpoint

@@ -1,6 +1,6 @@
-"""The waiter (DESIGN.md §10): a client's plain tcp connection is read
-by the blocking callers waiting for its replies, one at a time, until
-the first awaited call hands it to the drive ``start_reading`` chooses.
+"""The waiter (DESIGN.md §10): a client's socket connection is read by
+the blocking callers waiting for its replies, one at a time, until the
+first awaited call hands it to the reactor's loop.
 
 What that must keep: every reply reaches its own caller however many
 share the connection, and only one of them reads at a time; each caller
@@ -9,9 +9,9 @@ stops inside of is finished by the next reader; a reply nobody waits
 for any more is read by a drive, whether or not another call follows;
 what arrived while nobody read (a
 ``CloseConnection``, EOF) is seen before the next write; the hand-over
-to the loop, or a reader thread, loses nothing; and ``ORB.shutdown``
-ends a caller blocked in ``recv`` the way it ends one whose reply a
-reader thread waits for.
+to the loop loses nothing, over tcp and shm; and ``ORB.shutdown``
+fails a call still waiting for its reply, whoever reads it: a leader
+in ``poll``, the loop for a sync caller or for an awaited one.
 """
 
 import asyncio
@@ -33,6 +33,7 @@ from repro.orb import (COMM_FAILURE, ORB, TIMEOUT, CompletionStatus,
                        InvocationPolicy, ORBConfig, async_api, run_sync)
 from repro.orb.reactor import get_reactor
 from repro.transport import TCPTransport
+from repro.transport.shm import shm_available
 
 #: every wait below is bounded by this, never by an invocation policy
 WATCHDOG = 5.0
@@ -55,8 +56,9 @@ def _settle(predicate, timeout=WATCHDOG, step=0.002):
 
 
 def _demux_threads():
+    """Threads reading a client connection (a client has none)."""
     return [t.name for t in threading.enumerate()
-            if t.name.startswith("giop-demux-")]
+            if t.name.startswith(("giop-demux-", "giop-reader"))]
 
 
 class _Call:
@@ -105,13 +107,15 @@ class _Impl(api.Waiter_skel):
 
 @pytest.fixture
 def served():
-    """``make(**client_config)`` -> (client ORB, stub, servant) against
-    a default tcp server, the connection dialed."""
+    """``make(scheme="tcp")`` -> (client ORB, stub, servant) against a
+    default server, the connection dialed."""
     orbs, impls = [], []
 
-    def make(**config):
-        server = ORB(ORBConfig(scheme="tcp", server_workers=8))
-        client = ORB(ORBConfig(scheme="tcp", **config))
+    def make(scheme="tcp"):
+        if scheme == "shm" and not shm_available():
+            pytest.skip("no usable /dev/shm")
+        server = ORB(ORBConfig(scheme=scheme, server_workers=8))
+        client = ORB(ORBConfig(scheme=scheme))
         orbs.extend([client, server])
         impls.append(_Impl())
         stub = client.string_to_object(
@@ -416,19 +420,20 @@ def test_an_idle_connection_the_peer_closed_is_dialed_afresh(peer, ending):
 
 # -- (d) the hand-over ----------------------------------------------------------
 
-@pytest.mark.parametrize("reactor", [True, False], ids=["loop", "thread"])
-def test_the_first_awaited_call_hands_the_connection_over(served, reactor):
-    client, stub, _ = served(reactor=reactor)
+def _on_the_loop(conn) -> bool:
+    return any(driver.conn is conn
+               for driver in list(get_reactor()._drivers.values()))
+
+
+@pytest.mark.parametrize("scheme", ["tcp", "shm"])
+def test_the_first_awaited_call_hands_the_connection_over(served, scheme):
+    client, stub, _ = served(scheme)
     proxy = _proxy(client)
     conn, demux = proxy._conn, proxy._demux
 
-    def on_the_loop():
-        driver = get_reactor()._drivers.get(conn.stream.fileno())
-        return driver is not None and driver.conn is conn
-
     assert [stub.poke(i) for i in range(20)] == list(range(1, 21))
     assert demux.callers_read and _demux_threads() == []
-    assert not on_the_loop()
+    assert not _on_the_loop(conn)
 
     async def window():
         poke = async_api(stub).poke
@@ -436,44 +441,47 @@ def test_the_first_awaited_call_hands_the_connection_over(served, reactor):
 
     assert run_sync(window(), timeout=WATCHDOG) == list(range(101, 109))
     assert not demux.callers_read
-    assert on_the_loop() is reactor
-    if reactor:
-        assert demux._thread is None
-    else:
-        assert demux._thread.is_alive()
-        assert demux._thread.name.startswith("giop-demux-")
+    assert _on_the_loop(conn) and _demux_threads() == []
     assert [stub.poke(i) for i in range(20)] == list(range(1, 21))
     assert proxy._conn is conn and proxy.stats.reconnects == 0
 
 
 # -- (e) shutdown ---------------------------------------------------------------
 
-def _blocked_call_at_shutdown(make, hand_over: bool):
+def _blocked_call_at_shutdown(make, scheme: str, arm: str):
     """(exception type, completion status) of a call without a deadline
-    whose client ORB shuts down while it waits for the reply, and
-    whether the threads came back to where they were (a waiting client
-    has none of its own)."""
-    client, stub, impl = make(reactor=False)
-    baseline = threading.active_count()
+    whose client ORB shuts down while it waits for the reply, whether it
+    ended within a second of the shutdown, and whether the threads came
+    back to where they were (a client has none of its own).  ``arm``:
+    who reads the reply the call waits for: the call itself
+    (``waiter``), or the loop, for a sync call (``loop``) or for an
+    awaited one (``loop-awaited``)."""
+    client, stub, impl = make(scheme)
     demux = _proxy(client)._demux
-    if hand_over:  # a reader thread waits for the reply instead
+    if arm != "waiter":  # hand the connection to the loop
         run_sync(async_api(stub).poke(1), timeout=WATCHDOG)
-        assert demux._thread is not None
-    call = _Call(stub.hold)
+        assert _on_the_loop(demux.conn)
+    baseline = threading.active_count()
+    if arm == "loop-awaited":
+        call = _Call(run_sync, async_api(stub).hold(), WATCHDOG)
+    else:
+        call = _Call(stub.hold)
     assert _settle(lambda: demux.inflight == 1)
-    if not hand_over:
-        assert _settle(lambda: demux._leading)  # in recv, no deadline
+    if arm == "waiter":
+        assert _settle(lambda: demux._leading)  # in poll, no deadline
     time.sleep(0.05)
+    t0 = time.monotonic()
     client.shutdown()
     failure = call.join()
-    assert call.elapsed < WATCHDOG
+    ended = time.monotonic() - t0 < 1.0
     impl.release.set()
-    return (type(failure), failure.completed,
+    return (type(failure), getattr(failure, "completed", failure), ended,
             _settle(lambda: threading.active_count() <= baseline))
 
 
-def test_shutdown_ends_a_leader_in_recv_as_it_ends_a_reader_thread(served):
-    waiter = _blocked_call_at_shutdown(served, hand_over=False)
-    reader_thread = _blocked_call_at_shutdown(served, hand_over=True)
-    assert waiter == reader_thread == (
-        COMM_FAILURE, CompletionStatus.COMPLETED_MAYBE, True)
+@pytest.mark.parametrize("scheme", ["tcp", "shm"])
+def test_shutdown_fails_a_blocked_call_on_every_client_drive(served, scheme):
+    arms = {arm: _blocked_call_at_shutdown(served, scheme, arm)
+            for arm in ("waiter", "loop", "loop-awaited")}
+    assert arms == dict.fromkeys(arms, (
+        COMM_FAILURE, CompletionStatus.COMPLETED_MAYBE, True, True))
