@@ -169,12 +169,6 @@ class DepositReceiver:
         self.channel = channel
         self._prepared: dict[int, tuple[DepositDescriptor, ZCBuffer]] = {}
         self._order: list[int] = []
-        self.deposits_received = 0
-        self.bytes_deposited = 0
-        self.deposits_aborted = 0
-        #: channel-mode accounting: slot-mapped vs inline-fallback landings
-        self.shm_landed = 0
-        self.shm_fallbacks = 0
 
     def prepare(self, desc: DepositDescriptor) -> ZCBuffer:
         if desc.deposit_id in self._prepared:
@@ -200,11 +194,7 @@ class DepositReceiver:
         buf, via_arena = self.channel.recv_deposit(desc, record, self.pool)
         self._prepared[desc.deposit_id] = (desc, buf)
         self._order.append(desc.deposit_id)
-        if via_arena:
-            self.shm_landed += 1
-            return None
-        self.shm_fallbacks += 1
-        return buf
+        return None if via_arena else buf
 
     def pending_in_order(self) -> list[tuple[DepositDescriptor, ZCBuffer]]:
         """Prepared deposits in control-message order (= data-path order)."""
@@ -212,19 +202,11 @@ class DepositReceiver:
 
     def complete(self, deposit_id: int) -> ZCBuffer:
         try:
-            desc, buf = self._prepared[deposit_id]
+            _, buf = self._prepared.pop(deposit_id)
         except KeyError:
             raise DepositError(f"deposit {deposit_id} was not prepared") from None
-        del self._prepared[deposit_id]
         self._order.remove(deposit_id)
-        self.deposits_received += 1
-        self.bytes_deposited += desc.size
         return buf
-
-    @property
-    def outstanding(self) -> int:
-        """Prepared deposits whose buffers have not been handed off."""
-        return len(self._prepared)
 
     def abort(self) -> int:
         """Release all prepared buffers (connection failure path).
@@ -241,5 +223,4 @@ class DepositReceiver:
                 released += 1
         self._prepared.clear()
         self._order.clear()
-        self.deposits_aborted += released
         return released

@@ -44,7 +44,7 @@ from ..obs.events import EventSink, WireEvent, stage_span
 from ..obs.stages import (STAGE_CONTROL_SEND, STAGE_DEPOSIT_RECV,
                           STAGE_DEPOSIT_SEND, STAGE_RECV_WAIT)
 from ..transport.base import Stream, TransportError, TransportTimeout
-from ..transport.shm import SEND_SHARED
+from ..transport.shm import SEND_REFERENCE, SEND_SHARED
 from .exceptions import (COMM_FAILURE, MARSHAL, TIMEOUT, CompletionStatus,
                          SystemException)
 
@@ -80,6 +80,7 @@ class ConnStats:
     shm_deposits: int = 0
     shm_fallbacks: int = 0
     shm_shared_refs: int = 0
+    shm_references: int = 0
     sendfile_sends: int = 0
     sendfile_fallbacks: int = 0
     #: the lock the owning connection mutates these counters under
@@ -130,6 +131,10 @@ DEPOSIT_TIERS = (
     # a record naming a slot another connection's payload write already
     # filled (pub/sub single-copy delivery)
     DepositTier("shm_shared_refs", None, "shm shared refs", by_op=True,
+                subset_of="shm_deposits"),
+    # a slot the payload was marshaled into, posted with no copy: the
+    # zero-copy send (encode-into-arena, ``ZCOctetSequence.in_arena``)
+    DepositTier("shm_references", None, "shm references", by_op=False,
                 subset_of="shm_deposits"),
     # FileBackedBuffer at or above the sendfile threshold: kernel-path
     # sends vs copying fallbacks (syscall missing, not a real socket,
@@ -503,6 +508,7 @@ class GIOPConn:
                 slot_waits.append(waited)
                 carried["shm_deposits" if tier else "shm_fallbacks"] += 1
                 carried["shm_shared_refs"] += tier == SEND_SHARED
+                carried["shm_references"] += tier == SEND_REFERENCE
             t1 = sink.clock() if sink is not None else 0.0
             try:
                 stream.sendv(chunks + records)
@@ -650,15 +656,8 @@ class GIOPConn:
         try:
             if block:
                 self.stream.send(header)
-                return
-            tail = self.stream.sendv([header], False)
-            if tail is not None:
-                # not taken: dropped.  An unsent tail owns the stream's
-                # write lock, which a worker with a reply for this
-                # connection would wait on for ever; on a closed socket
-                # the tail fails at once and lets go of it
-                self.close()
-                tail(False)
+            else:  # the rest of a write the socket did not take: dropped
+                self.stream.sendv([header], False)
         finally:
             self._send_lock.release()
 
@@ -929,6 +928,7 @@ class GIOPConn:
         ``rm.deposits`` / ``rm.deposit_flags`` by deposit id."""
         channel = getattr(self.stream, "deposit_channel", None)
         receiver = DepositReceiver(self.pool, channel=channel)
+        landed = {"shm_deposits": 0, "shm_fallbacks": 0}
         sink = self.sink
         t0 = sink.clock() if sink is not None else 0.0
         deposits = rm.deposits
@@ -944,6 +944,9 @@ class GIOPConn:
                 # a record maps it (an arena slot) or names it (inline)
                 buf = landings[i] if channel is None else receiver.land(
                     desc, (yield ("exact", channel.RECORD_SIZE)))
+                if channel is not None:
+                    landed["shm_deposits" if buf is None
+                           else "shm_fallbacks"] += 1
                 if buf is not None:
                     yield ("into", buf.view())
                 rm.landed_nbytes += desc.size
@@ -979,8 +982,6 @@ class GIOPConn:
         self.stats.deposit_bytes_received += sum(
             b.length for b in deposits.values())
         if channel is not None:
-            landed = {"shm_deposits": receiver.shm_landed,
-                      "shm_fallbacks": receiver.shm_fallbacks}
             self._fold(landed)
             self._mirror_tiers("recv", landed)
 

@@ -282,12 +282,12 @@ class ReplyDemux:
             self._pending[request_id] = fut
         return fut
 
-    def discard(self, request_id: int) -> None:
-        """Forget a future (deadline expiry / failed send).  A reply
-        arriving later is dropped as stale, by a drive: no caller waits
-        for it on a thread (:meth:`hand_over`)."""
+    def discard(self, request_id: int, owed: bool = True) -> None:
+        """Forget a future.  After a deadline a reply may still come
+        (``owed``): a drive drops it as stale, since no caller waits for
+        it on a thread (:meth:`hand_over`).  A failed send owes none."""
         with self._lock:
-            owed = self._pending.pop(request_id, None) is not None
+            owed &= self._pending.pop(request_id, None) is not None
         if owed:
             self.hand_over()
 

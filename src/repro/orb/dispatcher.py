@@ -10,7 +10,6 @@ GIOP reply status.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Optional
 
 from ..cdr import get_marshaller
@@ -58,11 +57,6 @@ class MethodDispatcher:
                  on_bytes: Optional[Callable[[str, int], None]] = None):
         self.poa = poa
         self.on_bytes = on_bytes
-        #: counters shared by every worker thread; += is a
-        #: read-modify-write, so both are bumped under _count_lock
-        self.requests_dispatched = 0
-        self.errors = 0
-        self._count_lock = threading.Lock()
 
     # -- signature lookup ---------------------------------------------------
     def _resolve(self, servant: Servant,
@@ -81,8 +75,6 @@ class MethodDispatcher:
         """Handle one Request message end-to-end (including the reply)."""
         req = rm.msg.body_header
         assert isinstance(req, RequestHeader)
-        with self._count_lock:
-            self.requests_dispatched += 1
         chain = getattr(conn.orb, "interceptors", None) if conn.orb \
             else None
         info = None
@@ -145,12 +137,10 @@ class MethodDispatcher:
             self._reply_user_exception(conn, req, exc, echo=echo)
             return
         except SystemException as exc:
-            self._count_error()
             self._notify_reply(chain, info, span, "SYSTEM_EXCEPTION")
             self._reply_system_exception(conn, req, exc, echo=echo)
             return
         except Exception as exc:  # servant bug -> CORBA::UNKNOWN
-            self._count_error()
             self._notify_reply(chain, info, span, "SYSTEM_EXCEPTION")
             self._reply_system_exception(
                 conn, req,
@@ -177,12 +167,7 @@ class MethodDispatcher:
                                 service_contexts=list(echo))
             conn.send_message(reply, enc, reply_ctx)
         except SystemException as exc:
-            self._count_error()
             self._reply_system_exception(conn, req, exc, echo=echo)
-
-    def _count_error(self) -> None:
-        with self._count_lock:
-            self.errors += 1
 
     @staticmethod
     def _notify_reply(chain, info, span, status: str) -> None:

@@ -432,8 +432,8 @@ class IIOPProxy:
         try:
             rest = write()
         except BaseException:
-            if future is not None:
-                att.demux.discard(future.request_id)
+            if future is not None:  # a failed write owes no reply
+                att.demux.discard(future.request_id, owed=False)
             raise
         if rest is not None:
             return partial(self._send, att, future, rest)

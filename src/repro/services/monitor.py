@@ -54,6 +54,7 @@ module Monitor {
         unsigned long shm_deposits;
         unsigned long shm_fallbacks;
         unsigned long shm_shared_refs;
+        unsigned long shm_references;
         unsigned long sendfile_sends;
         unsigned long sendfile_fallbacks;
     };

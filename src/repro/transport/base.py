@@ -41,7 +41,9 @@ class TransportTimeout(TransportError):
 
 
 class Stream(Protocol):
-    """A reliable, ordered byte stream."""
+    """A reliable, ordered byte stream.  It moves bytes: its owner
+    serializes the writes (``GIOPConn._send_lock``) and counts what
+    moved (``ConnStats``); a deposit channel stages and maps."""
 
     def send(self, data) -> None:
         """Write all of ``data`` (bytes-like)."""
@@ -83,9 +85,10 @@ class Stream(Protocol):
     #   (``set_data_handler``);
     # * streams that write without waiting set ``reactor_safe = True``
     #   (tcp; a FaultyStream over tcp by delegation): ``sendv(chunks,
-    #   False)`` returns None or a callable finishing the write on a
-    #   thread that may block (an awaited call's write in place; the
-    #   loop's MessageError to a server's peer, so only these get it).
+    #   False)`` returns None or a callable writing the rest, run under
+    #   the caller's send lock on a thread that may block (an awaited
+    #   call's write in place; the loop's MessageError to a server's
+    #   peer, so only these get it).
 
 
 class Listener(Protocol):

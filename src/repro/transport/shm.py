@@ -541,7 +541,8 @@ class ShmStream:
 
     Exposes the plain :class:`Stream` surface by delegation, plus —
     when the handshake succeeded on both ends — a ``deposit_channel``
-    the GIOP connection routes registered payloads through.
+    the GIOP connection routes registered payloads through: it stages
+    and maps, and the connection counts what it returns.
     """
 
     #: the deposit record in front of each payload on the control stream
@@ -561,13 +562,6 @@ class ShmStream:
         #: connection (fan-out mode): closing this stream must not
         #: tear down the other connections' data plane
         self.owns_send_arena = owns_send_arena
-        self.shm_deposits_sent = 0
-        self.shm_references_sent = 0
-        self.shm_shared_refs_sent = 0
-        self.shm_fallbacks_sent = 0
-        self.shm_deposits_received = 0
-        self.shm_fallbacks_received = 0
-        self.slot_wait_seconds = 0.0
 
     # -- plain Stream surface -------------------------------------------------
     def send(self, data) -> None:
@@ -649,30 +643,25 @@ class ShmStream:
                     # of the payload is one 24-byte record — the slot
                     # was written and posted exactly once for every
                     # reader mapping it
-                    self.shm_shared_refs_sent += 1
                     tier = SEND_SHARED
                 elif arena.is_owned(slot):
                     # the payload already lives in the arena: transfer
                     # the slot by reference — the true zero-copy send
                     arena.post(slot)
-                    self.shm_references_sent += 1
                     tier = SEND_REFERENCE
                 # else: raced with a concurrent fan-out send that
                 # claimed the last planned reference: the copy path
             if not tier and 0 < size <= arena.slot_size:
                 slot, waited = arena.alloc(self.slot_wait)
-                self.slot_wait_seconds += waited
                 if slot is not None:
                     offset = 0
                     arena.slot_view(slot, 0, size)[:] = view
                     arena.post(slot)
                     tier = SEND_COPY
             if tier:
-                self.shm_deposits_sent += 1
                 return tier, waited, \
                     [_RECORD.pack(SHM_MAGIC, slot, offset, size)], slot
         # inline fallback: the payload follows the record on the stream
-        self.shm_fallbacks_sent += 1
         return SEND_INLINE, waited, \
             [_RECORD.pack(SHM_MAGIC, -1, 0, size), view], -1
 
@@ -715,7 +704,6 @@ class ShmStream:
                                address,
                                on_release=partial(arena.free, slot))
             buf.set_length(size)
-            self.shm_deposits_received += 1
             return buf, True
         buf = pool.acquire(max(size, 1))
         buf.set_length(size)
@@ -724,7 +712,6 @@ class ShmStream:
             raise DepositError(
                 f"cannot satisfy alignment {desc.alignment} for deposit "
                 f"{desc.deposit_id}")
-        self.shm_fallbacks_received += 1
         return buf, False
 
 

@@ -60,7 +60,8 @@ _MSG_DONTWAIT = getattr(socket, "MSG_DONTWAIT", None)
 
 
 class TCPStream:
-    """A connected TCP socket with exact-read helpers."""
+    """A connected TCP socket with exact-read helpers.  It takes no
+    lock: its owner serializes the writes (``GIOPConn._send_lock``)."""
 
     #: writes without waiting (``sendv(chunks, False)``): an awaited
     #: call writes in place on its loop, and a server offers the loop
@@ -73,7 +74,6 @@ class TCPStream:
         self._sock = sock
         self.name = name
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._wlock = threading.Lock()
         self.bytes_sent = 0
         self.bytes_received = 0
         #: flip off to force send_file onto the copying fallback (tests,
@@ -86,23 +86,19 @@ class TCPStream:
         self._sock.settimeout(seconds)
 
     def send(self, data) -> None:
-        with self._wlock:
-            try:
-                self._sock.sendall(data)
-            except socket.timeout as e:
-                raise TransportTimeout(
-                    f"{self.name}: send timed out") from e
-            except OSError as e:
-                raise TransportError(f"{self.name}: send failed: {e}") from e
-            # counters update under _wlock: pipelined callers send
-            # concurrently and an unserialized += loses increments
-            self.bytes_sent += memoryview(data).nbytes
+        try:
+            self._sock.sendall(data)
+        except socket.timeout as e:
+            raise TransportTimeout(f"{self.name}: send timed out") from e
+        except OSError as e:
+            raise TransportError(f"{self.name}: send failed: {e}") from e
+        self.bytes_sent += memoryview(data).nbytes
 
-    def sendv(self, chunks, block: bool = True, held: bool = False):
+    def sendv(self, chunks, block: bool = True):
         """Gather-write every chunk.  ``block=False``, the twin of
-        :meth:`recv_into_nb`, never waits: ``_wlock`` is tried, the write
-        is ``MSG_DONTWAIT``, and a callable is returned to finish what is
-        left; ``_wlock`` goes with an unsent tail (``held``)."""
+        :meth:`recv_into_nb`, never waits: the write is
+        ``MSG_DONTWAIT``, and what the socket did not take comes back
+        as a callable that writes it."""
         # bytes, bytearray and byte-format memoryviews go to sendmsg as
         # they are; only other buffers (typed views, arrays) need a cast
         views = []
@@ -117,34 +113,24 @@ class TCPStream:
             if n:
                 views.append(c)
                 total += n
-        if not (held or self._wlock.acquire(block)):
-            return partial(self.sendv, views)
-        tail = False
         try:
-            try:
-                if _HAVE_SENDMSG:
-                    self._sendmsg_all(views, 0 if block else _MSG_DONTWAIT)
-                else:
-                    # no scatter-gather on this platform: fall back to
-                    # one sendall per chunk.  More syscalls, but still
-                    # no staging concatenation — the chunks themselves
-                    # are never copied into a joint buffer
-                    for v in views:
-                        self._sock.sendall(v)
-            except BlockingIOError:  # MSG_DONTWAIT: the buffer is full
-                total -= sum(map(len, views))  # what it did not take
-                tail = True
-            except socket.timeout as e:
-                raise TransportTimeout(
-                    f"{self.name}: sendv timed out") from e
-            except OSError as e:
-                raise TransportError(f"{self.name}: sendv failed: {e}") from e
-            self.bytes_sent += total
-            if tail:
-                return partial(self.sendv, views, held=True)
-        finally:
-            if not tail:
-                self._wlock.release()
+            if _HAVE_SENDMSG:
+                self._sendmsg_all(views, 0 if block else _MSG_DONTWAIT)
+            else:
+                # no scatter-gather on this platform: fall back to one
+                # sendall per chunk.  More syscalls, but still no
+                # staging concatenation — the chunks themselves are
+                # never copied into a joint buffer
+                for v in views:
+                    self._sock.sendall(v)
+        except BlockingIOError:  # MSG_DONTWAIT: the buffer is full
+            self.bytes_sent += total - sum(map(len, views))
+            return partial(self.sendv, views)
+        except socket.timeout as e:
+            raise TransportTimeout(f"{self.name}: sendv timed out") from e
+        except OSError as e:
+            raise TransportError(f"{self.name}: sendv failed: {e}") from e
+        self.bytes_sent += total
 
     def _sendmsg_all(self, views: list, flags: int = 0) -> None:
         """Gather-write every view, resuming after partial sendmsg
@@ -176,20 +162,19 @@ class TCPStream:
         """
         if count <= 0:
             return True
-        with self._wlock:
-            try:
-                if not (_HAVE_SENDFILE and self.sendfile_enabled):
-                    self._send_file_copying(fd, offset, count)
-                    return False
-                return self._send_file_kernel(fd, offset, count)
-            except socket.timeout as e:
-                raise TransportTimeout(
-                    f"{self.name}: send_file timed out") from e
-            except TransportError:
-                raise
-            except OSError as e:
-                raise TransportError(
-                    f"{self.name}: send_file failed: {e}") from e
+        try:
+            if not (_HAVE_SENDFILE and self.sendfile_enabled):
+                self._send_file_copying(fd, offset, count)
+                return False
+            return self._send_file_kernel(fd, offset, count)
+        except socket.timeout as e:
+            raise TransportTimeout(
+                f"{self.name}: send_file timed out") from e
+        except TransportError:
+            raise
+        except OSError as e:
+            raise TransportError(
+                f"{self.name}: send_file failed: {e}") from e
 
     def _send_file_kernel(self, fd: int, offset: int, count: int) -> bool:
         """``os.sendfile`` loop; falls back to copying (return False) if

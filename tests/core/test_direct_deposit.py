@@ -90,8 +90,8 @@ class TestReceiver:
         recv = DepositReceiver(BufferPool())
         buf = recv.prepare(DepositDescriptor(5, 100))
         assert recv.complete(5) is buf
-        assert recv.deposits_received == 1
-        assert recv.bytes_deposited == 100
+        assert buf.length == 100
+        assert recv.pending_in_order() == []  # handed off: nothing left
 
     def test_complete_unknown_rejected(self):
         recv = DepositReceiver(BufferPool())

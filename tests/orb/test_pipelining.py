@@ -247,7 +247,7 @@ class TestPipelining:
 
 
 class TestExactCounters:
-    """``proxy.calls`` and ``dispatcher.requests_dispatched`` are
+    """``proxy.calls`` and the server connection's ``ConnStats`` are
     shared by every pipelining caller and every worker; a bare ``+= 1``
     on them loses increments under preemption."""
 
@@ -258,8 +258,8 @@ class TestExactCounters:
         stub, impl, client, server = pipe_pair_factory("tcp")
         stub.poke(0)  # dial before the race starts
         proxy = _proxy(client)
-        dispatcher = server._server.dispatcher
-        before = (proxy.calls, dispatcher.requests_dispatched, impl.pokes)
+        (served,) = server._server.connections()
+        before = (proxy.calls, served.stats.snapshot(), impl.pokes)
         failures = []
 
         def hammer():
@@ -285,8 +285,10 @@ class TestExactCounters:
         total = self.THREADS * self.CALLS
         assert impl.pokes - before[2] == total
         assert proxy.calls - before[0] == total
-        assert dispatcher.requests_dispatched - before[1] == total
-        assert dispatcher.errors == 0
+        after = served.stats.snapshot()  # a request and a reply each
+        assert after["messages_received"] - before[1]["messages_received"] \
+            == total
+        assert after["messages_sent"] - before[1]["messages_sent"] == total
         assert proxy.stats.messages_sent == proxy.calls
 
 

@@ -713,9 +713,9 @@ class _FullSocket:
 
 
 def test_loop_drops_a_courtesy_the_socket_does_not_take_at_once(served):
-    """The unsent tail of a non-blocking write owns the stream's write
-    lock; dropped with the connection, it must not keep it from a
-    worker that still has a reply for this connection."""
+    """The loop drops the courtesy the socket does not take at once:
+    the send lock is free again for a worker that still has a reply
+    for this connection."""
     server, _ = served("loop")
     peer = _dial(server)
     conn = _accepted_conn(server, peer)
@@ -724,6 +724,6 @@ def test_loop_drops_a_courtesy_the_socket_does_not_take_at_once(served):
     peer.send(b"XXXX" + b"\x00" * 8)
     assert peer.recv_to_eof() == b""
     assert conn.closed
-    assert stream._wlock.acquire(timeout=WATCHDOG), "write lock leaked"
-    stream._wlock.release()
+    assert conn._send_lock.acquire(timeout=WATCHDOG), "send lock leaked"
+    conn._send_lock.release()
     peer.close()

@@ -7,7 +7,7 @@ Three layers of the same claim:
   application's buffer (mutation visibility proves sharing);
 * over the shm transport, a ``ZCOctetSequence`` payload is staged into
   the arena at *marshal* time, so the deposit send is a pure slot
-  reference (``shm_references_sent``);
+  reference (``ConnStats.shm_references``);
 * ``ZCOctetSequence.in_arena`` builds the sequence inside a leased
   slot up front, eliminating even the staging copy.
 """
@@ -266,15 +266,15 @@ class TestShmReferenceSend:
             proxy = next(iter(client._proxies.values()))
             channel = proxy.conn.stream.deposit_channel
             assert channel is not None
-            assert channel.shm_references_sent == 1
-            assert channel.shm_fallbacks_sent == 0
+            stats = proxy.conn.stats
+            assert (stats.shm_references, stats.shm_fallbacks) == (1, 0)
             # staging must not leak arena slots: repeated calls keep
             # taking the reference path (the receiver may still hold
             # the most recent slot, but never accumulates them)
             for _ in range(3):
                 stub.send_zc(ZCOctetSequence.from_data(data))
-            assert channel.shm_references_sent == 4
-            assert channel.shm_fallbacks_sent == 0
+            assert (stats.shm_references, stats.shm_fallbacks) == (4, 0)
+            assert stats.shm_deposits == 4
             arena = channel.send_arena
             assert arena.free_slots >= arena.slot_count - 1
         finally:

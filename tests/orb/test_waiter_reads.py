@@ -31,8 +31,9 @@ from repro.giop import (GIOP_HEADER_SIZE, MsgType, ReplyHeader, ReplyStatus,
 from repro.idl import compile_idl
 from repro.orb import (COMM_FAILURE, ORB, TIMEOUT, CompletionStatus,
                        InvocationPolicy, ORBConfig, async_api, run_sync)
+from repro.orb.demux import ReplyDemux
 from repro.orb.reactor import get_reactor
-from repro.transport import TCPTransport
+from repro.transport import FaultPlan, TCPTransport, faulty_registry
 from repro.transport.shm import shm_available
 
 #: every wait below is bounded by this, never by an invocation policy
@@ -444,6 +445,40 @@ def test_the_first_awaited_call_hands_the_connection_over(served, scheme):
     assert _on_the_loop(conn) and _demux_threads() == []
     assert [stub.poke(i) for i in range(20)] == list(range(1, 21))
     assert proxy._conn is conn and proxy.stats.reconnects == 0
+
+
+def test_a_failed_send_hands_nothing_to_the_loop(monkeypatch):
+    """A write that fails owes no reply: the registration goes, and no
+    drive is asked for, so a sync-only client starts no loop.  The next
+    call redials and is read by its caller."""
+    drives = []
+    drive = ReplyDemux._drive
+
+    def drive_spy(self, reactor):
+        drives.append(reactor)
+        drive(self, reactor)
+
+    monkeypatch.setattr(ReplyDemux, "_drive", drive_spy)
+    server = ORB(ORBConfig(scheme="tcp", server_workers=0))
+    client = ORB(ORBConfig(scheme="tcp"),
+                 transports=faulty_registry(FaultPlan().reset_on_send(nth=2)))
+    try:
+        stub = client.string_to_object(
+            server.object_to_string(server.activate(_Impl())))
+        assert stub.poke(0) == 1
+        proxy = _proxy(client)
+        failed = proxy._demux
+        with pytest.raises(COMM_FAILURE) as info:
+            stub.poke(1)  # its request is the connection's second write
+        assert info.value.completed is CompletionStatus.COMPLETED_NO
+        assert failed.inflight == 0 and failed.callers_read
+        assert stub.poke(2) == 3
+        assert proxy._demux is not failed and proxy._demux.callers_read
+        assert proxy.stats.reconnects == 1
+        assert drives == []  # no loop was asked to read either one
+    finally:
+        client.shutdown()
+        server.shutdown()
 
 
 # -- (e) shutdown ---------------------------------------------------------------

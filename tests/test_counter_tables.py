@@ -13,12 +13,15 @@ import urllib.request
 import pytest
 
 from repro.apps.top import Snapshot, render
+from repro.core import ZCOctetSequence
+from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.obs.promexport import parse_exposition, samples_by_name
 from repro.orb import ORB, ORBConfig
 from repro.orb.connection import DEPOSIT_TIERS, ConnStats
 from repro.services import CountingSubscriber, TopicHubImpl
 from repro.services.monitor import monitor_api
 from repro.transport.shm import shm_available
+from tests.conftest import make_store_impl
 
 
 def _scrape(orb):
@@ -86,3 +89,31 @@ def test_shared_fanout_refs_reach_the_scrape_and_the_dashboard():
         hub.destroy()
         for orb in orbs:
             orb.shutdown()
+
+
+@pytest.mark.skipif(not shm_available(),
+                    reason="no shared-memory directory")
+def test_a_reference_send_reaches_every_view(test_api):
+    """An encode-into-arena send over shm, the paper's zero-copy send, is
+    one ``shm_references`` on the sending connection: in its counters,
+    the ``/metrics`` gauge, the registry mirror and the dashboard row."""
+    server = ORB(ORBConfig(scheme="shm"))
+    client = ORB(ORBConfig(scheme="shm", collocated_calls=False))
+    try:
+        client.enable_telemetry()
+        stub = client.string_to_object(
+            server.object_to_string(server.activate(make_store_impl(test_api))))
+        stub.put(ZCOctetSequence.from_data(bytes(DEPOSIT_MIN_SIZE)))
+        stats = next(iter(client._proxies.values())).conn.stats
+        assert (stats.shm_references, stats.shm_deposits) == (1, 1)
+        assert client.metrics.counter("shm_references_total").value == 1
+        samples = _scrape(client)
+        assert sum(s.value for s in
+                   samples_by_name(samples)["shm_references"]) == 1
+        row = next(line for line in
+                   render(Snapshot(samples, 0.0)).splitlines()
+                   if "shm references" in line)
+        assert int(row.split()[2]) == 1
+    finally:
+        client.shutdown()
+        server.shutdown()
