@@ -220,7 +220,7 @@ def measure_pipelining(scheme: str = "loop", inflight: int = 8,
 def _measure_pipelining(inflight: int = 8, calls: int = 32) -> dict:
     return {scheme: measure_pipelining(scheme, inflight=inflight,
                                        calls=calls)
-            for scheme in ("loop", "tcp")}
+            for scheme in ("loop", "tcp", "shm")}
 
 
 def _check_pipelining(pipelining: dict) -> List[str]:

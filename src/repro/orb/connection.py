@@ -207,6 +207,15 @@ class ReceivedMessage:
         return body
 
 
+def _released_after(send, ctx: MarshalContext):
+    """Run the rest of a send, then give back the arena slots its
+    marshaling leased (:meth:`GIOPConn.send_message`)."""
+    try:
+        return send()
+    finally:
+        ctx.release_staged()
+
+
 class GIOPConn:
     """One GIOP connection over a transport stream."""
 
@@ -334,16 +343,18 @@ class GIOPConn:
         as-is — header chunks and parameter chunks go to one
         ``sendv`` with no join, so a large inline payload travels
         from the application buffer to the socket with zero
-        middleware copies.  ``block=False`` (an event loop, over a
-        stream whose ``sendv`` takes the flag) never waits: what would
-        have comes back as a callable for a thread that may block.
+        middleware copies.  ``block=False`` (an event loop) never
+        waits: what would have comes back as a callable for a thread
+        that may block.
         """
+        rest = None
         try:
             # The trunk here and in _send_locked is the message that
             # carries nothing but itself — no deposit, no fragmentation,
             # no sink that asked for wire stages: encode, one sendv,
             # count.  What a message does not carry it does not pay for;
-            # deposits and stage timing branch off into _send_carrying.
+            # deposit tiers and stage timing branch off into
+            # _send_carrying.
             payloads: list = []
             if ctx is not None and ctx.descriptors:
                 if ctx.registry is None:
@@ -390,13 +401,17 @@ class GIOPConn:
                     request_id=getattr(body_header, "request_id", None),
                     fragments=n_fragments,
                     deposits=tuple((d.deposit_id, d.size) for d in descs))
-            return self._send_locked(chunks, control_nbytes, payloads, event,
-                                     block)
+            rest = self._send_locked(chunks, control_nbytes, payloads,
+                                     event, block)
+            if rest is not None and ctx is not None and ctx.staged:
+                rest = partial(_released_after, rest, ctx)
+            return rest
         finally:
-            if ctx is not None and ctx.staged:
+            if ctx is not None and ctx.staged and rest is None:
                 # arena slots leased by encode-into-arena staging: a
                 # posted slot's release is a no-op, an unsent one goes
-                # back to the arena even when the send failed
+                # back to the arena even when the send failed (a send
+                # left for later gives them back when it is done)
                 ctx.release_staged()
 
     def _send_locked(self, chunks: list, control_nbytes: int, payloads: list,
@@ -405,21 +420,31 @@ class GIOPConn:
         """The half of a send under the send lock: write, count, map
         transport errors (``event``: for a sink that asked for wire
         stages).  With ``block=False`` nothing here waits; what would
-        have is returned for a thread that may block: all of it when the
-        lock is contended, or the wait for ``tail``, an unfinished write,
-        the send lock still held so that nothing interleaves."""
+        have is returned for a thread that may block: all of it, the
+        send lock free, when the lock is contended or the message is
+        more than one gather write (a tier or a timed stage may wait);
+        or the wait for ``tail``, a half-written message, the send lock
+        still held so that nothing interleaves."""
+        # one gather write of the chunks and the memory payloads: no
+        # timed stage, no deposit channel, no sendfile tier
+        gathered = event is None and not (payloads and (
+            getattr(self.stream, "deposit_channel", None) is not None
+            or any(isinstance(p, FileBackedBuffer) for p in payloads)))
         out = None
         try:
-            if tail is None and not self._send_lock.acquire(block):
+            if tail is None and not ((block or gathered)
+                                     and self._send_lock.acquire(block)):
                 return partial(self._send_locked, chunks, control_nbytes,
                                payloads, event)
             try:
                 if tail is not None:
                     out = tail()
-                elif payloads or event is not None:
+                elif not gathered:
                     out = self._send_carrying(chunks, control_nbytes, payloads,
-                                              event and self.sink, block)
+                                              event and self.sink)
                 else:
+                    if payloads:
+                        chunks = chunks + payloads
                     out = self.stream.sendv(chunks) if block \
                         else self.stream.sendv(chunks, False)
                 if callable(out):
@@ -464,18 +489,15 @@ class GIOPConn:
             self.sink.emit(event)
 
     def _send_carrying(self, chunks: list, control_nbytes: int,
-                       payloads: list, sink: Optional[EventSink],
-                       block: bool = True):
-        """Send a control message that carries deposit payloads, split
-        stage timing (``sink``), or both; runs under the send lock.
-        Returns what the payloads did, one tally per tier counter
-        (named as in :class:`ConnStats`), and their shm slot waits; or
-        None when they all rode the control message's gather write
-        (``block=False``: or a callable, what is left of the send).
+                       payloads: list, sink: Optional[EventSink]):
+        """Send a control message whose payloads take a tier (a deposit
+        channel, sendfile), split stage timing (``sink``), or both;
+        runs under the send lock and may wait.  Returns what the
+        payloads did, one tally per tier counter (named as in
+        :class:`ConnStats`), and their shm slot waits.
 
-        Memory payloads on a plain stream with no timing asked for keep
-        the single gather write, and so does every message on a stream
-        with a deposit channel (shared memory): each payload is staged
+        Every message on a stream with a deposit channel (shared
+        memory) keeps the single gather write: each payload is staged
         first (an arena slot, or its view for the per-deposit inline
         fallback), then control chunks and deposit records leave
         together, and a write that fails gives the staged slots back.
@@ -489,13 +511,6 @@ class GIOPConn:
         stream = self.stream
         channel = getattr(stream, "deposit_channel", None) \
             if payloads else None
-        if sink is None and channel is None and not any(
-                isinstance(p, FileBackedBuffer) for p in payloads):
-            return stream.sendv(chunks + payloads) if block \
-                else stream.sendv(chunks + payloads, False)
-        if not block:  # a tier or a timed stage may wait: all of it later
-            return partial(self._send_carrying, chunks, control_nbytes,
-                           payloads, sink)
         carried, slot_waits = dict.fromkeys(_TIER_COUNTERS, 0), []
         if channel is not None:
             t0 = sink.clock() if sink is not None else 0.0
@@ -680,9 +695,9 @@ class GIOPConn:
                 loopback, sim)
         loop    the owner offers a ``reactor``  no: it runs on the
                 (a client's hand-over; a        reactor's loop thread
-                server's tcp with a pool)
-        thread  anything else (only a server:   yes: a daemon thread of
-                shm, ``workers=0``)             its own, named ``name``
+                server's with a pool)
+        thread  anything else (only a           yes: a daemon thread of
+                ``workers=0`` server)           its own, named ``name``
         ======  ==============================  =========================
 
         Returns the reader thread for the owner to join after

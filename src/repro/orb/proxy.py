@@ -143,7 +143,8 @@ class IIOPProxy:
         """The live (conn, demux) pair, dialing or replacing a dead
         connection.  Concurrent callers race benignly: whoever gets the
         lock first dials; the rest reuse the result.  ``block=False``:
-        None unless the lock is free, the pair live, its stream tcp."""
+        None unless the lock is free, the pair live, its stream not
+        pumped (the pump would run the peer's upcall on this thread)."""
         if not self._conn_lock.acquire(block):
             return None
         try:
@@ -152,7 +153,7 @@ class IIOPProxy:
                 self._demux.check_idle()  # what arrived while nobody read
             if not block and (
                     conn is None or conn.closed or self._demux is None
-                    or not getattr(conn.stream, "reactor_safe", False)):
+                    or hasattr(conn.stream, "set_data_handler")):
                 return None
             if conn is None or conn.closed:
                 if conn is not None:

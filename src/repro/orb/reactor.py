@@ -4,8 +4,8 @@ A reader thread per connection tops out at hundreds of peers.  This
 module is the drive :meth:`GIOPConn.start_reading
 <repro.orb.connection.GIOPConn.start_reading>` takes for every
 connection whose owner offers it the loop (a client's socket connection
-once it is handed over, over tcp and shm alike; a server's tcp
-connection when it has a worker pool): its *read* side moves onto one
+once it is handed over; a server's when it has a worker pool; over
+tcp and shm alike): its *read* side moves onto one
 asyncio event loop running on its own daemon thread.
 
 * readiness is delivered by ``loop.add_reader(fd, cb)`` — level
@@ -23,12 +23,10 @@ asyncio event loop running on its own daemon thread.
 
 Sockets stay in *blocking* mode: reads use ``MSG_DONTWAIT``
 (``TCPStream.recv_into_nb``), and so does the one write an awaiting
-caller makes on its loop (``sendv(chunks, False)``).  The owner decides
-what it offers the loop (DESIGN.md §15, "Adoption gate"): loopback and
-sim have no socket and are pumped whatever is offered; a server offers
-only a ``reactor_safe`` stream (tcp, a FaultyStream over tcp), whose
-``sendv(chunks, False)`` the loop's ``MessageError`` courtesy needs, so
-an shm server keeps its reader threads.
+caller makes on its loop (``sendv(chunks, False)``), as does the
+loop's ``MessageError`` courtesy.  The owner decides what it offers the
+loop (DESIGN.md §15, "Adoption gate"): loopback and sim have no socket
+and are pumped whatever is offered.
 
 Loop health is exported through every attached ORB's metrics registry:
 ``loop_lag_seconds`` (scheduled-vs-actual heartbeat delta) and

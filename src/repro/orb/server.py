@@ -17,9 +17,9 @@ request's deposit buffers, leased per request from the thread-safe
 ``BufferPool`` — so the worker pool never touches the receive side.
 
 A full queue applies backpressure instead of buffering unboundedly: it
-blocks a reader that may block (and, over loopback, the sender behind
-it) and pauses a loop-read connection's fd.  ``workers=0`` dispatches
-inline on the reader (never on the loop).
+pauses a loop-read connection's fd (tcp, shm) and blocks a pump (over
+loopback, the sender behind it).  ``workers=0`` dispatches inline on a
+reader thread per connection (never on the loop).
 """
 
 from __future__ import annotations
@@ -215,15 +215,15 @@ class IIOPServer:
                 return
             self._conns.append(conn)
         # the loop (started at the first) only with a pool, so no servant
-        # code runs on it, and for a stream that writes without waiting,
-        # as its MessageError courtesy must; else a thread (shm, inline)
-        reactor = self.orb.reactor if self.workers is not None and \
-            getattr(stream, "reactor_safe", False) else None
+        # code runs on it; without one, a thread that dispatches inline
+        reactor = self.orb.reactor if self.workers is not None else None
         thread = conn.start_reading(
             partial(self._route, conn), partial(self._read_failed, conn),
             reactor=reactor, name=f"iiop-server-{stream.peer}")
         if thread is not None:
-            with self._lock:
+            with self._lock:  # the ended ones go, as closed conns do
+                self._reader_threads = [
+                    t for t in self._reader_threads if t.is_alive()]
                 self._reader_threads.append(thread)
 
     # -- routing (start_reading's on_message / on_error) -------------------

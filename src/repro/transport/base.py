@@ -82,13 +82,9 @@ class Stream(Protocol):
     #   a fault-injected one) exposes ``fileno()``, and a client's is
     #   read by its waiting callers, then by the reactor's loop; one
     #   without (loopback, sim) delivers on the sender's thread
-    #   (``set_data_handler``);
-    # * streams that write without waiting set ``reactor_safe = True``
-    #   (tcp; a FaultyStream over tcp by delegation): ``sendv(chunks,
-    #   False)`` returns None or a callable writing the rest, run under
-    #   the caller's send lock on a thread that may block (an awaited
-    #   call's write in place; the loop's MessageError to a server's
-    #   peer, so only these get it).
+    #   (``set_data_handler``).  A socket stream's ``sendv(chunks,
+    #   False)`` never waits: it returns None, or a callable writing
+    #   the rest on a thread that may block.
 
 
 class Listener(Protocol):

@@ -567,8 +567,9 @@ class ShmStream:
     def send(self, data) -> None:
         self._inner.send(data)
 
-    def sendv(self, chunks) -> None:
-        self._inner.sendv(chunks)
+    def sendv(self, chunks, block: bool = True):
+        return self._inner.sendv(chunks) if block \
+            else self._inner.sendv(chunks, False)
 
     def recv_exact(self, n: int) -> memoryview:
         return self._inner.recv_exact(n)

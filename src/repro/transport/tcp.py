@@ -9,8 +9,8 @@ gets.
 Each listener runs an accept thread and hands every accepted stream
 to the handler passed to :meth:`TCPTransport.listen`; how the stream
 is then read is the handler's business (the ORB's server, with a
-worker pool, offers the reactor's loop a stream that writes without
-waiting; a reader thread reads any other).
+worker pool, offers it the reactor's loop; without one, a reader
+thread reads it).
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ _SENDMSG_LIMIT = 64  # IOV_MAX is >=1024 everywhere; stay far below
 #: dial deadline when the caller supplies none (ORBConfig overrides it)
 DEFAULT_CONNECT_TIMEOUT = 30.0
 
-#: scatter-gather writes need socket.sendmsg, which some platforms
-#: (older Windows CPython) lack — sendv falls back to a sendall loop
-_HAVE_SENDMSG = hasattr(socket.socket, "sendmsg")
-
 #: kernel zero-copy file send; absent on some platforms (Windows),
 #: send_file then takes the chunked copying fallback
 _HAVE_SENDFILE = hasattr(os, "sendfile")
@@ -56,19 +52,12 @@ _SENDFILE_CHUNK = 256 * 1024
 
 #: non-blocking single recv / send flag (POSIX): every read drive's
 #: ``recv_into_nb``, and the write that must not wait
-_MSG_DONTWAIT = getattr(socket, "MSG_DONTWAIT", None)
+_MSG_DONTWAIT = socket.MSG_DONTWAIT
 
 
 class TCPStream:
     """A connected TCP socket with exact-read helpers.  It takes no
     lock: its owner serializes the writes (``GIOPConn._send_lock``)."""
-
-    #: writes without waiting (``sendv(chunks, False)``): an awaited
-    #: call writes in place on its loop, and a server offers the loop
-    #: this stream.  A FaultyStream delegates it, keeping the contract;
-    #: ShmStream does not define it (its awaited calls write on the
-    #: executor, its servers keep reader threads).
-    reactor_safe = _MSG_DONTWAIT is not None
 
     def __init__(self, sock: socket.socket, name: str):
         self._sock = sock
@@ -114,15 +103,7 @@ class TCPStream:
                 views.append(c)
                 total += n
         try:
-            if _HAVE_SENDMSG:
-                self._sendmsg_all(views, 0 if block else _MSG_DONTWAIT)
-            else:
-                # no scatter-gather on this platform: fall back to one
-                # sendall per chunk.  More syscalls, but still no
-                # staging concatenation — the chunks themselves are
-                # never copied into a joint buffer
-                for v in views:
-                    self._sock.sendall(v)
+            self._sendmsg_all(views, 0 if block else _MSG_DONTWAIT)
         except BlockingIOError:  # MSG_DONTWAIT: the buffer is full
             self.bytes_sent += total - sum(map(len, views))
             return partial(self.sendv, views)

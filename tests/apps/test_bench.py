@@ -29,8 +29,8 @@ class TestRunBench:
         assert set(doc["figures"]) == {"fig5", "fig6_left", "fig6_right"}
         assert set(doc["figures"]["fig6_right"]) == \
             {"corba/std", "corba/zc", "zc-corba/std", "zc-corba/zc"}
-        # pipelining probe covers both transports on one connection
-        for sch in ("loop", "tcp"):
+        # pipelining probe covers every transport on one connection
+        for sch in ("loop", "tcp", "shm"):
             rec = doc["pipelining"][sch]
             assert [lv["inflight"] for lv in rec["levels"]] == [1, 4]
             assert rec["speedup"] > 1.0

@@ -97,7 +97,7 @@ _QUICK_TREE = {
         "fig6_left": {"raw/std": _POINTS, "raw/zc": _POINTS},
         "fig6_right": {"corba/std": _POINTS, "corba/zc": _POINTS,
                        "zc-corba/std": _POINTS, "zc-corba/zc": _POINTS}},
-    "pipelining": {"loop": _PIPE, "tcp": _PIPE},
+    "pipelining": {"loop": _PIPE, "tcp": _PIPE, "shm": _PIPE},
     "sgcdr": {"repeats": None,
               "sizes": [{"size": None, "blob_mb_per_s": None,
                          "sg_mb_per_s": None, "improvement": None}],

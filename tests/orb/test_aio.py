@@ -1,7 +1,8 @@
 """The native coroutine surface: ``await proxy.op(...)``, windowed
 fan-out, the sync↔async bridge, buffer hygiene when an awaited call is
 cancelled mid-flight, and where an awaited call's send runs: on the
-loop that awaits it, with only what would block on the executor."""
+loop that awaits it, over tcp and shm, with only what would block on
+the executor, whole unless the socket took part of it."""
 
 import asyncio
 import contextlib
@@ -12,12 +13,13 @@ import time
 
 import pytest
 
-from repro.core import BufferPool, OctetSequence
+from repro.core import BufferPool, OctetSequence, ZCOctetSequence
 from repro.giop import GIOP_HEADER_SIZE, GIOPHeader, MsgType
 from repro.idl import compile_idl
 from repro.orb import BAD_OPERATION, ORB, ORBConfig
 from repro.orb.aio import async_api, gather_window, run_sync
 from repro.orb.reactor import get_reactor
+from repro.transport.shm import shm_available
 from tests.conftest import make_store_impl
 
 
@@ -750,3 +752,93 @@ class TestInPlaceSend:
         assert not conn._send_lock.locked()
         assert len(stub.get(16)) == 16  # the stream is still in frame
         assert proxy.stats.reconnects == 0
+
+
+@contextlib.contextmanager
+def _threads_started():
+    """The names of the threads started meanwhile."""
+    names, start = [], threading.Thread.start
+
+    def spy(thread):
+        names.append(thread.name)
+        return start(thread)
+
+    threading.Thread.start = spy
+    try:
+        yield names
+    finally:
+        threading.Thread.start = start
+
+
+@pytest.fixture
+def store_over(test_api):
+    """``make(scheme, traced=False)`` -> a Store stub over ``scheme``
+    whose first call dials."""
+    orbs = []
+
+    def make(scheme, traced=False):
+        if scheme == "shm" and not shm_available():
+            pytest.skip("no usable /dev/shm")
+        server = ORB(ORBConfig(scheme=scheme))
+        client = ORB(ORBConfig(scheme=scheme, collocated_calls=False))
+        orbs.extend([client, server])
+        if traced:
+            client.enable_tracing()
+        return client.string_to_object(server.object_to_string(
+            server.activate(make_store_impl(test_api))))
+
+    yield make
+    for orb in orbs:
+        orb.shutdown()
+
+
+def _await_each(call, *args, n=20):
+    """``n`` awaited calls, one after another, on a loop of their own:
+    what they sent to the executor and the threads they started."""
+    async def go():
+        with _executor_hops(asyncio.get_running_loop()) as hops, \
+                _threads_started() as started:
+            for _ in range(n):
+                await call(*args)
+        return hops, [name for name in started
+                      if name.startswith("giop-send-tail")]
+
+    return asyncio.run(go())
+
+
+class TestWholeSendsGoBack:
+    """A send that finds it would wait before it wrote a byte goes to
+    the executor whole, with the send lock free: only a half-written
+    message keeps the lock on a ``giop-send-tail`` thread (DESIGN.md
+    §15).  And a send over shm that carries no deposit never waits."""
+
+    def test_traced_calls_start_no_tail_thread(self, store_over):
+        """A sink that asked for wire stages times the send in steps
+        that may wait: each awaited call hops (the first one for the
+        dial), and none of them starts a tail thread."""
+        stub = store_over("tcp", traced=True)
+        hops, tails = _await_each(async_api(stub).put_std,
+                                  OctetSequence(b"ping"))
+        assert len(hops) == 20 and tails == []
+        assert stub.total == 4 * 20
+
+    def test_awaited_shm_calls_write_in_place(self, store_over):
+        """Over shm, as over tcp, a call with no deposit is written on
+        the loop that awaits it: only the dial hops."""
+        stub = store_over("shm")
+        hops, tails = _await_each(async_api(stub).put_std,
+                                  OctetSequence(b"ping"))
+        assert len(hops) == 1 and tails == []
+        assert stub.total == 4 * 20
+
+    def test_awaited_shm_deposits_hop_whole(self, store_over):
+        """A deposit's staging may wait for a slot, so each 128 KiB put
+        goes to the executor whole, with no tail thread, and the slot
+        its marshaling filled is still the one the send posts."""
+        stub = store_over("shm")
+        data = ZCOctetSequence.from_data(bytes(range(256)) * 512)
+        hops, tails = _await_each(async_api(stub).put, data)
+        assert len(hops) == 20 and tails == []
+        assert stub.total == 20 * len(data)
+        stats = next(iter(stub._orb._proxies.values())).stats
+        assert stats.shm_references == stats.shm_deposits == 20

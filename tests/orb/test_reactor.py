@@ -1,10 +1,10 @@
 """The event-loop connection engine: adoption rules, thread hygiene,
 graceful shutdown, and identical failure semantics on the async path.
 
-The owner offers the loop: a client at the hand-over (tcp, shm, a
-fault-injected stream), a server with a worker pool for a tcp stream
-(an shm server, and one with ``server_workers=0``, keep reader
-threads); a loopback stream is pumped whatever it is offered.  Every
+The owner offers the loop: a client at the hand-over, a server with a
+worker pool at accept (one with ``server_workers=0`` keeps a reader
+thread per connection), over tcp, shm or a fault-injected stream alike;
+a loopback stream is pumped whatever it is offered.  Every
 thread the ORB starts must be joined on shutdown, an in-flight request
 must drain before the server closes its connections, and a mid-call
 fault must surface the *same* CORBA exception/completion mapping
@@ -58,10 +58,22 @@ def tcp_stream_pair():
 
 class TestAdoption:
     def test_tcp_stream_is_adoptable(self, tcp_stream_pair):
-        """It writes without waiting, so a server with a pool offers
-        it the loop."""
-        client, _server = tcp_stream_pair
-        assert client.reactor_safe
+        """Offered the loop, a socket stream is read there: no reader
+        thread, and what the peer sends arrives on the loop thread."""
+        client, accepted = tcp_stream_pair
+        conn = GIOPConn(accepted)
+        seen = []
+        try:
+            assert conn.start_reading(
+                lambda rm, driver: seen.append(
+                    (rm.header.msg_type, threading.current_thread().name)),
+                lambda exc, driver: None, reactor=get_reactor()) is None
+            assert _settle(lambda: _on_the_loop(conn))
+            client.send(encode_giop_header(MsgType.CloseConnection, 0))
+            assert _settle(lambda: seen)
+            assert seen == [(MsgType.CloseConnection, "giop-reactor-0")]
+        finally:
+            conn.close()
 
     def test_faulty_tcp_is_adopted_and_its_faults_fire_on_the_loop(
             self, test_api):
@@ -120,7 +132,6 @@ class TestAdoption:
         conn = GIOPConn(accepted[0])
         seen = []
         try:
-            assert getattr(client, "reactor_safe", False) is False
             assert conn.start_reading(
                 lambda rm: seen.append((rm.header.msg_type,
                                         threading.current_thread())),
@@ -196,6 +207,32 @@ class TestThreadHygiene:
         assert _settle(
             lambda: threading.active_count() <= baseline), \
             [t.name for t in threading.enumerate()]
+
+
+    def test_a_server_keeps_no_ended_reader(self, test_api):
+        """A ``server_workers=0`` server reads each connection on a
+        thread of its own and keeps the live ones only: after twenty
+        connections came and went, the next one's is all it holds."""
+        server = ORB(ORBConfig(scheme="tcp", server_workers=0))
+        try:
+            ior = server.object_to_string(server.activate(
+                make_store_impl(test_api)))
+            iiop = server._server
+            for i in range(21):
+                assert _settle(lambda: not any(
+                    t.is_alive() for t in iiop._reader_threads))
+                client = ORB(ORBConfig(scheme="tcp"))
+                try:
+                    assert client.string_to_object(ior).put_std(
+                        OctetSequence(b"ping")) == 4 * (i + 1)
+                    if i == 20:  # the accept thread lists it after
+                        assert _settle(lambda: [  # its reader started
+                            t.is_alive() for t in iiop._reader_threads]
+                            == [True])
+                finally:
+                    client.shutdown()
+        finally:
+            server.shutdown()
 
 
 class TestGracefulShutdown:
@@ -331,9 +368,9 @@ class TestAsyncFailureMapping:
 class TestShmUnderReactor:
     def test_shm_handshake_and_deposits_unchanged(self, test_api):
         """S6: after one awaited call the loop reads the shm client's
-        connection, deposit records included, while the server's stays
-        on its reader thread; the handshake, deposits and fallbacks
-        behave exactly as before, sync and awaited."""
+        connection, deposit records included, and from its accept the
+        server's, with no reader thread; the handshake, deposits and
+        fallbacks behave exactly as before, sync and awaited."""
         from repro.transport.shm import shm_available
         if not shm_available("/dev/shm"):
             pytest.skip("no usable shared-memory filesystem")
@@ -349,9 +386,9 @@ class TestShmUnderReactor:
             demux = next(iter(client._proxies.values()))._demux
             assert not demux.callers_read and _on_the_loop(demux.conn)
             (accepted,) = server._server.connections()
-            assert not _on_the_loop(accepted)
-            assert [t.name for t in threading.enumerate()
-                    if t.name.startswith("iiop-server-")]
+            assert _on_the_loop(accepted)
+            assert not [t.name for t in threading.enumerate()
+                        if t.name.startswith("iiop-server-")]
             payload = bytes(range(256)) * 256  # 64 KiB
             assert stub.put(ZCOctetSequence.from_data(payload)) \
                 == 4 + len(payload)
@@ -360,6 +397,38 @@ class TestShmUnderReactor:
             got = run_sync(async_api(stub).get(2 * len(payload)))
             assert len(got) == 2 * len(payload)
         finally:
+            client.shutdown()
+            server.shutdown()
+
+
+    @pytest.mark.parametrize("clients", [1, 4, 16])
+    def test_one_thread_reads_every_connection(self, test_api, clients):
+        """ROADMAP item 2: a server with a worker pool reads 1, 4 or 16
+        shm connections with one thread, the loop's; none has a reader
+        thread of its own."""
+        from repro.transport.shm import shm_available
+        if not shm_available("/dev/shm"):
+            pytest.skip("no usable shared-memory filesystem")
+        server = ORB(ORBConfig(scheme="shm"))
+        client = ORB(ORBConfig(scheme="shm", collocated_calls=False))
+        proxies = []
+        try:
+            stub = client.string_to_object(server.object_to_string(
+                server.activate(make_store_impl(test_api))))
+            profile = client.select_profile(stub._ior)
+            call = (profile.object_key, stub._signature("put_std"),
+                    [OctetSequence(b"ping")])
+            for i in range(clients):
+                proxies.append(client._new_proxy(profile.endpoint))
+                assert proxies[-1].invoke(*call) == 4 * (i + 1)
+            conns = server._server.connections()
+            assert len(conns) == clients
+            assert _settle(lambda: all(_on_the_loop(c) for c in conns))
+            assert [t.name for t in threading.enumerate()
+                    if t.name.startswith("iiop-server-")] == []
+        finally:
+            for proxy in proxies:
+                proxy.close()
             client.shutdown()
             server.shutdown()
 

@@ -56,8 +56,9 @@ WATCHDOG = 5.0
 DRIVES = {
     "pump": dict(scheme="loop"),
     "loop": dict(scheme="tcp"),
+    "loop-shm": dict(scheme="shm"),
     "thread-inline": dict(scheme="tcp", server_workers=0),
-    "thread-shm": dict(scheme="shm"),
+    "thread-shm": dict(scheme="shm", server_workers=0),
 }
 #: client drive -> the server drive whose ORBConfig the client takes.  A
 #: client has no dispatch and no reader thread: its connection over a
@@ -65,7 +66,7 @@ DRIVES = {
 #: hands it to the loop, whatever the socket carries.  A ``-faulty``
 #: client dials through a FaultyStream with an empty plan
 CLIENT_DRIVES = {"pump": "pump", "waiter": "loop", "loop": "loop",
-                 "waiter-shm": "thread-shm", "loop-shm": "thread-shm",
+                 "waiter-shm": "loop-shm", "loop-shm": "loop-shm",
                  "waiter-faulty": "loop", "loop-faulty": "loop"}
 #: the client drives reached by way of one awaited call
 HANDED_OVER = ("loop", "loop-shm", "loop-faulty")
@@ -596,7 +597,7 @@ def test_sync_calls_run_no_reader_thread(drive, served):
     assert seen == set() and demux.callers_read
 
 
-@pytest.mark.parametrize("drive", ["loop", "thread-shm"], ids=["tcp", "shm"])
+@pytest.mark.parametrize("drive", ["loop", "loop-shm"], ids=["tcp", "shm"])
 def test_awaited_calls_run_no_reader_thread(drive, served):
     """Twenty connections, each handed to the loop by awaited calls,
     over tcp and over shm: no client starts a thread to read one."""

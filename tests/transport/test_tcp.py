@@ -45,16 +45,6 @@ class TestTCP:
         client.sendv(chunks)
         assert server.recv_exact(2000).tobytes() == b"".join(chunks)
 
-    def test_sendv_without_sendmsg_falls_back(self, pair, monkeypatch):
-        """Platforms without socket.sendmsg use the sendall loop."""
-        import repro.transport.tcp as tcp_mod
-        client, server = pair
-        monkeypatch.setattr(tcp_mod, "_HAVE_SENDMSG", False)
-        chunks = [bytes([i]) * 777 for i in range(7)]
-        client.sendv(chunks)
-        assert server.recv_exact(7 * 777).tobytes() == b"".join(chunks)
-        assert client.bytes_sent == 7 * 777
-
     def test_recv_into_aligned_buffer(self, pair):
         from repro.core import ZCBuffer
         client, server = pair
