@@ -58,6 +58,9 @@ class _OctetBase:
     def tobytes(self) -> bytes:
         return self.view().tobytes()
 
+    # bytes(seq) takes the view whole, not __iter__ one octet at a time
+    __bytes__ = tobytes
+
     def __eq__(self, other) -> bool:
         if isinstance(other, _OctetBase):
             return self.view() == other.view()

@@ -38,7 +38,7 @@ from .dtrace import (DistributedTracer, Span, SpanCollector, TraceContext,
                      build_span_tree, extract_trace_context, render_span_tree)
 from .events import (ByteEvent, CallbackSink, CompositeSink, EventSink,
                      NullSink, RecordingSink, StageEvent, StageSpan,
-                     WireEvent, stage_span)
+                     WireEvent)
 from .export import (dump_metrics, dump_spans, render_text, spans_to_dict,
                      to_dict, to_json)
 from .flightrec import DEFAULT_SLOW_THRESHOLD, FlightRecorder
@@ -55,7 +55,7 @@ __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram",
     "DEFAULT_LATENCY_BUCKETS", "DEFAULT_SIZE_BUCKETS",
     "EventSink", "NullSink", "RecordingSink", "CompositeSink",
-    "CallbackSink", "StageSpan", "stage_span",
+    "CallbackSink", "StageSpan",
     "ByteEvent", "StageEvent", "WireEvent",
     "STAGE_MARSHAL", "STAGE_CONTROL_SEND", "STAGE_DEPOSIT_SEND",
     "STAGE_SERVER_WAIT", "STAGE_DEPOSIT_RECV", "STAGE_DEMARSHAL",

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 __all__ = [
     "ByteEvent", "StageEvent", "WireEvent",
     "EventSink", "NullSink", "RecordingSink", "CompositeSink",
-    "CallbackSink", "StageSpan", "stage_span",
+    "CallbackSink", "StageSpan",
 ]
 
 
@@ -77,23 +77,16 @@ class EventSink:
     what :meth:`stage` spans measure with, so tests can drive stage
     durations deterministically.
 
-    ``wire_stages`` declares whether this sink consumes the wire-level
-    view of a connection: a :class:`WireEvent` per GIOP message, and
-    each outbound gather-write *split* at the control/deposit boundary
-    so the two halves time separately.  Under ``enable_tracing`` the
-    ORB's sink does (that split is the Fig. 7 breakdown); the always-on
-    flight recorder alone does not — it must leave the wire geometry of
-    the zero-copy single-``sendv`` path untouched, and it keeps no wire
-    events, so none are built for it.
-    ``byte_events`` declares the same for :class:`ByteEvent`: marshalers
-    get an ``on_bytes`` hook only from a sink that keeps what it reports.
+    ``keeps_events`` declares whether this sink keeps event objects: a
+    :class:`ByteEvent` per byte-touching operation (marshalers get an
+    ``on_bytes`` hook only from such a sink) and a :class:`WireEvent`
+    per GIOP message.  Stages are stamped whoever listens, and nothing
+    a sink declares changes what the ORB writes.
     """
 
-    #: ask the connection layer for wire events and split
-    #: control/deposit send stages
-    wire_stages = True
-    #: ask the marshalers for a ByteEvent per byte-touching operation
-    byte_events = True
+    #: ask for a ByteEvent per byte-touching operation and a WireEvent
+    #: per GIOP message
+    keeps_events = True
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.clock = clock
@@ -145,34 +138,6 @@ class StageSpan:
         return False
 
 
-class _NullSpan:
-    """Shared no-op span for uninstrumented connections (hot path)."""
-
-    nbytes = 0
-
-    def add_bytes(self, n: int) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-#: the span of a stage nobody measures
-_NULL_SPAN = _NullSpan()
-
-
-def stage_span(sink: Optional[EventSink], name: str):
-    """A measuring span on ``sink``, or a shared no-op when unset.
-
-    For the sends that carry payloads or split timing; the sites every
-    message passes call :meth:`EventSink.stamp`, and nothing if unset.
-    """
-    return sink.stage(name) if sink is not None else _NULL_SPAN
-
-
 class NullSink(EventSink):
     """Explicitly discards everything (useful as a default)."""
 
@@ -210,13 +175,8 @@ class CompositeSink(EventSink):
         super().__init__(clock=clock)
 
     @property
-    def wire_stages(self) -> bool:
-        """Split sends if any member wants the split timing."""
-        return any(s.wire_stages for s in self.sinks)
-
-    @property
-    def byte_events(self) -> bool:
-        return any(s.byte_events for s in self.sinks)
+    def keeps_events(self) -> bool:
+        return any(s.keeps_events for s in self.sinks)
 
     def emit(self, event) -> None:
         for sink in self.sinks:

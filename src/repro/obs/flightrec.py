@@ -121,14 +121,8 @@ class FlightRecorder(EventSink):
     into this package.
     """
 
-    #: never ask the connection layer to split the control/deposit
-    #: gather-write: the always-on recorder must not change the wire
-    #: geometry (syscall count, fault-injection timing) of the
-    #: zero-copy send path it observes.  ``enable_tracing`` sets it on
-    #: the instance: the split timing is what a tracer asks for
-    wire_stages = False
-    #: byte events are dropped here, so none are built for it
-    byte_events = False
+    #: byte and wire events are dropped here, so none are built for it
+    keeps_events = False
 
     def __init__(self, slow_threshold: float = DEFAULT_SLOW_THRESHOLD,
                  keep: int = 256, slow_keep: int = 32, node: str = "",

@@ -2,7 +2,7 @@
 
 §5.2 / Fig. 7 split one CORBA invocation into the costs of the control
 path and the data path.  The live ORB reports the same six stages, in
-wire order, for every traced request:
+wire order, for every request a sink observes, traced or not:
 
 =================  ======================================================
 stage              what it covers (client view)
@@ -17,7 +17,9 @@ stage              what it covers (client view)
 ``control-send``   gather-writing the GIOP control message (header +
                    request header + body chunk plan, all fragments);
                    bytes = the true control-path wire bytes
-``deposit-send``   writing the raw zero-copy payloads on the data path
+``deposit-send``   writing the raw zero-copy payloads on the data path;
+                   memory payloads share the control message's gather
+                   write, whose time the two stages split by bytes
                    (for arena-staged payloads this is a pure slot
                    reference: bytes are the payload size, the copy
                    already happened under ``marshal``)

@@ -40,7 +40,7 @@ from ..core.direct_deposit import (DepositError, DepositReceiver,
 from ..giop import (GIOP_HEADER_SIZE, GIOPError, GIOPHeader, GIOPMessage,
                     MsgType, ServiceContext, decode_body, decode_header,
                     encode_giop_header)
-from ..obs.events import EventSink, WireEvent, stage_span
+from ..obs.events import EventSink, WireEvent
 from ..obs.stages import (STAGE_CONTROL_SEND, STAGE_DEPOSIT_RECV,
                           STAGE_DEPOSIT_SEND, STAGE_RECV_WAIT)
 from ..transport.base import Stream, TransportError, TransportTimeout
@@ -207,6 +207,14 @@ class ReceivedMessage:
         return body
 
 
+def _emitted_after(send, sink: EventSink, event: WireEvent):
+    """Run the rest of a send, then log the message it wrote
+    (:meth:`GIOPConn.send_message`)."""
+    out = send()
+    sink.emit(event)
+    return out
+
+
 def _released_after(send, ctx: MarshalContext):
     """Run the rest of a send, then give back the arena slots its
     marshaling leased (:meth:`GIOPConn.send_message`)."""
@@ -293,7 +301,7 @@ class GIOPConn:
         return self._bytes_hook
 
     def _make_bytes_hook(self) -> Optional[Callable[[str, int], None]]:
-        if self.sink is None or not self.sink.byte_events:
+        if self.sink is None or not self.sink.keeps_events:
             return self.on_bytes
         if self.on_bytes is None:
             return self.sink.on_bytes
@@ -350,11 +358,10 @@ class GIOPConn:
         rest = None
         try:
             # The trunk here and in _send_locked is the message that
-            # carries nothing but itself — no deposit, no fragmentation,
-            # no sink that asked for wire stages: encode, one sendv,
-            # count.  What a message does not carry it does not pay for;
-            # deposit tiers and stage timing branch off into
-            # _send_carrying.
+            # carries nothing but itself — no deposit, no fragmentation:
+            # encode, one sendv, count.  What a message does not carry
+            # it does not pay for; the deposit channel and the sendfile
+            # tier branch off into _send_carrying.
             payloads: list = []
             if ctx is not None and ctx.descriptors:
                 if ctx.registry is None:
@@ -392,8 +399,11 @@ class GIOPConn:
             # GIOP headers plus body pieces: the true control-path wire
             # bytes, however many fragment headers went out
             control_nbytes = GIOP_HEADER_SIZE * n_fragments + body_nbytes
-            event = None
-            if self.sink is not None and self.sink.wire_stages:
+            rest = self._send_locked(chunks, control_nbytes, payloads, block)
+            sink = self.sink
+            if sink is not None and sink.keeps_events:
+                # the wire log's record of what was written, built after
+                # the write: observing it changes nothing the write does
                 descs = ctx.descriptors if ctx is not None else ()
                 event = WireEvent(
                     direction="send", msg_type=msg_type.name,
@@ -401,8 +411,10 @@ class GIOPConn:
                     request_id=getattr(body_header, "request_id", None),
                     fragments=n_fragments,
                     deposits=tuple((d.deposit_id, d.size) for d in descs))
-            rest = self._send_locked(chunks, control_nbytes, payloads,
-                                     event, block)
+                if rest is None:
+                    sink.emit(event)
+                else:
+                    rest = partial(_emitted_after, rest, sink, event)
             if rest is not None and ctx is not None and ctx.staged:
                 rest = partial(_released_after, rest, ctx)
             return rest
@@ -415,44 +427,63 @@ class GIOPConn:
                 ctx.release_staged()
 
     def _send_locked(self, chunks: list, control_nbytes: int, payloads: list,
-                     event: Optional[WireEvent], block: bool = True,
-                     tail=None):
-        """The half of a send under the send lock: write, count, map
-        transport errors (``event``: for a sink that asked for wire
-        stages).  With ``block=False`` nothing here waits; what would
-        have is returned for a thread that may block: all of it, the
-        send lock free, when the lock is contended or the message is
-        more than one gather write (a tier or a timed stage may wait);
-        or the wait for ``tail``, a half-written message, the send lock
-        still held so that nothing interleaves."""
+                     block: bool = True, tail=None):
+        """The half of a send under the send lock: write, stamp, count,
+        map transport errors.  With ``block=False`` nothing here waits;
+        what would have is returned for a thread that may block: all of
+        it, the send lock free, when the lock is contended or a payload
+        takes a tier (a deposit channel or sendfile may wait); or the
+        wait for ``tail``, a half-written message, the send lock still
+        held so that nothing interleaves.
+
+        The writes depend on the payloads alone, never on who observes
+        them: memory payloads ride the control message's gather write,
+        whose time, with a sink, is stamped as ``control-send`` and
+        ``deposit-send`` split by their bytes (a copy-path message
+        stamps a zero-byte ``deposit-send``), failed or not."""
         # one gather write of the chunks and the memory payloads: no
-        # timed stage, no deposit channel, no sendfile tier
-        gathered = event is None and not (payloads and (
+        # deposit channel, no sendfile tier
+        gathered = not (payloads and (
             getattr(self.stream, "deposit_channel", None) is not None
             or any(isinstance(p, FileBackedBuffer) for p in payloads)))
+        deposit_nbytes = sum(v.nbytes for v in payloads) if payloads else 0
         out = None
         try:
             if tail is None and not ((block or gathered)
                                      and self._send_lock.acquire(block)):
                 return partial(self._send_locked, chunks, control_nbytes,
-                               payloads, event)
+                               payloads)
             try:
                 if tail is not None:
                     out = tail()
                 elif not gathered:
-                    out = self._send_carrying(chunks, control_nbytes, payloads,
-                                              event and self.sink)
+                    out = self._send_carrying(chunks, control_nbytes,
+                                              payloads, deposit_nbytes)
                 else:
                     if payloads:
                         chunks = chunks + payloads
-                    out = self.stream.sendv(chunks) if block \
-                        else self.stream.sendv(chunks, False)
+                    sink = self.sink
+                    t0 = sink.clock() if sink is not None else 0.0
+                    try:
+                        out = self.stream.sendv(chunks) if block \
+                            else self.stream.sendv(chunks, False)
+                    finally:
+                        if sink is not None:
+                            # one write: its time is split by bytes
+                            per_byte = (sink.clock() - t0) \
+                                / (control_nbytes + deposit_nbytes)
+                            sink.stamp(STAGE_CONTROL_SEND,
+                                       per_byte * control_nbytes,
+                                       control_nbytes)
+                            sink.stamp(STAGE_DEPOSIT_SEND,
+                                       per_byte * deposit_nbytes,
+                                       deposit_nbytes)
                 if callable(out):
                     # on a thread of its own, now: queued on a pool it
                     # could sit behind the jobs waiting for this lock
                     own = ThreadPoolExecutor(1, "giop-send-tail")
                     job = own.submit(self._send_locked, chunks, control_nbytes,
-                                     payloads, event, tail=out)
+                                     payloads, tail=out)
                     own.shutdown(wait=False)
                     return job.result
                 # still under the send lock: pipelined calls send
@@ -463,8 +494,7 @@ class GIOPConn:
                 stats.bytes_sent += control_nbytes
                 if payloads:
                     stats.deposits_sent += len(payloads)
-                    stats.deposit_bytes_sent += sum(
-                        v.nbytes for v in payloads)
+                    stats.deposit_bytes_sent += deposit_nbytes
                     if out is not None:
                         self._fold(out[0])
             finally:
@@ -485,35 +515,29 @@ class GIOPConn:
             if self.on_bytes is not None:
                 for view in payloads:
                     self.on_bytes("deposit-send", view.nbytes)
-        if event is not None:
-            self.sink.emit(event)
 
     def _send_carrying(self, chunks: list, control_nbytes: int,
-                       payloads: list, sink: Optional[EventSink]):
-        """Send a control message whose payloads take a tier (a deposit
-        channel, sendfile), split stage timing (``sink``), or both;
-        runs under the send lock and may wait.  Returns what the
-        payloads did, one tally per tier counter (named as in
-        :class:`ConnStats`), and their shm slot waits.
+                       payloads: list, deposit_nbytes: int):
+        """Send a control message whose payloads take a tier: a deposit
+        channel or sendfile; runs under the send lock and may wait.
+        Returns what the payloads did, one tally per tier counter (named
+        as in :class:`ConnStats`), and their shm slot waits.
 
-        Every message on a stream with a deposit channel (shared
-        memory) keeps the single gather write: each payload is staged
-        first (an arena slot, or its view for the per-deposit inline
-        fallback), then control chunks and deposit records leave
-        together, and a write that fails gives the staged slots back.
-        Otherwise the send is two steps — control, then each payload
-        through its tier (sendfile, gather write) — and the byte order
-        on the wire is the same.  Transports with synchronous delivery
-        (loopback) expose ``send_batch`` so the peer's pump only fires
-        once both halves are queued; it would otherwise read a control
-        message whose payloads do not exist yet.
+        On a stream with a deposit channel (shared memory) the message
+        is one gather write: each payload is staged first (an arena
+        slot, or its view for the per-deposit inline fallback), then
+        control chunks and deposit records leave together, and a write
+        that fails gives the staged slots back; ``deposit-send`` times
+        the staging.  Otherwise a file payload is on board, and the send
+        is two steps — control, then each payload through its tier
+        (sendfile, gather write) — with the same byte order on the wire;
+        the peer's parse waits for payload bytes a later write brings.
         """
-        stream = self.stream
-        channel = getattr(stream, "deposit_channel", None) \
-            if payloads else None
+        stream, sink = self.stream, self.sink
+        channel = getattr(stream, "deposit_channel", None)
         carried, slot_waits = dict.fromkeys(_TIER_COUNTERS, 0), []
+        t0 = sink.clock() if sink is not None else 0.0
         if channel is not None:
-            t0 = sink.clock() if sink is not None else 0.0
             records, slots = [], []
             for p in payloads:
                 tier, waited, record, slot = channel.send_deposit(
@@ -537,32 +561,32 @@ class GIOPConn:
                 if sink is not None:  # deposit-send times the staging
                     sink.stamp(STAGE_CONTROL_SEND, sink.clock() - t1,
                                control_nbytes)
-                    sink.stamp(STAGE_DEPOSIT_SEND, t1 - t0,
-                               sum(v.nbytes for v in payloads))
+                    sink.stamp(STAGE_DEPOSIT_SEND, t1 - t0, deposit_nbytes)
             return carried, slot_waits
-        batch = getattr(stream, "send_batch", None)
-        with batch() if batch is not None else nullcontext():
-            with stage_span(sink, STAGE_CONTROL_SEND) as span:
-                span.add_bytes(control_nbytes)
-                stream.sendv(chunks)
-            # a copy-path message still reports a zero-byte
-            # deposit-send, so every traced invocation shows the same
-            # six stages
-            with stage_span(sink, STAGE_DEPOSIT_SEND) as span:
-                span.add_bytes(sum(v.nbytes for v in payloads))
-                # memory payloads batch into gather writes; file-backed
-                # ones break the run to take their own tier
-                run: list = []
-                for p in payloads:
-                    if isinstance(p, FileBackedBuffer):
-                        if run:
-                            stream.sendv(run)
-                            run = []
-                        self._send_file_payload(p, carried)
-                    else:
-                        run.append(p)
-                if run:
-                    stream.sendv(run)
+        t1 = None
+        try:
+            stream.sendv(chunks)
+            t1 = sink.clock() if sink is not None else 0.0
+            # memory payloads batch into gather writes; file-backed ones
+            # break the run to take their own tier
+            run: list = []
+            for p in payloads:
+                if isinstance(p, FileBackedBuffer):
+                    if run:
+                        stream.sendv(run)
+                        run = []
+                    self._send_file_payload(p, carried)
+                else:
+                    run.append(p)
+            if run:
+                stream.sendv(run)
+        finally:
+            if sink is not None:
+                t2 = sink.clock()
+                if t1 is None:  # the control write itself failed
+                    t1 = t2
+                sink.stamp(STAGE_CONTROL_SEND, t1 - t0, control_nbytes)
+                sink.stamp(STAGE_DEPOSIT_SEND, t2 - t1, deposit_nbytes)
         return carried, slot_waits
 
     def _send_file_payload(self, fbb: FileBackedBuffer,
@@ -932,7 +956,7 @@ class GIOPConn:
             # is still reported, zero bytes, so every traced invocation
             # shows the same six stages
             here.stamp(STAGE_DEPOSIT_RECV, 0.0)
-        if here is not None and here.wire_stages:
+        if here is not None and here.keeps_events:
             here.emit(rm.wire_event())
         return rm
 

@@ -178,9 +178,9 @@ class ORB:
         """Install the built-in :class:`repro.obs.TracingInterceptor`.
 
         Registers the interceptor, makes it a reader of this ORB's
-        span producer (every finished span is handed to it; sends are
-        timed split at the control/deposit boundary from here on) and
-        returns the tracer — ``tracer.last`` is the most recent
+        span producer (every finished span is handed to it; the spans
+        are the ones an untraced call records, from the same writes)
+        and returns the tracer — ``tracer.last`` is the most recent
         per-invocation stage breakdown, ``tracer.registry`` the metrics.
         With ``wire=True`` a :class:`repro.obs.WireTracer` also logs
         every GIOP message (``tracer.wire``).
@@ -209,7 +209,6 @@ class ORB:
             producer = self.span_producer = FlightRecorder(
                 keep=0, slow_keep=0, node=f"orb{self.orb_id}")
             sinks.append(producer)
-        producer.wire_stages = True
         producer.consumers.append(tracer.consume)
         if wire:
             tracer.wire = WireTracer(keep=max(keep * 4, 256))

@@ -462,7 +462,7 @@ class IIOPProxy:
             if isinstance(reply, ReplyHeader):
                 sink.stamp(STAGE_DEPOSIT_RECV, rm.landing_s,
                            rm.landed_nbytes)
-            if sink.wire_stages:
+            if sink.keeps_events:
                 sink.emit(rm.wire_event())
         if not isinstance(reply, LocateReplyHeader if sig is _LOCATE
                           else ReplyHeader):

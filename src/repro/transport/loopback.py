@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from contextlib import contextmanager
 from typing import Callable, Optional
 
 from .base import AcceptHandler, Endpoint, TransportError
@@ -35,7 +34,6 @@ class LoopbackStream:
         self._rx: deque = deque()
         self._rx_bytes = 0
         self._closed = False
-        self._suppress_notify = 0
         self._on_data: Optional[Callable[[], None]] = None
         self._lock = threading.RLock()
         #: transport-level bytes copied into receive buffers (the "DMA")
@@ -76,33 +74,8 @@ class LoopbackStream:
                 peer._rx_bytes += view.nbytes
                 total += view.nbytes
         self.bytes_sent += total
-        if peer._on_data is not None and not peer._suppress_notify:
+        if peer._on_data is not None:
             peer._on_data()
-
-    @contextmanager
-    def send_batch(self):
-        """Defer the peer's synchronous data-handler notification until
-        the batch completes.
-
-        Loopback delivery is synchronous: every ``sendv`` pumps the
-        peer's GIOP read loop before returning.  A traced connection
-        writes the control message and the deposit payloads as two
-        timed ``sendv`` calls; batching them keeps the peer from
-        reading a control message whose payloads are not queued yet —
-        the loopback equivalent of one gather write.
-        """
-        peer = self.peer_stream
-        if peer is None:
-            yield
-            return
-        peer._suppress_notify += 1
-        try:
-            yield
-        finally:
-            peer._suppress_notify -= 1
-            if not peer._suppress_notify and peer._on_data is not None \
-                    and peer._rx_bytes:
-                peer._on_data()
 
     # -- receiving ---------------------------------------------------------------
     @property
@@ -177,10 +150,9 @@ class LoopbackStream:
         # data arrival would otherwise never learn the stream died (a
         # loopback read never blocks, so there is no blocked read to
         # raise from) and its in-flight futures would hang forever
-        if peer_was_open and peer._on_data is not None \
-                and not peer._suppress_notify:
+        if peer_was_open and peer._on_data is not None:
             peer._on_data()
-        if self._on_data is not None and not self._suppress_notify:
+        if self._on_data is not None:
             self._on_data()
 
     @property

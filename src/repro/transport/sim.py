@@ -59,35 +59,19 @@ class SimClock:
 
 
 class SimStream:
-    """A loopback stream that charges the clock per gather-write.
-
-    A :meth:`send_batch` groups several ``sendv`` calls into *one*
-    modelled transfer: a traced connection splits its gather-write at
-    the control/data boundary (two ``sendv`` calls where an untraced
-    send makes one), and without batching each half would be costed as
-    its own pipelined stream — observing the run would change the
-    modelled time.  Inside a batch the bytes accumulate and are charged
-    once on exit, so traced and untraced runs charge identically.
-    """
+    """A loopback stream that charges the clock per gather-write."""
 
     def __init__(self, inner: LoopbackStream, transport: "SimTransport"):
         self._inner = inner
         self._transport = transport
-        self._batch_total: Optional[int] = None
 
     def send(self, data) -> None:
         self.sendv([data])
 
     def sendv(self, chunks) -> None:
-        total = sum(memoryview(c).nbytes for c in chunks)
-        if self._batch_total is not None:
-            self._batch_total += total
-        else:
-            self._transport.charge_transfer(total)
+        self._transport.charge_transfer(
+            sum(memoryview(c).nbytes for c in chunks))
         self._inner.sendv(chunks)
-
-    def send_batch(self):
-        return _SimBatch(self)
 
     def recv_into_nb(self, view) -> Optional[int]:
         return self._inner.recv_into_nb(view)
@@ -104,26 +88,6 @@ class SimStream:
     @property
     def peer(self) -> str:
         return self._inner.peer
-
-
-class _SimBatch:
-    """Defers the inner loopback batch AND the cost-model charge."""
-
-    def __init__(self, stream: SimStream):
-        self._stream = stream
-        self._inner_cm = None
-
-    def __enter__(self) -> "_SimBatch":
-        self._inner_cm = self._stream._inner.send_batch()
-        self._inner_cm.__enter__()
-        self._stream._batch_total = 0
-        return self
-
-    def __exit__(self, *exc):
-        total = self._stream._batch_total or 0
-        self._stream._batch_total = None
-        self._stream._transport.charge_transfer(total)
-        return self._inner_cm.__exit__(*exc)
 
 
 class SimTransport:

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.obs import (ByteEvent, CallbackSink, CompositeSink, EventSink,
-                       NullSink, RecordingSink, StageEvent, WireEvent,
-                       stage_span)
-from repro.obs.events import _NULL_SPAN
+                       NullSink, RecordingSink, StageEvent, WireEvent)
 
 
 def test_stage_span_measures_with_injected_clock(clock):
@@ -29,15 +27,6 @@ def test_stage_span_emits_even_on_error(clock):
     assert event.stage == "control-send"
     assert event.duration_s == 0.5
     assert event.nbytes == 7
-
-
-def test_stage_span_without_sink_is_shared_noop():
-    # the hot path must not allocate per message
-    a = stage_span(None, "marshal")
-    b = stage_span(None, "demarshal")
-    assert a is b is _NULL_SPAN
-    with a as span:
-        span.add_bytes(10)  # swallowed
 
 
 def test_on_bytes_adapter_emits_byte_events():
@@ -86,17 +75,3 @@ def test_null_and_base_sinks_discard():
         sink.emit(ByteEvent(kind="marshal", nbytes=1))
         sink.on_bytes("marshal", 1)  # no error, no state
 
-
-def test_wire_stages_defaults_true_composes_any():
-    """wire_stages governs whether the connection layer splits the
-    control/deposit gather-write; a composite wants the split iff any
-    member does, and the flight recorder never does."""
-    from repro.obs import FlightRecorder
-
-    assert EventSink().wire_stages is True
-    assert NullSink().wire_stages is True
-    rec = FlightRecorder()
-    assert rec.wire_stages is False
-    assert CompositeSink([rec]).wire_stages is False
-    assert CompositeSink([rec, NullSink()]).wire_stages is True
-    assert CompositeSink([]).wire_stages is False

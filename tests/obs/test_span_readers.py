@@ -34,10 +34,12 @@ GOLDEN = [
     ("client", "ping", 1, 2, None, "NO_EXCEPTION", 1, []),
     ("client", "nap", 4, 5, None, "NO_EXCEPTION", 2,
      # the server's read and the client's own both run on this thread
-     # under the client span: six stages, in this order
-     ["marshal", "recv-wait", "deposit-recv", "server-wait",
-      "deposit-recv", "demarshal"]),
-    ("server", "nap", 4, 6, 5, "NO_EXCEPTION", 2, ["demarshal", "marshal"]),
+     # under the client span, and the loopback write returns only once
+     # the reply is queued: six stages, in this order
+     ["marshal", "recv-wait", "deposit-recv", "control-send",
+      "deposit-send", "server-wait", "deposit-recv", "demarshal"]),
+    ("server", "nap", 4, 6, 5, "NO_EXCEPTION", 2,
+     ["demarshal", "marshal", "control-send", "deposit-send"]),
     ("client", "fail", 7, 8, None, "Boom", 3, []),
 ]
 

@@ -19,6 +19,7 @@ from repro.idl import compile_idl
 from repro.obs import (CLIENT_STAGES, ByteEvent, CompositeSink, EventSink,
                        FlightRecorder, RecordingSink, StageEvent)
 from repro.orb import ORB, ORBConfig
+from repro.transport.shm import shm_available
 from tests.conftest import make_store_impl
 
 IDLE = 0.3
@@ -45,13 +46,17 @@ def _ping_pair(api, **config):
 @pytest.mark.parametrize("traced", [False, True], ids=["recorder", "traced"])
 @pytest.mark.parametrize("config", [
     {"scheme": "tcp"}, {"scheme": "tcp", "server_workers": 0},
-    {"scheme": "loop"}], ids=["tcp-reactor", "tcp-thread", "loop"])
+    {"scheme": "loop"},
+    pytest.param({"scheme": "shm"}, marks=pytest.mark.skipif(
+        not shm_available(), reason="no shared-memory directory"))],
+    ids=["tcp-reactor", "tcp-thread", "loop", "shm"])
 def test_no_stage_is_charged_the_idle_before_its_call(ping_api, config,
                                                       traced):
     """``ping; sleep; ping``: the second call's stages fit inside its
     span, whichever engine read the reply and whichever sink kept it.
     (A reader that opens ``server-wait`` when the previous message was
-    delivered charges the pause to the next call.)"""
+    delivered charges the pause to the next call.)  Traced or not, the
+    span carries the six stages: a send is stamped whoever listens."""
     stub, client, server = _ping_pair(ping_api, **config)
     try:
         tracer = client.enable_tracing() if traced else None
@@ -66,11 +71,10 @@ def test_no_stage_is_charged_the_idle_before_its_call(ping_api, config,
         # (every stage is held to the span below) can contain the pause
         assert span.start_s >= woke
         records = [span.stages]
+        assert [e.stage for e in span.stages] == list(CLIENT_STAGES)
         if traced:
             records.append(tracer.last.stages)
-            # the split send stages are only there for a wire-stage sink
             assert tracer.last.stage_order() == list(CLIENT_STAGES)
-            assert [e.stage for e in span.stages] == list(CLIENT_STAGES)
         for stages in records:
             assert stages, "slow_call_threshold=0 keeps the detail"
             for event in stages:
@@ -180,12 +184,14 @@ def test_stamp_default_builds_the_event_and_the_recorder_does_not(clock):
 
 class TestByteEvents:
     def test_sinks_declare_whether_they_keep_byte_events(self):
-        assert EventSink().byte_events is True
+        """One declaration covers byte and wire events alike: a
+        composite keeps them if any member does, the recorder never."""
+        assert EventSink().keeps_events is True
         rec = FlightRecorder()
-        assert rec.byte_events is False
-        assert CompositeSink([rec]).byte_events is False
-        assert CompositeSink([rec, RecordingSink()]).byte_events is True
-        assert CompositeSink([]).byte_events is False
+        assert rec.keeps_events is False
+        assert CompositeSink([rec]).keeps_events is False
+        assert CompositeSink([rec, RecordingSink()]).keeps_events is True
+        assert CompositeSink([]).keeps_events is False
 
     def test_default_orb_hands_marshalers_no_hook(self, test_api):
         """The recorder drops byte events, so none are built for it."""

@@ -813,13 +813,13 @@ class TestWholeSendsGoBack:
     §15).  And a send over shm that carries no deposit never waits."""
 
     def test_traced_calls_start_no_tail_thread(self, store_over):
-        """A sink that asked for wire stages times the send in steps
-        that may wait: each awaited call hops (the first one for the
-        dial), and none of them starts a tail thread."""
+        """A traced call makes the writes an untraced one makes: each
+        awaited call is written in place (only the dial hops), and none
+        of them starts a tail thread."""
         stub = store_over("tcp", traced=True)
         hops, tails = _await_each(async_api(stub).put_std,
                                   OctetSequence(b"ping"))
-        assert len(hops) == 20 and tails == []
+        assert len(hops) == 1 and tails == []
         assert stub.total == 4 * 20
 
     def test_awaited_shm_calls_write_in_place(self, store_over):

@@ -65,28 +65,35 @@ from repro.orb import ORB, ORBConfig, async_api, run_sync
 from repro.orb.reactor import reset_reactor
 from repro.transport.shm import shm_available
 
-#: measured: 89 on the calling thread, which reads its own reply, 160
+#: measured: 91 on the calling thread, which reads its own reply, 164
 #: over all threads against a server that dispatches on its reader
-#: thread (162 while it handed each request to a pool worker; 92 and
-#: 165 while the idle check before a write led a read; 166 while the
-#: server's reader thread blocked in ``recv`` instead of ``poll``), 0
-#: emits (63 and 187 while a reactor thread read it)
+#: thread, 0 emits (89 and 160 while only a traced send stamped
+#: control-send and deposit-send; 162 while the server handed each
+#: request to a pool worker; 92 and 165 while the idle check before a
+#: write led a read; 166 while the server's reader thread blocked in
+#: ``recv`` instead of ``poll``; 63 and 187 while a reactor thread read
+#: it)
 CALLER_CEILING = 101
 TOTAL_CEILING = 182
 EMIT_CEILING = 0
-#: measured on shm: 93 on the calling thread, which reads its own reply
-#: as on tcp, and 168 over all threads (170 with the server's pool; 67
-#: and 167 while a reader thread read the client's connection; 169
-#: while reader threads blocked in ``recv``)
+#: measured on shm: 95 on the calling thread, which reads its own reply
+#: as on tcp, and 172 over all threads (93 and 168 while only a traced
+#: send stamped its two stages; 170 with the server's pool; 67 and 167
+#: while a reader thread read the client's connection; 169 while reader
+#: threads blocked in ``recv``)
 SHM_CALLER_CEILING = 101
 SHM_TOTAL_CEILING = 184
-#: measured: 20.0 calls per ping more than with ``flight_recorder=False``
-#: (160 against 140)
+#: measured: the recorder adds 24.0 calls per ping (164 against 140
+#: with ``flight_recorder=False``): twelve ``stamp``s, six stages on
+#: each side.  20.0 while an untraced send stamped neither control-send
+#: nor deposit-send
 RECORDER_CEILING = 25
-#: measured, traced: 291 calls inside ``repro/obs/`` per ping (about half
-#: of them metrics-registry look-ups; 306 with the server's pool, whose
-#: hand-off is a stage), 1.0 per stage event
-TRACED_OBS_CEILING = 340
+#: measured, traced: 263 calls inside ``repro/obs/`` per ping (about half
+#: of them metrics-registry look-ups), 1.0 per stage event.  291 while a
+#: traced send was split in two timed writes and built a ``WireEvent``
+#: per message that the recorder dropped (306 with the server's pool,
+#: whose hand-off is a stage): the ceiling sits below that
+TRACED_OBS_CEILING = 285
 STAGE_FANOUT_CEILING = 2
 #: measured, awaited with 8 in flight: the least of three windows 110.0
 #: to 111.9 calls per ping on the client over three runs, every window
@@ -101,10 +108,11 @@ ASYNC_CLIENT_THREADS = 1
 ASYNC_WINDOW = 8
 
 #: measured, all threads, per ``send_zc``: one byte under
-#: ``DEPOSIT_MIN_SIZE`` 212 on tcp and 225 on shm (the payload rides the
-#: control message), at twice the constant 253 and 306 (a deposit; on
-#: shm with its arena staging, and its record read by the parse); 214 /
-#: 227 and 255 / 308 with the server's pool.  While
+#: ``DEPOSIT_MIN_SIZE`` 216 on tcp and 229 on shm (the payload rides the
+#: control message), at twice the constant 256 and 313 (a deposit; on
+#: shm with its arena staging, and its record read by the parse); 212 /
+#: 225 and 252 / 307 while an untraced send stamped neither send stage;
+#: 214 / 227 and 255 / 308 with the server's pool.  While
 #: a reader thread read the shm client's connection, and the idle check
 #: led a read, it was 217 / 224 and 258 / 305; while reader threads
 #: blocked in ``recv`` 218 / 226 and 260 / 309; before the size rule and
@@ -265,9 +273,13 @@ def test_a_payload_pays_for_a_deposit_only_when_it_takes_one(scheme,
 
 
 def test_traced_call_reads_the_one_record():
-    _, _, _, in_obs, _, per_stage, _ = _count_null_call(True, traced=True)
+    _, _, emits, in_obs, _, per_stage, _ = _count_null_call(True,
+                                                            traced=True)
     assert in_obs <= TRACED_OBS_CEILING, \
         f"{in_obs:.1f} calls inside repro/obs/ per traced ping"
+    # the recorder keeps no wire events, so none are built for it
+    assert emits <= EMIT_CEILING, \
+        f"{emits:.1f} FlightRecorder.emit calls per traced ping"
     assert 1 <= per_stage <= STAGE_FANOUT_CEILING, \
         f"a stage event fans out into {per_stage:.1f} calls"
 

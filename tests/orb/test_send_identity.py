@@ -167,18 +167,23 @@ class TestNullRequestGeometry:
         diff = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
         assert diff == [16, 17, 18, 19]  # GIOP header 12 + context count 4
 
-    def test_wire_stage_sink_still_gets_split_stages_and_a_wire_event(self):
+    def test_a_sink_gets_both_send_stages_and_a_wire_event_from_one_write(
+            self):
+        """Whoever observes, the message is the same one write: its
+        time is stamped as control-send and a zero-byte deposit-send,
+        and the wire log's event is built after it."""
         from repro.obs.events import RecordingSink, StageEvent, WireEvent
         stream = _CaptureStream()
         sink = RecordingSink()
         conn = GIOPConn(stream, sink=sink)
         self._ping(conn)
-        assert [e.stage for e in sink.of_type(StageEvent)] == \
-            ["control-send", "deposit-send"]
+        assert [(e.stage, e.nbytes) for e in sink.of_type(StageEvent)] == \
+            [("control-send", sum(len(c) for c in stream.batches[0])),
+             ("deposit-send", 0)]
         (event,) = sink.of_type(WireEvent)
         assert (event.direction, event.msg_type, event.request_id,
                 event.deposits) == ("send", "Request", 1, ())
-        assert len(stream.batches) == 1  # zero-byte deposit-send: no write
+        assert len(stream.batches) == 1
 
 
 class _RecordingSocket:
