@@ -6,7 +6,7 @@ that watches them.  The gate on that cost is a count, not a timing:
 ``tests/orb/test_call_budget.py`` holds the Python-level calls the
 recorder adds to one ``ping`` and that an ORB without one makes no
 call into ``repro/obs/`` at all.  What stays here is that such an ORB
-has no sink, and the wall-clock ratio of a null call with the recorder
+has no span producer, and the wall-clock ratio of a null call with the recorder
 on and off: reported, not asserted, because two ~150 us loops timed in
 one shared process spread wider than the few percent they differ by.
 """
@@ -24,14 +24,15 @@ CALLS = 2000
 ROUNDS = 6
 
 
-def test_orb_without_recorder_has_no_sink():
-    """flight_recorder=False + no user sink leaves orb.sink None, so
+def test_orb_without_recorder_has_no_span_producer():
+    """flight_recorder=False and no enable_tracing leaves
+    orb.span_producer None, so every connection's sink is None and
     every stage site on the invocation path is skipped outright."""
     orb = ORB(ORBConfig(scheme="loop", flight_recorder=False,
                         monitor=False))
     try:
         assert orb.flightrec is None
-        assert orb.sink is None
+        assert orb.span_producer is None
     finally:
         orb.shutdown()
 

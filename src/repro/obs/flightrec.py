@@ -5,10 +5,15 @@ A call is ONE flat record (:class:`_FlightSpan`) on ONE per-thread
 stack, and :class:`FlightRecorder` is the only thing that opens, stamps
 and closes it (``begin_invocation`` / ``start_client_span`` /
 ``start_server_span`` / ``stamp`` / ``finish``; DESIGN.md section 8).
-Everything else that wants to know about calls *reads* finished
-records: the recorder's own rings, and whatever ``enable_tracing``
-appended to :attr:`FlightRecorder.consumers` (the per-call stage
-breakdown of :mod:`repro.obs.tracing`, the span collector of
+It is also the only object the ORB layers report to: the connection,
+the proxy and the dispatcher of an ORB stamp their stages into it and,
+while a :class:`~repro.obs.tracing.WireTracer` is attached
+(:attr:`FlightRecorder.wire`), hand it each GIOP message as a
+:class:`~repro.obs.events.WireEvent`.  Everything else that wants to
+know about calls *reads* finished records: the recorder's own rings,
+and whatever ``enable_tracing`` appended to
+:attr:`FlightRecorder.consumers` (the per-call stage breakdown of
+:mod:`repro.obs.tracing`, the span collector of
 :mod:`repro.obs.dtrace`).  A slow call caught here and the trace that
 rode the wire are therefore the same object under the same ids.
 
@@ -44,7 +49,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional
 
 from .dtrace import Span, TraceContext
-from .events import EventSink, StageEvent
+from .events import StageEvent, StageSpan
 
 __all__ = ["FlightRecorder", "DEFAULT_SLOW_THRESHOLD"]
 
@@ -107,7 +112,7 @@ class _FlightSpan(Span):
         return sum(s[1] for s in self.stamps if s[0] in stages)
 
 
-class FlightRecorder(EventSink):
+class FlightRecorder:
     """The span producer, with a bounded recent-call ring and a
     slow-call span-tree sampler behind it.
 
@@ -118,16 +123,15 @@ class FlightRecorder(EventSink):
     may be adjusted on a live recorder.  ``enabled=False`` (or
     :meth:`disable`) stops span production, for every reader; an ORB
     with no producer at all leaves the invocation path with no call
-    into this package.
+    into this package.  ``clock`` is injectable (defaults to
+    ``time.perf_counter``): every stage the ORB layers stamp, and every
+    :meth:`stage` span, is measured with it.
     """
-
-    #: byte and wire events are dropped here, so none are built for it
-    keeps_events = False
 
     def __init__(self, slow_threshold: float = DEFAULT_SLOW_THRESHOLD,
                  keep: int = 256, slow_keep: int = 32, node: str = "",
                  clock: Callable[[], float] = time.perf_counter):
-        super().__init__(clock=clock)
+        self.clock = clock
         if slow_threshold < 0:
             raise ValueError(
                 f"slow_threshold must be >= 0: {slow_threshold}")
@@ -148,6 +152,10 @@ class FlightRecorder(EventSink):
         self.tracer = None
         #: callables handed every finished span, on the finishing thread
         self.consumers: list = []
+        #: the attached :class:`~repro.obs.tracing.WireTracer`: a
+        #: :class:`WireEvent` is built for each GIOP message only while
+        #: there is one
+        self.wire = None
         self._tls = _OpenSpans()
         self._lock = threading.Lock()
         self._ring: Deque[_FlightSpan] = deque(maxlen=keep)
@@ -277,7 +285,7 @@ class FlightRecorder(EventSink):
             self._ring.append(active)
         return active
 
-    # -- sink interface ------------------------------------------------------
+    # -- what the ORB layers report ----------------------------------------
     def stamp(self, stage: str, seconds: float, nbytes: int = 0) -> None:
         """Append the stage to the innermost span open on this thread;
         a reader or reactor thread, which has none, keeps nothing."""
@@ -285,9 +293,15 @@ class FlightRecorder(EventSink):
         if stack and self.enabled:
             stack[-1].stamps.append((stage, seconds, nbytes))
 
+    def stage(self, name: str) -> StageSpan:
+        """A context manager stamping one stage, timed on :attr:`clock`."""
+        return StageSpan(self, name)
+
     def emit(self, event) -> None:
-        if isinstance(event, StageEvent):
-            self.stamp(event.stage, event.duration_s, event.nbytes)
+        """Hand a :class:`~repro.obs.events.WireEvent` to the wire log,
+        when one is attached."""
+        if self.wire is not None:
+            self.wire.emit(event)
 
     # -- readers -------------------------------------------------------------
     def recent(self, n: int = 0) -> List[Span]:

@@ -1,8 +1,9 @@
-"""The paper's invocation stages and the per-call StageTimer.
+"""The paper's invocation stages and the per-call breakdown record.
 
 §5.2 / Fig. 7 split one CORBA invocation into the costs of the control
 path and the data path.  The live ORB reports the same six stages, in
-wire order, for every request a sink observes, traced or not:
+wire order, for every request its span producer records, traced or
+not:
 
 =================  ======================================================
 stage              what it covers (client view)
@@ -37,16 +38,16 @@ not for a server).  On every drive, the reader thread's as the loop's
 and the pump's, ``recv-wait`` times a request's read from its header
 in to its last byte, without the idle before it.
 
-:class:`StageTimer` keeps the stage record of each finished client
-call as an :class:`InvocationBreakdown`, the live counterpart of the
-offline model in ``benchmarks/test_overhead_breakdown.py``.
+:class:`InvocationBreakdown` is the stage record of one finished
+client call, read off its span by
+:class:`repro.obs.tracing.TracingInterceptor`: the live counterpart of
+the offline model in ``benchmarks/test_overhead_breakdown.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .events import StageEvent
 
@@ -54,7 +55,7 @@ __all__ = [
     "STAGE_MARSHAL", "STAGE_CONTROL_SEND", "STAGE_DEPOSIT_SEND",
     "STAGE_SERVER_WAIT", "STAGE_DEPOSIT_RECV", "STAGE_DEMARSHAL",
     "STAGE_RECV_WAIT", "CLIENT_STAGES",
-    "InvocationBreakdown", "StageTimer",
+    "InvocationBreakdown",
 ]
 
 STAGE_MARSHAL = "marshal"
@@ -120,33 +121,3 @@ class InvocationBreakdown:
             ],
         }
 
-
-class StageTimer:
-    """Per-invocation breakdowns, read off finished spans.
-
-    A reader of the one span model (:mod:`repro.obs.flightrec`): it is
-    handed every finished span and keeps a breakdown of those that are
-    a client attempt whose reply was read.  A failed attempt about to
-    be retried, a oneway send and a server span leave no record; the
-    stages themselves were stamped into the span, per thread, by the
-    producer, so pipelined callers never see each other's.
-    """
-
-    def __init__(self, keep: int = 128):
-        #: appended to by the finishing threads (``deque.append`` is
-        #: atomic), oldest dropped first
-        self.records: Deque[InvocationBreakdown] = deque(maxlen=keep)
-
-    def consume(self, span) -> Optional[InvocationBreakdown]:
-        """Archive ``span`` as a breakdown (None if it is not a replied
-        client call)."""
-        if span.kind != "client" or span.reply_status is None:
-            return None
-        rec = InvocationBreakdown(span.name, span.request_id or 0,
-                                  span.stages, span.reply_status.name)
-        self.records.append(rec)
-        return rec
-
-    @property
-    def last(self) -> Optional[InvocationBreakdown]:
-        return self.records[-1] if self.records else None

@@ -1,19 +1,20 @@
 """Built-in tracing: live breakdowns and metrics, read off finished spans.
 
-Two consumers of what the ORB observes about itself:
+Two readers of what the ORB's span producer records:
 
-* :class:`TracingInterceptor` is handed every span the ORB's producer
+* :class:`TracingInterceptor` is handed every span the producer
   finishes (:meth:`TracingInterceptor.consume`): each replied client
   call becomes an :class:`~repro.obs.stages.InvocationBreakdown` in its
-  :attr:`timer` and is folded into a
+  :attr:`~TracingInterceptor.records` and is folded into a
   :class:`~repro.obs.metrics.MetricsRegistry`.  It also rides the
   :class:`repro.orb.interceptors.InterceptorRegistry`, where its server
   points count and time servant upcalls.  Install with
   ``orb.enable_tracing()``, which wires up both.
 
-* :class:`WireTracer` logs every GIOP message the connection layer
-  reports — type, request id, control size, fragment count and deposit
-  descriptors — to the ``repro.obs.wire`` logger and a bounded ring.
+* :class:`WireTracer` logs every GIOP message the producer hands it
+  while attached (``enable_tracing(wire=True)``) — type, request id,
+  control size, fragment count and deposit descriptors — to the
+  ``repro.obs.wire`` logger and a bounded ring.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from collections import deque
 from typing import Callable, Deque, List, Optional
 
 from ..orb.interceptors import RequestInfo, RequestInterceptor
-from .events import EventSink, WireEvent
+from .events import WireEvent
 from .metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
-from .stages import InvocationBreakdown, StageTimer
+from .stages import InvocationBreakdown
 
 __all__ = ["TracingInterceptor", "WireTracer", "format_wire_event"]
 
@@ -37,9 +38,10 @@ _SLOT_T0 = "obs.server_t0"
 class TracingInterceptor(RequestInterceptor):
     """Per-request stage breakdown + metrics.
 
-    Owns a :attr:`timer` (the :class:`StageTimer` keeping the
-    breakdowns) and a :attr:`registry` (shared or private).  Server
-    upcall durations are measured with the injected ``clock``.
+    Keeps the breakdowns of the last ``keep`` replied client calls in
+    :attr:`records` and folds every one into a :attr:`registry` (shared
+    or private).  Server upcall durations are measured with the
+    injected ``clock``.
     """
 
     name = "tracing"
@@ -50,7 +52,9 @@ class TracingInterceptor(RequestInterceptor):
         self.clock = clock
         self.registry = registry if registry is not None \
             else MetricsRegistry(clock=clock)
-        self.timer = StageTimer(keep=keep)
+        #: appended to by the finishing threads (``deque.append`` is
+        #: atomic), oldest dropped first
+        self.records: Deque[InvocationBreakdown] = deque(maxlen=keep)
         #: optionally attached by ORB.enable_tracing(wire=True)
         self.wire: Optional["WireTracer"] = None
         #: SpanCollector, attached by ORB.enable_tracing(distributed=True)
@@ -58,15 +62,19 @@ class TracingInterceptor(RequestInterceptor):
 
     # -- client side ---------------------------------------------------------
     def consume(self, span) -> None:
-        """One finished span from the ORB's producer."""
-        rec = self.timer.consume(span)
-        if rec is not None:
-            self._record(rec)
-
-    def _record(self, rec: InvocationBreakdown) -> None:
+        """One finished span from the ORB's producer.  A client attempt
+        whose reply was read becomes a breakdown; a failed attempt about
+        to be retried, a oneway send and a server span leave none (the
+        stages were stamped into the span, per thread, so pipelined
+        callers never see each other's)."""
+        if span.kind != "client" or span.reply_status is None:
+            return
+        rec = InvocationBreakdown(span.name, span.request_id or 0,
+                                  span.stages, span.reply_status.name)
+        self.records.append(rec)
         reg = self.registry
         reg.counter("invocations_total", operation=rec.operation).inc()
-        if rec.reply_status not in (None, "NO_EXCEPTION"):
+        if rec.reply_status != "NO_EXCEPTION":
             reg.counter("invocation_errors_total",
                         operation=rec.operation).inc()
         reg.histogram("invocation_seconds",
@@ -101,8 +109,8 @@ class TracingInterceptor(RequestInterceptor):
     # -- convenience ---------------------------------------------------------
     @property
     def last(self) -> Optional[InvocationBreakdown]:
-        """The most recent committed invocation breakdown."""
-        return self.timer.last
+        """The most recent invocation breakdown."""
+        return self.records[-1] if self.records else None
 
 
 def format_wire_event(ev: WireEvent) -> str:
@@ -118,13 +126,11 @@ def format_wire_event(ev: WireEvent) -> str:
     return out
 
 
-class WireTracer(EventSink):
+class WireTracer:
     """GIOP wire log: every message's type, id, sizes and deposits."""
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter,
-                 keep: int = 256,
+    def __init__(self, keep: int = 256,
                  logger: Optional[logging.Logger] = None):
-        super().__init__(clock=clock)
         self.records: Deque[WireEvent] = deque(maxlen=keep)
         self.log = logger if logger is not None \
             else logging.getLogger("repro.obs.wire")

@@ -40,7 +40,8 @@ from ..core.direct_deposit import (DepositError, DepositReceiver,
 from ..giop import (GIOP_HEADER_SIZE, GIOPError, GIOPHeader, GIOPMessage,
                     MsgType, ServiceContext, decode_body, decode_header,
                     encode_giop_header)
-from ..obs.events import EventSink, WireEvent
+from ..obs.events import WireEvent
+from ..obs.flightrec import FlightRecorder
 from ..obs.stages import (STAGE_CONTROL_SEND, STAGE_DEPOSIT_RECV,
                           STAGE_DEPOSIT_SEND, STAGE_RECV_WAIT)
 from ..transport.base import Stream, TransportError, TransportTimeout
@@ -207,7 +208,7 @@ class ReceivedMessage:
         return body
 
 
-def _emitted_after(send, sink: EventSink, event: WireEvent):
+def _emitted_after(send, sink: FlightRecorder, event: WireEvent):
     """Run the rest of a send, then log the message it wrote
     (:meth:`GIOPConn.send_message`)."""
     out = send()
@@ -233,7 +234,7 @@ class GIOPConn:
                  on_bytes: Optional[Callable[[str, int], None]] = None,
                  orb=None, fragment_size: int = 0,
                  stats: Optional[ConnStats] = None,
-                 sink: Optional[EventSink] = None,
+                 sink: Optional[FlightRecorder] = None,
                  sendfile_min_size: int = 256 * 1024):
         self.stream = stream
         self.pool = pool or default_pool()
@@ -241,12 +242,11 @@ class GIOPConn:
         self.generic_loop = generic_loop
         self.little_endian = little_endian
         self.on_bytes = on_bytes
-        #: structured event sink (repro.obs): stage spans + wire events;
-        #: None keeps the data path free of instrumentation
+        #: the ORB's span producer (repro.obs.FlightRecorder): stages
+        #: are stamped into it, and GIOP messages handed to it while it
+        #: has a wire log; None keeps the data path free of
+        #: instrumentation
         self.sink = sink
-        #: on_bytes and sink are fixed for the connection's life, so
-        #: the hook marshalers get is composed once
-        self._bytes_hook = self._make_bytes_hook()
         self.orb = orb
         #: GIOP 1.1 fragmentation: split control messages whose body
         #: exceeds this many bytes (0 = never fragment).  Deposit
@@ -294,24 +294,6 @@ class GIOPConn:
         return next(self._req_ids)
 
     # -- marshaling contexts ------------------------------------------------------
-    def bytes_hook(self) -> Optional[Callable[[str, int], None]]:
-        """The per-byte instrumentation callback marshalers should use:
-        the legacy ``on_bytes`` hook, the sink's byte-event adapter, or
-        a fan-out to both when both are configured."""
-        return self._bytes_hook
-
-    def _make_bytes_hook(self) -> Optional[Callable[[str, int], None]]:
-        if self.sink is None or not self.sink.keeps_events:
-            return self.on_bytes
-        if self.on_bytes is None:
-            return self.sink.on_bytes
-        on_bytes, sink = self.on_bytes, self.sink
-
-        def both(kind: str, nbytes: int) -> None:
-            on_bytes(kind, nbytes)
-            sink.on_bytes(kind, nbytes)
-        return both
-
     def make_marshal_context(self, force_copy: bool = False
                              ) -> MarshalContext:
         """Context for marshaling one outgoing message's parameters.
@@ -332,7 +314,7 @@ class GIOPConn:
             channel = getattr(self.stream, "deposit_channel", None)
             if channel is not None:
                 arena = getattr(channel, "send_arena", None)
-        return MarshalContext(registry=registry, on_bytes=self._bytes_hook,
+        return MarshalContext(registry=registry, on_bytes=self.on_bytes,
                               generic_loop=self.generic_loop, orb=self.orb,
                               arena=arena)
 
@@ -401,7 +383,7 @@ class GIOPConn:
             control_nbytes = GIOP_HEADER_SIZE * n_fragments + body_nbytes
             rest = self._send_locked(chunks, control_nbytes, payloads, block)
             sink = self.sink
-            if sink is not None and sink.keeps_events:
+            if sink is not None and sink.wire is not None:
                 # the wire log's record of what was written, built after
                 # the write: observing it changes nothing the write does
                 descs = ctx.descriptors if ctx is not None else ()
@@ -956,7 +938,7 @@ class GIOPConn:
             # is still reported, zero bytes, so every traced invocation
             # shows the same six stages
             here.stamp(STAGE_DEPOSIT_RECV, 0.0)
-        if here is not None and here.keeps_events:
+        if here is not None and here.wire is not None:
             here.emit(rm.wire_event())
         return rm
 

@@ -10,8 +10,6 @@ GIOP reply status.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from ..cdr import get_marshaller
 from ..giop import (SVC_CTX_DEPOSIT, SVC_CTX_TRACE, ReplyHeader, ReplyStatus,
                     RequestHeader)
@@ -53,10 +51,8 @@ def _echo_contexts(req: RequestHeader) -> list:
 class MethodDispatcher:
     """Routes requests from connections into servants of one POA."""
 
-    def __init__(self, poa: POA,
-                 on_bytes: Optional[Callable[[str, int], None]] = None):
+    def __init__(self, poa: POA):
         self.poa = poa
-        self.on_bytes = on_bytes
 
     # -- signature lookup ---------------------------------------------------
     def _resolve(self, servant: Servant,
@@ -113,8 +109,7 @@ class MethodDispatcher:
                     message=f"no servant for key {req.object_key!r}")
             sig = self._resolve(servant, req.operation)
             sink = conn.sink
-            hook = conn.bytes_hook() if sink is not None else self.on_bytes
-            ctx = rm.make_demarshal_context(on_bytes=hook,
+            ctx = rm.make_demarshal_context(on_bytes=conn.on_bytes,
                                             generic_loop=conn.generic_loop,
                                             orb=conn.orb)
             dec = rm.params_decoder()

@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, Optional, Sequence, Type
 from ..cdr import NATIVE_LITTLE
 from ..core.buffers import BufferPool, default_pool
 from ..giop import IOR, IIOPProfile
-from ..obs.events import CompositeSink
 from ..obs.flightrec import DEFAULT_SLOW_THRESHOLD, FlightRecorder
 from ..transport.base import Endpoint, TransportRegistry
 from ..transport.base import registry as default_registry
@@ -77,8 +76,8 @@ class ORBConfig:
     #: receiver-makes-right path of §2.1's architecture negotiation)
     wire_little_endian: bool | None = None
     #: always-on flight recorder (repro.obs.flightrec): bounded span
-    #: history + slow-call trees on every ORB; False (and no sink
-    #: attached) leaves a call with no observation code to run at all
+    #: history + slow-call trees on every ORB; False (and no tracing
+    #: enabled) leaves a call with no observation code to run at all
     flight_recorder: bool = True
     #: calls at or above this duration (seconds) keep their full span
     #: tree in the recorder's slow ring
@@ -95,33 +94,23 @@ class ORB:
                  transports: Optional[TransportRegistry] = None,
                  pool: Optional[BufferPool] = None,
                  on_bytes: Optional[Callable[[str, int], None]] = None,
-                 policy: Optional[InvocationPolicy] = None,
-                 sink=None):
+                 policy: Optional[InvocationPolicy] = None):
         self.config = config or ORBConfig()
         self.transports = transports or default_registry()
         self.pool = pool or default_pool()
         self.on_bytes = on_bytes
-        #: always-on flight recorder; None when disabled by config.
-        #: Joins the sink chain below, so stage events reach it from
-        #: day one without enable_tracing.
+        #: always-on flight recorder; None when disabled by config
         self.flightrec: Optional[FlightRecorder] = None
         if self.config.flight_recorder:
             self.flightrec = FlightRecorder(
                 slow_threshold=self.config.slow_call_threshold)
         #: the span producer (DESIGN.md §8): the one object that opens,
-        #: stamps and closes a call's record, which proxy and dispatcher
-        #: drive and every tracer reads.  The flight recorder where
-        #: there is one; :meth:`enable_tracing` gives an ORB without a
-        #: ringless one.  None = this ORB produces no spans.
+        #: stamps and closes a call's record, and the only one every
+        #: connection, proxy and dispatcher of this ORB reports to;
+        #: every tracer reads it.  The flight recorder where there is
+        #: one; :meth:`enable_tracing` gives an ORB without a ringless
+        #: one.  None = this ORB produces no spans.
         self.span_producer: Optional[FlightRecorder] = self.flightrec
-        #: structured event sink (repro.obs.EventSink): stage spans,
-        #: wire events and byte events from every connection this ORB
-        #: creates.  Assign (or call :meth:`enable_tracing`) before the
-        #: first connection exists, like :attr:`on_bytes`.
-        self.sink = sink
-        if self.flightrec is not None:
-            self.sink = self.flightrec if sink is None \
-                else CompositeSink([sink, self.flightrec])
         #: ORB-wide invocation policy (deadline/retry/backoff); a
         #: per-proxy or per-call policy overrides it.  None = one
         #: attempt, no deadline.
@@ -182,8 +171,8 @@ class ORB:
         are the ones an untraced call records, from the same writes)
         and returns the tracer — ``tracer.last`` is the most recent
         per-invocation stage breakdown, ``tracer.registry`` the metrics.
-        With ``wire=True`` a :class:`repro.obs.WireTracer` also logs
-        every GIOP message (``tracer.wire``).
+        With ``wire=True`` a :class:`repro.obs.WireTracer` is attached
+        to the producer and logs every GIOP message (``tracer.wire``).
 
         With ``distributed=True`` a
         :class:`repro.obs.dtrace.DistributedTracer` is attached to the
@@ -195,24 +184,25 @@ class ORB:
         assemble in memory).  ``sample_rate`` decides per-trace at the
         root; ``trace_seed`` makes id generation reproducible.
 
-        Call before the first connection exists (like
-        :attr:`on_bytes`); existing connections keep their old sink.
+        Every connection reports to the producer it was built with, so
+        on an ORB with a flight recorder all of this reaches the
+        connections that already exist.  Only a
+        ``flight_recorder=False`` ORB, which has no producer until this
+        call, still needs it before its first connection (like
+        :attr:`on_bytes`): an existing connection of it stays dark.
         """
         from ..obs import TracingInterceptor, WireTracer
         tracer = TracingInterceptor(registry=registry, keep=keep)
         self.interceptors.register(tracer)
         self.metrics = tracer.registry
-        sinks = []
         producer = self.span_producer
         if producer is None:
             # flight_recorder=False: the same spans, no ring kept
             producer = self.span_producer = FlightRecorder(
                 keep=0, slow_keep=0, node=f"orb{self.orb_id}")
-            sinks.append(producer)
         producer.consumers.append(tracer.consume)
         if wire:
-            tracer.wire = WireTracer(keep=max(keep * 4, 256))
-            sinks.append(tracer.wire)
+            tracer.wire = producer.wire = WireTracer(keep=max(keep * 4, 256))
         if distributed:
             from ..obs.dtrace import DistributedTracer
             self.dtracer = DistributedTracer(
@@ -220,9 +210,6 @@ class ORB:
                 sample_rate=sample_rate, seed=trace_seed)
             tracer.spans = self.dtracer.collector
             producer.attach(self.dtracer)
-        if self.sink is not None:
-            sinks.append(self.sink)
-        self.sink = sinks[0] if len(sinks) == 1 else CompositeSink(sinks)
         return tracer
 
     def enable_telemetry(self, port: int = 0, host: str = "127.0.0.1",
@@ -235,9 +222,10 @@ class ORB:
         :class:`~repro.obs.httpexport.TelemetryServer` has ``.url``.
 
         Installs :meth:`enable_tracing` first when no metrics registry
-        exists yet (the latency histograms a dashboard needs), so call
-        this — like any sink wiring — before the first connection.
-        Idempotent; closed automatically by :meth:`shutdown`.
+        exists yet (the latency histograms a dashboard needs); on a
+        ``flight_recorder=False`` ORB, call this before the first
+        connection, as that method says.  Idempotent; closed
+        automatically by :meth:`shutdown`.
         """
         if self.telemetry is not None:
             return self.telemetry
@@ -290,7 +278,6 @@ class ORB:
                 return self._server
             cfg = self.config
             server = IIOPServer(self.poa, self._new_conn, orb=self,
-                                on_bytes=self.on_bytes,
                                 workers=cfg.server_workers)
             schemes = [cfg.scheme] + [s for s in cfg.extra_schemes
                                       if s != cfg.scheme]
@@ -488,8 +475,8 @@ class ORB:
 
     def _new_conn(self, stream) -> GIOPConn:
         """Every connection of this ORB, dialed or accepted, is built
-        here: from the config, :attr:`sink` and :attr:`on_bytes` as
-        they are when the stream arrives."""
+        here: from the config, :attr:`span_producer` and
+        :attr:`on_bytes` as they are when the stream arrives."""
         cfg = self.config
         little = NATIVE_LITTLE if cfg.wire_little_endian is None \
             else cfg.wire_little_endian
@@ -498,7 +485,7 @@ class ORB:
                         on_bytes=self.on_bytes, orb=self,
                         fragment_size=cfg.fragment_size,
                         sendfile_min_size=cfg.sendfile_min_size,
-                        sink=self.sink)
+                        sink=self.span_producer)
 
     # -- introspection -----------------------------------------------------------
     def connections_snapshot(self) -> list:

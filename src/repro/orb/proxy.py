@@ -76,7 +76,7 @@ class _Attempt:
     #: ``span`` is this attempt's one record (DESIGN.md §8), opened by
     #: ``_transmit`` and finished by the machine on the same thread
     conn = demux = future = span = info = None
-    #: the sink's clock when the request had left
+    #: the span producer's clock when the request had left
     sent = 0.0
 
 
@@ -462,7 +462,7 @@ class IIOPProxy:
             if isinstance(reply, ReplyHeader):
                 sink.stamp(STAGE_DEPOSIT_RECV, rm.landing_s,
                            rm.landed_nbytes)
-            if sink.keeps_events:
+            if sink.wire is not None:
                 sink.emit(rm.wire_event())
         if not isinstance(reply, LocateReplyHeader if sig is _LOCATE
                           else ReplyHeader):
@@ -473,7 +473,7 @@ class IIOPProxy:
             return reply.locate_status is LocateStatus.OBJECT_HERE
         status = reply.reply_status
         try:
-            ctx = rm.make_demarshal_context(on_bytes=conn.bytes_hook(),
+            ctx = rm.make_demarshal_context(on_bytes=conn.on_bytes,
                                             generic_loop=conn.generic_loop,
                                             orb=conn.orb)
             dec = rm.params_decoder()

@@ -177,14 +177,12 @@ class IIOPServer:
     """Accepts GIOP connections and dispatches their requests."""
 
     def __init__(self, poa: POA, new_conn: Callable[..., GIOPConn], *,
-                 orb=None,
-                 on_bytes: Optional[Callable[[str, int], None]] = None,
-                 workers: int = 4):
+                 orb=None, workers: int = 4):
         self.poa = poa
         self.orb = orb
         #: ``new_conn(stream)``: the owning ORB's one connection builder
         self._new_conn = new_conn
-        self.dispatcher = MethodDispatcher(poa, on_bytes=on_bytes)
+        self.dispatcher = MethodDispatcher(poa)
         self.listeners: List = []
         self._conns: List[GIOPConn] = []
         self._reader_threads: List[threading.Thread] = []

@@ -143,12 +143,17 @@ class BlobStoreImpl:
 
 
 def read_all(store, name: str, *, window: int = 4,
-             chunk_size: Optional[int] = None) -> bytes:
-    """Stream the whole blob ``name`` from ``store``; returns its bytes.
+             chunk_size: Optional[int] = None) -> bytearray:
+    """Stream the whole blob ``name`` from ``store``; returns its bytes
+    in one ``bytearray`` of the blob's size.
 
     Keeps up to ``window`` ``read_range`` requests in flight on the
-    connection (GIOP pipelining), reassembling replies in offset
-    order.  ``chunk_size`` defaults to the server's preferred granule.
+    connection (GIOP pipelining).  Each reply is copied once, from its
+    landed buffer, into its offset of the result, in whatever order the
+    replies land.  ``chunk_size`` defaults to the server's preferred
+    granule.  A reply longer or shorter than its slice of the size
+    ``stat`` gave (the file changed under the read) raises
+    ``Blob.IOFailed``.
     """
     if window <= 0:
         raise ValueError(f"window must be positive: {window}")
@@ -159,14 +164,27 @@ def read_all(store, name: str, *, window: int = 4,
         if chunk <= 0:
             raise ValueError(f"chunk_size must be positive: {chunk}")
         read_range = async_api(store).read_range
+        api = blob_api()
+        out = bytearray(info.size)
+        with memoryview(out) as dest:
 
-        async def part(offset: int) -> bytes:
-            # copied out as it lands: no more than ``window`` landed
-            # buffers are alive, however large the blob
-            return bytes(await read_range(handle, offset, chunk))
+            async def part(offset: int) -> None:
+                # copied in as it lands: no more than ``window`` landed
+                # buffers are alive, however large the blob.  ``seq``
+                # is held through the copy: dropping it frees an shm
+                # arena slot back to the server, which may refill it
+                seq = await read_range(handle, offset, chunk)
+                view = seq.view()
+                want = min(chunk, info.size - offset)
+                if view.nbytes != want:
+                    raise api.Blob_IOFailed(why=(
+                        f"{name!r} changed size while being read: "
+                        f"{view.nbytes} bytes at {offset}, expected {want}"))
+                dest[offset:offset + want] = view
 
-        return b"".join(run_sync(gather_window(
-            [partial(part, off) for off in range(0, info.size, chunk)],
-            window)))
+            run_sync(gather_window(
+                [partial(part, off) for off in range(0, info.size, chunk)],
+                window))
+        return out
     finally:
         store.close(handle)

@@ -190,7 +190,7 @@ class TestDistributedTracer:
         rec, _ = _producer(seed=3)
         outer = rec.start_client_span("outer", rec.begin_invocation())
         inner = rec.start_client_span("inner", rec.begin_invocation())
-        rec.emit(StageEvent(stage=STAGE_MARSHAL, duration_s=0.1, nbytes=8))
+        rec.stamp(STAGE_MARSHAL, 0.1, 8)
         rec.finish(inner)
         rec.stamp(STAGE_MARSHAL, 0.2, 9)
         rec.finish(outer)

@@ -195,7 +195,7 @@ class TestWithoutFlightRecorder:
         config = dict(scheme="tcp", flight_recorder=False)
         server, client = ORB(ORBConfig(**config)), ORB(ORBConfig(**config))
         try:
-            assert client.span_producer is None and client.sink is None
+            assert client.span_producer is None
             server.enable_tracing(distributed=True, collector=collector)
             tracer = client.enable_tracing(distributed=True,
                                            collector=collector)

@@ -2,7 +2,6 @@
 
 import threading
 
-from repro.obs.events import StageEvent
 from repro.obs.flightrec import DEFAULT_SLOW_THRESHOLD, FlightRecorder
 
 
@@ -12,7 +11,7 @@ def _call(rec, clock, name="op", seconds=0.001, stages=0,
     scope = rec.begin_invocation()
     active = rec.start_client_span(name, scope)
     for i in range(stages):
-        rec.emit(StageEvent(stage=f"s{i}", duration_s=0.0001))
+        rec.stamp(f"s{i}", 0.0001)
     clock.advance(seconds)
     return rec.finish(active, status=status)
 
@@ -75,10 +74,10 @@ class TestRecording:
         assert not rec.enabled
         scope = rec.begin_invocation()
         active = rec.start_client_span("op", scope)
-        rec.emit(StageEvent(stage="s", duration_s=0.1))
+        rec.stamp("s", 0.1)
         assert active.stages == []
         rec.enable()
-        rec.emit(StageEvent(stage="s", duration_s=0.1))
+        rec.stamp("s", 0.1)
         assert [e.stage for e in active.stages] == ["s"]
 
     def test_threads_record_independent_traces(self, clock):

@@ -1,9 +1,9 @@
-"""StageTimer grouping and the per-invocation breakdown record.
+"""Breakdown grouping and the per-invocation breakdown record.
 
-The timer keeps no open record of its own: it reads the spans the one
-producer (``FlightRecorder``) finishes, so these drive that producer,
-one case per case of the begin / commit / abandon lifecycle it
-replaced.
+``TracingInterceptor.consume`` keeps no open record of its own: it
+reads the spans the one producer (``FlightRecorder``) finishes, so
+these drive that producer, one case per case of the begin / commit /
+abandon lifecycle it replaced.
 """
 
 import pytest
@@ -11,9 +11,9 @@ import pytest
 from repro.giop import ReplyStatus
 from repro.obs import (CLIENT_STAGES, STAGE_CONTROL_SEND, STAGE_DEMARSHAL,
                        STAGE_DEPOSIT_RECV, STAGE_DEPOSIT_SEND, STAGE_MARSHAL,
-                       STAGE_RECV_WAIT, STAGE_SERVER_WAIT, ByteEvent,
-                       FlightRecorder, InvocationBreakdown, StageEvent,
-                       StageTimer)
+                       STAGE_RECV_WAIT, STAGE_SERVER_WAIT, FlightRecorder,
+                       InvocationBreakdown, StageEvent, TracingInterceptor,
+                       WireEvent)
 
 
 def _ev(stage, dur=0.0, nbytes=0):
@@ -21,8 +21,9 @@ def _ev(stage, dur=0.0, nbytes=0):
 
 
 def _timed(clock, **timer_kw):
-    """A producer with a StageTimer reading it, as enable_tracing wires."""
-    rec, timer = FlightRecorder(clock=clock), StageTimer(**timer_kw)
+    """A producer with a tracer reading it, as enable_tracing wires."""
+    rec = FlightRecorder(clock=clock)
+    timer = TracingInterceptor(clock=clock, **timer_kw)
     rec.consumers.append(timer.consume)
     return rec, timer
 
@@ -77,7 +78,7 @@ def test_commit_without_begin_returns_none(clock):
     stray = rec.start_client_span("put", rec.begin_invocation())
     rec.finish(stray)
     rec.finish(stray)  # already closed: no open record to pop
-    assert timer.consume(stray) is None
+    timer.consume(stray)
     assert timer.last is None
 
 
@@ -100,7 +101,7 @@ def test_abandon_drops_the_open_record(clock):
 def test_timer_ignores_non_stage_events(clock):
     rec, timer = _timed(clock)
     span = rec.start_client_span("put", rec.begin_invocation())
-    rec.emit(ByteEvent(kind="marshal", nbytes=4))
+    rec.emit(WireEvent(direction="send", msg_type="Request", size=4))
     rec.finish(_replied(span))
     assert timer.last.stages == []
 

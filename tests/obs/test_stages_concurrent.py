@@ -1,4 +1,4 @@
-"""StageTimer under pipelined callers: the producer keeps one stack of
+"""Breakdowns under pipelined callers: the producer keeps one stack of
 open records per thread, so no caller reads another's stages."""
 
 import threading
@@ -7,14 +7,14 @@ import time
 from repro.giop import ReplyStatus
 from repro.idl import compile_idl
 from repro.obs import (CLIENT_STAGES, STAGE_MARSHAL, FlightRecorder,
-                       StageTimer)
+                       TracingInterceptor)
 from repro.orb import ORB, ORBConfig
 
 CALLERS = 8
 
 
 def test_two_threads_keep_their_own_open_record(clock):
-    rec, timer = FlightRecorder(clock=clock), StageTimer()
+    rec, timer = FlightRecorder(clock=clock), TracingInterceptor(clock=clock)
     rec.consumers.append(timer.consume)
     both_open = threading.Barrier(2, timeout=10.0)
 
@@ -75,7 +75,7 @@ def test_concurrent_invocations_each_commit_their_six_stages():
             t.join(timeout=30.0)
             assert not t.is_alive()
         assert errors == []
-        records = list(tracer.timer.records)[-CALLERS:]
+        records = list(tracer.records)[-CALLERS:]
         assert len({r.request_id for r in records}) == CALLERS
         for rec in records:
             assert [e.stage for e in rec.stages] == list(CLIENT_STAGES)

@@ -1,12 +1,12 @@
-"""What the ORB layers stamp into their sinks, on live calls.
+"""What the ORB layers stamp into their span producer, on live calls.
 
 The connection reads replies on a thread that is not the caller's, so
 a reply's ``server-wait`` / ``deposit-recv`` stages are built by the
 awaiting caller from the numbers the read left on the message.  These
 tests hold what that buys (a stage can no longer be charged the
-connection's idle time), what it must not cost (event-consuming sinks
-see the same six stages in the same order), and that byte events are
-built only for a sink that keeps them.
+connection's idle time), what it must not cost (every reader of the
+producer sees the same six stages in the same order), and that the
+legacy ``on_bytes`` hook hears the marshalers whoever observes.
 """
 
 import time
@@ -16,8 +16,7 @@ import pytest
 from repro.core import OctetSequence, ZCOctetSequence
 from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.idl import compile_idl
-from repro.obs import (CLIENT_STAGES, ByteEvent, CompositeSink, EventSink,
-                       FlightRecorder, RecordingSink, StageEvent)
+from repro.obs import CLIENT_STAGES, FlightRecorder, StageEvent
 from repro.orb import ORB, ORBConfig
 from repro.transport.shm import shm_available
 from tests.conftest import make_store_impl
@@ -113,27 +112,29 @@ def test_a_pumped_requests_read_is_not_charged_the_idle_before_it(ping_api):
 
 
 def test_traced_call_delivers_six_stages_in_order_to_every_sink(test_api):
-    """A user RecordingSink behind the CompositeSink sees the six
-    StageEvents; the recorder's span, the collector's span and the
+    """A reader the user appends to ``span_producer.consumers`` sees the
+    six stages; the recorder's span, the collector's span and the
     breakdown are one record read three times (same ids, same stages),
     and the server's span hangs under it."""
-    user = RecordingSink()
+    seen = []
     server = ORB(ORBConfig(scheme="tcp", slow_call_threshold=0.0))
-    client = ORB(ORBConfig(scheme="tcp", slow_call_threshold=0.0), sink=user)
+    client = ORB(ORBConfig(scheme="tcp", slow_call_threshold=0.0))
+    client.span_producer.consumers.append(seen.append)
     try:
         tracer = client.enable_tracing(distributed=True)
         server.enable_tracing(distributed=True)
         stub = client.string_to_object(server.object_to_string(
             server.activate(make_store_impl(test_api))))
         stub.get(4096)  # warm: dial, first reply
-        user.clear()
+        seen.clear()
         assert len(stub.get(DEPOSIT_MIN_SIZE)) == DEPOSIT_MIN_SIZE
-        events = user.of_type(StageEvent)
+        (span,) = [s for s in seen if s.kind == "client"]
+        events = span.stages
         assert [e.stage for e in events] == list(CLIENT_STAGES)
         assert tracer.last.stages == events
         (cli,) = [s for s in tracer.spans.spans
                   if s.kind == "client"][-1:]
-        assert cli.stages == events
+        assert cli is span
         rec_span = client.flightrec.recent()[-1]
         assert rec_span.stages == events
         # one record: the ring and the collector hold the same object,
@@ -163,38 +164,24 @@ def _wait_for(probe, timeout=5.0):
     return got
 
 
-def test_stamp_default_builds_the_event_and_the_recorder_does_not(clock):
-    sink = RecordingSink(clock=clock)
-    sink.stamp("marshal", 0.25, 64)
-    assert sink.events == [StageEvent("marshal", 0.25, 64)]
-    combo = CompositeSink([RecordingSink(), RecordingSink()])
-    combo.stamp("demarshal", 0.5)
-    assert combo.sinks[0].events == combo.sinks[1].events == \
-        [StageEvent("demarshal", 0.5, 0)]
-
+def test_the_recorder_keeps_numbers_and_builds_events_on_read(clock):
     rec = FlightRecorder(slow_threshold=0.0, clock=clock)
     rec.stamp("marshal", 0.1)  # no open span on this thread: kept nowhere
     active = rec.start_client_span("op", rec.begin_invocation())
     rec.stamp("marshal", 0.25, 64)
-    rec.emit(StageEvent("demarshal", 0.5, 8))
+    rec.stamp("demarshal", 0.5, 8)
     span = rec.finish(active)
+    assert span.stamps == [("marshal", 0.25, 64), ("demarshal", 0.5, 8)]
     assert span.stages == [StageEvent("marshal", 0.25, 64),
                            StageEvent("demarshal", 0.5, 8)]
 
 
-class TestByteEvents:
-    def test_sinks_declare_whether_they_keep_byte_events(self):
-        """One declaration covers byte and wire events alike: a
-        composite keeps them if any member does, the recorder never."""
-        assert EventSink().keeps_events is True
-        rec = FlightRecorder()
-        assert rec.keeps_events is False
-        assert CompositeSink([rec]).keeps_events is False
-        assert CompositeSink([rec, RecordingSink()]).keeps_events is True
-        assert CompositeSink([]).keeps_events is False
+class TestOnBytes:
+    """The legacy ``on_bytes(kind, nbytes)`` hook: every marshaler, on
+    both sides, reports to the connection's ``on_bytes`` as it is, and
+    what observes the ORB changes nothing about it."""
 
     def test_default_orb_hands_marshalers_no_hook(self, test_api):
-        """The recorder drops byte events, so none are built for it."""
         server = ORB(ORBConfig(scheme="loop"))
         client = ORB(ORBConfig(scheme="loop"))
         try:
@@ -202,24 +189,24 @@ class TestByteEvents:
                 server.activate(make_store_impl(test_api))))
             stub.put_std(OctetSequence(b"y" * 100))
             (proxy,) = client._proxies.values()
-            assert proxy.conn.sink is client.flightrec
-            assert proxy.conn.bytes_hook() is None
+            assert proxy.conn.sink is client.span_producer
+            assert proxy.conn.on_bytes is None
+            assert proxy.conn.make_marshal_context().on_bytes is None
             conns = server._server.connections()
-            assert conns and all(c.bytes_hook() is None for c in conns)
+            assert conns and all(c.on_bytes is None for c in conns)
         finally:
             client.shutdown()
             server.shutdown()
 
-    def test_a_sink_that_keeps_them_still_sees_every_one(self, test_api):
-        """Under enable_tracing (timer + recorder + the user's sink) the
-        sink's byte events are the legacy hook's, one for one."""
+    def test_the_hook_hears_every_marshaler_under_tracing(self, test_api):
+        """Under enable_tracing with a wire log the hook the client was
+        built with hears every marshaler, one event per payload."""
         legacy = []
-        user = RecordingSink()
         server = ORB(ORBConfig(scheme="loop"))
-        client = ORB(ORBConfig(scheme="loop"), sink=user,
+        client = ORB(ORBConfig(scheme="loop"),
                      on_bytes=lambda kind, n: legacy.append((kind, n)))
         try:
-            client.enable_tracing()
+            client.enable_tracing(wire=True)
             stub = client.string_to_object(server.object_to_string(
                 server.activate(make_store_impl(test_api))))
             n_put, n_get = 2 * DEPOSIT_MIN_SIZE, DEPOSIT_MIN_SIZE
@@ -227,13 +214,34 @@ class TestByteEvents:
             stub.put_std(OctetSequence(b"y" * 100))
             stub.get(n_get)
             stub.get_std(10)
-            seen = [(e.kind, e.nbytes) for e in user.of_type(ByteEvent)]
-            assert seen == [("reference", n_put), ("marshal-bulk", 100),
-                            ("reference", n_get), ("marshal-bulk", 10)]
-            # the connection reports its deposit traffic to the legacy
-            # hook directly; everything a marshaler said reached both
-            assert seen == [c for c in legacy
-                            if not c[0].startswith("deposit-")]
+            (proxy,) = client._proxies.values()
+            assert proxy.conn.make_marshal_context().on_bytes is \
+                client.on_bytes
+            # the connection reports its deposit traffic to the hook
+            # directly, the marshalers everything else
+            assert [c for c in legacy if not c[0].startswith("deposit-")] \
+                == [("reference", n_put), ("marshal-bulk", 100),
+                    ("reference", n_get), ("marshal-bulk", 10)]
+        finally:
+            client.shutdown()
+            server.shutdown()
+
+    @pytest.mark.parametrize("recorder", [True, False],
+                             ids=["recorder", "no-recorder"])
+    def test_a_servers_demarshal_reports_to_the_hook_it_was_given(
+            self, test_api, recorder):
+        """``ORB.on_bytes`` assigned on a server before its first
+        connection: the request's demarshal reports to it whether or
+        not the ORB keeps a flight recorder."""
+        seen = []
+        server = ORB(ORBConfig(scheme="tcp", flight_recorder=recorder))
+        client = ORB(ORBConfig(scheme="tcp"))
+        try:
+            ref = server.activate(make_store_impl(test_api))
+            server.on_bytes = lambda kind, n: seen.append(kind)
+            stub = client.string_to_object(server.object_to_string(ref))
+            stub.put_std(OctetSequence(b"y" * 100))
+            assert seen == ["marshal-bulk"]
         finally:
             client.shutdown()
             server.shutdown()

@@ -165,3 +165,18 @@ def test_server_side_metrics_from_live_call(loop_pair):
     reg = srv_tracer.registry
     assert reg.get("server_requests_total", operation="put").value == 1
     assert reg.get("server_handle_seconds", operation="put").count == 1
+
+
+def test_wire_log_enabled_on_a_live_orb_sees_its_connections(tcp_pair):
+    """``enable_tracing(wire=True)`` after the first call: the wire log
+    hangs on the span producer every connection already reports to, so
+    the next call is logged in both directions, not only broken down."""
+    stub, impl, client, server = tcp_pair
+    stub.put(ZCOctetSequence.from_data(b"x" * 1024))  # dials
+    tracer = client.enable_tracing(wire=True)
+    stub.put(ZCOctetSequence.from_data(b"y" * 1024))
+    assert tracer.last.stage_order() == list(CLIENT_STAGES)
+    assert [(e.direction, e.msg_type, e.request_id)
+            for e in tracer.wire.records] == \
+        [("send", "Request", tracer.last.request_id),
+         ("recv", "Reply", tracer.last.request_id)]

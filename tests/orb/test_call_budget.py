@@ -45,6 +45,10 @@ on.  Over a live connection the awaiting driver marshals and writes
 where it stands, so the client side of a ping is one thread.
 When every send hopped to the loop's executor it was seven threads and
 215 calls, about 100 of them executor and future plumbing.
+
+Last, ``services.blobstore.read_all``: at the same number of chunks its
+count must not grow with the chunk size, because each landed reply is
+copied once, whole, into the result.
 """
 
 import asyncio
@@ -59,40 +63,44 @@ import repro.obs
 from repro.core import ZCOctetSequence
 from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.idl import compile_idl
-from repro.obs.events import EventSink
 from repro.obs.flightrec import FlightRecorder
 from repro.orb import ORB, ORBConfig, async_api, run_sync
 from repro.orb.reactor import reset_reactor
+from repro.services import BlobStoreImpl, read_all
 from repro.transport.shm import shm_available
 
-#: measured: 91 on the calling thread, which reads its own reply, 164
+#: measured: 90 on the calling thread, which reads its own reply, 162
 #: over all threads against a server that dispatches on its reader
-#: thread, 0 emits (89 and 160 while only a traced send stamped
-#: control-send and deposit-send; 162 while the server handed each
-#: request to a pool worker; 92 and 165 while the idle check before a
-#: write led a read; 166 while the server's reader thread blocked in
-#: ``recv`` instead of ``poll``; 63 and 187 while a reactor thread read
-#: it)
+#: thread, 0 emits (91 and 164 while proxy and dispatcher asked the
+#: connection for a composed byte hook; 89 and 160 while only a traced
+#: send stamped control-send and deposit-send; 162 while the server
+#: handed each request to a pool worker; 92 and 165 while the idle check
+#: before a write led a read; 166 while the server's reader thread
+#: blocked in ``recv`` instead of ``poll``; 63 and 187 while a reactor
+#: thread read it)
 CALLER_CEILING = 101
 TOTAL_CEILING = 182
 EMIT_CEILING = 0
-#: measured on shm: 95 on the calling thread, which reads its own reply
-#: as on tcp, and 172 over all threads (93 and 168 while only a traced
-#: send stamped its two stages; 170 with the server's pool; 67 and 167
-#: while a reader thread read the client's connection; 169 while reader
-#: threads blocked in ``recv``)
+#: measured on shm: 94 on the calling thread, which reads its own reply
+#: as on tcp, and 170 over all threads (95 and 172 with the composed
+#: byte hook; 93 and 168 while only a traced send stamped its two
+#: stages; 170 with the server's pool; 67 and 167 while a reader thread
+#: read the client's connection; 169 while reader threads blocked in
+#: ``recv``)
 SHM_CALLER_CEILING = 101
 SHM_TOTAL_CEILING = 184
-#: measured: the recorder adds 24.0 calls per ping (164 against 140
+#: measured: the recorder adds 23.0 calls per ping (162 against 139
 #: with ``flight_recorder=False``): twelve ``stamp``s, six stages on
 #: each side.  20.0 while an untraced send stamped neither control-send
 #: nor deposit-send
 RECORDER_CEILING = 25
-#: measured, traced: 263 calls inside ``repro/obs/`` per ping (about half
-#: of them metrics-registry look-ups), 1.0 per stage event.  291 while a
-#: traced send was split in two timed writes and built a ``WireEvent``
-#: per message that the recorder dropped (306 with the server's pool,
-#: whose hand-off is a stage): the ceiling sits below that
+#: measured, traced: 260 calls inside ``repro/obs/`` per ping (about
+#: half of them metrics-registry look-ups), 1.0 per stage event; 263
+#: while the breakdown went through a stage timer object of its own.
+#: 291 while a traced send was split in two timed writes and built a
+#: ``WireEvent`` per message that the recorder dropped (306 with the
+#: server's pool, whose hand-off is a stage): the ceiling sits below
+#: that
 TRACED_OBS_CEILING = 285
 STAGE_FANOUT_CEILING = 2
 #: measured, awaited with 8 in flight: the least of three windows 110.0
@@ -108,10 +116,11 @@ ASYNC_CLIENT_THREADS = 1
 ASYNC_WINDOW = 8
 
 #: measured, all threads, per ``send_zc``: one byte under
-#: ``DEPOSIT_MIN_SIZE`` 216 on tcp and 229 on shm (the payload rides the
-#: control message), at twice the constant 256 and 313 (a deposit; on
-#: shm with its arena staging, and its record read by the parse); 212 /
-#: 225 and 252 / 307 while an untraced send stamped neither send stage;
+#: ``DEPOSIT_MIN_SIZE`` 214 on tcp and 227 on shm (the payload rides the
+#: control message), at twice the constant 254 and 309 (a deposit; on
+#: shm with its arena staging, and its record read by the parse); 216 /
+#: 229 and 256 / 311 with the composed byte hook; 212 / 225 and 252 /
+#: 307 while an untraced send stamped neither send stage;
 #: 214 / 227 and 255 / 308 with the server's pool.  While
 #: a reader thread read the shm client's connection, and the idle check
 #: led a read, it was 217 / 224 and 258 / 305; while reader threads
@@ -120,6 +129,13 @@ ASYNC_WINDOW = 8
 #: their own replies 233 / 278 on tcp
 DEPOSIT_CEILINGS = {("tcp", False): 256, ("shm", False): 247,
                     ("tcp", True): 305, ("shm", True): 341}
+
+#: measured over loopback, all threads, one ``read_all`` of 8 chunks:
+#: 4162 calls at 64 KiB chunks, 4193 to 4221 at 1 MiB (16x the bytes).
+#: Each chunk is copied once from its landed view into the result; a
+#: copy that walked the payload would add calls per byte
+READ_ALL_CHUNKS = 8
+READ_ALL_SIZE_SLACK = 1.05
 
 CALLS = 200
 
@@ -137,7 +153,7 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
     """``(calling thread, all threads, FlightRecorder.emit, inside
     repro/obs/, threads seen, calls per stage event, client threads)``:
     Python-level calls per ping (with a ``payload``: per ``send_zc`` of
-    it); the sixth is every call made from a sink's ``stamp`` down,
+    it); the sixth is every call made from the producer's ``stamp`` down,
     itself included, per outermost ``stamp``.  The server ORB keeps off
     the reactor, so every thread that is not one of its own is the
     client's."""
@@ -155,7 +171,7 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
     emits = [0]
     in_obs = [0]
     emit_code = FlightRecorder.emit.__code__
-    stamp_codes = {EventSink.stamp.__code__, FlightRecorder.stamp.__code__}
+    stamp_code = FlightRecorder.stamp.__code__
     stamping = collections.Counter()  # thread ident -> depth below a stamp
     stage_events, fanout = [0], [0]
     counting = [False]
@@ -176,7 +192,7 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
             if stamping[ident]:
                 stamping[ident] += 1
                 fanout[0] += 1
-            elif code in stamp_codes:
+            elif code is stamp_code:
                 stamping[ident] = 1
                 fanout[0] += 1
                 stage_events[0] += 1
@@ -277,7 +293,7 @@ def test_traced_call_reads_the_one_record():
                                                             traced=True)
     assert in_obs <= TRACED_OBS_CEILING, \
         f"{in_obs:.1f} calls inside repro/obs/ per traced ping"
-    # the recorder keeps no wire events, so none are built for it
+    # no wire log is attached, so no WireEvent is built
     assert emits <= EMIT_CEILING, \
         f"{emits:.1f} FlightRecorder.emit calls per traced ping"
     assert 1 <= per_stage <= STAGE_FANOUT_CEILING, \
@@ -353,3 +369,48 @@ def test_awaited_call_stays_on_the_loop_that_awaits_it():
     assert threads == ASYNC_CLIENT_THREADS, \
         f"{threads} client threads ran Python for awaited pings"
     assert per_ping > 60  # a working call path, not an early return
+
+
+def _count_read_all(root, chunk: int) -> int:
+    """Python-level calls, all threads, of one ``read_all`` of a blob of
+    ``READ_ALL_CHUNKS`` chunks of ``chunk`` bytes over loopback."""
+    data = os.urandom(READ_ALL_CHUNKS * chunk)
+    (root / "blob.bin").write_bytes(data)
+    calls, counting = [0], [False]
+
+    def profile(frame, event, arg):
+        if counting[0] and event == "call":
+            calls[0] += 1
+
+    reset_reactor()
+    threading.setprofile(profile)
+    impl = BlobStoreImpl(root, chunk_size=chunk)
+    server = ORB(ORBConfig(scheme="loop"))
+    client = ORB(ORBConfig(scheme="loop", collocated_calls=False))
+    try:
+        store = client.string_to_object(
+            server.object_to_string(server.activate(impl)))
+        for _ in range(3):  # caches, pool buffers, executor threads
+            read_all(store, "blob.bin")
+        sys.setprofile(profile)
+        counting[0] = True
+        got = read_all(store, "blob.bin")
+        counting[0] = False
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+        impl.shutdown()
+        client.shutdown()
+        server.shutdown()
+        reset_reactor()
+    assert got == data
+    return calls[0]
+
+
+def test_read_all_calls_do_not_grow_with_the_chunk_size(tmp_path):
+    small = _count_read_all(tmp_path, 64 * 1024)
+    big = _count_read_all(tmp_path, 1024 * 1024)
+    assert big <= small * READ_ALL_SIZE_SLACK, \
+        f"read_all of {READ_ALL_CHUNKS} chunks: {small} calls at 64 KiB, " \
+        f"{big} at 1 MiB"
+    assert small > 100 * READ_ALL_CHUNKS  # a working call path

@@ -172,15 +172,18 @@ class TestNullRequestGeometry:
         """Whoever observes, the message is the same one write: its
         time is stamped as control-send and a zero-byte deposit-send,
         and the wire log's event is built after it."""
-        from repro.obs.events import RecordingSink, StageEvent, WireEvent
+        from repro.obs import FlightRecorder, WireTracer
         stream = _CaptureStream()
-        sink = RecordingSink()
-        conn = GIOPConn(stream, sink=sink)
+        rec = FlightRecorder(slow_threshold=0.0)  # keeps every stage
+        rec.wire = WireTracer()
+        conn = GIOPConn(stream, sink=rec)
+        active = rec.start_client_span("ping", rec.begin_invocation())
         self._ping(conn)
-        assert [(e.stage, e.nbytes) for e in sink.of_type(StageEvent)] == \
+        span = rec.finish(active)
+        assert [(e.stage, e.nbytes) for e in span.stages] == \
             [("control-send", sum(len(c) for c in stream.batches[0])),
              ("deposit-send", 0)]
-        (event,) = sink.of_type(WireEvent)
+        (event,) = rec.wire.records
         assert (event.direction, event.msg_type, event.request_id,
                 event.deposits) == ("send", "Request", 1, ())
         assert len(stream.batches) == 1

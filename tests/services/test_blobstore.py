@@ -14,7 +14,7 @@ from repro.orb import ORB, ORBConfig
 from repro.services import BlobStoreImpl, blob_api, read_all
 from repro.transport.base import TransportRegistry
 from repro.transport.loopback import LoopbackTransport
-from repro.transport.shm import ShmTransport, shm_available
+from repro.transport.shm import ShmArena, ShmTransport, shm_available
 
 
 @pytest.fixture
@@ -129,6 +129,32 @@ class TestReadAll:
             server.shutdown()
 
 
+    def test_file_changed_after_stat_raises(self, blob_root):
+        """A reply that does not fill exactly its slice of the size
+        ``stat`` gave raises, whether the file shrank or grew."""
+        root, _ = blob_root
+        api = blob_api()
+        path = root / "movie.bin"
+        for delta in (-100, 100):
+            store, impl, client, server = _pair("loop", blob_root)
+            real_stat = impl.stat
+
+            def stat_then_resize(handle, real_stat=real_stat, delta=delta):
+                info = real_stat(handle)
+                os.truncate(path, info.size + delta)
+                return info
+
+            impl.stat = stat_then_resize
+            try:
+                with pytest.raises(api.Blob_IOFailed):
+                    # odd chunk: the growth shows in the last reply
+                    read_all(store, "movie.bin", chunk_size=999_983)
+            finally:
+                impl.shutdown()
+                client.shutdown()
+                server.shutdown()
+
+
 class TestTierRouting:
     def test_tcp_rides_kernel_sendfile(self, blob_root):
         """Over real TCP every ≥threshold chunk takes os.sendfile."""
@@ -200,6 +226,45 @@ class TestTierRouting:
             ref = server.activate(impl)
             store = client.string_to_object(server.object_to_string(ref))
             assert read_all(store, "movie.bin", window=2) == data
+        finally:
+            impl.shutdown()
+            client.shutdown()
+            server.shutdown()
+
+    @pytest.mark.skipif(not shm_available(), reason="no usable /dev/shm")
+    def test_shm_reply_in_arena_slot_is_copied_before_freed(
+            self, blob_root, monkeypatch):
+        """Chunks that fit an arena slot land in it, and each landed
+        reply is copied out before its slot goes back to the server.
+        Freeing a slot scribbles over it here, as the server's next
+        reply staged into it would."""
+        root, data = blob_root
+        chunk = 256 * 1024
+        impl = BlobStoreImpl(root, chunk_size=chunk)
+        real_free = ShmArena.free
+
+        def scribbling_free(arena, slot):
+            if arena.refcount(slot) == 1:
+                arena.slot_view(slot, 0, arena.slot_size)[:] = \
+                    b"\xa5" * arena.slot_size
+            real_free(arena, slot)
+
+        monkeypatch.setattr(ShmArena, "free", scribbling_free)
+
+        def registry():
+            reg = TransportRegistry()
+            reg.register(LoopbackTransport())
+            reg.register(ShmTransport(slot_size=chunk, slot_count=4))
+            return reg
+
+        server = ORB(ORBConfig(scheme="shm"), transports=registry())
+        client = ORB(ORBConfig(scheme="shm", collocated_calls=False),
+                     transports=registry())
+        try:
+            ref = server.activate(impl)
+            store = client.string_to_object(server.object_to_string(ref))
+            assert read_all(store, "movie.bin", window=2) == data
+            assert server._server._conns[0].stats.shm_deposits > 0
         finally:
             impl.shutdown()
             client.shutdown()
