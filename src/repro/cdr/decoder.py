@@ -62,6 +62,17 @@ class CDRDecoder:
         s = self._structs.get(fmt) or compiled_struct(self._prefix, fmt)
         return s.unpack_from(self._view, pos)[0]
 
+    def unpack(self, s) -> tuple:
+        """The values of one precompiled ``struct.Struct`` read at the
+        current position; its format carries its own alignment pads."""
+        pos = self._pos
+        if pos + s.size > len(self._view):
+            raise CDRError(
+                f"CDR underrun: need {s.size} bytes at {pos}, "
+                f"have {len(self._view) - pos}")
+        self._pos = pos + s.size
+        return s.unpack_from(self._view, pos)
+
     @property
     def remaining(self) -> int:
         return len(self._view) - self._pos

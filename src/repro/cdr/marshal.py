@@ -22,6 +22,7 @@ modelled per-byte costs, and by the §5.2-style overhead breakdown).
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
@@ -190,10 +191,9 @@ class TCPrimitive(Marshaller):
             raise MarshalError(f"not a primitive TypeCode: {tc}") from None
 
     def marshal(self, enc, value, ctx=_EMPTY_CTX):
-        import struct as _struct
         try:
             self._put(enc, value)
-        except (TypeError, ValueError, _struct.error) as e:
+        except (TypeError, ValueError, struct.error) as e:
             raise MarshalError(
                 f"cannot marshal {value!r} as {self.tc.kind.name}: {e}") from e
 

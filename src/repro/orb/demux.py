@@ -316,7 +316,7 @@ class ReplyDemux:
         ``_driver``, on the loop: must not block).  A message that ends
         the connection closes it, which ends the reading."""
         conn = self.conn
-        mtype = rm.header.msg_type
+        mtype = rm.msg.header.msg_type
         if mtype in _MATCHED:
             request_id = rm.msg.body_header.request_id
             with self._lock:

@@ -10,6 +10,8 @@ GIOP reply status.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..cdr import get_marshaller
 from ..giop import (SVC_CTX_DEPOSIT, SVC_CTX_TRACE, ReplyHeader, ReplyStatus,
                     RequestHeader)
@@ -19,6 +21,7 @@ from .connection import GIOPConn, ReceivedMessage
 from .exceptions import (BAD_OPERATION, OBJECT_NOT_EXIST, UNKNOWN,
                          CompletionStatus, SystemException, UserException,
                          encode_system_exception)
+from .interceptors import RequestInfo
 from .object_adapter import POA, Servant
 from .signatures import OperationSignature, Param, ParamMode
 
@@ -42,8 +45,6 @@ _KNOWN_CTX_TAGS = (SVC_CTX_DEPOSIT, SVC_CTX_TRACE)
 
 def _echo_contexts(req: RequestHeader) -> list:
     """Unknown-tag service contexts to re-emit on every reply."""
-    if not req.service_contexts:
-        return []
     return [sc for sc in req.service_contexts
             if sc.context_id not in _KNOWN_CTX_TAGS]
 
@@ -75,7 +76,6 @@ class MethodDispatcher:
             else None
         info = None
         if chain is not None and len(chain):
-            from .interceptors import RequestInfo
             info = RequestInfo(operation=req.operation,
                                object_key=req.object_key,
                                request_id=req.request_id,
@@ -101,7 +101,8 @@ class MethodDispatcher:
 
     def _dispatch_once(self, conn: GIOPConn, rm: ReceivedMessage,
                        req: RequestHeader, chain, info, span) -> None:
-        echo = _echo_contexts(req)
+        echo = _echo_contexts(req) if req.service_contexts else ()
+        sig = None
         try:
             servant = self.poa.find_servant(req.object_key)
             if servant is None:
@@ -109,13 +110,10 @@ class MethodDispatcher:
                     message=f"no servant for key {req.object_key!r}")
             sig = self._resolve(servant, req.operation)
             sink = conn.sink
-            ctx = rm.make_demarshal_context(on_bytes=conn.on_bytes,
-                                            generic_loop=conn.generic_loop,
-                                            orb=conn.orb)
             dec = rm.params_decoder()
             t0 = sink.clock() if sink is not None else 0.0
             try:
-                args = sig.demarshal_request(dec, ctx) \
+                args = sig.demarshal_request(dec, rm, conn) \
                     if dec is not None else []
             finally:
                 if sink is not None:
@@ -129,7 +127,7 @@ class MethodDispatcher:
             value = method(*args)
         except UserException as exc:
             self._notify_reply(chain, info, span, "USER_EXCEPTION")
-            self._reply_user_exception(conn, req, exc, echo=echo)
+            self._reply_user_exception(conn, req, exc, sig, echo=echo)
             return
         except SystemException as exc:
             self._notify_reply(chain, info, span, "SYSTEM_EXCEPTION")
@@ -148,15 +146,13 @@ class MethodDispatcher:
         if not req.response_expected:
             return
         try:
-            result, outs = sig.split_servant_return(value)
             t0 = sink.clock() if sink is not None else 0.0
-            reply_ctx = conn.make_marshal_context()
-            enc = conn.body_encoder()
+            enc = b""
             try:
-                sig.marshal_reply(enc, result, outs, reply_ctx)
+                enc, reply_ctx = sig.marshal_reply(conn, value)
             finally:
                 if sink is not None:
-                    sink.stamp(STAGE_MARSHAL, sink.clock() - t0, enc.nbytes)
+                    sink.stamp(STAGE_MARSHAL, sink.clock() - t0, len(enc))
             reply = ReplyHeader(request_id=req.request_id,
                                 reply_status=ReplyStatus.NO_EXCEPTION,
                                 service_contexts=list(echo))
@@ -174,16 +170,11 @@ class MethodDispatcher:
 
     # -- exceptional replies ------------------------------------------------------
     def _reply_user_exception(self, conn: GIOPConn, req: RequestHeader,
-                              exc: UserException, echo=()) -> None:
+                              exc: UserException,
+                              sig: Optional[OperationSignature],
+                              echo=()) -> None:
         if not req.response_expected:
             return
-        servant = self.poa.find_servant(req.object_key)
-        sig = None
-        if servant is not None:
-            try:
-                sig = self._resolve(servant, req.operation)
-            except SystemException:
-                sig = None
         tc = sig.exception_tc_for(exc) if sig is not None else None
         if tc is None:
             # undeclared user exception: contractually a system UNKNOWN

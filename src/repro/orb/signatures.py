@@ -7,17 +7,27 @@ demarshal results) and the server skeleton (the reverse) drive their
 marshaling from the same signature object, which is how the generated
 code stays a thin veneer (§4.2's "compiler generated object stub /
 skeleton").
+
+A direction whose every value is a fixed-layout primitive (the
+request's ``sending`` parameters; the reply's result and ``returning``
+ones) gets a *call plan*: one precompiled ``struct.Struct`` per byte
+order whose format carries the CDR pads from body offset 0, so the
+whole direction is one ``pack`` or ``unpack_from`` and no encoder,
+decoder walk or marshal context (DESIGN.md §17, rule 3).  The four
+marshal entry points run the plan and fall back to the TypeCode
+interpreter on the same call for anything the plan refuses, so every
+error is the interpreter's.
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..cdr import (CDRDecoder, CDREncoder, MarshalContext, TypeCode,
-                   get_marshaller)
+from ..cdr import CDRDecoder, CDRError, TypeCode, get_marshaller
 from ..cdr.typecode import TC_VOID, TCKind
 from .exceptions import BAD_PARAM, MARSHAL, UserException
 
@@ -38,6 +48,41 @@ class ParamMode(enum.Enum):
     def returns(self) -> bool:
         """Travels server -> client in the reply."""
         return self in (ParamMode.OUT, ParamMode.INOUT)
+
+
+#: struct codes of the fixed-layout primitives; each one's CDR size and
+#: alignment is its standard ``<``/``>`` size
+_FIXED_CODES = {
+    TCKind.tk_boolean: "?", TCKind.tk_octet: "B",
+    TCKind.tk_short: "h", TCKind.tk_ushort: "H",
+    TCKind.tk_long: "i", TCKind.tk_ulong: "I",
+    TCKind.tk_longlong: "q", TCKind.tk_ulonglong: "Q",
+    TCKind.tk_float: "f", TCKind.tk_double: "d",
+}
+
+
+def _plan(tcs) -> Optional[tuple]:
+    """``(big-endian Struct, little-endian Struct)``, indexed by a
+    ``little_endian`` flag, laying ``tcs`` out as CDR from an 8-aligned
+    offset 0, pads included; None unless every type is a fixed-layout
+    primitive."""
+    fmt, pos = "", 0
+    for tc in tcs:
+        code = _FIXED_CODES.get(tc.kind)
+        if code is None:
+            return None
+        size = struct.calcsize("<" + code)
+        fmt += "x" * (-pos % size) + code
+        pos += -pos % size + size
+    return struct.Struct(">" + fmt), struct.Struct("<" + fmt)
+
+
+def demarshal_context(rm, conn):
+    """The interpreter's demarshal context for message ``rm`` read on
+    ``conn``."""
+    return rm.make_demarshal_context(on_bytes=conn.on_bytes,
+                                     generic_loop=conn.generic_loop,
+                                     orb=conn.orb)
 
 
 @dataclass(frozen=True)
@@ -93,9 +138,31 @@ class OperationSignature:
     def _result_marshaller(self):
         return get_marshaller(self.result_tc) if self.has_result else None
 
+    # the call plans: a direction is classified once, on first use
+    @cached_property
+    def _request_plan(self):
+        return _plan(p.tc for p in self.sending)
+
+    @cached_property
+    def _reply_plan(self):
+        return _plan(((self.result_tc,) if self.has_result else ())
+                     + tuple(p.tc for p in self.returning))
+
     # -- request side -----------------------------------------------------------
-    def marshal_request(self, enc: CDREncoder, args: Sequence[Any],
-                        ctx: MarshalContext) -> None:
+    def marshal_request(self, conn, args: Sequence[Any],
+                        force_copy: bool = False) -> tuple:
+        """``(body, ctx)`` for ``conn.send_message``: a fixed request is
+        one ``pack`` into ``bytes`` and no context; anything else (or
+        a value the plan refuses) is ``conn``'s encoder and context,
+        filled by the interpreter."""
+        plan = self._request_plan
+        if plan is not None and not conn.generic_loop:
+            try:
+                return plan[conn.little_endian].pack(*args), None
+            except Exception:  # noqa: BLE001 - the interpreter says what
+                pass
+        ctx = conn.make_marshal_context(force_copy=force_copy)
+        enc = conn.body_encoder()
         marshallers = self._send_marshallers
         if len(args) != len(marshallers):
             raise BAD_PARAM(message=(
@@ -103,25 +170,58 @@ class OperationSignature:
                 f"arguments, got {len(args)}"))
         for marshaller, value in zip(marshallers, args):
             marshaller.marshal(enc, value, ctx)
+        return enc, ctx
 
-    def demarshal_request(self, dec: CDRDecoder,
-                          ctx: MarshalContext) -> List[Any]:
+    def demarshal_request(self, dec: CDRDecoder, rm, conn) -> List[Any]:
+        """The in/inout arguments of request ``rm`` read off ``dec``,
+        its parameter decoder, in ``rm``'s byte order."""
+        plan = self._request_plan
+        if plan is not None and not conn.generic_loop:
+            try:
+                values = dec.unpack(plan[dec.little_endian])
+            except CDRError:  # a short body: the interpreter says how
+                pass
+            else:
+                return list(values)
+        ctx = demarshal_context(rm, conn)
         return [m.demarshal(dec, ctx) for m in self._send_marshallers]
 
     # -- reply side ---------------------------------------------------------------
-    def marshal_reply(self, enc: CDREncoder, result: Any,
-                      out_values: Sequence[Any], ctx: MarshalContext) -> None:
+    def marshal_reply(self, conn, value: Any) -> tuple:
+        """``(body, ctx)`` for the reply carrying the servant's return
+        ``value`` (see :meth:`split_servant_return`), as
+        :meth:`marshal_request`; a void reply with no outs is an empty
+        body."""
+        plan = self._reply_plan
+        if plan is not None and not conn.generic_loop:
+            arity = self.has_result + len(self.returning)
+            values = () if arity == 0 else (value,) if arity == 1 else value
+            if isinstance(values, tuple):
+                try:
+                    return plan[conn.little_endian].pack(*values), None
+                except Exception:  # noqa: BLE001 - the interpreter says what
+                    pass
+        result, outs = self.split_servant_return(value)
+        ctx = conn.make_marshal_context()
+        enc = conn.body_encoder()
         if self.has_result:
             self._result_marshaller.marshal(enc, result, ctx)
-        marshallers = self._return_marshallers
-        if len(out_values) != len(marshallers):
-            raise MARSHAL(message=(
-                f"{self.name}() must produce {len(marshallers)} out/inout "
-                f"values, servant returned {len(out_values)}"))
-        for marshaller, value in zip(marshallers, out_values):
+        for marshaller, value in zip(self._return_marshallers, outs):
             marshaller.marshal(enc, value, ctx)
+        return enc, ctx
 
-    def demarshal_reply(self, dec: CDRDecoder, ctx: MarshalContext) -> Any:
+    def demarshal_reply(self, dec: CDRDecoder, rm, conn) -> Any:
+        """The Python return value of reply ``rm`` (see
+        :meth:`pack_results`)."""
+        plan = self._reply_plan
+        if plan is not None and not conn.generic_loop:
+            try:
+                values = dec.unpack(plan[dec.little_endian])
+            except CDRError:
+                pass
+            else:
+                return values[0] if len(values) == 1 else values or None
+        ctx = demarshal_context(rm, conn)
         result = None
         if self.has_result:
             result = self._result_marshaller.demarshal(dec, ctx)
@@ -194,8 +294,12 @@ class InterfaceDef:
         table.update(own)
         return table
 
-    def find_operation(self, name: str) -> Optional[OperationSignature]:
-        return self._operation_table.get(name)
+    @cached_property
+    def find_operation(self) -> Callable[[str], Optional[OperationSignature]]:
+        """``find_operation(name)``: the signature of ``name``, None if
+        neither this interface nor a base has it (the table's own
+        ``get``, so a stub's lookup runs no Python frame)."""
+        return self._operation_table.get
 
     def all_operations(self) -> Dict[str, OperationSignature]:
         return dict(self._operation_table)

@@ -4,16 +4,21 @@ On one CPU the round trip of ``void ping(in unsigned long)`` *is* the
 number of Python-level function calls it executes (DESIGN.md, "The
 call path and its budget"), so that number is what this test pins:
 two in-process ORBs over ``tcp``, every thread profiled, counts taken
-after warm-up, once in the default configuration and once with
-``flight_recorder=False``.  The server ORB reads each connection on a
+after warm-up, once in the default configuration, once with
+``generic_loop=True`` (which forces the TypeCode interpreter, so its
+count must stay the interpreter's: the switch still switches) and once
+with ``flight_recorder=False``.  The server ORB reads each connection on a
 thread of its own and dispatches there (``server_workers=0``), so its
 threads can be told from the client's.
 
 Who reads: the client's connection is never awaited on, so the calling
 thread reads its own reply (DESIGN.md §10, the waiter) and the client
 half of a ping runs on that one thread, which the test pins; no loop
-runs in the client at all.  The ceilings sit 10 % above what that
-change reached: it moved calls onto the calling thread (63 → 92, the
+runs in the client at all.  The ceilings sit 10 % above what the call
+plans reached (90 → 72 on the calling thread, 162 → 126 in all: a
+fixed-layout request and reply are one ``struct`` call each, with no
+encoder, decoder walk or marshal context).  The waiter change before
+them moved calls onto the calling thread (63 → 92, the
 read and routing of the reply, and the idle check before the write)
 and took more off the others (187 → 166 in all), which is the thread
 hand-off it removed.  The flat-record change before it had brought 86
@@ -69,30 +74,39 @@ from repro.orb.reactor import reset_reactor
 from repro.services import BlobStoreImpl, read_all
 from repro.transport.shm import shm_available
 
-#: measured: 90 on the calling thread, which reads its own reply, 162
+#: measured: 72 on the calling thread, which reads its own reply, 126
 #: over all threads against a server that dispatches on its reader
-#: thread, 0 emits (91 and 164 while proxy and dispatcher asked the
+#: thread, 0 emits; a fixed-layout request and reply each take one
+#: ``struct`` call (90 and 162 while every call ran the TypeCode
+#: interpreter; 91 and 164 while proxy and dispatcher asked the
 #: connection for a composed byte hook; 89 and 160 while only a traced
 #: send stamped control-send and deposit-send; 162 while the server
 #: handed each request to a pool worker; 92 and 165 while the idle check
 #: before a write led a read; 166 while the server's reader thread
 #: blocked in ``recv`` instead of ``poll``; 63 and 187 while a reactor
 #: thread read it)
-CALLER_CEILING = 101
-TOTAL_CEILING = 182
+CALLER_CEILING = 79
+TOTAL_CEILING = 139
 EMIT_CEILING = 0
-#: measured on shm: 94 on the calling thread, which reads its own reply
-#: as on tcp, and 170 over all threads (95 and 172 with the composed
+#: measured with ``generic_loop=True``, which forces the interpreter on
+#: every call: 88 and 159 (162 before the call plans, whose count the
+#: switch must keep within ``GENERIC_LOOP_SLACK``)
+GENERIC_LOOP_TOTAL = 162
+GENERIC_LOOP_SLACK = 3
+#: measured on shm: 75 on the calling thread, which reads its own reply
+#: as on tcp, and 132 over all threads (94 and 170 before the call
+#: plans; 95 and 172 with the composed
 #: byte hook; 93 and 168 while only a traced send stamped its two
 #: stages; 170 with the server's pool; 67 and 167 while a reader thread
 #: read the client's connection; 169 while reader threads blocked in
 #: ``recv``)
-SHM_CALLER_CEILING = 101
-SHM_TOTAL_CEILING = 184
-#: measured: the recorder adds 23.0 calls per ping (162 against 139
+SHM_CALLER_CEILING = 82
+SHM_TOTAL_CEILING = 145
+#: measured: the recorder adds 21.0 calls per ping (126 against 105
 #: with ``flight_recorder=False``): twelve ``stamp``s, six stages on
-#: each side.  20.0 while an untraced send stamped neither control-send
-#: nor deposit-send
+#: each side.  23.0 while each side's marshal stamp read an encoder's
+#: ``nbytes`` property (a fixed body's ``len`` is a C call); 20.0 while
+#: an untraced send stamped neither control-send nor deposit-send
 RECORDER_CEILING = 25
 #: measured, traced: 260 calls inside ``repro/obs/`` per ping (about
 #: half of them metrics-registry look-ups), 1.0 per stage event; 263
@@ -116,9 +130,11 @@ ASYNC_CLIENT_THREADS = 1
 ASYNC_WINDOW = 8
 
 #: measured, all threads, per ``send_zc``: one byte under
-#: ``DEPOSIT_MIN_SIZE`` 214 on tcp and 227 on shm (the payload rides the
-#: control message), at twice the constant 254 and 309 (a deposit; on
-#: shm with its arena staging, and its record read by the parse); 216 /
+#: ``DEPOSIT_MIN_SIZE`` 188 on tcp and 200 on shm (the payload rides the
+#: control message), at twice the constant 229 and 283 (a deposit; on
+#: shm with its arena staging, and its record read by the parse); its
+#: ``unsigned long`` reply takes the call plan (214 / 227 and 254 / 309
+#: while it ran the interpreter); 216 /
 #: 229 and 256 / 311 with the composed byte hook; 212 / 225 and 252 /
 #: 307 while an untraced send stamped neither send stage;
 #: 214 / 227 and 255 / 308 with the server's pool.  While
@@ -149,7 +165,8 @@ BUDGET_IDL = """interface Budget {
 
 
 def _count_null_call(flight_recorder: bool, traced: bool = False,
-                     scheme: str = "tcp", payload=None):
+                     scheme: str = "tcp", payload=None,
+                     generic_loop: bool = False):
     """``(calling thread, all threads, FlightRecorder.emit, inside
     repro/obs/, threads seen, calls per stage event, client threads)``:
     Python-level calls per ping (with a ``payload``: per ``send_zc`` of
@@ -208,9 +225,9 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
     server = client = None
     try:
         server = ORB(ORBConfig(scheme=scheme, flight_recorder=flight_recorder,
-                               server_workers=0))
-        client = ORB(ORBConfig(scheme=scheme,
-                               flight_recorder=flight_recorder))
+                               server_workers=0, generic_loop=generic_loop))
+        client = ORB(ORBConfig(scheme=scheme, flight_recorder=flight_recorder,
+                               generic_loop=generic_loop))
         if traced:
             server.enable_tracing(distributed=True)
             client.enable_tracing(distributed=True)
@@ -255,6 +272,11 @@ def test_null_call_stays_inside_its_budget():
     # of a recorder that is really being driven; the threads are the
     # caller and the server's reader, which dispatches
     assert caller > 20 and threads >= 2 and in_obs >= 2
+
+    _, generic, _, _, _, _, _ = _count_null_call(True, generic_loop=True)
+    assert abs(generic - GENERIC_LOOP_TOTAL) <= GENERIC_LOOP_SLACK, \
+        f"generic_loop=True: {generic:.1f} calls, the interpreter's count " \
+        f"is {GENERIC_LOOP_TOTAL}"
 
     _, bare, _, bare_in_obs, _, _, _ = _count_null_call(False)
     assert total - bare <= RECORDER_CEILING, \

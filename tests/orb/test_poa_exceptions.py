@@ -127,3 +127,50 @@ class TestUserExceptions:
 
         with pytest.raises(TypeError, match="TYPECODE"):
             NoTc().repo_id
+
+
+class TestUserExceptionReplies:
+    """The dispatcher maps what a servant raises by the signature it
+    resolved for the request: a declared user exception travels as a
+    USER_EXCEPTION reply, an undeclared one as UNKNOWN, COMPLETED_YES."""
+
+    @pytest.fixture
+    def stub(self):
+        from repro.idl import compile_idl
+        from repro.orb import ORB, ORBConfig
+        api = compile_idl("""
+            exception PoaDeclared { long code; };
+            exception PoaStray { long code; };
+            interface PoaRaiser {
+                long declared(in long code) raises (PoaDeclared);
+                long stray(in long code);
+            };""", module_name="_poa_exceptions_idl")
+
+        class Impl(api.PoaRaiser_skel):
+            def declared(self, code):
+                raise api.PoaDeclared(code=code)
+
+            def stray(self, code):
+                raise api.PoaStray(code=code)
+
+        server = ORB(ORBConfig(scheme="tcp"))
+        client = ORB(ORBConfig(scheme="tcp"))
+        try:
+            yield api, client.string_to_object(
+                server.object_to_string(server.activate(Impl())))
+        finally:
+            client.shutdown()
+            server.shutdown()
+
+    def test_a_declared_exception_is_a_user_exception_reply(self, stub):
+        api, ref = stub
+        with pytest.raises(api.PoaDeclared) as info:
+            ref.declared(7)
+        assert info.value.code == 7
+
+    def test_an_undeclared_exception_is_unknown_completed_yes(self, stub):
+        from repro.orb import UNKNOWN
+        _, ref = stub
+        with pytest.raises(UNKNOWN) as info:
+            ref.stray(7)
+        assert info.value.completed is CompletionStatus.COMPLETED_YES

@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.cdr import CDRDecoder, CDREncoder, MarshalContext
+from repro.cdr import CDRDecoder
 from repro.cdr.typecode import TC_DOUBLE, TC_LONG, TC_STRING, exception_tc
 from repro.orb import (BAD_PARAM, MARSHAL, InterfaceDef, OperationSignature,
                        Param, ParamMode)
+from repro.orb.connection import GIOPConn, ReceivedMessage
+
+#: the marshal entry points read byte order, encoder and context off a
+#: connection; one over no stream has the defaults
+CONN = GIOPConn(None)
 
 
 def _sig(**kw):
@@ -36,15 +41,14 @@ class TestSignatureValidation:
     def test_wrong_arg_count(self):
         sig = _sig(params=(Param("a", ParamMode.IN, TC_LONG),))
         with pytest.raises(BAD_PARAM, match="takes 1"):
-            sig.marshal_request(CDREncoder(), [1, 2], MarshalContext())
+            sig.marshal_request(CONN, [1, 2])
 
     def test_out_params_not_sent(self):
         sig = _sig(params=(Param("a", ParamMode.IN, TC_LONG),
                            Param("b", ParamMode.OUT, TC_STRING)))
-        enc = CDREncoder()
-        sig.marshal_request(enc, [42], MarshalContext())
-        dec = CDRDecoder(enc.getvalue())
-        assert sig.demarshal_request(dec, MarshalContext()) == [42]
+        body, _ = sig.marshal_request(CONN, [42])
+        dec = CDRDecoder(body)
+        assert sig.demarshal_request(dec, ReceivedMessage(None), CONN) == [42]
         assert dec.remaining == 0  # the OUT param used no wire space
 
 
@@ -78,9 +82,10 @@ class TestResultPacking:
             sig.split_servant_return(5)
 
     def test_reply_marshal_count_checked(self):
-        sig = _sig(params=(Param("o", ParamMode.OUT, TC_STRING),))
-        with pytest.raises(MARSHAL, match="must produce 1"):
-            sig.marshal_reply(CDREncoder(), None, [], MarshalContext())
+        sig = _sig(result_tc=TC_LONG,
+                   params=(Param("o", ParamMode.OUT, TC_STRING),))
+        with pytest.raises(MARSHAL, match="2-tuple"):
+            sig.marshal_reply(CONN, (1, "a", "b"))
 
 
 class TestInterfaceDef:
