@@ -132,7 +132,10 @@ def test_live_stage_breakdown_cross_checks_model(once):
     ride the marshal/demarshal stages, on the zero-copy path they move
     to the data-path stages (deposit-send/deposit-recv) and the
     byte-touching middleware stages collapse — §5.2's claim, measured
-    on the real ORB instead of the testbed model."""
+    on the real ORB instead of the testbed model.  The server half of
+    Fig. 7 is read off the server ORB's span of the same push: the
+    request's read, stamped by the span that owns it, carries the
+    payload on the control path or on the data path."""
     from repro.core import OctetSequence, ZCOctetSequence
     from repro.idl import compile_idl
     from repro.obs import CLIENT_STAGES
@@ -153,7 +156,7 @@ def test_live_stage_breakdown_cross_checks_model(once):
             return len(data)
 
     def one(zero_copy: bool):
-        server = ORB(ORBConfig(scheme="loop"))
+        server = ORB(ORBConfig(scheme="loop", slow_call_threshold=0.0))
         client = ORB(ORBConfig(scheme="loop", collocated_calls=False))
         tracer = client.enable_tracing()
         try:
@@ -163,12 +166,15 @@ def test_live_stage_breakdown_cross_checks_model(once):
                 stub.push_zc(ZCOctetSequence.from_data(bytes(MB)))
             else:
                 stub.push(OctetSequence(bytes(MB)))
+            # the loop dispatches on the caller's thread: its span is in
+            (served,) = [s for s in server.flightrec.recent()
+                         if s.name.startswith("push")]
         finally:
             client.shutdown()
             server.shutdown()
-        return tracer
+        return tracer, served
 
-    std, zc = once(lambda: (one(False), one(True)))
+    (std, std_srv), (zc, zc_srv) = once(lambda: (one(False), one(True)))
 
     for tracer in (std, zc):
         rec = tracer.last
@@ -194,3 +200,9 @@ def test_live_stage_breakdown_cross_checks_model(once):
     assert zc.last.nbytes("deposit-send") == MB
     assert zc.last.nbytes("marshal") < 4096
     assert zc.last.nbytes("control-send") < 4096
+    # the server's read: the standard request's payload is in its control
+    # message, the zero-copy request's lands as a deposit
+    assert std_srv.stage_bytes("recv-wait") > MB
+    assert std_srv.stage_bytes("deposit-recv") == 0
+    assert zc_srv.stage_bytes("deposit-recv") == MB
+    assert zc_srv.stage_bytes("recv-wait") < 4096

@@ -104,12 +104,13 @@ class _FlightSpan(Span):
         self.trace_id, self.span_id, self.sampled))
 
     # the byte / second splits straight off the stamps (a collector's
-    # metrics read four of them per span: no StageEvent is built)
+    # metrics read four of them per span: no StageEvent is built, and
+    # a list, unlike a generator, is one call however many stamps match)
     def _bytes(self, stages) -> int:
-        return sum(s[2] for s in self.stamps if s[0] in stages)
+        return sum([s[2] for s in self.stamps if s[0] in stages])
 
     def _seconds(self, stages) -> float:
-        return sum(s[1] for s in self.stamps if s[0] in stages)
+        return sum([s[1] for s in self.stamps if s[0] in stages])
 
 
 class FlightRecorder:
@@ -208,8 +209,10 @@ class FlightRecorder:
         return span
 
     def start_server_span(self, name: str, ctx=None,
-                          request_id: Optional[int] = None) -> _FlightSpan:
-        """Open the server side of an incoming request.
+                          request_id: Optional[int] = None,
+                          start_s: Optional[float] = None) -> _FlightSpan:
+        """Open the server side of an incoming request, at ``start_s``
+        (the request's header in, read off its message; now if None).
 
         With an incoming :class:`~repro.obs.dtrace.TraceContext` the
         span joins that trace, whoever sent it; without one it parents
@@ -234,7 +237,9 @@ class FlightRecorder:
             trace, parent, sampled = \
                 next(tracer.trace_ids), None, tracer.sample()
         span = _FlightSpan(trace, next(self._ids), parent, name, "server",
-                           self.node, self.clock(), request_id)
+                           self.node,
+                           self.clock() if start_s is None else start_s,
+                           request_id)
         if not sampled:
             span.sampled = False
         stack.append(span)

@@ -34,9 +34,12 @@ stage              what it covers (client view)
 
 The server side uses the same vocabulary where it applies
 (``recv-wait`` instead of ``server-wait`` — a server waits for clients,
-not for a server).  On every drive, the reader thread's as the loop's
-and the pump's, ``recv-wait`` times a request's read from its header
-in to its last byte, without the idle before it.
+not for a server): ``recv-wait``, ``deposit-recv``, ``demarshal``,
+``marshal``, ``control-send``, ``deposit-send``.  ``recv-wait`` is a
+request's read from its header in to its last byte.  No read stamps:
+the span that owns a message stamps its read from the numbers left on
+it (a reply's the caller's, a request's the dispatch's, which opens at
+the request's header).
 
 :class:`InvocationBreakdown` is the stage record of one finished
 client call, read off its span by

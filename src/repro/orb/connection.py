@@ -42,8 +42,7 @@ from ..giop import (GIOP_HEADER_SIZE, GIOPError, GIOPHeader, GIOPMessage,
                     encode_giop_header)
 from ..obs.events import WireEvent
 from ..obs.flightrec import FlightRecorder
-from ..obs.stages import (STAGE_CONTROL_SEND, STAGE_DEPOSIT_RECV,
-                          STAGE_DEPOSIT_SEND, STAGE_RECV_WAIT)
+from ..obs.stages import STAGE_CONTROL_SEND, STAGE_DEPOSIT_SEND
 from ..transport.base import Stream, TransportError, TransportTimeout
 from ..transport.shm import SEND_REFERENCE, SEND_SHARED
 from .exceptions import (COMM_FAILURE, MARSHAL, TIMEOUT, CompletionStatus,
@@ -151,13 +150,16 @@ _TIER_COUNTERS = {c: t.by_op for t in DEPOSIT_TIERS
 @dataclass
 class ReceivedMessage:
     """A fully received GIOP message with its landed deposits, and the
-    plain numbers of its read (clock readings only under a sink)."""
+    plain numbers of its read (clock readings only under a sink), for
+    the span that owns it to stamp."""
 
     msg: GIOPMessage
     deposits: Dict[int, ZCBuffer] = field(default_factory=dict)
     deposit_flags: Dict[int, int] = field(default_factory=dict)
-    #: the sink's clock when the control message was in, its GIOP
-    #: headers + bodies as read (each fragment once), and their count
+    #: the sink's clock when the GIOP header was in and when the
+    #: control message was, its GIOP headers + bodies as read (each
+    #: fragment once), and their count
+    began: float = 0.0
     arrived: float = 0.0
     wire_nbytes: int = 0
     fragments: int = 1
@@ -684,9 +686,7 @@ class GIOPConn:
 
     # -- receiving ---------------------------------------------------------------
     def start_reading(self, on_message: Callable, on_error: Callable, *,
-                      reactor=None,
-                      wait_stage: Optional[str] = STAGE_RECV_WAIT,
-                      name: str = "giop-reader"
+                      reactor=None, name: str = "giop-reader"
                       ) -> Optional[threading.Thread]:
         """Read this connection until it ends.  The one place a read
         drive is chosen, and the one statement of what a drive owes the
@@ -722,9 +722,10 @@ class GIOPConn:
         to ``COMM_FAILURE``), a :class:`GIOPError` or ``MARSHAL`` the
         parser raises by itself over what a peer sent.  The owner's own
         :meth:`close`, seen between two messages, ends reading silently.
-        ``wait_stage`` is :meth:`read_message`'s.  Routing and failure
-        mapping belong to the two callbacks and do not depend on the
-        drive.
+        Routing, failure mapping and the stages of a message's read
+        (stamped by the span that owns it, from the numbers on the
+        :class:`ReceivedMessage`) belong to the callbacks and do not
+        depend on the drive.
         """
         stream = self.stream
         set_handler = getattr(stream, "set_data_handler", None)
@@ -733,25 +734,24 @@ class GIOPConn:
             # replying, a peer closing): the guard lets one pump at a
             # time and turns a delivery meanwhile into a re-run
             set_handler(_PumpGuard(partial(
-                self._read_messages, on_message, on_error, wait_stage, True)))
+                self._read_messages, on_message, on_error, True)))
         elif reactor is not None:
-            reactor.adopt(self, on_message, on_error, wait_stage)
+            reactor.adopt(self, on_message, on_error)
         else:
             thread = threading.Thread(
                 target=self._read_messages, name=name, daemon=True,
-                args=(on_message, on_error, wait_stage, False))
+                args=(on_message, on_error, False))
             thread.start()
             return thread
         return None
 
-    def _read_messages(self, on_message, on_error, wait_stage,
-                       pumped: bool) -> None:
+    def _read_messages(self, on_message, on_error, pumped: bool) -> None:
         """The pump and the reader thread: the next message until the
         connection ends (``pumped``: or what was delivered is read)."""
         read = self._read_nb if pumped else self.read_message
         while not self.closed:
             try:
-                rm = read(wait_stage)
+                rm = read()
             except (GIOPError, SystemException) as exc:
                 on_error(exc)
                 return
@@ -759,8 +759,7 @@ class GIOPConn:
                 return  # drained; the next delivery pumps again
             on_message(rm)
 
-    def read_message(self, wait_stage: Optional[str] = STAGE_RECV_WAIT,
-                     timeout: float = math.inf
+    def read_message(self, timeout: float = math.inf
                      ) -> Optional[ReceivedMessage]:
         """The next message, its deposits landed (the MICO ``do_read``
         path with the direct-deposit callback of §4.5), read on this
@@ -768,9 +767,7 @@ class GIOPConn:
         once ``timeout`` passed, leaving the parse to the next reader.
         A stream with nothing to poll (loopback, sim) holds all that was
         sent to it, and a closed connection gets no more: there, what is
-        missing fails the read.  ``wait_stage``: see
-        :meth:`_read_message_gen` (servers keep ``recv-wait``, the reply
-        demultiplexer passes None)."""
+        missing fails the read."""
         poll = self._poll
         if poll is None and not self.closed:
             fileno = getattr(self.stream, "fileno", None)
@@ -784,15 +781,14 @@ class GIOPConn:
             # a closed connection goes straight to the read, to fail
             if not (self.closed or poll is None or poll.poll(ms)):
                 return None
-            rm = self._read_nb(wait_stage)
+            rm = self._read_nb()
             if rm is not None or not ms:
                 return rm
             if poll is None or self.closed:
-                return self._read_nb(wait_stage, TransportError(
+                return self._read_nb(TransportError(
                     f"{self.stream.peer}: the message is cut short"))
 
-    def _read_nb(self, wait_stage: Optional[str] = STAGE_RECV_WAIT,
-                 error: Optional[BaseException] = None
+    def _read_nb(self, error: Optional[BaseException] = None
                  ) -> Optional[ReceivedMessage]:
         """Feed the parse what the stream has now: the next message, or
         None once a read would wait.  Every drive's read: the pump's and
@@ -801,7 +797,7 @@ class GIOPConn:
         (``error``: the staged read fails with it); what the parse
         raises closes."""
         if self._gen is None:
-            self._gen, self._want = self._read_message_gen(wait_stage), None
+            self._gen, self._want = self._read_message_gen(), None
         gen, value, exc = self._gen, None, error
         if error is not None:
             self._want = None
@@ -837,7 +833,7 @@ class GIOPConn:
             if self._filled == want.nbytes:
                 self._want, value, exc = None, (want if self._exact else None), None
 
-    def _read_message_gen(self, wait_stage: Optional[str] = STAGE_RECV_WAIT):
+    def _read_message_gen(self):
         """Resumable GIOP parse: yields read requests, returns the
         :class:`ReceivedMessage` (via ``StopIteration.value``).
 
@@ -852,26 +848,22 @@ class GIOPConn:
         generator at the yield point, so the except clauses below map
         them to CORBA exceptions identically for every drive.
 
-        With a sink, the control message's read, from its header in to
-        its last byte, is stamped as ``wait_stage`` and the landing as
-        ``deposit-recv`` on the reading thread, failed or not (a
-        message whose header never came has no read to stamp).
-        ``wait_stage=None`` (the reply demultiplexer, whose thread
-        cannot know whose call a reply answers) reports nothing: the
-        numbers ride on the message for the awaiting caller to account
-        for.
+        The read stamps nothing, on any drive: the thread that reads a
+        message cannot know whose span it belongs to.  With a sink, its
+        numbers ride on the message (header in, control message in,
+        wire bytes, landing time and bytes), for the span that owns it
+        to stamp; the wire log, if any, hears it here, once.
         """
         fragments = 1
         sink = self.sink
-        # the sink as far as this thread reports to it
-        here = sink if wait_stage is not None else None
-        t0 = None
-        arrived, wire_nbytes = 0.0, 0
+        began = arrived = 0.0
+        wire_nbytes = 0
         try:
             raw_header = (yield ("exact", GIOP_HEADER_SIZE))
             # the parse of the next message is begun before its bytes
             # come: the idle before them is not its read
-            t0 = here.clock() if here is not None else 0.0
+            if sink is not None:
+                began = sink.clock()
             header = decode_header(raw_header)
             body = (yield ("exact", header.size)) if header.size \
                 else memoryview(b"")
@@ -913,36 +905,26 @@ class GIOPConn:
         except TransportError as e:
             self.closed = True
             raise COMM_FAILURE(message=str(e)) from e
-        finally:
-            if sink is not None:
-                arrived = sink.clock()
-                if here is not None and t0 is not None:
-                    here.stamp(wait_stage, arrived - t0, wire_nbytes)
+        if sink is not None:
+            arrived = sink.clock()
         self.stats.messages_received += 1
         self.stats.bytes_received += wire_nbytes
         msg = decode_body(header, body)
-        rm = ReceivedMessage(msg=msg, arrived=arrived,
+        rm = ReceivedMessage(msg=msg, began=began, arrived=arrived,
                              wire_nbytes=wire_nbytes, fragments=fragments)
 
         body_header = msg.body_header
-        descriptors = ()
         # only Request and Reply headers have a service-context list,
         # and only a non-empty one can name deposits
-        contexts = getattr(body_header, "service_contexts", None)
-        if contexts:
+        if getattr(body_header, "service_contexts", None):
             descriptors = body_header.deposit_descriptors()
-        if descriptors:
-            yield from self._land_deposits(descriptors, rm, here)
-        elif here is not None and contexts is not None:
-            # nothing to land, and no receiver built for it; the stage
-            # is still reported, zero bytes, so every traced invocation
-            # shows the same six stages
-            here.stamp(STAGE_DEPOSIT_RECV, 0.0)
-        if here is not None and here.wire is not None:
-            here.emit(rm.wire_event())
+            if descriptors:
+                yield from self._land_deposits(descriptors, rm)
+        if sink is not None and sink.wire is not None:
+            sink.emit(rm.wire_event())
         return rm
 
-    def _land_deposits(self, descriptors, rm: ReceivedMessage, here):
+    def _land_deposits(self, descriptors, rm: ReceivedMessage):
         """The direct-deposit receiver (§4.5) as a sub-generator of
         :meth:`_read_message_gen`: entered only by a message whose
         header names deposits.  Yields the same read requests and fills
@@ -996,9 +978,6 @@ class GIOPConn:
         finally:
             if sink is not None:
                 rm.landing_s = sink.clock() - t0
-                if here is not None:
-                    here.stamp(STAGE_DEPOSIT_RECV, rm.landing_s,
-                               rm.landed_nbytes)
         self.stats.deposits_received += len(deposits)
         self.stats.deposit_bytes_received += sum(
             b.length for b in deposits.values())

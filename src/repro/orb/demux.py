@@ -25,12 +25,13 @@ contrast, cancels only its own future via :meth:`discard`; the
 connection stays healthy and the late reply, when it eventually
 arrives, is dropped as stale (its deposit buffers go back to the pool).
 
-Stage attribution: the demux reads with ``wait_stage=None``, so the
-reading drive reports no stage for a reply (it would go to the wrong —
-or no — span, and measure how long the connection was idle, not how
-long a call waited).  The read's numbers ride on the
+Stage attribution: no read stamps a stage, on any drive (it would go
+to the wrong — or no — span, and measure how long the connection was
+idle, not how long a call waited).  The read's numbers ride on the
 :class:`ReceivedMessage` and the awaiting caller turns them into its
-``server-wait`` / ``deposit-recv`` stages, against its own send stamp.
+``server-wait`` / ``deposit-recv`` stages, against its own send stamp,
+as a server's dispatch turns a request's into ``recv-wait`` /
+``deposit-recv``.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class ReplyDemux:
         for turn in followers:  # a drive completes their futures now
             turn.set()
         self.conn.start_reading(self._route, self._read_failed,
-                                reactor=reactor, wait_stage=None)
+                                reactor=reactor)
 
     def hand_over(self) -> None:
         """A reply no caller waits for on a thread needs a drive: the
@@ -213,7 +214,7 @@ class ReplyDemux:
         try:
             while not (conn.closed if future is None else future.done):
                 rm = conn.read_message(
-                    None, inf if end is None else end - monotonic())
+                    inf if end is None else end - monotonic())
                 if rm is None:
                     return False
                 self._route(rm)

@@ -16,7 +16,8 @@ from ..cdr import get_marshaller
 from ..giop import (SVC_CTX_DEPOSIT, SVC_CTX_TRACE, ReplyHeader, ReplyStatus,
                     RequestHeader)
 from ..obs.dtrace import extract_trace_context
-from ..obs.stages import STAGE_DEMARSHAL, STAGE_MARSHAL
+from ..obs.stages import (STAGE_DEMARSHAL, STAGE_DEPOSIT_RECV,
+                          STAGE_MARSHAL, STAGE_RECV_WAIT)
 from .connection import GIOPConn, ReceivedMessage
 from .exceptions import (BAD_OPERATION, OBJECT_NOT_EXIST, UNKNOWN,
                          CompletionStatus, SystemException, UserException,
@@ -88,11 +89,21 @@ class MethodDispatcher:
             # a trace context on the request is joined, whoever sent it
             # (a request without one looks nothing up); the span stays on
             # this thread's stack through the upcall, so the servant's
-            # nested outbound calls parent under it
+            # nested outbound calls parent under it.  It owns the
+            # request, so it begins with its read and stamps it, from
+            # the numbers the read left on the message (a connection
+            # without the producer, made before it, has none)
+            sink = conn.sink
             span = rec.start_server_span(
                 req.operation,
                 extract_trace_context(req.service_contexts)
-                if req.service_contexts else None, req.request_id)
+                if req.service_contexts else None, req.request_id,
+                None if sink is None else rm.began)
+            if sink is not None:
+                sink.stamp(STAGE_RECV_WAIT, rm.arrived - rm.began,
+                           rm.wire_nbytes)
+                sink.stamp(STAGE_DEPOSIT_RECV, rm.landing_s,
+                           rm.landed_nbytes)
         try:
             self._dispatch_once(conn, rm, req, chain, info, span)
         finally:

@@ -465,8 +465,6 @@ class IIOPProxy:
             if isinstance(reply, ReplyHeader):
                 sink.stamp(STAGE_DEPOSIT_RECV, rm.landing_s,
                            rm.landed_nbytes)
-            if sink.wire is not None:
-                sink.emit(rm.wire_event())
         if not isinstance(reply, LocateReplyHeader if sig is _LOCATE
                           else ReplyHeader):
             raise INTERNAL(message=(

@@ -42,8 +42,6 @@ import threading
 import weakref
 from typing import Callable, Optional
 
-from ..obs.stages import STAGE_RECV_WAIT
-
 __all__ = ["Reactor", "get_reactor", "reset_reactor"]
 
 #: heartbeat period for the loop-lag probe (seconds)
@@ -62,16 +60,14 @@ class _ConnDriver:
     """
 
     __slots__ = ("conn", "reactor", "fd", "on_message", "on_error",
-                 "wait_stage", "_paused", "_detached")
+                 "_paused", "_detached")
 
-    def __init__(self, conn, reactor: "Reactor", on_message, on_error,
-                 wait_stage: Optional[str]):
+    def __init__(self, conn, reactor: "Reactor", on_message, on_error):
         self.conn = conn
         self.reactor = reactor
         self.fd = conn.stream.fileno()
         self.on_message = on_message
         self.on_error = on_error
-        self.wait_stage = wait_stage
         self._paused = False
         self._detached = False
 
@@ -142,7 +138,7 @@ class _ConnDriver:
                 self.detach()  # the owner closed it between two messages
                 return
             try:
-                rm = conn._read_nb(self.wait_stage)
+                rm = conn._read_nb()
             except BaseException as exc:
                 self.detach()
                 self.on_error(exc, self)
@@ -176,8 +172,8 @@ class Reactor:
             self.loop.close()
 
     # -- adoption -----------------------------------------------------------
-    def adopt(self, conn, on_message: Callable, on_error: Callable,
-              wait_stage: Optional[str] = STAGE_RECV_WAIT) -> "_ConnDriver":
+    def adopt(self, conn, on_message: Callable,
+              on_error: Callable) -> "_ConnDriver":
         """Hand ``conn``'s read side to the loop.
 
         ``on_message(rm, driver)`` and ``on_error(exc, driver)`` run
@@ -185,7 +181,7 @@ class Reactor:
         pause/resume backpressure).  The conn's close hook detaches
         the driver, so callers never unregister by hand.
         """
-        driver = _ConnDriver(conn, self, on_message, on_error, wait_stage)
+        driver = _ConnDriver(conn, self, on_message, on_error)
         conn.add_close_hook(driver.request_detach)
         self.loop.call_soon_threadsafe(driver.attach)
         return driver

@@ -28,6 +28,7 @@ from repro.obs.cli import main as metrics_cli
 from repro.orb import ORB, ORBConfig
 from repro.orb.dispatcher import MethodDispatcher
 from repro.services.naming import NameClient, start_name_service
+from repro.transport.shm import shm_available
 
 FRONT_IDL = """
 interface Front {
@@ -297,6 +298,36 @@ class TestByteAttribution:
             stats.deposit_bytes_received == n_get
         # time was attributed to both paths
         assert all(s.control_seconds > 0 for s in cli_spans)
+
+    @pytest.mark.parametrize("scheme", [
+        "tcp", pytest.param("shm", marks=pytest.mark.skipif(
+            not shm_available(), reason="no usable /dev/shm"))])
+    def test_server_span_totals_match_connstats(self, traced_pair, scheme):
+        """The server twin: each server span stamps its request's read
+        (``recv-wait``, ``deposit-recv``) as well as its reply's send,
+        so summed over every server span the byte split equals the
+        server connection's ConnStats, in both directions."""
+        stub, collector, _, server = traced_pair(scheme)
+        n_put, n_get = DEPOSIT_MIN_SIZE, 2 * DEPOSIT_MIN_SIZE
+        stub.put(ZCOctetSequence.from_data(bytes(n_put)))
+        stub.put_std(OctetSequence(bytes(4 * 1024)))
+        assert len(bytes(stub.get(n_get))) == n_get
+        assert stub.total == n_put + 4 * 1024
+
+        spans = _wait_spans(collector, 8)
+        srv_spans = [s for s in spans if s.kind == "server"]
+        assert len(srv_spans) == 4
+        (conn,) = server._server.connections()
+        stats = conn.stats
+        assert sum(s.control_bytes_recv for s in srv_spans) == \
+            stats.bytes_received
+        assert sum(s.control_bytes_sent for s in srv_spans) == \
+            stats.bytes_sent
+        assert sum(s.deposit_bytes_recv for s in srv_spans) == \
+            stats.deposit_bytes_received == n_put
+        assert sum(s.deposit_bytes_sent for s in srv_spans) == \
+            stats.deposit_bytes_sent == n_get
+        assert all(s.control_seconds > 0 for s in srv_spans)
 
 
 class TestWireHygiene:

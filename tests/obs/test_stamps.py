@@ -2,8 +2,9 @@
 
 The connection reads replies on a thread that is not the caller's, so
 a reply's ``server-wait`` / ``deposit-recv`` stages are built by the
-awaiting caller from the numbers the read left on the message.  These
-tests hold what that buys (a stage can no longer be charged the
+awaiting caller from the numbers the read left on the message, as a
+request's ``recv-wait`` / ``deposit-recv`` are by the server span that
+owns it.  These tests hold what that buys (a stage can no longer be charged the
 connection's idle time), what it must not cost (every reader of the
 producer sees the same six stages in the same order), and that the
 legacy ``on_bytes`` hook hears the marshalers whoever observes.
@@ -88,9 +89,10 @@ def test_no_stage_is_charged_the_idle_before_its_call(ping_api, config,
 def test_a_pumped_requests_read_is_not_charged_the_idle_before_it(ping_api):
     """One ORB calling itself over ``loop``, dispatching inline: the
     server's read of a request runs on the caller's thread, inside the
-    call's span, so its ``recv-wait`` must start with the request, not
-    with the pause before it (the pump begins the next message's parse
-    as soon as it has read the last one)."""
+    call's span, and stamps nothing there.  The server span that owns
+    the request begins with its header and stamps its ``recv-wait``,
+    which must not hold the pause before it (the pump begins the next
+    message's parse as soon as it has read the last one)."""
     class Impl(ping_api.Idle_skel):
         def ping(self, x):
             return None
@@ -102,13 +104,49 @@ def test_a_pumped_requests_read_is_not_charged_the_idle_before_it(ping_api):
             orb.activate(Impl())))
         stub.ping(1)
         time.sleep(IDLE)
+        woke = orb.flightrec.clock()
         stub.ping(2)
-        span = orb.flightrec.recent()[-1]
-        assert (span.name, span.kind) == ("ping", "client")
-        (read,) = [e for e in span.stages if e.stage == "recv-wait"]
-        assert 0.0 <= read.duration_s <= span.duration_s, read
+        server, client = orb.flightrec.slow_trees()[-1]
+        assert (client.name, client.kind) == ("ping", "client")
+        assert (server.kind, server.parent) == ("server", client.number)
+        assert [e.stage for e in client.stages] == list(CLIENT_STAGES)
+        assert server.start_s >= woke
+        (read,) = [e for e in server.stages if e.stage == "recv-wait"]
+        assert 0.0 <= read.duration_s <= server.duration_s, read
     finally:
         orb.shutdown()
+
+
+def test_a_connection_older_than_its_producer_opens_its_span_now(ping_api):
+    """A ``flight_recorder=False`` server that starts tracing after its
+    first connection: that connection reads with no producer, so its
+    messages carry no read numbers.  The server span of the next call
+    still opens when it is dispatched, and stamps no read."""
+    class Impl(ping_api.Idle_skel):
+        def ping(self, x):
+            return None
+
+    server = ORB(ORBConfig(scheme="tcp", flight_recorder=False,
+                           server_workers=0))
+    client = ORB(ORBConfig(scheme="tcp"))
+    try:
+        stub = client.string_to_object(
+            server.object_to_string(server.activate(Impl())))
+        stub.ping(1)  # dials: the server's connection has no producer
+        seen = []
+        server.enable_tracing()
+        server.span_producer.consumers.append(seen.append)
+        before = server.span_producer.clock()
+        stub.ping(2)
+        deadline = time.monotonic() + 5.0
+        while not seen and time.monotonic() < deadline:
+            time.sleep(0.005)
+        (span,) = seen
+        assert span.kind == "server" and span.start_s >= before
+        assert "recv-wait" not in [e.stage for e in span.stages]
+    finally:
+        client.shutdown()
+        server.shutdown()
 
 
 def test_traced_call_delivers_six_stages_in_order_to_every_sink(test_api):

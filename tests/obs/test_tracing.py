@@ -1,15 +1,20 @@
 """TracingInterceptor + WireTracer: unit behaviour and the live
 six-stage breakdown of a real loopback invocation (paper Fig. 7)."""
 
+import time
+from collections import Counter
+
 import pytest
 
 from repro.core import ZCOctetSequence
 from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.giop import ReplyStatus
+from repro.idl import compile_idl
 from repro.obs import (CLIENT_STAGES, STAGE_DEPOSIT_RECV, STAGE_DEPOSIT_SEND,
                        STAGE_MARSHAL, FlightRecorder, StageEvent,
                        TracingInterceptor, WireEvent, WireTracer,
                        format_wire_event)
+from repro.orb import ORB, TIMEOUT, InvocationPolicy, ORBConfig
 from repro.orb.interceptors import RequestInfo
 
 
@@ -180,3 +185,56 @@ def test_wire_log_enabled_on_a_live_orb_sees_its_connections(tcp_pair):
             for e in tracer.wire.records] == \
         [("send", "Request", tracer.last.request_id),
          ("recv", "Reply", tracer.last.request_id)]
+
+
+def _until(predicate, timeout: float = 5.0) -> None:
+    end = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < end:
+        time.sleep(0.01)
+
+
+def _logged(wire, direction: str) -> Counter:
+    return Counter((e.msg_type, e.request_id) for e in wire.records
+                   if e.direction == direction)
+
+
+def test_the_wire_log_hears_each_received_message_once():
+    """Both ends log their messages over tcp: everything one end sent,
+    the other logged as received exactly once, where it was read.  That
+    includes the late reply to a caller whose deadline passed, which a
+    drive drops as stale (``ReplyDemux.discard``) and no caller ever
+    processes."""
+    api = compile_idl("interface Naps { unsigned long nap("
+                      "in unsigned long ms); };", module_name="_wire_once_idl")
+
+    class Impl(api.Naps_skel):
+        def nap(self, ms):
+            time.sleep(ms / 1000.0)
+            return ms
+
+    server = ORB(ORBConfig(scheme="tcp"))
+    client = ORB(ORBConfig(scheme="tcp"))
+    try:
+        client_wire = client.enable_tracing(wire=True).wire
+        server_wire = server.enable_tracing(wire=True).wire
+        stub = client.string_to_object(
+            server.object_to_string(server.activate(Impl())))
+        assert stub.nap(0) == 0
+        with pytest.raises(TIMEOUT):
+            client.invoke(stub.ior, stub._signature("nap"), [300],
+                          policy=InvocationPolicy(timeout=0.05))
+        # the stale reply is sent, then read (and dropped) by the loop
+        _until(lambda: len(_logged(server_wire, "send")) == 2 and
+               _logged(client_wire, "recv") == _logged(server_wire, "send"))
+        assert stub.nap(1) == 1
+        # the server logs a send once it is written
+        _until(lambda: len(_logged(server_wire, "send")) == 3)
+        sent = _logged(server_wire, "send")
+        assert sent == _logged(client_wire, "recv")
+        assert sorted(sent.values()) == [1, 1, 1]
+        received = _logged(server_wire, "recv")
+        assert received == _logged(client_wire, "send")
+        assert sorted(received.values()) == [1, 1, 1]
+    finally:
+        client.shutdown()
+        server.shutdown()

@@ -314,7 +314,7 @@ def _truncated_ping_reply(api, generic_loop: bool, params: bytes):
             conn.stream.send(encode_message(RequestHeader(
                 request_id=1, object_key=ref._ior.iiop_profile().object_key,
                 operation="ping"), params=params))
-            rm = conn.read_message(None, 5.0)
+            rm = conn.read_message(5.0)
         finally:
             conn.close()
         assert rm.msg.body_header.reply_status is \

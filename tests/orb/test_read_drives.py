@@ -41,6 +41,7 @@ from repro.giop import (GIOP_HEADER_SIZE, IOR, IIOPProfile, LocateReplyHeader,
                         ReplyStatus, RequestHeader, ServiceContext,
                         decode_body, decode_header, encode_giop_header,
                         encode_message)
+from repro.obs import CLIENT_STAGES
 from repro.orb import (COMM_FAILURE, INTERNAL, MARSHAL, ORB, CompletionStatus,
                        ORBConfig, async_api)
 from repro.orb.reactor import get_reactor
@@ -570,6 +571,71 @@ def test_no_drive_makes_a_blocking_read(role, drive, served, monkeypatch):
 def _recorded(calls: list, name: str, read, *args):
     calls.append(name)
     return read(*args)
+
+
+# -- one span shape ----------------------------------------------------------
+
+#: what a server span reads on every drive: its request's read (stamped
+#: by the span that owns the request, from the numbers the read left on
+#: the message), the upcall's demarshal, then the reply's send
+SERVER_STAGES = ["recv-wait", "deposit-recv", "demarshal", "marshal",
+                 "control-send", "deposit-send"]
+SPAN_PAYLOAD = 1 << 20
+
+
+def _spans_of_one_put(drive: str, served, store_impl):
+    """``(client span, server span)`` of one ``put`` of a 1 MiB
+    zero-copy payload, every span's detail kept.  ``pump-self`` is one
+    ORB calling itself over ``loop``, dispatching inline: the server's
+    read runs on the caller's thread, inside the client span."""
+    if drive == "pump-self":
+        orb = ORB(ORBConfig(scheme="loop", collocated_calls=False,
+                            server_workers=0, slow_call_threshold=0.0))
+        try:
+            stub = orb.string_to_object(orb.object_to_string(
+                orb.activate(store_impl)))
+            assert stub.put(ZCOctetSequence.from_data(
+                bytes(SPAN_PAYLOAD))) == SPAN_PAYLOAD
+            server_span, client_span = orb.flightrec.slow_trees()[-1]
+        finally:
+            orb.shutdown()
+        assert server_span.parent == client_span.number
+        return client_span, server_span
+    server, stub = served(drive)
+    client = stub._orb
+    for rec in (server.flightrec, client.flightrec):
+        rec.slow_threshold = 0.0
+    assert stub.put(ZCOctetSequence.from_data(
+        bytes(SPAN_PAYLOAD))) == SPAN_PAYLOAD
+    # a server span is finished after its reply is written
+    assert _settle(lambda: [s for s in server.flightrec.recent()
+                            if s.name == "put"])
+    (server_span,) = [s for s in server.flightrec.recent()
+                      if s.name == "put"]
+    return client.flightrec.recent()[-1], server_span
+
+
+@pytest.mark.parametrize("drive", [*DRIVES, "pump-self"])
+def test_every_drive_gives_a_request_the_same_span(drive, served,
+                                                   store_impl):
+    """On every server drive the span that owns a request stamps its
+    read: six server stages in order, the deposit landed whole; the
+    client span reads the six client stages and no ``recv-wait``, a
+    server reading on the caller's own thread included.  No stage is
+    longer than its span, and a server span, which begins when its
+    request's header is in, holds the sum of its stages."""
+    client_span, server_span = _spans_of_one_put(drive, served, store_impl)
+    assert (client_span.kind, server_span.kind) == ("client", "server")
+    assert [e.stage for e in server_span.stages] == SERVER_STAGES
+    assert server_span.stage_bytes("deposit-recv") == SPAN_PAYLOAD
+    assert server_span.stage_bytes("recv-wait") > 0
+    assert [e.stage for e in client_span.stages] == list(CLIENT_STAGES)
+    assert client_span.stage_bytes("deposit-send") == SPAN_PAYLOAD
+    for span in (client_span, server_span):
+        for event in span.stages:
+            assert 0.0 <= event.duration_s <= span.duration_s, event
+    assert sum(e.duration_s for e in server_span.stages) <= \
+        server_span.duration_s
 
 
 @pytest.mark.parametrize("drive", [d for d in CLIENT_DRIVES
