@@ -144,23 +144,6 @@ class CDREncoder:
         self._sealed += view.nbytes
         self.referenced_nbytes += view.nbytes
 
-    def put_array(self, fmt: str, values) -> None:
-        """A fixed-stride run: align once, convert in one C-level pass.
-
-        ``fmt`` is one of the CDR numeric struct formats (hHiIqQfd).
-        Raises ``LookupError`` when this platform cannot batch the
-        format (caller falls back to the per-element loop), and
-        whatever ``array`` raises for non-numeric/overflowing values —
-        identical wire bytes to the per-element path otherwise.
-        """
-        if fmt not in BATCH_FORMATS:
-            raise LookupError(f"no batch path for format {fmt!r}")
-        arr = array(fmt, values)
-        if self.little_endian != NATIVE_LITTLE:
-            arr.byteswap()
-        self.align(_STD_SIZES[fmt])
-        self.put_view(memoryview(arr).cast("B"))
-
     def _pack(self, fmt: str, value) -> None:
         s = self._structs.get(fmt) or compiled_struct(self._prefix, fmt)
         self._buf += s.pack(value)
@@ -270,11 +253,6 @@ class CDREncoder:
     def nbytes(self) -> int:
         """Total body bytes across the whole chunk plan."""
         return self._sealed + len(self._buf)
-
-    @property
-    def copied_nbytes(self) -> int:
-        """Bytes that passed through the encoder's own buffers."""
-        return self.nbytes - self.referenced_nbytes
 
     @property
     def pos(self) -> int:

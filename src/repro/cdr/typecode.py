@@ -89,18 +89,6 @@ class TypeCode:
         return self.kind in _PRIMITIVE_SIZES
 
     @property
-    def primitive_size(self) -> int:
-        return _PRIMITIVE_SIZES[self.kind]
-
-    @property
-    def is_octet_stream(self) -> bool:
-        """True for the two bulk types the paper's fast path handles."""
-        return (self.kind is TCKind.tk_zc_sequence or
-                (self.kind is TCKind.tk_sequence and
-                 self.content is not None and
-                 self.content.kind is TCKind.tk_octet))
-
-    @property
     def is_zero_copy(self) -> bool:
         return self.kind is TCKind.tk_zc_sequence
 

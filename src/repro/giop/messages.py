@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from ..cdr import NATIVE_LITTLE, CDRDecoder
+from ..cdr.encoder import SG_MIN_CHUNK
 from ..core.direct_deposit import DEPOSIT_MAGIC, DepositDescriptor
 
 __all__ = [
@@ -31,7 +32,7 @@ __all__ = [
     "encode_trace_context", "decode_trace_context",
     "RequestHeader", "ReplyHeader", "CancelRequestHeader",
     "LocateRequestHeader", "LocateReplyHeader",
-    "GIOPMessage", "encode_message", "encode_giop_header",
+    "frame_message", "encode_message", "encode_giop_header",
     "decode_header", "decode_body",
     "GIOPError",
 ]
@@ -129,7 +130,10 @@ class _Order:
 #: keyed by ``little_endian``
 _ORDERS = {True: _Order("<"), False: _Order(">")}
 
-_PAD = b"\x00" * 3
+#: parameter data starts on a multiple of this, counted from the start
+#: of the body: GIOP 1.2's rule, kept for 1.0 / 1.1 too (DESIGN.md §6)
+_BODY_ALIGN = 8
+_PAD = b"\x00" * _BODY_ALIGN
 
 # value -> member: a dict probe instead of ``Enum.__call__`` per message
 _MSG_TYPES = {int(m): m for m in MsgType}
@@ -139,6 +143,17 @@ _LOCATE_STATUSES = {int(s): s for s in LocateStatus}
 #: a service-context list longer than this is a framing error, not a
 #: message (the count is attacker-controlled)
 _MAX_CONTEXTS = 4096
+
+#: the largest control message a peer may send: a GIOP header's size,
+#: and a reassembled fragment chain's.  Four times the largest one sent
+#: here (a 16 MiB inline ``repro-ttcp --mode real`` block); a peer that
+#: claims more is refused before a byte of its body is asked for
+MAX_MESSAGE_SIZE = 64 * 1024 * 1024
+
+#: the most one message's deposit descriptors may add up to: four times
+#: the largest deposit sent here (the 64 MiB upload of
+#: ``examples/quickstart.py``); checked before a landing buffer exists
+MAX_DEPOSIT_NBYTES = 256 * 1024 * 1024
 
 
 def encode_giop_header(msg_type: MsgType, size: int,
@@ -188,6 +203,9 @@ class GIOPHeader:
         msg_type = _MSG_TYPES.get(mtype)
         if msg_type is None:
             raise GIOPError(f"unknown GIOP message type {mtype}")
+        if size > MAX_MESSAGE_SIZE:
+            raise GIOPError(f"message of {size} bytes is over the "
+                            f"{MAX_MESSAGE_SIZE}-byte bound")
         return cls(msg_type, size, little, major, minor,
                    bool(flags & FLAG_MORE_FRAGMENTS))
 
@@ -467,57 +485,100 @@ _HEADER_CLASSES = {
 }
 
 
-@dataclass
-class GIOPMessage:
-    """A decoded GIOP message: header, typed body header, body decoder."""
+# -- the message codec --------------------------------------------------------
+#
+# The one statement of how a body header and its parameters become a
+# message, and back.  The parameters start 8-aligned relative to the body
+# (``_BODY_ALIGN``), and only when there are any: a message without
+# parameters ends with its body header.
 
-    header: GIOPHeader
-    body_header: Optional[object]  #: RequestHeader/ReplyHeader/... or None
-    body: Optional[CDRDecoder]  #: positioned at the parameter data
+def frame_message(body_header, param_chunks: list, params_nbytes: int,
+                  little_endian: bool = NATIVE_LITTLE,
+                  fragment_size: int = 0) -> Tuple[list, int, int]:
+    """GIOP-frame ``body_header`` and its marshaled parameters ->
+    ``(chunks, n_fragments, body_nbytes)``: the gather list a stream
+    writes as is, how many GIOP messages it holds (GIOP 1.1 fragments
+    past ``fragment_size`` body bytes; 0 never fragments), and the body
+    size they carry in all.
+
+    ``param_chunks`` is a chunk plan (:meth:`CDREncoder.chunks`) of
+    ``params_nbytes`` bytes in all.  Parameters smaller than
+    ``SG_MIN_CHUNK`` in one piece are copied behind the body header, one
+    contiguous control buffer instead of an iovec entry; anything else
+    rides by reference.  Fragmentation *walks* the plan, slicing
+    ``memoryview`` windows at the fragment boundaries: the pieces alias
+    the caller's chunks, so no body is joined into a staging blob.
+    """
+    head = body_header.encode(little_endian)
+    if params_nbytes:
+        head += _PAD[:-len(head) & (_BODY_ALIGN - 1)]
+        body_nbytes = len(head) + params_nbytes
+        if len(param_chunks) == 1 and params_nbytes < SG_MIN_CHUNK:
+            head += param_chunks[0]
+            param_chunks = []
+    else:
+        body_nbytes = len(head)
+    msg_type = body_header.MSG_TYPE
+    if not fragment_size or body_nbytes <= fragment_size:
+        return [encode_giop_header(msg_type, body_nbytes, little_endian),
+                head, *param_chunks], 1, body_nbytes
+    views = [c if isinstance(c, memoryview) else memoryview(c)
+             for c in (head, *param_chunks)]
+    views = [v.cast("B") if (v.format != "B" or v.ndim != 1) else v
+             for v in views]
+    # per-fragment chunk lists: each fragment takes up to
+    # fragment_size bytes, cutting chunks with zero-copy slices
+    fragments: List[list] = [[]]
+    room = fragment_size
+    for v in views:
+        while v.nbytes:
+            if room == 0:
+                fragments.append([])
+                room = fragment_size
+            take = min(room, v.nbytes)
+            fragments[-1].append(v[:take])
+            v = v[take:]
+            room -= take
+    chunks: list = []
+    for i, pieces in enumerate(fragments):
+        chunks.append(encode_giop_header(
+            msg_type if i == 0 else MsgType.Fragment,
+            sum(p.nbytes for p in pieces), little_endian,
+            more_fragments=i < len(fragments) - 1))
+        chunks.extend(pieces)
+    return chunks, len(fragments), body_nbytes
 
 
 def encode_message(body_header, params: bytes = b"",
-                   little_endian: bool = NATIVE_LITTLE,
-                   minor: int = 1) -> bytes:
-    """Build one complete GIOP message.
+                   little_endian: bool = NATIVE_LITTLE) -> bytes:
+    """One complete GIOP message, as :func:`frame_message` frames it
+    (and so as ``GIOPConn.send_message`` writes it).
 
     ``body_header`` is a typed header object (or a bare
     :class:`MsgType` for header-less messages like CloseConnection);
-    ``params`` is the already-CDR-encoded parameter data, which must
-    have been encoded at the offset following the body header — use
-    :func:`body_offset_for` to get that offset.
+    ``params`` is the parameter data, CDR-encoded from an 8-aligned
+    offset 0.
     """
     if isinstance(body_header, MsgType):
-        msg_type = body_header
-        body = b""
-    else:
-        msg_type = body_header.MSG_TYPE
-        body = body_header.encode(little_endian)
-        if params:
-            # GIOP-1.2-style framing: parameter data starts 8-aligned
-            # relative to the body (see repro.orb.connection)
-            body += b"\x00" * ((-len(body)) % 8)
-    total = len(body) + len(params)
-    header = GIOPHeader(msg_type=msg_type, size=total,
-                        little_endian=little_endian, minor=minor)
-    return header.encode() + body + params
-
-
-def body_offset_for(body_header, little_endian: bool = NATIVE_LITTLE) -> int:
-    """CDR offset at which parameter data after ``body_header`` starts.
-
-    GIOP aligns the body relative to its own start (offset 0 just
-    after the 12-byte message header).
-    """
-    return len(body_header.encode(little_endian))
+        return encode_giop_header(body_header, 0, little_endian)
+    chunks, _, _ = frame_message(body_header, [params] if params else [],
+                                 len(params), little_endian)
+    return b"".join(chunks)
 
 
 def decode_header(data) -> GIOPHeader:
     return GIOPHeader.decode(data)
 
 
-def decode_body(header: GIOPHeader, body) -> GIOPMessage:
-    """Decode the typed body header; leave the decoder at the params."""
+def decode_body(header: GIOPHeader, body) -> tuple:
+    """Decode the typed body header -> ``(body_header, decoder)``, the
+    decoder aligned at the parameters; ``(None, None)`` for a message
+    type without a body header.
+
+    ``header.size`` bounds the parse, not the buffer handed in, unless
+    more fragments follow ``header``: then ``body`` is the reassembled
+    chain, and all of it is the body.
+    """
     view = memoryview(body)
     if view.format != "B" or view.ndim != 1:
         view = view.cast("B")
@@ -526,8 +587,8 @@ def decode_body(header: GIOPHeader, body) -> GIOPMessage:
             f"truncated GIOP body: {len(view)} < {header.size}")
     cls = _HEADER_CLASSES.get(header.msg_type)
     if cls is None:
-        return GIOPMessage(header=header, body_header=None, body=None)
-    if len(view) > header.size:
+        return None, None
+    if len(view) > header.size and not header.more_fragments:
         view = view[:header.size]
     try:
         body_header, params_at = cls.decode(view, header.little_endian)
@@ -538,5 +599,10 @@ def decode_body(header: GIOPHeader, body) -> GIOPMessage:
             f"bad {header.msg_type.name} header: underrun or bad "
             f"operation name ({e})") from e
     dec = CDRDecoder(view, little_endian=header.little_endian)
+    if params_at < len(view):
+        # a pad cut short leaves the decoder at the end, for the
+        # parameters' demarshal to find nothing there
+        params_at = min(len(view),
+                        (params_at + _BODY_ALIGN - 1) & -_BODY_ALIGN)
     dec.seek(params_at)
-    return GIOPMessage(header=header, body_header=body_header, body=dec)
+    return body_header, dec

@@ -13,8 +13,8 @@ references.
 
 Framing note: like GIOP 1.2, the parameter body is aligned to 8 bytes
 after the message header so in- and out-of-band parts compose; this is
-a self-consistent deviation from 1.0/1.1 padding (documented in
-DESIGN.md §6).
+a self-consistent deviation from 1.0/1.1 padding (DESIGN.md §6), stated
+once, in :func:`repro.giop.messages.frame_message`.
 """
 
 from __future__ import annotations
@@ -31,15 +31,15 @@ from functools import partial
 from time import monotonic
 from typing import Callable, Dict, NamedTuple, Optional
 
-from ..cdr import NATIVE_LITTLE, CDREncoder, MarshalContext
-from ..cdr.encoder import SG_MIN_CHUNK
+from ..cdr import NATIVE_LITTLE, CDRDecoder, CDREncoder, MarshalContext
 from ..core.buffers import (BufferPool, FileBackedBuffer, ZCBuffer,
                             default_pool)
 from ..core.direct_deposit import (DepositError, DepositReceiver,
                                    DepositRegistry)
-from ..giop import (GIOP_HEADER_SIZE, GIOPError, GIOPHeader, GIOPMessage,
-                    MsgType, ServiceContext, decode_body, decode_header,
-                    encode_giop_header)
+from ..giop import (GIOP_HEADER_SIZE, GIOPError, MsgType, ServiceContext,
+                    decode_body, decode_header, encode_giop_header,
+                    frame_message)
+from ..giop.messages import MAX_DEPOSIT_NBYTES, MAX_MESSAGE_SIZE
 from ..obs.events import WireEvent
 from ..obs.flightrec import FlightRecorder
 from ..obs.stages import STAGE_CONTROL_SEND, STAGE_DEPOSIT_SEND
@@ -49,9 +49,6 @@ from .exceptions import (COMM_FAILURE, MARSHAL, TIMEOUT, CompletionStatus,
                          SystemException)
 
 __all__ = ["GIOPConn", "ReceivedMessage", "ConnStats"]
-
-_BODY_ALIGN = 8
-_PAD = b"\x00" * _BODY_ALIGN
 
 
 @dataclass
@@ -153,7 +150,12 @@ class ReceivedMessage:
     plain numbers of its read (clock readings only under a sink), for
     the span that owns it to stamp."""
 
-    msg: GIOPMessage
+    msg_type: MsgType
+    little_endian: bool
+    #: RequestHeader / ReplyHeader / ..., None for a type without one
+    body_header: Optional[object]
+    #: the body's decoder, at the parameters (None with no body header)
+    body: Optional[CDRDecoder]
     deposits: Dict[int, ZCBuffer] = field(default_factory=dict)
     deposit_flags: Dict[int, int] = field(default_factory=dict)
     #: the sink's clock when the GIOP header was in and when the
@@ -168,23 +170,19 @@ class ReceivedMessage:
     landed_nbytes: int = 0
 
     @property
-    def header(self) -> GIOPHeader:
-        return self.msg.header
-
-    def make_demarshal_context(self, on_bytes=None,
-                               generic_loop: bool = False,
-                               orb=None) -> MarshalContext:
-        return MarshalContext(deposits=self.deposits, on_bytes=on_bytes,
-                              generic_loop=generic_loop, orb=orb,
-                              deposit_flags=self.deposit_flags)
+    def msg(self) -> "ReceivedMessage":
+        """This record: ``benchmarks/e2e/trace.py`` (``_request_id_of``)
+        still reads ``rm.msg.body_header``; nothing else may."""
+        return self
 
     def wire_event(self) -> WireEvent:
         """This message as the wire log shows it."""
-        header, body_header = self.msg.header, self.msg.body_header
+        body_header = self.body_header
         descs = body_header.deposit_descriptors() \
             if getattr(body_header, "service_contexts", None) else ()
         return WireEvent(
-            direction="recv", msg_type=header.msg_type.name, size=header.size,
+            direction="recv", msg_type=self.msg_type.name,
+            size=self.wire_nbytes - GIOP_HEADER_SIZE * self.fragments,
             request_id=getattr(body_header, "request_id", None),
             fragments=self.fragments,
             deposits=tuple((d.deposit_id, d.size) for d in descs))
@@ -197,17 +195,6 @@ class ReceivedMessage:
                 buf.release()
             except Exception:  # noqa: BLE001 - already released is fine
                 pass
-
-    def params_decoder(self):
-        """The body decoder, aligned to the parameter data.
-
-        The sender only pads when parameters follow the body header, so
-        an empty-parameter message ends right after the header.
-        """
-        body = self.msg.body
-        if body is not None and body.remaining > 0:
-            body.align(_BODY_ALIGN)
-        return body
 
 
 def _emitted_after(send, sink: FlightRecorder, event: WireEvent):
@@ -366,20 +353,9 @@ class GIOPConn:
                 params_nbytes = len(params)
                 param_chunks = [params] if params_nbytes else []
 
-            head = body_header.encode(self.little_endian)
-            if params_nbytes:
-                head += _PAD[:-len(head) & (_BODY_ALIGN - 1)]
-                body_nbytes = len(head) + params_nbytes
-                if len(param_chunks) == 1 and params_nbytes < SG_MIN_CHUNK:
-                    # parameters the encoder already holds by copy: one
-                    # contiguous control buffer instead of an iovec entry
-                    head += param_chunks[0]
-                    param_chunks = []
-            else:
-                body_nbytes = len(head)
-            msg_type = body_header.MSG_TYPE
-            chunks, n_fragments = self._frame(msg_type, [head] + param_chunks,
-                                              body_nbytes)
+            chunks, n_fragments, body_nbytes = frame_message(
+                body_header, param_chunks, params_nbytes, self.little_endian,
+                self.fragment_size)
             # GIOP headers plus body pieces: the true control-path wire
             # bytes, however many fragment headers went out
             control_nbytes = GIOP_HEADER_SIZE * n_fragments + body_nbytes
@@ -390,7 +366,7 @@ class GIOPConn:
                 # the write: observing it changes nothing the write does
                 descs = ctx.descriptors if ctx is not None else ()
                 event = WireEvent(
-                    direction="send", msg_type=msg_type.name,
+                    direction="send", msg_type=body_header.MSG_TYPE.name,
                     size=body_nbytes,
                     request_id=getattr(body_header, "request_id", None),
                     fragments=n_fragments,
@@ -591,48 +567,6 @@ class GIOPConn:
                 return
             carried["sendfile_fallbacks"] += 1
         self.stream.sendv([fbb.view()])
-
-    def _frame(self, msg_type: MsgType, body_chunks: list,
-               body_nbytes: int) -> tuple:
-        """GIOP-frame a body chunk plan -> ``(chunks, n_fragments)``,
-        fragmenting per GIOP 1.1 if configured.
-
-        Unfragmented (the fast path) the plan passes through untouched:
-        one header chunk prepended, no join.  Fragmentation *walks* the
-        chunk plan, slicing ``memoryview`` windows at the fragment
-        boundaries — the emitted pieces alias the caller's chunks, so
-        even the WAN regime never joins the body into a staging blob.
-        """
-        if not self.fragment_size or body_nbytes <= self.fragment_size:
-            return [encode_giop_header(msg_type, body_nbytes,
-                                       self.little_endian)] \
-                + body_chunks, 1
-        views = [c if isinstance(c, memoryview) else memoryview(c)
-                 for c in body_chunks]
-        views = [v.cast("B") if (v.format != "B" or v.ndim != 1) else v
-                 for v in views]
-        # per-fragment chunk lists: each fragment takes up to
-        # fragment_size bytes, cutting chunks with zero-copy slices
-        fragments: list[list] = [[]]
-        room = self.fragment_size
-        for v in views:
-            while v.nbytes:
-                if room == 0:
-                    fragments.append([])
-                    room = self.fragment_size
-                take = min(room, v.nbytes)
-                fragments[-1].append(v[:take])
-                v = v[take:]
-                room -= take
-        chunks: list = []
-        for i, pieces in enumerate(fragments):
-            more = i < len(fragments) - 1
-            mtype = msg_type if i == 0 else MsgType.Fragment
-            chunks.append(encode_giop_header(
-                mtype, sum(p.nbytes for p in pieces), self.little_endian,
-                more_fragments=more))
-            chunks.extend(pieces)
-        return chunks, len(fragments)
 
     def _fold(self, carried: dict) -> None:
         """Add one message's tier tallies to the counters (the caller
@@ -864,6 +798,7 @@ class GIOPConn:
             # come: the idle before them is not its read
             if sink is not None:
                 began = sink.clock()
+            # a size over MAX_MESSAGE_SIZE is refused by the decode
             header = decode_header(raw_header)
             body = (yield ("exact", header.size)) if header.size \
                 else memoryview(b"")
@@ -874,7 +809,8 @@ class GIOPConn:
             # body.  One growing bytearray takes each fragment in
             # amortized O(1), so a 256-fragment message costs
             # linear copy work — rebuilding the accumulator per
-            # fragment would be O(n^2) in the total size.
+            # fragment would be O(n^2) in the total size.  The first
+            # header, its more-fragments flag set, frames the whole.
             assembled: Optional[bytearray] = None
             more_fragments = header.more_fragments
             while more_fragments:
@@ -884,6 +820,12 @@ class GIOPConn:
                     raise GIOPError(
                         f"expected Fragment continuation, got "
                         f"{frag_header.msg_type.name}")
+                # the body bytes read so far, and this fragment's
+                if wire_nbytes - GIOP_HEADER_SIZE * fragments \
+                        + frag_header.size > MAX_MESSAGE_SIZE:
+                    raise GIOPError(
+                        f"fragment chain over the {MAX_MESSAGE_SIZE}-byte "
+                        f"bound")
                 if assembled is None:
                     assembled = bytearray(body)
                 assembled += (yield ("exact", frag_header.size))
@@ -892,11 +834,6 @@ class GIOPConn:
                 more_fragments = frag_header.more_fragments
             if assembled is not None:
                 body = memoryview(assembled)
-                header = GIOPHeader(
-                    msg_type=header.msg_type, size=len(body),
-                    little_endian=header.little_endian,
-                    major=header.major, minor=header.minor,
-                    more_fragments=False)
         except GIOPError:
             # the stream position is undefined after a framing error:
             # this connection can never resynchronize
@@ -909,11 +846,10 @@ class GIOPConn:
             arrived = sink.clock()
         self.stats.messages_received += 1
         self.stats.bytes_received += wire_nbytes
-        msg = decode_body(header, body)
-        rm = ReceivedMessage(msg=msg, began=began, arrived=arrived,
+        body_header, dec = decode_body(header, body)
+        rm = ReceivedMessage(header.msg_type, header.little_endian,
+                             body_header, dec, began=began, arrived=arrived,
                              wire_nbytes=wire_nbytes, fragments=fragments)
-
-        body_header = msg.body_header
         # only Request and Reply headers have a service-context list,
         # and only a non-empty one can name deposits
         if getattr(body_header, "service_contexts", None):
@@ -938,6 +874,9 @@ class GIOPConn:
         try:
             # every descriptor is accepted before a byte behind them is
             # read: a refused message must not wait for bytes never sent
+            if sum(d.size for d in descriptors) > MAX_DEPOSIT_NBYTES:
+                raise DepositError(f"deposits over the {MAX_DEPOSIT_NBYTES}"
+                                   f"-byte bound")
             if channel is None:
                 landings = [receiver.prepare(desc) for desc in descriptors]
             elif len({d.deposit_id for d in descriptors}) < len(descriptors):

@@ -317,9 +317,9 @@ class ReplyDemux:
         ``_driver``, on the loop: must not block).  A message that ends
         the connection closes it, which ends the reading."""
         conn = self.conn
-        mtype = rm.msg.header.msg_type
+        mtype = rm.msg_type
         if mtype in _MATCHED:
-            request_id = rm.msg.body_header.request_id
+            request_id = rm.body_header.request_id
             with self._lock:
                 fut = self._pending.pop(request_id, None)
             if fut is not None:

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..cdr import get_marshaller
+from ..cdr import CDRError, MarshalError, get_marshaller
 from ..giop import (SVC_CTX_DEPOSIT, SVC_CTX_TRACE, ReplyHeader, ReplyStatus,
                     RequestHeader)
 from ..obs.dtrace import extract_trace_context
 from ..obs.stages import (STAGE_DEMARSHAL, STAGE_DEPOSIT_RECV,
                           STAGE_MARSHAL, STAGE_RECV_WAIT)
 from .connection import GIOPConn, ReceivedMessage
-from .exceptions import (BAD_OPERATION, OBJECT_NOT_EXIST, UNKNOWN,
+from .exceptions import (BAD_OPERATION, MARSHAL, OBJECT_NOT_EXIST, UNKNOWN,
                          CompletionStatus, SystemException, UserException,
                          encode_system_exception)
 from .interceptors import RequestInfo
@@ -71,7 +71,7 @@ class MethodDispatcher:
     # -- the upcall ------------------------------------------------------------
     def dispatch(self, conn: GIOPConn, rm: ReceivedMessage) -> None:
         """Handle one Request message end-to-end (including the reply)."""
-        req = rm.msg.body_header
+        req = rm.body_header
         assert isinstance(req, RequestHeader)
         chain = getattr(conn.orb, "interceptors", None) if conn.orb \
             else None
@@ -121,15 +121,19 @@ class MethodDispatcher:
                     message=f"no servant for key {req.object_key!r}")
             sig = self._resolve(servant, req.operation)
             sink = conn.sink
-            dec = rm.params_decoder()
+            dec = rm.body
             t0 = sink.clock() if sink is not None else 0.0
             try:
-                args = sig.demarshal_request(dec, rm, conn) \
-                    if dec is not None else []
+                args = sig.demarshal_request(dec, rm, conn)
+            except (CDRError, MarshalError) as e:
+                # parameters that do not decode: the upcall never ran
+                raise MARSHAL(completed=CompletionStatus.COMPLETED_NO,
+                              message=f"{req.operation} request: {e}"
+                              ) from e
             finally:
                 if sink is not None:
                     sink.stamp(STAGE_DEMARSHAL, sink.clock() - t0,
-                               dec.tell() if dec is not None else 0)
+                               dec.tell())
             method = getattr(servant, req.operation, None)
             if method is None or not callable(method):
                 raise BAD_OPERATION(message=(

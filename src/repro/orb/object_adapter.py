@@ -79,10 +79,6 @@ class POA:
         with self._lock:
             return self._servants.get(key)
 
-    def servant_key(self, servant: Servant) -> Optional[bytes]:
-        with self._lock:
-            return self._keys_by_servant.get(id(servant))
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._servants)

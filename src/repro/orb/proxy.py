@@ -30,7 +30,7 @@ import threading
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
-from ..cdr import get_marshaller
+from ..cdr import CDRError, MarshalError, get_marshaller
 from ..giop import (LocateReplyHeader, LocateRequestHeader, LocateStatus,
                     ReplyHeader, ReplyStatus, RequestHeader)
 from ..obs.stages import (STAGE_DEMARSHAL, STAGE_DEPOSIT_RECV, STAGE_MARSHAL,
@@ -455,7 +455,7 @@ class IIOPProxy:
         conn, rm = att.conn, future.message
         assert rm is not None
         sink = conn.sink
-        reply = rm.msg.body_header
+        reply = rm.body_header
         if sink is not None:
             # the demux left the numbers of its read on the message; on
             # this thread, where the span of THIS call is open, they
@@ -473,11 +473,9 @@ class IIOPProxy:
         if sig is _LOCATE:
             return reply.locate_status is LocateStatus.OBJECT_HERE
         status = reply.reply_status
+        dec = rm.body
         try:
-            dec = rm.params_decoder()
             if status is ReplyStatus.NO_EXCEPTION:
-                if dec is None:
-                    raise MARSHAL(message="reply without body")
                 t0 = sink.clock() if sink is not None else 0.0
                 try:
                     result = sig.demarshal_reply(dec, rm, conn)
@@ -509,6 +507,14 @@ class IIOPProxy:
                 raise TRANSIENT(message="LOCATION_FORWARD not supported; "
                                         "re-resolve the object reference")
             raise INTERNAL(message=f"unhandled reply status {status}")
+        except (CDRError, MarshalError) as e:
+            # a body that does not decode: the servant ran, unless the
+            # body is a SYSTEM_EXCEPTION's, whose status is what is lost
+            raise MARSHAL(
+                completed=CompletionStatus.COMPLETED_MAYBE
+                if status is ReplyStatus.SYSTEM_EXCEPTION
+                else CompletionStatus.COMPLETED_YES,
+                message=f"{status.name} reply: {e}") from e
         finally:
             # a span that saw a reply says which kind (what its readers
             # keep a breakdown of); the reply points run after

@@ -233,7 +233,7 @@ class IIOPServer:
         or runs servant code goes through the pool; a reader thread or
         a pump may block, so there a full queue blocks the reader and
         what has no reply to reorder runs inline."""
-        mtype = rm.header.msg_type
+        mtype = rm.msg_type
         if mtype is MsgType.Request or mtype is MsgType.LocateRequest:
             if self.workers is None:
                 self._serve(conn, rm)
@@ -245,7 +245,7 @@ class IIOPServer:
                 # permits
                 self._submit(conn, rm, driver)
             elif mtype is MsgType.Request and \
-                    rm.msg.body_header.response_expected:
+                    rm.body_header.response_expected:
                 # hand off; the reply leaves whenever the upcall is done
                 self.workers.submit(conn, rm)
             else:
@@ -288,10 +288,10 @@ class IIOPServer:
         """Answer one Request or LocateRequest on a thread that may
         block: a pool worker, or a reader dispatching inline."""
         try:
-            if rm.header.msg_type is MsgType.Request:
+            if rm.msg_type is MsgType.Request:
                 self.dispatcher.dispatch(conn, rm)
                 return
-            req = rm.msg.body_header
+            req = rm.body_header
             status = (LocateStatus.OBJECT_HERE
                       if self.poa.find_servant(req.object_key) is not None
                       else LocateStatus.UNKNOWN_OBJECT)

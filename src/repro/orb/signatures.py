@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..cdr import CDRDecoder, CDRError, TypeCode, get_marshaller
+from ..cdr import (CDRDecoder, CDRError, MarshalContext, TypeCode,
+                   get_marshaller)
 from ..cdr.typecode import TC_VOID, TCKind
 from .exceptions import BAD_PARAM, MARSHAL, UserException
 
@@ -80,9 +81,9 @@ def _plan(tcs) -> Optional[tuple]:
 def demarshal_context(rm, conn):
     """The interpreter's demarshal context for message ``rm`` read on
     ``conn``."""
-    return rm.make_demarshal_context(on_bytes=conn.on_bytes,
-                                     generic_loop=conn.generic_loop,
-                                     orb=conn.orb)
+    return MarshalContext(deposits=rm.deposits, on_bytes=conn.on_bytes,
+                          generic_loop=conn.generic_loop, orb=conn.orb,
+                          deposit_flags=rm.deposit_flags)
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,6 @@ class TransferReport:
             return 0.0
         return self.nbytes * 8 * 1e3 / self.elapsed_ns  # = *8 / (ns/1e9) / 1e6
 
-    @property
-    def mbyte_per_s(self) -> float:
-        return self.mbit_per_s / 8.0
-
 
 @dataclass
 class StreamStep:

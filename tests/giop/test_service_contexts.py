@@ -24,7 +24,7 @@ SPAN = bytes(range(16, 24))
 def _round_trip(header_obj):
     msg = encode_message(header_obj)
     h = decode_header(msg[:GIOP_HEADER_SIZE])
-    return decode_body(h, msg[GIOP_HEADER_SIZE:]).body_header
+    return decode_body(h, msg[GIOP_HEADER_SIZE:])[0]
 
 
 class TestTraceContextCodec:

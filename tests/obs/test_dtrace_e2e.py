@@ -231,7 +231,7 @@ class TestJoinRule:
 
         def spy(self, conn, rm):
             seen.append((conn.orb, [sc.context_id for sc in
-                                    rm.msg.body_header.service_contexts]))
+                                    rm.body_header.service_contexts]))
             return orig(self, conn, rm)
 
         monkeypatch.setattr(MethodDispatcher, "dispatch", spy)
@@ -339,7 +339,7 @@ class TestWireHygiene:
         orig = MethodDispatcher.dispatch
 
         def spy(self, conn, rm):
-            seen.append(list(rm.msg.body_header.service_contexts))
+            seen.append(list(rm.body_header.service_contexts))
             return orig(self, conn, rm)
 
         monkeypatch.setattr(MethodDispatcher, "dispatch", spy)
@@ -383,8 +383,8 @@ class TestWireHygiene:
             while stream.available == 0 and time.monotonic() < deadline:
                 time.sleep(0.001)
             rm = conn.read_message()
-            assert rm.header.msg_type is MsgType.Reply
-            reply = rm.msg.body_header
+            assert rm.msg_type is MsgType.Reply
+            reply = rm.body_header
             assert reply.request_id == req.request_id
             assert reply.reply_status is ReplyStatus.NO_EXCEPTION
             assert foreign in reply.service_contexts

@@ -14,10 +14,12 @@ threads can be told from the client's.
 Who reads: the client's connection is never awaited on, so the calling
 thread reads its own reply (DESIGN.md §10, the waiter) and the client
 half of a ping runs on that one thread, which the test pins; no loop
-runs in the client at all.  The ceilings sit 10 % above what the call
-plans reached (90 → 72 on the calling thread, 162 → 126 in all: a
-fixed-layout request and reply are one ``struct`` call each, with no
-encoder, decoder walk or marshal context).  The waiter change before
+runs in the client at all.  The ceilings sit 10 % above what is
+reached: 69 on the calling thread and 116 in all since a received
+message is one record (72 → 69, 126 → 116).  The call plans before it
+took 90 → 72 and 162 → 126: a fixed-layout request and reply are one
+``struct`` call each, with no encoder, decoder walk or marshal
+context.  The waiter change before
 them moved calls onto the calling thread (63 → 92, the
 read and routing of the reply, and the idle check before the write)
 and took more off the others (187 → 166 in all), which is the thread
@@ -74,9 +76,12 @@ from repro.orb.reactor import reset_reactor
 from repro.services import BlobStoreImpl, read_all
 from repro.transport.shm import shm_available
 
-#: measured: 72 on the calling thread, which reads its own reply, 126
+#: measured: 69 on the calling thread, which reads its own reply, 116
 #: over all threads against a server that dispatches on its reader
-#: thread, 0 emits; a fixed-layout request and reply each take one
+#: thread, 0 emits; a received message is one record (72 and 126 while
+#: the read built a message object and a second GIOPHeader per message,
+#: and the consumers asked the record for its parameter decoder and
+#: demarshal context); a fixed-layout request and reply each take one
 #: ``struct`` call (90 and 162 while every call ran the TypeCode
 #: interpreter; 91 and 164 while proxy and dispatcher asked the
 #: connection for a composed byte hook; 89 and 160 while only a traced
@@ -85,25 +90,27 @@ from repro.transport.shm import shm_available
 #: before a write led a read; 166 while the server's reader thread
 #: blocked in ``recv`` instead of ``poll``; 63 and 187 while a reactor
 #: thread read it)
-CALLER_CEILING = 79
-TOTAL_CEILING = 139
+CALLER_CEILING = 76
+TOTAL_CEILING = 128
 EMIT_CEILING = 0
 #: measured with ``generic_loop=True``, which forces the interpreter on
-#: every call: 88 and 159 (162 before the call plans, whose count the
-#: switch must keep within ``GENERIC_LOOP_SLACK``)
-GENERIC_LOOP_TOTAL = 162
+#: every call: 147 in all (159 before the one-record read; 162 before
+#: the call plans, whose count the switch must keep within
+#: ``GENERIC_LOOP_SLACK``)
+GENERIC_LOOP_TOTAL = 147
 GENERIC_LOOP_SLACK = 3
-#: measured on shm: 75 on the calling thread, which reads its own reply
-#: as on tcp, and 132 over all threads (94 and 170 before the call
-#: plans; 95 and 172 with the composed
+#: measured on shm: 72 on the calling thread, which reads its own reply
+#: as on tcp, and 122 over all threads (75 and 132 before the one-record
+#: read; 94 and 170 before the call plans; 95 and 172 with the composed
 #: byte hook; 93 and 168 while only a traced send stamped its two
 #: stages; 170 with the server's pool; 67 and 167 while a reader thread
 #: read the client's connection; 169 while reader threads blocked in
 #: ``recv``)
-SHM_CALLER_CEILING = 82
-SHM_TOTAL_CEILING = 145
-#: measured: the recorder adds 21.0 calls per ping (126 against 105
-#: with ``flight_recorder=False``): twelve ``stamp``s, six stages on
+SHM_CALLER_CEILING = 79
+SHM_TOTAL_CEILING = 134
+#: measured: the recorder adds 21.0 calls per ping (116 against 95
+#: with ``flight_recorder=False``; 126 against 105 before the one-record
+#: read): twelve ``stamp``s, six stages on
 #: each side.  23.0 while each side's marshal stamp read an encoder's
 #: ``nbytes`` property (a fixed body's ``len`` is a C call); 20.0 while
 #: an untraced send stamped neither control-send nor deposit-send
@@ -117,7 +124,9 @@ RECORDER_CEILING = 25
 #: that
 TRACED_OBS_CEILING = 285
 STAGE_FANOUT_CEILING = 2
-#: measured, awaited with 8 in flight: the least of three windows 110.0
+#: measured, awaited with 8 in flight: the least of three windows 89.3
+#: to 89.4 calls per ping on the client over five runs, every window
+#: 89.2 to 89.8 (92.6 before the one-record read).  Earlier: 110.0
 #: to 111.9 calls per ping on the client over three runs, every window
 #: 110.0 to 113.1, all on the reactor's thread.  Against the server's
 #: pool one window alone read 116.4 to 122.3 over eight runs, now and
@@ -125,14 +134,15 @@ STAGE_FANOUT_CEILING = 2
 #: replies one readiness event finds one at a time runs more loop
 #: iterations (``loop.time``, ``_run_once``, the self-pipe, empty
 #: ``_read_nb`` rounds), which the least of three leaves out
-ASYNC_CLIENT_CEILING = 125
+ASYNC_CLIENT_CEILING = 98
 ASYNC_CLIENT_THREADS = 1
 ASYNC_WINDOW = 8
 
 #: measured, all threads, per ``send_zc``: one byte under
-#: ``DEPOSIT_MIN_SIZE`` 188 on tcp and 200 on shm (the payload rides the
-#: control message), at twice the constant 229 and 283 (a deposit; on
-#: shm with its arena staging, and its record read by the parse); its
+#: ``DEPOSIT_MIN_SIZE`` 175 on tcp and 187 on shm (the payload rides the
+#: control message), at twice the constant 218 and 272 (a deposit; on
+#: shm with its arena staging, and its record read by the parse); 188 /
+#: 200 and 229 / 283 before the one-record read; its
 #: ``unsigned long`` reply takes the call plan (214 / 227 and 254 / 309
 #: while it ran the interpreter); 216 /
 #: 229 and 256 / 311 with the composed byte hook; 212 / 225 and 252 /
@@ -143,8 +153,8 @@ ASYNC_WINDOW = 8
 #: blocked in ``recv`` 218 / 226 and 260 / 309; before the size rule and
 #: the one gather write 279 / 324 at every size; before tcp callers read
 #: their own replies 233 / 278 on tcp
-DEPOSIT_CEILINGS = {("tcp", False): 256, ("shm", False): 247,
-                    ("tcp", True): 305, ("shm", True): 341}
+DEPOSIT_CEILINGS = {("tcp", False): 193, ("shm", False): 206,
+                    ("tcp", True): 240, ("shm", True): 299}
 
 #: measured over loopback, all threads, one ``read_all`` of 8 chunks:
 #: 4162 calls at 64 KiB chunks, 4193 to 4221 at 1 MiB (16x the bytes).

@@ -9,6 +9,7 @@ from repro.cdr.typecode import TC_SEQ_OCTET, TC_SEQ_ZC_OCTET
 from repro.core import OctetSequence, ZCOctetSequence
 from repro.giop import MsgType, RequestHeader
 from repro.orb.connection import GIOPConn
+from repro.orb.signatures import demarshal_context
 from repro.transport import LoopbackTransport
 
 _payload = st.tuples(st.booleans(), st.binary(min_size=0, max_size=30000))
@@ -42,13 +43,13 @@ def test_message_mix_round_trip(payloads, fragment_size):
 
         for i, (zero_copy, data) in enumerate(payloads):
             rm = receiver.read_message()
-            assert rm.header.msg_type is MsgType.Request
-            req = rm.msg.body_header
+            assert rm.msg_type is MsgType.Request
+            req = rm.body_header
             assert req.request_id == i
             assert req.operation == f"op{i}"
             tc = TC_SEQ_ZC_OCTET if zero_copy else TC_SEQ_OCTET
-            dctx = rm.make_demarshal_context()
-            out = get_marshaller(tc).demarshal(rm.params_decoder(), dctx)
+            dctx = demarshal_context(rm, receiver)
+            out = get_marshaller(tc).demarshal(rm.body, dctx)
             assert out.tobytes() == data
             if zero_copy and data:
                 assert out.is_page_aligned

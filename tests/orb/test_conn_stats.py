@@ -6,7 +6,7 @@ Four bugs the overhead-breakdown tracing work exposed:
    fragment's payload counted once per frame *and* once in the
    reassembled control-message size);
 2. ``bytes_sent`` undercounted fragmented sends (a single
-   ``GIOP_HEADER_SIZE`` even when ``_frame`` emitted N fragment
+   ``GIOP_HEADER_SIZE`` even when the framer emitted N fragment
    headers);
 3. a ``DepositError`` from ``DepositReceiver.prepare`` (duplicate
    descriptor id on the wire) escaped the transport-error handling,
@@ -73,7 +73,7 @@ def test_send_recv_stats_agree_with_the_wire(fragment_size):
         fragment_size=fragment_size)
     _send_request(sender, b"\x5a" * 3000, zero_copy=False)
     rm = receiver.read_message()
-    assert rm.header.msg_type is MsgType.Request
+    assert rm.msg_type is MsgType.Request
 
     # the loopback stream counts exactly what crossed the "wire"
     assert sender.stats.bytes_sent == cstream.bytes_sent

@@ -185,8 +185,8 @@ class TestStreamChunking:
         for i in range(len(msg)):
             client.send(msg[i:i + 1])
         rm = conn.read_message()
-        assert rm.msg.body_header.operation == "frag_op"
-        assert rm.params_decoder().get_view(8).tobytes() == b"PAYLOAD!"
+        assert rm.body_header.operation == "frag_op"
+        assert rm.body.get_view(8).tobytes() == b"PAYLOAD!"
 
     def test_a_fault_plan_numbers_the_reads_a_pump_stages(self):
         """A pumped message may arrive in pieces, and a read that finds

@@ -131,7 +131,7 @@ class TestReassemblyLinearity:
             t0 = time.perf_counter()
             rm = receiver.read_message()
             elapsed = time.perf_counter() - t0
-            assert rm.header.size >= len(data)
+            assert rm.body.remaining >= len(data)
             return elapsed
         finally:
             client_stream.close()
@@ -207,27 +207,24 @@ class TestHeterogeneity:
 class TestFrameZeroCopy:
     """The framing hot path must slice the chunk plan, never join it.
 
-    The old ``_frame`` flattened the scatter/gather plan into one
+    An earlier framer flattened the scatter/gather plan into one
     ``bytes`` before cutting fragments — a full copy of every body on
-    every fragmented send.  The rewrite walks the plan and emits
+    every fragmented send.  ``frame_message`` walks the plan and emits
     per-fragment chunk lists whose pieces are memoryview slices of the
     original chunks.
     """
 
     FRAG = 1000
-    _ids = itertools.count(1)
+    #: 4 body-header bytes, padded to 8 before the parameters
+    HEAD = 8
 
-    def _conn(self, fragment_size):
-        from repro.orb.connection import GIOPConn
-        from repro.transport import LoopbackTransport
+    @staticmethod
+    def _frame_plan(plan, fragment_size):
+        from repro.giop import CancelRequestHeader, frame_message
 
-        transport = LoopbackTransport()
-        accepted = []
-        listener = transport.listen(
-            f"frame-{next(self._ids)}", 0, accepted.append)
-        stream = transport.connect(listener.endpoint)
-        listener.close()
-        return GIOPConn(stream, fragment_size=fragment_size)
+        return frame_message(CancelRequestHeader(request_id=1), list(plan),
+                             sum(len(c) for c in plan),
+                             fragment_size=fragment_size)
 
     @staticmethod
     def _reassemble(chunks):
@@ -248,34 +245,28 @@ class TestFrameZeroCopy:
         return bytes(body), n_frags
 
     def test_fragmented_wire_bytes_equal_unfragmented(self):
-        from repro.giop import MsgType
-
         plan = [bytes([i % 256]) * n
                 for i, n in enumerate((100, 3000, 17, 4500, 1))]
-        nbytes = sum(len(c) for c in plan)
 
-        flat_chunks, n1 = self._conn(0)._frame(
-            MsgType.Request, list(plan), nbytes)
-        frag_chunks, n2 = self._conn(self.FRAG)._frame(
-            MsgType.Request, list(plan), nbytes)
-        assert n1 == 1 and n2 == 8  # ceil(7618 / 1000)
+        flat_chunks, n1, size1 = self._frame_plan(plan, 0)
+        frag_chunks, n2, size2 = self._frame_plan(plan, self.FRAG)
+        assert n1 == 1 and n2 == 8  # ceil((8 + 7618) / 1000)
+        assert size1 == size2 == self.HEAD + 7618
 
         flat_body, _ = self._reassemble(flat_chunks)
         frag_body, n_headers = self._reassemble(frag_chunks)
-        assert frag_body == flat_body == b"".join(plan)
+        assert frag_body == flat_body
+        assert frag_body[self.HEAD:] == b"".join(plan)
         assert n_headers == 8
 
     def test_fragment_pieces_alias_the_original_chunks(self):
         """No copy: every body piece is a view into the caller's plan."""
-        from repro.giop import MsgType
-
         big = bytearray(b"A" * 5000)
         plan = [b"hdr-bytes", memoryview(big)]
-        chunks, n = self._conn(self.FRAG)._frame(
-            MsgType.Request, plan, 9 + 5000)
+        chunks, n, _ = self._frame_plan(plan, self.FRAG)
         assert n > 1
         pieces = [c for c in chunks if isinstance(c, memoryview)]
-        assert sum(p.nbytes for p in pieces) == 9 + 5000
+        assert sum(p.nbytes for p in pieces) == self.HEAD + 9 + 5000
         aliased = [p for p in pieces if p.obj is big]
         assert sum(p.nbytes for p in aliased) == 5000
 
@@ -286,13 +277,10 @@ class TestFrameZeroCopy:
 
     def test_odd_fragment_boundaries_respect_chunk_seams(self):
         """Chunk seams and fragment boundaries interleave arbitrarily."""
-        from repro.giop import MsgType
-
         plan = [bytes([i % 256]) * n for i, n in enumerate(
             (1, 999, 1000, 1001, 5, 5, 5, 2500))]
-        nbytes = sum(len(c) for c in plan)
-        chunks, n = self._conn(self.FRAG)._frame(
-            MsgType.Request, list(plan), nbytes)
+        nbytes = self.HEAD + sum(len(c) for c in plan)
+        chunks, n, _ = self._frame_plan(plan, self.FRAG)
         body, n_headers = self._reassemble(chunks)
-        assert body == b"".join(plan)
+        assert body[self.HEAD:] == b"".join(plan)
         assert n == n_headers == -(-nbytes // self.FRAG)

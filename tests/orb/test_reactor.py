@@ -66,7 +66,7 @@ class TestAdoption:
         try:
             assert conn.start_reading(
                 lambda rm, driver: seen.append(
-                    (rm.header.msg_type, threading.current_thread().name)),
+                    (rm.msg_type, threading.current_thread().name)),
                 lambda exc, driver: None, reactor=get_reactor()) is None
             assert _settle(lambda: _on_the_loop(conn))
             client.send(encode_giop_header(MsgType.CloseConnection, 0))
@@ -133,7 +133,7 @@ class TestAdoption:
         seen = []
         try:
             assert conn.start_reading(
-                lambda rm: seen.append((rm.header.msg_type,
+                lambda rm: seen.append((rm.msg_type,
                                         threading.current_thread())),
                 seen.append, reactor=get_reactor()) is None
             assert not _on_the_loop(conn)

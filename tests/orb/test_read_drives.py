@@ -15,8 +15,11 @@ drive's is in the table: its ``bad-magic``, ``unknown-type`` and
 ``ff-body`` rows on ``loop``, a default tcp server, got neither an
 answer nor a hang-up before ``_ConnDriver._resume``.)
 
-This is the first piece of ROADMAP item 4(a)'s connection fuzzer; size
-limits (oversized headers, endless fragment chains) stay with that item.
+This is the first piece of ROADMAP item 4(a)'s connection fuzzer.  Its
+``oversized-*`` rows are the size bounds of ``repro.giop.messages``: a
+claim just over one is refused before anything of its size is
+allocated.  The last section is a well-framed message whose parameters
+do not decode: ``MARSHAL``, both roles.
 """
 
 import asyncio
@@ -27,11 +30,13 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import pytest
 
+from repro.cdr import CDREncoder, CDRError
 from repro.core import (BufferPool, DepositDescriptor, OctetSequence,
                         ZCOctetSequence)
 from repro.core.buffers import PAGE_SIZE
@@ -41,9 +46,11 @@ from repro.giop import (GIOP_HEADER_SIZE, IOR, IIOPProfile, LocateReplyHeader,
                         ReplyStatus, RequestHeader, ServiceContext,
                         decode_body, decode_header, encode_giop_header,
                         encode_message)
+from repro.giop.messages import MAX_DEPOSIT_NBYTES, MAX_MESSAGE_SIZE
 from repro.obs import CLIENT_STAGES
-from repro.orb import (COMM_FAILURE, INTERNAL, MARSHAL, ORB, CompletionStatus,
-                       ORBConfig, async_api)
+from repro.orb import (COMM_FAILURE, INTERNAL, MARSHAL, ORB, UNKNOWN,
+                       CompletionStatus, ORBConfig, async_api)
+from repro.orb.exceptions import decode_system_exception
 from repro.orb.reactor import get_reactor
 from repro.transport import FaultPlan, FaultyStream, faulty_registry
 from repro.transport.base import TransportError, TransportTimeout
@@ -106,6 +113,29 @@ def _deposit_then(record: bytes) -> Callable:
     return build
 
 
+def _oversized_fragment_chain(_rng, to_server: bool) -> bytes:
+    """An 8-byte first fragment, then a Fragment header whose size
+    takes the chain one byte over the bound (no body follows)."""
+    first = bytes(encode_giop_header(
+        MsgType.Request if to_server else MsgType.Reply, 8,
+        more_fragments=True)) + bytes(8)
+    return first + bytes(encode_giop_header(MsgType.Fragment,
+                                            MAX_MESSAGE_SIZE - 7))
+
+
+def _oversized_deposits(_rng, to_server: bool) -> bytes:
+    """Two deposits, each under the bound, that sum to one byte over
+    it (no payload follows)."""
+    half = MAX_DEPOSIT_NBYTES // 2
+    named = [ServiceContext.for_deposit(DepositDescriptor(1, half)),
+             ServiceContext.for_deposit(DepositDescriptor(2, half + 1))]
+    return encode_message(RequestHeader(
+        request_id=1, object_key=b"store", operation="put",
+        service_contexts=named) if to_server else ReplyHeader(
+            request_id=1, reply_status=ReplyStatus.NO_EXCEPTION,
+            service_contexts=named))
+
+
 def _record(slot: int = -1, size: int = 4096, magic: int = SHM_MAGIC):
     return struct.pack("<IiQQ", magic, slot, 0, size)
 
@@ -114,7 +144,8 @@ class Hostile(NamedTuple):
     """One row: ``build(rng, to_server)`` -> the bytes; whether the peer
     hangs up after them; what a server does; what a client's in-flight
     calls get; whether they hold an shm deposit record (read only by a
-    connection that has a deposit channel)."""
+    connection that has a deposit channel); whether they claim a size
+    over a bound (the reading end then allocates nothing of it)."""
 
     name: str
     build: Callable
@@ -122,6 +153,7 @@ class Hostile(NamedTuple):
     client: tuple
     then_eof: bool = False
     record: bool = False
+    oversized: bool = False
 
 
 STREAMS = [
@@ -159,6 +191,17 @@ STREAMS = [
     # and the buffer prepared for the first naming goes back to the pool
     Hostile("deposit-id-twice", _twice_named_deposit,
             DROPPED, (MARSHAL, MAYBE)),
+    # sizes a peer claims and never sends: refused before the body, the
+    # next fragment or a landing buffer is allocated
+    Hostile("oversized-header",
+            lambda rng, s: _framed(
+                MsgType.Request if s else MsgType.Reply, b"",
+                size=MAX_MESSAGE_SIZE + 1),
+            ANSWERED, (COMM_FAILURE, MAYBE), oversized=True),
+    Hostile("oversized-fragment-chain", _oversized_fragment_chain,
+            ANSWERED, (COMM_FAILURE, MAYBE), oversized=True),
+    Hostile("oversized-deposit", _oversized_deposits,
+            DROPPED, (MARSHAL, MAYBE), oversized=True),
     # the record behind a deposit the message names, checked like the
     # descriptor it stands for: a lie is a protocol violation, an end
     # inside the record or its inline payload is an end
@@ -179,6 +222,34 @@ STREAMS = [
 
 def _bytes_of(row: Hostile, to_server: bool) -> bytes:
     return row.build(random.Random(f"read-drives/{row.name}"), to_server)
+
+
+#: what reading an ``oversized`` row may allocate at its peak, in all
+#: (``tracemalloc``, which sees the numpy storage of pool buffers too)
+OVERSIZED_PEAK = 4 << 20
+
+
+class _Peak:
+    """The ``tracemalloc`` peak over a block, for an ``oversized`` row
+    (None for any other row, which is not traced)."""
+
+    def __init__(self, row: Hostile):
+        self.row, self.peak = row, None
+
+    def __enter__(self):
+        if self.row.oversized:
+            tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        if self.row.oversized:
+            self.peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return False
+
+    def check(self) -> None:
+        assert self.peak is None or self.peak < OVERSIZED_PEAK, \
+            f"{self.row.name}: {self.peak} bytes allocated at the peak"
 
 
 def _settle(predicate, timeout=WATCHDOG, step=0.005):
@@ -324,17 +395,21 @@ def test_server_treats_a_hostile_stream_the_same_on_every_drive(
 
     peer = _dial(server)
     try:
-        peer.send(_bytes_of(row, to_server=True))
-        if row.then_eof:
-            peer.hang_up()
-        if row.server is IGNORED:
-            # the connection is up: it still answers
-            peer.send(encode_message(LocateRequestHeader(
-                request_id=9, object_key=b"nobody")))
-            assert peer.recv_message() == encode_message(LocateReplyHeader(
-                request_id=9, locate_status=LocateStatus.UNKNOWN_OBJECT))
-        else:
-            assert peer.recv_to_eof() == row.server
+        with _Peak(row) as peak:
+            peer.send(_bytes_of(row, to_server=True))
+            if row.then_eof:
+                peer.hang_up()
+            if row.server is IGNORED:
+                # the connection is up: it still answers
+                peer.send(encode_message(LocateRequestHeader(
+                    request_id=9, object_key=b"nobody")))
+                assert peer.recv_message() == encode_message(
+                    LocateReplyHeader(
+                        request_id=9,
+                        locate_status=LocateStatus.UNKNOWN_OBJECT))
+            else:
+                assert peer.recv_to_eof() == row.server
+        peak.check()
     finally:
         peer.close()
 
@@ -421,7 +496,7 @@ def _await_one_call(server: _RawServer) -> None:
     request = server.accepted[0].recv_message()
     header = decode_header(request)
     request_id = decode_body(
-        header, request[GIOP_HEADER_SIZE:]).body_header.request_id
+        header, request[GIOP_HEADER_SIZE:])[0].request_id
     server.accepted[0].send(encode_message(
         ReplyHeader(request_id=request_id,
                     reply_status=ReplyStatus.NO_EXCEPTION),
@@ -452,11 +527,12 @@ def test_client_fails_every_inflight_call_the_same_on_every_drive(
     assert isinstance(demux.conn.stream, FaultyStream) \
         is drive.endswith("-faulty")
 
-    peer.send(_bytes_of(row, to_server=False))
-    if row.then_eof:
-        peer.hang_up()
-
-    outcomes = callers.join()
+    with _Peak(row) as peak:
+        peer.send(_bytes_of(row, to_server=False))
+        if row.then_eof:
+            peer.hang_up()
+        outcomes = callers.join()
+    peak.check()
     assert [(type(o), getattr(o, "completed", None)) for o in outcomes] \
         == [row.client] * 3, outcomes
     assert demux._pending == {} and demux.conn.closed
@@ -794,3 +870,101 @@ def test_loop_drops_a_courtesy_the_socket_does_not_take_at_once(served):
     assert conn._send_lock.acquire(timeout=WATCHDOG), "send lock leaked"
     conn._send_lock.release()
     peer.close()
+
+
+# -- parameters that do not decode ----------------------------------------
+#
+# A message framed well, whose parameters are cut short: the parse takes
+# it, the demarshal does not.  The servant never ran on the server, so
+# its answer is MARSHAL / COMPLETED_NO and the connection stays up; a
+# client's servant ran, unless what is lost is a SYSTEM_EXCEPTION's
+# status.
+
+def _reply_bodies() -> list:
+    """(id, reply status, body, completion) rows for a client's call of
+    ``put`` (an ``unsigned long`` result; raises ``Test::Failed``)."""
+    user = CDREncoder()
+    user.put_string("IDL:Test/Failed:1.0")
+    user.put_ulong(100)  # the reason string's length; no bytes follow
+    return [
+        ("no-exception", ReplyStatus.NO_EXCEPTION, b"\x01\x02",
+         CompletionStatus.COMPLETED_YES),
+        ("user-exception", ReplyStatus.USER_EXCEPTION, user.getvalue(),
+         CompletionStatus.COMPLETED_YES),
+        ("system-exception", ReplyStatus.SYSTEM_EXCEPTION, b"\x01\x02",
+         MAYBE),
+    ]
+
+
+@pytest.mark.parametrize("drive", ["pump", "loop"], ids=["pump", "tcp"])
+def test_server_answers_parameters_that_do_not_decode_with_marshal(
+        drive, served):
+    server, stub = served(drive)
+    peer = _dial(server)
+    try:
+        # put_std's sequence<octet> is missing altogether
+        peer.send(encode_message(RequestHeader(
+            request_id=5, object_key=stub._ior.iiop_profile().object_key,
+            operation="put_std")))
+        reply = peer.recv_message()
+        body_header, dec = decode_body(decode_header(reply),
+                                       reply[GIOP_HEADER_SIZE:])
+        assert body_header.request_id == 5
+        assert body_header.reply_status is ReplyStatus.SYSTEM_EXCEPTION
+        exc = decode_system_exception(dec)
+        assert (type(exc), exc.completed) == \
+            (MARSHAL, CompletionStatus.COMPLETED_NO)
+        # the connection is up: it still answers
+        peer.send(encode_message(LocateRequestHeader(
+            request_id=6, object_key=b"nobody")))
+        assert peer.recv_message() == encode_message(LocateReplyHeader(
+            request_id=6, locate_status=LocateStatus.UNKNOWN_OBJECT))
+    finally:
+        peer.close()
+    assert stub.put_std(OctetSequence(b"after!")) == 6
+
+
+@pytest.mark.parametrize("drive", ["pump", "loop"], ids=["pump", "tcp"])
+def test_a_servant_that_raises_a_cdr_error_is_still_unknown(
+        drive, served, store_impl):
+    """Only the demarshal maps to MARSHAL: what the servant raises, even
+    the codec's own error type, is a servant bug."""
+    server, stub = served(drive)
+
+    def put_std(data):
+        raise CDRError("the servant's own")
+
+    store_impl.put_std = put_std
+    with pytest.raises(UNKNOWN) as info:
+        stub.put_std(OctetSequence(b"x"))
+    assert info.value.completed is MAYBE
+
+
+@pytest.mark.parametrize("status,body,completed",
+                         [row[1:] for row in _reply_bodies()],
+                         ids=[row[0] for row in _reply_bodies()])
+@pytest.mark.parametrize("drive", ["pump", "waiter"],
+                         ids=["pump", "tcp"])
+def test_client_maps_a_reply_that_does_not_decode_to_marshal(
+        drive, status, body, completed, raw_server):
+    _, _, server = raw_server(drive)
+    got = []
+
+    def call():
+        try:
+            got.append(server.stub.put(ZCOctetSequence.from_data(b"x")))
+        except Exception as exc:  # noqa: BLE001 - the outcome under test
+            got.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    assert _settle(lambda: server.accepted)
+    request = server.accepted[0].recv_message()
+    request_id = decode_body(decode_header(request),
+                             request[GIOP_HEADER_SIZE:])[0].request_id
+    server.accepted[0].send(encode_message(
+        ReplyHeader(request_id=request_id, reply_status=status), body))
+    caller.join(WATCHDOG)
+    assert not caller.is_alive(), "the caller is still waiting"
+    assert [(type(o), getattr(o, "completed", None)) for o in got] == \
+        [(MARSHAL, completed)], got

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cdr import CDRDecoder
+from repro.cdr import NATIVE_LITTLE, CDRDecoder
 from repro.cdr.typecode import TC_DOUBLE, TC_LONG, TC_STRING, exception_tc
+from repro.giop import MsgType
 from repro.orb import (BAD_PARAM, MARSHAL, InterfaceDef, OperationSignature,
                        Param, ParamMode)
 from repro.orb.connection import GIOPConn, ReceivedMessage
@@ -11,6 +12,8 @@ from repro.orb.connection import GIOPConn, ReceivedMessage
 #: the marshal entry points read byte order, encoder and context off a
 #: connection; one over no stream has the defaults
 CONN = GIOPConn(None)
+#: a request with no body header: the interpreter reads no deposit
+RM = ReceivedMessage(MsgType.Request, NATIVE_LITTLE, None, None)
 
 
 def _sig(**kw):
@@ -48,7 +51,7 @@ class TestSignatureValidation:
                            Param("b", ParamMode.OUT, TC_STRING)))
         body, _ = sig.marshal_request(CONN, [42])
         dec = CDRDecoder(body)
-        assert sig.demarshal_request(dec, ReceivedMessage(None), CONN) == [42]
+        assert sig.demarshal_request(dec, RM, CONN) == [42]
         assert dec.remaining == 0  # the OUT param used no wire space
 
 

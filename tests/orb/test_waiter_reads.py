@@ -265,7 +265,7 @@ class _Peer:
         stream = self.stream(k)
         header = decode_header(stream.recv_exact(GIOP_HEADER_SIZE))
         body = stream.recv_exact(header.size)
-        return decode_body(header, body).body_header.request_id
+        return decode_body(header, body)[0].request_id
 
     @staticmethod
     def reply(request_id: int, value: int, contexts=()) -> bytes:
