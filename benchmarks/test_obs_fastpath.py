@@ -28,8 +28,7 @@ def test_orb_without_recorder_has_no_span_producer():
     """flight_recorder=False and no enable_tracing leaves
     orb.span_producer None, so every connection's sink is None and
     every stage site on the invocation path is skipped outright."""
-    orb = ORB(ORBConfig(scheme="loop", flight_recorder=False,
-                        monitor=False))
+    orb = ORB(ORBConfig(scheme="loop", flight_recorder=False))
     try:
         assert orb.flightrec is None
         assert orb.span_producer is None

@@ -57,7 +57,8 @@ def encode_typecode(enc: CDREncoder, tc: TypeCode) -> None:
     if kind is TCKind.tk_string:
         enc.put_ulong(tc.length)
         return
-    body = CDREncoder(little_endian=enc.little_endian)
+    # an encapsulation: aligned from its byte-order octet
+    body = CDREncoder(little_endian=enc.little_endian, offset=1)
     if kind is TCKind.tk_objref:
         body.put_string(tc.repo_id)
         body.put_string(tc.name)

@@ -187,5 +187,5 @@ class CDRDecoder:
             raise CDRError("empty CDR encapsulation")
         pos = self._advance(n)
         body = self._view[pos:pos + n]
-        little = bool(body[0])
-        return CDRDecoder(body[1:], little_endian=little)
+        # aligned from the byte-order octet, as it was encoded
+        return CDRDecoder(body[1:], little_endian=bool(body[0]), offset=1)

@@ -219,7 +219,13 @@ class CDREncoder:
         self.put_view(view)
 
     def put_encapsulation(self, inner: "CDREncoder") -> None:
-        """Emit ``inner`` as a CDR encapsulation octet sequence."""
+        """Emit ``inner`` as a CDR encapsulation octet sequence.
+
+        An encapsulation aligns from its byte-order octet, so ``inner``
+        must be made with ``offset=1``.
+        """
+        if inner._offset != 1:
+            raise ValueError("an encapsulation's encoder needs offset=1")
         body = bytearray([1 if inner.little_endian else 0])
         body += inner.getvalue()
         self.put_octets(bytes(body))

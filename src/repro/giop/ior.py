@@ -14,11 +14,11 @@ three transports of this reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Tuple
 
-from ..cdr import CDRDecoder, CDREncoder
+from ..cdr import NATIVE_LITTLE, CDRDecoder, CDREncoder
 
 __all__ = ["IIOPProfile", "IOR", "IORError", "TAG_INTERNET_IOP"]
 
@@ -29,43 +29,61 @@ class IORError(ValueError):
     """Malformed IOR string or profile."""
 
 
+def _put_tagged(enc: CDREncoder, pairs) -> None:
+    """A ``sequence<{ulong tag; sequence<octet> data}>``: the shape of
+    both an IOR's profiles and a profile's components."""
+    enc.put_ulong(len(pairs))
+    for tag, data in pairs:
+        enc.put_ulong(tag)
+        enc.put_octets(data)
+
+
 @dataclass(frozen=True)
 class IIOPProfile:
-    """The TAG_INTERNET_IOP profile body."""
+    """The TAG_INTERNET_IOP profile body, a CDR encapsulation: its
+    alignment counts from the byte-order octet in front of it."""
 
     host: str
     port: int
     object_key: bytes
     major: int = 1
     minor: int = 1
+    #: an IIOP 1.1 body's ``sequence<IOP::TaggedComponent>`` as
+    #: ``(tag, data)`` pairs: written empty, kept as decoded
+    components: Tuple[Tuple[int, bytes], ...] = field(default=(),
+                                                      init=False)
 
-    def encode(self) -> bytes:
-        enc = CDREncoder()
-        body = CDREncoder(little_endian=enc.little_endian)
+    def encode(self, little_endian: bool = NATIVE_LITTLE) -> bytes:
+        body = CDREncoder(little_endian=little_endian, offset=1)
         body.put_octet(self.major)
         body.put_octet(self.minor)
         body.put_string(self.host)
         body.put_ushort(self.port)
         body.put_octets(self.object_key)
-        enc.put_octet(1 if body.little_endian else 0)
-        enc.write_raw(body.getvalue())
-        return enc.getvalue()
+        if self.minor >= 1:
+            _put_tagged(body, self.components)
+        return bytes([little_endian]) + body.getvalue()
 
     @classmethod
     def decode(cls, data) -> "IIOPProfile":
         view = memoryview(data)
         if view.nbytes < 1:
             raise IORError("empty IIOP profile encapsulation")
-        little = bool(view[0])
-        # the body was encoded relative to its own start (flag excluded)
-        dec = CDRDecoder(view[1:], little_endian=little)
+        dec = CDRDecoder(view[1:], little_endian=bool(view[0]), offset=1)
         major = dec.get_octet()
         minor = dec.get_octet()
         host = dec.get_string()
         port = dec.get_ushort()
         object_key = dec.get_octets()
-        return cls(host=host, port=port, object_key=object_key,
-                   major=major, minor=minor)
+        profile = cls(host=host, port=port, object_key=object_key,
+                      major=major, minor=minor)
+        if minor >= 1:
+            n = dec.get_ulong()
+            if n > 64:
+                raise IORError(f"implausible component count {n}")
+            object.__setattr__(profile, "components", tuple(
+                (dec.get_ulong(), dec.get_octets()) for _ in range(n)))
+        return profile
 
     # -- transport-scheme host encoding ------------------------------------
     # The profile is frozen, so each of these is computed on first use
@@ -147,18 +165,18 @@ class IOR:
         return (self.type_id, self.profiles)
 
     # -- binary / stringified forms ------------------------------------------
-    def encode(self) -> bytes:
-        enc = CDREncoder()
+    # The stringified form is an encapsulation: one byte-order octet,
+    # then this body, aligned from that octet.
+    def encode(self, little_endian: bool = NATIVE_LITTLE) -> bytes:
+        """The body that follows the byte-order octet."""
+        enc = CDREncoder(little_endian=little_endian, offset=1)
         enc.put_string(self.type_id)
-        enc.put_ulong(len(self.profiles))
-        for tag, data in self.profiles:
-            enc.put_ulong(tag)
-            enc.put_octets(data)
+        _put_tagged(enc, self.profiles)
         return enc.getvalue()
 
     @classmethod
     def decode(cls, data, little_endian: bool) -> "IOR":
-        dec = CDRDecoder(data, little_endian=little_endian)
+        dec = CDRDecoder(data, little_endian=little_endian, offset=1)
         type_id = dec.get_string()
         n = dec.get_ulong()
         if n > 64:
@@ -167,11 +185,9 @@ class IOR:
                          for _ in range(n))
         return cls(type_id=type_id, profiles=profiles)
 
-    def to_string(self) -> str:
-        enc = CDREncoder()
-        body = self.encode()
-        return "IOR:" + bytes([1 if enc.little_endian else 0]).hex() \
-            + body.hex()
+    def to_string(self, little_endian: bool = NATIVE_LITTLE) -> str:
+        return "IOR:" + bytes([little_endian]).hex() \
+            + self.encode(little_endian).hex()
 
     @classmethod
     def from_string(cls, s: str) -> "IOR":

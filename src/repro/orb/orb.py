@@ -20,6 +20,7 @@ connections to observe every byte-touching event (used by the overhead
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -82,9 +83,6 @@ class ORBConfig:
     #: calls at or above this duration (seconds) keep their full span
     #: tree in the recorder's slow ring
     slow_call_threshold: float = DEFAULT_SLOW_THRESHOLD
-    #: auto-register the IDL-defined ORBMonitor servant (initial
-    #: reference "ORBMonitor") on every server ORB
-    monitor: bool = True
 
 
 class ORB:
@@ -131,7 +129,9 @@ class ORB:
         #: :meth:`enable_tracing`.  The server worker pool reports its
         #: in-flight gauge and queue-depth histogram here when present.
         self.metrics = None
-        self.poa = POA(name=f"POA{self.orb_id}")
+        #: the pid keeps object keys (and so ``IOR.identity``) apart
+        #: across processes, whose ORB ids all count from 1
+        self.poa = POA(name=f"POA{self.orb_id}-{os.getpid()}")
         self._server: Optional[IIOPServer] = None
         self._endpoint: Optional[Endpoint] = None
         self._endpoints: list[Endpoint] = []
@@ -141,11 +141,6 @@ class ORB:
         self.interceptors = InterceptorRegistry()
         self._lock = threading.Lock()
         self._shutdown = False
-        #: monitor auto-registration state: RLock because registering
-        #: the servant re-enters _ensure_server on the same thread
-        self._monitor_lock = threading.RLock()
-        self._monitor_ref = None
-        self._monitor_registering = False
 
     @property
     def reactor(self):
@@ -249,30 +244,6 @@ class ORB:
         return f"orb{self.orb_id}"
 
     def _ensure_server(self) -> IIOPServer:
-        server = self._ensure_server_locked()
-        if self.config.monitor:
-            self._register_monitor()
-        return server
-
-    def _register_monitor(self) -> None:
-        """Activate the ORBMonitor servant once per server ORB.
-
-        Runs *after* ``_lock`` is released — activating the servant
-        re-enters :meth:`_ensure_server` — and under its own RLock with
-        a same-thread reentrancy flag, so the recursive call is a
-        no-op instead of a deadlock or a second registration.
-        """
-        with self._monitor_lock:
-            if self._monitor_ref is not None or self._monitor_registering:
-                return
-            self._monitor_registering = True
-            try:
-                from ..services.monitor import register_monitor
-                self._monitor_ref = register_monitor(self)
-            finally:
-                self._monitor_registering = False
-
-    def _ensure_server_locked(self) -> IIOPServer:
         with self._lock:
             if self._server is not None:
                 return self._server
@@ -308,9 +279,13 @@ class ORB:
                  stub_cls: Optional[Type[ObjectStub]] = None) -> ObjectStub:
         """Activate ``servant`` and return a client stub for it."""
         self._ensure_server()
+        return self._activate(servant, stub_cls)
+
+    def _activate(self, servant: Servant,
+                  stub_cls: Optional[Type[ObjectStub]] = None) -> ObjectStub:
+        """:meth:`activate` on a running server; takes no ORB lock."""
         key = self.poa.activate_object(servant)
-        ior = self._make_ior(servant, key)
-        return self._stub_for(ior, stub_cls)
+        return self._stub_for(self._make_ior(servant, key), stub_cls)
 
     def deactivate(self, ref: ObjectStub) -> None:
         profile = ref.ior.iiop_profile()
@@ -334,8 +309,16 @@ class ORB:
             self._initial_refs[name] = ref
 
     def resolve_initial_references(self, name: str) -> ObjectStub:
+        """A registered reference; a server ORB's ``"ORBMonitor"`` is
+        created the first time it is asked for (a client-only ORB has
+        none)."""
         with self._lock:
             ref = self._initial_refs.get(name)
+            if ref is None and name == "ORBMonitor" \
+                    and self._server is not None:
+                from ..services.monitor import ORBMonitorImpl
+                ref = self._initial_refs[name] = \
+                    self._activate(ORBMonitorImpl(self))
         if ref is None:
             known = ", ".join(sorted(self._initial_refs)) or "(none)"
             raise INV_OBJREF(message=(

@@ -2,11 +2,10 @@
 
 The telemetry plane's HTTP endpoint (:mod:`repro.obs.httpexport`)
 speaks Prometheus; this service speaks CORBA — the ORB eats its own
-dogfood.  Every server ORB auto-registers one ``ORBMonitor`` servant
-(initial reference ``"ORBMonitor"``, switch off with
-``ORBConfig(monitor=False)``), so any client that can invoke the ORB
-at all — over tcp, shm, sim or loopback — can also ask it what it is
-doing right now:
+dogfood.  Every server ORB creates one ``ORBMonitor`` servant the
+first time its initial reference ``"ORBMonitor"`` is resolved, so any
+client handed that reference — over tcp, shm, sim or loopback — can
+ask the ORB what it is doing right now:
 
 * ``snapshot()`` — the metrics registry as a schema-v1 JSON dump
   (validate/render with ``repro-metrics``);
@@ -139,9 +138,9 @@ def register_monitor(orb):
     """Activate an ORBMonitor for ``orb`` and expose it as the
     ``"ORBMonitor"`` initial reference.  Returns the stub.
 
-    Called automatically by the ORB on first server creation (the
-    caller holds no ORB lock); safe to call manually on an ORB
-    configured with ``monitor=False``.
+    A server ORB does the same itself the first time the reference is
+    resolved; this registers one explicitly (and activates the server
+    of an ORB that has none yet).
     """
     ref = orb.activate(ORBMonitorImpl(orb))
     orb.register_initial_reference("ORBMonitor", ref)

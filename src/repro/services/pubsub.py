@@ -6,20 +6,23 @@ re-deposits the same bytes once per consumer — fan-out scales copies
 linearly with subscribers, exactly what the paper's one-crossing
 discipline forbids.  This service closes that gap: the ``TopicHub``
 keeps per-topic subscriber registries and delivers through its own
-*delivery ORB* whose shm transport runs in shared-send-arena mode
-(``ShmTransport(shared_send_arena=True)``).  A published payload is
-written into one arena slot, posted with
-:meth:`~repro.transport.shm.ShmArena.post_shared` at ``readers=N``,
-and every colocated subscriber's connection sends only a 24-byte
-record naming that slot — the payload crosses once no matter how many
-subscribers map it, and the slot frees when the last reader releases
-(refcounted ``POSTED(n)`` lifecycle, crash-safe via the
-``MappedBuffer`` finalizer plus the creator's stale-slot reclaim).
+*delivery ORB* whose shm transport gives every subscriber connection
+the same send arena.  A published payload is
+written into one arena slot, shared with
+:meth:`~repro.transport.shm.ShmArena.share` (the hub's own reference
+while it delivers), and every colocated subscriber's connection sends
+only a 24-byte record naming that slot, taking one reference as it
+writes it — the payload crosses once no matter how many subscribers
+map it, and the slot frees at the last release, the hub's
+:meth:`~repro.transport.shm.ShmArena.unshare` included (an ordinary
+reference count, crash-safe via the ``MappedBuffer`` finalizer plus
+the creator's stale-slot reclaim).
 
 Subscribers that cannot share the arena — remote processes, tcp-only
 ORBs — degrade per link: each gets an ordinary direct deposit on its
-own connection, the pre-PR behaviour.  The two cohorts coexist on one
-topic.
+own connection, and a connection whose handshake did not yield the
+shared arena copies by itself at send time.  Both kinds coexist on
+one topic and are delivered in one loop.
 
 Typed events ride on the IDL compiler: any compiled struct (or raw
 TypeCode) encapsulates into the octet payload with
@@ -131,7 +134,7 @@ def decode_event(event_type, payload) -> Any:
 class _Sub:
     stub: Any          # rebound onto the hub's delivery ORB
     identity: Tuple    # IOR.identity(): type id + object keys
-    shm: bool          # shares the delivery arena (fan-out cohort)
+    shm: bool          # routed over shm: may map the shared slot
 
 
 @dataclass
@@ -171,16 +174,15 @@ class TopicHubImpl:
                 self._topics: Dict[str, _Topic] = {}
                 self._closed = False
                 self.stale_after = stale_after
-                #: single-copy fan-out posts (one slot, N readers)
+                #: single-copy fan-out posts (one slot, every reader)
                 self.fanout_posts = 0
                 #: publishes that degraded to per-link deposits because
                 #: every slot was busy (slow-subscriber backpressure)
                 self.fanout_fallbacks = 0
                 self.subscribers_evicted = 0
+                # the last argument: one send arena for every connection
                 self.shm_transport = ShmTransport(
-                    slot_size=slot_size, slot_count=slot_count,
-                    slot_wait=slot_wait, directory=directory,
-                    shared_send_arena=True)
+                    slot_size, slot_count, slot_wait, directory, True)
                 reg = transport_registry()
                 reg.register(self.shm_transport)  # replaces default shm
                 self.delivery_orb = ORB(ORBConfig(zero_copy=True),
@@ -213,28 +215,15 @@ class TopicHubImpl:
                         t.subs = [s for s in t.subs if s.identity != gone]
 
             def _classify(self, stub) -> bool:
-                """Whether this subscriber's best route shares the
-                delivery arena (the single-copy fan-out cohort)."""
-                arena = self.shm_transport.shared_arena
-                orb = self.delivery_orb
-                profile = orb.select_profile(stub.ior)
-                if profile.scheme != "shm":
+                """Whether this subscriber's best route is shm, so a
+                publish stages the shared slot for it."""
+                if self.delivery_orb.select_profile(stub.ior).scheme \
+                        != "shm":
                     return False
-                # dial now (subscribe-time failure beats publish-time
-                # surprise) and check the handshake actually yielded
-                # the shared arena rather than a degraded plain stream
-                # (_non_existent always goes to the wire; _is_a would
-                # answer locally from the interface graph)
-                if stub._non_existent():
-                    return False
-                arena = self.shm_transport.shared_arena
-                proxy = orb._proxy_for(profile.endpoint)
-                stream = getattr(getattr(proxy, "_conn", None), "stream",
-                                 None)
-                return (arena is not None
-                        and getattr(stream, "deposit_channel", None)
-                        is not None
-                        and getattr(stream, "send_arena", None) is arena)
+                # dial now: a subscribe-time failure beats a
+                # publish-time surprise (_non_existent always goes to
+                # the wire; _is_a would answer locally)
+                return not stub._non_existent()
 
             # -- publication -------------------------------------------------
             def publish(self, topic, payload):
@@ -255,67 +244,49 @@ class TopicHubImpl:
                           else memoryview(payload))
                 if view.format != "B" or view.ndim != 1:
                     view = view.cast("B")
-                cohort = [s for s in subs if s.shm]
-                rest = [s for s in subs if not s.shm]
-                slot, shared_view = self._stage_fanout(view, len(cohort))
+                arena = self.shm_transport.shared_arena
+                slot, shared_view = self._stage_fanout(arena, view) \
+                    if any(s.shm for s in subs) else (None, None)
                 delivered = 0
                 dead = []
-                arena = self.shm_transport.shared_arena
-                for s in cohort:
-                    pending_before = arena.shared_pending(slot) \
-                        if slot is not None else 0
-                    try:
-                        s.stub.deliver(topic, seq,
-                                       shared_view if shared_view is not None
-                                       else view)
-                        delivered += 1
-                    except SystemException:
-                        if slot is not None and pending_before > 0 \
-                                and arena.shared_pending(slot) \
-                                == pending_before:
-                            # the record never left: release this
-                            # reader's share of the refcount, or the
-                            # slot would wait for a reader that will
-                            # never map it
-                            arena.abort_shared_ref(slot)
-                        dead.append(s)
-                for s in rest:
-                    try:
-                        s.stub.deliver(topic, seq, view)
-                        delivered += 1
-                    except SystemException:
-                        dead.append(s)
+                try:
+                    for s in subs:
+                        try:
+                            s.stub.deliver(topic, seq, shared_view
+                                           if s.shm and slot is not None
+                                           else view)
+                            delivered += 1
+                        except SystemException:
+                            dead.append(s)
+                finally:
+                    if slot is not None:
+                        arena.unshare(slot)
                 with self._lock:
                     t.delivered += delivered
                 if dead:
                     self._evict(t, dead)
                 return delivered
 
-            def _stage_fanout(self, view, readers: int):
-                """Write the payload into one shared slot posted at
-                ``readers``; ``(None, None)`` degrades to per-link
-                deposits (no cohort, oversize, or arena full — the
+            def _stage_fanout(self, arena, view):
+                """Write the payload into one slot and share it;
+                ``(slot, slot view)``, or ``(None, None)`` to deliver
+                per link (no arena yet, oversize, or arena full — the
                 slow-subscriber backpressure bound)."""
-                arena = self.shm_transport.shared_arena
-                if readers == 0 or arena is None or arena.closed \
+                if arena is None or arena.closed \
                         or not 0 < view.nbytes <= arena.slot_size:
                     return None, None
-                buf = arena.try_acquire(view.nbytes)
-                if buf is None and self.stale_after > 0 \
+                slot, _ = arena.alloc()
+                if slot is None and self.stale_after > 0 \
                         and arena.reclaim_stale(self.stale_after):
-                    buf = arena.try_acquire(view.nbytes)
-                if buf is None:
+                    slot, _ = arena.alloc()
+                if slot is None:
                     self.fanout_fallbacks += 1
                     return None, None
-                shared_view = buf.view()
+                shared_view = arena.slot_view(slot, 0, view.nbytes)
                 shared_view[:] = view
-                loc = arena.locate(shared_view)
-                if loc is None:
-                    buf.release()
-                    return None, None
-                arena.post_shared(loc[0], readers=readers)
+                arena.share(slot)
                 self.fanout_posts += 1
-                return loc[0], shared_view
+                return slot, shared_view
 
             def _evict(self, t: _Topic, dead) -> None:
                 gone = {s.identity for s in dead}

@@ -28,26 +28,29 @@ the side channel):
 
 Slot lifecycle (protocol v2, refcounted): ``FREE -> OWNED`` (sender
 allocates, under its local lock — only the arena's creator ever
-allocates), ``OWNED -> POSTED(n)`` (sender publishes to ``n``
-readers: 1 for an ordinary deposit, N for a shared fan-out post, see
-:meth:`ShmArena.post_shared`), then each reader's release decrements
-the slot's refcount byte and the *last* one returns the slot
-(``POSTED(1) -> FREE``).  The ``FREE -> OWNED`` transition keeps its
-single writer; the decrement is serialized by ``flock`` on the arena
-file, which excludes both across processes and between two mappings
-of the same file in one process (the lock rides the open file
-description, not the process) — so N attached readers race-freely
-share one posted slot.  Slot exhaustion (receivers still holding
-every slot) waits up to ``slot_wait`` and then falls back to the
-inline path for that deposit — the same graceful-degradation
-discipline as the policy layer's deposit fallback.
+allocates), ``OWNED -> POSTED`` with a refcount, then each reader's
+release decrements the slot's refcount byte and the *last* release
+returns the slot (``-> FREE``).  An ordinary deposit posts at
+refcount 1, its one reader's.  A shared slot is an ordinary reference
+count: the creator shares it (:meth:`~ShmArena.share`) at refcount 1
+(its own hold while it publishes), each record that names it takes one
+reference as it is written (:meth:`~ShmArena.retain`), each reader's
+release — or a failed write — gives one back, and
+:meth:`~ShmArena.unshare` drops the creator's hold.  The ``FREE ->
+OWNED`` transition keeps its single writer; every refcount update is
+serialized by the instance lock (threads sharing one descriptor) and
+``flock`` on the arena file (every other mapping, in this process or
+another: the lock rides the open file description).  Slot exhaustion
+(receivers still holding every slot) waits up to ``slot_wait`` and
+then falls back to the inline path for that deposit — the same
+graceful-degradation discipline as the policy layer's deposit
+fallback.
 
 Fan-out (the pub/sub hub's path): the creator writes a payload into
-one slot, posts it with ``readers=N``, and every subscriber
-connection sharing the arena (``ShmTransport(shared_send_arena=True)``)
-sends only a 24-byte record referencing the same slot — one copy
-crosses the process boundary no matter how many colocated
-subscribers map it.
+one slot and shares it, and every subscriber connection sharing the
+arena (``ShmTransport(shared_send_arena=True)``) sends only a 24-byte
+record referencing the same slot — one copy crosses the process
+boundary no matter how many colocated subscribers map it.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ from typing import Optional, Tuple
 
 try:
     import fcntl
-except ImportError:  # non-POSIX: refcount decrements fall back to the
-    fcntl = None     # instance lock (single-process correctness only)
+except ImportError:  # non-POSIX: refcount updates take the instance
+    fcntl = None     # lock alone (single-process correctness only)
 
 import numpy as np
 
@@ -110,7 +113,7 @@ _MAX_REFCOUNT = 255
 SEND_INLINE = 0      # payload streamed inline after the record
 SEND_COPY = 1        # copied into a freshly allocated slot
 SEND_REFERENCE = 2   # caller's buffer was an owned slot: posted as-is
-SEND_SHARED = 3      # pre-posted fan-out slot: record-only reference
+SEND_SHARED = 3      # shared fan-out slot: record-only reference
 
 #: attach-side sanity bounds for negotiated geometry
 _MAX_SLOT_COUNT = 4096
@@ -168,7 +171,8 @@ class ShmArena:
     it); one or more peers *attach* it.  A posted slot carries a
     refcount — each reader's release decrements it under ``flock`` on
     the arena file, and the decrement that reaches zero frees the
-    slot.  The creator unlinks the file on close — attached mappings
+    slot.  The creator unlinks the file once no later open needs its
+    name (:meth:`unlink`), at the latest on close — attached mappings
     stay valid until they too close.
     """
 
@@ -212,10 +216,13 @@ class ShmArena:
         arr = np.frombuffer(self._mm, dtype=np.uint8, count=1)
         self.base_address = int(arr.ctypes.data)
         del arr  # releases the buffer export immediately
-        self._lock = threading.Lock()
+        #: reentrant: a dropped landing buffer's finalizer may run its
+        #: ``free`` in the middle of this thread's own critical section
+        self._lock = threading.RLock()
         self._owners: dict[int, int] = {}  # slot -> token, OWNED via acquire
-        #: slot -> fan-out references not yet claimed by a send
-        self._shared_pending: dict[int, int] = {}
+        #: shared slots the creator still holds (open for references)
+        self._shared: set[int] = set()
+        self._linked = create
         #: creator-side post times, for stale-slot reclaim
         self._post_times: dict[int, float] = {}
         self._next_token = 1
@@ -253,16 +260,18 @@ class ShmArena:
 
     @contextmanager
     def _file_lock(self):
-        """Serialize refcount updates across every mapping of the file."""
-        if fcntl is not None:
+        """Serialize refcount updates: the instance lock excludes this
+        instance's threads (they share one descriptor, which ``flock``
+        does not exclude), ``flock`` every other mapping of the file."""
+        with self._lock:
+            if fcntl is None:
+                yield
+                return
             fcntl.flock(self._fd, fcntl.LOCK_EX)
             try:
                 yield
             finally:
                 fcntl.flock(self._fd, fcntl.LOCK_UN)
-        else:
-            with self._lock:
-                yield
 
     def refcount(self, slot: int) -> int:
         """Live reader references on ``slot`` (0 for FREE/OWNED slots)."""
@@ -289,10 +298,6 @@ class ShmArena:
                     for i in range(self.slot_count):
                         if self._mm[i] == SLOT_FREE:
                             self._mm[i] = SLOT_OWNED
-                            # a freed slot may carry a stale fan-out
-                            # plan from a post whose sends never all
-                            # happened; a fresh lease voids it
-                            self._shared_pending.pop(i, None)
                             self._post_times.pop(i, None)
                             return i, time.monotonic() - start
             now = time.monotonic()
@@ -355,64 +360,55 @@ class ShmArena:
             self._mm[slot] = SLOT_POSTED
             self.posts += 1
 
-    def post_shared(self, slot: int, readers: int) -> None:
-        """Publish an OWNED slot to ``readers`` readers at once.
+    def share(self, slot: int) -> None:
+        """Publish an OWNED slot for fan-out (``-> POSTED``, refcount 1).
 
-        The fan-out post: the refcount starts at ``readers`` and each
-        planned reader's record is claimed by a later
-        :meth:`take_shared_ref` (the sends reference the slot, they do
-        not re-post it).  The slot frees when the last reader
-        releases.
+        The one reference is the creator's hold: records
+        :meth:`retain` theirs while it lasts, and :meth:`unshare` lets
+        go of it.  The slot frees at the last release, whichever it is.
         """
-        if not 1 <= readers <= _MAX_REFCOUNT:
-            raise ValueError(
-                f"readers must be in [1, {_MAX_REFCOUNT}], got {readers}")
         with self._lock:
             self._owners.pop(slot, None)
-            self._rc_set(slot, readers)
-            self._shared_pending[slot] = readers
+            self._rc_set(slot, 1)
             self._post_times[slot] = time.monotonic()
             self._mm[slot] = SLOT_POSTED
+            self._shared.add(slot)
             self.posts += 1
             self.shared_posts += 1
 
-    def take_shared_ref(self, slot: int) -> bool:
-        """Claim one planned fan-out reference on a shared-posted slot.
+    def retain(self, slot: int) -> bool:
+        """Take one reader reference on a shared slot, for the record
+        about to name it.  Refused (the caller copies instead) once the
+        creator has let go of the slot, or at the refcount ceiling."""
+        try:
+            with self._file_lock():
+                rc = self._rc_get(slot)
+                if slot not in self._shared or rc >= _MAX_REFCOUNT:
+                    return False
+                self._rc_set(slot, rc + 1)
+                return True
+        except (ValueError, IndexError, OSError):
+            return False  # mapping or lock fd already closed
 
-        The send path calls this to distinguish a reference to a
-        pre-posted fan-out slot (emit a record, leave the state alone)
-        from an owned slot it must post itself.
-        """
-        with self._lock:
-            n = self._shared_pending.get(slot)
-            if not n:
-                return False
-            if n == 1:
-                del self._shared_pending[slot]
-            else:
-                self._shared_pending[slot] = n - 1
-            return True
-
-    def shared_pending(self, slot: int) -> int:
-        """Fan-out references planned but not yet claimed by a send."""
-        with self._lock:
-            return self._shared_pending.get(slot, 0)
+    def unshare(self, slot: int) -> None:
+        """The creator lets go of a shared slot: no further
+        :meth:`retain`, and the hold's reference goes back."""
+        try:
+            with self._file_lock():
+                if slot in self._shared:
+                    self._shared.discard(slot)
+                    self._release(slot)
+        except (ValueError, IndexError, OSError):
+            pass  # mapping or lock fd already closed
 
     def is_owned(self, slot: int) -> bool:
         """Whether ``slot`` is currently leased via :meth:`acquire`."""
         with self._lock:
             return slot in self._owners
 
-    def abort_shared_ref(self, slot: int) -> None:
-        """Compensate one planned reader whose record will never be
-        sent (its connection died before the send): drop the pending
-        reference and release its share of the refcount."""
-        if self.take_shared_ref(slot):
-            self.free(slot)
-
     def locate(self, view: memoryview) -> Optional[Tuple[int, int]]:
         """``(slot, offset)`` when ``view`` lies inside one caller-owned
-        (or shared-posted, fan-out pending) slot at a page-aligned
+        (or shared, still held by the creator) slot at a page-aligned
         offset; ``None`` -> copy path."""
         if view.nbytes == 0:
             return None
@@ -428,24 +424,26 @@ class ShmArena:
         if offset % PAGE_SIZE:
             return None  # receiver must land page-aligned
         with self._lock:
-            if slot not in self._owners \
-                    and slot not in self._shared_pending:
+            if slot not in self._owners and slot not in self._shared:
                 return None  # not leased from this arena (or already sent)
         return slot, offset
 
     # -- receiver side (attacher) -------------------------------------------
     def free(self, slot: int) -> None:
-        """Release one reader reference; the last one frees the slot
-        (``POSTED(1) -> FREE``)."""
+        """Release one reader reference; the last one frees the slot."""
         try:
             with self._file_lock():
-                rc = self._rc_get(slot)
-                rc = rc - 1 if rc > 0 else 0
-                self._rc_set(slot, rc)
-                if rc == 0:
-                    self._mm[slot] = SLOT_FREE
+                self._release(slot)
         except (ValueError, IndexError, OSError):
             pass  # mapping or lock fd already closed
+
+    def _release(self, slot: int) -> None:
+        """One reference back (the caller holds :meth:`_file_lock`)."""
+        rc = self._rc_get(slot)
+        rc = rc - 1 if rc > 0 else 0
+        self._rc_set(slot, rc)
+        if rc == 0:
+            self._mm[slot] = SLOT_FREE
 
     # -- creator-side stale reclaim ------------------------------------------
     def reclaim_stale(self, max_age: float) -> int:
@@ -454,8 +452,10 @@ class ShmArena:
         The crash-safety valve behind the finalizer machinery: an
         attached reader that died without releasing leaves its
         reference forever, and only the creator (which recorded every
-        post time) can break the leak.  Called by the pub/sub hub when
-        allocation starves.  Returns the number of slots reclaimed.
+        post time) can break the leak.  A slot the creator still holds
+        (shared, mid-publish) is live by definition and never stale.
+        Called by the pub/sub hub when allocation starves.  Returns the
+        number of slots reclaimed.
         """
         now = time.monotonic()
         reclaimed = 0
@@ -475,16 +475,15 @@ class ShmArena:
                 continue
             try:
                 with self._file_lock():
-                    if self._mm[slot] == SLOT_POSTED:
+                    if self._mm[slot] == SLOT_POSTED \
+                            and slot not in self._shared:
                         self._rc_set(slot, 0)
                         self._mm[slot] = SLOT_FREE
+                        self._post_times.pop(slot, None)
+                        self.stale_reclaims += 1
                         reclaimed += 1
             except (ValueError, IndexError, OSError):
                 break
-            with self._lock:
-                self._post_times.pop(slot, None)
-                self._shared_pending.pop(slot, None)
-                self.stale_reclaims += 1
         return reclaimed
 
     # -- introspection -------------------------------------------------------
@@ -511,7 +510,7 @@ class ShmArena:
                 return
             self._closed = True
             self._owners.clear()
-            self._shared_pending.clear()
+            self._shared.clear()
             self._post_times.clear()
         try:
             self._mm.close()
@@ -524,7 +523,13 @@ class ShmArena:
             os.close(fd)
         except OSError:
             pass
-        if self.created:
+        self.unlink()
+
+    def unlink(self) -> None:
+        """Remove the creator's file name (idempotent): the mappings
+        already made stay valid, and nothing can attach it after."""
+        if self._linked:
+            self._linked = False
             try:
                 os.unlink(self.path)
             except OSError:
@@ -639,19 +644,19 @@ class ShmStream:
             loc = arena.locate(view)
             if loc is not None:
                 slot, offset = loc
-                if arena.take_shared_ref(slot):
-                    # pre-posted fan-out slot: this connection's share
-                    # of the payload is one 24-byte record — the slot
-                    # was written and posted exactly once for every
-                    # reader mapping it
+                if arena.retain(slot):
+                    # shared fan-out slot: this connection's share of
+                    # the payload is one 24-byte record and the
+                    # reference it took — the slot was written and
+                    # posted exactly once for every reader mapping it
                     tier = SEND_SHARED
                 elif arena.is_owned(slot):
                     # the payload already lives in the arena: transfer
                     # the slot by reference — the true zero-copy send
                     arena.post(slot)
                     tier = SEND_REFERENCE
-                # else: raced with a concurrent fan-out send that
-                # claimed the last planned reference: the copy path
+                # else: a shared slot its creator let go of, or one at
+                # the refcount ceiling: the copy path
             if not tier and 0 < size <= arena.slot_size:
                 slot, waited = arena.alloc(self.slot_wait)
                 if slot is not None:
@@ -726,11 +731,13 @@ class ShmTransport:
 
     ``shared_send_arena=True`` switches the transport into fan-out
     mode: every outbound connection advertises the *same* send arena,
-    so a payload posted once with ``post_shared(slot, readers=N)`` is
-    mapped by all N peers that attached it — the pub/sub hub's
-    single-copy delivery plane.  The shared arena outlives individual
-    connections; call :meth:`close` (or let the owning hub do it) to
-    tear it down.
+    so a payload written and shared (:meth:`~ShmArena.share`) once is
+    mapped by every peer that attached it, each record taking one reference —
+    the pub/sub hub's single-copy delivery plane.  The shared arena
+    outlives individual connections and keeps its file name, which
+    later connections attach it by; call :meth:`close` (or let the
+    owning hub do it) to tear it down.  A per-connection arena loses
+    its name as soon as the handshake is done.
     """
 
     scheme = "shm"
@@ -822,8 +829,17 @@ class ShmTransport:
     def _finish(self, own: Optional[ShmArena],
                 attached: Optional[ShmArena], peer_ok: bool
                 ) -> Tuple[Optional[ShmArena], Optional[ShmArena]]:
-        """Both acks in hand: keep the arenas or degrade symmetrically."""
+        """Both acks in hand: keep the arenas or degrade symmetrically.
+
+        A peer acks only after it attached our arena, so a kept
+        per-connection arena loses its name here: no later open needs
+        it, and a process that dies before :meth:`ShmArena.close`
+        leaves no file behind.  The shared arena keeps its name for
+        the connections still to come.
+        """
         if own is not None and attached is not None and peer_ok:
+            if own is not self._shared_arena:
+                own.unlink()
             return own, attached
         self._discard(own)
         if attached is not None:

@@ -170,7 +170,8 @@ class TestOctetsAndViews:
 
 class TestEncapsulation:
     def test_nested_encapsulation_round_trip(self):
-        inner = CDREncoder(little_endian=True)
+        # aligned from the encapsulation's byte-order octet
+        inner = CDREncoder(little_endian=True, offset=1)
         inner.put_string("nested")
         inner.put_ulong(42)
         outer = CDREncoder(little_endian=False)

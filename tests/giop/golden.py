@@ -202,3 +202,61 @@ def vectors():
         order, _, tail = variant.partition("+")
         yield (key, name, order == "le", PARAMS if tail else b"",
                bytes.fromhex(hexed))
+
+
+# -- encapsulations ------------------------------------------------------------
+# Written by hand from the CORBA spec (CDR encapsulations, IIOP 1.1
+# profile bodies, stringified IORs), not captured from any codec: an
+# encapsulation's alignment counts from its byte-order octet, and an
+# IIOP 1.1 profile body ends with its tagged components.  Keys are
+# "le" / "be"; values are hex.
+
+#: IIOPProfile(host="h", port=0x1234, object_key=b"KEY"): flag, 1.1,
+#: pad to 4; host length at 4, "h\0" at 8; port at 10; key length at 12,
+#: "KEY" at 16, pad; the (empty) component count at 20
+PROFILE = {
+    "le": "01010100" "02000000" "6800" "3412" "03000000" "4b455900"
+          "00000000",
+    "be": "00010100" "00000002" "6800" "1234" "00000003" "4b455900"
+          "00000000",
+}
+
+#: the same profile carrying one component (tag 0, data 01 02 03),
+#: which a decode keeps and a re-encode writes back unchanged
+PROFILE_WITH_COMPONENT = {
+    "le": "01010100" "02000000" "6800" "3412" "03000000" "4b455900"
+          "01000000" "00000000" "03000000" "010203",
+    "be": "00010100" "00000002" "6800" "1234" "00000003" "4b455900"
+          "00000001" "00000000" "00000003" "010203",
+}
+
+#: an IOR of type "IDL:X:1.0" with <PROFILE> (in the same byte order),
+#: stringified: flag, pad to 4;
+#: type id length at 4, "IDL:X:1.0\0" at 8, pad; profile count at 20;
+#: tag 0 (TAG_INTERNET_IOP) at 24; profile length (24) at 28; the
+#: profile encapsulation from 32
+IOR_STRING = {
+    "le": "IOR:" "01000000" "0a000000" "49444c3a583a312e3000" "0000"
+          "01000000" "00000000" "18000000" + PROFILE["le"],
+    "be": "IOR:" "00000000" "0000000a" "49444c3a583a312e3000" "0000"
+          "00000001" "00000000" "00000018" + PROFILE["be"],
+}
+
+#: an ``any`` holding struct P { long x; } ("IDL:P:1.0") with x =
+#: 0x01020304, at stream offset 0: tk_struct (15); the encapsulation's
+#: length (44); from 8 the encapsulation — flag, pad to 4, repo id
+#: length at +4, "IDL:P:1.0\0" at +8, pad, name length at +20, "P\0"
+#: at +24, pad, member count at +28, member name length at +32, "x\0"
+#: at +36, pad, tk_long (3) at +40 — then the value at 52
+ANY_STRUCT = {
+    "le": "0f000000" "2c000000"
+          "01000000" "0a000000" "49444c3a503a312e3000" "0000"
+          "02000000" "5000" "0000" "01000000" "02000000" "7800" "0000"
+          "03000000"
+          "04030201",
+    "be": "0000000f" "0000002c"
+          "00000000" "0000000a" "49444c3a503a312e3000" "0000"
+          "00000002" "5000" "0000" "00000001" "00000002" "7800" "0000"
+          "00000003"
+          "01020304",
+}

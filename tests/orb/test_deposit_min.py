@@ -245,14 +245,15 @@ class TestFailedWriteGivesBackWhatItStaged:
         assert conn.closed and conn.stats.deposits_sent == 0
 
     def test_a_claimed_reference_on_a_shared_fanout_slot(self, arena):
-        """Two planned readers of one shared post; one connection's
-        write fails after it claimed its reference: that share of the
-        refcount comes back, and the other reader's release frees the
-        slot (it would otherwise stay POSTED until ``reclaim_stale``)."""
-        staged = arena.acquire(1024)
-        staged.view()[:] = b"\x44" * 1024
-        slot, _ = arena.locate(staged.view())
-        arena.post_shared(slot, readers=2)
+        """Two connections write records naming one shared slot, and
+        one write fails after its record took a reference: that
+        reference comes back, so the creator's let-go and the other
+        reader's release free the slot (it would otherwise stay POSTED
+        until ``reclaim_stale``)."""
+        slot, _ = arena.alloc()
+        shared = arena.slot_view(slot, 0, 1024)
+        shared[:] = b"\x44" * 1024
+        arena.share(slot)
         free_before = arena.free_slots
         good = _Inner()
         for inner in (_Inner(fail=True), good):
@@ -260,11 +261,12 @@ class TestFailedWriteGivesBackWhatItStaged:
                                       recv_arena=arena,
                                       owns_send_arena=False))
             try:
-                _send_put(conn, staged.view())
+                _send_put(conn, shared)
             except COMM_FAILURE:
                 assert inner.fail
         assert good.batches[0][-1] == _RECORD.pack(SHM_MAGIC, slot, 0, 1024)
-        assert arena.shared_pending(slot) == 0  # both claimed their record
+        assert arena.refcount(slot) == 2  # the hold and the good record
+        arena.unshare(slot)
         assert arena.refcount(slot) == 1 and arena.free_slots == free_before
         arena.free(slot)  # the reader that did get its record lets go
         assert arena.free_slots == arena.slot_count

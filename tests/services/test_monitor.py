@@ -16,6 +16,7 @@ from repro.idl import compile_idl
 from repro.obs.flightrec import DEFAULT_SLOW_THRESHOLD
 from repro.obs.cli import validate_dump, validate_span_dump
 from repro.orb import ORB, ORBConfig
+from repro.orb.exceptions import INV_OBJREF
 from repro.services.monitor import monitor_api, register_monitor
 
 SLEEPY_IDL = """
@@ -64,16 +65,20 @@ class TestRegistration:
         assert monitor.uptime() > 0.0
 
     def test_monitor_false_opts_out(self, sleepy_api):
-        server = ORB(ORBConfig(scheme="loop", monitor=False))
+        """An ORB that never resolves the monitor activates no monitor
+        servant; ``register_monitor`` still works; a client-only ORB
+        has none to resolve."""
+        server = ORB(ORBConfig(scheme="loop"))
+        client = ORB(ORBConfig(scheme="loop"))
         try:
             server.activate(_make_impl(sleepy_api))
-            with pytest.raises(Exception):
-                server.resolve_initial_references("ORBMonitor")
-            # manual registration still works on an opted-out ORB
-            register_monitor(server)
-            assert server.resolve_initial_references("ORBMonitor") \
-                is not None
+            assert len(server.poa) == 1  # the servant above, no monitor
+            ref = register_monitor(server)
+            assert server.resolve_initial_references("ORBMonitor") is ref
+            with pytest.raises(INV_OBJREF):
+                client.resolve_initial_references("ORBMonitor")
         finally:
+            client.shutdown()
             server.shutdown()
 
     def test_slow_threshold_reports_recorder_config(self, pair):

@@ -170,10 +170,13 @@ class TestBackpressure:
         _, impl, ref = fleet.subscriber()
         hub.subscribe("crash", ref)
         arena = hub.shm_transport.shared_arena
-        # simulate readers that took the slots down with them
+        # simulate readers that took the slots down with them: each
+        # record took its reference, the hub let go, nobody released
         for _ in range(arena.slot_count):
             slot, _ = arena.alloc()
-            arena.post_shared(slot, readers=1)
+            arena.share(slot)
+            assert arena.retain(slot)
+            arena.unshare(slot)
         assert arena.free_slots == 0
         time.sleep(hub.stale_after + 0.05)
         assert hub.publish("crash", b"\x99" * 2048) == 1
@@ -202,6 +205,32 @@ class TestEviction:
         assert st.delivered == 1
         # the dead reader's planned ref was compensated: no slot leaks
         arena = hub.shm_transport.shared_arena
+        assert _wait(lambda: arena.used_slots == 0)
+
+
+    def test_a_delivery_that_fails_before_its_write(self, hub, fleet):
+        """A subscriber whose delivery fails before any record is
+        written takes no reference: the refcount stays where it was,
+        the subscriber is evicted, and the arena drains with the one
+        live reader's release."""
+        from repro.orb.exceptions import TRANSIENT
+        _, _, r1 = fleet.subscriber()
+        _, alive, r2 = fleet.subscriber()
+        hub.subscribe("t", r1)
+        hub.subscribe("t", r2)
+        arena = hub.shm_transport.shared_arena
+        seen = []
+
+        def dies_before_writing(topic, seq, payload):
+            slot, _ = arena.locate(payload)
+            seen.append(arena.refcount(slot))
+            raise TRANSIENT(message="the subscriber is unreachable")
+
+        hub._topics["t"].subs[0].stub.deliver = dies_before_writing
+        assert hub.publish("t", b"\x42" * 4096) == 1
+        assert seen == [1]  # only the hub's hold when it failed
+        assert hub.subscribers_evicted == 1
+        assert _wait(lambda: alive.received == 1)
         assert _wait(lambda: arena.used_slots == 0)
 
 

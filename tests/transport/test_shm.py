@@ -1,6 +1,7 @@
 """Shared-memory transport tests: arena, deposit channel, ORB wiring."""
 
 import gc
+import os
 import threading
 
 import pytest
@@ -146,7 +147,6 @@ class TestShmArena:
         buf.release()  # safe no-op after the transfer
 
     def test_creator_unlinks_on_close(self, tmp_path):
-        import os
         a = ShmArena.create(str(tmp_path), SIZE_64K, 2)
         path = a.path
         assert os.path.exists(path)
@@ -166,6 +166,41 @@ class TestHandshake:
         client, server = pair
         client.send(b"control bytes")
         assert server.recv_exact(13).tobytes() == b"control bytes"
+
+    def test_per_connection_arenas_lose_their_names(self, pair):
+        """Both acks in means the peer attached: neither side's arena
+        file outlives the handshake, and deposits still flow both
+        ways."""
+        client, server = pair
+        for stream in (client, server):
+            assert not os.path.exists(stream.send_arena.path)
+        pool = BufferPool()
+        for sender, receiver, fill in ((client, server, b"\x01"),
+                                       (server, client, b"\x02")):
+            tier, _ = _deposit(sender, memoryview(fill * 4096))
+            assert tier == SEND_COPY
+            buf, via = _recv_deposit(
+                receiver, DepositDescriptor(deposit_id=1, size=4096), pool)
+            assert via and buf.tobytes() == fill * 4096
+            buf.release()
+
+    def test_shared_arena_keeps_its_name_until_closed(self):
+        """Later subscribers attach the shared arena by path."""
+        transport = ShmTransport(slot_size=SIZE_64K, slot_count=4,
+                                 shared_send_arena=True)
+        client, server, listener = _stream_pair(transport)
+        try:
+            path = transport.shared_arena.path
+            assert os.path.exists(path)
+            c2, s2, l2 = _stream_pair(transport)  # attaches by path
+            assert c2.send_arena is transport.shared_arena
+            for s in (c2, s2, l2):
+                s.close()
+        finally:
+            for s in (client, server, listener):
+                s.close()
+            transport.close()
+        assert not os.path.exists(path)
 
     def test_degrades_without_arena(self, monkeypatch):
         """No arena on one side -> both degrade to plain streaming."""
@@ -371,73 +406,95 @@ class TestRefcountedSlots:
         assert arena.free_slots == 4
 
     def test_shared_post_frees_on_last_release(self, arena):
+        """One rule: the creator's hold plus one reference per record;
+        the last release, whichever it is, frees the slot."""
         slot, _ = arena.alloc()
-        arena.post_shared(slot, readers=3)
+        arena.share(slot)
+        assert arena.refcount(slot) == 1  # the creator's hold
+        assert arena.retain(slot) and arena.retain(slot)
         assert arena.refcount(slot) == 3
         assert arena.free_slots == 3
         arena.free(slot)
-        arena.free(slot)
-        assert arena.free_slots == 3  # two of three readers released
+        arena.unshare(slot)
+        assert arena.free_slots == 3  # one reader still maps it
         assert arena.refcount(slot) == 1
         arena.free(slot)  # last reader
         assert arena.free_slots == 4
         assert arena.refcount(slot) == 0
 
-    def test_post_shared_validates_reader_count(self, arena):
+    def test_retain_refuses_at_the_refcount_ceiling(self, arena):
         slot, _ = arena.alloc()
-        with pytest.raises(ValueError, match="readers"):
-            arena.post_shared(slot, readers=0)
-        with pytest.raises(ValueError, match="readers"):
-            arena.post_shared(slot, readers=256)
-        arena.post_shared(slot, readers=255)  # the protocol ceiling
-        assert arena.refcount(slot) == 255
+        arena.share(slot)
+        for _ in range(254):
+            assert arena.retain(slot)
+        assert arena.refcount(slot) == 255  # the byte's ceiling
+        assert not arena.retain(slot)
+        assert arena.refcount(slot) == 255  # a refusal changes nothing
 
-    def test_take_shared_ref_drains_the_plan(self, arena):
+    def test_retain_is_refused_once_unshared(self, arena):
+        """A reader still holds the slot, but the creator let go of
+        it: no record may take a new reference."""
         slot, _ = arena.alloc()
-        arena.post_shared(slot, readers=2)
-        assert arena.shared_pending(slot) == 2
-        assert arena.take_shared_ref(slot)
-        assert arena.take_shared_ref(slot)
-        assert arena.shared_pending(slot) == 0
-        assert not arena.take_shared_ref(slot)  # plan exhausted
-
-    def test_abort_shared_ref_releases_the_planned_reader(self, arena):
-        slot, _ = arena.alloc()
-        arena.post_shared(slot, readers=2)
-        arena.abort_shared_ref(slot)  # one planned send failed
+        arena.share(slot)
+        assert arena.retain(slot)
+        arena.unshare(slot)
+        arena.unshare(slot)  # idempotent: the hold goes back once
         assert arena.refcount(slot) == 1
+        assert not arena.retain(slot)
+        arena.free(slot)
+        assert arena.free_slots == 4
+
+    def test_a_given_back_reference_leaves_the_others(self, arena):
+        """A record's reference given back (its write failed) costs
+        the slot nothing else: the other reader and the hold remain."""
+        slot, _ = arena.alloc()
+        arena.share(slot)
+        assert arena.retain(slot) and arena.retain(slot)
+        arena.free(slot)  # the failed write's reference
+        assert arena.refcount(slot) == 2
+        arena.unshare(slot)
         arena.free(slot)  # the surviving reader releases
         assert arena.free_slots == 4
 
     def test_refcount_survives_peer_attach(self, arena):
         """The refcount lives in the mapped header, so an attaching
-        peer sees and decrements the same byte."""
+        peer sees and decrements the same byte — while the creator
+        still holds the slot, and after it let go."""
         slot, _ = arena.alloc()
-        arena.post_shared(slot, readers=2)
+        arena.share(slot)
+        assert arena.retain(slot) and arena.retain(slot)
         peer = ShmArena(arena.path, arena.slot_size, arena.slot_count,
                         create=False)
         try:
-            assert peer.refcount(slot) == 2
+            assert peer.refcount(slot) == 3
+            peer.free(slot)  # a reader releases during the publish
+            assert arena.refcount(slot) == 2
+            assert peer.free_slots == 3
+            arena.unshare(slot)
             peer.free(slot)
-            assert arena.refcount(slot) == 1
-            arena.free(slot)
             assert peer.free_slots == 4
         finally:
             peer.close()
 
-    def test_alloc_voids_stale_fanout_plan(self, arena):
+    def test_a_reused_slot_is_not_shared(self, arena):
         slot, _ = arena.alloc()
-        arena.post_shared(slot, readers=2)
-        arena.free(slot)
-        arena.free(slot)  # slot fully released, plan never drained
+        arena.share(slot)
+        assert arena.retain(slot)
+        arena.unshare(slot)
+        arena.free(slot)  # fully released
         got, _ = arena.alloc()
         assert got == slot  # lowest free slot is reused
-        assert arena.shared_pending(slot) == 0
-        assert not arena.take_shared_ref(slot)
+        assert not arena.retain(slot)  # an OWNED lease, not a share
+        arena.post(slot)
+        assert arena.refcount(slot) == 1
 
     def test_reclaim_stale_force_frees_posted_slots(self, arena):
         slot, _ = arena.alloc()
-        arena.post_shared(slot, readers=5)  # readers that died mid-read
+        arena.share(slot)
+        for _ in range(5):  # readers that died mid-read
+            arena.retain(slot)
+        assert arena.reclaim_stale(max_age=0.0) == 0  # still held
+        arena.unshare(slot)
         assert arena.reclaim_stale(max_age=3600.0) == 0  # too young
         assert arena.reclaim_stale(max_age=0.0) == 1
         assert arena.free_slots == 4
@@ -451,18 +508,40 @@ class TestRefcountedSlots:
         buf.release()
 
     def test_locate_matches_shared_posted_slot(self, arena):
-        """marshal's stage_in_arena passes shared-posted views through
-        untouched because locate() still claims them."""
-        buf = arena.acquire(4096)
-        view = buf.view()
-        slot, _ = arena.locate(view)
-        arena.post_shared(slot, readers=2)
+        """marshal's stage_in_arena passes a shared slot's view through
+        untouched because locate() claims it while the creator holds
+        it."""
+        slot, _ = arena.alloc()
+        view = arena.slot_view(slot, 0, 4096)
+        arena.share(slot)
         assert arena.locate(view) == (slot, 0)
-        arena.take_shared_ref(slot)
-        arena.take_shared_ref(slot)
-        assert arena.locate(view) is None  # plan drained: sends are done
+        assert arena.retain(slot)
+        arena.unshare(slot)
+        assert arena.locate(view) is None  # let go of: sends are done
         arena.free(slot)
-        arena.free(slot)
+        assert arena.free_slots == 4
+
+    def test_creator_threads_serialize_on_one_descriptor(self, arena):
+        """flock does not exclude two threads of one open file
+        description: the creator's increments and its readers'
+        releases on the same instance still lose no update."""
+        slot, _ = arena.alloc()
+        arena.share(slot)
+        rounds = 2000
+
+        def churn():
+            for _ in range(rounds):
+                assert arena.retain(slot)
+                arena.free(slot)
+
+        threads = [threading.Thread(target=churn) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert arena.refcount(slot) == 1
+        arena.unshare(slot)
+        assert arena.free_slots == 4
 
 
 class TestSharedArenaFanout:
@@ -488,24 +567,32 @@ class TestSharedArenaFanout:
         assert c1.send_arena is c2.send_arena
         assert c1.send_arena is transport.shared_arena
 
+    @staticmethod
+    def _shared(arena, payload):
+        """A shared slot holding ``payload``; ``(slot, view)``."""
+        slot, _ = arena.alloc()
+        view = arena.slot_view(slot, 0, len(payload))
+        view[:] = payload
+        arena.share(slot)
+        return slot, view
+
     def test_one_post_fans_out_to_two_links(self, fanout):
         transport, (c1, s1), (c2, s2) = fanout
         arena = transport.shared_arena
         payload = b"\x5a" * 8192
-        staged = arena.acquire(len(payload))
-        staged.view()[:] = payload
-        slot, _ = arena.locate(staged.view())
-        arena.post_shared(slot, readers=2)
+        slot, view = self._shared(arena, payload)
         assert arena.used_slots == 1
 
         desc = DepositDescriptor(deposit_id=1, size=len(payload))
         pool = BufferPool()
         tiers = []
         for sender in (c1, c2):
-            tier, _ = _deposit(sender, staged.view())
+            tier, _ = _deposit(sender, view)
             tiers.append(tier)
         # each link's share of the payload is one record
         assert tiers == [SEND_SHARED, SEND_SHARED]
+        assert arena.refcount(slot) == 3  # two records and the hold
+        arena.unshare(slot)
 
         bufs = []
         for receiver in (s1, s2):
@@ -524,11 +611,10 @@ class TestSharedArenaFanout:
         finalizer must still decrement the slot's refcount."""
         transport, (c1, s1), (c2, s2) = fanout
         arena = transport.shared_arena
-        staged = arena.acquire(1024)
-        slot, _ = arena.locate(staged.view())
-        arena.post_shared(slot, readers=2)
+        slot, view = self._shared(arena, bytes(1024))
         for sender in (c1, c2):
-            _deposit(sender, staged.view())
+            _deposit(sender, view)
+        arena.unshare(slot)
         desc = DepositDescriptor(deposit_id=1, size=1024)
         pool = BufferPool()
         buf1, _ = _recv_deposit(s1, desc, pool)
@@ -539,33 +625,32 @@ class TestSharedArenaFanout:
         assert arena.used_slots == 0
 
     def test_failed_send_is_compensated(self, fanout):
-        """abort_shared_ref() stands in for a reader whose send failed
-        before its record left, so the slot still drains to FREE."""
-        transport, (c1, s1), _ = fanout
+        """A write that fails after staging gives back the reference
+        its record took (the connection frees the slot it staged), so
+        the slot still drains to FREE."""
+        transport, (c1, s1), (c2, _) = fanout
         arena = transport.shared_arena
-        staged = arena.acquire(1024)
-        slot, _ = arena.locate(staged.view())
-        arena.post_shared(slot, readers=2)
-        _deposit(c1, staged.view())  # reader 1 sent
-        arena.abort_shared_ref(slot)    # reader 2's send failed
+        slot, view = self._shared(arena, bytes(1024))
+        _deposit(c1, view)  # reader 1 sent
+        tier, _, _, staged = c2.send_deposit(view)  # reader 2 staged,
+        assert (tier, staged) == (SEND_SHARED, slot)
+        arena.free(staged)  # and its write failed
+        arena.unshare(slot)
         buf, _ = _recv_deposit(s1, DepositDescriptor(deposit_id=1, size=1024),
                                BufferPool())
         buf.release()
         assert arena.used_slots == 0
 
     def test_exhausted_plan_degrades_to_copy(self, fanout):
-        """With the fan-out plan drained, a further send of the same
-        view must not re-post the shared slot it doesn't own."""
+        """Once the creator let go of the shared slot, a further send of
+        the same view must not take a reference it was not offered."""
         transport, (c1, s1), (c2, s2) = fanout
-        from repro.transport.shm import SEND_COPY
         arena = transport.shared_arena
-        staged = arena.acquire(1024)
-        staged.view()[:] = b"\x11" * 1024
-        slot, _ = arena.locate(staged.view())
-        arena.post_shared(slot, readers=1)  # plan covers only c1
-        tier1, _ = _deposit(c1, staged.view())
-        tier2, _ = _deposit(c2, staged.view())
-        assert tier2 == SEND_COPY  # fresh slot, not a stolen reference
+        slot, view = self._shared(arena, b"\x11" * 1024)
+        tier1, _ = _deposit(c1, view)
+        arena.unshare(slot)  # the publish covered only c1
+        tier2, _ = _deposit(c2, view)
+        assert (tier1, tier2) == (SEND_SHARED, SEND_COPY)
         desc = DepositDescriptor(deposit_id=1, size=1024)
         pool = BufferPool()
         b1, _ = _recv_deposit(s1, desc, pool)
@@ -573,6 +658,25 @@ class TestSharedArenaFanout:
         assert b1.tobytes() == b2.tobytes() == b"\x11" * 1024
         b1.release()
         b2.release()
+        assert arena.used_slots == 0
+
+    def test_a_refcount_of_255_takes_the_copy_tier(self, fanout):
+        """Links past the refcount byte's ceiling copy instead of
+        failing the publish."""
+        transport, (c1, s1), _ = fanout
+        arena = transport.shared_arena
+        slot, view = self._shared(arena, b"\x22" * 1024)
+        while arena.retain(slot):
+            pass
+        assert arena.refcount(slot) == 255
+        tier, _ = _deposit(c1, view)
+        assert tier == SEND_COPY
+        buf, via = _recv_deposit(
+            s1, DepositDescriptor(deposit_id=1, size=1024), BufferPool())
+        assert via and buf.tobytes() == b"\x22" * 1024
+        buf.release()
+        for _ in range(255):
+            arena.free(slot)
         assert arena.used_slots == 0
 
     def test_stream_close_leaves_shared_arena_open(self, fanout):
