@@ -393,13 +393,11 @@ class ShmArena:
     def unshare(self, slot: int) -> None:
         """The creator lets go of a shared slot: no further
         :meth:`retain`, and the hold's reference goes back."""
-        try:
-            with self._file_lock():
-                if slot in self._shared:
-                    self._shared.discard(slot)
-                    self._release(slot)
-        except (ValueError, IndexError, OSError):
-            pass  # mapping or lock fd already closed
+        with self._lock:
+            if slot not in self._shared:
+                return
+            self._shared.discard(slot)
+        self.free(slot)
 
     def is_owned(self, slot: int) -> bool:
         """Whether ``slot`` is currently leased via :meth:`acquire`."""
@@ -433,17 +431,13 @@ class ShmArena:
         """Release one reader reference; the last one frees the slot."""
         try:
             with self._file_lock():
-                self._release(slot)
+                rc = self._rc_get(slot)
+                rc = rc - 1 if rc > 0 else 0
+                self._rc_set(slot, rc)
+                if rc == 0:
+                    self._mm[slot] = SLOT_FREE
         except (ValueError, IndexError, OSError):
             pass  # mapping or lock fd already closed
-
-    def _release(self, slot: int) -> None:
-        """One reference back (the caller holds :meth:`_file_lock`)."""
-        rc = self._rc_get(slot)
-        rc = rc - 1 if rc > 0 else 0
-        self._rc_set(slot, rc)
-        if rc == 0:
-            self._mm[slot] = SLOT_FREE
 
     # -- creator-side stale reclaim ------------------------------------------
     def reclaim_stale(self, max_age: float) -> int:
@@ -732,8 +726,8 @@ class ShmTransport:
     ``shared_send_arena=True`` switches the transport into fan-out
     mode: every outbound connection advertises the *same* send arena,
     so a payload written and shared (:meth:`~ShmArena.share`) once is
-    mapped by every peer that attached it, each record taking one reference —
-    the pub/sub hub's single-copy delivery plane.  The shared arena
+    mapped by every peer that attached it, each record taking one
+    reference — the pub/sub hub's single-copy delivery plane.  The shared arena
     outlives individual connections and keeps its file name, which
     later connections attach it by; call :meth:`close` (or let the
     owning hub do it) to tear it down.  A per-connection arena loses
