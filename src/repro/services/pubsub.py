@@ -7,16 +7,15 @@ linearly with subscribers, exactly what the paper's one-crossing
 discipline forbids.  This service closes that gap: the ``TopicHub``
 keeps per-topic subscriber registries and delivers through its own
 *delivery ORB* whose shm transport gives every subscriber connection
-the same send arena.  A published payload is
-written into one arena slot, shared with
-:meth:`~repro.transport.shm.ShmArena.share` (the hub's own reference
-while it delivers), and every colocated subscriber's connection sends
-only a 24-byte record naming that slot, taking one reference as it
-writes it — the payload crosses once no matter how many subscribers
-map it, and the slot frees at the last release, the hub's
-:meth:`~repro.transport.shm.ShmArena.unshare` included (an ordinary
-reference count, crash-safe via the ``MappedBuffer`` finalizer plus
-the creator's stale-slot reclaim).
+the same send arena.  A published payload is written into one arena
+slot, shared with :meth:`~repro.transport.shm.ShmArena.share` (the
+hub's own reference while it delivers), and every colocated
+subscriber's connection sends only a 24-byte record naming that slot,
+taking one reference as it writes it — the payload crosses once no
+matter how many subscribers map it, and the slot frees at the last
+release, the hub's :meth:`~repro.transport.shm.ShmArena.unshare`
+included (an ordinary reference count, crash-safe via the
+``MappedBuffer`` finalizer plus the creator's stale-slot reclaim).
 
 Subscribers that cannot share the arena — remote processes, tcp-only
 ORBs — degrade per link: each gets an ordinary direct deposit on its

@@ -6,9 +6,8 @@ import pytest
 
 from repro.core import ZCOctetSequence
 from repro.orb import ORB, ORBConfig
-from repro.services import (CollectingSubscriber, CountingSubscriber,
-                            TopicHubImpl, decode_event, encode_event,
-                            pubsub_api)
+from repro.services import (CollectingSubscriber, TopicHubImpl,
+                            decode_event, encode_event, pubsub_api)
 from repro.transport.shm import shm_available
 
 SIZE_64K = 64 * 1024
