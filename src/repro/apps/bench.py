@@ -345,8 +345,8 @@ def _cscale_rig(server_workers: int, conns: int, work_s: float):
     single-connection proxies (never the ORB's shared one: the sweep
     needs C *distinct* sockets) to an echo servant, and the
     ``(args, kwargs)`` of one ``invoke`` / ``invoke_async`` on them.
-    Both ORBs live in this process; the server reads every connection
-    on the loop, or with ``server_workers=0`` on a thread each."""
+    Both ORBs live in this process; the server's pool threads read
+    every connection, or with ``server_workers=0`` a thread each."""
     from ..orb import InvocationPolicy
 
     with _orb_pair(_pipe_servant(), "tcp",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import sys
 import threading
 import weakref
 from typing import Callable, Optional
@@ -46,9 +47,18 @@ class ZCBuffer:
     ``capacity`` is the usable aligned size; ``length`` is the live
     payload size (≤ capacity).  The payload is exposed as a writable
     :class:`memoryview` so every consumer shares the same storage.
+
+    A pooled buffer that nobody holds goes back to its pool by
+    reference count, as a :class:`MappedBuffer` returns its arena slot:
+    its storage is recycled once the last reference to the buffer goes,
+    unless a view of that storage (a ``memoryview`` from :meth:`view`,
+    an ndarray built over one) is still alive — then the storage stays
+    with the view and is simply freed with it (DESIGN.md §11, the landing
+    rule).  Every view holds its own export of the storage, so the
+    storage's reference count says whether one is left.
     """
 
-    __slots__ = ("_base", "_view", "capacity", "_length", "_pool",
+    __slots__ = ("_base", "_offset", "_view", "capacity", "_length", "_pool",
                  "_released", "_release_lock")
 
     def __init__(self, capacity: int, pool: Optional["BufferPool"] = None):
@@ -56,8 +66,10 @@ class ZCBuffer:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._base = np.empty(capacity + PAGE_SIZE, dtype=np.uint8)
-        offset = (-self._base.ctypes.data) % PAGE_SIZE
-        self._view = memoryview(self._base)[offset:offset + capacity]
+        self._offset = (-self._base.ctypes.data) % PAGE_SIZE
+        #: a mapped or file buffer's own view; a pooled one exports
+        #: fresh views of ``_base`` instead
+        self._view = None
         self._length = capacity
         self._pool = pool
         self._released = False
@@ -72,7 +84,7 @@ class ZCBuffer:
     def address(self) -> int:
         """The (real) start address of the aligned region."""
         self._check_live()
-        return self._base.ctypes.data + ((-self._base.ctypes.data) % PAGE_SIZE)
+        return self._base.ctypes.data + self._offset
 
     @property
     def is_page_aligned(self) -> bool:
@@ -92,13 +104,21 @@ class ZCBuffer:
 
     def view(self) -> memoryview:
         """Writable view of the live payload — no copy."""
-        self._check_live()
-        return self._view[: self._length]
+        if self._released:
+            raise BufferError("use of a released ZCBuffer")
+        base = self._base
+        if base is None:
+            return self._view[: self._length]
+        offset = self._offset
+        return memoryview(base)[offset:offset + self._length]
 
     def full_view(self) -> memoryview:
         """Writable view of the whole aligned capacity."""
         self._check_live()
-        return self._view
+        base = self._base
+        if base is None:
+            return self._view
+        return memoryview(base)[self._offset:self._offset + self.capacity]
 
     def fill_from(self, data) -> None:
         """Copy ``data`` in (the *one* permitted producer-side touch)."""
@@ -107,7 +127,7 @@ class ZCBuffer:
         if src.nbytes > self.capacity:
             raise ValueError(
                 f"data of {src.nbytes} bytes exceeds capacity {self.capacity}")
-        self._view[: src.nbytes] = src.cast("B")
+        self.full_view()[: src.nbytes] = src.cast("B")
         self._length = src.nbytes
 
     def tobytes(self) -> bytes:
@@ -128,6 +148,28 @@ class ZCBuffer:
             self._released = True
         if self._pool is not None:
             self._pool._reclaim(self)
+
+    def __del__(self) -> None:
+        # the last reference went without a release: the storage goes
+        # back to the pool, unless a view of it outlives the buffer (the
+        # two references are this slot's and getrefcount's argument)
+        pool = getattr(self, "_pool", None)  # unset: __init__ refused
+        if pool is not None and not self._released \
+                and sys.getrefcount(self._base) <= 2:
+            try:
+                pool._reclaim(self._successor())
+            except Exception:  # noqa: BLE001 - never raise out of GC
+                pass
+
+    def _successor(self) -> "ZCBuffer":
+        """A released buffer over this one's storage, for the free list
+        (a collected object cannot be handed out again)."""
+        buf = ZCBuffer.__new__(ZCBuffer)
+        buf.capacity, buf._base, buf._offset = \
+            self.capacity, self._base, self._offset
+        buf._view, buf._length, buf._pool = None, self.capacity, self._pool
+        buf._released, buf._release_lock = True, threading.Lock()
+        return buf
 
     def _revive(self) -> None:
         self._released = False
@@ -173,6 +215,7 @@ class MappedBuffer(ZCBuffer):
             raise ValueError("mapped view must be writable")
         self.capacity = mv.nbytes
         self._base = None
+        self._offset = 0
         self._view = mv
         self._length = mv.nbytes
         self._pool = None
@@ -232,6 +275,7 @@ class FileBackedBuffer(ZCBuffer):
         self._released = False
         self._release_lock = threading.Lock()
         self._base = None
+        self._offset = 0
         self._view = None
         self._mmap = None
         self._finalizer = (weakref.finalize(self, os.close, fd)
@@ -330,6 +374,8 @@ class BufferPool:
       ``release()``; release is atomic per buffer and a double release
       raises :class:`BufferError` (from the buffer's own check-and-set
       or, failing that, the free-list identity check in ``_reclaim``);
+      a buffer dropped unreleased comes back by reference count, as a
+      fresh free-list entry over its storage (``ZCBuffer.__del__``);
     * the *contents* of a live buffer are not locked — single-owner
       access is the zero-copy deal, exactly as with a malloc'd region.
     """
@@ -340,7 +386,9 @@ class BufferPool:
         #: _reclaim an O(1) double-release check instead of scanning
         #: the (possibly long) free list per release
         self._free_ids: set[int] = set()
-        self._lock = threading.Lock()
+        #: reentrant: a buffer collected while this thread holds the
+        #: lock (a GC pass inside acquire) reclaims through it
+        self._lock = threading.RLock()
         self.max_cached_bytes = max_cached_bytes
         self.cached_bytes = 0
         self.hits = 0

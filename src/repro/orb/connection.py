@@ -249,11 +249,10 @@ class GIOPConn:
         self._send_lock = threading.Lock()
         #: True once the connection can carry no further message.  Every
         #: layer reads it on every message, hence a plain attribute;
-        #: only this class and the loop's drive of its reads
-        #: (reactor._ConnDriver, see start_reading) write it.
+        #: only this class writes it.
         self.closed = False
         #: callbacks run exactly once when close() fires — the reactor
-        #: registers one to detach its fd reader before the fd dies.
+        #: or the pool registers one to drop the fd before it dies.
         #: Guarded by a dedicated lock, NOT _send_lock: close() can be
         #: re-entered from *inside* a send (a fault mid-sendv closes a
         #: synchronous-delivery stream, whose peer pump then closes the
@@ -601,22 +600,13 @@ class GIOPConn:
             pass
         self.closed = True
 
-    def send_error(self, block: bool = True) -> None:
-        """Tell the peer it sent garbage (the caller closes next).
-        ``block=False`` (the loop) waits for nothing: the courtesy goes
-        out if the send lock is free and the socket takes it at once,
-        and is dropped if not."""
+    def send_error(self) -> None:
+        """Tell the peer it sent garbage (the caller closes next): on
+        the thread that read the garbage, which may block."""
         header = encode_giop_header(MsgType.MessageError, 0,
                                     self.little_endian)
-        if not self._send_lock.acquire(block):
-            return
-        try:
-            if block:
-                self.stream.send(header)
-            else:  # the rest of a write the socket did not take: dropped
-                self.stream.sendv([header], False)
-        finally:
-            self._send_lock.release()
+        with self._send_lock:
+            self.stream.send(header)
 
     # -- receiving ---------------------------------------------------------------
     def start_reading(self, on_message: Callable, on_error: Callable, *,
@@ -633,24 +623,28 @@ class GIOPConn:
                 sender's thread (it has         sender's thread, under
                 ``set_data_handler``:           :class:`_PumpGuard`
                 loopback, sim)
-        loop    the owner offers a ``reactor``  no: it runs on the
-                (a client's hand-over; a        reactor's loop thread
-                server's with a pool)
+        pool    the owner offers a server's     yes: it runs on the pool
+                ``RequestWorkerPool``           thread that read it (a
+                                                request the pool runs
+                                                itself, see there)
+        loop    the owner offers the loop's     no: it runs on the
+                ``Reactor`` (a client's         reactor's loop thread
+                hand-over)
         thread  anything else (only a           yes: a daemon thread of
                 ``workers=0`` server)           its own, named ``name``
         ======  ==============================  =========================
 
-        Returns the reader thread for the owner to join after
-        :meth:`close`, None for the other two drives (DESIGN.md §10).
-        Each drive reads with :meth:`_read_nb`, the thread after a
-        ``poll`` (:meth:`read_message`).
+        ``reactor`` is what the owner offers: anything with
+        ``adopt(conn, on_message, on_error)`` (the loop's ``Reactor``
+        or a server's pool, TAO's thread-pool reactor).  Returns the
+        reader thread for the owner to join after :meth:`close`, None
+        for the other drives (DESIGN.md §10).  Each drive reads with
+        :meth:`_read_nb`, the thread after a ``poll``
+        (:meth:`read_message`).
 
-        Every message goes to ``on_message(rm)``; the loop also passes
-        its driver, ``on_message(rm, driver)``, whose presence means
-        *nothing here may wait* and whose ``pause()`` / ``resume()`` are
-        the back-pressure a blocked reader thread gives for free.  Every
-        other way reading can end reaches ``on_error(exc)`` (from the
-        loop ``on_error(exc, driver)``) exactly once, with the
+        Every message goes to ``on_message(rm)`` (from the pool, all
+        but a request, which the pool runs itself).  Every other way
+        reading can end reaches ``on_error(exc)`` exactly once, with the
         connection already marked closed: a transport error a read
         meets, a closed loopback stream's included (mapped by the parser
         to ``COMM_FAILURE``), a :class:`GIOPError` or ``MARSHAL`` the

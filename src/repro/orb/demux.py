@@ -312,9 +312,9 @@ class ReplyDemux:
             rm.release()
 
     # -- routing (start_reading's on_message) ------------------------------
-    def _route(self, rm: ReceivedMessage, _driver=None) -> None:
-        """Route one message, on whichever drive read it (given
-        ``_driver``, on the loop: must not block).  A message that ends
+    def _route(self, rm: ReceivedMessage) -> None:
+        """Route one message, on whichever drive read it (on the loop it
+        must not block, and does not).  A message that ends
         the connection closes it, which ends the reading."""
         conn = self.conn
         mtype = rm.msg_type
@@ -346,7 +346,7 @@ class ReplyDemux:
         self._fail_all(exc)
 
     # -- failure fan-out ---------------------------------------------------
-    def _read_failed(self, exc: BaseException, _driver=None) -> None:
+    def _read_failed(self, exc: BaseException) -> None:
         """``start_reading``'s ``on_error``: the read side died and the
         connection is marked closed (on the loop: must not block)."""
         if isinstance(exc, SystemException):

@@ -70,8 +70,10 @@ class ORBConfig:
     #: sendfile tier on TCP (below it, or on transports without a real
     #: socket, they travel as mapped views / arena deposits)
     sendfile_min_size: int = 256 * 1024
-    #: dispatch threads of the server's bounded worker pool; 0 restores
-    #: inline (in-reader) dispatch, serializing upcalls per connection
+    #: the server's pool threads, which read every socket connection
+    #: from one poll set and run the requests they read (Linux:
+    #: ``select.epoll``); 0 gives each connection a reader thread that
+    #: dispatches inline, serializing upcalls per connection
     server_workers: int = 4
     #: wire byte order; flip to emulate a foreign-endian peer (the
     #: receiver-makes-right path of §2.1's architecture negotiation)
@@ -147,8 +149,9 @@ class ORB:
         """The process-wide event-loop reactor (lazily started).
         Attaching registers this ORB for loop-health metrics
         (``loop_lag_seconds`` / ``loop_tasks``) once it has a metrics
-        registry.  A client asks when it hands a connection over, a
-        server at a tcp accept: an ORB that does neither runs no loop."""
+        registry.  Only a client asks, when it hands a connection over:
+        a server's pool threads read its connections themselves, so an
+        ORB that only serves runs no loop."""
         from .reactor import get_reactor
         reactor = get_reactor()
         reactor.attach_orb(self)

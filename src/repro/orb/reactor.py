@@ -1,12 +1,14 @@
-"""The asyncio reactor: event-loop ownership of GIOP read sides.
+"""The asyncio reactor: event-loop ownership of client read sides.
 
-A reader thread per connection tops out at hundreds of peers.  This
-module is the drive :meth:`GIOPConn.start_reading
-<repro.orb.connection.GIOPConn.start_reading>` takes for every
-connection whose owner offers it the loop (a client's socket connection
-once it is handed over; a server's when it has a worker pool; over
-tcp and shm alike): its *read* side moves onto one
-asyncio event loop running on its own daemon thread.
+This module is the drive :meth:`GIOPConn.start_reading
+<repro.orb.connection.GIOPConn.start_reading>` takes for a client
+connection once its owner hands it over (the first awaited call, or a
+call that gives up on its reply; over tcp, shm and a fault-injected
+stream alike): its *read* side moves onto one asyncio event loop
+running on its own daemon thread.  Servers are not read here: a
+server's pool threads read its connections from the pool's own poll set
+(``repro.orb.server.RequestWorkerPool``), so a server-only process runs
+no loop.
 
 * readiness is delivered by ``loop.add_reader(fd, cb)`` — level
   triggered, so a callback that leaves bytes unread is re-armed;
@@ -17,16 +19,14 @@ asyncio event loop running on its own daemon thread.
   and CORBA exception mapping cannot diverge;
 * completed messages are handed to ``on_message`` and every other end
   of reading to ``on_error``, under ``start_reading``'s contract — both
-  run on the loop thread and must not block (servant up-calls go to
-  the worker pool, reply sends happen on worker/caller threads; the
-  loop parses, and writes only what the socket takes at once).
+  run on the loop thread and must not block (the demux completes a
+  future or fails the calls in flight).
 
 Sockets stay in *blocking* mode: reads use ``MSG_DONTWAIT``
 (``TCPStream.recv_into_nb``), and so does the one write an awaiting
-caller makes on its loop (``sendv(chunks, False)``), as does the
-loop's ``MessageError`` courtesy.  The owner decides what it offers the
-loop (DESIGN.md §15, "Adoption gate"): loopback and sim have no socket
-and are pumped whatever is offered.
+caller makes on its loop (``sendv(chunks, False)``).  The owner decides
+what it offers the loop (DESIGN.md §15, "Adoption gate"): loopback and
+sim have no socket and are pumped whatever is offered.
 
 Loop health is exported through every attached ORB's metrics registry:
 ``loop_lag_seconds`` (scheduled-vs-actual heartbeat delta) and
@@ -53,14 +53,12 @@ class _ConnDriver:
     it may be half way through a message) from readiness events.
 
     Lives entirely on the reactor's loop thread after attach; the only
-    cross-thread entry points are :meth:`request_detach` (scheduled via
-    ``call_soon_threadsafe`` from the conn's close hook) and the
-    pause/resume pair, which the server's backpressure logic also calls
-    from the loop thread.
+    cross-thread entry point is :meth:`request_detach` (scheduled via
+    ``call_soon_threadsafe`` from the conn's close hook).
     """
 
     __slots__ = ("conn", "reactor", "fd", "on_message", "on_error",
-                 "_paused", "_detached")
+                 "_detached")
 
     def __init__(self, conn, reactor: "Reactor", on_message, on_error):
         self.conn = conn
@@ -68,7 +66,6 @@ class _ConnDriver:
         self.fd = conn.stream.fileno()
         self.on_message = on_message
         self.on_error = on_error
-        self._paused = False
         self._detached = False
 
     # -- attach/detach (loop thread) ----------------------------------------
@@ -86,11 +83,10 @@ class _ConnDriver:
         # (a new conn may have been adopted on a recycled fd already)
         if self.reactor._drivers.get(self.fd) is self:
             del self.reactor._drivers[self.fd]
-            if not self._paused:
-                try:
-                    self.reactor.loop.remove_reader(self.fd)
-                except (OSError, ValueError):
-                    pass
+            try:
+                self.reactor.loop.remove_reader(self.fd)
+            except (OSError, ValueError):
+                pass
         gen, self.conn._gen = self.conn._gen, None
         if gen is not None:
             gen.close()
@@ -105,35 +101,13 @@ class _ConnDriver:
         except RuntimeError:
             pass  # loop shut down between the check and the call
 
-    # -- backpressure (loop thread) -----------------------------------------
-    def pause(self) -> None:
-        """Stop reading this fd (server queue full)."""
-        if self._paused or self._detached:
-            return
-        self._paused = True
-        try:
-            self.reactor.loop.remove_reader(self.fd)
-        except (OSError, ValueError):
-            pass
-
-    def resume(self) -> None:
-        """Re-arm readiness; immediately drains anything buffered."""
-        if not self._paused or self._detached:
-            return
-        self._paused = False
-        self.reactor.loop.add_reader(self.fd, self._on_readable)
-        # level-triggered add_reader only fires on *socket* readability;
-        # run one drain pass now in case the kernel buffer already has
-        # the next message
-        self._on_readable()
-
     # -- the drain loop (loop thread) ---------------------------------------
     def _on_readable(self) -> None:
         """Deliver every message the socket holds.  Whatever the parse
         raises, mapped from a failed read or over what the peer sent,
         ends reading: ``on_error``, once."""
         conn = self.conn
-        while not self._detached and not self._paused:
+        while not self._detached:
             if conn.closed and conn._gen is None:
                 self.detach()  # the owner closed it between two messages
                 return
@@ -141,11 +115,11 @@ class _ConnDriver:
                 rm = conn._read_nb()
             except BaseException as exc:
                 self.detach()
-                self.on_error(exc, self)
+                self.on_error(exc)
                 return
             if rm is None:
                 return  # would block: wait for the next readiness event
-            self.on_message(rm, self)
+            self.on_message(rm)
 
 
 class Reactor:
@@ -176,10 +150,9 @@ class Reactor:
               on_error: Callable) -> "_ConnDriver":
         """Hand ``conn``'s read side to the loop.
 
-        ``on_message(rm, driver)`` and ``on_error(exc, driver)`` run
-        on the loop thread and must not block (the driver: for
-        pause/resume backpressure).  The conn's close hook detaches
-        the driver, so callers never unregister by hand.
+        ``on_message(rm)`` and ``on_error(exc)`` run on the loop thread
+        and must not block.  The conn's close hook detaches the driver,
+        so callers never unregister by hand.
         """
         driver = _ConnDriver(conn, self, on_message, on_error)
         conn.add_close_hook(driver.request_detach)

@@ -72,6 +72,8 @@ from repro.core.direct_deposit import DEPOSIT_MIN_SIZE
 from repro.idl import compile_idl
 from repro.obs.flightrec import FlightRecorder
 from repro.orb import ORB, ORBConfig, async_api, run_sync
+from repro.orb.connection import GIOPConn
+from repro.orb.dispatcher import MethodDispatcher
 from repro.orb.reactor import reset_reactor
 from repro.services import BlobStoreImpl, read_all
 from repro.transport.shm import shm_available
@@ -108,6 +110,14 @@ GENERIC_LOOP_SLACK = 3
 #: ``recv``)
 SHM_CALLER_CEILING = 79
 SHM_TOTAL_CEILING = 134
+#: the shipped server (``server_workers=4``), all threads per ping: the
+#: gates are the ``server_workers=0`` counts, 116 and 122, which a pool
+#: thread that runs what it reads must not exceed; measured 115.0 on tcp
+#: and 121.0 on shm (the pool runs a request it read without routing it
+#: through ``IIOPServer._route``).  129.5 on tcp and 136.3 on shm, over 6
+#: threads and two server threads per call, while the loop read each
+#: request and handed it to a worker through a queue
+POOL_TOTAL_CEILINGS = {"tcp": 116, "shm": 122}
 #: measured: the recorder adds 21.0 calls per ping (116 against 95
 #: with ``flight_recorder=False``; 126 against 105 before the one-record
 #: read): twelve ``stamp``s, six stages on
@@ -176,13 +186,16 @@ BUDGET_IDL = """interface Budget {
 
 def _count_null_call(flight_recorder: bool, traced: bool = False,
                      scheme: str = "tcp", payload=None,
-                     generic_loop: bool = False):
+                     generic_loop: bool = False, server_workers: int = 0):
     """``(calling thread, all threads, FlightRecorder.emit, inside
-    repro/obs/, threads seen, calls per stage event, client threads)``:
-    Python-level calls per ping (with a ``payload``: per ``send_zc`` of
-    it); the sixth is every call made from the producer's ``stamp`` down,
-    itself included, per outermost ``stamp``.  The server ORB keeps off
-    the reactor, so every thread that is not one of its own is the
+    repro/obs/, threads seen, calls per stage event, client threads,
+    server threads per call)``: Python-level calls per ping (with a
+    ``payload``: per ``send_zc`` of it); the sixth is every call made
+    from the producer's ``stamp`` down, itself included, per outermost
+    ``stamp``; the last is the set of how many threads besides the
+    caller's each call had read its request, dispatch it or send its
+    reply.  The server
+    ORB runs no loop, so every thread that is not one of its own is the
     client's."""
     api = compile_idl(BUDGET_IDL, module_name="_call_budget_idl")
 
@@ -202,6 +215,13 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
     stamping = collections.Counter()  # thread ident -> depth below a stamp
     stage_events, fanout = [0], [0]
     counting = [False]
+    #: per counted call, the threads but the caller's that read its
+    #: request, ran it or replied to it (a loop's thread included)
+    caller = threading.get_ident()
+    server_codes = {GIOPConn._read_nb.__code__,
+                    MethodDispatcher.dispatch.__code__,
+                    GIOPConn.send_message.__code__}
+    per_call = []
 
     def profile(frame, event, arg):
         if not counting[0]:
@@ -212,6 +232,8 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
                 names[ident] = threading.current_thread().name
             calls[ident] += 1
             code = frame.f_code
+            if code in server_codes and ident != caller:
+                per_call[-1].add(ident)
             if code is emit_code:
                 emits[0] += 1
             if code.co_filename.startswith(_OBS_DIR):
@@ -235,7 +257,8 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
     server = client = None
     try:
         server = ORB(ORBConfig(scheme=scheme, flight_recorder=flight_recorder,
-                               server_workers=0, generic_loop=generic_loop))
+                               server_workers=server_workers,
+                               generic_loop=generic_loop))
         client = ORB(ORBConfig(scheme=scheme, flight_recorder=flight_recorder,
                                generic_loop=generic_loop))
         if traced:
@@ -248,9 +271,11 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
         for _ in range(30):  # dial, caches, lazily imported modules
             call(arg)
         sys.setprofile(profile)
+        per_call.append(set())
         counting[0] = True
         for _ in range(CALLS):
             call(arg)
+            per_call.append(set())
         counting[0] = False
     finally:
         sys.setprofile(None)
@@ -266,11 +291,13 @@ def _count_null_call(flight_recorder: bool, traced: bool = False,
     return (calls[threading.get_ident()] / CALLS,
             sum(calls.values()) / CALLS, emits[0] / CALLS,
             in_obs[0] / CALLS, len(calls),
-            fanout[0] / max(stage_events[0], 1), client_threads)
+            fanout[0] / max(stage_events[0], 1), client_threads,
+            {len(seen) for seen in per_call[:CALLS]})
 
 
 def test_null_call_stays_inside_its_budget():
-    caller, total, emits, in_obs, threads, _, client = _count_null_call(True)
+    caller, total, emits, in_obs, threads, _, client, one = \
+        _count_null_call(True)
     assert caller <= CALLER_CEILING, f"calling thread: {caller:.1f} calls"
     assert total <= TOTAL_CEILING, f"all threads: {total:.1f} calls"
     assert emits <= EMIT_CEILING, \
@@ -282,13 +309,14 @@ def test_null_call_stays_inside_its_budget():
     # of a recorder that is really being driven; the threads are the
     # caller and the server's reader, which dispatches
     assert caller > 20 and threads >= 2 and in_obs >= 2
+    assert one == {1}, f"server threads per call: {one}"
 
-    _, generic, _, _, _, _, _ = _count_null_call(True, generic_loop=True)
+    _, generic, *_ = _count_null_call(True, generic_loop=True)
     assert abs(generic - GENERIC_LOOP_TOTAL) <= GENERIC_LOOP_SLACK, \
         f"generic_loop=True: {generic:.1f} calls, the interpreter's count " \
         f"is {GENERIC_LOOP_TOTAL}"
 
-    _, bare, _, bare_in_obs, _, _, _ = _count_null_call(False)
+    _, bare, _, bare_in_obs, *_ = _count_null_call(False)
     assert total - bare <= RECORDER_CEILING, \
         f"the recorder adds {total - bare:.1f} calls per ping"
     assert bare_in_obs == 0, \
@@ -297,10 +325,28 @@ def test_null_call_stays_inside_its_budget():
 
 @pytest.mark.skipif(not shm_available(), reason="no shared-memory directory")
 def test_shm_ping_stays_inside_its_budget():
-    caller, total, _, _, _, _, client = _count_null_call(True, scheme="shm")
+    caller, total, _, _, _, _, client, _ = _count_null_call(
+        True, scheme="shm")
     assert caller <= SHM_CALLER_CEILING, f"calling thread: {caller:.1f} calls"
     assert total <= SHM_TOTAL_CEILING, f"all threads: {total:.1f} calls"
     # as on tcp, the caller reads its own reply: no reader thread
+    assert client == [threading.current_thread().name], client
+    assert caller > 20  # a working call path
+
+
+@pytest.mark.parametrize("scheme", [
+    "tcp", pytest.param("shm", marks=pytest.mark.skipif(
+        not shm_available(), reason="no shared-memory directory"))])
+def test_the_shipped_server_runs_a_call_on_the_thread_that_reads_it(scheme):
+    """The default server (``server_workers=4``): the pool thread that
+    reads a request dispatches it and writes its reply, so each call
+    runs on exactly one server thread, and a ping costs no more than on
+    a ``server_workers=0`` reader thread."""
+    caller, total, _, _, _, _, client, one = _count_null_call(
+        True, scheme=scheme, server_workers=4)
+    assert total <= POOL_TOTAL_CEILINGS[scheme], \
+        f"all threads, pooled {scheme} server: {total:.1f} calls"
+    assert one == {1}, f"server threads per call: {one}"
     assert client == [threading.current_thread().name], client
     assert caller > 20  # a working call path
 
@@ -312,7 +358,7 @@ def test_shm_ping_stays_inside_its_budget():
 def test_a_payload_pays_for_a_deposit_only_when_it_takes_one(scheme,
                                                              deposited):
     nbytes = 2 * DEPOSIT_MIN_SIZE if deposited else DEPOSIT_MIN_SIZE - 1
-    _, total, _, _, _, _, _ = _count_null_call(
+    _, total, *_ = _count_null_call(
         True, scheme=scheme,
         payload=ZCOctetSequence.from_data(bytes(nbytes)))
     assert total <= DEPOSIT_CEILINGS[scheme, deposited], \
@@ -321,8 +367,8 @@ def test_a_payload_pays_for_a_deposit_only_when_it_takes_one(scheme,
 
 
 def test_traced_call_reads_the_one_record():
-    _, _, emits, in_obs, _, per_stage, _ = _count_null_call(True,
-                                                            traced=True)
+    _, _, emits, in_obs, _, per_stage, *_ = _count_null_call(
+        True, traced=True)
     assert in_obs <= TRACED_OBS_CEILING, \
         f"{in_obs:.1f} calls inside repro/obs/ per traced ping"
     # no wire log is attached, so no WireEvent is built

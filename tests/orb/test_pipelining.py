@@ -18,7 +18,6 @@ The tentpole scenarios of the multiplexing layer:
 """
 
 import dataclasses
-import queue
 import sys
 import threading
 import time
@@ -425,7 +424,8 @@ class TestServerPoolObservability:
 
 
 class TestWorkerPoolHandOff:
-    """The pool's queue: bounded, blocking, idle when idle."""
+    """The pool's queue (the pump's hand-off): bounded, blocking, idle
+    when idle."""
 
     class _Conn:
         closed = False
@@ -437,34 +437,39 @@ class TestWorkerPoolHandOff:
         return RequestWorkerPool(workers, handler, queue_depth=depth)
 
     def test_bound_and_backpressure(self):
+        """The pump's hand-off: ``submit`` queues behind a busy thread
+        until ``depth`` requests wait, then blocks the sender.  What a
+        pool thread read, ``submit_nowait``, runs on the thread that
+        calls it, past the bound."""
         gate = threading.Event()
         done = []
 
         def handler(conn, rm):
-            gate.wait(5)
+            if rm != "here":
+                gate.wait(5)
             done.append(rm)
 
         pool = self._pool(handler, workers=1, depth=2)
         try:
             conn = self._Conn()
-            pool.submit_nowait(conn, 0)
-            # the worker picks request 0 up and blocks in the handler
+            pool.submit(conn, 0)
+            # the thread picks request 0 up and blocks in the handler
             assert _wait_until(lambda: pool.queue_size == 0)
-            pool.submit_nowait(conn, 1)
-            pool.submit_nowait(conn, 2)
+            pool.submit(conn, 1)
+            pool.submit(conn, 2)
             assert pool.queue_size == 2 and pool.inflight == 3
-            with pytest.raises(queue.Full):
-                pool.submit_nowait(conn, 3)
-            assert pool.inflight == 3  # the refused request left no trace
-            blocked = threading.Thread(target=pool.submit, args=(conn, 4))
+            blocked = threading.Thread(target=pool.submit, args=(conn, 3))
             blocked.start()
             blocked.join(0.2)
             assert blocked.is_alive()  # submit blocks on a full queue
+            assert pool.inflight == 3  # and admits nothing meanwhile
+            pool.submit_nowait(conn, "here")
+            assert done == ["here"] and pool.inflight == 3
             gate.set()
             blocked.join(5)
             assert not blocked.is_alive()
             assert pool.drain(5)
-            assert done == [0, 1, 2, 4] and pool.inflight == 0
+            assert done == ["here", 0, 1, 2, 3] and pool.inflight == 0
         finally:
             gate.set()
             pool.shutdown()

@@ -22,7 +22,7 @@ from repro.giop import MsgType, encode_giop_header
 from repro.orb import COMM_FAILURE, NO_RETRY, ORB, ORBConfig, run_sync
 from repro.orb.aio import async_api
 from repro.orb.connection import GIOPConn
-from repro.orb.reactor import get_reactor
+from repro.orb.reactor import get_reactor, reset_reactor
 from repro.transport import (FaultPlan, LoopbackTransport, TCPTransport,
                              faulty_registry)
 from repro.transport.faulty import FaultyStream
@@ -32,6 +32,19 @@ from tests.conftest import make_store_impl
 def _on_the_loop(conn) -> bool:
     return any(driver.conn is conn
                for driver in list(get_reactor()._drivers.values()))
+
+
+def _in_the_pool(server: ORB, conn) -> bool:
+    """Whether ``server``'s pool threads read ``conn``."""
+    return any(entry[0] is conn for entry in
+               list(server._server.workers._reading.values()))
+
+
+def _server_threads(server: ORB) -> list:
+    """The names of the threads a server-only ORB runs: its pool's and
+    its listeners' (no loop, no reader threads)."""
+    return sorted(t.name for t in threading.enumerate()
+                  if t.name.startswith(("iiop-", "giop-", "tcp-", "shm-")))
 
 
 def _settle(predicate, timeout=5.0, step=0.02):
@@ -65,9 +78,9 @@ class TestAdoption:
         seen = []
         try:
             assert conn.start_reading(
-                lambda rm, driver: seen.append(
+                lambda rm: seen.append(
                     (rm.msg_type, threading.current_thread().name)),
-                lambda exc, driver: None, reactor=get_reactor()) is None
+                lambda exc: None, reactor=get_reactor()) is None
             assert _settle(lambda: _on_the_loop(conn))
             client.send(encode_giop_header(MsgType.CloseConnection, 0))
             assert _settle(lambda: seen)
@@ -369,8 +382,9 @@ class TestShmUnderReactor:
     def test_shm_handshake_and_deposits_unchanged(self, test_api):
         """S6: after one awaited call the loop reads the shm client's
         connection, deposit records included, and from its accept the
-        server's, with no reader thread; the handshake, deposits and
-        fallbacks behave exactly as before, sync and awaited."""
+        server's pool its own, with no reader thread; the handshake,
+        deposits and fallbacks behave exactly as before, sync and
+        awaited."""
         from repro.transport.shm import shm_available
         if not shm_available("/dev/shm"):
             pytest.skip("no usable shared-memory filesystem")
@@ -386,7 +400,8 @@ class TestShmUnderReactor:
             demux = next(iter(client._proxies.values()))._demux
             assert not demux.callers_read and _on_the_loop(demux.conn)
             (accepted,) = server._server.connections()
-            assert _on_the_loop(accepted)
+            assert _in_the_pool(server, accepted)
+            assert not _on_the_loop(accepted)
             assert not [t.name for t in threading.enumerate()
                         if t.name.startswith("iiop-server-")]
             payload = bytes(range(256)) * 256  # 64 KiB
@@ -403,18 +418,27 @@ class TestShmUnderReactor:
 
     @pytest.mark.parametrize("clients", [1, 4, 16])
     def test_one_thread_reads_every_connection(self, test_api, clients):
-        """ROADMAP item 2: a server with a worker pool reads 1, 4 or 16
-        shm connections with one thread, the loop's; none has a reader
-        thread of its own."""
+        """ROADMAP item 8: a server whose pool has one thread reads 1, 4
+        or 16 shm connections with that thread, from one poll set; none
+        has a reader thread of its own, and no loop reads any."""
         from repro.transport.shm import shm_available
         if not shm_available("/dev/shm"):
             pytest.skip("no usable shared-memory filesystem")
-        server = ORB(ORBConfig(scheme="shm"))
+        server = ORB(ORBConfig(scheme="shm", server_workers=1))
         client = ORB(ORBConfig(scheme="shm", collocated_calls=False))
         proxies = []
+        readers = set()
         try:
+            impl = make_store_impl(test_api)
+            put_std = impl.put_std
+
+            def noted(data):
+                readers.add(threading.current_thread().name)
+                return put_std(data)
+
+            impl.put_std = noted
             stub = client.string_to_object(server.object_to_string(
-                server.activate(make_store_impl(test_api))))
+                server.activate(impl)))
             profile = client.select_profile(stub._ior)
             call = (profile.object_key, stub._signature("put_std"),
                     [OctetSequence(b"ping")])
@@ -423,13 +447,54 @@ class TestShmUnderReactor:
                 assert proxies[-1].invoke(*call) == 4 * (i + 1)
             conns = server._server.connections()
             assert len(conns) == clients
-            assert _settle(lambda: all(_on_the_loop(c) for c in conns))
+            assert all(_in_the_pool(server, c) for c in conns)
+            assert not any(_on_the_loop(c) for c in conns)
+            assert readers == {"iiop-worker-0"}
             assert [t.name for t in threading.enumerate()
                     if t.name.startswith("iiop-server-")] == []
         finally:
             for proxy in proxies:
                 proxy.close()
             client.shutdown()
+            server.shutdown()
+
+    def test_the_pools_threads_are_the_servers_threads(self, test_api):
+        """64 tcp and 8 shm connections to one pooled server: its
+        threads are its pool's ``server_workers`` and one accept thread
+        per listener, at any connection count, and no loop runs in a
+        process with no client of its own."""
+        from repro.transport.shm import shm_available
+        schemes = ("tcp", "shm") if shm_available("/dev/shm") else ("tcp",)
+        reset_reactor()
+        server = ORB(ORBConfig(scheme="tcp", server_workers=3,
+                               extra_schemes=schemes[1:]))
+        socks = []
+        try:
+            ior = server.object_to_string(server.activate(
+                make_store_impl(test_api)))
+            before = _server_threads(server)
+            pool = [f"iiop-worker-{i}" for i in range(3)]
+            assert [n for n in before if n not in pool] == sorted(
+                f"{s}-127.0.0.1:0-accept" for s in schemes)
+            assert len(before) == len(pool) + len(schemes)
+            for scheme, n in zip(schemes, (64, 8)):
+                endpoint = next(e for e in server.endpoints
+                                if e[0] == scheme)
+                transport = server.transports.get(scheme)
+                for _ in range(n):
+                    socks.append(transport.connect(endpoint, timeout=5.0))
+            assert _settle(lambda: len(server._server.connections())
+                           == len(socks))
+            for stream in socks:  # each one answered, by the pool
+                stream.send(encode_giop_header(MsgType.CloseConnection, 0))
+            assert _settle(lambda: not server._server.connections())
+            assert _server_threads(server) == before
+            assert not [t.name for t in threading.enumerate()
+                        if t.name.startswith("giop-reactor")]
+            assert ior
+        finally:
+            for stream in socks:
+                stream.close()
             server.shutdown()
 
 

@@ -1,5 +1,5 @@
 """One read path (DESIGN.md §10): whichever drive reads a connection
-(``GIOPConn.start_reading``: pump, loop, a server's reader thread; and
+(``GIOPConn.start_reading``: pump, a server's pool or reader thread; and
 a client's connection over a socket, tcp, shm or fault-injected, the
 callers waiting for replies until an awaited call hands it to the
 loop), a server treats a message, or a peer's garbage, the same, and a
@@ -11,9 +11,9 @@ blocking, which is what makes the one read path one, and that no
 client, sync or awaited, starts a reader thread; then the regressions
 the table grew out of, one per drive.
 (The server half of the loop
-drive's is in the table: its ``bad-magic``, ``unknown-type`` and
-``ff-body`` rows on ``loop``, a default tcp server, got neither an
-answer nor a hang-up before ``_ConnDriver._resume``.)
+drive's, while a server had one, is in the table: its ``bad-magic``,
+``unknown-type`` and ``ff-body`` rows on ``loop``, a default tcp server,
+got neither an answer nor a hang-up before ``_ConnDriver._resume``.)
 
 This is the first piece of ROADMAP item 4(a)'s connection fuzzer.  Its
 ``oversized-*`` rows are the size bounds of ``repro.giop.messages``: a
@@ -60,11 +60,16 @@ from repro.transport.shm import SHM_MAGIC, shm_available
 #: a hang is a failure of the test, not a TIMEOUT it could mistake for one
 WATCHDOG = 5.0
 
-#: drive -> the ORBConfig that makes ``start_reading`` choose it
+#: drive -> the ORBConfig that makes ``start_reading`` choose it.  A
+#: default tcp or shm server is read by its pool's threads; its rows keep
+#: the names ``loop`` and ``loop-shm`` of the client drives that take the
+#: same config.  ``pool`` is a pool of one thread, which runs everything
+#: it reads, a courtesy to a hostile peer included
 DRIVES = {
     "pump": dict(scheme="loop"),
     "loop": dict(scheme="tcp"),
     "loop-shm": dict(scheme="shm"),
+    "pool": dict(scheme="tcp", server_workers=1),
     "thread-inline": dict(scheme="tcp", server_workers=0),
     "thread-shm": dict(scheme="shm", server_workers=0),
 }
@@ -814,7 +819,7 @@ def test_reader_threads_survive_peers_that_send_garbage_and_reset(served):
     assert stub.put_std(OctetSequence(b"after!")) == 12
 
 
-# -- on the loop nothing waits --------------------------------------------
+# -- a pool thread writes its courtesy as a reader thread does -----------
 
 def _accepted_conn(server: ORB, peer: _RawStream):
     """The server's connection for ``peer``, once it answers."""
@@ -824,18 +829,19 @@ def _accepted_conn(server: ORB, peer: _RawStream):
     return server._server.connections()[-1]
 
 
-def test_loop_drops_the_courtesy_rather_than_wait_for_the_send_lock(served):
-    """Someone holds the connection's send lock (a worker inside a
-    large reply).  The loop must not queue behind it: no courtesy, the
-    connection closed at once, and every other connection still read."""
+def test_the_pool_writes_the_courtesy_once_the_send_lock_is_free(served):
+    """Someone holds the connection's send lock (a pool thread inside a
+    large reply).  The pool thread that read the garbage waits for it,
+    as a reader thread would, while the pool's other threads read every
+    other connection; then the courtesy goes out, and the hang-up."""
     server, stub = served("loop")
     peer = _dial(server)
     conn = _accepted_conn(server, peer)
     with conn._send_lock:
         peer.send(b"XXXX" + b"\x00" * 8)
-        assert _settle(lambda: conn.closed), "the loop waited for the lock"
+        assert _settle(lambda: conn.closed), "the garbage was never read"
         assert stub.put_std(OctetSequence(b"served")) == 6
-        assert peer.recv_to_eof() == b""
+    assert peer.recv_to_eof() == MESSAGE_ERROR
     peer.close()
 
 
@@ -855,17 +861,18 @@ class _FullSocket:
         return getattr(self._sock, name)
 
 
-def test_loop_drops_a_courtesy_the_socket_does_not_take_at_once(served):
-    """The loop drops the courtesy the socket does not take at once:
-    the send lock is free again for a worker that still has a reply
-    for this connection."""
+def test_the_pool_writes_a_courtesy_the_socket_takes_only_with_a_wait(
+        served):
+    """A pool thread may wait, so its courtesy is a blocking write: a
+    socket that takes nothing at once still gets it, and the send lock
+    is free again afterwards."""
     server, _ = served("loop")
     peer = _dial(server)
     conn = _accepted_conn(server, peer)
     stream = conn.stream
     stream._sock = _FullSocket(stream._sock)
     peer.send(b"XXXX" + b"\x00" * 8)
-    assert peer.recv_to_eof() == b""
+    assert peer.recv_to_eof() == MESSAGE_ERROR
     assert conn.closed
     assert conn._send_lock.acquire(timeout=WATCHDOG), "send lock leaked"
     conn._send_lock.release()

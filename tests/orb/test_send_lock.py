@@ -191,7 +191,10 @@ def test_send_close(pair, writes):
     assert writes.unlocked() == []
 
 
-def test_the_loops_message_error_courtesy(pair, writes):
+def test_the_pools_message_error_courtesy(pair, writes):
+    """The MessageError to a peer that sent garbage is written by the
+    pool thread that read the garbage, under the send lock, the way a
+    reader thread writes it."""
     _, _, server = pair
     peer = socket.create_connection(server.endpoint[1:], timeout=WATCHDOG)
     try:
@@ -200,7 +203,6 @@ def test_the_loops_message_error_courtesy(pair, writes):
         assert peer.recv(64) == b""
     finally:
         peer.close()
-    (courtesy,) = writes.by("sendv", "giop-reactor")
+    (courtesy,) = writes.by("send", "iiop-worker")
     assert courtesy[2]
     assert writes.unlocked() == []
-
