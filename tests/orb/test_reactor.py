@@ -12,6 +12,8 @@ whether the call was sync or awaited.
 """
 
 import asyncio
+import os
+import socket
 import threading
 import time
 
@@ -528,3 +530,44 @@ class TestReactorTelemetry:
         finally:
             orb.shutdown()
             server.shutdown()
+
+
+def test_a_connection_on_a_recycled_fd_keeps_its_registration():
+    """The pool's close hook unregisters behind an fd-reuse guard: a
+    connection whose hook runs only after its fd number was given to a
+    new connection leaves the new one registered, and the pool feeds
+    the new one's parse, never the old one's."""
+    from repro.orb.server import RequestWorkerPool
+    transport = TCPTransport()
+    accepted = []
+    listener = transport.listen("127.0.0.1", 0, accepted.append)
+    pool = RequestWorkerPool(1, lambda conn, rm: None)
+    seen = []
+    try:
+        old_peer = transport.connect(listener.endpoint)
+        assert _settle(lambda: len(accepted) == 1)
+        old = GIOPConn(accepted[0])
+        pool.adopt(old, lambda rm: seen.append(("old", rm.msg_type)),
+                   lambda exc: None)
+        new_peer = transport.connect(listener.endpoint)
+        assert _settle(lambda: len(accepted) == 2)
+        fd = old.stream.fileno()
+        old.stream._sock.close()  # the fd goes, the hook has not run
+        # the new connection's socket takes the old one's number
+        sock = accepted[1]._sock
+        os.dup2(sock.fileno(), fd)
+        accepted[1]._sock = socket.socket(fileno=fd)
+        sock.close()
+        new = GIOPConn(accepted[1])
+        pool.adopt(new, lambda rm: seen.append(("new", rm.msg_type)),
+                   lambda exc: None)
+        old.close()  # the late hook: it must leave fd to the new one
+        new_peer.send(encode_giop_header(MsgType.CloseConnection, 0))
+        assert _settle(lambda: seen)
+        assert seen == [("new", MsgType.CloseConnection)]
+        new.close()
+        old_peer.close()
+        new_peer.close()
+    finally:
+        pool.shutdown()
+        listener.close()
